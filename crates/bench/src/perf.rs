@@ -35,7 +35,7 @@ use polaris_collectives::prelude::*;
 
 use serde::{Deserialize, Serialize};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 use std::time::Instant;
 
 // ---------------------------------------------------------------------
@@ -49,19 +49,24 @@ use std::time::Instant;
 /// counter).
 pub struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Per thread, so a measured window sees only its own thread's
+    // allocations. `const` + `Cell<u64>`: the allocator hook reaches it
+    // without allocating or registering a destructor.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        ALLOCS.with(|c| c.set(c.get() + 1));
         unsafe { System.alloc(layout) }
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        ALLOCS.with(|c| c.set(c.get() + 1));
         unsafe { System.alloc_zeroed(layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        ALLOCS.with(|c| c.set(c.get() + 1));
         unsafe { System.realloc(ptr, layout, new_size) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -69,8 +74,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 }
 
+/// Allocator calls made by the calling thread so far.
 fn allocs() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
+    ALLOCS.with(Cell::get)
 }
 
 /// True when the counting allocator is actually installed in this
@@ -734,8 +740,8 @@ const MIN_SPEEDUP: f64 = 2.0;
 const MIN_PARALLEL_SPEEDUP: f64 = 1.6;
 
 /// Required sharded-engine speedup at 4 jobs (parallel-round-2
-/// acceptance criterion: per-channel lookahead + speculation + SoA
-/// storage must deliver real multi-core scaling, not the 1.17x the
+/// acceptance criterion: per-channel lookahead + SoA storage must
+/// deliver real multi-core scaling, not the 1.17x the
 /// windowed-barrier design managed). Arms only with >= 4 cores.
 const MIN_ENGINE_SPEEDUP_4: f64 = 3.0;
 

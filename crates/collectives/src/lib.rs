@@ -43,10 +43,7 @@ pub mod prelude {
         InterGroup,
     };
     pub use crate::op::{Elem, Reducible, ReduceOp};
-    pub use crate::parsim::{
-        simulate_collective_sharded, simulate_collective_sharded_opts,
-        simulate_collective_sharded_stats,
-    };
+    pub use crate::parsim::{simulate_collective_sharded, simulate_collective_sharded_stats};
     pub use crate::reduce::reduce_binomial;
     pub use crate::reduce_scatter::reduce_scatter_ring;
     pub use crate::scan::{scan_exclusive, scan_inclusive};

@@ -84,7 +84,6 @@ enum PEv {
     Arrive { from: u32, to: u32, bytes: u64, base: SimTime },
 }
 
-#[derive(Clone)]
 struct PRank {
     ops: Vec<SchedOp>,
     pc: usize,
@@ -99,7 +98,6 @@ struct PRank {
     down_busy: u64,
 }
 
-#[derive(Clone)]
 struct ParWorld {
     part: Partition,
     /// First rank owned by this shard.
@@ -272,15 +270,13 @@ pub fn simulate_collective_sharded_stats(
     link: LinkModel,
     jobs: u32,
 ) -> (SimResult, ShardRunStats) {
-    simulate_collective_sharded_opts(p, coll, bytes, params, link, jobs, true)
+    assert!(p > 0, "at least one rank");
+    let programs = (0..p).map(|r| schedule(coll, r, p, bytes)).collect();
+    simulate_programs_sharded(programs, params, link, None, jobs)
 }
 
-/// Like [`simulate_collective_sharded_stats`], with speculation under
-/// caller control: `speculate = false` pins the engine to conservative
-/// windows only. The result is bit-identical either way — the sentinel's
-/// rollback oracle holds that as an invariant — so the knob exists for
-/// differential testing and for measuring speculation itself, not for
-/// correctness.
+// Forwarding shim: called only by the frozen examples/benchmark/src/probes.rs.
+#[doc(hidden)]
 pub fn simulate_collective_sharded_opts(
     p: u32,
     coll: Collective,
@@ -288,11 +284,9 @@ pub fn simulate_collective_sharded_opts(
     params: ExecParams,
     link: LinkModel,
     jobs: u32,
-    speculate: bool,
+    _speculate: bool,
 ) -> (SimResult, ShardRunStats) {
-    assert!(p > 0, "at least one rank");
-    let programs = (0..p).map(|r| schedule(coll, r, p, bytes)).collect();
-    simulate_programs_sharded_opts(programs, params, link, None, jobs, speculate)
+    simulate_collective_sharded_stats(p, coll, bytes, params, link, jobs)
 }
 
 /// Execute arbitrary per-rank schedules (`programs[r]` is rank `r`'s
@@ -312,18 +306,6 @@ pub fn simulate_programs_sharded(
     link: LinkModel,
     path: Option<PathModel>,
     jobs: u32,
-) -> (SimResult, ShardRunStats) {
-    simulate_programs_sharded_opts(programs, params, link, path, jobs, true)
-}
-
-/// [`simulate_programs_sharded`] with speculation under caller control.
-pub fn simulate_programs_sharded_opts(
-    programs: Vec<Vec<SchedOp>>,
-    params: ExecParams,
-    link: LinkModel,
-    path: Option<PathModel>,
-    jobs: u32,
-    speculate: bool,
 ) -> (SimResult, ShardRunStats) {
     let p = programs.len() as u32;
     assert!(p > 0, "at least one rank");
@@ -362,11 +344,7 @@ pub fn simulate_programs_sharded_opts(
     for r in 0..p {
         sim.schedule(part.shard_of(r), SimTime::ZERO, (r as u64) << 32, PEv::Step(r));
     }
-    let stats = if speculate {
-        sim.run_spec(jobs > 1, None)
-    } else {
-        sim.run(jobs > 1, None)
-    };
+    let stats = sim.run(jobs > 1, None);
     let mut completion = SimTime::ZERO;
     let mut messages = 0;
     let mut payload_bytes = 0;
@@ -454,26 +432,6 @@ mod tests {
             assert_eq!(sharded.messages, serial.messages, "{coll:?}");
             assert_eq!(sharded.payload_bytes, serial.payload_bytes, "{coll:?}");
             assert!(sharded.completion > SimDuration::ZERO || bytes == 0);
-        }
-    }
-
-    #[test]
-    fn speculation_is_transparent_to_collectives() {
-        // Conservative-only and speculative runs must agree bit for bit
-        // on every collective shape; speculation only changes how many
-        // windows the engine needed, never what the model computed.
-        for &(coll, bytes) in CASES {
-            let p = 16u32;
-            let link = Generation::InfiniBand4x.link_model();
-            let (cons, _) = simulate_collective_sharded_opts(
-                p, coll, bytes, ExecParams::default(), link, 2, false,
-            );
-            let (spec, _) = simulate_collective_sharded_opts(
-                p, coll, bytes, ExecParams::default(), link, 2, true,
-            );
-            assert_eq!(spec.completion, cons.completion, "{coll:?}");
-            assert_eq!(spec.messages, cons.messages, "{coll:?}");
-            assert_eq!(spec.payload_bytes, cons.payload_bytes, "{coll:?}");
         }
     }
 

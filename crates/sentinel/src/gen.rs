@@ -74,12 +74,13 @@ pub struct WorkloadSpec {
     pub circuit_ops: u32,
     /// Circuit-scheduler capacity for the ledger audit.
     pub circuit_capacity: u32,
-    /// Tokens seeded into the rollback oracle's straggler workload
-    /// (`#[serde(default)]`: replay artifacts from before the
-    /// speculation round parse with 0, which the oracle clamps up).
+    /// Tokens seeded into the shard and snapshot oracles' window-edge
+    /// straggler workload (`#[serde(default)]`: replay artifacts from
+    /// before the field existed parse with 0, which the oracles clamp
+    /// up).
     #[serde(default)]
     pub spec_tokens: u32,
-    /// Hops each straggler token travels in the rollback oracle.
+    /// Hops each straggler token travels in those oracles.
     #[serde(default)]
     pub spec_hops: u32,
 }
@@ -131,9 +132,8 @@ impl WorkloadSpec {
         }
         let circuit_ops = 8 + r.next_below(120) as u32;
         let circuit_capacity = 1 + r.next_below(8) as u32;
-        // Speculation-round draws are likewise appended after every
-        // earlier field (frozen draw-order contract): the rollback
-        // oracle's straggler workload size.
+        // The straggler-workload draws are likewise appended after
+        // every earlier field (frozen draw-order contract).
         let spec_tokens = 1 + r.next_below(4) as u32;
         let spec_hops = 8 + r.next_below(57) as u32;
         WorkloadSpec {

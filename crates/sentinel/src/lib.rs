@@ -69,7 +69,6 @@ const AUDITS: &[Audit] = &[
     ("reliable-superset", oracle::reliable_superset),
     ("lifecycle-conservation", ledger::lifecycle_conservation),
     ("circuit-conservation", ledger::circuit_conservation),
-    ("rollback-oracle", oracle::rollback_oracle),
     ("snapshot-oracle", oracle::snapshot_oracle),
 ];
 

@@ -20,7 +20,7 @@
 use crate::gen::WorkloadSpec;
 use crate::Violation;
 use polaris_collectives::prelude::{
-    simulate_collective, simulate_collective_sharded, simulate_collective_sharded_opts, ExecParams,
+    simulate_collective, simulate_collective_sharded_stats, ExecParams,
 };
 use polaris_msg::prelude::{Endpoint, MatchSpec, MsgConfig, Protocol, Reliability};
 use polaris_nic::prelude::{ChaosParams, Fabric};
@@ -109,11 +109,19 @@ pub fn queue_oracle(spec: &WorkloadSpec) -> Vec<Violation> {
     out
 }
 
-/// Sharded executor determinism: jobs=1 is the reference; 2 and 4
-/// shards must be bit-identical, and the serial flow-level executor
-/// must agree on the message/payload ledgers.
+/// Sharded executor determinism, two halves:
+///
+/// 1. The collective engine: jobs=1 is the reference; 2 and 4 shards
+///    must be bit-identical in completion time, message/payload ledger
+///    and events dispatched, and the serial flow-level executor must
+///    agree on the message/payload ledgers.
+/// 2. A token workload that lands cross-shard events exactly on window
+///    edges ([`StragWorld`]): the merged log at 1/2/4 shards must equal
+///    the 1-shard log, with an event-conservation ledger — every token
+///    accounts for exactly `hops + 1` dispatches.
 pub fn shard_oracle(spec: &WorkloadSpec) -> Vec<Violation> {
     let mut out = Vec::new();
+    let inv = "shard-divergence";
     let (coll, bytes) = spec.collective();
     let p = spec.coll_ranks.max(3);
     let link = if spec.seed & 1 == 0 {
@@ -121,13 +129,15 @@ pub fn shard_oracle(spec: &WorkloadSpec) -> Vec<Violation> {
     } else {
         Generation::InfiniBand4x.link_model()
     };
-    let base = simulate_collective_sharded(p, coll, bytes, ExecParams::default(), link, 1);
+    let (base, base_stats) =
+        simulate_collective_sharded_stats(p, coll, bytes, ExecParams::default(), link, 1);
     for jobs in [2u32, 4] {
-        let run = simulate_collective_sharded(p, coll, bytes, ExecParams::default(), link, jobs);
+        let (run, stats) =
+            simulate_collective_sharded_stats(p, coll, bytes, ExecParams::default(), link, jobs);
         check!(
             out,
             run.completion == base.completion,
-            "shard-divergence",
+            inv,
             "{coll:?} p={p} jobs={jobs}: completion {:?} != serial-shard {:?}",
             run.completion,
             base.completion
@@ -135,12 +145,20 @@ pub fn shard_oracle(spec: &WorkloadSpec) -> Vec<Violation> {
         check!(
             out,
             run.messages == base.messages && run.payload_bytes == base.payload_bytes,
-            "shard-divergence",
+            inv,
             "{coll:?} p={p} jobs={jobs}: ledger ({}, {}) != serial-shard ({}, {})",
             run.messages,
             run.payload_bytes,
             base.messages,
             base.payload_bytes
+        );
+        check!(
+            out,
+            stats.events_dispatched == base_stats.events_dispatched,
+            inv,
+            "{coll:?} p={p} jobs={jobs}: {} events dispatched vs serial-shard {}",
+            stats.events_dispatched,
+            base_stats.events_dispatched
         );
     }
     let mut net = Network::new(Topology::new(TopologyKind::Crossbar { hosts: p }), link);
@@ -155,6 +173,40 @@ pub fn shard_oracle(spec: &WorkloadSpec) -> Vec<Violation> {
         base.messages,
         base.payload_bytes
     );
+
+    // Half 2: stragglers at window edges over the token workload. The
+    // salt is frozen so pinned seeds keep drawing the same cases.
+    let mut rng = SplitMix64::new(spec.seed ^ 0x726F_6C6C_6261_636B);
+    let hosts = 5 + rng.next_below(8) as u32;
+    let ntokens = spec.spec_tokens.clamp(1, 4) as usize;
+    let hops = spec.spec_hops.clamp(1, 64);
+    let tokens: Vec<u32> = (0..ntokens)
+        .map(|_| rng.next_below(hosts as u64) as u32)
+        .collect();
+    let expected_events = tokens.len() as u64 * (hops as u64 + 1);
+    let (reference, _) = run_stragglers(hosts, 1, &tokens, hops);
+    for nshards in [1u32, 2, 4] {
+        let (log, events) = run_stragglers(hosts, nshards, &tokens, hops);
+        check!(
+            out,
+            log == reference,
+            inv,
+            "straggler workload diverged at nshards={nshards}: {} events vs {} \
+             (hosts={hosts} tokens={tokens:?} hops={hops})",
+            log.len(),
+            reference.len()
+        );
+        check!(
+            out,
+            events == expected_events,
+            "shard-event-conservation",
+            "nshards={nshards}: dispatched {events} != ledger {expected_events} — the window \
+             protocol double-counted or dropped events"
+        );
+        if !out.is_empty() {
+            return out; // one divergence cascades; report the first
+        }
+    }
     out
 }
 
@@ -411,7 +463,7 @@ pub fn route_oracle(spec: &WorkloadSpec) -> Vec<Violation> {
 }
 
 // ---------------------------------------------------------------------
-// Speculation rollback oracle
+// Window-edge straggler workload (shard and snapshot oracles)
 // ---------------------------------------------------------------------
 
 /// One straggler token in flight between ranks.
@@ -421,14 +473,13 @@ struct StragToken {
     hops_left: u32,
 }
 
-/// A token-passing world tuned to stress the speculation protocol:
-/// every forward lands either *exactly* on the window edge
-/// (`now + lookahead`, the worst-case straggler position — an arrival
-/// at the speculated frontier must roll the window back) or one
-/// lookahead beyond it (sparse enough for speculative windows to
-/// commit). The choice is a pure hash of `(rank, seq)`, so event
-/// times are independent of the shard layout and the run is
-/// bit-comparable across shard counts and speculation modes.
+/// A token-passing world tuned to stress the window protocol: every
+/// forward lands either *exactly* on the window edge
+/// (`now + lookahead`, the worst-case straggler position — a window
+/// one tick too wide would drain past it) or one lookahead beyond it.
+/// The choice is a pure hash of `(rank, seq)`, so event times are
+/// independent of the shard layout and the run is bit-comparable
+/// across shard counts.
 #[derive(Clone)]
 struct StragWorld {
     part: Partition,
@@ -463,15 +514,8 @@ impl ShardWorld for StragWorld {
     }
 }
 
-/// Run the straggler workload and return the merged `(time, rank)`
-/// log plus total events dispatched.
-fn run_stragglers(
-    hosts: u32,
-    nshards: u32,
-    tokens: &[u32],
-    hops: u32,
-    speculate: bool,
-) -> (Vec<(u64, u32)>, u64) {
+/// The straggler workload seeded and ready to run at `nshards` shards.
+fn straggler_sim(hosts: u32, nshards: u32, tokens: &[u32], hops: u32) -> ShardSim<StragWorld> {
     let part = Partition::block(hosts, nshards);
     let worlds: Vec<StragWorld> = (0..part.nshards)
         .map(|sh| {
@@ -493,116 +537,22 @@ fn run_stragglers(
             StragToken { rank: r, hops_left: hops },
         );
     }
-    let stats = if speculate {
-        sim.run_spec(false, None)
-    } else {
-        sim.run(false, None)
-    };
-    let mut log: Vec<(u64, u32)> = sim.worlds().flat_map(|w| w.log.iter().copied()).collect();
-    log.sort_unstable();
-    (log, stats.events_dispatched)
+    sim
 }
 
-/// Speculative windows must be *transparent*: bit-identical results to
-/// conservative execution, with rolled-back work invisible in every
-/// ledger. Two halves:
-///
-/// 1. The collective engine under `speculate = true` at 1/2/4 shards
-///    vs the conservative jobs=1 baseline — completion times and the
-///    message/payload ledgers replayed per configuration must agree
-///    exactly.
-/// 2. A token workload that injects stragglers exactly at window
-///    edges (forced rollbacks) interleaved with slack hops (committed
-///    windows), across shard counts and speculation modes, with an
-///    event-conservation ledger: every token accounts for exactly
-///    `hops + 1` dispatches, no double-counted or lost events.
-pub fn rollback_oracle(spec: &WorkloadSpec) -> Vec<Violation> {
-    let mut out = Vec::new();
-    let inv = "rollback-divergence";
+/// The merged `(time, rank)` log of a finished straggler run.
+fn straggler_log(sim: &ShardSim<StragWorld>) -> Vec<(u64, u32)> {
+    let mut log: Vec<(u64, u32)> = sim.worlds().flat_map(|w| w.log.iter().copied()).collect();
+    log.sort_unstable();
+    log
+}
 
-    // Half 1: collective-engine transparency + ledger replay.
-    let (coll, bytes) = spec.collective();
-    let p = spec.coll_ranks.max(3);
-    let link = if spec.seed & 1 == 0 {
-        Generation::GigabitEthernet.link_model()
-    } else {
-        Generation::InfiniBand4x.link_model()
-    };
-    let (base, base_stats) =
-        simulate_collective_sharded_opts(p, coll, bytes, ExecParams::default(), link, 1, false);
-    for jobs in [1u32, 2, 4] {
-        let (run, stats) =
-            simulate_collective_sharded_opts(p, coll, bytes, ExecParams::default(), link, jobs, true);
-        check!(
-            out,
-            run.completion == base.completion,
-            inv,
-            "{coll:?} p={p} jobs={jobs}: speculative completion {:?} != conservative {:?}",
-            run.completion,
-            base.completion
-        );
-        check!(
-            out,
-            run.messages == base.messages && run.payload_bytes == base.payload_bytes,
-            inv,
-            "{coll:?} p={p} jobs={jobs}: speculative ledger ({}, {}) != conservative ({}, {})",
-            run.messages,
-            run.payload_bytes,
-            base.messages,
-            base.payload_bytes
-        );
-        check!(
-            out,
-            stats.events_dispatched == base_stats.events_dispatched,
-            inv,
-            "{coll:?} p={p} jobs={jobs}: {} events dispatched vs {} — rolled-back work leaked \
-             into the commit ledger",
-            stats.events_dispatched,
-            base_stats.events_dispatched
-        );
-    }
-
-    // Half 2: stragglers at window edges over the token workload.
-    let mut rng = SplitMix64::new(spec.seed ^ 0x726F_6C6C_6261_636B); // "rollback"
-    let hosts = 5 + rng.next_below(8) as u32;
-    let ntokens = spec.spec_tokens.clamp(1, 4) as usize;
-    let hops = spec.spec_hops.clamp(1, 64);
-    let tokens: Vec<u32> = (0..ntokens)
-        .map(|_| rng.next_below(hosts as u64) as u32)
-        .collect();
-    let expected_events = tokens.len() as u64 * (hops as u64 + 1);
-    let (reference, ref_events) = run_stragglers(hosts, 1, &tokens, hops, false);
-    check!(
-        out,
-        ref_events == expected_events,
-        "rollback-event-conservation",
-        "conservative reference dispatched {ref_events} events, ledger expects {expected_events}"
-    );
-    for nshards in [1u32, 2, 4] {
-        for speculate in [false, true] {
-            let (log, events) = run_stragglers(hosts, nshards, &tokens, hops, speculate);
-            check!(
-                out,
-                log == reference,
-                inv,
-                "straggler workload diverged at nshards={nshards} speculate={speculate}: \
-                 {} events vs {} (hosts={hosts} tokens={tokens:?} hops={hops})",
-                log.len(),
-                reference.len()
-            );
-            check!(
-                out,
-                events == expected_events,
-                "rollback-event-conservation",
-                "nshards={nshards} speculate={speculate}: dispatched {events} != ledger \
-                 {expected_events} — speculative replay double-counted or dropped events"
-            );
-            if !out.is_empty() {
-                return out; // one divergence cascades; report the first
-            }
-        }
-    }
-    out
+/// Run the straggler workload and return the merged `(time, rank)`
+/// log plus total events dispatched.
+fn run_stragglers(hosts: u32, nshards: u32, tokens: &[u32], hops: u32) -> (Vec<(u64, u32)>, u64) {
+    let mut sim = straggler_sim(hosts, nshards, tokens, hops);
+    let stats = sim.run(false, None);
+    (straggler_log(&sim), stats.events_dispatched)
 }
 
 // ---------------------------------------------------------------------
@@ -618,57 +568,27 @@ fn run_stragglers_split(
     nshards: u32,
     tokens: &[u32],
     hops: u32,
-    speculate: bool,
     cut: SimTime,
 ) -> (Vec<(u64, u32)>, u64) {
-    let part = Partition::block(hosts, nshards);
-    let worlds: Vec<StragWorld> = (0..part.nshards)
-        .map(|sh| {
-            let ranks = part.ranks_of(sh);
-            StragWorld {
-                part,
-                base: ranks.start,
-                seqs: ranks.map(|_| 0).collect(),
-                log: Vec::new(),
-            }
-        })
-        .collect();
-    let mut sim = ShardSim::uniform(worlds, SimDuration(5));
-    for (i, &r) in tokens.iter().enumerate() {
-        sim.schedule(
-            part.shard_of(r),
-            SimTime(r as u64),
-            ((r as u64) << 32) | (i as u64) << 16,
-            StragToken { rank: r, hops_left: hops },
-        );
-    }
-    let first = if speculate {
-        sim.run_spec(false, Some(cut))
-    } else {
-        sim.run(false, Some(cut))
-    };
+    let mut sim = straggler_sim(hosts, nshards, tokens, hops);
+    let first = sim.run(false, Some(cut));
     let snap = sim.snapshot();
     drop(sim); // the restored engine must not lean on the original
     let mut resumed = snap.restore();
-    let second = if speculate {
-        resumed.run_spec(false, None)
-    } else {
-        resumed.run(false, None)
-    };
-    let mut log: Vec<(u64, u32)> =
-        resumed.worlds().flat_map(|w| w.log.iter().copied()).collect();
-    log.sort_unstable();
-    (log, first.events_dispatched + second.events_dispatched)
+    let second = resumed.run(false, None);
+    (
+        straggler_log(&resumed),
+        first.events_dispatched + second.events_dispatched,
+    )
 }
 
 /// Checkpoint/restore must be *invisible*: a run interrupted at an
 /// arbitrary horizon, snapshotted, restored into a fresh engine, and
 /// resumed must produce the bit-identical event log and event count of
-/// an uninterrupted conservative 1-shard run — at every shard count,
-/// with and without speculative windows, and regardless of where the
-/// cut lands (mid-window, with deferred cross-shard sends in flight).
-/// The snapshot itself must be reusable: two restores from the same
-/// snapshot resume to the same result.
+/// an uninterrupted 1-shard run — at every shard count, and regardless
+/// of where the cut lands (mid-flight, with cross-shard events pending
+/// in the receivers' queues). The snapshot itself must be reusable:
+/// two restores from the same snapshot resume to the same result.
 pub fn snapshot_oracle(spec: &WorkloadSpec) -> Vec<Violation> {
     let mut out = Vec::new();
     let inv = "snapshot-divergence";
@@ -682,7 +602,7 @@ pub fn snapshot_oracle(spec: &WorkloadSpec) -> Vec<Violation> {
         .collect();
     let expected_events = tokens.len() as u64 * (hops as u64 + 1);
 
-    let (reference, ref_events) = run_stragglers(hosts, 1, &tokens, hops, false);
+    let (reference, ref_events) = run_stragglers(hosts, 1, &tokens, hops);
     check!(
         out,
         ref_events == expected_events,
@@ -691,7 +611,7 @@ pub fn snapshot_oracle(spec: &WorkloadSpec) -> Vec<Violation> {
     );
     let end = reference.last().map(|&(t, _)| t).unwrap_or(0).max(2);
     // Two seed-derived cut points: one in the first half of virtual
-    // time (deferred sends still in flight), one in the second (most
+    // time (every token still in flight), one in the second (most
     // tokens retired, queues draining).
     let cuts = [
         SimTime(1 + rng.next_below(end / 2)),
@@ -699,66 +619,40 @@ pub fn snapshot_oracle(spec: &WorkloadSpec) -> Vec<Violation> {
     ];
     for &cut in &cuts {
         for nshards in [1u32, 2, 4] {
-            for speculate in [false, true] {
-                let (log, events) =
-                    run_stragglers_split(hosts, nshards, &tokens, hops, speculate, cut);
-                check!(
-                    out,
-                    log == reference,
-                    inv,
-                    "resumed run diverged at nshards={nshards} speculate={speculate} \
-                     cut={}: {} events vs {} (hosts={hosts} tokens={tokens:?} hops={hops})",
-                    cut.0,
-                    log.len(),
-                    reference.len()
-                );
-                check!(
-                    out,
-                    events == expected_events,
-                    "snapshot-event-conservation",
-                    "nshards={nshards} speculate={speculate} cut={}: dispatched {events} != \
-                     ledger {expected_events} — the cut double-counted or dropped events",
-                    cut.0
-                );
-                if !out.is_empty() {
-                    return out; // one divergence cascades; report the first
-                }
+            let (log, events) = run_stragglers_split(hosts, nshards, &tokens, hops, cut);
+            check!(
+                out,
+                log == reference,
+                inv,
+                "resumed run diverged at nshards={nshards} cut={}: {} events vs {} \
+                 (hosts={hosts} tokens={tokens:?} hops={hops})",
+                cut.0,
+                log.len(),
+                reference.len()
+            );
+            check!(
+                out,
+                events == expected_events,
+                "snapshot-event-conservation",
+                "nshards={nshards} cut={}: dispatched {events} != ledger {expected_events} — \
+                 the cut double-counted or dropped events",
+                cut.0
+            );
+            if !out.is_empty() {
+                return out; // one divergence cascades; report the first
             }
         }
     }
 
     // A snapshot is a value, not a transfer of ownership: restoring it
     // twice must yield the same resumed result both times.
-    let part = Partition::block(hosts, 2);
-    let worlds: Vec<StragWorld> = (0..part.nshards)
-        .map(|sh| {
-            let ranks = part.ranks_of(sh);
-            StragWorld {
-                part,
-                base: ranks.start,
-                seqs: ranks.map(|_| 0).collect(),
-                log: Vec::new(),
-            }
-        })
-        .collect();
-    let mut sim = ShardSim::uniform(worlds, SimDuration(5));
-    for (i, &r) in tokens.iter().enumerate() {
-        sim.schedule(
-            part.shard_of(r),
-            SimTime(r as u64),
-            ((r as u64) << 32) | (i as u64) << 16,
-            StragToken { rank: r, hops_left: hops },
-        );
-    }
+    let mut sim = straggler_sim(hosts, 2, &tokens, hops);
     sim.run(false, Some(cuts[0]));
     let snap = sim.snapshot();
     let resume = |snap: &ShardSnapshot<StragWorld>| {
         let mut sim = snap.restore();
         sim.run(false, None);
-        let mut log: Vec<(u64, u32)> =
-            sim.worlds().flat_map(|w| w.log.iter().copied()).collect();
-        log.sort_unstable();
-        log
+        straggler_log(&sim)
     };
     let (a, b) = (resume(&snap), resume(&snap));
     check!(

@@ -233,7 +233,7 @@ impl IncrementalRunner {
 
         for k in start..spec.phases.len() {
             seed_phase(&mut sim, part, spec, k);
-            sim.run_spec(false, Some(SimTime((k as u64 + 1) * spec.phase_len)));
+            sim.run(false, Some(SimTime((k as u64 + 1) * spec.phase_len)));
             let key = spec.prefix_hash(k + 1).0;
             let snap = Arc::new(sim.snapshot());
             self.snaps.lock().unwrap().entry(key).or_insert(snap);
@@ -241,7 +241,7 @@ impl IncrementalRunner {
         // Drain whatever outlives the last phase boundary. (Never
         // snapshotted: boundary checkpoints must stay pre-drain so
         // longer specs can extend them.)
-        let stats = sim.run_spec(false, None);
+        let stats = sim.run(false, None);
 
         let events_total: u64 = sim.worlds().map(|w| w.events).sum();
         SegmentedOutcome {
@@ -292,13 +292,13 @@ pub fn snapshot_identity_check() -> bool {
         let (part, mut sim) = fresh_sim(&spec);
         for k in 0..spec.phases.len() {
             seed_phase(&mut sim, part, &spec, k);
-            sim.run_spec(false, Some(SimTime((k as u64 + 1) * spec.phase_len)));
+            sim.run(false, Some(SimTime((k as u64 + 1) * spec.phase_len)));
             let json = serde_json::to_string(&sim.snapshot()).expect("snapshot serializes");
             let snap: ShardSnapshot<TrafficWorld> =
                 serde_json::from_str(&json).expect("snapshot parses");
             sim = snap.restore();
         }
-        sim.run_spec(false, None);
+        sim.run(false, None);
         let digest = sim.worlds().fold(0u64, |acc, w| acc.wrapping_add(w.digest));
         let events: u64 = sim.worlds().map(|w| w.events).sum();
         ok &= digest == reference.digest && events == reference.events_total;

@@ -13,9 +13,8 @@
 //!    hit/miss/eviction counters through `polaris-obs`.
 //! 2. **Engine checkpoint/restore** (`polaris_simnet::shard`'s
 //!    `ShardSnapshot`): full `ShardSim` state — calendar queues,
-//!    worlds, clocks, deferred speculative sends, lookahead matrix —
-//!    serialized behind stable IDs, restoring bit-identically in a
-//!    fresh simulator or process.
+//!    worlds, clocks, lookahead matrix — serialized behind stable IDs,
+//!    restoring bit-identically in a fresh simulator or process.
 //! 3. **Incremental re-simulation** ([`incremental`]): phase-segmented
 //!    workloads snapshot at every phase boundary; a point-mutation of
 //!    a cached spec restarts from the latest boundary whose prefix is

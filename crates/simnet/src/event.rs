@@ -355,9 +355,11 @@ impl<E> EventQueue<E> {
     }
 
     /// Remove and return the earliest event together with its tie-break
-    /// key. The speculative shard executor uses the key to journal
-    /// popped events so a rollback can re-insert them under the exact
-    /// `(time, key)` identity they were scheduled with.
+    /// key, so a caller can re-insert it with [`push_keyed`] under the
+    /// exact `(time, key)` identity it was scheduled with (the
+    /// benchmark's keyed-hold probe does).
+    ///
+    /// [`push_keyed`]: EventQueue::push_keyed
     pub fn pop_entry(&mut self) -> Option<(SimTime, u64, E)> {
         if self.current.is_empty() && !self.advance() && self.behind.is_empty() {
             return None;
@@ -375,10 +377,8 @@ impl<E> EventQueue<E> {
         self.peek_entry().map(|(t, _)| t)
     }
 
-    /// `(time, key)` of the earliest pending event without removing it.
-    ///
-    /// The sharded engine compares this against inbound cross-shard
-    /// events to decide whether a speculative window survived the merge.
+    /// `(time, key)` of the earliest pending event without removing it:
+    /// the stable identity a [`QueueSnapshot`] stores for it.
     pub fn peek_entry(&mut self) -> Option<(SimTime, u64)> {
         if self.current.is_empty() && !self.advance() && self.behind.is_empty() {
             return None;

@@ -1,6 +1,5 @@
 //! Sharded parallel discrete-event execution: conservative windows from
-//! per-channel lookahead, plus speculative execution past the
-//! conservative horizon with deterministic rollback.
+//! per-channel lookahead.
 //!
 //! [`ShardSim`] partitions a model across worker shards, each owning an
 //! independent calendar [`EventQueue`], and runs them in windows:
@@ -9,49 +8,34 @@
 //!   own minimum latency promise in a [`Lookahead`] matrix — the
 //!   null-message-style earliest-input-time (EIT) bound. Each window,
 //!   every shard publishes the minimum timestamp it could still send
-//!   (its queue minimum, adjusted for any committed-but-unflushed
-//!   speculative sends), and shard `s` derives its *own* safe window
-//!   end `wend_s = min over src≠s of (min_src + la[src][s])`. Sparsely
+//!   (its queue minimum), and shard `s` derives its *own* safe window
+//!   end `wend_s = min over src of (min_src + dist[src][s])`. Sparsely
 //!   coupled partitions (e.g. dragonfly group-aligned shards, where
 //!   cross-group latency dwarfs local latency) get windows sized by the
 //!   channels that actually constrain them, not by the global minimum
 //!   link latency.
-//! * **Speculative windows with rollback.** After draining its
-//!   conservative window, a shard may keep executing into
-//!   `[wend_s, B_s)` against a checkpoint, where the commit bound
-//!   `B_s = min over src≠s of (wend_src + la[src][s])` is the earliest
-//!   timestamp any *future* merge could deliver (every peer's next
-//!   minimum is at least its current window end). The only events that
-//!   can invalidate the speculation are therefore in *this* window's
-//!   inbox: at the merge, if the inbox minimum `(time, key)` is ≤ the
-//!   largest speculated `(time, key)`, the shard rolls back — restores
-//!   the checkpointed world, re-inserts the journaled pops — and
-//!   re-executes conservatively next window (with deterministic
-//!   backoff). Otherwise it commits: staged local sends enter the real
-//!   queue, and speculative cross-shard sends are *deferred* to the
-//!   next window's flush point, with the published minimum adjusted by
-//!   `min(t_e - la[s][dst_e])` so no peer's window can overtake them.
-//!   Commit/rollback decisions depend only on deterministic values (the
-//!   published minima and the inbox *set*, never arrival order), so
-//!   results — and the spec commit/rollback counts themselves — are
-//!   bit-identical across shard counts and serial/threaded execution.
 //! * **Batched channel exchange.** Cross-shard sends buffer per
 //!   destination and flush once per window through
 //!   [`ShardChannel::push_batch`] — one release store per (src, dst)
 //!   pair per window instead of one per event.
+//!
+//! This is the only window protocol. Optimistic execution past the
+//! window end was tried and removed; docs/PERFORMANCE.md records the
+//! measurement and what a retry would have to show.
 //!
 //! Determinism — and, stronger, *shard-count invariance* — comes from
 //! the key discipline: models supply tie-break keys derived from global
 //! identities (rank, per-rank sequence), never from shard ids or
 //! arrival order, so the `(time, key)` total order every shard executes
 //! is the same whether the model runs on 1, 2, or 4 shards. The oracle
-//! suite in `tests/parallel_determinism.rs` asserts exactly that, with
-//! speculation on and off.
+//! suite in `tests/parallel_determinism.rs` asserts exactly that.
 //!
-//! Synchronization is three `std::sync::Barrier` waits per window
-//! (publish local minima / adopt the window / exchange channels) —
-//! blocking primitives throughout, never spin loops, so oversubscribed
-//! hosts degrade gracefully instead of livelocking.
+//! Synchronization is three barrier waits per window (publish local
+//! minima / adopt the window / exchange channels). A waiter polls the
+//! barrier's generation and yields the CPU between polls: it never
+//! sleeps, so a window costs no kernel wake-up, and it never spins
+//! without yielding, so more shards than cores degrade to round-robin
+//! instead of livelocking.
 
 use crate::channel::ShardChannel;
 use crate::event::{EventQueue, QueueSnapshot};
@@ -59,10 +43,7 @@ use crate::time::{SimDuration, SimTime};
 use crate::topology::Topology;
 use polaris_obs::Obs;
 use serde::{Deserialize, Serialize};
-use std::cmp::Ordering as CmpOrdering;
-use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Barrier;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
 // ---------------------------------------------------------------------
 // Partitioning
@@ -307,27 +288,6 @@ impl Lookahead {
         }
         wend
     }
-
-    /// Commit bound for shard `dst`: the earliest timestamp any merge
-    /// *after this window's* could deliver. Each shard's next
-    /// published minimum is at least its current window end (it
-    /// executes everything below it and inbound merges can't land
-    /// below it either), so future arrivals at `dst` sit at or above
-    /// `min over all src of (wend_src + dist(src, dst))` — the same
-    /// closure as [`window_end`], one published-minimum generation
-    /// later. Speculative events strictly below this bound are
-    /// threatened only by the current window's inbox — which the
-    /// merge inspects directly.
-    ///
-    /// [`window_end`]: Lookahead::window_end
-    pub fn commit_bound(&self, mins: &[u64], dst: usize) -> u64 {
-        let mut bound = u64::MAX;
-        for src in 0..mins.len() {
-            let wend_src = self.window_end(mins, src);
-            bound = bound.min(wend_src.saturating_add(self.dist(src as u32, dst as u32)));
-        }
-        bound
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -353,42 +313,6 @@ struct Remote<E> {
     event: E,
 }
 
-/// A local event produced *during speculation*, staged outside the real
-/// calendar queue so a rollback can discard it (the calendar queue has
-/// no remove operation). Min-ordered by `(time, key)`.
-struct Staged<E> {
-    time: SimTime,
-    key: u64,
-    event: E,
-}
-
-impl<E> Staged<E> {
-    #[inline]
-    fn key(&self) -> (SimTime, u64) {
-        (self.time, self.key)
-    }
-}
-
-impl<E> PartialEq for Staged<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
-    }
-}
-impl<E> Eq for Staged<E> {}
-
-impl<E> PartialOrd for Staged<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<CmpOrdering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> Ord for Staged<E> {
-    fn cmp(&self, other: &Self) -> CmpOrdering {
-        // Reversed: BinaryHeap is a max-heap, we want earliest-first.
-        other.key().cmp(&self.key())
-    }
-}
-
 /// Scheduling interface handed to [`ShardWorld::handle`].
 pub struct ShardCtx<'a, E> {
     now: SimTime,
@@ -396,13 +320,8 @@ pub struct ShardCtx<'a, E> {
     nshards: u32,
     la: &'a Lookahead,
     queue: &'a mut EventQueue<E>,
-    /// During speculation, local sends divert here instead of the real
-    /// queue (so a rollback can discard them); `None` in conservative
-    /// execution.
-    staging: Option<&'a mut BinaryHeap<Staged<E>>>,
-    /// Per-destination outbound buffers: the conservative set in normal
-    /// execution, the deferred (commit-pending) set during speculation.
-    /// Flushed in one [`ShardChannel::push_batch`] per pair per window.
+    /// Per-destination outbound buffers, flushed in one
+    /// [`ShardChannel::push_batch`] per pair per window.
     outbufs: &'a mut [Vec<Remote<E>>],
     remote_sent: &'a mut u64,
 }
@@ -449,11 +368,7 @@ impl<E> ShardCtx<'_, E> {
     pub fn send(&mut self, dst: u32, time: SimTime, key: u64, event: E) {
         debug_assert!(time >= self.now, "event scheduled in the past");
         if dst == self.shard {
-            let time = time.max(self.now);
-            match &mut self.staging {
-                Some(staging) => staging.push(Staged { time, key, event }),
-                None => self.queue.push_keyed(time, key, event),
-            }
+            self.queue.push_keyed(time.max(self.now), key, event);
         } else {
             debug_assert!(
                 time.0 >= self.now.0 + self.la.get(self.shard, dst),
@@ -480,29 +395,10 @@ impl<E> ShardCtx<'_, E> {
 // The sharded simulator
 // ---------------------------------------------------------------------
 
-/// After a rollback, skip speculation for a deterministic, doubling
-/// number of windows up to this cap — bounding checkpoint-clone waste
-/// on straggler-heavy workloads without any non-deterministic input.
-const MAX_SPEC_BACKOFF: u32 = 8;
-
-/// Adaptive speculation depth: each shard caps how many events one
-/// speculative window may execute, scaling the cap by the observed
-/// commit/rollback outcome — multiplicative increase on commit,
-/// multiplicative decrease on rollback (AIMD on the rollback rate). A
-/// shard whose speculation keeps committing earns deep windows; one
-/// whose peers keep straggling stops cloning worlds it will throw away.
-/// The trajectory is a pure function of the (deterministic) commit and
-/// rollback sequence, so depths — like every other speculation decision
-/// — are identical across serial and threaded execution.
-const SPEC_DEPTH_INIT: u64 = 64;
-const SPEC_DEPTH_MIN: u64 = 8;
-const SPEC_DEPTH_MAX: u64 = 4096;
-
 /// Outcome of a sharded run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardRunStats {
-    /// Events dispatched, summed over shards (each committed event
-    /// counts once; rolled-back speculative work is excluded).
+    /// Events dispatched, summed over shards.
     pub events_dispatched: u64,
     /// Events dispatched per shard, indexed by shard id.
     pub per_shard_events: Vec<u64>,
@@ -510,19 +406,12 @@ pub struct ShardRunStats {
     pub windows: u64,
     /// Events that crossed a shard boundary.
     pub remote_events: u64,
-    /// Speculative windows that committed.
-    pub spec_commits: u64,
-    /// Speculative windows rolled back by a straggler.
-    pub spec_rollbacks: u64,
-    /// Events executed speculatively and committed.
+    // Always 0: read only by the frozen examples/benchmark/src/workloads/program_cells.rs.
+    #[doc(hidden)]
     pub spec_events_committed: u64,
-    /// Events executed speculatively then discarded by a rollback.
+    // Always 0: read only by the frozen examples/benchmark/src/workloads/program_cells.rs.
+    #[doc(hidden)]
     pub spec_events_rolled_back: u64,
-    /// Adaptive speculation depth each shard ended the run at, indexed
-    /// by shard id (all `SPEC_DEPTH_INIT` when speculation never ran).
-    /// Deterministic: the depth trajectory is a pure function of the
-    /// commit/rollback sequence.
-    pub spec_final_depth: Vec<u64>,
     /// Simulated time when the run stopped.
     pub end_time: SimTime,
     /// True if the run stopped at the horizon with events pending.
@@ -531,11 +420,9 @@ pub struct ShardRunStats {
 
 impl ShardRunStats {
     /// Export the run's counters through an observability registry:
-    /// `shard_events_dispatched_total{shard=..}`, `shard_windows_total`,
-    /// `shard_remote_events_total`, and — when speculation ran —
-    /// `shard_spec_{commits,rollbacks,events_committed,events_rolled_back}_total`.
-    /// Counters accumulate across runs sharing one registry, matching
-    /// every other ledger in the stack.
+    /// `shard_events_dispatched_total{shard=..}`, `shard_windows_total`
+    /// and `shard_remote_events_total`. Counters accumulate across runs
+    /// sharing one registry, matching every other ledger in the stack.
     pub fn publish(&self, obs: &Obs) {
         for (s, &n) in self.per_shard_events.iter().enumerate() {
             let label = s.to_string();
@@ -544,17 +431,15 @@ impl ShardRunStats {
         }
         obs.counter("shard_windows_total", &[]).add(self.windows);
         obs.counter("shard_remote_events_total", &[]).add(self.remote_events);
-        if self.spec_commits > 0 || self.spec_rollbacks > 0 {
-            obs.counter("shard_spec_commits_total", &[]).add(self.spec_commits);
-            obs.counter("shard_spec_rollbacks_total", &[]).add(self.spec_rollbacks);
-            obs.counter("shard_spec_events_committed_total", &[])
-                .add(self.spec_events_committed);
-            obs.counter("shard_spec_events_rolled_back_total", &[])
-                .add(self.spec_events_rolled_back);
-        }
     }
 }
 
+// Slots sit side by side in one `Vec` and each worker writes its own on
+// every event (`now`, `dispatched`, the queue's cursors): without the
+// alignment the line that straddles two slots ping-pongs between their
+// cores whenever the allocation happens to land that way. 128 covers
+// the adjacent-line prefetcher's pair.
+#[repr(align(128))]
 struct ShardSlot<W: ShardWorld> {
     world: W,
     queue: EventQueue<W::Event>,
@@ -563,81 +448,9 @@ struct ShardSlot<W: ShardWorld> {
     remote_sent: u64,
     /// Reusable merge buffer for inbound remote events.
     inbox: Vec<Remote<W::Event>>,
-    /// Per-destination conservative outbound buffers; flushed in one
-    /// `push_batch` per pair per window.
+    /// Per-destination outbound buffers; flushed in one `push_batch`
+    /// per pair per window.
     outbufs: Vec<Vec<Remote<W::Event>>>,
-    /// Committed speculative cross-shard sends awaiting the next flush
-    /// point (they must not enter the channels mid-window, after peers
-    /// may already have drained).
-    deferred: Vec<Vec<Remote<W::Event>>>,
-    /// `min over deferred events e of (e.time - la[s][dst_e])`: the
-    /// published-minimum adjustment that keeps peers' windows below any
-    /// deferred event until it is delivered. `u64::MAX` when empty.
-    deferred_adj: u64,
-    /// World snapshot taken at speculation start (post-conservative
-    /// drain); `Some` only between a speculative run and its merge.
-    checkpoint: Option<W>,
-    /// Local events produced during speculation, outside the real queue.
-    staging: BinaryHeap<Staged<W::Event>>,
-    /// `(time, key, event)` journal of real-queue pops during
-    /// speculation, re-inserted verbatim on rollback.
-    undo: Vec<(SimTime, u64, W::Event)>,
-    /// Clock/tally shadows during speculation; folded in on commit.
-    spec_now: SimTime,
-    spec_max: Option<(SimTime, u64)>,
-    spec_dispatched: u64,
-    spec_remote_sent: u64,
-    /// Deterministic rollback backoff: windows left to skip, and the
-    /// next skip length.
-    spec_skip: u32,
-    next_backoff: u32,
-    /// Adaptive cap on events per speculative window (AIMD-adjusted at
-    /// each commit/rollback; see [`SPEC_DEPTH_INIT`]).
-    spec_depth: u64,
-    // Per-shard speculation stats.
-    spec_commits: u64,
-    spec_rollbacks: u64,
-    spec_events_committed: u64,
-    spec_events_rolled_back: u64,
-}
-
-/// Compile-time switch between conservative-only and speculative
-/// execution: both entry points run the identical window protocol, and
-/// the `Clone` bounds speculation needs (world checkpointing, pop
-/// journaling) attach only to the speculative instantiation.
-trait SpecPolicy<W: ShardWorld> {
-    const ENABLED: bool;
-    fn snapshot(world: &W) -> Option<W>;
-    fn clone_event(ev: &W::Event) -> W::Event;
-}
-
-/// Conservative-only execution (`ShardSim::run`).
-struct NoSpec;
-
-impl<W: ShardWorld> SpecPolicy<W> for NoSpec {
-    const ENABLED: bool = false;
-    fn snapshot(_: &W) -> Option<W> {
-        None
-    }
-    fn clone_event(_: &W::Event) -> W::Event {
-        unreachable!("speculation disabled")
-    }
-}
-
-/// Speculative execution (`ShardSim::run_spec`).
-struct WithSpec;
-
-impl<W: ShardWorld + Clone> SpecPolicy<W> for WithSpec
-where
-    W::Event: Clone,
-{
-    const ENABLED: bool = true;
-    fn snapshot(world: &W) -> Option<W> {
-        Some(world.clone())
-    }
-    fn clone_event(ev: &W::Event) -> W::Event {
-        ev.clone()
-    }
 }
 
 /// Read-only per-run context shared by every phase function.
@@ -645,7 +458,7 @@ struct Shared<'a, W: ShardWorld> {
     n: usize,
     la: &'a Lookahead,
     /// Event-granular horizon cap: events with `t.0 > hcap` never
-    /// execute (conservatively or speculatively).
+    /// execute.
     hcap: u64,
     channels: &'a [ShardChannel<Remote<W::Event>>],
 }
@@ -678,22 +491,6 @@ impl<W: ShardWorld> ShardSim<W> {
                     remote_sent: 0,
                     inbox: Vec::new(),
                     outbufs: (0..n).map(|_| Vec::new()).collect(),
-                    deferred: (0..n).map(|_| Vec::new()).collect(),
-                    deferred_adj: u64::MAX,
-                    checkpoint: None,
-                    staging: BinaryHeap::new(),
-                    undo: Vec::new(),
-                    spec_now: SimTime::ZERO,
-                    spec_max: None,
-                    spec_dispatched: 0,
-                    spec_remote_sent: 0,
-                    spec_skip: 0,
-                    next_backoff: 1,
-                    spec_depth: SPEC_DEPTH_INIT,
-                    spec_commits: 0,
-                    spec_rollbacks: 0,
-                    spec_events_committed: 0,
-                    spec_events_rolled_back: 0,
                 })
                 .collect(),
             lookahead,
@@ -722,36 +519,12 @@ impl<W: ShardWorld> ShardSim<W> {
         self.shards.iter().map(|s| &s.world)
     }
 
-    /// Run to completion (or `horizon`), conservative windows only.
-    /// With `parallel` set, each shard gets its own worker thread;
-    /// otherwise the same windowed algorithm runs on the calling
-    /// thread, shard by shard — both paths execute the identical
-    /// `(time, key)` order, so they produce identical results by
-    /// construction.
+    /// Run to completion (or `horizon`). With `parallel` set, each
+    /// shard gets its own worker thread; otherwise the same windowed
+    /// algorithm runs on the calling thread, shard by shard — both
+    /// paths execute the identical `(time, key)` order, so they produce
+    /// identical results by construction.
     pub fn run(&mut self, parallel: bool, horizon: Option<SimTime>) -> ShardRunStats {
-        self.run_inner::<NoSpec>(parallel, horizon)
-    }
-
-    /// Like [`run`], additionally executing speculative windows past
-    /// each shard's conservative horizon, rolled back deterministically
-    /// on straggler cross-shard events. Produces bit-identical model
-    /// results to [`run`] — speculation is transparent — at a fraction
-    /// of the window count when cross-shard traffic is sparse.
-    ///
-    /// [`run`]: ShardSim::run
-    pub fn run_spec(&mut self, parallel: bool, horizon: Option<SimTime>) -> ShardRunStats
-    where
-        W: Clone,
-        W::Event: Clone,
-    {
-        self.run_inner::<WithSpec>(parallel, horizon)
-    }
-
-    fn run_inner<P: SpecPolicy<W>>(
-        &mut self,
-        parallel: bool,
-        horizon: Option<SimTime>,
-    ) -> ShardRunStats {
         let n = self.shards.len();
         let channels: Vec<ShardChannel<Remote<W::Event>>> =
             (0..n * n).map(|_| ShardChannel::new()).collect();
@@ -783,24 +556,20 @@ impl<W: ShardWorld> ShardSim<W> {
                     let wend = shared.la.window_end(&mins, s);
                     drain_window(slot, s, &shared, wend);
                     flush_outbufs(slot, s, &shared);
-                    if P::ENABLED {
-                        let bound = shared.la.commit_bound(&mins, s);
-                        speculate::<W, P>(slot, s, &shared, bound);
-                    }
                 }
                 for (s, slot) in self.shards.iter_mut().enumerate() {
-                    merge_inbox::<W, P>(slot, s, &shared);
+                    merge_inbox(slot, s, &shared);
                 }
             }
         } else {
-            let barrier = Barrier::new(n);
+            let barrier = WindowBarrier::new(n);
             let mins: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(u64::MAX)).collect();
             std::thread::scope(|scope| {
                 for (s, slot) in self.shards.iter_mut().enumerate() {
                     let (shared, mins, barrier) = (&shared, &mins, &barrier);
                     let (windows, horizon_hit) = (&windows, &horizon_hit);
                     scope.spawn(move || {
-                        worker::<W, P>(s, slot, shared, horizon, mins, barrier, windows, horizon_hit);
+                        worker(s, slot, shared, horizon, mins, barrier, windows, horizon_hit);
                     });
                 }
             });
@@ -818,11 +587,8 @@ impl<W: ShardWorld> ShardSim<W> {
             per_shard_events,
             windows: windows.load(Ordering::Relaxed),
             remote_events: self.shards.iter().map(|s| s.remote_sent).sum(),
-            spec_commits: self.shards.iter().map(|s| s.spec_commits).sum(),
-            spec_rollbacks: self.shards.iter().map(|s| s.spec_rollbacks).sum(),
-            spec_events_committed: self.shards.iter().map(|s| s.spec_events_committed).sum(),
-            spec_events_rolled_back: self.shards.iter().map(|s| s.spec_events_rolled_back).sum(),
-            spec_final_depth: self.shards.iter().map(|s| s.spec_depth).collect(),
+            spec_events_committed: 0,
+            spec_events_rolled_back: 0,
             end_time,
             horizon_reached,
         };
@@ -830,13 +596,6 @@ impl<W: ShardWorld> ShardSim<W> {
         for s in &mut self.shards {
             s.dispatched = 0;
             s.remote_sent = 0;
-            s.spec_commits = 0;
-            s.spec_rollbacks = 0;
-            s.spec_events_committed = 0;
-            s.spec_events_rolled_back = 0;
-            s.spec_skip = 0;
-            s.next_backoff = 1;
-            s.spec_depth = SPEC_DEPTH_INIT;
         }
         stats
     }
@@ -847,21 +606,24 @@ impl<W: ShardWorld> ShardSim<W> {
 // ---------------------------------------------------------------------
 
 /// Full serializable state of a [`ShardSim`] at a quiescent point
-/// (between runs): the lookahead matrix, every shard's world, its
+/// (between runs): the lookahead matrix and every shard's world, its
 /// calendar queue (as a [`QueueSnapshot`] — entries behind stable
-/// `(time, key)` identities, never arena slots), its clock, and any
-/// committed-but-undelivered speculative cross-shard sends.
+/// `(time, key)` identities, never arena slots) and its clock.
 ///
 /// Stable-ID rules: nothing in a snapshot refers to process state —
 /// no arena slot numbers, thread ids, channel indices, or `Weak`
-/// custody. Shards are named by their dense shard id, events by their
-/// `(time, key)` identity, and deferred sends by `(src, dst)` shard
-/// ids, so a snapshot restores into a fresh process bit-identically.
+/// custody. Shards are named by their dense shard id and events by
+/// their `(time, key)` identity, so a snapshot restores into a fresh
+/// process bit-identically.
 ///
-/// Transient intra-window state (speculation checkpoints, staging,
-/// undo journals, un-flushed outbufs, inboxes) is empty by
-/// construction at every quiescent point; [`ShardSim::snapshot`]
-/// asserts that rather than serializing it.
+/// The only intra-window state (un-flushed outbufs, inboxes) is empty
+/// at every quiescent point; [`ShardSim::snapshot`] asserts that
+/// rather than serializing it.
+///
+/// A deserialized snapshot is shape-checked at the boundary
+/// (`Deserialize::from_value` returns a `DeError` for a wrong schema
+/// tag, `nshards` 0, or arrays that do not match `nshards`), so
+/// [`restore`](ShardSnapshot::restore) never sees a malformed one.
 pub struct ShardSnapshot<W: ShardWorld> {
     nshards: u32,
     /// Row-major `nshards x nshards` lookahead edge matrix (the
@@ -877,15 +639,6 @@ pub struct ShardSnapshot<W: ShardWorld> {
     queues: Vec<QueueSnapshot<W::Event>>,
     /// Per-shard clock, picoseconds.
     nows: Vec<u64>,
-    /// Per-shard published-minimum adjustment for the deferred sends.
-    deferred_adjs: Vec<u64>,
-    /// Committed speculative cross-shard sends awaiting delivery,
-    /// flattened in (src, dst, buffer-order) order behind stable ids.
-    deferred_src: Vec<u32>,
-    deferred_dst: Vec<u32>,
-    deferred_time: Vec<u64>,
-    deferred_key: Vec<u64>,
-    deferred_event: Vec<W::Event>,
 }
 
 impl<W: ShardWorld> ShardSnapshot<W> {
@@ -904,33 +657,16 @@ impl<W: ShardWorld> ShardSnapshot<W> {
     }
 
     /// Rebuild a simulator from this snapshot. The result — worlds,
-    /// queue contents, clocks, deferred sends, lookahead — continues
-    /// exactly as the snapshotted simulator would have: `run` /
-    /// `run_spec` from here produce bit-identical model results to the
-    /// uninterrupted run (the snapshot round-trip proptests pin this).
+    /// queue contents, clocks, lookahead — continues exactly as the
+    /// snapshotted simulator would have: `run` from here produces
+    /// bit-identical model results to the uninterrupted run (the
+    /// snapshot round-trip proptests pin this).
     pub fn restore(&self) -> ShardSim<W>
     where
         W: Clone,
         W::Event: Clone,
     {
         let n = self.nshards as usize;
-        assert!(n >= 1, "snapshot must hold at least one shard");
-        assert_eq!(self.la.len(), n * n, "lookahead matrix size mismatch");
-        assert!(
-            self.worlds.len() == n
-                && self.queues.len() == n
-                && self.nows.len() == n
-                && self.deferred_adjs.len() == n,
-            "per-shard snapshot arrays must match the shard count"
-        );
-        let d = self.deferred_src.len();
-        assert!(
-            self.deferred_dst.len() == d
-                && self.deferred_time.len() == d
-                && self.deferred_key.len() == d
-                && self.deferred_event.len() == d,
-            "deferred-send snapshot arrays must be parallel"
-        );
         let lookahead = Lookahead {
             n: self.nshards,
             dist: min_plus_closure(n, &self.la),
@@ -941,16 +677,6 @@ impl<W: ShardWorld> ShardSnapshot<W> {
         for (s, slot) in sim.shards.iter_mut().enumerate() {
             slot.queue = EventQueue::from_snapshot(self.queues[s].snapshot_clone());
             slot.now = SimTime(self.nows[s]);
-            slot.deferred_adj = self.deferred_adjs[s];
-        }
-        for i in 0..d {
-            let (src, dst) = (self.deferred_src[i] as usize, self.deferred_dst[i] as usize);
-            assert!(src < n && dst < n && src != dst, "deferred send has invalid shard ids");
-            sim.shards[src].deferred[dst].push(Remote {
-                time: SimTime(self.deferred_time[i]),
-                key: self.deferred_key[i],
-                event: self.deferred_event[i].clone(),
-            });
         }
         sim
     }
@@ -976,53 +702,28 @@ where
 {
     /// Capture the full simulator state behind stable IDs. Must be
     /// called at a quiescent point — before any run, or after a run
-    /// returned (including a horizon stop); panics if transient
-    /// intra-window state is live.
+    /// returned (including a horizon stop); panics if intra-window
+    /// state is live.
     pub fn snapshot(&self) -> ShardSnapshot<W> {
-        let n = self.shards.len();
-        let mut deferred_src = Vec::new();
-        let mut deferred_dst = Vec::new();
-        let mut deferred_time = Vec::new();
-        let mut deferred_key = Vec::new();
-        let mut deferred_event = Vec::new();
-        for (s, slot) in self.shards.iter().enumerate() {
+        for slot in &self.shards {
             assert!(
-                slot.checkpoint.is_none()
-                    && slot.staging.is_empty()
-                    && slot.undo.is_empty()
-                    && slot.inbox.is_empty()
-                    && slot.outbufs.iter().all(Vec::is_empty),
+                slot.inbox.is_empty() && slot.outbufs.iter().all(Vec::is_empty),
                 "snapshot requires a quiescent simulator (between runs)"
             );
-            for (dst, buf) in slot.deferred.iter().enumerate() {
-                for r in buf {
-                    deferred_src.push(s as u32);
-                    deferred_dst.push(dst as u32);
-                    deferred_time.push(r.time.0);
-                    deferred_key.push(r.key);
-                    deferred_event.push(r.event.clone());
-                }
-            }
         }
         ShardSnapshot {
-            nshards: n as u32,
+            nshards: self.shards.len() as u32,
             la: self.lookahead.la.clone(),
             min_la: self.lookahead.min_la,
             worlds: self.shards.iter().map(|s| s.world.clone()).collect(),
             queues: self.shards.iter().map(|s| s.queue.snapshot()).collect(),
             nows: self.shards.iter().map(|s| s.now.0).collect(),
-            deferred_adjs: self.shards.iter().map(|s| s.deferred_adj).collect(),
-            deferred_src,
-            deferred_dst,
-            deferred_time,
-            deferred_key,
-            deferred_event,
         }
     }
 }
 
 /// Snapshot wire-format version tag (bump on layout changes).
-const SHARD_SNAPSHOT_SCHEMA: &str = "polaris-shardsim-snapshot/1";
+const SHARD_SNAPSHOT_SCHEMA: &str = "polaris-shardsim-snapshot/2";
 
 impl<W> Serialize for ShardSnapshot<W>
 where
@@ -1041,12 +742,6 @@ where
             ("worlds".to_string(), self.worlds.to_value()),
             ("queues".to_string(), self.queues.to_value()),
             ("nows".to_string(), self.nows.to_value()),
-            ("deferred_adjs".to_string(), self.deferred_adjs.to_value()),
-            ("deferred_src".to_string(), self.deferred_src.to_value()),
-            ("deferred_dst".to_string(), self.deferred_dst.to_value()),
-            ("deferred_time".to_string(), self.deferred_time.to_value()),
-            ("deferred_key".to_string(), self.deferred_key.to_value()),
-            ("deferred_event".to_string(), self.deferred_event.to_value()),
         ])
     }
 }
@@ -1063,31 +758,42 @@ where
                 "unsupported shard snapshot schema {schema:?} (expected {SHARD_SNAPSHOT_SCHEMA:?})"
             )));
         }
-        Ok(ShardSnapshot {
+        let snap = ShardSnapshot {
             nshards: u32::from_value(v.field("nshards")?)?,
             la: Vec::<u64>::from_value(v.field("la")?)?,
             min_la: u64::from_value(v.field("min_la")?)?,
             worlds: Vec::<W>::from_value(v.field("worlds")?)?,
             queues: Vec::<QueueSnapshot<W::Event>>::from_value(v.field("queues")?)?,
             nows: Vec::<u64>::from_value(v.field("nows")?)?,
-            deferred_adjs: Vec::<u64>::from_value(v.field("deferred_adjs")?)?,
-            deferred_src: Vec::<u32>::from_value(v.field("deferred_src")?)?,
-            deferred_dst: Vec::<u32>::from_value(v.field("deferred_dst")?)?,
-            deferred_time: Vec::<u64>::from_value(v.field("deferred_time")?)?,
-            deferred_key: Vec::<u64>::from_value(v.field("deferred_key")?)?,
-            deferred_event: Vec::<W::Event>::from_value(v.field("deferred_event")?)?,
-        })
+        };
+        // The shape `restore` indexes by: checked here so hostile input
+        // gets a typed error and `restore` cannot panic on it.
+        let n = snap.nshards as usize;
+        if n == 0 {
+            return Err(serde::DeError::new("shard snapshot holds no shards"));
+        }
+        if n.checked_mul(n) != Some(snap.la.len()) {
+            return Err(serde::DeError::new(format!(
+                "shard snapshot lookahead matrix has {} entries, expected {n}x{n}",
+                snap.la.len()
+            )));
+        }
+        if snap.worlds.len() != n || snap.queues.len() != n || snap.nows.len() != n {
+            return Err(serde::DeError::new(format!(
+                "shard snapshot per-shard arrays (worlds {}, queues {}, nows {}) must match nshards {n}",
+                snap.worlds.len(),
+                snap.queues.len(),
+                snap.nows.len()
+            )));
+        }
+        Ok(snap)
     }
 }
 
 /// The minimum timestamp shard `slot` could still introduce anywhere:
-/// its queue minimum, adjusted for committed-but-unflushed speculative
-/// sends (each deferred event `e` to `dst` contributes
-/// `e.time - la[s][dst]`, pre-folded into `deferred_adj` at commit) so
-/// no peer's window end can overtake a deferred delivery.
+/// its queue minimum.
 fn published_min<W: ShardWorld>(slot: &mut ShardSlot<W>) -> u64 {
-    let qmin = slot.queue.peek_time().map_or(u64::MAX, |t| t.0);
-    qmin.min(slot.deferred_adj)
+    slot.queue.peek_time().map_or(u64::MAX, |t| t.0)
 }
 
 /// Drain one shard's events strictly below `wend` (and at or below the
@@ -1107,7 +813,6 @@ fn drain_window<W: ShardWorld>(slot: &mut ShardSlot<W>, s: usize, sh: &Shared<'_
             nshards: sh.n as u32,
             la: sh.la,
             queue: &mut slot.queue,
-            staging: None,
             outbufs: &mut slot.outbufs,
             remote_sent: &mut slot.remote_sent,
         };
@@ -1116,168 +821,71 @@ fn drain_window<W: ShardWorld>(slot: &mut ShardSlot<W>, s: usize, sh: &Shared<'_
     }
 }
 
-/// Publish this window's outbound buffers — last window's committed
-/// speculative sends first, then the conservative sends — one
-/// `push_batch` per non-empty buffer: a single release store per
-/// (src, dst) pair per window.
+/// Publish this window's outbound buffers, one `push_batch` per
+/// non-empty buffer: a single release store per (src, dst) pair per
+/// window.
 fn flush_outbufs<W: ShardWorld>(slot: &mut ShardSlot<W>, s: usize, sh: &Shared<'_, W>) {
     for dst in 0..sh.n {
-        if dst == s {
-            continue;
+        if dst != s && !slot.outbufs[dst].is_empty() {
+            sh.channels[s * sh.n + dst].push_batch(&mut slot.outbufs[dst]);
         }
-        let ch = &sh.channels[s * sh.n + dst];
-        if !slot.deferred[dst].is_empty() {
-            ch.push_batch(&mut slot.deferred[dst]);
-        }
-        if !slot.outbufs[dst].is_empty() {
-            ch.push_batch(&mut slot.outbufs[dst]);
-        }
-    }
-    slot.deferred_adj = u64::MAX;
-}
-
-/// Execute past the conservative horizon, strictly below the commit
-/// `bound`, against a checkpoint: pops from the real queue are
-/// journaled (with a payload clone) for rollback, locally produced
-/// events stage outside the queue, and cross-shard sends buffer in
-/// `deferred` pending the commit decision at the merge.
-fn speculate<W: ShardWorld, P: SpecPolicy<W>>(
-    slot: &mut ShardSlot<W>,
-    s: usize,
-    sh: &Shared<'_, W>,
-    bound: u64,
-) {
-    if slot.spec_skip > 0 {
-        slot.spec_skip -= 1;
-        return;
-    }
-    // Only checkpoint when there is something to speculate on.
-    match slot.queue.peek_time() {
-        Some(t) if t.0 < bound && t.0 <= sh.hcap => {}
-        _ => return,
-    }
-    debug_assert!(slot.staging.is_empty() && slot.undo.is_empty());
-    slot.checkpoint = P::snapshot(&slot.world);
-    slot.spec_now = slot.now;
-    slot.spec_max = None;
-    slot.spec_dispatched = 0;
-    slot.spec_remote_sent = 0;
-    loop {
-        if slot.spec_dispatched >= slot.spec_depth {
-            // Adaptive depth cap: stop extending a window whose
-            // rollback would discard ever more work. The cap only cuts
-            // a window short — never below one event — so results stay
-            // identical; only how far ahead the shard risks running
-            // changes.
-            break;
-        }
-        let from_queue = {
-            let qn = slot.queue.peek_entry();
-            let sn = slot.staging.peek().map(|st| (st.time, st.key));
-            let ((t, k), from_queue) = match (qn, sn) {
-                (None, None) => break,
-                (Some(q), None) => (q, true),
-                (None, Some(st)) => (st, false),
-                (Some(q), Some(st)) => {
-                    if q <= st {
-                        (q, true)
-                    } else {
-                        (st, false)
-                    }
-                }
-            };
-            if t.0 >= bound || t.0 > sh.hcap {
-                break;
-            }
-            slot.spec_now = t;
-            slot.spec_max = Some((t, k));
-            from_queue
-        };
-        let (t, event) = if from_queue {
-            let (t, k, event) = slot.queue.pop_entry().expect("peeked");
-            slot.undo.push((t, k, P::clone_event(&event)));
-            (t, event)
-        } else {
-            let st = slot.staging.pop().expect("peeked");
-            (st.time, st.event)
-        };
-        let mut ctx = ShardCtx {
-            now: t,
-            shard: s as u32,
-            nshards: sh.n as u32,
-            la: sh.la,
-            queue: &mut slot.queue,
-            staging: Some(&mut slot.staging),
-            outbufs: &mut slot.deferred,
-            remote_sent: &mut slot.spec_remote_sent,
-        };
-        slot.world.handle(&mut ctx, event);
-        slot.spec_dispatched += 1;
     }
 }
 
-/// Merge everything other shards sent to shard `s` into its queue,
-/// first resolving any pending speculation: a rollback restores the
-/// checkpoint and the pop journal; a commit folds the staged local
-/// events into the queue, defers the speculative cross-shard sends to
-/// the next flush, and advances the clock. Arrival order is
-/// irrelevant: the decision reads the inbox *minimum*, and
-/// `push_keyed` restores the global `(time, key)` order.
-fn merge_inbox<W: ShardWorld, P: SpecPolicy<W>>(
-    slot: &mut ShardSlot<W>,
-    s: usize,
-    sh: &Shared<'_, W>,
-) {
+/// Merge everything other shards sent to shard `s` into its queue.
+/// Arrival order is irrelevant: `push_keyed` restores the global
+/// `(time, key)` order.
+fn merge_inbox<W: ShardWorld>(slot: &mut ShardSlot<W>, s: usize, sh: &Shared<'_, W>) {
     for src in 0..sh.n {
         sh.channels[src * sh.n + s].drain_into(&mut slot.inbox);
-    }
-    if P::ENABLED && slot.checkpoint.is_some() {
-        let spec_max = slot.spec_max.expect("speculation executed at least one event");
-        let inbox_min = slot.inbox.iter().map(|r| (r.time, r.key)).min();
-        if inbox_min.is_some_and(|im| im <= spec_max) {
-            // Straggler at or below the speculated frontier: discard.
-            slot.world = slot.checkpoint.take().expect("checked");
-            for (t, k, ev) in slot.undo.drain(..) {
-                slot.queue.push_keyed(t, k, ev);
-            }
-            slot.staging.clear();
-            for d in &mut slot.deferred {
-                d.clear();
-            }
-            slot.spec_rollbacks += 1;
-            slot.spec_events_rolled_back += slot.spec_dispatched;
-            slot.spec_skip = slot.next_backoff;
-            slot.next_backoff = (slot.next_backoff * 2).min(MAX_SPEC_BACKOFF);
-            slot.spec_depth = (slot.spec_depth / 2).max(SPEC_DEPTH_MIN);
-        } else {
-            slot.checkpoint = None;
-            slot.undo.clear();
-            while let Some(st) = slot.staging.pop() {
-                slot.queue.push_keyed(st.time, st.key, st.event);
-            }
-            let mut adj = u64::MAX;
-            for (dst, d) in slot.deferred.iter().enumerate() {
-                if dst == s {
-                    continue;
-                }
-                for r in d {
-                    adj = adj.min(r.time.0 - sh.la.get(s as u32, dst as u32));
-                }
-            }
-            slot.deferred_adj = adj;
-            slot.now = slot.spec_now;
-            slot.dispatched += slot.spec_dispatched;
-            slot.remote_sent += slot.spec_remote_sent;
-            slot.spec_commits += 1;
-            slot.spec_events_committed += slot.spec_dispatched;
-            slot.next_backoff = 1;
-            slot.spec_depth = (slot.spec_depth * 2).min(SPEC_DEPTH_MAX);
-        }
-        slot.spec_max = None;
     }
     for r in slot.inbox.drain(..) {
         debug_assert!(r.time >= slot.now, "remote event inside a drained window");
         slot.queue.push_keyed(r.time, r.key, r.event);
+    }
+}
+
+/// The workers' rendezvous: a generation counter that waiters poll,
+/// yielding the CPU between polls.
+///
+/// A window is microseconds of work, so under a barrier that sleeps the
+/// run's wall-clock is the kernel's cross-CPU wake-up latency, three
+/// times per window — and that latency is no constant of the host
+/// (docs/PERFORMANCE.md, "The barrier must not sleep"). Polling keeps
+/// waiters off the sleep path; `yield_now` between polls hands the CPU
+/// to any runnable peer, so more shards than cores still advance every
+/// scheduler turn.
+struct WindowBarrier {
+    n: usize,
+    arrived: AtomicUsize,
+    generation: AtomicUsize,
+}
+
+impl WindowBarrier {
+    fn new(n: usize) -> Self {
+        WindowBarrier {
+            n,
+            arrived: AtomicUsize::new(0),
+            generation: AtomicUsize::new(0),
+        }
+    }
+
+    /// Returns once all `n` workers have called `wait` this generation.
+    /// Everything a worker wrote before `wait` is visible to every
+    /// worker after it (AcqRel arrivals chain into the last arriver's
+    /// Release of the new generation).
+    fn wait(&self) {
+        let generation = self.generation.load(Ordering::Acquire);
+        if self.arrived.fetch_add(1, Ordering::AcqRel) + 1 == self.n {
+            // Reset before release: no peer re-enters until it has seen
+            // the new generation.
+            self.arrived.store(0, Ordering::Relaxed);
+            self.generation.store(generation.wrapping_add(1), Ordering::Release);
+        } else {
+            while self.generation.load(Ordering::Acquire) == generation {
+                std::thread::yield_now();
+            }
+        }
     }
 }
 
@@ -1287,18 +895,17 @@ fn merge_inbox<W: ShardWorld, P: SpecPolicy<W>>(
 /// 2. compute the window bounds (identically on every shard), barrier,
 ///    so no shard can republish its minimum for the *next* window while
 ///    a peer is still reading this one's;
-/// 3. drain the window, flush, speculate, barrier, then merge inbound
-///    channels — the barrier orders every producer's channel pushes
-///    before every consumer's drain, and speculation touches only
-///    shard-local state, so it overlaps peers' drains for free.
+/// 3. drain the window, flush, barrier, then merge inbound channels —
+///    the barrier orders every producer's channel pushes before every
+///    consumer's drain.
 #[allow(clippy::too_many_arguments)]
-fn worker<W: ShardWorld, P: SpecPolicy<W>>(
+fn worker<W: ShardWorld>(
     s: usize,
     slot: &mut ShardSlot<W>,
     sh: &Shared<'_, W>,
     horizon: Option<SimTime>,
     mins: &[AtomicU64],
-    barrier: &Barrier,
+    barrier: &WindowBarrier,
     windows: &AtomicU64,
     horizon_hit: &AtomicBool,
 ) {
@@ -1307,11 +914,9 @@ fn worker<W: ShardWorld, P: SpecPolicy<W>>(
         let local_min = published_min(slot);
         // Release/Acquire pairs the min publication with its reads: every
         // shard's window computation observes every peer's freshly stored
-        // minimum, independent of what ordering the barrier implementation
-        // happens to provide. A Relaxed pair here leans on the barrier
-        // being a full fence — true for std's Mutex/Condvar barrier, but
-        // not a contract, and a stale minimum read would widen the
-        // conservative window and violate lookahead.
+        // minimum on its own, without leaning on the ordering the barrier
+        // provides: a stale minimum read would widen the conservative
+        // window and violate lookahead.
         mins[s].store(local_min, Ordering::Release);
         barrier.wait();
         for (lm, m) in local_mins.iter_mut().zip(mins.iter()) {
@@ -1334,12 +939,8 @@ fn worker<W: ShardWorld, P: SpecPolicy<W>>(
         let wend = sh.la.window_end(&local_mins, s);
         drain_window(slot, s, sh, wend);
         flush_outbufs(slot, s, sh);
-        if P::ENABLED {
-            let bound = sh.la.commit_bound(&local_mins, s);
-            speculate::<W, P>(slot, s, sh, bound);
-        }
         barrier.wait();
-        merge_inbox::<W, P>(slot, s, sh);
+        merge_inbox(slot, s, sh);
     }
 }
 
@@ -1351,7 +952,6 @@ mod tests {
     /// `hops` times, one hop per lookahead-multiple. Rank state is the
     /// hop count; keys are rank-derived, so any shard count must
     /// produce the identical trace.
-    #[derive(Clone)]
     struct PingWorld {
         part: Partition,
         base: u32,
@@ -1425,52 +1025,12 @@ mod tests {
         }
     }
 
-    fn run_ping(
-        hosts: u32,
-        nshards: u32,
-        parallel: bool,
-        spec: bool,
-    ) -> (ShardRunStats, Vec<(u64, u32)>) {
+    fn run_ping(hosts: u32, nshards: u32, parallel: bool) -> (ShardRunStats, Vec<(u64, u32)>) {
         let part = Partition::block(hosts, nshards);
         let mut sim = ShardSim::uniform(ping_worlds(part), SimDuration(100));
         seed_ping(&mut sim, part, hosts, 40);
-        let stats = if spec {
-            sim.run_spec(parallel, None)
-        } else {
-            sim.run(parallel, None)
-        };
+        let stats = sim.run(parallel, None);
         // Merge per-shard logs into one global trace ordered by (time, rank).
-        let mut log: Vec<(u64, u32)> = sim.worlds().flat_map(|w| w.log.iter().copied()).collect();
-        log.sort_unstable();
-        (stats, log)
-    }
-
-    /// Like [`run_ping`] but with only two tokens on the 8-rank ring —
-    /// one per shard at 2 shards, so cross-shard hops happen 1 window
-    /// in 4 instead of every window. The sparse traffic is what lets
-    /// speculative windows commit (the full ring stragglers every
-    /// single merge by construction).
-    fn run_two_tokens(
-        hops: u32,
-        parallel: bool,
-        spec: bool,
-    ) -> (ShardRunStats, Vec<(u64, u32)>) {
-        let hosts = 8;
-        let part = Partition::block(hosts, 2);
-        let mut sim = ShardSim::uniform(ping_worlds(part), SimDuration(100));
-        for r in [0, hosts / 2] {
-            sim.schedule(
-                part.shard_of(r),
-                SimTime(r as u64),
-                (r as u64) << 32,
-                Token { rank: r, hops_left: hops },
-            );
-        }
-        let stats = if spec {
-            sim.run_spec(parallel, None)
-        } else {
-            sim.run(parallel, None)
-        };
         let mut log: Vec<(u64, u32)> = sim.worlds().flat_map(|w| w.log.iter().copied()).collect();
         log.sort_unstable();
         (stats, log)
@@ -1513,9 +1073,6 @@ mod tests {
         assert_eq!(la.window_end(&mins, 1), 1101);
         // wend_2 = min(1000+102, 2000+202, MAX) = 1102
         assert_eq!(la.window_end(&mins, 2), 1102);
-        // bound_0 = min(wend_0 + rt_0, wend_1 + la[1][0], wend_2 + la[2][0])
-        //         = min(1301+301, 1101+200, 1102+300) = 1301
-        assert_eq!(la.commit_bound(&mins, 0), 1301);
         // With every peer idle, a shard's own pending work still bounds
         // its window through the cheapest round trip — the single-edge
         // formula returned MAX here and drained events its own
@@ -1532,56 +1089,28 @@ mod tests {
 
     #[test]
     fn shard_counts_produce_identical_traces() {
-        let (base_stats, base_log) = run_ping(8, 1, false, false);
+        let (base_stats, base_log) = run_ping(8, 1, false);
         assert_eq!(base_stats.events_dispatched, 8 * 41);
         for nshards in [2u32, 4] {
-            for parallel in [false, true] {
-                for spec in [false, true] {
-                    let (stats, log) = run_ping(8, nshards, parallel, spec);
-                    assert_eq!(log, base_log, "nshards={nshards} parallel={parallel} spec={spec}");
-                    assert_eq!(stats.events_dispatched, base_stats.events_dispatched);
-                    assert_eq!(stats.end_time, base_stats.end_time);
-                }
+            let runs = [false, true].map(|parallel| run_ping(8, nshards, parallel));
+            for (stats, log) in &runs {
+                assert_eq!(log, &base_log, "nshards={nshards}");
+                assert_eq!(stats.events_dispatched, base_stats.events_dispatched);
+                assert_eq!(stats.end_time, base_stats.end_time);
             }
+            // Window and cross-shard counts come from published minima,
+            // never thread timing: serial == threaded.
+            assert_eq!(runs[0].0.windows, runs[1].0.windows);
+            assert_eq!(runs[0].0.remote_events, runs[1].0.remote_events);
         }
     }
 
-    #[test]
-    fn speculation_commits_and_is_jobs_invariant() {
-        // Two tokens on the 8-rank ring make cross-shard traffic sparse
-        // (1 hop in 4 crosses a boundary), so speculative windows must
-        // commit, and the spec stats themselves (decided by published
-        // minima and inbox sets, never thread timing) must agree between
-        // serial and threaded runs.
-        let (serial, log_serial) = run_two_tokens(40, false, true);
-        let (threaded, log_threaded) = run_two_tokens(40, true, true);
-        assert!(serial.spec_commits > 0, "expected committed speculation");
-        assert!(serial.spec_events_committed > 0);
-        assert_eq!(serial.spec_commits, threaded.spec_commits);
-        assert_eq!(serial.spec_rollbacks, threaded.spec_rollbacks);
-        assert_eq!(serial.spec_events_committed, threaded.spec_events_committed);
-        assert_eq!(serial.windows, threaded.windows);
-        assert_eq!(log_serial, log_threaded);
-        // Speculation commits whole conservative windows early, so the
-        // windowed run count must strictly drop vs the conservative run.
-        let (conservative, cons_log) = run_two_tokens(40, false, false);
-        assert_eq!(log_serial, cons_log, "speculation must be transparent");
-        assert_eq!(serial.events_dispatched, conservative.events_dispatched);
-        assert!(
-            serial.windows < conservative.windows,
-            "speculation should reduce windows: spec={} conservative={}",
-            serial.windows,
-            conservative.windows
-        );
-    }
-
-    /// Two chains engineered so a speculative window meets a straggler:
-    /// rank 0 (shard 0) ticks at t=100,200,... and fires a remote
-    /// notification at `tick+100` into shard 1; rank 1 (shard 1) ticks
-    /// at t=150,250,... — shard 1's speculative execution of its
-    /// t=250 tick is invalidated by shard 0's t=200 notification
-    /// arriving in the same merge.
-    #[derive(Clone)]
+    /// Two chains engineered so a cross-shard event lands exactly on
+    /// the receiver's window edge: rank 0 (shard 0) ticks at
+    /// t=100,200,... and fires a remote notification at `tick+100` into
+    /// shard 1; rank 1 (shard 1) ticks at t=150,250,... — a window that
+    /// drained shard 1's t=250 tick before merging shard 0's t=200
+    /// notification would reorder the log.
     struct StragglerWorld {
         part: Partition,
         base: u32,
@@ -1631,7 +1160,7 @@ mod tests {
         }
     }
 
-    fn run_straggler(nshards: u32, parallel: bool, spec: bool) -> (ShardRunStats, Vec<(u64, u64, u8)>) {
+    fn run_straggler(nshards: u32, parallel: bool) -> (ShardRunStats, Vec<(u64, u64, u8)>) {
         let part = Partition::block(2, nshards);
         let worlds: Vec<StragglerWorld> = (0..part.nshards)
             .map(|sh| {
@@ -1647,11 +1176,7 @@ mod tests {
         let mut sim = ShardSim::uniform(worlds, SimDuration(100));
         sim.schedule(part.shard_of(0), SimTime(100), 0, SEv::Tick { rank: 0 });
         sim.schedule(part.shard_of(1), SimTime(150), 1 << 32, SEv::Tick { rank: 1 });
-        let stats = if spec {
-            sim.run_spec(parallel, None)
-        } else {
-            sim.run(parallel, None)
-        };
+        let stats = sim.run(parallel, None);
         let mut log: Vec<(u64, u64, u8)> =
             sim.worlds().flat_map(|w| w.log.iter().copied()).collect();
         log.sort_unstable();
@@ -1659,24 +1184,14 @@ mod tests {
     }
 
     #[test]
-    fn straggler_at_window_edge_rolls_back_and_stays_deterministic() {
-        let (stats, log) = run_straggler(2, false, true);
-        assert!(stats.spec_rollbacks > 0, "expected at least one rollback");
-        assert!(stats.spec_events_rolled_back > 0);
-        // Rolled-back work never counts as dispatched, and the final
-        // trace matches both the 1-shard run and the conservative run.
-        let (base_stats, base_log) = run_straggler(1, false, false);
-        assert_eq!(log, base_log);
-        assert_eq!(stats.events_dispatched, base_stats.events_dispatched);
-        assert_eq!(stats.end_time, base_stats.end_time);
-        let (cons_stats, cons_log) = run_straggler(2, false, false);
-        assert_eq!(log, cons_log);
-        assert_eq!(stats.events_dispatched, cons_stats.events_dispatched);
-        // And the threaded run agrees on the rollback accounting too.
-        let (threaded, tlog) = run_straggler(2, true, true);
-        assert_eq!(tlog, log);
-        assert_eq!(threaded.spec_rollbacks, stats.spec_rollbacks);
-        assert_eq!(threaded.spec_commits, stats.spec_commits);
+    fn straggler_at_window_edge_stays_deterministic() {
+        let (base_stats, base_log) = run_straggler(1, false);
+        for parallel in [false, true] {
+            let (stats, log) = run_straggler(2, parallel);
+            assert_eq!(log, base_log, "parallel={parallel}");
+            assert_eq!(stats.events_dispatched, base_stats.events_dispatched);
+            assert_eq!(stats.end_time, base_stats.end_time);
+        }
     }
 
     /// A 2-rank exchange with asymmetric per-channel latency: rank 0
@@ -1684,7 +1199,6 @@ mod tests {
     /// 700-tick delay. The per-channel matrix lets shard 0 run 700-wide
     /// windows where the old global minimum (100) would have forced
     /// 7× as many.
-    #[derive(Clone)]
     struct AsymWorld {
         part: Partition,
         seq: u64,
@@ -1722,7 +1236,7 @@ mod tests {
         }
     }
 
-    fn run_asym(nshards: u32, spec: bool) -> (ShardRunStats, Vec<(u64, u32)>) {
+    fn run_asym(nshards: u32) -> (ShardRunStats, Vec<(u64, u32)>) {
         let part = Partition::block(2, nshards);
         let la = if part.nshards == 1 {
             Lookahead::uniform(1, SimDuration(A_TO_B))
@@ -1740,11 +1254,7 @@ mod tests {
             .collect();
         let mut sim = ShardSim::new(worlds, la);
         sim.schedule(part.shard_of(0), SimTime(0), 0, Ball { rank: 0, bounces_left: 30 });
-        let stats = if spec {
-            sim.run_spec(true, None)
-        } else {
-            sim.run(true, None)
-        };
+        let stats = sim.run(true, None);
         let mut log: Vec<(u64, u32)> = sim.worlds().flat_map(|w| w.log.iter().copied()).collect();
         log.sort_unstable();
         (stats, log)
@@ -1752,8 +1262,8 @@ mod tests {
 
     #[test]
     fn per_channel_lookahead_widens_windows_without_changing_results() {
-        let (wide_stats, wide_log) = run_asym(2, false);
-        let (base_stats, base_log) = run_asym(1, false);
+        let (wide_stats, wide_log) = run_asym(2);
+        let (base_stats, base_log) = run_asym(1);
         assert_eq!(wide_log, base_log);
         assert_eq!(wide_stats.events_dispatched, base_stats.events_dispatched);
         // Each 800-tick round trip costs at most 2 windows under the
@@ -1764,14 +1274,11 @@ mod tests {
             "windows should scale with per-channel latency, got {}",
             wide_stats.windows
         );
-        let (spec_stats, spec_log) = run_asym(2, true);
-        assert_eq!(spec_log, base_log);
-        assert_eq!(spec_stats.events_dispatched, base_stats.events_dispatched);
     }
 
     #[test]
     fn remote_events_counted_and_published() {
-        let (stats, _) = run_ping(8, 4, true, false);
+        let (stats, _) = run_ping(8, 4, true);
         // Hops from the last rank of one shard to the first of the next
         // cross a boundary; with 8 ranks on 4 shards half of all hops do.
         assert!(stats.remote_events > 0);
@@ -1795,40 +1302,20 @@ mod tests {
         );
     }
 
-    #[test]
-    fn spec_counters_published_when_speculating() {
-        let (stats, _) = run_two_tokens(40, false, true);
-        assert!(stats.spec_commits > 0);
-        let obs = Obs::new();
-        stats.publish(&obs);
-        assert_eq!(
-            obs.registry.counter_value("shard_spec_commits_total", &[]),
-            stats.spec_commits
-        );
-        assert_eq!(
-            obs.registry
-                .counter_value("shard_spec_events_committed_total", &[]),
-            stats.spec_events_committed
-        );
-    }
-
     /// Targeted race test for the cross-shard min-time handoff (runs
     /// under the scheduled TSan job via the `shard` filter): N threads
-    /// repeat the worker loop's publish/compute protocol — Release-store
-    /// a local minimum, barrier, Acquire-load all minima — and every
-    /// thread must compute the true global minimum of the values
-    /// actually published this window. A stale read (the failure mode of
-    /// an unfenced Relaxed pair on a weaker barrier) surfaces as a
-    /// mismatch here and as a data race under TSan.
+    /// repeat the worker loop's publish/compute protocol on the worker
+    /// loop's own barrier — Release-store a local minimum, barrier,
+    /// Acquire-load all minima — and every thread must compute the true
+    /// global minimum of the values actually published this window. A
+    /// stale read, or a waiter released a generation early, surfaces as
+    /// a mismatch here and as a data race under TSan.
     #[test]
     fn shard_min_handoff_never_reads_stale_minima() {
-        use std::sync::atomic::AtomicU64;
-        use std::sync::Barrier;
-
         const THREADS: usize = 4;
         const WINDOWS: u64 = 500;
         let mins: Vec<AtomicU64> = (0..THREADS).map(|_| AtomicU64::new(0)).collect();
-        let barrier = Barrier::new(THREADS);
+        let barrier = WindowBarrier::new(THREADS);
         std::thread::scope(|scope| {
             let mins = &mins;
             let barrier = &barrier;
@@ -1859,34 +1346,17 @@ mod tests {
     }
 
     #[test]
-    fn horizon_stops_windows() {
+    fn horizon_is_event_granular() {
+        // Events land at 0,100,...; horizon 500 admits exactly t <= 500
+        // (six events), never a "same window but past the horizon"
+        // straggler.
         let part = Partition::block(4, 2);
         let worlds = ping_worlds(part);
         let mut sim = ShardSim::uniform(worlds, SimDuration(100));
         sim.schedule(0, SimTime::ZERO, 0, Token { rank: 0, hops_left: 1000 });
         let stats = sim.run(true, Some(SimTime(500)));
+        assert_eq!(stats.events_dispatched, 6);
         assert!(stats.horizon_reached);
         assert_eq!(stats.end_time, SimTime(500));
-        assert!(stats.events_dispatched <= 7);
-    }
-
-    #[test]
-    fn horizon_is_event_granular() {
-        // Events land at 0,100,...; horizon 500 admits exactly t <= 500
-        // (six events), never a "same window but past the horizon"
-        // straggler — and the identical count with speculation on.
-        for spec in [false, true] {
-            let part = Partition::block(4, 2);
-            let worlds = ping_worlds(part);
-            let mut sim = ShardSim::uniform(worlds, SimDuration(100));
-            sim.schedule(0, SimTime::ZERO, 0, Token { rank: 0, hops_left: 1000 });
-            let stats = if spec {
-                sim.run_spec(true, Some(SimTime(500)))
-            } else {
-                sim.run(true, Some(SimTime(500)))
-            };
-            assert_eq!(stats.events_dispatched, 6, "spec={spec}");
-            assert!(stats.horizon_reached);
-        }
     }
 }

@@ -11,9 +11,8 @@
 //!   global window (`min(mins) + min(la)`), so round 2 can only widen
 //!   windows, never narrow them.
 //!
-//! Plus the commit-bound consistency the speculation protocol relies
-//! on, and an end-to-end shard-count/speculation invariance property
-//! over randomly seeded token workloads.
+//! Plus an end-to-end shard-count invariance property over randomly
+//! seeded token workloads.
 
 use polaris_simnet::prelude::{
     Lookahead, Partition, ShardCtx, ShardSim, ShardWorld, SimDuration, SimTime,
@@ -164,32 +163,6 @@ proptest! {
         }
     }
 
-    // The commit bound is, by construction, next round's window end:
-    // evaluating `window_end` over the vector of this round's window
-    // ends reproduces it exactly. And whenever the published minimums
-    // are protocol-consistent (no shard's window end sits below its
-    // own published minimum), the commit bound dominates the window
-    // end — the speculation interval `[wend, commit_bound)` is never
-    // inverted.
-    #[test]
-    fn commit_bound_is_next_windows_end(
-        n in 2u32..=6,
-        entries in collection::vec(1u64..=1_000, 36..37),
-        mins in collection::vec(0u64..=10_000, 6..7),
-    ) {
-        let la = matrix(n, &entries);
-        let mins = &mins[..n as usize];
-        let wends: Vec<u64> = (0..n as usize).map(|s| la.window_end(mins, s)).collect();
-        for dst in 0..n as usize {
-            prop_assert_eq!(la.commit_bound(mins, dst), la.window_end(&wends, dst));
-        }
-        if wends.iter().zip(mins).all(|(&w, &m)| w >= m) {
-            for dst in 0..n as usize {
-                prop_assert!(la.commit_bound(mins, dst) >= la.window_end(mins, dst));
-            }
-        }
-    }
-
     // Monotonicity: raising any one published minimum never narrows
     // any shard's window (the barrier protocol depends on windows
     // only ever moving forward as minimums advance).
@@ -247,15 +220,14 @@ fn asymmetric_matrix_strictly_widens_some_window() {
 }
 
 // ---------------------------------------------------------------------
-// End-to-end: shard-count and speculation invariance over random
-// token workloads
+// End-to-end: shard-count invariance over random token workloads
 // ---------------------------------------------------------------------
 
 /// A token-passing world: each token logs its arrival and forwards to
 /// the next rank exactly one global-minimum lookahead later — the
-/// window edge, the worst case for speculation. Identical to the unit
-/// suite's ping world but driven with random token placement here.
-#[derive(Clone)]
+/// window edge, the earliest a cross-shard event may land. Identical
+/// to the unit suite's ping world but driven with random token
+/// placement here.
 struct TokenWorld {
     part: Partition,
     base: u32,
@@ -263,7 +235,6 @@ struct TokenWorld {
     log: Vec<(u64, u32)>,
 }
 
-#[derive(Clone)]
 struct Token {
     rank: u32,
     hops_left: u32,
@@ -293,7 +264,7 @@ impl ShardWorld for TokenWorld {
 /// Run `hosts` ranks split over `nshards`, seeding a token at every
 /// rank whose bit is set in `mask`, and return the merged event log
 /// sorted by `(time, rank)`.
-fn run_tokens(hosts: u32, nshards: u32, mask: u16, hops: u32, spec: bool) -> Vec<(u64, u32)> {
+fn run_tokens(hosts: u32, nshards: u32, mask: u16, hops: u32) -> Vec<(u64, u32)> {
     let part = Partition::block(hosts, nshards);
     let worlds: Vec<TokenWorld> = (0..part.nshards)
         .map(|sh| {
@@ -317,11 +288,7 @@ fn run_tokens(hosts: u32, nshards: u32, mask: u16, hops: u32, spec: bool) -> Vec
             );
         }
     }
-    if spec {
-        sim.run_spec(false, None);
-    } else {
-        sim.run(false, None);
-    }
+    sim.run(false, None);
     let mut log: Vec<(u64, u32)> = sim.worlds().flat_map(|w| w.log.iter().copied()).collect();
     log.sort_unstable();
     log
@@ -330,30 +297,27 @@ fn run_tokens(hosts: u32, nshards: u32, mask: u16, hops: u32, spec: bool) -> Vec
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    // The ground truth: 1-shard conservative execution. Every shard
-    // count, with and without speculation, must reproduce its event
-    // log bit for bit — even though every cross-shard send lands
-    // exactly on the window edge.
+    // The ground truth: 1-shard execution. Every shard count must
+    // reproduce its event log bit for bit — even though every
+    // cross-shard send lands exactly on the window edge.
     #[test]
-    fn shard_count_and_speculation_invariance(
+    fn shard_count_invariance(
         hosts in 4u32..=12,
         mask in 1u16..=0xffff,
         hops in 1u32..=48,
     ) {
         // Guarantee at least one token lands inside `hosts` ranks.
         let mask = mask | 1;
-        let reference = run_tokens(hosts, 1, mask, hops, false);
+        let reference = run_tokens(hosts, 1, mask, hops);
         prop_assert!(!reference.is_empty());
-        for nshards in [1u32, 2, 3, 4] {
-            for spec in [false, true] {
-                let log = run_tokens(hosts, nshards, mask, hops, spec);
-                prop_assert!(
-                    log == reference,
-                    "diverged at nshards={nshards} spec={spec}: {} events vs {}",
-                    log.len(),
-                    reference.len()
-                );
-            }
+        for nshards in [2u32, 3, 4] {
+            let log = run_tokens(hosts, nshards, mask, hops);
+            prop_assert!(
+                log == reference,
+                "diverged at nshards={nshards}: {} events vs {}",
+                log.len(),
+                reference.len()
+            );
         }
     }
 }
@@ -369,11 +333,9 @@ proptest! {
 /// closure's round-trip diagonal bounds the window correctly.
 #[test]
 fn idle_peer_round_trip_regression() {
-    let reference = run_tokens(5, 1, 0xd, 5, false);
-    for spec in [false, true] {
-        for nshards in [2u32, 3] {
-            assert_eq!(run_tokens(5, nshards, 0xd, 5, spec), reference, "nshards={nshards} spec={spec}");
-        }
+    let reference = run_tokens(5, 1, 0xd, 5);
+    for nshards in [2u32, 3] {
+        assert_eq!(run_tokens(5, nshards, 0xd, 5), reference, "nshards={nshards}");
     }
 }
 
@@ -387,8 +349,8 @@ fn exhaustive_small_configuration_sweep() {
         for nshards in [2u32, 3, 4] {
             for hops in 1u32..=20 {
                 for mask in 1u16..64 {
-                    let log = run_tokens(hosts, nshards, mask, hops, true);
-                    let reference = run_tokens(hosts, 1, mask, hops, false);
+                    let log = run_tokens(hosts, nshards, mask, hops);
+                    let reference = run_tokens(hosts, 1, mask, hops);
                     assert_eq!(
                         log, reference,
                         "hosts={hosts} nshards={nshards} hops={hops} mask={mask:#x}"

@@ -9,14 +9,17 @@
 //!   The calendar layout (wheel vs behind vs far, arena slot numbers)
 //!   is deliberately *not* part of the contract; only the `(time, key)`
 //!   total order is, and pops are a pure function of it.
-//! * **Simulator identity** — `run`/`run_spec` interrupted at an
-//!   arbitrary horizon, snapshotted, serialized to JSON, restored in a
-//!   fresh simulator, and resumed, produces bit-identical model results
-//!   to the uninterrupted run — across 1/2/4 shards and with
-//!   speculation on or off.
+//! * **Simulator identity** — `run` interrupted at an arbitrary
+//!   horizon, snapshotted, serialized to JSON, restored in a fresh
+//!   simulator, and resumed, produces bit-identical model results to
+//!   the uninterrupted run — across 1/2/4 shards.
+//!
+//! And the boundary contract: a malformed snapshot document is a typed
+//! error from `from_str`, never a panic in `restore`.
 
 use polaris_simnet::prelude::*;
 use proptest::prelude::*;
+use serde::value::Value;
 use serde::{Deserialize, Serialize};
 
 // ---------------------------------------------------------------------
@@ -81,16 +84,11 @@ proptest! {
 /// (parallel `log_time`/`log_rank` vectors — the vendored serde shim
 /// has no tuple impls) and forwards to the next rank exactly one
 /// minimum-lookahead later, the window edge, which is the worst case
-/// for both the conservative protocol and speculation.
+/// for the window protocol.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 struct SnapWorld {
     part: Partition,
     base: u32,
-    /// Hop delay as a multiple of the channel lookahead: 1 puts every
-    /// send exactly on the window edge (worst case, rollback-heavy);
-    /// larger strides land sends well inside peers' windows
-    /// (commit-heavy).
-    stride: u64,
     seqs: Vec<u64>,
     log_time: Vec<u64>,
     log_rank: Vec<u32>,
@@ -114,7 +112,7 @@ impl ShardWorld for SnapWorld {
         let seq = &mut self.seqs[(ev.rank - self.base) as usize];
         *seq += 1;
         let key = ((ev.rank as u64) << 32) | *seq;
-        let at = SimTime(ctx.now().0 + self.stride * ctx.lookahead().0);
+        let at = SimTime(ctx.now().0 + ctx.lookahead().0);
         ctx.send(
             self.part.shard_of(next),
             at,
@@ -124,11 +122,7 @@ impl ShardWorld for SnapWorld {
     }
 }
 
-fn fresh_sim_stride(
-    hosts: u32,
-    nshards: u32,
-    stride: u64,
-) -> (Partition, ShardSim<SnapWorld>) {
+fn fresh_sim(hosts: u32, nshards: u32) -> (Partition, ShardSim<SnapWorld>) {
     let part = Partition::block(hosts, nshards);
     let worlds: Vec<SnapWorld> = (0..part.nshards)
         .map(|sh| {
@@ -136,7 +130,6 @@ fn fresh_sim_stride(
             SnapWorld {
                 part,
                 base: ranks.start,
-                stride,
                 seqs: ranks.map(|_| 0).collect(),
                 log_time: Vec::new(),
                 log_rank: Vec::new(),
@@ -145,10 +138,6 @@ fn fresh_sim_stride(
         .collect();
     let sim = ShardSim::uniform(worlds, SimDuration(3));
     (part, sim)
-}
-
-fn fresh_sim(hosts: u32, nshards: u32) -> (Partition, ShardSim<SnapWorld>) {
-    fresh_sim_stride(hosts, nshards, 1)
 }
 
 fn seed_tokens(sim: &mut ShardSim<SnapWorld>, part: Partition, mask: u16, hops: u32) {
@@ -175,12 +164,12 @@ fn logs(sim: &ShardSim<SnapWorld>) -> Vec<(u64, u32)> {
     log
 }
 
-fn drive(sim: &mut ShardSim<SnapWorld>, spec: bool, horizon: Option<SimTime>) {
-    if spec {
-        sim.run_spec(false, horizon);
-    } else {
-        sim.run(false, horizon);
-    }
+/// Snapshot → JSON → parse → restore: the trip a served checkpoint
+/// makes between processes.
+fn through_json(sim: &ShardSim<SnapWorld>) -> ShardSim<SnapWorld> {
+    let json = serde_json::to_string(&sim.snapshot()).expect("snapshot serializes");
+    let back: ShardSnapshot<SnapWorld> = serde_json::from_str(&json).expect("snapshot parses");
+    back.restore()
 }
 
 proptest! {
@@ -189,40 +178,28 @@ proptest! {
     // The tentpole contract: interrupt at a horizon, snapshot, push
     // the snapshot through JSON, restore into a fresh simulator,
     // resume to completion — and get the exact event log the
-    // uninterrupted run produces, at every shard count, with and
-    // without speculation on either side of the cut.
+    // uninterrupted run produces, at every shard count.
     #[test]
     fn split_run_restored_from_json_matches_uninterrupted(
         hosts in 4u32..=10,
         mask in 1u16..=0xffff,
         hops in 4u32..=40,
         cut in 1u64..=120,
-        spec_sel in 0u32..=3,
     ) {
         let mask = mask | 1;
-        let (spec_before, spec_after) = (spec_sel & 1 != 0, spec_sel & 2 != 0);
         let (part, mut reference) = fresh_sim(hosts, 1);
         seed_tokens(&mut reference, part, mask, hops);
-        drive(&mut reference, false, None);
+        reference.run(false, None);
         let want = logs(&reference);
         prop_assert!(!want.is_empty());
 
         for nshards in [1u32, 2, 4] {
             let (part, mut sim) = fresh_sim(hosts, nshards);
             seed_tokens(&mut sim, part, mask, hops);
-            drive(&mut sim, spec_before, Some(SimTime(cut)));
-
-            let snap = sim.snapshot();
-            let json = serde_json::to_string(&snap).expect("snapshot serializes");
-            let back: ShardSnapshot<SnapWorld> =
-                serde_json::from_str(&json).expect("snapshot parses");
-            let mut restored = back.restore();
-
-            drive(&mut restored, spec_after, None);
-            prop_assert!(
-                logs(&restored) == want,
-                "diverged at nshards={nshards} cut={cut} spec=({spec_before},{spec_after})"
-            );
+            sim.run(false, Some(SimTime(cut)));
+            let mut restored = through_json(&sim);
+            restored.run(false, None);
+            prop_assert!(logs(&restored) == want, "diverged at nshards={nshards} cut={cut}");
         }
     }
 }
@@ -239,29 +216,23 @@ fn chained_checkpoints_stay_bit_identical() {
     assert!(!want.is_empty());
 
     for nshards in [1u32, 2, 4] {
-        for spec in [false, true] {
-            let (part, mut sim) = fresh_sim(9, nshards);
-            seed_tokens(&mut sim, part, 0x2d7, 36);
-            for cut in [5u64, 17, 40, 77] {
-                drive(&mut sim, spec, Some(SimTime(cut)));
-                let json = serde_json::to_string(&sim.snapshot()).expect("serializes");
-                let back: ShardSnapshot<SnapWorld> =
-                    serde_json::from_str(&json).expect("parses");
-                sim = back.restore();
-            }
-            drive(&mut sim, spec, None);
-            assert_eq!(logs(&sim), want, "nshards={nshards} spec={spec}");
+        let (part, mut sim) = fresh_sim(9, nshards);
+        seed_tokens(&mut sim, part, 0x2d7, 36);
+        for cut in [5u64, 17, 40, 77] {
+            sim.run(false, Some(SimTime(cut)));
+            sim = through_json(&sim);
         }
+        sim.run(false, None);
+        assert_eq!(logs(&sim), want, "nshards={nshards}");
     }
 }
 
-/// A snapshot taken mid-stream still carries committed-but-undelivered
-/// speculative sends (`deferred`): force that path explicitly by
-/// cutting a speculative multi-shard run at many horizons and checking
-/// each restore. (If `deferred` were dropped, tokens would vanish and
-/// the log would shrink.)
+/// A snapshot taken mid-stream holds cross-shard events the receiver
+/// has merged but not yet executed: cut a multi-shard run at every
+/// horizon of its busy phase and check each restore. (If a queue entry
+/// were dropped, tokens would vanish and the log would shrink.)
 #[test]
-fn deferred_sends_survive_the_snapshot() {
+fn in_flight_tokens_survive_the_snapshot() {
     let (part, mut reference) = fresh_sim(8, 1);
     seed_tokens(&mut reference, part, 0xff, 30);
     reference.run(false, None);
@@ -270,49 +241,76 @@ fn deferred_sends_survive_the_snapshot() {
     for cut in 1u64..=60 {
         let (part, mut sim) = fresh_sim(8, 4);
         seed_tokens(&mut sim, part, 0xff, 30);
-        sim.run_spec(false, Some(SimTime(cut)));
+        sim.run(false, Some(SimTime(cut)));
         let mut restored = sim.snapshot().restore();
-        restored.run_spec(false, None);
+        restored.run(false, None);
         assert_eq!(logs(&restored), want, "cut={cut}");
     }
 }
 
 // ---------------------------------------------------------------------
-// Adaptive speculation depth (satellite): pinned deterministic test
+// Hostile snapshot documents: typed error, never a panic
 // ---------------------------------------------------------------------
 
-/// The AIMD speculation depth is a pure function of the commit/rollback
-/// sequence, so two identical serial runs report identical final
-/// depths — a window-edge workload (rollbacks dominate) drives the
-/// depth *down* toward its floor of 8, a relaxed-stride workload
-/// (commits dominate) drives it *up* past its initial 64, and the cap
-/// keeps every trajectory within [8, 4096].
-#[test]
-fn adaptive_speculation_depth_is_deterministic_and_adapts() {
-    let run_depths = |nshards: u32, stride: u64, mask: u16, hops: u32| {
-        let (part, mut sim) = fresh_sim_stride(10, nshards, stride);
-        seed_tokens(&mut sim, part, mask, hops);
-        let stats = sim.run_spec(false, None);
-        stats.spec_final_depth
+/// Replace (or, with `None`, remove) one top-level field of a
+/// serialized snapshot.
+fn with_field(doc: &Value, name: &str, new: Option<Value>) -> Value {
+    let Value::Object(fields) = doc else {
+        panic!("snapshot serializes as an object");
     };
-
-    // Determinism: bit-equal depth vectors run to run, both regimes.
-    let edge = run_depths(4, 1, 0x3ff, 48);
-    assert_eq!(edge, run_depths(4, 1, 0x3ff, 48), "depth adaptation must be deterministic");
-    let relaxed = run_depths(4, 7, 0x3ff, 48);
-    assert_eq!(relaxed, run_depths(4, 7, 0x3ff, 48), "depth adaptation must be deterministic");
-    assert_eq!((edge.len(), relaxed.len()), (4, 4));
-    for d in edge.iter().chain(&relaxed) {
-        assert!((8..=4096).contains(d), "depth {d} out of AIMD range");
+    let mut fields = fields.clone();
+    match new {
+        Some(v) => fields.iter_mut().find(|(k, _)| k == name).expect("field exists").1 = v,
+        None => fields.retain(|(k, _)| k != name),
     }
+    Value::Object(fields)
+}
 
-    // Window-edge sends invalidate nearly every speculative window, so
-    // the halving path pulls at least one shard below the initial
-    // depth; relaxed sends commit windows, so the doubling path pushes
-    // at least one shard above it.
-    assert!(edge.iter().any(|&d| d < 64), "edge workload never adapted down: {edge:?}");
-    assert!(relaxed.iter().any(|&d| d > 64), "relaxed workload never adapted up: {relaxed:?}");
+/// The named array field with its last element cut off.
+fn truncated(doc: &Value, name: &str) -> Value {
+    let Ok(Value::Array(items)) = doc.field(name) else {
+        panic!("{name} serializes as an array");
+    };
+    with_field(doc, name, Some(Value::Array(items[..items.len() - 1].to_vec())))
+}
 
-    // Single-shard runs never speculate: depth stays pinned at 64.
-    assert_eq!(run_depths(1, 1, 0x3ff, 48), vec![64]);
+#[test]
+fn malformed_snapshots_are_typed_errors() {
+    let (part, mut sim) = fresh_sim(8, 2);
+    seed_tokens(&mut sim, part, 0xff, 30);
+    sim.run(false, Some(SimTime(20)));
+    let good = serde_json::to_value(&sim.snapshot()).expect("snapshot serializes");
+    assert!(serde_json::from_value::<ShardSnapshot<SnapWorld>>(&good).is_ok());
+
+    let cases: Vec<(&str, Value)> = vec![
+        ("truncated worlds", truncated(&good, "worlds")),
+        ("truncated queues", truncated(&good, "queues")),
+        ("truncated nows", truncated(&good, "nows")),
+        ("nshards 0", with_field(&good, "nshards", Some(Value::U64(0)))),
+        ("nshards mismatched", with_field(&good, "nshards", Some(Value::U64(3)))),
+        ("wrong la size", truncated(&good, "la")),
+        (
+            "schema /1",
+            with_field(
+                &good,
+                "schema",
+                Some(Value::Str("polaris-shardsim-snapshot/1".to_string())),
+            ),
+        ),
+        ("missing schema", with_field(&good, "schema", None)),
+        ("missing min_la", with_field(&good, "min_la", None)),
+        ("missing queues", with_field(&good, "queues", None)),
+    ];
+    for (name, doc) in cases {
+        // Through text as well as the value tree: the boundary a
+        // served checkpoint actually crosses.
+        let json = serde_json::to_string(&doc).expect("value serializes");
+        assert!(
+            serde_json::from_str::<ShardSnapshot<SnapWorld>>(&json).is_err(),
+            "{name}: malformed snapshot was accepted"
+        );
+    }
+    // Cut-off text is a parse error, not a panic.
+    let json = serde_json::to_string(&good).expect("value serializes");
+    assert!(serde_json::from_str::<ShardSnapshot<SnapWorld>>(&json[..json.len() / 2]).is_err());
 }

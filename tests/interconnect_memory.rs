@@ -6,7 +6,10 @@
 //!
 //! The test binary installs [`polaris_bench::perf::CountingAlloc`] as
 //! its global allocator and counts allocator calls around the
-//! constructor and the routing hot path. The caps are absolute and
+//! constructor and the routing hot path. The counters are per thread:
+//! the harness runs the tests of this binary on parallel threads, and a
+//! sibling's allocations must not land in a measured window. The caps
+//! are absolute and
 //! generous: the 1M-host machine has 65,536 routers, so an O(hosts)
 //! slip costs ~1M allocator-visible bytes in one growth sequence and an
 //! O(hosts^2) table is astronomically over the cap — while the intended
@@ -16,29 +19,35 @@ use polaris_bench::perf::CountingAlloc;
 use polaris_simnet::rng::SplitMix64;
 use polaris_simnet::topology::{Routing, Topology, TopologyKind};
 use std::alloc::{GlobalAlloc, Layout};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 /// Wrap the bench counting allocator with a byte counter so the test
 /// can bound total constructor footprint, not just call count.
 struct MeteredAlloc;
 
-static BYTES: AtomicU64 = AtomicU64::new(0);
-static CALLS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // `const` + `Cell<u64>`: reachable from the allocator hook without
+    // allocating or registering a destructor.
+    static BYTES: Cell<u64> = const { Cell::new(0) };
+    static CALLS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn record(bytes: usize) {
+    BYTES.with(|b| b.set(b.get() + bytes as u64));
+    CALLS.with(|c| c.set(c.get() + 1));
+}
 
 unsafe impl GlobalAlloc for MeteredAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        CALLS.fetch_add(1, Ordering::Relaxed);
+        record(layout.size());
         unsafe { CountingAlloc.alloc(layout) }
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        CALLS.fetch_add(1, Ordering::Relaxed);
+        record(layout.size());
         unsafe { CountingAlloc.alloc_zeroed(layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
-        CALLS.fetch_add(1, Ordering::Relaxed);
+        record(new_size);
         unsafe { CountingAlloc.realloc(ptr, layout, new_size) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -49,8 +58,9 @@ unsafe impl GlobalAlloc for MeteredAlloc {
 #[global_allocator]
 static ALLOC: MeteredAlloc = MeteredAlloc;
 
+/// `(calls, bytes)` allocated by the calling thread so far.
 fn counts() -> (u64, u64) {
-    (CALLS.load(Ordering::Relaxed), BYTES.load(Ordering::Relaxed))
+    (CALLS.with(Cell::get), BYTES.with(Cell::get))
 }
 
 const MILLION_HOST_FLY: TopologyKind = TopologyKind::Dragonfly {

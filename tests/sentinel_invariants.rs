@@ -227,16 +227,15 @@ fn circuit_conservation_pinned_seeds() {
     }
 }
 
-/// Speculation transparency over pinned seeds: the collective engine
-/// with speculative windows enabled, and a token workload injecting
-/// stragglers exactly at window edges, must both be bit-identical to
-/// conservative execution at every shard count, with event-conservation
-/// ledgers intact.
+/// Window-edge stragglers over pinned seeds: the collective engine and
+/// a token workload injecting cross-shard events exactly at window
+/// edges must both be bit-identical to the 1-shard run at every shard
+/// count, with event-conservation ledgers intact.
 #[test]
-fn rollback_oracle_pinned_seeds() {
+fn shard_oracle_straggler_pinned_seeds() {
     for base in 0..4u64 {
         let spec = WorkloadSpec::from_seed(WorkloadSpec::case_seed(base, 6));
-        let v = oracle::rollback_oracle(&spec);
+        let v = oracle::shard_oracle(&spec);
         assert!(v.is_empty(), "base {base}: {v:?}");
     }
 }
@@ -244,8 +243,8 @@ fn rollback_oracle_pinned_seeds() {
 /// Checkpoint/restore transparency over pinned seeds: the straggler
 /// workload interrupted at seed-derived horizons, snapshotted, restored
 /// into a fresh engine, and resumed must match the uninterrupted
-/// conservative reference bit-for-bit at 1/2/4 shards with speculation
-/// on and off, and two restores from one snapshot must agree.
+/// reference bit-for-bit at 1/2/4 shards, and two restores from one
+/// snapshot must agree.
 #[test]
 fn snapshot_oracle_pinned_seeds() {
     for base in 0..4u64 {
