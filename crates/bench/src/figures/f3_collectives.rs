@@ -1,7 +1,7 @@
 //! F3 — collective scaling "as system scale explodes": completion time
 //! versus node count for the algorithm variants, on a simulated
-//! InfiniBand fat-tree (large node counts use a crossbar approximation
-//! to keep route tables small).
+//! InfiniBand fat-tree (an ideal crossbar stands in at the node counts
+//! no fat-tree arity `k` fits exactly, `k^3/4` hosts: 4, 64 and 256).
 
 use crate::table::Table;
 use polaris_collectives::prelude::*;

@@ -11,6 +11,8 @@ use std::time::Duration;
 const BLOCK: usize = 64;
 const ITERS: u32 = 40;
 
+/// Wall seconds of one run, and the bytes the ranks' endpoints copied on
+/// the host (the copies zero-copy messaging exists to remove).
 fn run_once(ranks: u32, cfg: MsgConfig) -> (f64, u64) {
     // Weak scaling with square process grids (1, 4, 9, 16 ranks): each
     // rank always owns exactly BLOCK x BLOCK cells.
@@ -21,16 +23,16 @@ fn run_once(ranks: u32, cfg: MsgConfig) -> (f64, u64) {
         iters: ITERS,
     };
     let t0 = std::time::Instant::now();
-    let (out, stats) = Cluster::builder()
+    let (out, _) = Cluster::builder()
         .nodes(ranks)
         .messaging(cfg)
         .run(move |mut ctx| {
             let (_, res) = run_parallel(&mut ctx, jacobi);
-            res
+            (res, ctx.endpoint().stats().host_copy_bytes)
         });
     let dt = t0.elapsed().as_secs_f64();
-    assert!(out.iter().all(|r| r.is_finite()));
-    (dt, stats.dma_bytes)
+    assert!(out.iter().all(|(r, _)| r.is_finite()));
+    (dt, out.iter().map(|&(_, copied)| copied).sum())
 }
 
 pub fn generate() -> Vec<Table> {
@@ -72,11 +74,18 @@ mod tests {
         let mut sockets_cfg = MsgConfig::with_protocol(Protocol::Sockets);
         sockets_cfg.syscall_overhead = Duration::from_micros(5);
         sockets_cfg.interrupt_overhead = Duration::from_micros(15);
-        let (t_sock, _) = run_once(4, sockets_cfg);
-        let (t_zc, _) = run_once(4, MsgConfig::default());
+        // Host bytes copied, not wall time: in this unoptimized build the
+        // stencil arithmetic is most of either side's wall (67 ms
+        // against 77 on a quiet box), and sibling tests oversubscribing
+        // the cores turn that margin into a measurement of the thread
+        // scheduler (the fastest of ten runs per side still lost four
+        // suite runs in ten). What each protocol makes the host copy
+        // does not depend on load.
+        let (_, copied_sock) = run_once(4, sockets_cfg);
+        let (_, copied_zc) = run_once(4, MsgConfig::default());
         assert!(
-            t_zc < t_sock,
-            "zero-copy {t_zc}s must beat sockets {t_sock}s"
+            copied_zc < copied_sock,
+            "zero-copy copied {copied_zc} B on the host, sockets {copied_sock} B"
         );
     }
 }

@@ -12,25 +12,36 @@ use polaris_msg::match_engine::{MatchEngine, MatchSpec};
 use polaris_msg::prelude::*;
 use polaris_nic::prelude::Fabric;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-/// Counts every allocation (alloc, alloc_zeroed, realloc) in the test
-/// binary. Deallocations are free.
+/// Counts every allocation (alloc, alloc_zeroed, realloc) the calling
+/// thread makes. Deallocations are free. Per thread, because the
+/// harness runs this binary's tests on parallel threads and a sibling's
+/// allocations must not land in a measured window; every test here
+/// drives its endpoints from its own thread.
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // `const` + `Cell<u64>`: reachable from the allocator hook without
+    // allocating or registering a destructor.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn record() {
+    ALLOCS.with(|c| c.set(c.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        record();
         unsafe { System.alloc(layout) }
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        record();
         unsafe { System.alloc_zeroed(layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        record();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -42,7 +53,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 fn allocs() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
+    ALLOCS.with(Cell::get)
 }
 
 /// One matched eager round trip: rank 0 sends, rank 1 receives, both

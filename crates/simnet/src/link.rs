@@ -151,8 +151,18 @@ impl LinkModel {
     /// the total is `hops` serializations of one packet plus one
     /// serialization of the remaining packets.
     pub fn message_time(&self, bytes: u64, hops: u32) -> SimDuration {
+        self.message_time_from(self.serialize_payload(bytes), bytes, hops)
+    }
+
+    /// [`LinkModel::message_time`] for a caller that already holds
+    /// `total_ser = serialize_payload(bytes)`.
+    pub(crate) fn message_time_from(
+        &self,
+        total_ser: SimDuration,
+        bytes: u64,
+        hops: u32,
+    ) -> SimDuration {
         let hops = hops.max(1) as u64;
-        let total_ser = self.serialize_payload(bytes);
         let lat = SimDuration::from_ps(self.hop_latency).saturating_mul(hops);
         if self.cut_through {
             total_ser + lat

@@ -64,6 +64,9 @@ pub struct Network {
     dropped: u64,
     corrupted: u64,
     obs: Option<NetObs>,
+    /// Time a cut-through switch holds a message's head: one header's
+    /// serialization, the same for every message of this model.
+    header_fwd: SimDuration,
     /// Route buffer for the fault-injection path only: link-scoped fault
     /// rules judge the whole route as a slice. The fault-free hot path
     /// streams hops straight off [`Topology::route_plan`] and never
@@ -84,6 +87,7 @@ impl Network {
             dropped: 0,
             corrupted: 0,
             obs: None,
+            header_fwd: model.serialize(model.header_bytes as u64),
             route_scratch: Vec::new(),
         }
     }
@@ -190,6 +194,7 @@ impl Network {
             dropped: dropped_total,
             corrupted: corrupted_total,
             obs,
+            header_fwd,
             route_scratch,
             ..
         } = self;
@@ -224,24 +229,24 @@ impl Network {
                 }
             }
         }
-        let ser = model.serialize_payload(bytes);
         let wire_bytes = model.wire_bytes(bytes);
+        let ser = model.serialize(wire_bytes);
         // Per-hop forwarding cost of the message head: for cut-through the
         // head moves on after the header is through; store-and-forward
         // re-serializes the first packet.
         let fwd = if model.cut_through {
-            model.serialize(model.header_bytes as u64)
+            *header_fwd
         } else {
             model.serialize(bytes.min(model.mtu as u64) + model.header_bytes as u64)
         };
-        let hop_lat = SimDuration::from_ps(model.hop_latency);
+        let per_hop = SimDuration::from_ps(model.hop_latency) + fwd;
         // Stream the route plan charging occupancy; `extra` accumulates
         // queueing delay beyond the uncontended schedule. No route vector
-        // exists on this path — each hop's link id is computed on the fly.
+        // exists on this path.
         let mut extra = SimDuration::ZERO;
         let mut hops = 0u32;
-        for (i, link) in topo.route_plan(src, dst).enumerate() {
-            let nominal_head = now + extra + (hop_lat + fwd).saturating_mul(i as u64);
+        for link in topo.route_plan(src, dst) {
+            let nominal_head = now + extra + per_hop.saturating_mul(hops as u64);
             let st = &mut links[link.0 as usize];
             let start = nominal_head.max(st.busy_until);
             extra += start.since(nominal_head);
@@ -250,7 +255,7 @@ impl Network {
             st.busy_time += ser;
             hops += 1;
         }
-        let arrival = now + extra + model.message_time(bytes, hops);
+        let arrival = now + extra + model.message_time_from(ser, bytes, hops);
         if let Some(no) = &self.obs {
             no.delivered.inc();
             no.obs.instant(
@@ -350,6 +355,62 @@ mod tests {
         assert_eq!(d.arrival, SimTime::ZERO + expect);
         assert!(!d.dropped);
     }
+
+    /// An uncontended transfer takes exactly the analytic
+    /// [`LinkModel::message_time`] on every route length a fat tree has
+    /// (same edge, same pod, cross pod), for cut-through and
+    /// store-and-forward generations alike, and charges each of its
+    /// links one serialization of the wire bytes.
+    #[test]
+    fn uncontended_fat_tree_matches_message_time() {
+        let now = SimTime(7_000_000);
+        for g in Generation::ALL {
+            for (dst, hops) in [(1u32, 2u32), (2, 4), (15, 6)] {
+                for bytes in [0u64, 8, 64, 1500, 1501, 4096, 65_537, 4 << 20] {
+                    let mut n = net(TopologyKind::FatTree { k: 4 }, g);
+                    let d = n.transfer(now, 0, dst, bytes);
+                    let m = *n.model();
+                    assert_eq!(
+                        d.arrival,
+                        now + m.message_time(bytes, hops),
+                        "{g:?} {hops} hops {bytes} B"
+                    );
+                    assert_eq!(n.nominal_time(0, dst, bytes), m.message_time(bytes, hops));
+                    assert_eq!(n.total_link_bytes(), hops as u64 * m.wire_bytes(bytes));
+                }
+            }
+        }
+    }
+
+    /// Back-to-back transfers over one route queue behind each other:
+    /// the second's delay is the contention model's `extra`, which must
+    /// come out the same however the per-message terms are computed.
+    #[test]
+    fn contended_fat_tree_arrivals_are_pinned() {
+        let mut out = Vec::new();
+        for g in [Generation::GigabitEthernet, Generation::InfiniBand4x] {
+            let mut n = net(TopologyKind::FatTree { k: 4 }, g);
+            for (i, (src, dst, bytes)) in
+                [(0u32, 15u32, 100_000u64), (1, 15, 64), (4, 14, 4096), (0, 2, 1501)]
+                    .into_iter()
+                    .enumerate()
+            {
+                out.push(n.transfer(SimTime(i as u64 * 1_000), src, dst, bytes).arrival.0);
+            }
+        }
+        assert_eq!(out, PINNED_CONTENDED_ARRIVALS);
+    }
+
+    const PINNED_CONTENDED_ARRIVALS: [u64; 8] = [
+        879_888_000,
+        900_704_000,
+        97_042_000,
+        845_920_000,
+        102_670_000,
+        102_764_000,
+        5_358_000,
+        103_801_000,
+    ];
 
     #[test]
     fn loopback_is_fast_and_off_the_wire() {

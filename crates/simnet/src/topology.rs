@@ -10,18 +10,23 @@
 //! state** — link ids, link endpoints, and routes are all computed
 //! arithmetically from coordinates, so a 1M-host Dragonfly costs the same
 //! few bytes as a 4-host crossbar. Routes are produced by [`RoutePlan`],
-//! an iterator that derives each hop's [`LinkId`] on the fly; the
-//! contention model charges occupancy per yielded link without ever
+//! an iterator of [`LinkId`]s with O(1) state: crossbar and fat-tree
+//! routes have a fixed shape, so [`Topology::route_plan`] decodes the two
+//! endpoints once and writes their at most six link ids out in closed
+//! form; ring, torus and Dragonfly routes derive each hop on the fly.
+//! The contention model charges occupancy per yielded link without ever
 //! materializing a route vector.
 //!
 //! Verification discipline: [`Topology::new_reference`] additionally
 //! builds the explicit link table the pre-refactor code used (insertion
 //! order via `add_bidi`, which defines the canonical link numbering for
 //! the legacy kinds), and [`Topology::route_reference`] walks routes
-//! through that table via the retained [`walk_route`] logic. The
-//! differential oracle (`sentinel::oracle::route_oracle`, plus the
-//! property suites) checks `RoutePlan` against this reference: same
-//! links, same order, same hop count.
+//! through that table via the retained [`walk_route`] logic — for the
+//! fat trees a vertex-by-vertex walk that shares nothing with the
+//! closed form. The differential oracle
+//! (`sentinel::oracle::route_oracle`, plus the property suites) checks
+//! `RoutePlan` against this reference: same links, same order, same hop
+//! count.
 
 use crate::fasthash::FastHashMap;
 use crate::link::LinkId;
@@ -398,18 +403,49 @@ impl Topology {
     /// The deterministic route from host `src` to host `dst` as an O(1)
     /// on-the-fly iterator: no allocation, no per-pair storage. `src ==
     /// dst` yields an empty plan (loopback never hits the wire).
+    ///
+    /// Crossbar and fat-tree routes have a fixed shape (at most six
+    /// links), so their link ids are written out here in closed form;
+    /// the other kinds step vertex by vertex.
     pub fn route_plan(&self, src: u32, dst: u32) -> RoutePlan<'_> {
         assert!(src < self.hosts && dst < self.hosts, "rank out of range");
-        let via = match self.routing {
-            Routing::Minimal => NO_VIA,
-            Routing::Valiant { seed } => self.valiant_via(seed, src, dst),
-        };
-        RoutePlan {
-            topo: self,
-            cur: Vertex::Host(src),
-            dst,
-            via,
-            done: src == dst,
+        let closed = |links: [u32; 6], len: u8| RoutePlan(Plan::Closed { links, len, pos: 0 });
+        if src == dst {
+            return closed([0; 6], 0);
+        }
+        match self.kind {
+            TopologyKind::Crossbar { .. } => closed([2 * src, 2 * dst + 1, 0, 0, 0, 0], 2),
+            TopologyKind::FatTree { .. } | TopologyKind::FatTreePods { .. } => {
+                let (k, pods) = self.ft_dims();
+                let ft = FtIndex { k, pods };
+                let (sp, se, sport) = ft.locate(src);
+                // Upstream spreading is by destination (D-mod-k): the
+                // aggregation switch is the destination's port number,
+                // the core uplink its edge number.
+                let (dp, de, agg) = ft.locate(dst);
+                let up = ft.host_link(sp, se, sport, true);
+                let down = ft.host_link(dp, de, agg, false);
+                if (sp, se) == (dp, de) {
+                    return closed([up, down, 0, 0, 0, 0], 2);
+                }
+                let edge_up = ft.edge_agg_link(sp, se, agg, true);
+                let edge_down = ft.edge_agg_link(dp, de, agg, false);
+                if sp == dp {
+                    return closed([up, edge_up, edge_down, down, 0, 0], 4);
+                }
+                let core_up = ft.agg_core_link(sp, agg, de, true);
+                let core_down = ft.agg_core_link(dp, agg, de, false);
+                closed([up, edge_up, core_up, core_down, edge_down, down], 6)
+            }
+            _ => RoutePlan(Plan::Step {
+                topo: self,
+                cur: Vertex::Host(src),
+                dst,
+                via: match self.routing {
+                    Routing::Minimal => NO_VIA,
+                    Routing::Valiant { seed } => self.valiant_via(seed, src, dst),
+                },
+            }),
         }
     }
 
@@ -463,7 +499,10 @@ impl Topology {
 
     /// Number of links on the route (0 for loopback).
     pub fn hops(&self, src: u32, dst: u32) -> u32 {
-        self.route_plan(src, dst).count() as u32
+        match self.route_plan(src, dst).0 {
+            Plan::Closed { len, .. } => len as u32,
+            step => RoutePlan(step).count() as u32,
+        }
     }
 
     /// Next vertex after `cur` on the path to `dst`. Pure arithmetic in
@@ -471,10 +510,7 @@ impl Topology {
     /// Valiant waypoint (cleared once the detour group is reached).
     fn next_vertex(&self, cur: Vertex, dst: u32, via: &mut u32) -> Vertex {
         match self.kind {
-            TopologyKind::Crossbar { .. } => match cur {
-                Vertex::Host(_) => Vertex::Switch(0),
-                Vertex::Switch(_) => Vertex::Host(dst),
-            },
+            TopologyKind::Crossbar { .. } => unreachable!("crossbar routes are closed-form"),
             TopologyKind::Ring { hosts } => {
                 let Vertex::Host(c) = cur else {
                     unreachable!("ring has no switches")
@@ -669,23 +705,14 @@ impl Topology {
 
     fn ft_link_id(&self, k: u32, pods: u32, from: Vertex, to: Vertex) -> u32 {
         let half = k / 2;
-        let pod_block = 6 * half * half;
         let ft = FtIndex { k, pods };
-        let host_ids = |hst: u32, up: bool| {
-            let pod = hst / (half * half);
-            let e = (hst / half) % half;
-            let p = hst % half;
-            pod * pod_block + e * 4 * half + 2 * p + u32::from(!up)
-        };
-        let edge_agg = |pod: u32, e: u32, a: u32, up: bool| {
-            pod * pod_block + e * 4 * half + 2 * half + 2 * a + u32::from(!up)
-        };
-        let agg_core = |pod: u32, a: u32, up_idx: u32, up: bool| {
-            pod * pod_block + 4 * half * half + a * 2 * half + 2 * up_idx + u32::from(!up)
+        let host_link = |hst: u32, up: bool| {
+            let (pod, e, port) = ft.locate(hst);
+            ft.host_link(pod, e, port, up)
         };
         match (from, to) {
-            (Vertex::Host(x), Vertex::Switch(_)) => host_ids(x, true),
-            (Vertex::Switch(_), Vertex::Host(x)) => host_ids(x, false),
+            (Vertex::Host(x), Vertex::Switch(_)) => host_link(x, true),
+            (Vertex::Switch(_), Vertex::Host(x)) => host_link(x, false),
             (Vertex::Switch(s1), Vertex::Switch(s2)) => {
                 let class = |s: u32| {
                     if s < pods * half {
@@ -700,24 +727,24 @@ impl Topology {
                     (0, 1) => {
                         let (pod, e) = (s1 / half, s1 % half);
                         let a = ft.agg_index(s2);
-                        edge_agg(pod, e, a, true)
+                        ft.edge_agg_link(pod, e, a, true)
                     }
                     (1, 0) => {
                         let (pod, e) = (s2 / half, s2 % half);
                         let a = ft.agg_index(s1);
-                        edge_agg(pod, e, a, false)
+                        ft.edge_agg_link(pod, e, a, false)
                     }
                     (1, 2) => {
                         let pod = ft.agg_pod(s1);
                         let a = ft.agg_index(s1);
                         let c = s2 - 2 * pods * half;
-                        agg_core(pod, a, c - a * half, true)
+                        ft.agg_core_link(pod, a, c - a * half, true)
                     }
                     (2, 1) => {
                         let pod = ft.agg_pod(s2);
                         let a = ft.agg_index(s2);
                         let c = s1 - 2 * pods * half;
-                        agg_core(pod, a, c - a * half, false)
+                        ft.agg_core_link(pod, a, c - a * half, false)
                     }
                     _ => panic!("not adjacent: {from:?} -> {to:?}"),
                 }
@@ -962,8 +989,10 @@ impl Topology {
 
     /// Visit each vertex of the deterministic `src -> dst` path after the
     /// source, in order — the retained pre-refactor routing logic for the
-    /// legacy kinds (the new kinds route through the same `next_vertex`
-    /// the plan uses; their reference check is the explicit link table).
+    /// legacy kinds. The newer kinds step through `next_vertex`: for the
+    /// Dragonfly that is the stepper the plan uses too (its reference
+    /// check is the explicit link table), for the multi-pod fat tree it
+    /// is a walk the closed-form plan never takes.
     fn walk_route(&self, src: u32, dst: u32, mut visit: impl FnMut(Vertex)) {
         match self.kind {
             TopologyKind::Crossbar { .. } => {
@@ -1086,6 +1115,30 @@ impl FtIndex {
     fn agg_index(&self, s: u32) -> u32 {
         (s - self.pods * (self.k / 2)) % (self.k / 2)
     }
+    /// `(pod, edge switch in pod, port on edge switch)` of a host.
+    fn locate(&self, host: u32) -> (u32, u32, u32) {
+        let half = self.k / 2;
+        let edge = host / half;
+        (edge / half, edge % half, host % half)
+    }
+    // Link numbering: each pod owns a block of 6 * half^2 ids — per edge
+    // switch its `half` host cable pairs then its `half` uplink pairs,
+    // then per aggregation switch its `half` core pairs. Within a pair
+    // the upward direction is the even id.
+    fn edge_base(&self, pod: u32, e: u32) -> u32 {
+        let half = self.k / 2;
+        pod * 6 * half * half + e * 4 * half
+    }
+    fn host_link(&self, pod: u32, e: u32, port: u32, up: bool) -> u32 {
+        self.edge_base(pod, e) + 2 * port + u32::from(!up)
+    }
+    fn edge_agg_link(&self, pod: u32, e: u32, a: u32, up: bool) -> u32 {
+        self.edge_base(pod, e) + self.k + 2 * a + u32::from(!up)
+    }
+    fn agg_core_link(&self, pod: u32, a: u32, up_idx: u32, up: bool) -> u32 {
+        let half = self.k / 2;
+        pod * 6 * half * half + 4 * half * half + a * self.k + 2 * up_idx + u32::from(!up)
+    }
 }
 
 /// Router in `from_g` owning the global link to `to_g` (round-robin
@@ -1205,39 +1258,50 @@ fn invert_monotone(hosts: u64, target: u64, f: impl Fn(u64) -> u64) -> u64 {
 }
 
 /// An O(1)-state route iterator: yields the [`LinkId`] of each hop from
-/// `src` to `dst`, computing both the next vertex and its link id
-/// arithmetically from coordinates. No allocation, no per-pair storage.
+/// `src` to `dst`. No allocation, no per-pair storage.
 #[derive(Clone)]
-pub struct RoutePlan<'a> {
-    topo: &'a Topology,
-    cur: Vertex,
-    dst: u32,
-    /// Remaining Valiant waypoint group, or `NO_VIA`.
-    via: u32,
-    done: bool,
-}
+pub struct RoutePlan<'a>(Plan<'a>);
 
-impl RoutePlan<'_> {
-    /// The vertex the plan currently stands on.
-    pub fn position(&self) -> Vertex {
-        self.cur
-    }
+#[derive(Clone)]
+enum Plan<'a> {
+    /// Crossbar and fat-tree routes: every link id, computed up front
+    /// from the endpoints' coordinates.
+    Closed { links: [u32; 6], len: u8, pos: u8 },
+    /// Ring, torus and Dragonfly routes: the next vertex and its link id
+    /// are derived arithmetically one hop at a time.
+    Step {
+        topo: &'a Topology,
+        cur: Vertex,
+        dst: u32,
+        /// Remaining Valiant waypoint group, or `NO_VIA`.
+        via: u32,
+    },
 }
 
 impl Iterator for RoutePlan<'_> {
     type Item = LinkId;
 
+    #[inline]
     fn next(&mut self) -> Option<LinkId> {
-        if self.done {
-            return None;
+        match &mut self.0 {
+            Plan::Closed { links, len, pos } => {
+                if pos == len {
+                    return None;
+                }
+                let id = links[*pos as usize];
+                *pos += 1;
+                Some(LinkId(id))
+            }
+            Plan::Step { topo, cur, dst, via } => {
+                if *cur == Vertex::Host(*dst) {
+                    return None;
+                }
+                let next = topo.next_vertex(*cur, *dst, via);
+                let id = topo.link_id(*cur, next);
+                *cur = next;
+                Some(id)
+            }
         }
-        let next = self.topo.next_vertex(self.cur, self.dst, &mut self.via);
-        let id = self.topo.link_id(self.cur, next);
-        if next == Vertex::Host(self.dst) {
-            self.done = true;
-        }
-        self.cur = next;
-        Some(id)
     }
 }
 

@@ -119,6 +119,22 @@ proptest! {
     }
 }
 
+/// Fat-tree routes are closed-form (one `(pod, edge, port)` decode per
+/// endpoint, link ids written out directly). Every pair of every small
+/// tree — each pod count included — must match the reference walk link
+/// for link, and `hops` must equal the route's length.
+#[test]
+fn fat_tree_all_pairs_match_reference() {
+    for k in [2, 4, 6, 8] {
+        check_all_pairs(TopologyKind::FatTree { k }, Routing::Minimal);
+    }
+    for k in [2, 4, 6] {
+        for pods in 1..=k {
+            check_all_pairs(TopologyKind::FatTreePods { k, pods }, Routing::Minimal);
+        }
+    }
+}
+
 /// Nightly wide-range variant: larger machines, sampled pairs. Plain
 /// seeded loops (the vendored proptest macro cannot carry `#[ignore]`),
 /// run by the nightly `--include-ignored` schedule.
