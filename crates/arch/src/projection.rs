@@ -123,26 +123,25 @@ impl Crossing {
 /// Generic crossover search: the first year in `years` where
 /// `value_at(year) >= target`. When nothing in the range crosses, the
 /// last two years decide between [`Crossing::BeyondHorizon`] (still
-/// growing) and [`Crossing::Never`] (flat, shrinking, or zero). Used by
-/// the peak-FLOP/s search below and by F14's *effective*-FLOP/s curves.
+/// growing) and [`Crossing::Never`] (flat, shrinking, or zero); a
+/// single-year range grows if it produced anything, an empty one never
+/// does. `value_at` runs at most once per year — F14's *effective*-FLOP/s
+/// curves pay a simulation for each call — and only on years in the
+/// range. Used by the peak-FLOP/s search below as well.
 pub fn crossing_in(
     years: std::ops::RangeInclusive<u32>,
     target: f64,
     mut value_at: impl FnMut(u32) -> f64,
 ) -> Crossing {
-    let (start, end) = (*years.start(), *years.end());
+    // The two most recent values; a curve starts from nothing.
+    let (mut before, mut last) = (0.0, 0.0);
     for y in years {
-        if value_at(y) >= target {
+        (before, last) = (last, value_at(y));
+        if last >= target {
             return Crossing::At(y);
         }
     }
-    let last = value_at(end);
-    let growing = if end > start {
-        last > value_at(end - 1)
-    } else {
-        last > 0.0
-    };
-    if growing {
+    if last > before {
         Crossing::BeyondHorizon
     } else {
         Crossing::Never
@@ -293,6 +292,43 @@ mod tests {
             }),
             Crossing::At(full)
         );
+    }
+
+    /// The last two years decide the verdict, and the search loop has
+    /// already computed both: no year is evaluated twice (F14c's curves
+    /// cost a simulation per call), and the verdicts are what evaluating
+    /// them again used to give.
+    #[test]
+    fn crossing_evaluates_each_year_at_most_once() {
+        use std::ops::RangeInclusive;
+        fn check(years: RangeInclusive<u32>, target: f64, curve: fn(u32) -> f64, want: Crossing) {
+            let mut asked = Vec::new();
+            let got = crossing_in(years.clone(), target, |y| {
+                asked.push(y);
+                curve(y)
+            });
+            assert_eq!(got, want, "{years:?} target {target}");
+            // Every year up to the answer, once, in order; none after it.
+            let upto = got.year().unwrap_or(*years.end());
+            let expected: Vec<u32> = (*years.start()..=upto).collect();
+            assert_eq!(asked, expected, "{years:?} target {target}");
+        }
+        let growing: fn(u32) -> f64 = |y| f64::from(y - 2000);
+        let shrinking: fn(u32) -> f64 = |y| f64::from(2100 - y);
+        check(2002..=2020, 1e9, growing, Crossing::BeyondHorizon);
+        check(2002..=2020, 1e9, |_| 5.0, Crossing::Never);
+        check(2002..=2020, 1e9, shrinking, Crossing::Never);
+        check(2002..=2020, 1e9, |_| 0.0, Crossing::Never);
+        check(2002..=2020, 12.0, growing, Crossing::At(2012));
+        check(2002..=2020, 20.0, growing, Crossing::At(2020));
+        check(2002..=2020, 1.0, growing, Crossing::At(2002));
+        check(2010..=2010, 1e9, growing, Crossing::BeyondHorizon);
+        check(2010..=2010, 1e9, |_| 0.0, Crossing::Never);
+        // An empty range has no year to ask about.
+        #[allow(clippy::reversed_empty_ranges)]
+        let empty = 2020..=2002;
+        let never_asked = |y| panic!("asked about {y}");
+        assert_eq!(crossing_in(empty, 1.0, never_asked), Crossing::Never);
     }
 
     #[test]

@@ -148,7 +148,9 @@ impl NodePool {
 }
 
 /// Mean pairwise hop distance between the allocated nodes on `topo` —
-/// the all-to-all locality of a placement.
+/// the all-to-all locality of a placement. n(n-1)/2 calls of
+/// [`Topology::hops`], which is O(1) arithmetic on every kind: scoring
+/// a placement costs the same wherever on the machine it landed.
 pub fn mean_pairwise_hops(topo: &Topology, nodes: &[u32]) -> f64 {
     if nodes.len() < 2 {
         return 0.0;
@@ -166,6 +168,7 @@ pub fn mean_pairwise_hops(topo: &Topology, nodes: &[u32]) -> f64 {
 
 /// Mean hop distance between logically adjacent ranks (rank i ↔ rank
 /// i+1) — the nearest-neighbour locality a halo-exchange code sees.
+/// n-1 calls of `hops`.
 pub fn mean_neighbor_hops(topo: &Topology, nodes: &[u32]) -> f64 {
     if nodes.len() < 2 {
         return 0.0;

@@ -45,31 +45,36 @@ impl Timeline {
     }
 
     /// Earliest time >= origin at which `width` nodes stay free for
-    /// `duration` seconds.
+    /// `duration` seconds; `INFINITY` when no step opens such a window
+    /// (the level after the last step is final).
+    ///
+    /// One pass over the sorted steps, carrying the level and the start
+    /// of the run of sufficient levels the sweep is in. A dip ends the run
+    /// and rules out every start inside it: each of their windows reaches
+    /// at least as far as the run's first.
     pub fn earliest_fit(&self, width: u32, duration: f64) -> f64 {
         let w = width as i64;
-        let mut candidates = vec![self.origin];
-        candidates.extend(self.steps.iter().map(|&(t, _)| t));
-        candidates.sort_by(|a, b| a.total_cmp(b));
-        candidates.dedup();
-        'outer: for &start in &candidates {
-            if start < self.origin {
-                continue;
+        let mut level = self.base;
+        let mut fit: Option<f64> = None;
+        let mut at = self.origin;
+        let mut next = 0;
+        loop {
+            // Steps at one instant apply together: `level` is avail_at(at).
+            while next < self.steps.len() && self.steps[next].0 <= at {
+                level += self.steps[next].1;
+                next += 1;
             }
-            if self.avail_at(start) < w {
-                continue;
+            fit = match fit {
+                // Only a step inside the window can spoil it.
+                Some(start) if at < start + duration => (level >= w).then_some(start),
+                Some(start) => return start,
+                None => (level >= w).then_some(at),
+            };
+            match self.steps.get(next) {
+                Some(&(t, _)) => at = t,
+                None => return fit.unwrap_or(f64::INFINITY),
             }
-            // Availability may dip inside the window.
-            let end = start + duration;
-            for &(t, _) in &self.steps {
-                if t > start && t < end && self.avail_at(t) < w {
-                    continue 'outer;
-                }
-            }
-            return start;
         }
-        // Beyond the last step everything is free again at base + sum.
-        f64::INFINITY
     }
 
     /// Reserve `width` nodes over `[start, start + duration)`.
@@ -82,6 +87,77 @@ impl Timeline {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The search `earliest_fit` replaced, kept as its oracle: try every
+    /// step time as a start and re-walk the steps inside its window.
+    fn earliest_fit_reference(tl: &Timeline, width: u32, duration: f64) -> f64 {
+        let w = width as i64;
+        let mut candidates = vec![tl.origin];
+        candidates.extend(tl.steps.iter().map(|&(t, _)| t));
+        candidates.sort_by(|a, b| a.total_cmp(b));
+        candidates.dedup();
+        'outer: for &start in &candidates {
+            if tl.avail_at(start) < w {
+                continue;
+            }
+            let end = start + duration;
+            for &(t, _) in &tl.steps {
+                if t > start && t < end && tl.avail_at(t) < w {
+                    continue 'outer;
+                }
+            }
+            return start;
+        }
+        f64::INFINITY
+    }
+
+    /// Seeded random timelines — releases and reservations on a coarse
+    /// time grid, so that steps land on the origin, on each other and on
+    /// window ends — must give the oracle's instant bit for bit, for
+    /// zero widths and durations and unsatisfiable widths too.
+    #[test]
+    fn earliest_fit_matches_the_reference_search_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(0x71E1);
+        let (mut queries, mut unsatisfiable, mut deferred) = (0u32, 0u32, 0u32);
+        for case in 0..2_000 {
+            let origin = [0.0, 17.5, 1e6][case % 3];
+            let nodes = rng.random_range(0..=12u32);
+            let mut tl = Timeline::new(origin, rng.random_range(0..=nodes));
+            for _ in 0..rng.random_range(0..=16) {
+                // A quarter-second grid, reaching back before the origin.
+                let time = origin + f64::from(rng.random_range(-4..=60i32)) * 0.25;
+                let width = rng.random_range(0..=4u32);
+                if rng.random_bool(0.5) {
+                    tl.release_at(time, width);
+                } else {
+                    tl.commit(time, f64::from(rng.random_range(0..=24u32)) * 0.25, width);
+                }
+            }
+            for _ in 0..20 {
+                let width = rng.random_range(0..=nodes + 2);
+                let duration = match rng.random_range(0..10u32) {
+                    0 => 0.0,
+                    1 => f64::INFINITY,
+                    _ => f64::from(rng.random_range(1..=40u32)) * 0.25,
+                };
+                let got = tl.earliest_fit(width, duration);
+                let want = earliest_fit_reference(&tl, width, duration);
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "case {case}: {tl:?} width {width} duration {duration}: {got} vs {want}"
+                );
+                queries += 1;
+                unsatisfiable += u32::from(got == f64::INFINITY);
+                deferred += u32::from(got > origin && got.is_finite());
+            }
+        }
+        // The draw must reach every kind of answer, not only "now".
+        assert!(unsatisfiable > queries / 50, "{unsatisfiable} of {queries}");
+        assert!(deferred > queries / 10, "{deferred} of {queries}");
+    }
 
     #[test]
     fn empty_timeline_fits_immediately() {

@@ -396,6 +396,9 @@ fn first_line_diff(a: &str, b: &str) -> String {
 /// Valiant routing. Small machines compare every pair; larger ones a
 /// seeded sample. Divergence in link ids, order, or hop count is a
 /// violation, as is a route exceeding the routing-aware diameter.
+/// `Topology::hops` is closed-form arithmetic that builds no plan, so
+/// the `hops() == plan length` check below is a second differential
+/// oracle — distance against the stepped route — on every fuzz run.
 pub fn route_oracle(spec: &WorkloadSpec) -> Vec<Violation> {
     use polaris_simnet::prelude::Routing;
     let mut out = Vec::new();

@@ -15,7 +15,9 @@
 //! endpoints once and writes their at most six link ids out in closed
 //! form; ring, torus and Dragonfly routes derive each hop on the fly.
 //! The contention model charges occupancy per yielded link without ever
-//! materializing a route vector.
+//! materializing a route vector. Distance needs no route at all:
+//! [`Topology::hops`] is arithmetic on every kind, and only link ids
+//! step.
 //!
 //! Verification discipline: [`Topology::new_reference`] additionally
 //! builds the explicit link table the pre-refactor code used (insertion
@@ -110,6 +112,9 @@ const NO_VIA: u32 = u32::MAX;
 impl Topology {
     /// Build a topology. O(1) time and memory for every kind: no link
     /// table, no route storage — everything downstream is arithmetic.
+    /// Panics on dimensions outside a kind's domain or whose host count
+    /// overflows the `u32` rank space (in release the product would wrap
+    /// and pass for a small machine).
     pub fn new(kind: TopologyKind) -> Self {
         let hosts = match kind {
             TopologyKind::Crossbar { hosts } => {
@@ -122,15 +127,15 @@ impl Topology {
             }
             TopologyKind::Torus2D { w, h } => {
                 assert!(w >= 2 && h >= 2, "torus dims must be >= 2");
-                w * h
+                host_count("2-D torus", &[w, h])
             }
             TopologyKind::Torus3D { x, y, z } => {
                 assert!(x >= 2 && y >= 2 && z >= 2);
-                x * y * z
+                host_count("3-D torus", &[x, y, z])
             }
             TopologyKind::FatTree { k } => {
                 assert!(k >= 2 && k % 2 == 0, "fat tree arity must be even");
-                k * (k / 2) * (k / 2)
+                host_count("fat tree", &[k, k / 2, k / 2])
             }
             TopologyKind::FatTreePods { k, pods } => {
                 assert!(k >= 2 && k % 2 == 0, "fat tree arity must be even");
@@ -138,7 +143,7 @@ impl Topology {
                     pods >= 1 && pods <= k,
                     "pod count must be in 1..=k (core ports)"
                 );
-                pods * (k / 2) * (k / 2)
+                host_count("multi-pod fat tree", &[pods, k / 2, k / 2])
             }
             TopologyKind::Dragonfly {
                 groups,
@@ -146,7 +151,7 @@ impl Topology {
                 hosts_per_router,
             } => {
                 assert!(groups >= 1 && routers_per_group >= 1 && hosts_per_router >= 1);
-                groups * routers_per_group * hosts_per_router
+                host_count("dragonfly", &[groups, routers_per_group, hosts_per_router])
             }
         };
         Topology {
@@ -441,23 +446,24 @@ impl Topology {
                 topo: self,
                 cur: Vertex::Host(src),
                 dst,
-                via: match self.routing {
-                    Routing::Minimal => NO_VIA,
-                    Routing::Valiant { seed } => self.valiant_via(seed, src, dst),
-                },
+                via: self.valiant_via(src, dst),
             }),
         }
     }
 
     /// The Valiant intermediate group for `(src, dst)`, or `NO_VIA` when
-    /// the pair stays minimal (same group, tiny machine, or the drawn
-    /// group coincides with an endpoint group).
-    fn valiant_via(&self, seed: u64, src: u32, dst: u32) -> u32 {
-        let TopologyKind::Dragonfly {
-            groups: g,
-            routers_per_group: a,
-            hosts_per_router: h,
-        } = self.kind
+    /// the pair stays minimal (minimal routing, not a Dragonfly, same
+    /// group, tiny machine, or the drawn group coincides with an endpoint
+    /// group).
+    fn valiant_via(&self, src: u32, dst: u32) -> u32 {
+        let (
+            Routing::Valiant { seed },
+            TopologyKind::Dragonfly {
+                groups: g,
+                routers_per_group: a,
+                hosts_per_router: h,
+            },
+        ) = (self.routing, self.kind)
         else {
             return NO_VIA;
         };
@@ -497,11 +503,58 @@ impl Topology {
         out.extend(self.route_plan(src, dst));
     }
 
-    /// Number of links on the route (0 for loopback).
+    /// Number of links on the route (0 for loopback). Arithmetic on
+    /// every kind — ring distances per dimension on ring and torus, the
+    /// tier the endpoints share on a fat tree, `(group, router)`
+    /// coordinates on a Dragonfly — so it never builds a [`RoutePlan`];
+    /// the plan's length is its oracle in the property suites.
     pub fn hops(&self, src: u32, dst: u32) -> u32 {
-        match self.route_plan(src, dst).0 {
-            Plan::Closed { len, .. } => len as u32,
-            step => RoutePlan(step).count() as u32,
+        assert!(src < self.hosts && dst < self.hosts, "rank out of range");
+        if src == dst {
+            return 0;
+        }
+        match self.kind {
+            TopologyKind::Crossbar { .. } => 2,
+            TopologyKind::Ring { hosts } => ring_distance(src, dst, hosts),
+            TopologyKind::Torus2D { w, h } => {
+                ring_distance(src % w, dst % w, w) + ring_distance(src / w, dst / w, h)
+            }
+            TopologyKind::Torus3D { x: wx, y: wy, z: wz } => {
+                let plane = wx * wy;
+                ring_distance(src % wx, dst % wx, wx)
+                    + ring_distance((src / wx) % wy, (dst / wx) % wy, wy)
+                    + ring_distance(src / plane, dst / plane, wz)
+            }
+            TopologyKind::FatTree { .. } | TopologyKind::FatTreePods { .. } => {
+                // Up to the lowest tier the endpoints share, and back.
+                let half = self.ft_dims().0 / 2;
+                let (s_edge, d_edge) = (src / half, dst / half);
+                if s_edge == d_edge {
+                    2
+                } else if s_edge / half == d_edge / half {
+                    4
+                } else {
+                    6
+                }
+            }
+            TopologyKind::Dragonfly {
+                routers_per_group: a,
+                hosts_per_router: h,
+                ..
+            } => {
+                let (sr, dr) = (src / h, dst / h);
+                let (from, to) = ((sr / a, sr % a), (dr / a, dr % a));
+                let via = self.valiant_via(src, dst);
+                let between_routers = if via == NO_VIA {
+                    df_router_hops(a, from, to)
+                } else {
+                    // Two minimal legs; the detour enters `via` at the
+                    // router owning its link back to the source group.
+                    let entry = (via, df_owner(a, via, from.0));
+                    df_router_hops(a, from, entry) + df_router_hops(a, entry, to)
+                };
+                2 + between_routers
+            }
         }
     }
 
@@ -1075,10 +1128,7 @@ impl Topology {
                 visit(Vertex::Host(dst));
             }
             TopologyKind::FatTreePods { .. } | TopologyKind::Dragonfly { .. } => {
-                let mut via = match self.routing {
-                    Routing::Minimal => NO_VIA,
-                    Routing::Valiant { seed } => self.valiant_via(seed, src, dst),
-                };
+                let mut via = self.valiant_via(src, dst);
                 let mut cur = Vertex::Host(src);
                 loop {
                     cur = self.next_vertex(cur, dst, &mut via);
@@ -1147,6 +1197,28 @@ impl FtIndex {
 fn df_owner(a: u32, from_g: u32, to_g: u32) -> u32 {
     let t = if to_g < from_g { to_g } else { to_g - 1 };
     t % a
+}
+
+/// Links between two Dragonfly routers, each `(group, index in group)`,
+/// on the minimal path: one local link inside a group; across groups the
+/// global link plus a local link at either end whose router does not own
+/// it.
+#[inline]
+fn df_router_hops(a: u32, from: (u32, u32), to: (u32, u32)) -> u32 {
+    if from.0 == to.0 {
+        u32::from(from.1 != to.1)
+    } else {
+        let exit = df_owner(a, from.0, to.0);
+        let entry = df_owner(a, to.0, from.0);
+        u32::from(from.1 != exit) + 1 + u32::from(to.1 != entry)
+    }
+}
+
+/// Host count of a topology as the checked product of its dimensions.
+fn host_count(kind: &str, dims: &[u32]) -> u32 {
+    dims.iter()
+        .try_fold(1u32, |n, &d| n.checked_mul(d))
+        .unwrap_or_else(|| panic!("{kind} {dims:?} has more hosts than a u32 rank can name"))
 }
 
 /// Cable *pairs* inserted before host `n` in the 2-D torus reference
@@ -1303,6 +1375,14 @@ impl Iterator for RoutePlan<'_> {
             }
         }
     }
+}
+
+/// Hops between two positions on a ring of `width`, the shorter way
+/// round (what [`step_toward`] takes one at a time).
+#[inline]
+fn ring_distance(from: u32, to: u32, width: u32) -> u32 {
+    let apart = from.abs_diff(to);
+    apart.min(width - apart)
 }
 
 #[inline]
@@ -1624,6 +1704,59 @@ mod tests {
     fn out_of_range_rank_panics() {
         let t = Topology::new(TopologyKind::Ring { hosts: 4 });
         t.route(0, 9);
+    }
+
+    #[test]
+    #[should_panic(expected = "rank out of range")]
+    fn out_of_range_rank_panics_in_hops() {
+        let t = Topology::new(TopologyKind::Torus2D { w: 4, h: 4 });
+        t.hops(16, 0);
+    }
+
+    // A host count past u32 must be refused by name, not wrapped into a
+    // small machine (70 000^2 mod 2^32 is 605 032 704).
+    #[test]
+    #[should_panic(expected = "2-D torus [70000, 70000] has more hosts")]
+    fn oversized_torus2d_is_refused() {
+        Topology::new(TopologyKind::Torus2D { w: 70_000, h: 70_000 });
+    }
+
+    #[test]
+    #[should_panic(expected = "3-D torus [2048, 2048, 1024] has more hosts")]
+    fn oversized_torus3d_is_refused() {
+        Topology::new(TopologyKind::Torus3D { x: 2048, y: 2048, z: 1024 });
+    }
+
+    #[test]
+    #[should_panic(expected = "fat tree [2582, 1291, 1291] has more hosts")]
+    fn oversized_fat_tree_is_refused() {
+        Topology::new(TopologyKind::FatTree { k: 2582 });
+    }
+
+    #[test]
+    #[should_panic(expected = "multi-pod fat tree [4, 40000, 40000] has more hosts")]
+    fn oversized_multi_pod_fat_tree_is_refused() {
+        Topology::new(TopologyKind::FatTreePods { k: 80_000, pods: 4 });
+    }
+
+    #[test]
+    #[should_panic(expected = "dragonfly [65536, 256, 256] has more hosts")]
+    fn oversized_dragonfly_is_refused() {
+        Topology::new(TopologyKind::Dragonfly {
+            groups: 65_536,
+            routers_per_group: 256,
+            hosts_per_router: 256,
+        });
+    }
+
+    #[test]
+    fn largest_representable_dimensions_still_build() {
+        // 2^16 x 2^15 = 2^31 hosts fits; the closed forms never touch a
+        // table, so the far corner is as cheap as a neighbour.
+        let t = Topology::new(TopologyKind::Torus2D { w: 65_536, h: 32_768 });
+        assert_eq!(t.hosts(), 1 << 31);
+        assert_eq!(t.hops(0, t.hosts() - 1), 2);
+        assert_eq!(t.hops(0, 32_768 + 16_384 * 65_536), t.diameter());
     }
 
     #[test]

@@ -135,6 +135,65 @@ fn fat_tree_all_pairs_match_reference() {
     }
 }
 
+/// `hops` is arithmetic on every kind and never builds a route, so the
+/// stepped plan is its oracle: every pair of every small topology — the
+/// shapes where the arithmetic has an edge (odd and even rings, the
+/// two-host ring, width-2 torus dimensions, one- and two-group
+/// Dragonflies, one router per group, `groups - 1` not a multiple of the
+/// router count) — must give `hops(s, d) == route_plan(s, d).count()`
+/// and stay within `diameter()`, under minimal and Valiant routing.
+#[test]
+fn hops_equal_plan_length_on_every_kind() {
+    let dragonfly = |groups, routers_per_group, hosts_per_router| TopologyKind::Dragonfly {
+        groups,
+        routers_per_group,
+        hosts_per_router,
+    };
+    let kinds = [
+        TopologyKind::Crossbar { hosts: 1 },
+        TopologyKind::Crossbar { hosts: 9 },
+        TopologyKind::Ring { hosts: 2 },
+        TopologyKind::Ring { hosts: 3 },
+        TopologyKind::Ring { hosts: 7 },
+        TopologyKind::Ring { hosts: 8 },
+        TopologyKind::Torus2D { w: 2, h: 2 },
+        TopologyKind::Torus2D { w: 2, h: 5 },
+        TopologyKind::Torus2D { w: 4, h: 3 },
+        TopologyKind::Torus2D { w: 5, h: 6 },
+        TopologyKind::Torus3D { x: 2, y: 3, z: 2 },
+        TopologyKind::Torus3D { x: 3, y: 2, z: 4 },
+        TopologyKind::Torus3D { x: 4, y: 5, z: 3 },
+        TopologyKind::FatTree { k: 4 },
+        TopologyKind::FatTreePods { k: 4, pods: 1 },
+        TopologyKind::FatTreePods { k: 6, pods: 2 },
+        dragonfly(1, 4, 2),
+        dragonfly(2, 1, 3),
+        dragonfly(2, 3, 1),
+        dragonfly(5, 3, 2),
+        dragonfly(6, 1, 2),
+        dragonfly(9, 2, 1),
+        dragonfly(8, 4, 2),
+    ];
+    let valiant = |seed| Routing::Valiant { seed };
+    for kind in kinds {
+        for routing in [Routing::Minimal, valiant(42), valiant(7)] {
+            let topo = Topology::new(kind).with_routing(routing);
+            let bound = topo.diameter();
+            for s in 0..topo.hosts() {
+                for d in 0..topo.hosts() {
+                    let hops = topo.hops(s, d);
+                    assert_eq!(
+                        hops as usize,
+                        topo.route_plan(s, d).count(),
+                        "{kind:?} {routing:?} {s}->{d}"
+                    );
+                    assert!(hops <= bound, "{kind:?} {routing:?} {s}->{d}: {hops} > {bound}");
+                }
+            }
+        }
+    }
+}
+
 /// Nightly wide-range variant: larger machines, sampled pairs. Plain
 /// seeded loops (the vendored proptest macro cannot carry `#[ignore]`),
 /// run by the nightly `--include-ignored` schedule.
@@ -164,6 +223,7 @@ fn dragonfly_routing_properties_wide() {
                 assert_contiguous(&topo, s, d, &route);
                 assert!(route.len() as u32 <= bound, "case {case}: {kind:?} {routing:?}");
                 assert_eq!(route, topo.route_reference(s, d), "case {case}");
+                assert_eq!(route.len() as u32, topo.hops(s, d), "case {case}");
             }
         }
     }
