@@ -2,13 +2,11 @@
 //!
 //! * A1 — registration cache on/off on the rendezvous path.
 //! * A3 — polling vs blocking completion reaping.
-//! * engine — raw discrete-event throughput (the substrate's own speed).
+//! * A4 — NIC gather vs pack-then-send for a noncontiguous layout.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use polaris_msg::prelude::*;
 use polaris_nic::prelude::*;
-use polaris_simnet::engine::{run as sim_run, Scheduler, World};
-use polaris_simnet::time::SimDuration;
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -157,39 +155,10 @@ fn bench_layout_strategies(c: &mut Criterion) {
     group.finish();
 }
 
-/// Raw event-dispatch throughput of the simulation engine.
-fn bench_engine(c: &mut Criterion) {
-    struct Chain {
-        left: u64,
-    }
-    impl World for Chain {
-        type Event = ();
-        fn handle(&mut self, sched: &mut Scheduler<()>, _ev: ()) {
-            if self.left > 0 {
-                self.left -= 1;
-                sched.after(SimDuration::from_ns(1), ());
-            }
-        }
-    }
-    let mut group = c.benchmark_group("engine");
-    group.sample_size(10);
-    group.measurement_time(std::time::Duration::from_secs(4));
-    group.bench_function("engine-1M-events", |b| {
-        b.iter(|| {
-            let mut world = Chain { left: 1_000_000 };
-            let mut sched = Scheduler::new();
-            sched.after(SimDuration::from_ns(1), ());
-            black_box(sim_run(&mut world, &mut sched, None))
-        })
-    });
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_reg_cache,
     bench_cq_modes,
-    bench_layout_strategies,
-    bench_engine
+    bench_layout_strategies
 );
 criterion_main!(benches);

@@ -3,25 +3,15 @@
 //! Usage: `cargo run --release -p polaris-bench -- [all|f1|f2|f3|f4|f5|t2|f6|f7|a2]...`
 //!        `cargo run --release -p polaris-bench -- [--jobs N] ...`
 //!        `cargo run --release -p polaris-bench -- --check-output [path]`
-//!        `cargo run --release -p polaris-bench -- perf [--update|--check]`
 //!
 //! Prints each table and writes `target/figures/<id>.json`. Sweeps fan
 //! out over `--jobs` worker threads (or `POLARIS_JOBS`); output is
 //! byte-identical at any job count. `--check-output` regenerates every
 //! table and diffs the result against the committed snapshot
-//! (`figures_output.txt` by default), exiting nonzero on drift. The
-//! `perf` subcommand runs the wall-clock harness instead (see
-//! [`polaris_bench::perf`]): it emits the `BENCH_simwall.json` report
-//! and, with `--check`, gates against the committed baseline.
+//! (`figures_output.txt` by default), exiting nonzero on drift.
 
-use polaris_bench::{all_experiments, perf, sweep};
+use polaris_bench::{all_experiments, sweep};
 use std::path::PathBuf;
-
-/// Counting allocator so `perf` can report allocations per message.
-/// Counting is one relaxed atomic increment per allocation — noise for
-/// the figure generators, load-bearing for the perf report.
-#[global_allocator]
-static ALLOCATOR: perf::CountingAlloc = perf::CountingAlloc;
 
 /// Compare the regenerated output with the committed snapshot; report
 /// the first divergent table on mismatch. Wall-clock tables (see
@@ -67,9 +57,6 @@ fn main() {
             .unwrap_or_else(|| "figures_output.txt".to_string());
         std::process::exit(check_output(&path));
     }
-    if args.first().map(String::as_str) == Some("perf") {
-        std::process::exit(perf::run_perf(&args[1..]));
-    }
     let wanted: Vec<String> = if args.is_empty() || args.iter().any(|a| a == "all") {
         all_experiments().iter().map(|(id, _)| id.to_string()).collect()
     } else {
@@ -92,7 +79,8 @@ fn main() {
         eprintln!("[{id} regenerated in {:?}]\n", t0.elapsed());
     }
     if ran == 0 {
-        eprintln!("unknown experiment id(s) {wanted:?}; known: f1 f2 f3 f4 f5 t2 f6 f7 f8 f9 f10 f11 f12 f13 f14 a2 all perf");
+        let known: Vec<&str> = all_experiments().iter().map(|(id, _)| *id).collect();
+        eprintln!("unknown experiment id(s) {wanted:?}; known: {} all", known.join(" "));
         std::process::exit(2);
     }
     eprintln!("JSON series written to {}", out_dir.display());

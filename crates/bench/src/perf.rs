@@ -1,95 +1,11 @@
-//! `figures -- perf` — wall-clock performance harness with regression
-//! gates.
-//!
-//! Where the figure generators report *simulated* time, this module
-//! reports *wall-clock* throughput of the simulator itself, the thing
-//! the fast-path work actually optimises. It measures four numbers:
-//!
-//! 1. event-queue churn throughput, calendar queue vs the in-binary
-//!    reference binary heap (events/sec and the speedup ratio);
-//! 2. engine dispatch rate (events dispatched per wall second through
-//!    `engine::run`), published as the `engine_events_dispatched_per_sec`
-//!    gauge on a [`polaris_obs::Obs`] registry;
-//! 3. wall time of the F3 1024-node allreduce sweep (the hottest figure
-//!    workload) and the messages/sec it implies;
-//! 4. heap allocations per eager message, via the counting allocator the
-//!    `figures` binary installs.
-//!
-//! `perf --update` writes the report to `BENCH_simwall.json` (committed
-//! at the repo root); `perf --check` re-measures and gates against that
-//! baseline. Absolute wall numbers are machine-dependent, so the gates
-//! compare *ratios*: the reference heap's events/sec acts as a
-//! machine-speed normalizer — a slower machine scores proportionally
-//! lower on both the baseline-relative and current measurements, and the
-//! normalized comparison cancels the hardware out.
+//! The event-queue hold-model churn that the frozen benchmark
+//! (`examples/benchmark/`) times as `simnet.event.hold_ns` and uses as
+//! its warm-up. Everything else that measures wall clock lives there;
+//! see docs/PERFORMANCE.md, "Measuring".
 
-use polaris_simnet::engine::{run, Scheduler, World};
-use polaris_simnet::event::{reference::HeapQueue, EventQueue};
-use polaris_simnet::link::Generation;
-use polaris_simnet::network::Network;
+use polaris_simnet::event::EventQueue;
 use polaris_simnet::rng::SplitMix64;
-use polaris_simnet::time::{SimDuration, SimTime};
-use polaris_simnet::topology::{Topology, TopologyKind};
-
-use polaris_collectives::prelude::*;
-
-use serde::{Deserialize, Serialize};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-use std::time::Instant;
-
-// ---------------------------------------------------------------------
-// Allocation counting
-// ---------------------------------------------------------------------
-
-/// Counting allocator the `figures` binary installs as its global
-/// allocator; [`measure_allocs_per_message`] reads the counter. Library
-/// consumers that do not install it simply get `None` for the
-/// allocations-per-message metric (the probe below detects a dead
-/// counter).
-pub struct CountingAlloc;
-
-thread_local! {
-    // Per thread, so a measured window sees only its own thread's
-    // allocations. `const` + `Cell<u64>`: the allocator hook reaches it
-    // without allocating or registering a destructor.
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.with(|c| c.set(c.get() + 1));
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.with(|c| c.set(c.get() + 1));
-        unsafe { System.alloc_zeroed(layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.with(|c| c.set(c.get() + 1));
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-/// Allocator calls made by the calling thread so far.
-fn allocs() -> u64 {
-    ALLOCS.with(Cell::get)
-}
-
-/// True when the counting allocator is actually installed in this
-/// binary (an allocation moves the counter).
-fn alloc_counter_live() -> bool {
-    let before = allocs();
-    std::hint::black_box(Vec::<u8>::with_capacity(64));
-    allocs() > before
-}
-
-// ---------------------------------------------------------------------
-// Event-queue churn (shared with benches/eventq.rs)
-// ---------------------------------------------------------------------
+use polaris_simnet::time::SimTime;
 
 /// Pseudo-random reschedule delay shaped like the simulator's: link
 /// events reschedule by one of a handful of discrete latencies
@@ -128,1222 +44,17 @@ pub fn churn_calendar(hold: usize, transactions: usize) -> u64 {
     acc
 }
 
-/// Same churn on the reference binary heap.
-pub fn churn_heap(hold: usize, transactions: usize) -> u64 {
-    let mut q: HeapQueue<u32> = HeapQueue::new();
-    let mut rng = SplitMix64::new(0x5eed);
-    // Precharge from the same delay distribution: ranks enter the
-    // steady state in a handful of synchronized phases, the way a
-    // symmetric collective round leaves them.
-    for i in 0..hold {
-        let t = churn_delay(&mut rng);
-        q.push(SimTime(t), i as u32);
-    }
-    let mut acc = 0u64;
-    for _ in 0..transactions {
-        let (t, ev) = q.pop().expect("queue stays charged");
-        acc = acc.wrapping_add(t.0).wrapping_add(ev as u64);
-        q.push(SimTime(t.0 + churn_delay(&mut rng)), ev);
-    }
-    acc
-}
-
-// ---------------------------------------------------------------------
-// Report schema
-// ---------------------------------------------------------------------
-
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct EventqReport {
-    pub hold: u64,
-    pub transactions: u64,
-    pub calendar_events_per_sec: f64,
-    pub heap_events_per_sec: f64,
-    /// calendar / heap throughput ratio — machine-independent.
-    pub speedup: f64,
-}
-
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct EngineReport {
-    pub events_dispatched: u64,
-    pub events_dispatched_per_sec: f64,
-}
-
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct F3Report {
-    pub nodes: u64,
-    pub wall_seconds: f64,
-    pub messages: u64,
-    pub messages_per_sec: f64,
-}
-
-/// One measured job count of a parallel workload.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ParallelPoint {
-    pub jobs: u64,
-    pub wall_seconds: f64,
-    /// serial wall / this wall — a same-machine ratio, so the gate on it
-    /// is machine-independent.
-    pub speedup: f64,
-    /// `"gated"` when a speedup floor applies to this point *on the
-    /// measuring machine* (enough cores to arm it), `"informational"`
-    /// when the number is recorded honestly but cannot gate — a 1-core
-    /// container reporting a 4-job wall is data, not a verdict.
-    #[serde(default = "informational")]
-    pub status: String,
-}
-
-fn informational() -> String {
-    "informational".to_string()
-}
-
-fn point_status(armed: bool) -> String {
-    if armed {
-        "gated".to_string()
-    } else {
-        informational()
-    }
-}
-
-/// Wall-clock behaviour of the two parallel paths this PR adds: the
-/// rayon sweep harness fanning the F3 1024-node cells across workers,
-/// and the sharded conservative-parallel collective executor.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ParallelReport {
-    /// `available_parallelism()` detected at measurement time (never
-    /// copied from a baseline). Speedup gates only arm when this is at
-    /// least the job count under test — a 1-core container cannot
-    /// measure a 4-way speedup, and each [`ParallelPoint::status`]
-    /// records which side of that line its number fell on.
-    pub available_cores: u64,
-    /// F3 1024-node sweep, jobs = 1 (the speedup denominator).
-    pub sweep_serial_wall_seconds: f64,
-    pub sweep: Vec<ParallelPoint>,
-    /// Sharded executor: 512-rank ring allreduce, jobs = 1.
-    pub engine_serial_wall_seconds: f64,
-    pub engine: Vec<ParallelPoint>,
-    /// True when the sharded executor returned identical results
-    /// (completion and message count) at every measured job count —
-    /// the determinism oracle, machine-independent and always gated.
-    pub engine_deterministic: bool,
-}
-
-/// The O(1)-routing acceptance workload: a 1,048,576-host Dragonfly
-/// built by the lean constructor, routed over a seeded pair sample by
-/// walking full `RoutePlan` iterators.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct TopoReport {
-    pub hosts: u64,
-    /// Heap allocations `Topology::new` makes for the 1M-host Dragonfly
-    /// (`None` when the counting allocator is not installed). Gated
-    /// absolutely: the constructor is O(routers) state, so this number
-    /// is a small machine-independent constant — any per-pair or
-    /// per-host-squared table shows up as a catastrophic jump.
-    pub build_allocs: Option<u64>,
-    /// Wall nanoseconds to derive and walk one route plan, averaged
-    /// over the pair sample.
-    pub topo_route_ns: f64,
-    pub routes_per_sec: f64,
-}
-
-/// The serving plane under load: the content-addressed cache, the
-/// checkpoint/restore engine contract, and incremental re-simulation,
-/// measured the way a deployment would feel them.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ServingReport {
-    /// Size of the spec space the sweep and the Zipf population draw
-    /// from.
-    pub distinct_specs: u64,
-    /// Requests the open-loop client population issued.
-    pub requests: u64,
-    /// Concurrent client threads.
-    pub clients: u64,
-    /// Full figure sweep against an empty cache (every point
-    /// simulates).
-    pub cold_sweep_wall_seconds: f64,
-    /// The same sweep repeated against the warm cache (every point is
-    /// a hit).
-    pub warm_sweep_wall_seconds: f64,
-    /// cold / warm — a same-machine ratio, gated >= 20x (the serving
-    /// tentpole acceptance criterion).
-    pub warm_vs_cold_speedup: f64,
-    /// The warm render is byte-identical to the cold one (a cache that
-    /// changes answers is worse than no cache). Always gated.
-    pub warm_tables_identical: bool,
-    /// Cache hit ratio over the Zipf drive, gated >= 0.9.
-    pub hit_ratio: f64,
-    /// Exact p99 service latency over the drive, nanoseconds
-    /// (normalized latency gate, wide band — scheduler tails are
-    /// noisy even at a million samples).
-    pub p99_service_latency_ns: u64,
-    /// Open-loop saturation throughput, requests/sec (normalized wall
-    /// gate).
-    pub saturation_rps: f64,
-    /// Engine contract: a `ShardSim` checkpointed mid-run, pushed
-    /// through JSON, restored, and resumed matches the uninterrupted
-    /// run at 1/2/4 shards. Machine-independent, always gated.
-    pub snapshot_restore_identical: bool,
-    /// A point-mutated phased spec answered from the longest
-    /// unaffected prefix checkpoint matches the from-scratch answer.
-    /// Machine-independent, always gated.
-    pub incremental_identical: bool,
-    /// Fraction of simulation events the prefix restore skipped for
-    /// the mutated spec — deterministic event counts, so this gates
-    /// absolutely (>= 0.25) on any machine.
-    pub incremental_events_saved_ratio: f64,
-}
-
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct History {
-    /// Full `figures f3` wall on the pre-calendar binary-heap engine
-    /// (commit 4b670d7), best of 3 on the reference machine.
-    pub f3_full_wall_seconds_heap_engine: f64,
-    /// Same run on this PR's calendar engine + pooled messaging.
-    pub f3_full_wall_seconds_this_pr: f64,
-    pub note: String,
-}
-
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct PerfReport {
-    pub schema: String,
-    pub eventq: EventqReport,
-    pub engine: EngineReport,
-    pub f3_1024: F3Report,
-    pub parallel: ParallelReport,
-    pub topo: TopoReport,
-    pub serving: ServingReport,
-    /// `None` when the binary did not install [`CountingAlloc`].
-    pub allocs_per_message_eager: Option<f64>,
-    pub history: History,
-}
-
-// ---------------------------------------------------------------------
-// Measurements
-// ---------------------------------------------------------------------
-
-const EVENTQ_HOLD: usize = 1 << 14;
-const EVENTQ_TXNS: usize = 8 * EVENTQ_HOLD;
-
-fn best_of<F: FnMut() -> u64>(samples: usize, mut f: F) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..samples {
-        let t0 = Instant::now();
-        std::hint::black_box(f());
-        best = best.min(t0.elapsed().as_secs_f64());
-    }
-    best
-}
-
-fn measure_eventq(samples: usize) -> EventqReport {
-    // Interleave the two queues' samples so the speedup ratio compares
-    // like machine states; a sequential A-block/B-block layout lets a
-    // frequency or load shift mid-measurement masquerade as a queue
-    // regression.
-    let samples = samples.max(5);
-    let mut cal = f64::INFINITY;
-    let mut heap = f64::INFINITY;
-    for _ in 0..samples {
-        let t0 = Instant::now();
-        std::hint::black_box(churn_calendar(EVENTQ_HOLD, EVENTQ_TXNS));
-        cal = cal.min(t0.elapsed().as_secs_f64());
-        let t0 = Instant::now();
-        std::hint::black_box(churn_heap(EVENTQ_HOLD, EVENTQ_TXNS));
-        heap = heap.min(t0.elapsed().as_secs_f64());
-    }
-    let cal_eps = EVENTQ_TXNS as f64 / cal;
-    let heap_eps = EVENTQ_TXNS as f64 / heap;
-    EventqReport {
-        hold: EVENTQ_HOLD as u64,
-        transactions: EVENTQ_TXNS as u64,
-        calendar_events_per_sec: cal_eps,
-        heap_events_per_sec: heap_eps,
-        speedup: cal_eps / heap_eps,
-    }
-}
-
-/// A world of independent event chains: each event reschedules itself a
-/// pseudo-random delay later until its chain has fired `hops` times.
-/// This exercises the full `engine::run` dispatch loop (horizon check,
-/// same-instant batch drain, clock updates), not just the queue.
-struct ChainWorld {
-    remaining: Vec<u32>,
-    rng: SplitMix64,
-}
-
-impl World for ChainWorld {
-    type Event = u32;
-    fn handle(&mut self, sched: &mut Scheduler<u32>, chain: u32) {
-        let left = &mut self.remaining[chain as usize];
-        if *left > 0 {
-            *left -= 1;
-            let d = churn_delay(&mut self.rng);
-            sched.after(SimDuration::from_ps(d), chain);
-        }
-    }
-}
-
-fn measure_engine(samples: usize, obs: &polaris_obs::Obs) -> EngineReport {
-    const CHAINS: u32 = 1024;
-    const HOPS: u32 = 1500;
-    let mut dispatched = 0u64;
-    let mut best = f64::INFINITY;
-    for _ in 0..samples {
-        let mut world = ChainWorld {
-            remaining: vec![HOPS; CHAINS as usize],
-            rng: SplitMix64::new(7),
-        };
-        let mut sched = Scheduler::with_capacity(CHAINS as usize);
-        for c in 0..CHAINS {
-            sched.at(SimTime::ZERO, c);
-        }
-        let t0 = Instant::now();
-        let stats = run(&mut world, &mut sched, None);
-        let dt = t0.elapsed().as_secs_f64();
-        dispatched = stats.events_dispatched;
-        best = best.min(dt);
-    }
-    let eps = dispatched as f64 / best;
-    obs.gauge("engine_events_dispatched_per_sec", &[])
-        .set(eps);
-    EngineReport {
-        events_dispatched: dispatched,
-        events_dispatched_per_sec: eps,
-    }
-}
-
-/// The F3 1024-node slice: three allreduce algorithms at 64B and 4MiB
-/// on a k=16 fat tree — the single most expensive cell of the figure
-/// suite, and the wall-clock acceptance workload for this PR. Cells fan
-/// out over `jobs` sweep workers; `jobs = 1` is the serial reference.
-fn f3_1024_sweep(jobs: usize) -> u64 {
-    let params = ExecParams::default();
-    let mut cells = Vec::new();
-    for algo in [
-        AllreduceAlgo::RecursiveDoubling,
-        AllreduceAlgo::Ring,
-        AllreduceAlgo::ReduceBcast,
-    ] {
-        for bytes in [64u64, 4 << 20] {
-            cells.push((algo, bytes));
-        }
-    }
-    crate::sweep::sweep_with_jobs(cells, jobs, |(algo, bytes)| {
-        let mut net = Network::new(
-            Topology::new(TopologyKind::FatTree { k: 16 }),
-            Generation::InfiniBand4x.link_model(),
-        );
-        simulate_collective(&mut net, Collective::Allreduce(algo), bytes, params).messages
-    })
-    .into_iter()
-    .sum()
-}
-
-fn measure_f3(samples: usize) -> F3Report {
-    let mut messages = 0u64;
-    let best = best_of(samples, || {
-        messages = f3_1024_sweep(1);
-        messages
-    });
-    F3Report {
-        nodes: 1024,
-        wall_seconds: best,
-        messages,
-        messages_per_sec: messages as f64 / best,
-    }
-}
-
-/// The sharded-executor perf workload: a 512-rank ring allreduce over
-/// gigabit ethernet. Gigabit's 3 us hop latency gives the conservative
-/// windows enough width that barrier synchronization stays a small
-/// fraction of the work per window.
-fn sharded_workload(jobs: u32) -> (u64, u64) {
-    let r = polaris_collectives::parsim::simulate_collective_sharded(
-        512,
-        Collective::Allreduce(AllreduceAlgo::Ring),
-        1 << 20,
-        ExecParams::default(),
-        Generation::GigabitEthernet.link_model(),
-        jobs,
-    );
-    (r.completion.0, r.messages)
-}
-
-/// Measure both parallel paths at jobs = 2, 4 (and the machine's core
-/// count if larger), against their jobs = 1 serial walls.
-fn measure_parallel(samples: usize) -> ParallelReport {
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get() as u64)
-        .unwrap_or(1);
-    let mut job_counts = vec![2u64, 4];
-    if cores > 4 {
-        job_counts.push(cores);
-    }
-
-    let sweep_serial = best_of(samples, || f3_1024_sweep(1));
-    let sweep = job_counts
-        .iter()
-        .map(|&j| {
-            // Warm the persistent pool outside the timed region: the
-            // first use of a job count spawns its worker threads, and
-            // charging that to the measured wall is what held the
-            // 2-job point below break-even.
-            crate::sweep::warm_pool(j as usize);
-            let wall = best_of(samples, || f3_1024_sweep(j as usize));
-            // jobs=2 carries the sweep_parallel_floor gate (needs 2
-            // cores), jobs=4 the 4-way speedup gate (needs 4).
-            ParallelPoint {
-                jobs: j,
-                wall_seconds: wall,
-                speedup: sweep_serial / wall,
-                status: point_status(cores >= j && j <= 4),
-            }
-        })
-        .collect();
-
-    let (serial_completion, serial_messages) = sharded_workload(1);
-    let engine_serial = best_of(samples, || sharded_workload(1).1);
-    let mut deterministic = true;
-    let engine = job_counts
-        .iter()
-        .map(|&j| {
-            let (completion, messages) = sharded_workload(j as u32);
-            deterministic &= completion == serial_completion && messages == serial_messages;
-            let wall = best_of(samples, || sharded_workload(j as u32).1);
-            // Only the 4-job point carries the >=3x engine gate.
-            ParallelPoint {
-                jobs: j,
-                wall_seconds: wall,
-                speedup: engine_serial / wall,
-                status: point_status(j == 4 && cores >= 4),
-            }
-        })
-        .collect();
-
-    ParallelReport {
-        available_cores: cores,
-        sweep_serial_wall_seconds: sweep_serial,
-        sweep,
-        engine_serial_wall_seconds: engine_serial,
-        engine,
-        engine_deterministic: deterministic,
-    }
-}
-
-/// The F13 1M-host Dragonfly (2048 groups x 32 routers x 16 hosts).
-const TOPO_KIND: TopologyKind = TopologyKind::Dragonfly {
-    groups: 2048,
-    routers_per_group: 32,
-    hosts_per_router: 16,
-};
-
-/// Pairs routed per sample when timing the route plan.
-const TOPO_ROUTE_PAIRS: u64 = 200_000;
-
-fn measure_topo(samples: usize) -> TopoReport {
-    let build_allocs = if alloc_counter_live() {
-        let before = allocs();
-        let topo = std::hint::black_box(Topology::new(TOPO_KIND));
-        let delta = allocs() - before;
-        drop(topo);
-        Some(delta)
-    } else {
-        None
-    };
-    let topo = Topology::new(TOPO_KIND);
-    let hosts = topo.hosts() as u64;
-    let best = best_of(samples, || {
-        let mut rng = SplitMix64::new(0x70b0_10c5);
-        let mut acc = 0u64;
-        for _ in 0..TOPO_ROUTE_PAIRS {
-            let s = rng.next_below(hosts) as u32;
-            let d = rng.next_below(hosts) as u32;
-            for link in topo.route_plan(s, d) {
-                acc = acc.wrapping_add(link.0 as u64);
-            }
-        }
-        acc
-    });
-    TopoReport {
-        hosts,
-        build_allocs,
-        topo_route_ns: best * 1e9 / TOPO_ROUTE_PAIRS as f64,
-        routes_per_sec: TOPO_ROUTE_PAIRS as f64 / best,
-    }
-}
-
-/// Scales whose F3-style cells make up the serving spec space (big
-/// enough that a cold sweep is real engine work, small enough that the
-/// harness stays interactive).
-const SERVING_SCALES: [u32; 3] = [4, 16, 64];
-
-/// Requests the open-loop Zipf population issues.
-const SERVING_REQUESTS: u64 = 1_000_000;
-
-/// Concurrent client threads driving the server.
-const SERVING_CLIENTS: u32 = 4;
-
-fn measure_serving(samples: usize) -> ServingReport {
-    use polaris_serve::client::{drive, LoadConfig};
-    use polaris_serve::incremental::{run_cold, IncrementalRunner, PhaseCfg, PhasedSpec};
-    use polaris_serve::server::SweepServer;
-    use polaris_serve::spec::figure_specs;
-
-    let specs = figure_specs(&SERVING_SCALES);
-
-    // Cold vs warm figure sweep. A cold sweep needs an empty cache, so
-    // each cold sample gets a fresh server; the warm samples then
-    // repeat the sweep against the last server's full cache. The
-    // renders must also be byte-identical — a cache that changes
-    // answers is worse than no cache.
-    let mut cold = f64::INFINITY;
-    let mut warm = f64::INFINITY;
-    let mut identical = true;
-    for _ in 0..samples.max(1) {
-        let server = SweepServer::new(64 << 20, polaris_obs::Obs::new());
-        let t0 = Instant::now();
-        let cold_tables = server.run_figure(&SERVING_SCALES);
-        cold = cold.min(t0.elapsed().as_secs_f64());
-        for _ in 0..samples.max(1) {
-            let t0 = Instant::now();
-            let warm_tables = server.run_figure(&SERVING_SCALES);
-            warm = warm.min(t0.elapsed().as_secs_f64());
-            identical &= warm_tables == cold_tables;
-        }
-    }
-
-    // The million-request open-loop Zipf drive, on a fresh server so
-    // the measured hit ratio is earned under load, not pre-seeded.
-    let server = SweepServer::new(64 << 20, polaris_obs::Obs::new());
-    let load = drive(
-        &server,
-        &specs,
-        LoadConfig {
-            requests: SERVING_REQUESTS,
-            clients: SERVING_CLIENTS,
-            zipf_s: 1.0,
-            seed: 0x5e21_e011,
-        },
-    );
-
-    // Engine checkpoint contract + incremental re-simulation, both
-    // deterministic (event counts, not wall time).
-    let snapshot_ok = polaris_serve::incremental::snapshot_identity_check();
-    let runner = IncrementalRunner::new(polaris_obs::Obs::new());
-    let base_spec = PhasedSpec {
-        hosts: 12,
-        nshards: 2,
-        phase_len: 400,
-        phases: vec![
-            PhaseCfg { tokens: 6, hops: 40, stagger: 1 },
-            PhaseCfg { tokens: 4, hops: 60, stagger: 0 },
-            PhaseCfg { tokens: 8, hops: 25, stagger: 3 },
-            PhaseCfg { tokens: 5, hops: 45, stagger: 2 },
-        ],
-    };
-    runner.run(&base_spec);
-    let mut mutated = base_spec.clone();
-    mutated.phases[3].hops += 16;
-    let incremental = runner.run(&mutated);
-    let reference = run_cold(&mutated);
-    let incremental_ok = incremental.digest == reference.digest
-        && incremental.events_total == reference.events_total;
-    let saved = 1.0 - incremental.events_executed as f64 / incremental.events_total.max(1) as f64;
-
-    ServingReport {
-        distinct_specs: specs.len() as u64,
-        requests: load.requests,
-        clients: SERVING_CLIENTS as u64,
-        cold_sweep_wall_seconds: cold,
-        warm_sweep_wall_seconds: warm,
-        warm_vs_cold_speedup: cold / warm,
-        warm_tables_identical: identical,
-        hit_ratio: load.hit_ratio,
-        p99_service_latency_ns: load.p99_latency_ns,
-        saturation_rps: load.requests_per_sec,
-        snapshot_restore_identical: snapshot_ok,
-        incremental_identical: incremental_ok,
-        incremental_events_saved_ratio: saved,
-    }
-}
-
-/// Allocations per eager message in steady state, measured exactly like
-/// the `no_alloc` integration test: a 2-rank world, warmed up, then 1000
-/// round trips under the counting allocator.
-fn measure_allocs_per_message() -> Option<f64> {
-    use polaris_msg::match_engine::MatchSpec;
-    use polaris_msg::prelude::*;
-    use polaris_nic::prelude::Fabric;
-
-    if !alloc_counter_live() {
-        return None;
-    }
-
-    let fabric = Fabric::new();
-    let mut eps = Endpoint::create_world(&fabric, 2, MsgConfig::default()).ok()?;
-    let mut sbuf = eps[0].alloc(64).ok()?;
-    sbuf.fill_from(&[7u8; 64]);
-    let mut rbuf = eps[1].alloc(64).ok()?;
-
-    let round = |eps: &mut [Endpoint], sbuf: MsgBuf, rbuf: MsgBuf, tag: u64| {
-        let (a, b) = eps.split_at_mut(1);
-        let rreq = b[0].irecv(MatchSpec::exact(0, tag), rbuf).unwrap();
-        let sreq = a[0].isend(1, tag, sbuf).unwrap();
-        let (rbuf, _) = b[0].wait_recv(rreq).unwrap();
-        let sbuf = a[0].wait_send(sreq).unwrap();
-        (sbuf, rbuf)
-    };
-
-    for tag in 0..200u64 {
-        let (s, r) = round(&mut eps, sbuf, rbuf, tag);
-        sbuf = s;
-        rbuf = r;
-    }
-    const MSGS: u64 = 1000;
-    let before = allocs();
-    for tag in 0..MSGS {
-        let (s, r) = round(&mut eps, sbuf, rbuf, 1000 + tag);
-        sbuf = s;
-        rbuf = r;
-    }
-    let delta = allocs() - before;
-    eps[0].release(sbuf);
-    eps[1].release(rbuf);
-    Some(delta as f64 / MSGS as f64)
-}
-
-// ---------------------------------------------------------------------
-// Runner + gates
-// ---------------------------------------------------------------------
-
-/// Committed baseline path, relative to the working directory (CI runs
-/// from the repo root).
-pub const BASELINE_PATH: &str = "BENCH_simwall.json";
-
-/// Regression tolerance on same-run ratio metrics. Machine-independent,
-/// so the band can be much tighter than the wall gates — but the ratio
-/// still carries sampling noise on a shared box, hence not 1.2.
-const TOLERANCE: f64 = 1.35;
-
-/// Regression tolerance on normalized wall-clock metrics. These compare
-/// against numbers recorded on a different run (and possibly different
-/// hardware); even with the heap normalizer, shared CI boxes jitter by
-/// 30-40% run to run, so this band only catches gross regressions — the
-/// tight ratio gate above is the precise one.
-const WALL_TOLERANCE: f64 = 1.60;
-
-/// Absolute floor on the calendar-vs-heap speedup (PR acceptance
-/// criterion; machine-independent because it is a same-machine ratio).
-const MIN_SPEEDUP: f64 = 2.0;
-
-/// Required F3-sweep speedup at 4 jobs (PR acceptance criterion). A
-/// same-machine ratio, so machine-independent — but it only arms on
-/// machines with >= 4 cores; a 1-core container cannot exhibit it.
-const MIN_PARALLEL_SPEEDUP: f64 = 1.6;
-
-/// Required sharded-engine speedup at 4 jobs (parallel-round-2
-/// acceptance criterion: per-channel lookahead + SoA storage must
-/// deliver real multi-core scaling, not the 1.17x the
-/// windowed-barrier design managed). Arms only with >= 4 cores.
-const MIN_ENGINE_SPEEDUP_4: f64 = 3.0;
-
-/// The 2-job sweep must at least break even against serial once the
-/// persistent worker pool amortizes thread spawns (the 0.76x regression
-/// this round fixes). Arms with >= 2 cores; below that the overhead
-/// floor [`PARALLEL_FLOOR`] still applies.
-const SWEEP_PARALLEL_FLOOR: f64 = 1.0;
-
-/// Absolute ceiling on `Topology::new` allocations for the 1M-host
-/// Dragonfly. The constructor keeps O(routers) state (a few vectors,
-/// each one or two allocator calls plus growth), so a generous fixed
-/// cap is machine-independent; any O(hosts) — let alone O(hosts^2) —
-/// table blows through it by orders of magnitude.
-const TOPO_BUILD_ALLOC_CAP: u64 = 4096;
-
-/// Overhead floor, armed at any core count: running the sweep with 2
-/// jobs must never cost more than 2x the serial wall, even with both
-/// workers time-slicing one core. Catches pathological synchronization
-/// (spinning, convoying) without demanding real parallel hardware.
-const PARALLEL_FLOOR: f64 = 0.5;
-
-/// Serving tentpole: a warm-cache repeat of the full figure sweep must
-/// be at least this much faster than the cold sweep. A same-machine
-/// ratio, armed on any hardware.
-const MIN_WARM_SWEEP_SPEEDUP: f64 = 20.0;
-
-/// Required cache hit ratio over the million-request Zipf drive.
-/// Deterministic given the seed and spec space, so armed absolutely.
-const MIN_SERVING_HIT_RATIO: f64 = 0.9;
-
-/// Required fraction of events the incremental path skips for the
-/// tail-mutated reference spec. Event counts are deterministic, so
-/// this is machine-independent.
-const MIN_INCREMENTAL_SAVED: f64 = 0.25;
-
-/// Band for the normalized p99 service latency. Much wider than
-/// [`WALL_TOLERANCE`]: tail latency folds in scheduler jitter that the
-/// machine-speed normalizer cannot cancel, so only order-of-magnitude
-/// regressions (a hit path that starts simulating, a lock convoy)
-/// should trip it.
-const SERVING_P99_TOLERANCE: f64 = 3.0;
-
-pub fn measure(samples: usize) -> PerfReport {
-    let obs = polaris_obs::Obs::new();
-    let eventq = measure_eventq(samples);
-    // Engine samples are ~40ms each; take extra to tame scheduler noise.
-    let engine = measure_engine(samples.max(5), &obs);
-    let f3 = measure_f3(samples.min(2));
-    let parallel = measure_parallel(samples.min(2));
-    let topo = measure_topo(samples);
-    let serving = measure_serving(samples.min(2));
-    let allocs = measure_allocs_per_message();
-    eprintln!(
-        "[perf] obs exposition:\n{}",
-        obs.prometheus()
-            .lines()
-            .filter(|l| l.contains("events_dispatched"))
-            .collect::<Vec<_>>()
-            .join("\n")
-    );
-    PerfReport {
-        schema: "polaris-simwall/5".to_string(),
-        eventq,
-        engine,
-        f3_1024: f3,
-        parallel,
-        topo,
-        serving,
-        allocs_per_message_eager: allocs,
-        history: History {
-            f3_full_wall_seconds_heap_engine: 4.02,
-            f3_full_wall_seconds_this_pr: 1.94,
-            note: "full `figures f3`, interleaved best-of-5 on the same machine: \
-                   binary-heap engine at 4b670d7 vs calendar engine + pooled \
-                   messaging; 52% wall reduction"
-                .to_string(),
-        },
-    }
-}
-
-/// Compare a fresh measurement against the committed baseline. Returns
-/// the list of gate failures (empty = pass).
-///
-/// Wall-clock gates are normalized by the reference heap's events/sec:
-/// `scale = current_heap_eps / baseline_heap_eps` estimates how much
-/// faster this machine is than the one that wrote the baseline, and
-/// current wall times are multiplied by it before comparison.
-pub fn check_gates(cur: &PerfReport, base: &PerfReport) -> Vec<String> {
-    let mut failures = Vec::new();
-    let mut gate = |name: &str, ok: bool, detail: String| {
-        eprintln!("[gate] {:40} {} ({detail})", name, if ok { "PASS" } else { "FAIL" });
-        if !ok {
-            failures.push(format!("{name}: {detail}"));
-        }
-    };
-
-    gate(
-        "eventq speedup >= 2.0x",
-        cur.eventq.speedup >= MIN_SPEEDUP,
-        format!("measured {:.2}x", cur.eventq.speedup),
-    );
-    gate(
-        "eventq speedup vs baseline",
-        cur.eventq.speedup >= base.eventq.speedup / TOLERANCE,
-        format!(
-            "measured {:.2}x, baseline {:.2}x, floor {:.2}x",
-            cur.eventq.speedup,
-            base.eventq.speedup,
-            base.eventq.speedup / TOLERANCE
-        ),
-    );
-
-    let scale = cur.eventq.heap_events_per_sec / base.eventq.heap_events_per_sec;
-    let f3_norm = cur.f3_1024.wall_seconds * scale;
-    gate(
-        "f3 1024-node wall (normalized)",
-        f3_norm <= base.f3_1024.wall_seconds * WALL_TOLERANCE,
-        format!(
-            "normalized {:.3}s (raw {:.3}s, machine scale {:.2}), ceiling {:.3}s",
-            f3_norm,
-            cur.f3_1024.wall_seconds,
-            scale,
-            base.f3_1024.wall_seconds * WALL_TOLERANCE
-        ),
-    );
-
-    let eng_norm = cur.engine.events_dispatched_per_sec / scale;
-    gate(
-        "engine dispatch rate (normalized)",
-        eng_norm >= base.engine.events_dispatched_per_sec / WALL_TOLERANCE,
-        format!(
-            "normalized {:.0}/s, floor {:.0}/s",
-            eng_norm,
-            base.engine.events_dispatched_per_sec / WALL_TOLERANCE
-        ),
-    );
-
-    let topo_norm = cur.topo.topo_route_ns * scale;
-    gate(
-        "topo_route_ns 1M dragonfly (normalized)",
-        topo_norm <= base.topo.topo_route_ns * WALL_TOLERANCE,
-        format!(
-            "normalized {:.0}ns (raw {:.0}ns, machine scale {:.2}), ceiling {:.0}ns",
-            topo_norm,
-            cur.topo.topo_route_ns,
-            scale,
-            base.topo.topo_route_ns * WALL_TOLERANCE
-        ),
-    );
-    if let Some(a) = cur.topo.build_allocs {
-        gate(
-            "1M dragonfly build allocs O(routers)",
-            a <= TOPO_BUILD_ALLOC_CAP,
-            format!("measured {a}, cap {TOPO_BUILD_ALLOC_CAP}"),
-        );
-    } else {
-        eprintln!("[gate] 1M dragonfly build allocs: counting allocator not installed, skipped");
-    }
-
-    if let Some(a) = cur.allocs_per_message_eager {
-        gate(
-            "eager allocs per message == 0",
-            a == 0.0,
-            format!("measured {a}"),
-        );
-    } else {
-        eprintln!("[gate] eager allocs per message: counting allocator not installed, skipped");
-    }
-
-    // Parallel gates. Speedups are same-machine ratios (serial wall /
-    // parallel wall from the same run), so no baseline normalization is
-    // needed; each speedup gate arms only when the measuring machine
-    // has at least as many cores as the job count it judges —
-    // everything else is recorded as informational, never silently
-    // passed (see [`cores_support_parallel_gates`] for hard refusal).
-    let p = &cur.parallel;
-    gate(
-        "sharded executor deterministic across jobs",
-        p.engine_deterministic,
-        "identical completion/messages at every job count".to_string(),
-    );
-    if let Some(pt) = p.sweep.iter().find(|pt| pt.jobs == 2) {
-        if p.available_cores >= 2 {
-            gate(
-                "sweep_parallel_floor: 2 jobs >= 1.0x",
-                pt.speedup >= SWEEP_PARALLEL_FLOOR,
-                format!("measured {:.2}x on {} cores", pt.speedup, p.available_cores),
-            );
-        } else {
-            // One core: two workers time-slicing it cannot beat serial,
-            // but they must not convoy pathologically either.
-            gate(
-                "sweep 2-job overhead floor >= 0.5x",
-                pt.speedup >= PARALLEL_FLOOR,
-                format!("measured {:.2}x on {} core(s)", pt.speedup, p.available_cores),
-            );
-        }
-    }
-    // Serving gates. The warm/cold speedup, hit ratio, and the two
-    // identity bits are same-machine ratios or deterministic facts, so
-    // they arm on any hardware; only the throughput/latency pair needs
-    // baseline normalization.
-    let s = &cur.serving;
-    gate(
-        "serving warm sweep >= 20x cold",
-        s.warm_vs_cold_speedup >= MIN_WARM_SWEEP_SPEEDUP,
-        format!(
-            "measured {:.1}x (cold {:.4}s, warm {:.6}s)",
-            s.warm_vs_cold_speedup, s.cold_sweep_wall_seconds, s.warm_sweep_wall_seconds
-        ),
-    );
-    gate(
-        "serving warm tables byte-identical",
-        s.warm_tables_identical,
-        "cold and warm figure renders must match".to_string(),
-    );
-    gate(
-        "serving zipf hit ratio >= 0.9",
-        s.hit_ratio >= MIN_SERVING_HIT_RATIO,
-        format!("measured {:.4} over {} requests", s.hit_ratio, s.requests),
-    );
-    gate(
-        "snapshot restore bit-identical (1/2/4 shards)",
-        s.snapshot_restore_identical,
-        "checkpoint -> JSON -> restore -> resume == uninterrupted".to_string(),
-    );
-    gate(
-        "incremental re-simulation identical",
-        s.incremental_identical,
-        "prefix-restored mutation == from-scratch".to_string(),
-    );
-    gate(
-        "incremental events saved >= 0.25",
-        s.incremental_events_saved_ratio >= MIN_INCREMENTAL_SAVED,
-        format!("saved ratio {:.3}", s.incremental_events_saved_ratio),
-    );
-    let rps_norm = s.saturation_rps / scale;
-    gate(
-        "serving saturation rps (normalized)",
-        rps_norm >= base.serving.saturation_rps / WALL_TOLERANCE,
-        format!(
-            "normalized {:.0}/s (raw {:.0}/s, machine scale {:.2}), floor {:.0}/s",
-            rps_norm,
-            s.saturation_rps,
-            scale,
-            base.serving.saturation_rps / WALL_TOLERANCE
-        ),
-    );
-    let p99_norm = s.p99_service_latency_ns as f64 * scale;
-    gate(
-        "serving p99 latency (normalized, wide band)",
-        p99_norm <= base.serving.p99_service_latency_ns as f64 * SERVING_P99_TOLERANCE,
-        format!(
-            "normalized {:.0}ns (raw {}ns), ceiling {:.0}ns",
-            p99_norm,
-            s.p99_service_latency_ns,
-            base.serving.p99_service_latency_ns as f64 * SERVING_P99_TOLERANCE
-        ),
-    );
-
-    if p.available_cores >= 4 {
-        if let Some(pt) = p.sweep.iter().find(|pt| pt.jobs == 4) {
-            gate(
-                "sweep speedup at 4 jobs >= 1.6x",
-                pt.speedup >= MIN_PARALLEL_SPEEDUP,
-                format!("measured {:.2}x on {} cores", pt.speedup, p.available_cores),
-            );
-        }
-        if let Some(pt) = p.engine.iter().find(|pt| pt.jobs == 4) {
-            gate(
-                "sharded engine speedup at 4 jobs >= 3.0x",
-                pt.speedup >= MIN_ENGINE_SPEEDUP_4,
-                format!("measured {:.2}x on {} cores", pt.speedup, p.available_cores),
-            );
-        }
-    } else {
-        eprintln!(
-            "[gate] 4-job speedup gates: {} core(s) available, need 4 — \
-             recorded as informational, NOT checked (use --require-cores 4 \
-             to make this a hard failure)",
-            p.available_cores
-        );
-    }
-    failures
-}
-
-/// Whether this machine can arm every core-dependent gate. `--check`
-/// combined with `--require-cores N` refuses to bless a report whose
-/// 4-job numbers were informational-only: a mis-provisioned CI runner
-/// must fail loudly, not skip the tentpole gate and report green.
-pub fn cores_support_parallel_gates(report: &PerfReport, required: u64) -> Result<(), String> {
-    if report.parallel.available_cores >= required {
-        Ok(())
-    } else {
-        Err(format!(
-            "core-dependent gates require {} cores, measured machine has {} — \
-             refusing to check (4-job points are informational here)",
-            required, report.parallel.available_cores
-        ))
-    }
-}
-
-/// Entry point for
-/// `figures -- perf [--update|--check] [--baseline P] [--require-cores N]`.
-/// Returns the process exit code.
-pub fn run_perf(args: &[String]) -> i32 {
-    let update = args.iter().any(|a| a == "--update");
-    let check = args.iter().any(|a| a == "--check");
-    let baseline_path = args
-        .iter()
-        .position(|a| a == "--baseline")
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-        .unwrap_or(BASELINE_PATH);
-    let require_cores = args
-        .iter()
-        .position(|a| a == "--require-cores")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse::<u64>().ok());
-
-    let samples = 3;
-    eprintln!("[perf] measuring (best of {samples})...");
-    let report = measure(samples);
-    let json = serde_json::to_string_pretty(&report).expect("serialize report");
-    println!("{json}");
-
-    if update {
-        std::fs::write(baseline_path, format!("{json}\n")).expect("write baseline");
-        eprintln!("[perf] baseline written to {baseline_path}");
-    }
-    if check {
-        if let Some(required) = require_cores {
-            if let Err(msg) = cores_support_parallel_gates(&report, required) {
-                eprintln!("[perf] {msg}");
-                return 2;
-            }
-        }
-        let text = match std::fs::read_to_string(baseline_path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("[perf] cannot read baseline {baseline_path}: {e}");
-                return 2;
-            }
-        };
-        let base: PerfReport = match serde_json::from_str(&text) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("[perf] cannot parse baseline {baseline_path}: {e}");
-                return 2;
-            }
-        };
-        let failures = check_gates(&report, &base);
-        if !failures.is_empty() {
-            eprintln!("[perf] REGRESSION: {} gate(s) failed", failures.len());
-            for f in &failures {
-                eprintln!("  - {f}");
-            }
-            return 1;
-        }
-        eprintln!("[perf] all gates passed");
-    }
-    0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The benchmark's `simnet.event.*` probes and its warm-up rely on
+    /// both: the same work every run, delays from the link-latency set.
     #[test]
-    fn churn_is_deterministic_and_equivalent() {
-        // Identical seed, identical workload: both queues must compute
-        // the same checksum (same events popped at the same times).
-        assert_eq!(churn_calendar(256, 2048), churn_heap(256, 2048));
-    }
-
-    #[test]
-    fn engine_measurement_publishes_gauge() {
-        let obs = polaris_obs::Obs::new();
-        let rep = measure_engine(1, &obs);
-        assert!(rep.events_dispatched >= 1024 * 1500);
-        assert!(rep.events_dispatched_per_sec > 0.0);
-        let expo = obs.prometheus();
-        assert!(
-            expo.contains("engine_events_dispatched_per_sec"),
-            "gauge must be in the registry exposition:\n{expo}"
-        );
-    }
-
-    fn mk_parallel(cores: u64, speedup4: f64) -> ParallelReport {
-        let point = |jobs: u64, speedup: f64| ParallelPoint {
-            jobs,
-            wall_seconds: 1.0 / speedup,
-            speedup,
-            status: point_status(cores >= jobs),
-        };
-        ParallelReport {
-            available_cores: cores,
-            sweep_serial_wall_seconds: 1.0,
-            sweep: vec![point(2, 1.4), point(4, speedup4)],
-            engine_serial_wall_seconds: 1.0,
-            engine: vec![point(2, 1.3), point(4, 3.2)],
-            engine_deterministic: true,
-        }
-    }
-
-    fn mk_topo() -> TopoReport {
-        TopoReport {
-            hosts: 1 << 20,
-            build_allocs: Some(12),
-            topo_route_ns: 150.0,
-            routes_per_sec: 6.6e6,
-        }
-    }
-
-    fn mk_serving() -> ServingReport {
-        ServingReport {
-            distinct_specs: 30,
-            requests: 1_000_000,
-            clients: 4,
-            cold_sweep_wall_seconds: 0.2,
-            warm_sweep_wall_seconds: 0.0004,
-            warm_vs_cold_speedup: 500.0,
-            warm_tables_identical: true,
-            hit_ratio: 0.99997,
-            p99_service_latency_ns: 2_000,
-            saturation_rps: 800_000.0,
-            snapshot_restore_identical: true,
-            incremental_identical: true,
-            incremental_events_saved_ratio: 0.6,
-        }
-    }
-
-    #[test]
-    fn report_roundtrips_through_json() {
-        let rep = PerfReport {
-            schema: "polaris-simwall/5".into(),
-            eventq: EventqReport {
-                hold: 16384,
-                transactions: 131072,
-                calendar_events_per_sec: 2.0e8,
-                heap_events_per_sec: 5.0e7,
-                speedup: 4.0,
-            },
-            engine: EngineReport {
-                events_dispatched: 1_536_000,
-                events_dispatched_per_sec: 3.0e7,
-            },
-            f3_1024: F3Report {
-                nodes: 1024,
-                wall_seconds: 1.5,
-                messages: 100_000,
-                messages_per_sec: 66_666.0,
-            },
-            parallel: mk_parallel(4, 2.1),
-            topo: mk_topo(),
-            serving: mk_serving(),
-            allocs_per_message_eager: Some(0.0),
-            history: History {
-                f3_full_wall_seconds_heap_engine: 3.715,
-                f3_full_wall_seconds_this_pr: 1.734,
-                note: "n".into(),
-            },
-        };
-        let s = serde_json::to_string_pretty(&rep).unwrap();
-        let back: PerfReport = serde_json::from_str(&s).unwrap();
-        assert_eq!(back.eventq.hold, 16384);
-        assert_eq!(back.allocs_per_message_eager, Some(0.0));
-        assert_eq!(back.f3_1024.nodes, 1024);
-        assert_eq!(back.topo.build_allocs, Some(12));
-    }
-
-    #[test]
-    fn gates_pass_on_self_and_fail_on_regression() {
-        let mk = |speedup: f64, wall: f64| PerfReport {
-            schema: "polaris-simwall/5".into(),
-            eventq: EventqReport {
-                hold: 16384,
-                transactions: 131072,
-                calendar_events_per_sec: 5.0e7 * speedup,
-                heap_events_per_sec: 5.0e7,
-                speedup,
-            },
-            engine: EngineReport {
-                events_dispatched: 1_536_000,
-                events_dispatched_per_sec: 3.0e7,
-            },
-            f3_1024: F3Report {
-                nodes: 1024,
-                wall_seconds: wall,
-                messages: 100_000,
-                messages_per_sec: 100_000.0 / wall,
-            },
-            parallel: mk_parallel(4, 2.1),
-            topo: mk_topo(),
-            serving: mk_serving(),
-            allocs_per_message_eager: Some(0.0),
-            history: History {
-                f3_full_wall_seconds_heap_engine: 3.715,
-                f3_full_wall_seconds_this_pr: 1.734,
-                note: "n".into(),
-            },
-        };
-        let base = mk(3.0, 1.5);
-        // Identical run passes every gate.
-        assert!(check_gates(&base, &base).is_empty());
-        // A 2x wall regression trips the normalized-wall gate (same
-        // heap throughput, so scale = 1).
-        let slow = mk(3.0, 3.0);
-        assert!(!check_gates(&slow, &base).is_empty());
-        // Losing the speedup trips both speedup gates.
-        let flat = mk(1.2, 1.5);
-        assert!(check_gates(&flat, &base).len() >= 2);
-        // A lost 4-job sweep speedup on a 4-core machine trips its gate.
-        let mut slow_par = mk(3.0, 1.5);
-        slow_par.parallel = mk_parallel(4, 1.1);
-        assert!(!check_gates(&slow_par, &base).is_empty());
-        // A broken determinism oracle always trips, on any machine.
-        let mut nondet = mk(3.0, 1.5);
-        nondet.parallel.engine_deterministic = false;
-        assert!(!check_gates(&nondet, &base).is_empty());
-        // A sharded engine that only manages 1.5x at 4 jobs on a 4-core
-        // machine trips the round-2 tentpole gate.
-        let mut slow_engine = mk(3.0, 1.5);
-        slow_engine.parallel.engine = vec![ParallelPoint {
-            jobs: 4,
-            wall_seconds: 1.0 / 1.5,
-            speedup: 1.5,
-            status: point_status(true),
-        }];
-        assert!(!check_gates(&slow_engine, &base).is_empty());
-        // A 2-job sweep below break-even trips sweep_parallel_floor on
-        // any machine with 2 cores (the 0.76x regression this catches).
-        let mut regressed_sweep = mk(3.0, 1.5);
-        regressed_sweep.parallel.sweep = vec![ParallelPoint {
-            jobs: 2,
-            wall_seconds: 1.0 / 0.76,
-            speedup: 0.76,
-            status: point_status(true),
-        }];
-        assert!(!check_gates(&regressed_sweep, &base).is_empty());
-        // On a 1-core machine the speedup gates disarm (no hardware to
-        // exhibit them) but the overhead floor still holds.
-        let mut small = mk(3.0, 1.5);
-        small.parallel = mk_parallel(1, 0.9);
-        assert!(check_gates(&small, &base).is_empty());
-        // An O(hosts)-allocating topology constructor trips the
-        // absolute cap regardless of machine speed.
-        let mut fat = mk(3.0, 1.5);
-        fat.topo.build_allocs = Some(1 << 20);
-        assert!(!check_gates(&fat, &base).is_empty());
-        // A 2x route-derivation slowdown trips the normalized gate.
-        let mut slow_route = mk(3.0, 1.5);
-        slow_route.topo.topo_route_ns *= 2.0;
-        assert!(!check_gates(&slow_route, &base).is_empty());
-    }
-
-    #[test]
-    fn require_cores_refuses_small_machines() {
-        let mut rep = PerfReport {
-            schema: "polaris-simwall/5".into(),
-            eventq: EventqReport {
-                hold: 16384,
-                transactions: 131072,
-                calendar_events_per_sec: 2.0e8,
-                heap_events_per_sec: 5.0e7,
-                speedup: 4.0,
-            },
-            engine: EngineReport {
-                events_dispatched: 1_536_000,
-                events_dispatched_per_sec: 3.0e7,
-            },
-            f3_1024: F3Report {
-                nodes: 1024,
-                wall_seconds: 1.5,
-                messages: 100_000,
-                messages_per_sec: 66_666.0,
-            },
-            parallel: mk_parallel(1, 2.1),
-            topo: mk_topo(),
-            serving: mk_serving(),
-            allocs_per_message_eager: Some(0.0),
-            history: History {
-                f3_full_wall_seconds_heap_engine: 3.715,
-                f3_full_wall_seconds_this_pr: 1.734,
-                note: "n".into(),
-            },
-        };
-        assert!(cores_support_parallel_gates(&rep, 4).is_err());
-        rep.parallel.available_cores = 4;
-        assert!(cores_support_parallel_gates(&rep, 4).is_ok());
-        // And the status annotation tracks the arming line.
-        assert_eq!(mk_parallel(1, 2.1).sweep[0].status, "informational");
-        assert_eq!(mk_parallel(4, 2.1).sweep[1].status, "gated");
-    }
-
-    #[test]
-    fn old_baselines_without_status_still_parse() {
-        // schema/3 baselines predate ParallelPoint::status; the serde
-        // default must land them as informational.
-        let json = r#"{"jobs": 2, "wall_seconds": 0.5, "speedup": 1.2}"#;
-        let pt: ParallelPoint = serde_json::from_str(json).unwrap();
-        assert_eq!(pt.status, "informational");
+    fn churn_is_deterministic_and_delays_are_link_latencies() {
+        assert_eq!(churn_calendar(256, 2048), churn_calendar(256, 2048));
+        let mut rng = SplitMix64::new(1);
+        let delays = [0, 10_000, 25_000, 50_000, 100_000];
+        assert!((0..10_000).all(|_| delays.contains(&churn_delay(&mut rng))));
     }
 }

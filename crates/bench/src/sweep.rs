@@ -80,11 +80,11 @@ fn pool_for(jobs: usize) -> Arc<rayon::ThreadPool> {
 
 /// Build (or fetch) the persistent pool for `jobs` workers and run one
 /// trivial operation through it, so the threads exist and have parked
-/// once before any timed region. The perf harness calls this ahead of
-/// its measured sweeps: without it, the first sample at each job count
-/// pays thread spawn inside the timing window, which is what kept the
-/// 2-job sweep point below break-even even after the pool became
-/// persistent.
+/// once before any timed region. The benchmark's `bench.sweep.*` probes
+/// call this ahead of their measured sweeps: without it, the first
+/// sample at each job count pays thread spawn inside the timing window,
+/// which is what kept the 2-job sweep point below break-even even after
+/// the pool became persistent.
 pub fn warm_pool(jobs: usize) {
     if jobs <= 1 {
         return;
@@ -93,8 +93,9 @@ pub fn warm_pool(jobs: usize) {
     debug_assert_eq!(warmed.len(), jobs);
 }
 
-/// [`sweep`] with an explicit worker count (used by the perf harness to
-/// measure specific job counts regardless of the global setting).
+/// [`sweep`] with an explicit worker count (used by the benchmark's
+/// `bench.sweep.*` probes to measure specific job counts regardless of
+/// the global setting).
 pub fn sweep_with_jobs<T, R, F>(points: Vec<T>, jobs: usize, f: F) -> Vec<R>
 where
     T: Send,

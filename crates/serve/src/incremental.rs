@@ -15,7 +15,9 @@
 //! restores it, and re-simulates only phases 7..10. The model result
 //! is bit-identical to a from-scratch run (the engine snapshot
 //! contract), and the work saved is measured in *events*, a
-//! deterministic machine-independent quantity the perf gate can hold.
+//! deterministic machine-independent quantity a test can pin
+//! (`tests/serving.rs`) and the benchmark reports as
+//! `serve.incremental.events_saved_ratio`.
 
 use crate::canonical::{Canonical, CanonicalBuf, SpecHash};
 use polaris_obs::Obs;
@@ -269,7 +271,7 @@ pub fn run_cold(spec: &PhasedSpec) -> SegmentedOutcome {
     IncrementalRunner::new(Obs::new()).run(spec)
 }
 
-/// End-to-end engine-identity check the perf harness gates on: a
+/// End-to-end engine-identity check (`tests/serving.rs` asserts it): a
 /// cold run, a segmented run restored through a JSON round trip at
 /// every boundary, and runs at 1/2/4 shards must all produce the same
 /// digest and event count.

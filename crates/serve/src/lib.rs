@@ -23,10 +23,10 @@
 //! [`server`] ties the layers into a [`server::SweepServer`];
 //! [`client`] drives it with an open-loop simulated client population
 //! (seeded Zipf over spec space, millions of requests) whose hit
-//! ratio, p99 latency, and throughput publish through the obs plane
-//! and gate in the perf harness (`BENCH_simwall.json` `serving`
-//! section). `docs/SERVING.md` documents keying, the snapshot format,
-//! and the stable-ID rules.
+//! ratio, p99 latency, and throughput publish through the obs plane;
+//! the benchmark's `serve_zipf` workload and `serve.*` probes time them
+//! and `tests/serving.rs` holds the identity verdicts. `docs/SERVING.md`
+//! documents keying, the snapshot format, and the stable-ID rules.
 
 pub mod cache;
 pub mod canonical;

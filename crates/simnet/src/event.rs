@@ -14,8 +14,8 @@
 //!   instant — collapse into a single bucket drained in one sort.
 //! * [`reference::HeapQueue`] — the original binary-heap implementation,
 //!   kept as the ordering oracle for the determinism property suite
-//!   (`tests/event_queue.rs`) and as the baseline side of the
-//!   event-queue microbenchmark (`figures -- perf`).
+//!   (`tests/event_queue.rs`) and the sentinel `queue-divergence`
+//!   oracle.
 //!
 //! The calendar queue adapts its bucket width and count to the live
 //! event population (classic Brown calendar-queue resizing), so it stays
@@ -738,16 +738,15 @@ impl<E> Drop for EventQueue<E> {
 }
 
 /// The original binary-heap queue, kept as the ordering oracle for the
-/// determinism suite and the baseline side of the `figures -- perf`
-/// event-queue microbenchmark.
+/// determinism suite and the sentinel `queue-divergence` oracle.
 pub mod reference {
     use super::SimTime;
     use std::cmp::Ordering;
     use std::collections::BinaryHeap;
 
     /// AoS entry: the reference queue stores payloads inline, exactly as
-    /// the pre-arena implementation did — that contrast *is* the
-    /// baseline the `eventq` benchmark measures.
+    /// the pre-arena implementation did, so the oracle shares no storage
+    /// code with the queue it checks.
     struct Entry<E> {
         time: SimTime,
         seq: u64,

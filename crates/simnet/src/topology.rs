@@ -112,9 +112,9 @@ const NO_VIA: u32 = u32::MAX;
 impl Topology {
     /// Build a topology. O(1) time and memory for every kind: no link
     /// table, no route storage — everything downstream is arithmetic.
-    /// Panics on dimensions outside a kind's domain or whose host count
-    /// overflows the `u32` rank space (in release the product would wrap
-    /// and pass for a small machine).
+    /// Panics on dimensions outside a kind's domain or whose host or
+    /// link count overflows the `u32` rank or link-id space (in release
+    /// the product would wrap and pass for a small machine).
     pub fn new(kind: TopologyKind) -> Self {
         let hosts = match kind {
             TopologyKind::Crossbar { hosts } => {
@@ -154,6 +154,12 @@ impl Topology {
                 host_count("dragonfly", &[groups, routers_per_group, hosts_per_router])
             }
         };
+        // Link ids are `u32` too, and a machine has two to six directed
+        // links per host: the link count can pass 2^32 while the ranks fit.
+        assert!(
+            link_total(kind, hosts).is_some_and(|n| n <= u32::MAX as u64),
+            "{kind:?} has more links than a u32 link id can name"
+        );
         Topology {
             kind,
             hosts,
@@ -217,37 +223,7 @@ impl Topology {
 
     /// Total directed links, computed arithmetically.
     pub fn link_count(&self) -> usize {
-        match self.kind {
-            TopologyKind::Crossbar { hosts } => 2 * hosts as usize,
-            TopologyKind::Ring { hosts } => {
-                if hosts == 2 {
-                    2
-                } else {
-                    2 * hosts as usize
-                }
-            }
-            TopologyKind::Torus2D { w, h } => 2 * t2_pairs_before(w, h, (w * h) as u64) as usize,
-            TopologyKind::Torus3D { x, y, z } => {
-                2 * t3_pairs_before(x, y, z, (x * y * z) as u64) as usize
-            }
-            TopologyKind::FatTree { k } => {
-                let half = (k / 2) as usize;
-                k as usize * 6 * half * half
-            }
-            TopologyKind::FatTreePods { k, pods } => {
-                let half = (k / 2) as usize;
-                pods as usize * 6 * half * half
-            }
-            TopologyKind::Dragonfly {
-                groups: g,
-                routers_per_group: a,
-                hosts_per_router: _,
-            } => {
-                let n = self.hosts as usize;
-                let (g, a) = (g as usize, a as usize);
-                2 * n + g * a * (a - 1) + g * (g - 1)
-            }
-        }
+        link_total(self.kind, self.hosts).expect("Topology::new checked the link count") as usize
     }
 
     /// Endpoints of a link id, computed arithmetically (inverse of the
@@ -1221,6 +1197,38 @@ fn host_count(kind: &str, dims: &[u32]) -> u32 {
         .unwrap_or_else(|| panic!("{kind} {dims:?} has more hosts than a u32 rank can name"))
 }
 
+/// Total directed links of a `kind` machine with `hosts` hosts, exact in
+/// `u64`; `None` where even that overflows (a Dragonfly's router-pair
+/// terms can, with the host count still in range).
+fn link_total(kind: TopologyKind, hosts: u32) -> Option<u64> {
+    let n = hosts as u64;
+    Some(match kind {
+        TopologyKind::Crossbar { .. } => 2 * n,
+        TopologyKind::Ring { .. } => {
+            if hosts == 2 {
+                2
+            } else {
+                2 * n
+            }
+        }
+        TopologyKind::Torus2D { w, h } => 2 * t2_pairs_before(w, h, n),
+        TopologyKind::Torus3D { x, y, z } => 2 * t3_pairs_before(x, y, z, n),
+        // Host, edge-aggregation and aggregation-core cables: one of
+        // each per host, two directions.
+        TopologyKind::FatTree { .. } | TopologyKind::FatTreePods { .. } => 6 * n,
+        TopologyKind::Dragonfly {
+            groups: g,
+            routers_per_group: a,
+            hosts_per_router: _,
+        } => {
+            let (g, a) = (g as u64, a as u64);
+            let local = (g * a).checked_mul(a - 1)?;
+            let global = g.checked_mul(g - 1)?;
+            (2 * n).checked_add(local)?.checked_add(global)?
+        }
+    })
+}
+
 /// Cable *pairs* inserted before host `n` in the 2-D torus reference
 /// numbering (east pair then north pair per host, deduplicated when a
 /// dimension has width 2).
@@ -1749,14 +1757,51 @@ mod tests {
         });
     }
 
+    // Link ids are u32 as well: two directed links per crossbar host,
+    // four per 2-D torus host, six per 3-D torus or fat-tree host, so the
+    // link count passes 2^32 with the ranks still in range.
+    #[test]
+    #[should_panic(expected = "Crossbar { hosts: 3000000000 } has more links")]
+    fn crossbar_past_the_link_id_limit_is_refused() {
+        Topology::new(TopologyKind::Crossbar { hosts: 3_000_000_000 });
+    }
+
+    #[test]
+    #[should_panic(expected = "Torus2D { w: 40000, h: 40000 } has more links")]
+    fn torus2d_past_the_link_id_limit_is_refused() {
+        Topology::new(TopologyKind::Torus2D { w: 40_000, h: 40_000 });
+    }
+
+    #[test]
+    #[should_panic(expected = "Torus3D { x: 1024, y: 1024, z: 1024 } has more links")]
+    fn torus3d_past_the_link_id_limit_is_refused() {
+        Topology::new(TopologyKind::Torus3D { x: 1024, y: 1024, z: 1024 });
+    }
+
+    #[test]
+    #[should_panic(expected = "FatTree { k: 2000 } has more links")]
+    fn fat_tree_past_the_link_id_limit_is_refused() {
+        Topology::new(TopologyKind::FatTree { k: 2000 });
+    }
+
     #[test]
     fn largest_representable_dimensions_still_build() {
-        // 2^16 x 2^15 = 2^31 hosts fits; the closed forms never touch a
-        // table, so the far corner is as cheap as a neighbour.
-        let t = Topology::new(TopologyKind::Torus2D { w: 65_536, h: 32_768 });
-        assert_eq!(t.hosts(), 1 << 31);
+        // 2^15 x 2^14 = 2^29 hosts and 2^31 link ids fit; the closed
+        // forms never touch a table, so the far corner is as cheap as a
+        // neighbour.
+        let t = Topology::new(TopologyKind::Torus2D { w: 32_768, h: 16_384 });
+        assert_eq!(t.hosts(), 1 << 29);
+        assert_eq!(t.link_count(), 1 << 31);
         assert_eq!(t.hops(0, t.hosts() - 1), 2);
-        assert_eq!(t.hops(0, 32_768 + 16_384 * 65_536), t.diameter());
+        assert_eq!(t.hops(0, 16_384 + 8_192 * 32_768), t.diameter());
+        // The last crossbar the link ids can name: its last link is the
+        // switch's port to the last host.
+        let hosts = u32::MAX / 2;
+        let t = Topology::new(TopologyKind::Crossbar { hosts });
+        assert_eq!(
+            t.link_endpoints(LinkId(2 * hosts - 1)),
+            (Vertex::Switch(0), Vertex::Host(hosts - 1))
+        );
     }
 
     #[test]

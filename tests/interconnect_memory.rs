@@ -4,8 +4,8 @@
 //! deriving routes through [`Topology::route_plan`] must not allocate
 //! at all.
 //!
-//! The test binary installs [`polaris_bench::perf::CountingAlloc`] as
-//! its global allocator and counts allocator calls around the
+//! The test binary installs a metering wrapper around the system
+//! allocator and counts allocator calls around the
 //! constructor and the routing hot path, and the bytes held at once
 //! around a simulated collective. The counters are per thread:
 //! the harness runs the tests of this binary on parallel threads, and a
@@ -16,17 +16,16 @@
 //! O(hosts^2) table is astronomically over the cap — while the intended
 //! O(1)/O(routers) representation stays in single digits.
 
-use polaris_bench::perf::CountingAlloc;
 use polaris_collectives::prelude::*;
 use polaris_simnet::link::Generation;
 use polaris_simnet::network::Network;
 use polaris_simnet::rng::SplitMix64;
 use polaris_simnet::topology::{Routing, Topology, TopologyKind};
-use std::alloc::{GlobalAlloc, Layout};
+use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-/// Wrap the bench counting allocator with a byte counter so the test
-/// can bound total constructor footprint, not just call count.
+/// The system allocator with call, byte and live-byte counters, so the
+/// tests can bound total constructor footprint, not just call count.
 struct MeteredAlloc;
 
 thread_local! {
@@ -57,21 +56,21 @@ unsafe impl GlobalAlloc for MeteredAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         record(layout.size());
         hold(layout.size() as i64);
-        unsafe { CountingAlloc.alloc(layout) }
+        unsafe { System.alloc(layout) }
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         record(layout.size());
         hold(layout.size() as i64);
-        unsafe { CountingAlloc.alloc_zeroed(layout) }
+        unsafe { System.alloc_zeroed(layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         record(new_size);
         hold(new_size as i64 - layout.size() as i64);
-        unsafe { CountingAlloc.realloc(ptr, layout, new_size) }
+        unsafe { System.realloc(ptr, layout, new_size) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         hold(-(layout.size() as i64));
-        unsafe { CountingAlloc.dealloc(ptr, layout) }
+        unsafe { System.dealloc(ptr, layout) }
     }
 }
 

@@ -1,7 +1,8 @@
 //! Integration tests for the serving plane: the content-addressed
 //! result cache, the sweep server, the open-loop client population,
 //! and incremental re-simulation — exercised together, from outside
-//! the `polaris-serve` crate, the way the perf harness drives them.
+//! the `polaris-serve` crate, the way the benchmark's `serve_zipf`
+//! workload drives them.
 
 use polaris_serve::prelude::*;
 use polaris_obs::Obs;
@@ -156,7 +157,8 @@ fn incremental_resimulation_matches_cold_and_saves_work() {
     assert_eq!(warm.events_total, cold.events_total);
 }
 
-/// The full checkpoint identity contract the perf gate relies on:
+/// The full checkpoint identity contract incremental re-simulation
+/// relies on:
 /// snapshots taken at every phase boundary restore bit-identically
 /// through JSON at 1/2/4 shards.
 #[test]
