@@ -30,8 +30,10 @@ use crate::envelope::{rel_sequenced, rel_src, rel_wire_seq, stamp_rel, Envelope,
 use crate::match_engine::{MatchEngine, MatchSpec};
 use polaris_nic::prelude::*;
 use polaris_obs::{Counter, Obs, Subject};
+use polaris_simnet::fasthash::FastHashMap;
 use polaris_simnet::rng::SplitMix64;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::hash_map::Entry;
+use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 /// Request identifier returned by the nonblocking operations.
@@ -165,46 +167,52 @@ enum Parked {
     Rts { len: u64, msg_id: u64, rkey: u64 },
 }
 
-enum SendState {
+/// Where a send request stands. Its buffer rides alongside in
+/// [`SendReq`], so a transition rewrites this tag in place.
+#[derive(Clone, Copy)]
+enum SendPhase {
     /// Completed; buffer ready to hand back.
-    Done(MsgBuf),
-    /// The destination failed mid-flight; the buffer (when still owned
-    /// locally) is recycled when the caller reaps the error.
-    Failed { buf: Option<MsgBuf>, peer: u32 },
+    Done,
+    /// The destination failed mid-flight; the buffer is recycled when
+    /// the caller reaps the error.
+    Failed { peer: u32 },
     /// Rendezvous-read: waiting for the receiver's FIN.
-    AwaitFin { buf: MsgBuf, dst: u32 },
+    AwaitFin { dst: u32 },
     /// Rendezvous-write: waiting for the receiver's CTS.
-    AwaitCts { buf: MsgBuf, dst: u32 },
+    AwaitCts { dst: u32 },
     /// Rendezvous-write: RDMA write posted, waiting for its completion.
     WriteInflight { dst: u32 },
-    /// Rendezvous-write: completed while the buffer was still registered
-    /// in `WriteInflight`; buffer parked here.
-    WriteDone(MsgBuf),
     /// Gather-eager: the NIC reads the user buffer's blocks directly;
     /// the buffer and the header slot are held until the send completes.
-    GatherInflight { buf: MsgBuf, slot: usize, dst: u32 },
+    GatherInflight { slot: usize, dst: u32 },
 }
 
-enum RecvState {
-    /// Posted, unmatched; buffer parked here.
-    Posted { buf: MsgBuf },
+struct SendReq {
+    buf: MsgBuf,
+    phase: SendPhase,
+}
+
+/// Where a receive request stands; its buffer rides alongside in
+/// [`RecvReq`] from `irecv` until the request is reaped.
+enum RecvPhase {
+    /// Posted, unmatched.
+    Posted,
     /// Rendezvous read in flight.
     Reading {
-        buf: MsgBuf,
         src: u32,
         tag: u64,
         len: usize,
         msg_id: u64,
     },
     /// Rendezvous write expected (CTS sent); waiting for the immediate.
-    AwaitWrite {
-        buf: MsgBuf,
-        src: u32,
-        tag: u64,
-        len: usize,
-    },
+    AwaitWrite { src: u32, tag: u64, len: usize },
     /// Finished.
-    Done(MsgBuf, MsgResult<RecvInfo>),
+    Done(MsgResult<RecvInfo>),
+}
+
+struct RecvReq {
+    buf: MsgBuf,
+    phase: RecvPhase,
 }
 
 struct PeerState {
@@ -289,6 +297,7 @@ struct SockAssembly {
     tag: u64,
     total: usize,
     got: usize,
+    /// Reassembly buffer, drawn from (and returned to) the frame pool.
     data: Vec<u8>,
 }
 
@@ -349,18 +358,19 @@ pub struct Endpoint {
     tx_slots: Vec<Option<MemoryRegion>>,
     tx_free: Vec<usize>,
     matcher: MatchEngine<ReqId, Parked>,
-    sends: HashMap<ReqId, SendState>,
-    recvs: HashMap<ReqId, RecvState>,
+    /// Requests by id. Ids, handles and assembly keys all come from this
+    /// process's own counters, so the maps use the fast integer hasher;
+    /// a reaped id is removed, which is what makes a second reap
+    /// [`MsgError::UnknownRequest`].
+    sends: FastHashMap<ReqId, SendReq>,
+    recvs: FastHashMap<ReqId, RecvReq>,
     /// Rendezvous-write handle -> recv request.
-    write_pending: HashMap<u32, ReqId>,
-    /// Rendezvous-write sender buffers, keyed by msg_id, held while the
-    /// RDMA write is in flight.
-    write_bufs: HashMap<u64, MsgBuf>,
+    write_pending: FastHashMap<u32, ReqId>,
     /// Original user buffers for layout sends that fell back to
     /// pack+rendezvous: returned in place of the packed staging buffer.
-    sends_return_original: HashMap<u64, MsgBuf>,
+    sends_return_original: FastHashMap<u64, MsgBuf>,
     next_handle: u32,
-    sock_assembly: HashMap<u64, SockAssembly>,
+    sock_assembly: FastHashMap<u64, SockAssembly>,
     next_req: u64,
     /// Peers known to have failed (via detect_failures or explicit mark).
     failed_peers: std::collections::HashSet<u32>,
@@ -368,9 +378,10 @@ pub struct Endpoint {
     down: bool,
     /// Per-peer reliability state (allocated only when enabled).
     rel: Vec<PeerRel>,
-    /// Reliable frames in flight by tx slot, for fast retransmission
-    /// when the fabric reports the frame lost (error completion).
-    tx_slot_rel: HashMap<usize, (u32, u64)>,
+    /// Reliable frames in flight, indexed by tx slot like `tx_slots`,
+    /// for fast retransmission when the fabric reports the frame lost
+    /// (error completion).
+    tx_slot_rel: Vec<Option<(u32, u64)>>,
     /// Deterministic jitter for retransmission backoff.
     rel_rng: SplitMix64,
     stats: EndpointStats,
@@ -448,13 +459,12 @@ impl Endpoint {
                 tx_slots,
                 tx_free,
                 matcher: MatchEngine::new(),
-                sends: HashMap::with_capacity(64),
-                recvs: HashMap::with_capacity(64),
-                write_pending: HashMap::new(),
-                write_bufs: HashMap::new(),
-                sends_return_original: HashMap::new(),
+                sends: FastHashMap::with_capacity_and_hasher(64, Default::default()),
+                recvs: FastHashMap::with_capacity_and_hasher(64, Default::default()),
+                write_pending: FastHashMap::default(),
+                sends_return_original: FastHashMap::default(),
                 next_handle: 0,
-                sock_assembly: HashMap::new(),
+                sock_assembly: FastHashMap::default(),
                 next_req: 1,
                 failed_peers: std::collections::HashSet::new(),
                 down: false,
@@ -463,7 +473,7 @@ impl Endpoint {
                 } else {
                     Vec::new()
                 },
-                tx_slot_rel: HashMap::new(),
+                tx_slot_rel: vec![None; cfg.send_pool_size],
                 rel_rng: SplitMix64::new(cfg.reliability.jitter_seed ^ rank as u64),
                 stats: EndpointStats::default(),
                 kstage: Vec::new(),
@@ -689,20 +699,28 @@ impl Endpoint {
         }
         let req = self.next_req;
         self.next_req += 1;
+        self.recvs.insert(
+            req,
+            RecvReq {
+                buf,
+                phase: RecvPhase::Posted,
+            },
+        );
         if let Some(un) = self.matcher.post_recv(spec, req) {
             let (src, tag) = (un.src, un.tag);
             match un.payload {
                 Parked::Data { data, extra_copies } => {
                     self.stats.host_copies += extra_copies;
-                    self.deliver_data(req, buf, src, tag, &data);
+                    self.deliver_data(req, src, tag, &data);
                     self.frames.release(data);
                 }
                 Parked::Rts { len, msg_id, rkey } => {
-                    self.start_rendezvous_recv(req, buf, src, tag, len, msg_id, rkey)?;
+                    if let Err(e) = self.start_rendezvous_recv(req, src, tag, len, msg_id, rkey) {
+                        self.recvs.remove(&req);
+                        return Err(e);
+                    }
                 }
             }
-        } else {
-            self.recvs.insert(req, RecvState::Posted { buf });
         }
         Ok(req)
     }
@@ -764,69 +782,52 @@ impl Endpoint {
         if !self.failed_peers.insert(peer) {
             return;
         }
-        // Fail in-flight sends toward the peer.
-        let send_reqs: Vec<ReqId> = self
-            .sends
-            .iter()
-            .filter(|(_, st)| match st {
-                SendState::AwaitFin { dst, .. }
-                | SendState::AwaitCts { dst, .. }
-                | SendState::WriteInflight { dst }
-                | SendState::GatherInflight { dst, .. } => *dst == peer,
-                _ => false,
-            })
-            .map(|(r, _)| *r)
-            .collect();
-        for req in send_reqs {
-            let buf = match self.sends.remove(&req) {
-                Some(SendState::AwaitFin { buf, .. })
-                | Some(SendState::AwaitCts { buf, .. }) => Some(buf),
-                Some(SendState::GatherInflight { buf, slot, .. }) => {
-                    // Do NOT recycle the slot: the gather send may still
-                    // be parked at a live-but-suspected peer, and a
-                    // reused slot would corrupt that parked message's
-                    // header. The slot returns via its own CQE if the
-                    // send ever completes; otherwise it is retired.
-                    let _ = slot;
-                    Some(buf)
+        // Fail in-flight sends toward the peer. A gather send's header
+        // slot is NOT recycled: the send may still be parked at a
+        // live-but-suspected peer, and a reused slot would corrupt that
+        // parked message's header. The slot returns via its own CQE if
+        // the send ever completes; otherwise it is retired.
+        for sr in self.sends.values_mut() {
+            if let SendPhase::AwaitFin { dst }
+            | SendPhase::AwaitCts { dst }
+            | SendPhase::WriteInflight { dst }
+            | SendPhase::GatherInflight { dst, .. } = sr.phase
+            {
+                if dst == peer {
+                    sr.phase = SendPhase::Failed { peer };
                 }
-                Some(SendState::WriteInflight { .. }) => self.write_bufs.remove(&req),
-                _ => None,
-            };
-            self.sends.insert(req, SendState::Failed { buf, peer });
+            }
         }
         // Fail in-flight receives from the peer.
-        let recv_reqs: Vec<ReqId> = self
-            .recvs
-            .iter()
-            .filter(|(_, st)| match st {
-                RecvState::Reading { src, .. } | RecvState::AwaitWrite { src, .. } => {
-                    *src == peer
+        for rr in self.recvs.values_mut() {
+            if let RecvPhase::Reading { src, .. } | RecvPhase::AwaitWrite { src, .. } = rr.phase {
+                if src == peer {
+                    rr.phase = RecvPhase::Done(Err(MsgError::PeerFailed(peer)));
                 }
-                _ => false,
-            })
-            .map(|(r, _)| *r)
-            .collect();
-        for req in recv_reqs {
-            match self.recvs.remove(&req) {
-                Some(RecvState::Reading { buf, .. })
-                | Some(RecvState::AwaitWrite { buf, .. }) => {
-                    self.recvs
-                        .insert(req, RecvState::Done(buf, Err(MsgError::PeerFailed(peer))));
-                }
-                _ => {}
             }
         }
         // Posted receives that can only ever match the dead peer.
-        let cancelled = self
-            .matcher
-            .cancel_posted(|spec| spec.src == Some(peer));
+        let cancelled = self.matcher.cancel_posted(|spec| spec.src == Some(peer));
         for req in cancelled {
-            if let Some(RecvState::Posted { buf }) = self.recvs.remove(&req) {
-                self.recvs
-                    .insert(req, RecvState::Done(buf, Err(MsgError::PeerFailed(peer))));
+            if let Some(rr) = self.recvs.get_mut(&req) {
+                if matches!(rr.phase, RecvPhase::Posted) {
+                    rr.phase = RecvPhase::Done(Err(MsgError::PeerFailed(peer)));
+                }
             }
         }
+        // Half-assembled sockets messages from the peer never finish.
+        let Endpoint {
+            sock_assembly,
+            frames,
+            ..
+        } = self;
+        sock_assembly.retain(|_, asm| {
+            let dead = asm.src == peer;
+            if dead {
+                frames.release(std::mem::take(&mut asm.data));
+            }
+            !dead
+        });
     }
 
     fn check_up(&self) -> MsgResult<()> {
@@ -863,54 +864,61 @@ impl Endpoint {
         n
     }
 
+    /// Take a finished send out of the table: its buffer, its error, or
+    /// `None` while it is still in flight.
+    fn reap_send(&mut self, req: ReqId) -> MsgResult<Option<MsgBuf>> {
+        let Entry::Occupied(e) = self.sends.entry(req) else {
+            return Err(MsgError::UnknownRequest(req));
+        };
+        match e.get().phase {
+            SendPhase::Done => {
+                let buf = e.remove().buf;
+                Ok(Some(self.finish_send_buf(req, buf)))
+            }
+            SendPhase::Failed { peer } => {
+                self.pool.free(e.remove().buf);
+                self.sends_return_original.remove(&req);
+                Err(MsgError::PeerFailed(peer))
+            }
+            _ => Ok(None),
+        }
+    }
+
+    /// Take a finished receive out of the table, as [`Self::reap_send`].
+    fn reap_recv(&mut self, req: ReqId) -> MsgResult<Option<(MsgBuf, RecvInfo)>> {
+        let Entry::Occupied(e) = self.recvs.entry(req) else {
+            return Err(MsgError::UnknownRequest(req));
+        };
+        if !matches!(e.get().phase, RecvPhase::Done(_)) {
+            return Ok(None);
+        }
+        let RecvReq {
+            buf,
+            phase: RecvPhase::Done(result),
+        } = e.remove()
+        else {
+            unreachable!("phase checked above")
+        };
+        match result {
+            Ok(info) => Ok(Some((buf, info))),
+            Err(e) => {
+                self.pool.free(buf);
+                Err(e)
+            }
+        }
+    }
+
     /// Nonblocking completion check for a send: drives progress once and
     /// returns the buffer if the send has finished.
     pub fn test_send(&mut self, req: ReqId) -> MsgResult<Option<MsgBuf>> {
         self.progress();
-        match self.sends.get(&req) {
-            Some(SendState::Done(_)) | Some(SendState::WriteDone(_)) => {
-                match self.sends.remove(&req) {
-                    Some(SendState::Done(b)) | Some(SendState::WriteDone(b)) => {
-                        Ok(Some(self.finish_send_buf(req, b)))
-                    }
-                    _ => unreachable!(),
-                }
-            }
-            Some(SendState::Failed { .. }) => {
-                let Some(SendState::Failed { buf, peer }) = self.sends.remove(&req) else {
-                    unreachable!()
-                };
-                if let Some(b) = buf {
-                    self.pool.free(b);
-                }
-                self.sends_return_original.remove(&req);
-                Err(MsgError::PeerFailed(peer))
-            }
-            Some(_) => Ok(None),
-            None => Err(MsgError::UnknownRequest(req)),
-        }
+        self.reap_send(req)
     }
 
     /// Nonblocking completion check for a receive.
     pub fn test_recv(&mut self, req: ReqId) -> MsgResult<Option<(MsgBuf, RecvInfo)>> {
         self.progress();
-        if matches!(self.recvs.get(&req), Some(RecvState::Done(..))) {
-            let Some(RecvState::Done(buf, result)) = self.recvs.remove(&req) else {
-                unreachable!()
-            };
-            return match result {
-                Ok(info) => Ok(Some((buf, info))),
-                Err(e) => {
-                    self.pool.free(buf);
-                    Err(e)
-                }
-            };
-        }
-        if self.recvs.contains_key(&req) {
-            Ok(None)
-        } else {
-            Err(MsgError::UnknownRequest(req))
-        }
+        self.reap_recv(req)
     }
 
     /// Block until a send completes, returning the buffer.
@@ -921,27 +929,8 @@ impl Endpoint {
     pub fn wait_send_timeout(&mut self, req: ReqId, timeout: Duration) -> MsgResult<MsgBuf> {
         let deadline = Instant::now() + timeout;
         loop {
-            match self.sends.get(&req) {
-                Some(SendState::Done(_)) | Some(SendState::WriteDone(_)) => {
-                    return match self.sends.remove(&req) {
-                        Some(SendState::Done(b)) | Some(SendState::WriteDone(b)) => {
-                            Ok(self.finish_send_buf(req, b))
-                        }
-                        _ => unreachable!(),
-                    };
-                }
-                Some(SendState::Failed { .. }) => {
-                    let Some(SendState::Failed { buf, peer }) = self.sends.remove(&req) else {
-                        unreachable!()
-                    };
-                    if let Some(b) = buf {
-                        self.pool.free(b);
-                    }
-                    self.sends_return_original.remove(&req);
-                    return Err(MsgError::PeerFailed(peer));
-                }
-                None => return Err(MsgError::UnknownRequest(req)),
-                _ => {}
+            if let Some(buf) = self.reap_send(req)? {
+                return Ok(buf);
             }
             if self.progress() == 0 {
                 if Instant::now() >= deadline {
@@ -964,20 +953,8 @@ impl Endpoint {
     ) -> MsgResult<(MsgBuf, RecvInfo)> {
         let deadline = Instant::now() + timeout;
         loop {
-            if matches!(self.recvs.get(&req), Some(RecvState::Done(..))) {
-                let Some(RecvState::Done(buf, result)) = self.recvs.remove(&req) else {
-                    unreachable!()
-                };
-                return match result {
-                    Ok(info) => Ok((buf, info)),
-                    Err(e) => {
-                        self.pool.free(buf);
-                        Err(e)
-                    }
-                };
-            }
-            if !self.recvs.contains_key(&req) {
-                return Err(MsgError::UnknownRequest(req));
+            if let Some(done) = self.reap_recv(req)? {
+                return Ok(done);
             }
             if self.progress() == 0 {
                 if Instant::now() >= deadline {
@@ -1081,7 +1058,7 @@ impl Endpoint {
             let (seq, frame) = self.rel_frame(dst, env, buf.as_slice());
             self.count_copy(buf.len());
             self.post_rel_frame(dst, seq, frame)?;
-            self.sends.insert(req, SendState::Done(buf));
+            self.insert_send(req, buf, SendPhase::Done);
             return Ok(());
         }
         let slot = self.acquire_tx_slot()?;
@@ -1102,7 +1079,7 @@ impl Endpoint {
         })?;
         self.tx_slots[slot] = Some(mr);
         // Buffered semantics: the user's buffer is free immediately.
-        self.sends.insert(req, SendState::Done(buf));
+        self.insert_send(req, buf, SendPhase::Done);
         Ok(())
     }
 
@@ -1158,7 +1135,7 @@ impl Endpoint {
             self.count_copy(total);
             let (seq, frame) = self.rel_frame(dst, env, &packed);
             self.post_rel_frame(dst, seq, frame)?;
-            self.sends.insert(req, SendState::Done(buf));
+            self.insert_send(req, buf, SendPhase::Done);
             return Ok(req);
         }
         let slot = self.acquire_tx_slot()?;
@@ -1184,8 +1161,7 @@ impl Endpoint {
             imm: None,
         })?;
         self.tx_slots[slot] = Some(mr);
-        self.sends
-            .insert(req, SendState::GatherInflight { buf, slot, dst });
+        self.insert_send(req, buf, SendPhase::GatherInflight { slot, dst });
         Ok(req)
     }
 
@@ -1213,19 +1189,19 @@ impl Endpoint {
             rkey: buf.rkey().0,
         };
         self.send_ctrl(dst, env)?;
-        let state = match self.cfg.rendezvous_mode {
-            RendezvousMode::Read => SendState::AwaitFin { buf, dst },
-            RendezvousMode::Write => SendState::AwaitCts { buf, dst },
+        let phase = match self.cfg.rendezvous_mode {
+            RendezvousMode::Read => SendPhase::AwaitFin { dst },
+            RendezvousMode::Write => SendPhase::AwaitCts { dst },
         };
-        self.sends.insert(req, state);
+        self.insert_send(req, buf, phase);
         Ok(())
     }
 
-    #[allow(clippy::too_many_arguments)] // the RTS carries exactly this state
+    /// Answer an RTS matched to the posted receive `req`: pull the
+    /// payload (read mode) or advertise the buffer (write mode).
     fn start_rendezvous_recv(
         &mut self,
         req: ReqId,
-        buf: MsgBuf,
         src: u32,
         tag: u64,
         len: u64,
@@ -1233,34 +1209,28 @@ impl Endpoint {
         rkey: u64,
     ) -> MsgResult<()> {
         let len = len as usize;
-        if len > buf.capacity() {
-            // Refuse the transfer; still FIN so the sender unblocks.
-            self.send_ctrl(src, Envelope::Fin { msg_id })?;
-            self.recvs.insert(
-                req,
-                RecvState::Done(
-                    buf,
-                    Err(MsgError::Truncated {
-                        incoming: len,
-                        capacity: 0,
-                    }),
-                ),
-            );
+        let Some(rr) = self.recvs.get_mut(&req) else {
             return Ok(());
+        };
+        if len > rr.buf.capacity() {
+            // Refuse the transfer; still FIN so the sender unblocks.
+            rr.phase = RecvPhase::Done(Err(MsgError::Truncated {
+                incoming: len,
+                capacity: rr.buf.capacity(),
+            }));
+            return self.send_ctrl(src, Envelope::Fin { msg_id });
+        }
+        if len == 0 && self.cfg.rendezvous_mode == RendezvousMode::Read {
+            rr.buf.set_len(0);
+            rr.phase = RecvPhase::Done(Ok(RecvInfo { src, tag, len: 0 }));
+            return self.send_ctrl(src, Envelope::Fin { msg_id });
         }
         match self.cfg.rendezvous_mode {
             RendezvousMode::Read => {
-                if len == 0 {
-                    self.send_ctrl(src, Envelope::Fin { msg_id })?;
-                    let mut buf = buf;
-                    buf.set_len(0);
-                    self.finish_recv(req, buf, Ok(RecvInfo { src, tag, len: 0 }));
-                    return Ok(());
-                }
                 self.peers[src as usize].qp.post_send(SendWr::RdmaRead {
                     wr_id: K_RDMA_READ | req,
                     sges: SgeList::single(Sge {
-                        mr: buf.region().clone(),
+                        mr: rr.buf.region().clone(),
                         offset: 0,
                         len,
                     }),
@@ -1270,31 +1240,27 @@ impl Endpoint {
                         offset: 0,
                     },
                 })?;
-                self.recvs.insert(
-                    req,
-                    RecvState::Reading {
-                        buf,
-                        src,
-                        tag,
-                        len,
-                        msg_id,
-                    },
-                );
+                rr.phase = RecvPhase::Reading {
+                    src,
+                    tag,
+                    len,
+                    msg_id,
+                };
             }
             RendezvousMode::Write => {
                 let handle = self.next_handle;
                 self.next_handle = self.next_handle.wrapping_add(1);
                 self.write_pending.insert(handle, req);
+                rr.phase = RecvPhase::AwaitWrite { src, tag, len };
+                let rkey = rr.buf.rkey().0;
                 self.send_ctrl(
                     src,
                     Envelope::Cts {
                         msg_id,
-                        rkey: buf.rkey().0,
+                        rkey,
                         handle,
                     },
                 )?;
-                self.recvs
-                    .insert(req, RecvState::AwaitWrite { buf, src, tag, len });
             }
         }
         Ok(())
@@ -1360,8 +1326,12 @@ impl Endpoint {
                 break;
             }
         }
-        self.sends.insert(req, SendState::Done(buf));
+        self.insert_send(req, buf, SendPhase::Done);
         Ok(())
+    }
+
+    fn insert_send(&mut self, req: ReqId, buf: MsgBuf, phase: SendPhase) {
+        self.sends.insert(req, SendReq { buf, phase });
     }
 
     // ------------------------------------------------------------------
@@ -1378,17 +1348,15 @@ impl Endpoint {
                     let (peer, idx) = rx_decode(cqe.wr_id);
                     self.repost_rx(peer, idx);
                     let handle = cqe.imm.expect("write-imm carries handle");
-                    if let Some(req) = self.write_pending.remove(&handle) {
-                        if let Some(RecvState::AwaitWrite { mut buf, src, tag, len }) =
-                            self.recvs.remove(&req)
-                        {
-                            buf.set_len(len);
+                    let Some(req) = self.write_pending.remove(&handle) else {
+                        return;
+                    };
+                    if let Some(rr) = self.recvs.get_mut(&req) {
+                        if let RecvPhase::AwaitWrite { src, tag, len } = rr.phase {
+                            rr.buf.set_len(len);
                             self.stats.msgs_received += 1;
                             self.stats.bytes_received += len as u64;
-                            self.recvs.insert(
-                                req,
-                                RecvState::Done(buf, Ok(RecvInfo { src, tag, len })),
-                            );
+                            rr.phase = RecvPhase::Done(Ok(RecvInfo { src, tag, len }));
                         }
                     }
                 }
@@ -1397,7 +1365,7 @@ impl Endpoint {
             K_TX_BOUNCE => {
                 let slot = (cqe.wr_id & PAYLOAD_MASK) as usize;
                 self.tx_free.push(slot);
-                if let Some((peer, seq)) = self.tx_slot_rel.remove(&slot) {
+                if let Some((peer, seq)) = self.tx_slot_rel[slot].take() {
                     if cqe.status != CqeStatus::Success && !self.failed_peers.contains(&peer) {
                         // The fabric reported the frame lost (retry
                         // exhaustion / flush): retransmit immediately
@@ -1416,57 +1384,47 @@ impl Endpoint {
             }
             K_RDMA_READ => {
                 let req = cqe.wr_id & PAYLOAD_MASK;
-                if let Some(RecvState::Reading {
-                    mut buf,
+                let Some(rr) = self.recvs.get_mut(&req) else {
+                    return;
+                };
+                if let RecvPhase::Reading {
                     src,
                     tag,
                     len,
                     msg_id,
-                }) = self.recvs.remove(&req)
+                } = rr.phase
                 {
-                    let result = if cqe.status == CqeStatus::Success {
-                        buf.set_len(len);
+                    rr.phase = RecvPhase::Done(if cqe.status == CqeStatus::Success {
+                        rr.buf.set_len(len);
                         self.stats.msgs_received += 1;
                         self.stats.bytes_received += len as u64;
                         Ok(RecvInfo { src, tag, len })
                     } else {
                         Err(MsgError::Nic(NicError::Timeout))
-                    };
+                    });
                     let _ = self.send_ctrl(src, Envelope::Fin { msg_id });
-                    self.recvs.insert(req, RecvState::Done(buf, result));
                 }
             }
             K_GATHER => {
                 let req = cqe.wr_id & PAYLOAD_MASK;
-                // Check before removing: the request may have moved to
-                // `Failed` (peer marked dead) and must stay reapable.
-                if matches!(self.sends.get(&req), Some(SendState::GatherInflight { .. })) {
-                    if let Some(SendState::GatherInflight { buf, slot, .. }) =
-                        self.sends.remove(&req)
-                    {
+                // A request that moved to `Failed` (peer marked dead)
+                // stays as it is, reapable.
+                if let Some(sr) = self.sends.get_mut(&req) {
+                    if let SendPhase::GatherInflight { slot, .. } = sr.phase {
                         self.tx_free.push(slot);
-                        self.sends.insert(req, SendState::Done(buf));
+                        sr.phase = SendPhase::Done;
                     }
                 }
             }
             K_RDMA_WRITE => {
                 let req = cqe.wr_id & PAYLOAD_MASK;
-                if matches!(self.sends.get(&req), Some(SendState::WriteInflight { .. })) {
-                    // Buffer was stashed when the write was posted.
-                    if let Some(buf) = self.write_bufs.remove(&req) {
-                        self.sends.insert(req, SendState::WriteDone(buf));
+                if let Some(sr) = self.sends.get_mut(&req) {
+                    if matches!(sr.phase, SendPhase::WriteInflight { .. }) {
+                        sr.phase = SendPhase::Done;
                     }
                 }
             }
             _ => {}
-        }
-    }
-
-    fn rx_buffer(&self, peer: u32, idx: u32) -> MemoryRegion {
-        if peer == SRQ_PEER {
-            self.srq.as_ref().expect("SRQ slot without SRQ").1[idx as usize].clone()
-        } else {
-            self.peers[peer as usize].rx_bufs[idx as usize].clone()
         }
     }
 
@@ -1489,29 +1447,38 @@ impl Endpoint {
             // vector comes from (and returns to) the frame pool.
             let mut frame = self.frames.acquire(cqe.byte_len.max(HEADER_LEN));
             frame.resize(cqe.byte_len.max(HEADER_LEN), 0);
-            self.rx_buffer(peer, idx)
+            rx_buffer(&self.peers, &self.srq, peer, idx)
                 .read_at(0, &mut frame)
                 .expect("bounce frame");
             self.repost_rx(peer, idx);
             self.handle_reliable_frame(frame);
             return;
         }
-        let mr = self.rx_buffer(peer, idx);
         let mut header = [0u8; HEADER_LEN];
-        mr.read_at(0, &mut header).expect("bounce header");
+        rx_buffer(&self.peers, &self.srq, peer, idx)
+            .read_at(0, &mut header)
+            .expect("bounce header");
         let env = Envelope::decode(&header).expect("valid envelope");
         match env {
             Envelope::Eager { src, tag, len } => {
                 let len = len as usize;
                 if let Some(req) = self.matcher.arrive(src, tag) {
-                    if let Some(RecvState::Posted { buf }) = self.recvs.remove(&req) {
-                        self.deliver_from_mr(req, buf, src, tag, &mr, len);
-                    }
+                    let (peers, srq) = (&self.peers, &self.srq);
+                    let info = RecvInfo { src, tag, len };
+                    // Host copy #2: bounce buffer -> user buffer.
+                    complete_recv(&mut self.recvs, &mut self.stats, req, info, |buf| {
+                        buf.set_len(len);
+                        rx_buffer(peers, srq, peer, idx)
+                            .read_at(HEADER_LEN, buf.as_mut_slice())
+                            .expect("payload")
+                    });
                 } else {
                     self.stats.unexpected_arrivals += 1;
                     let mut data = self.frames.acquire(len);
                     data.resize(len, 0);
-                    mr.read_at(HEADER_LEN, &mut data).expect("bounce payload");
+                    rx_buffer(&self.peers, &self.srq, peer, idx)
+                        .read_at(HEADER_LEN, &mut data)
+                        .expect("bounce payload");
                     self.count_copy(len);
                     self.matcher.park(
                         src,
@@ -1550,52 +1517,55 @@ impl Endpoint {
                 len,
             } => {
                 spin_for(self.cfg.interrupt_overhead);
-                let total = total as usize;
-                let key = ((src as u64) << 48) ^ msg_id;
-                let asm = self.sock_assembly.entry(key).or_insert_with(|| SockAssembly {
-                    src,
-                    tag,
-                    total,
-                    got: 0,
-                    data: vec![0u8; total],
-                });
-                let (off, len) = (offset as usize, len as usize);
-                // Kernel copy: driver ring -> socket buffer.
-                mr.read_at(HEADER_LEN, &mut asm.data[off..off + len])
-                    .expect("segment payload");
-                asm.got += len;
-                let done = asm.got >= asm.total || asm.total == 0;
-                self.count_copy(len);
-                if done {
-                    let asm = self.sock_assembly.remove(&key).expect("present");
-                    if let Some(req) = self.matcher.arrive(asm.src, asm.tag) {
-                        if let Some(RecvState::Posted { buf }) = self.recvs.remove(&req) {
-                            // Final copy: socket buffer -> user.
-                            self.deliver_data(req, buf, asm.src, asm.tag, &asm.data);
-                        }
-                    } else {
-                        self.stats.unexpected_arrivals += 1;
-                        self.matcher.park(
-                            asm.src,
-                            asm.tag,
-                            Parked::Data {
-                                data: asm.data,
-                                extra_copies: 0,
-                            },
-                        );
-                    }
-                }
+                let (peers, srq) = (&self.peers, &self.srq);
+                let done = sock_segment(
+                    &mut self.sock_assembly,
+                    &mut self.frames,
+                    (src, tag, msg_id),
+                    total as usize,
+                    offset as usize,
+                    len as usize,
+                    |dst| {
+                        rx_buffer(peers, srq, peer, idx)
+                            .read_at(HEADER_LEN, dst)
+                            .expect("segment payload")
+                    },
+                );
+                self.sock_arrived(len as usize, done);
             }
         }
         self.repost_rx(peer, idx);
     }
 
+    /// Account one sockets segment and, when it completed its message,
+    /// hand the reassembled payload to the matcher.
+    fn sock_arrived(&mut self, seg_len: usize, done: Option<SockAssembly>) {
+        // Kernel copy: driver ring -> socket buffer.
+        self.count_copy(seg_len);
+        let Some(asm) = done else {
+            return;
+        };
+        if let Some(req) = self.matcher.arrive(asm.src, asm.tag) {
+            // Final copy: socket buffer -> user.
+            self.deliver_data(req, asm.src, asm.tag, &asm.data);
+            self.frames.release(asm.data);
+        } else {
+            self.stats.unexpected_arrivals += 1;
+            self.matcher.park(
+                asm.src,
+                asm.tag,
+                Parked::Data {
+                    data: asm.data,
+                    extra_copies: 0,
+                },
+            );
+        }
+    }
+
     /// A rendezvous RTS arrived.
     fn on_rts(&mut self, src: u32, tag: u64, len: u64, msg_id: u64, rkey: u64) {
         if let Some(req) = self.matcher.arrive(src, tag) {
-            if let Some(RecvState::Posted { buf }) = self.recvs.remove(&req) {
-                let _ = self.start_rendezvous_recv(req, buf, src, tag, len, msg_id, rkey);
-            }
+            let _ = self.start_rendezvous_recv(req, src, tag, len, msg_id, rkey);
         } else {
             self.stats.unexpected_arrivals += 1;
             self.matcher.park(src, tag, Parked::Rts { len, msg_id, rkey });
@@ -1604,64 +1574,60 @@ impl Endpoint {
 
     /// A rendezvous-write CTS arrived: push the payload.
     fn on_cts(&mut self, msg_id: u64, rkey: u64, handle: u32) {
-        // Check before removing: the request may have moved to
-        // `Failed` (peer marked dead) and must stay reapable.
-        if matches!(self.sends.get(&msg_id), Some(SendState::AwaitCts { .. })) {
-            let Some(SendState::AwaitCts { buf, dst }) = self.sends.remove(&msg_id) else {
-                unreachable!()
-            };
-            let len = buf.len();
-            let r = self.peers[dst as usize].qp.post_send(SendWr::RdmaWriteImm {
-                wr_id: K_RDMA_WRITE | msg_id,
-                sges: SgeList::single(Sge {
-                    mr: buf.region().clone(),
-                    offset: 0,
-                    len,
-                }),
-                remote: RemoteAddr {
-                    node: NodeId(dst),
-                    rkey: Rkey(rkey),
-                    offset: 0,
-                },
-                imm: handle,
-            });
-            match r {
-                Ok(()) => {
-                    self.write_bufs.insert(msg_id, buf);
-                    self.sends.insert(msg_id, SendState::WriteInflight { dst });
-                }
-                Err(_) => {
-                    self.sends.insert(msg_id, SendState::Done(buf));
-                }
-            }
-            let rank = self.rank;
-            if let Some(o) = &mut self.obs {
-                // Write-mode sender: the CTS hand-off ends its part of
-                // the protocol (the write is one-sided from here).
-                o.exit(
-                    Subject::Peer { rank, peer: dst },
-                    "rendezvous",
-                    &[("msg_id", msg_id), ("phase", 1)],
-                );
-            }
+        // A request that moved to `Failed` (peer marked dead) stays as
+        // it is, reapable.
+        let Some(sr) = self.sends.get_mut(&msg_id) else {
+            return;
+        };
+        let SendPhase::AwaitCts { dst } = sr.phase else {
+            return;
+        };
+        let r = self.peers[dst as usize].qp.post_send(SendWr::RdmaWriteImm {
+            wr_id: K_RDMA_WRITE | msg_id,
+            sges: SgeList::single(Sge {
+                mr: sr.buf.region().clone(),
+                offset: 0,
+                len: sr.buf.len(),
+            }),
+            remote: RemoteAddr {
+                node: NodeId(dst),
+                rkey: Rkey(rkey),
+                offset: 0,
+            },
+            imm: handle,
+        });
+        sr.phase = match r {
+            Ok(()) => SendPhase::WriteInflight { dst },
+            Err(_) => SendPhase::Done,
+        };
+        let rank = self.rank;
+        if let Some(o) = &mut self.obs {
+            // Write-mode sender: the CTS hand-off ends its part of
+            // the protocol (the write is one-sided from here).
+            o.exit(
+                Subject::Peer { rank, peer: dst },
+                "rendezvous",
+                &[("msg_id", msg_id), ("phase", 1)],
+            );
         }
     }
 
     /// A rendezvous-read FIN arrived: the receiver pulled the data.
     fn on_fin(&mut self, msg_id: u64) {
-        if matches!(self.sends.get(&msg_id), Some(SendState::AwaitFin { .. })) {
-            let Some(SendState::AwaitFin { buf, dst }) = self.sends.remove(&msg_id) else {
-                unreachable!()
-            };
-            self.sends.insert(msg_id, SendState::Done(buf));
-            let rank = self.rank;
-            if let Some(o) = &mut self.obs {
-                o.exit(
-                    Subject::Peer { rank, peer: dst },
-                    "rendezvous",
-                    &[("msg_id", msg_id), ("phase", 2)],
-                );
-            }
+        let Some(sr) = self.sends.get_mut(&msg_id) else {
+            return;
+        };
+        let SendPhase::AwaitFin { dst } = sr.phase else {
+            return;
+        };
+        sr.phase = SendPhase::Done;
+        let rank = self.rank;
+        if let Some(o) = &mut self.obs {
+            o.exit(
+                Subject::Peer { rank, peer: dst },
+                "rendezvous",
+                &[("msg_id", msg_id), ("phase", 2)],
+            );
         }
     }
 
@@ -1737,9 +1703,7 @@ impl Endpoint {
                 let len = len as usize;
                 let payload = &frame[HEADER_LEN..HEADER_LEN + len];
                 if let Some(req) = self.matcher.arrive(src, tag) {
-                    if let Some(RecvState::Posted { buf }) = self.recvs.remove(&req) {
-                        self.deliver_data(req, buf, src, tag, payload);
-                    }
+                    self.deliver_data(req, src, tag, payload);
                 } else {
                     self.stats.unexpected_arrivals += 1;
                     let mut data = self.frames.acquire(len);
@@ -1778,122 +1742,53 @@ impl Endpoint {
                 len,
             } => {
                 spin_for(self.cfg.interrupt_overhead);
-                let total = total as usize;
-                let key = ((src as u64) << 48) ^ msg_id;
-                let asm = self.sock_assembly.entry(key).or_insert_with(|| SockAssembly {
-                    src,
-                    tag,
-                    total,
-                    got: 0,
-                    data: vec![0u8; total],
-                });
-                let (off, len) = (offset as usize, len as usize);
-                // Kernel copy: driver ring -> socket buffer.
-                asm.data[off..off + len]
-                    .copy_from_slice(&frame[HEADER_LEN..HEADER_LEN + len]);
-                asm.got += len;
-                let done = asm.got >= asm.total || asm.total == 0;
-                self.count_copy(len);
-                if done {
-                    let asm = self.sock_assembly.remove(&key).expect("present");
-                    if let Some(req) = self.matcher.arrive(asm.src, asm.tag) {
-                        if let Some(RecvState::Posted { buf }) = self.recvs.remove(&req) {
-                            // Final copy: socket buffer -> user.
-                            self.deliver_data(req, buf, asm.src, asm.tag, &asm.data);
-                        }
-                    } else {
-                        self.stats.unexpected_arrivals += 1;
-                        self.matcher.park(
-                            asm.src,
-                            asm.tag,
-                            Parked::Data {
-                                data: asm.data,
-                                extra_copies: 0,
-                            },
-                        );
-                    }
-                }
+                let len = len as usize;
+                let done = sock_segment(
+                    &mut self.sock_assembly,
+                    &mut self.frames,
+                    (src, tag, msg_id),
+                    total as usize,
+                    offset as usize,
+                    len,
+                    |dst| dst.copy_from_slice(&frame[HEADER_LEN..HEADER_LEN + len]),
+                );
+                self.sock_arrived(len, done);
             }
         }
     }
 
-    /// Complete a receive by copying from a bounce region (eager path).
-    fn deliver_from_mr(
-        &mut self,
-        req: ReqId,
-        mut buf: MsgBuf,
-        src: u32,
-        tag: u64,
-        mr: &MemoryRegion,
-        len: usize,
-    ) {
-        if len > buf.capacity() {
-            self.finish_recv(
-                req,
-                buf,
-                Err(MsgError::Truncated {
-                    incoming: len,
-                    capacity: 0,
-                }),
-            );
-            return;
-        }
-        buf.set_len(len);
-        // Host copy #2: bounce buffer -> user buffer.
-        mr.read_at(HEADER_LEN, buf.as_mut_slice()).expect("payload");
-        self.count_copy(len);
-        self.stats.msgs_received += 1;
-        self.stats.bytes_received += len as u64;
-        self.finish_recv(req, buf, Ok(RecvInfo { src, tag, len }));
-    }
-
-    /// Complete a receive by copying from an owned byte vector
-    /// (unexpected-eager and sockets paths).
-    fn deliver_data(&mut self, req: ReqId, mut buf: MsgBuf, src: u32, tag: u64, data: &[u8]) {
-        if data.len() > buf.capacity() {
-            self.finish_recv(
-                req,
-                buf,
-                Err(MsgError::Truncated {
-                    incoming: data.len(),
-                    capacity: 0,
-                }),
-            );
-            return;
-        }
-        buf.fill_from(data);
-        self.count_copy(data.len());
-        self.stats.msgs_received += 1;
-        self.stats.bytes_received += data.len() as u64;
-        self.finish_recv(
+    /// Complete the posted receive `req` by copying from a byte slice
+    /// (unexpected-eager, reliable and sockets paths).
+    fn deliver_data(&mut self, req: ReqId, src: u32, tag: u64, data: &[u8]) {
+        complete_recv(
+            &mut self.recvs,
+            &mut self.stats,
             req,
-            buf,
-            Ok(RecvInfo {
+            RecvInfo {
                 src,
                 tag,
                 len: data.len(),
-            }),
+            },
+            |buf| buf.fill_from(data),
         );
     }
 
-    fn finish_recv(&mut self, req: ReqId, buf: MsgBuf, result: MsgResult<RecvInfo>) {
-        self.recvs.insert(req, RecvState::Done(buf, result));
-    }
-
+    /// Re-arm the bounce receive `(peer, idx)` after its completion was
+    /// consumed. A QP that refuses the receive has left `Rts`: on a
+    /// live endpoint that means the connection to `peer` is gone, so
+    /// the peer is marked failed; on a failed endpoint it is our own
+    /// crash and there is nothing left to arm.
     fn repost_rx(&mut self, peer: u32, idx: u32) {
-        if peer == SRQ_PEER {
-            let (srq, bufs) = self.srq.as_ref().expect("SRQ slot without SRQ");
-            srq.post_recv(RecvWr::new(
-                rx_wr_id(SRQ_PEER, idx),
-                SgeList::single(Sge::whole(&bufs[idx as usize])),
-            ))
-            .expect("repost pooled recv");
-        } else {
-            let ps = &self.peers[peer as usize];
-            let mr = &ps.rx_bufs[idx as usize];
-            ps.qp
-                .post_recv(RecvWr::new(rx_wr_id(peer, idx), SgeList::single(Sge::whole(mr))))
-                .expect("repost bounce recv");
+        let wr = RecvWr::new(
+            rx_wr_id(peer, idx),
+            SgeList::single(Sge::whole(rx_buffer(&self.peers, &self.srq, peer, idx))),
+        );
+        let posted = match &self.srq {
+            Some((srq, _)) if peer == SRQ_PEER => srq.post_recv(wr),
+            _ => self.peers[peer as usize].qp.post_recv(wr),
+        };
+        if posted.is_err() && !self.down && peer != SRQ_PEER {
+            self.mark_peer_failed(peer);
         }
     }
 
@@ -1951,9 +1846,7 @@ impl Endpoint {
         let slot = self.acquire_tx_slot_quiet()?;
         let mr = self.tx_slots[slot].take().expect("slot acquired");
         mr.write_at(0, frame)?;
-        if let Some(seq) = rel {
-            self.tx_slot_rel.insert(slot, (dst, seq));
-        }
+        self.tx_slot_rel[slot] = rel.map(|seq| (dst, seq));
         let r = self.peers[dst as usize].qp.post_send(SendWr::Send {
             wr_id: K_TX_BOUNCE | slot as u64,
             sges: SgeList::single(Sge {
@@ -1965,7 +1858,7 @@ impl Endpoint {
         });
         self.tx_slots[slot] = Some(mr);
         if r.is_err() {
-            self.tx_slot_rel.remove(&slot);
+            self.tx_slot_rel[slot] = None;
             self.tx_free.push(slot);
         }
         Ok(r?)
@@ -2122,6 +2015,7 @@ impl Endpoint {
             .nic
             .register(self.pd, self.cfg.eager_buf_size + HEADER_LEN)?;
         self.tx_slots.push(Some(mr));
+        self.tx_slot_rel.push(None);
         self.stats.tx_pool_growth += 1;
         Ok(self.tx_slots.len() - 1)
     }
@@ -2141,6 +2035,91 @@ impl Endpoint {
     fn count_copy(&mut self, bytes: usize) {
         self.stats.host_copies += 1;
         self.stats.host_copy_bytes += bytes as u64;
+    }
+}
+
+/// The eager bounce region behind an rx completion cookie. A free
+/// function over the two fields that hold such regions, so a caller can
+/// borrow one while it updates other parts of the endpoint.
+fn rx_buffer<'a>(
+    peers: &'a [PeerState],
+    srq: &'a Option<(SharedReceiveQueue, Vec<MemoryRegion>)>,
+    peer: u32,
+    idx: u32,
+) -> &'a MemoryRegion {
+    if peer == SRQ_PEER {
+        &srq.as_ref().expect("SRQ slot without SRQ").1[idx as usize]
+    } else {
+        &peers[peer as usize].rx_bufs[idx as usize]
+    }
+}
+
+/// Complete the posted receive `req` with the payload `info` describes:
+/// `copy_in` writes it into the request's buffer (one host copy), unless
+/// the buffer is too small, which completes the request with
+/// [`MsgError::Truncated`] instead.
+fn complete_recv(
+    recvs: &mut FastHashMap<ReqId, RecvReq>,
+    stats: &mut EndpointStats,
+    req: ReqId,
+    info: RecvInfo,
+    copy_in: impl FnOnce(&mut MsgBuf),
+) {
+    let Some(rr) = recvs.get_mut(&req) else {
+        return;
+    };
+    if info.len > rr.buf.capacity() {
+        rr.phase = RecvPhase::Done(Err(MsgError::Truncated {
+            incoming: info.len,
+            capacity: rr.buf.capacity(),
+        }));
+        return;
+    }
+    copy_in(&mut rr.buf);
+    rr.phase = RecvPhase::Done(Ok(info));
+    stats.host_copies += 1;
+    stats.host_copy_bytes += info.len as u64;
+    stats.msgs_received += 1;
+    stats.bytes_received += info.len as u64;
+}
+
+/// Sockets-baseline reassembly: copy one segment's payload (through
+/// `copy_in`, which fills the slice it is given) into its message's
+/// buffer, and return the assembly once every byte has arrived. A
+/// message that fits one segment never enters the table.
+fn sock_segment(
+    table: &mut FastHashMap<u64, SockAssembly>,
+    frames: &mut FramePool,
+    (src, tag, msg_id): (u32, u64, u64),
+    total: usize,
+    offset: usize,
+    len: usize,
+    copy_in: impl FnOnce(&mut [u8]),
+) -> Option<SockAssembly> {
+    let add = |asm: &mut SockAssembly| {
+        copy_in(&mut asm.data[offset..offset + len]);
+        asm.got += len;
+        asm.got >= asm.total
+    };
+    match table.entry(((src as u64) << 48) ^ msg_id) {
+        Entry::Occupied(mut e) => add(e.get_mut()).then(|| e.remove()),
+        Entry::Vacant(v) => {
+            let mut data = frames.acquire(total);
+            data.resize(total, 0);
+            let mut asm = SockAssembly {
+                src,
+                tag,
+                total,
+                got: 0,
+                data,
+            };
+            if add(&mut asm) {
+                Some(asm)
+            } else {
+                v.insert(asm);
+                None
+            }
+        }
     }
 }
 
@@ -2183,6 +2162,52 @@ mod tests {
     fn create_world_rejects_sentinel_sized_worlds() {
         let fabric = polaris_nic::prelude::Fabric::new();
         let _ = Endpoint::create_world(&fabric, u32::MAX, MsgConfig::default());
+    }
+
+    /// Regression (ROADMAP 5(d), the 1-in-10 `ft::tests` flake): a
+    /// receive completion can be reaped after the QP it must be re-armed
+    /// on has left `Rts`. `repost_rx` used to `expect` the post; it must
+    /// fail the peer instead, and do nothing at all when the endpoint
+    /// itself is the one that went down. The number of clean messages
+    /// before the failure is drawn from a fixed seed.
+    #[test]
+    fn repost_on_a_dead_qp_fails_the_peer_not_the_process() {
+        let mut rng = SplitMix64::new(0x5d);
+        for own_crash in [false, true] {
+            let clean = rng.next_below(6);
+            let fabric = Fabric::new();
+            let mut eps = Endpoint::create_world(&fabric, 3, MsgConfig::default()).unwrap();
+            let (head, tail) = eps.split_at_mut(1);
+            let ep0 = &mut head[0];
+            let (mid, last) = tail.split_at_mut(1);
+            let (ep1, ep2) = (&mut mid[0], &mut last[0]);
+            let buf = ep0.alloc(8).unwrap();
+            let pending = ep0.irecv(MatchSpec::exact(1, 99), buf).unwrap();
+            for tag in 0..clean {
+                ep1.send_slice(0, tag, b"ok").unwrap();
+                assert_eq!(ep0.recv_vec(MatchSpec::exact(1, tag), 8).unwrap().0, b"ok");
+            }
+            // This message's receive completion now sits in ep0's CQ.
+            ep1.send_slice(0, clean, b"last").unwrap();
+            if own_crash {
+                ep0.fail();
+                ep0.progress();
+                assert!(ep0.failed_peers.is_empty(), "our own crash fails no peer");
+                let buf = ep0.alloc(8).unwrap();
+                assert_eq!(ep0.isend(1, 0, buf).unwrap_err(), MsgError::EndpointDown);
+                continue;
+            }
+            // Between the CQE and the repost, the connection to rank 1
+            // breaks.
+            ep0.peers[1].qp.set_error();
+            ep0.progress();
+            assert_eq!(ep0.wait_recv(pending).unwrap_err(), MsgError::PeerFailed(1));
+            let buf = ep0.alloc(8).unwrap();
+            assert_eq!(ep0.isend(1, 0, buf).unwrap_err(), MsgError::PeerFailed(1));
+            // The connection to rank 2 is untouched.
+            ep2.send_slice(0, 5, b"fine").unwrap();
+            assert_eq!(ep0.recv_vec(MatchSpec::exact(2, 5), 8).unwrap().0, b"fine");
+        }
     }
 
     /// Regression: wire seqs are 32-bit; crossing `u32::MAX` must keep

@@ -346,18 +346,31 @@ mod tests {
 
     #[test]
     fn truncation_is_reported_not_corrupted() {
-        let (_f, mut eps) = world(2, MsgConfig::with_protocol(Protocol::Rendezvous));
-        let (e1, rest) = eps.split_at_mut(1);
-        let (ep0, ep1) = (&mut e1[0], &mut rest[0]);
-        let mut sbuf = ep0.alloc(1024).unwrap();
-        sbuf.fill_from(&payload(1024));
-        let sreq = ep0.isend(1, 1, sbuf).unwrap();
-        let small = ep1.alloc(16).unwrap();
-        let req = ep1.irecv(MatchSpec::exact(0, 1), small).unwrap();
-        let err = ep1.wait_recv(req).unwrap_err();
-        assert!(matches!(err, MsgError::Truncated { incoming: 1024, .. }));
-        // The sender still completes (FIN is sent on refusal).
-        ep0.wait_send(sreq).unwrap();
+        // One case per delivery path: RTS refusal, bounce copy, and the
+        // reassembled-slice copy. A 16-byte request gets the pool's
+        // 64-byte class, and that real capacity is what is reported.
+        for proto in [Protocol::Rendezvous, Protocol::Eager, Protocol::Sockets] {
+            let (_f, mut eps) = world(2, MsgConfig::with_protocol(proto));
+            let (e1, rest) = eps.split_at_mut(1);
+            let (ep0, ep1) = (&mut e1[0], &mut rest[0]);
+            let mut sbuf = ep0.alloc(1024).unwrap();
+            sbuf.fill_from(&payload(1024));
+            let sreq = ep0.isend(1, 1, sbuf).unwrap();
+            let small = ep1.alloc(16).unwrap();
+            let req = ep1.irecv(MatchSpec::exact(0, 1), small).unwrap();
+            let err = ep1.wait_recv(req).unwrap_err();
+            assert_eq!(
+                err,
+                MsgError::Truncated {
+                    incoming: 1024,
+                    capacity: 64
+                },
+                "{proto:?}"
+            );
+            assert_eq!(err.to_string(), "message of 1024 bytes truncated to 64");
+            // The sender still completes (FIN is sent on refusal).
+            ep0.wait_send(sreq).unwrap();
+        }
     }
 
     #[test]

@@ -56,59 +56,73 @@ fn allocs() -> u64 {
     ALLOCS.with(Cell::get)
 }
 
-/// One matched eager round trip: rank 0 sends, rank 1 receives, both
-/// buffers come back to the caller for reuse.
-fn eager_round(
-    eps: &mut [Endpoint],
-    sbuf: MsgBuf,
-    rbuf: MsgBuf,
-    tag: u64,
-) -> (MsgBuf, MsgBuf) {
+/// One matched round trip: rank 0 sends, rank 1 receives, both buffers
+/// come back to the caller for reuse.
+fn round(eps: &mut [Endpoint], sbuf: MsgBuf, rbuf: MsgBuf, tag: u64) -> (MsgBuf, MsgBuf) {
     let (a, b) = eps.split_at_mut(1);
     let ep0 = &mut a[0];
     let ep1 = &mut b[0];
+    let len = sbuf.len();
     let rreq = ep1.irecv(MatchSpec::exact(0, tag), rbuf).unwrap();
     let sreq = ep0.isend(1, tag, sbuf).unwrap();
     let (rbuf, info) = ep1.wait_recv(rreq).unwrap();
-    assert_eq!(info.len, 64);
+    assert_eq!(info.len, len);
+    // Rendezvous-read: the sender's FIN arrives only once the receiver
+    // has reaped its read completion, which `wait_recv` just did.
     let sbuf = ep0.wait_send(sreq).unwrap();
     (sbuf, rbuf)
 }
 
-#[test]
-fn eager_steady_state_is_allocation_free() {
+/// Heap allocations made by 1000 steady-state messages of `len` bytes
+/// under `proto`, after a 200-message warm-up that lets every
+/// lazily-grown structure (CQ ring, scratch, match queues, request
+/// tables, tx window, frame pool) reach its steady size.
+fn steady_state_allocs(proto: Protocol, len: usize) -> u64 {
     let fabric = Fabric::new();
-    let mut eps = Endpoint::create_world(&fabric, 2, MsgConfig::default()).unwrap();
-
-    let mut sbuf = eps[0].alloc(64).unwrap();
-    sbuf.fill_from(&[7u8; 64]);
-    let rbuf = eps[1].alloc(64).unwrap();
-
-    // Warm-up: let every lazily-grown structure (CQ ring, scratch,
-    // match queues, request tables, tx window) reach its steady size.
-    let (mut sbuf, mut rbuf) = (sbuf, rbuf);
+    let mut eps = Endpoint::create_world(&fabric, 2, MsgConfig::with_protocol(proto)).unwrap();
+    let mut sbuf = eps[0].alloc(len).unwrap();
+    sbuf.fill_from(&vec![7u8; len]);
+    let mut rbuf = eps[1].alloc(len).unwrap();
     for tag in 0..200u64 {
-        let (s, r) = eager_round(&mut eps, sbuf, rbuf, tag);
-        sbuf = s;
-        rbuf = r;
+        (sbuf, rbuf) = round(&mut eps, sbuf, rbuf, tag);
     }
-
     let before = allocs();
-    const MSGS: u64 = 1000;
-    for tag in 0..MSGS {
-        let (s, r) = eager_round(&mut eps, sbuf, rbuf, 1000 + tag);
-        sbuf = s;
-        rbuf = r;
+    for tag in 0..1000u64 {
+        (sbuf, rbuf) = round(&mut eps, sbuf, rbuf, 1000 + tag);
     }
     let delta = allocs() - before;
-    assert_eq!(
-        delta, 0,
-        "eager steady state must not allocate (got {delta} allocations \
-         over {MSGS} messages)"
-    );
-
+    let sent = eps[0].stats();
+    match proto {
+        Protocol::Rendezvous => assert_eq!(sent.rendezvous_sends, 1200),
+        Protocol::Sockets => assert!(sent.sockets_segments >= 1200),
+        _ => assert_eq!(sent.eager_sends, 1200),
+    }
     eps[0].release(sbuf);
     eps[1].release(rbuf);
+    delta
+}
+
+#[test]
+fn eager_steady_state_is_allocation_free() {
+    assert_eq!(steady_state_allocs(Protocol::Eager, 64), 0);
+}
+
+#[test]
+fn rendezvous_read_steady_state_is_allocation_free() {
+    // RTS, RDMA read and FIN per message: two control frames through
+    // bounce slots, one one-sided read, five completions.
+    assert_eq!(MsgConfig::default().rendezvous_mode, RendezvousMode::Read);
+    assert_eq!(steady_state_allocs(Protocol::Rendezvous, 64), 0);
+    assert_eq!(steady_state_allocs(Protocol::Rendezvous, 16 << 10), 0);
+}
+
+#[test]
+fn sockets_steady_state_is_allocation_free() {
+    // One segment: the reassembly buffer comes from the frame pool and
+    // never enters the table. Twelve segments: it does, and the table
+    // and the pool have both reached their steady size.
+    assert_eq!(steady_state_allocs(Protocol::Sockets, 64), 0);
+    assert_eq!(steady_state_allocs(Protocol::Sockets, 16 << 10), 0);
 }
 
 #[test]
@@ -130,7 +144,7 @@ fn reliable_eager_steady_state_recycles_frames() {
     sbuf.fill_from(&[3u8; 64]);
     let mut rbuf = eps[1].alloc(64).unwrap();
     for tag in 0..200u64 {
-        let (s, r) = eager_round(&mut eps, sbuf, rbuf, tag);
+        let (s, r) = round(&mut eps, sbuf, rbuf, tag);
         sbuf = s;
         rbuf = r;
         // Reliable eager completes locally, so nothing above blocks on
@@ -141,7 +155,7 @@ fn reliable_eager_steady_state_recycles_frames() {
 
     let pool_before = eps[0].frame_pool_stats();
     for tag in 0..300u64 {
-        let (s, r) = eager_round(&mut eps, sbuf, rbuf, 1000 + tag);
+        let (s, r) = round(&mut eps, sbuf, rbuf, 1000 + tag);
         sbuf = s;
         rbuf = r;
         eps[0].progress();

@@ -7,9 +7,8 @@
 
 use crate::error::{NicError, Result};
 use crate::types::QpNum;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -60,13 +59,23 @@ pub struct Cqe {
     pub qp: QpNum,
 }
 
+/// Everything a push or a poll touches, behind one lock.
+struct CqState {
+    queue: VecDeque<Cqe>,
+    /// Latched by a push that found the queue full.
+    overflowed: bool,
+    /// Number of completions ever delivered (stats / ablations).
+    delivered: u64,
+    /// Threads parked in [`CompletionQueue::wait_one`] right now.
+    sleepers: usize,
+    /// Pushes that found a sleeper and signalled the condvar.
+    wakeups: u64,
+}
+
 struct CqInner {
-    queue: Mutex<VecDeque<Cqe>>,
+    state: Mutex<CqState>,
     cond: Condvar,
     capacity: usize,
-    overflowed: Mutex<bool>,
-    /// Number of completions ever delivered (stats / ablations).
-    delivered: AtomicU64,
 }
 
 /// A completion queue handle. Cloning shares the queue.
@@ -81,34 +90,50 @@ impl CompletionQueue {
         assert!(capacity > 0, "CQ capacity must be nonzero");
         CompletionQueue {
             inner: Arc::new(CqInner {
-                queue: Mutex::new(VecDeque::with_capacity(capacity.min(1024))),
+                state: Mutex::new(CqState {
+                    queue: VecDeque::with_capacity(capacity.min(1024)),
+                    overflowed: false,
+                    delivered: 0,
+                    sleepers: 0,
+                    wakeups: 0,
+                }),
                 cond: Condvar::new(),
                 capacity,
-                overflowed: Mutex::new(false),
-                delivered: AtomicU64::new(0),
             }),
         }
     }
 
     /// Push a completion (NIC side). Overflow latches an error that
     /// surfaces on the next poll, as real hardware raises a fatal event.
+    ///
+    /// The condvar is signalled only when a thread is parked in
+    /// `wait_one`: a sleeper registers under the same lock the push
+    /// takes, so the push either sees it or the sleeper sees the entry.
+    /// The vendored condvar makes a system call per `notify`, which a
+    /// polled queue must not pay per completion.
     pub(crate) fn push(&self, cqe: Cqe) {
-        let mut q = self.inner.queue.lock();
-        if q.len() >= self.inner.capacity {
-            *self.inner.overflowed.lock() = true;
+        let mut st = self.inner.state.lock();
+        if st.queue.len() >= self.inner.capacity {
+            st.overflowed = true;
             return;
         }
-        q.push_back(cqe);
-        self.inner.delivered.fetch_add(1, Ordering::Relaxed);
-        drop(q);
-        self.inner.cond.notify_all();
+        st.queue.push_back(cqe);
+        st.delivered += 1;
+        let wake = st.sleepers > 0;
+        st.wakeups += u64::from(wake);
+        drop(st);
+        if wake {
+            self.inner.cond.notify_all();
+        }
     }
 
-    fn check_overflow(&self) -> Result<()> {
-        if *self.inner.overflowed.lock() {
+    /// Lock the queue, surfacing a latched overflow.
+    fn lock_checked(&self) -> Result<MutexGuard<'_, CqState>> {
+        let st = self.inner.state.lock();
+        if st.overflowed {
             Err(NicError::CqOverflow)
         } else {
-            Ok(())
+            Ok(st)
         }
     }
 
@@ -124,18 +149,16 @@ impl CompletionQueue {
     /// call this every iteration; reusing the buffer keeps steady-state
     /// polling allocation-free. Returns the number of entries reaped.
     pub fn poll_into(&self, out: &mut Vec<Cqe>, max: usize) -> Result<usize> {
-        self.check_overflow()?;
+        let mut st = self.lock_checked()?;
         out.clear();
-        let mut q = self.inner.queue.lock();
-        let n = max.min(q.len());
-        out.extend(q.drain(..n));
+        let n = max.min(st.queue.len());
+        out.extend(st.queue.drain(..n));
         Ok(n)
     }
 
     /// Non-blocking poll of a single completion.
     pub fn poll_one(&self) -> Result<Option<Cqe>> {
-        self.check_overflow()?;
-        Ok(self.inner.queue.lock().pop_front())
+        Ok(self.lock_checked()?.queue.pop_front())
     }
 
     /// Busy-poll until a completion arrives or `timeout` elapses.
@@ -157,46 +180,41 @@ impl CompletionQueue {
     /// `timeout` elapses. This is the core-friendly mode.
     pub fn wait_one(&self, timeout: Duration) -> Result<Cqe> {
         let deadline = Instant::now() + timeout;
-        let mut q = self.inner.queue.lock();
+        let mut st = self.inner.state.lock();
         loop {
-            self.check_overflow_locked()?;
-            if let Some(c) = q.pop_front() {
+            if st.overflowed {
+                return Err(NicError::CqOverflow);
+            }
+            if let Some(c) = st.queue.pop_front() {
                 return Ok(c);
             }
-            let now = Instant::now();
-            if now >= deadline {
+            if Instant::now() >= deadline {
                 return Err(NicError::Timeout);
             }
-            if self
-                .inner
-                .cond
-                .wait_until(&mut q, deadline)
-                .timed_out()
-            {
-                return match q.pop_front() {
-                    Some(c) => Ok(c),
-                    None => Err(NicError::Timeout),
-                };
+            st.sleepers += 1;
+            let timed_out = self.inner.cond.wait_until(&mut st, deadline).timed_out();
+            st.sleepers -= 1;
+            if timed_out {
+                return st.queue.pop_front().ok_or(NicError::Timeout);
             }
-        }
-    }
-
-    fn check_overflow_locked(&self) -> Result<()> {
-        if *self.inner.overflowed.lock() {
-            Err(NicError::CqOverflow)
-        } else {
-            Ok(())
         }
     }
 
     /// Completions currently waiting to be reaped.
     pub fn depth(&self) -> usize {
-        self.inner.queue.lock().len()
+        self.inner.state.lock().queue.len()
     }
 
     /// Total completions ever delivered to this CQ.
     pub fn delivered(&self) -> u64 {
-        self.inner.delivered.load(Ordering::Relaxed)
+        self.inner.state.lock().delivered
+    }
+
+    /// How many pushes signalled the condvar because a thread was parked
+    /// in [`wait_one`](Self::wait_one). A queue that is only ever polled
+    /// reports zero.
+    pub fn wakeups(&self) -> u64 {
+        self.inner.state.lock().wakeups
     }
 }
 
@@ -273,6 +291,64 @@ mod tests {
         thread::sleep(Duration::from_millis(20));
         cq.push(cqe(77));
         assert_eq!(h.join().unwrap().wr_id, 77);
+    }
+
+    /// A push signals the condvar only when it finds a registered
+    /// sleeper, so a lost wake-up would be a hand-off that waits out its
+    /// whole timeout. Two threads bounce a token through two queues:
+    /// every hand-off is a push on one thread and a `wait_one` on the
+    /// other, and the waiter is sometimes parked, sometimes still on its
+    /// way in, sometimes already past the queue check.
+    #[test]
+    fn cross_thread_wait_one_loses_no_wakeup() {
+        const HANDOFFS: u64 = 10_000;
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let left = move || deadline.saturating_duration_since(Instant::now());
+        let (ping, pong) = (CompletionQueue::new(4), CompletionQueue::new(4));
+        let (ping2, pong2) = (ping.clone(), pong.clone());
+        let echo = thread::spawn(move || {
+            for i in 0..HANDOFFS {
+                assert_eq!(ping2.wait_one(left()).expect("ping").wr_id, i);
+                pong2.push(cqe(i));
+            }
+        });
+        for i in 0..HANDOFFS {
+            ping.push(cqe(i));
+            assert_eq!(pong.wait_one(left()).expect("pong").wr_id, i);
+        }
+        echo.join().unwrap();
+        assert_eq!(ping.delivered() + pong.delivered(), 2 * HANDOFFS);
+        let wakeups = ping.wakeups() + pong.wakeups();
+        assert!(wakeups > 0, "no push ever found its waiter parked");
+        assert!(wakeups <= 2 * HANDOFFS);
+    }
+
+    #[test]
+    fn polled_queue_never_signals() {
+        let cq = CompletionQueue::new(8);
+        let mut scratch = Vec::with_capacity(8);
+        for i in 0..1000 {
+            cq.push(cqe(i));
+            assert_eq!(cq.poll_into(&mut scratch, 8).unwrap(), 1);
+            cq.push(cqe(i));
+            assert!(cq.poll_one().unwrap().is_some());
+            cq.push(cqe(i));
+            assert!(cq.spin_one(Duration::from_secs(1)).is_ok());
+        }
+        assert_eq!(cq.delivered(), 3000);
+        assert_eq!(cq.wakeups(), 0);
+    }
+
+    #[test]
+    fn wait_one_reports_a_latched_overflow() {
+        let cq = CompletionQueue::new(1);
+        cq.push(cqe(0));
+        cq.push(cqe(1)); // latches overflow
+        assert_eq!(
+            cq.wait_one(Duration::from_secs(1)),
+            Err(NicError::CqOverflow)
+        );
+        assert_eq!(cq.poll_one(), Err(NicError::CqOverflow));
     }
 
     #[test]

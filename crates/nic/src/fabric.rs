@@ -15,15 +15,15 @@ use crate::chaos::{ChaosParams, ChaosState, ChaosStats, ChaosVerdict};
 use crate::cq::CompletionQueue;
 use crate::error::{NicError, Result};
 use crate::mr::{MemoryRegion, MrInner, ProtectionDomain};
-use crate::qp::{QpInner, QpState, QueuePair, RecvState};
+use crate::qp::{PeerLink, QpInner, QpObs, QpState, QueuePair};
 use crate::srq::SharedReceiveQueue;
 use crate::types::{NodeId, PdId, QpNum, Rkey};
 use parking_lot::{Mutex, RwLock};
 use polaris_obs::{Counter, Obs};
+use polaris_simnet::fasthash::FastHashMap;
 use polaris_simnet::shard::Partition;
 use std::collections::HashMap;
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
 /// Fabric-wide data-movement statistics.
@@ -43,8 +43,13 @@ pub(crate) struct NicInner {
     node: NodeId,
     next_pd: AtomicU32,
     next_qp: AtomicU32,
-    mrs: RwLock<HashMap<Rkey, Weak<MrInner>>>,
-    qps: RwLock<HashMap<QpNum, Arc<QpInner>>>,
+    /// Rkeys come from this process's own counter, so the map needs no
+    /// collision-resistant hash.
+    mrs: RwLock<FastHashMap<Rkey, Weak<MrInner>>>,
+    /// The NIC owns its queue pairs for as long as the fabric stands
+    /// (there is no destroy verb); peers reach each other through the
+    /// link `Fabric::connect` caches, never through this list.
+    qps: Mutex<Vec<Arc<QpInner>>>,
 }
 
 /// Fabric-wide observability hooks: the shared plane plus counter
@@ -75,45 +80,55 @@ impl FabObs {
 }
 
 pub(crate) struct FabricInner {
-    nodes: RwLock<HashMap<NodeId, Arc<NicInner>>>,
-    next_node: AtomicU32,
+    /// Indexed by `NodeId`: ids are handed out densely from zero.
+    nodes: RwLock<Vec<Arc<NicInner>>>,
     dma_ops: AtomicU64,
     dma_bytes: AtomicU64,
     registrations: AtomicU64,
     registered_bytes: AtomicU64,
     /// Fault injection for two-sided sends; `None` = healthy fabric.
     chaos: Mutex<Option<ChaosState>>,
-    /// Observability plane; `None` = unobserved (zero overhead).
+    /// Whether `chaos` is `Some`, written under its lock: a healthy
+    /// fabric pays one load per send, not a lock.
+    chaos_armed: AtomicBool,
+    /// Observability plane; `None` = unobserved.
     obs: RwLock<Option<Arc<FabObs>>>,
+    /// Whether `obs` is `Some`, written under its lock: an unobserved
+    /// fabric pays one load per counted event, not a lock.
+    observed: AtomicBool,
     /// Engine-shard affinity per node (see [`Fabric::assign_shards`]);
     /// unmapped nodes implicitly live on shard 0.
     shards: RwLock<HashMap<NodeId, u32>>,
 }
 
 impl FabricInner {
-    pub(crate) fn lookup_qp(&self, node: NodeId, qp: QpNum) -> Result<Arc<QpInner>> {
-        let nodes = self.nodes.read();
-        let nic = nodes.get(&node).ok_or(NicError::UnknownNode(node))?;
-        let qps = nic.qps.read();
-        qps.get(&qp).cloned().ok_or(NicError::NotConnected(qp))
-    }
-
     pub(crate) fn lookup_mr(&self, node: NodeId, rkey: Rkey) -> Result<Arc<MrInner>> {
         let nodes = self.nodes.read();
-        let nic = nodes.get(&node).ok_or(NicError::UnknownNode(node))?;
+        let nic = nodes
+            .get(node.0 as usize)
+            .ok_or(NicError::UnknownNode(node))?;
         let mrs = nic.mrs.read();
         mrs.get(&rkey)
             .and_then(Weak::upgrade)
             .ok_or(NicError::BadRkey(rkey))
     }
 
+    /// Run `f` on the attached observability plane, if there is one.
+    fn if_observed(&self, f: impl FnOnce(&FabObs)) {
+        if self.observed.load(Ordering::Acquire) {
+            if let Some(fo) = &*self.obs.read() {
+                f(fo);
+            }
+        }
+    }
+
     pub(crate) fn count_dma(&self, bytes: u64) {
         self.dma_ops.fetch_add(1, Ordering::Relaxed);
         self.dma_bytes.fetch_add(bytes, Ordering::Relaxed);
-        if let Some(fo) = &*self.obs.read() {
+        self.if_observed(|fo| {
             fo.dma_ops.inc();
             fo.dma_bytes.add(bytes);
-        }
+        });
     }
 
     pub(crate) fn obs(&self) -> Option<Arc<FabObs>> {
@@ -125,30 +140,25 @@ impl FabricInner {
     /// which is what lets tests reconcile error CQEs against the chaos
     /// layer's injection counts.
     pub(crate) fn count_cqe(&self, ok: bool) {
-        if let Some(fo) = &*self.obs.read() {
+        self.if_observed(|fo| {
             if ok {
-                fo.cqe_ok.inc();
+                fo.cqe_ok.inc()
             } else {
-                fo.cqe_err.inc();
+                fo.cqe_err.inc()
             }
-        }
+        });
     }
 
-    /// Chaos verdict for one two-sided send, plus whether chaos is on
-    /// at all (so the send path can skip CRC work on healthy fabrics).
+    /// Chaos verdict for one two-sided send, or `None` when chaos is
+    /// off (so the send path can skip CRC work on healthy fabrics).
     pub(crate) fn chaos_judge(&self) -> Option<ChaosVerdict> {
+        if !self.chaos_armed.load(Ordering::Acquire) {
+            return None;
+        }
         let verdict = self.chaos.lock().as_mut().map(ChaosState::judge);
         match verdict {
-            Some(ChaosVerdict::Drop) => {
-                if let Some(fo) = &*self.obs.read() {
-                    fo.chaos_drops.inc();
-                }
-            }
-            Some(ChaosVerdict::Corrupt) => {
-                if let Some(fo) = &*self.obs.read() {
-                    fo.chaos_corruptions.inc();
-                }
-            }
+            Some(ChaosVerdict::Drop) => self.if_observed(|fo| fo.chaos_drops.inc()),
+            Some(ChaosVerdict::Corrupt) => self.if_observed(|fo| fo.chaos_corruptions.inc()),
             _ => {}
         }
         verdict
@@ -171,14 +181,15 @@ impl Fabric {
     pub fn new() -> Self {
         Fabric {
             inner: Arc::new(FabricInner {
-                nodes: RwLock::new(HashMap::new()),
-                next_node: AtomicU32::new(0),
+                nodes: RwLock::new(Vec::new()),
                 dma_ops: AtomicU64::new(0),
                 dma_bytes: AtomicU64::new(0),
                 registrations: AtomicU64::new(0),
                 registered_bytes: AtomicU64::new(0),
                 chaos: Mutex::new(None),
+                chaos_armed: AtomicBool::new(false),
                 obs: RwLock::new(None),
+                observed: AtomicBool::new(false),
                 shards: RwLock::new(HashMap::new()),
             }),
         }
@@ -188,19 +199,25 @@ impl Fabric {
     /// counters land in the registry under `nic_*`; QPs created after
     /// this call additionally get per-QP `nic_qp_*{node,qp}` series.
     pub fn set_obs(&self, obs: Obs) {
-        *self.inner.obs.write() = Some(Arc::new(FabObs::new(obs)));
+        let mut slot = self.inner.obs.write();
+        *slot = Some(Arc::new(FabObs::new(obs)));
+        self.inner.observed.store(true, Ordering::Release);
     }
 
     /// Arm deterministic fault injection on every two-sided send
     /// crossing this fabric (see [`crate::chaos`]). Replaces any
     /// previous chaos configuration and resets its counters.
     pub fn set_chaos(&self, params: ChaosParams) {
-        *self.inner.chaos.lock() = Some(ChaosState::new(params));
+        let mut chaos = self.inner.chaos.lock();
+        *chaos = Some(ChaosState::new(params));
+        self.inner.chaos_armed.store(true, Ordering::Release);
     }
 
     /// Disarm fault injection.
     pub fn clear_chaos(&self) {
-        *self.inner.chaos.lock() = None;
+        let mut chaos = self.inner.chaos.lock();
+        *chaos = None;
+        self.inner.chaos_armed.store(false, Ordering::Release);
     }
 
     /// Counters of injected faults, if chaos is armed.
@@ -210,15 +227,15 @@ impl Fabric {
 
     /// Attach a new NIC (node) to the fabric, assigning the next rank.
     pub fn create_nic(&self) -> Nic {
-        let id = NodeId(self.inner.next_node.fetch_add(1, Ordering::Relaxed));
+        let mut nodes = self.inner.nodes.write();
         let nic = Arc::new(NicInner {
-            node: id,
+            node: NodeId(nodes.len() as u32),
             next_pd: AtomicU32::new(0),
             next_qp: AtomicU32::new(0),
-            mrs: RwLock::new(HashMap::new()),
-            qps: RwLock::new(HashMap::new()),
+            mrs: RwLock::new(FastHashMap::default()),
+            qps: Mutex::new(Vec::new()),
         });
-        self.inner.nodes.write().insert(id, nic.clone());
+        nodes.push(nic.clone());
         Nic {
             inner: nic,
             fabric: Arc::downgrade(&self.inner),
@@ -233,19 +250,21 @@ impl Fabric {
             if st != QpState::Init {
                 return Err(NicError::InvalidQpState {
                     qp: qp.num(),
-                    state: match st {
-                        QpState::Reset => "Reset",
-                        QpState::Init => "Init",
-                        QpState::Rts => "Rts",
-                        QpState::Error => "Error",
-                    },
+                    state: st.name(),
                 });
             }
         }
-        *a.inner.peer.lock() = Some((b.node(), b.num()));
-        *b.inner.peer.lock() = Some((a.node(), a.num()));
-        *a.inner.state.lock() = QpState::Rts;
-        *b.inner.state.lock() = QpState::Rts;
+        for (qp, peer) in [(a, b), (b, a)] {
+            // Both were just seen in `Init`, so neither is connected
+            // yet; a loopback QP sets its one cell twice, to itself.
+            let _ = qp.inner.peer.set(PeerLink {
+                node: peer.node(),
+                num: peer.num(),
+                qp: Arc::downgrade(&peer.inner),
+            });
+        }
+        a.inner.set_state(QpState::Rts);
+        b.inner.set_state(QpState::Rts);
         Ok(())
     }
 
@@ -285,8 +304,8 @@ impl Fabric {
         let nodes = self.inner.nodes.read();
         let part = Partition::block(nodes.len() as u32, nshards);
         let mut shards = self.inner.shards.write();
-        for &node in nodes.keys() {
-            shards.insert(node, part.shard_of(node.0));
+        for nic in nodes.iter() {
+            shards.insert(nic.node, part.shard_of(nic.node.0));
         }
         part
     }
@@ -391,24 +410,18 @@ impl Nic {
             .fabric
             .upgrade()
             .and_then(|f| f.obs())
-            .map(|fo| crate::qp::QpObs::new(&fo.obs, self.inner.node, num));
-        let qp = Arc::new(QpInner {
+            .map(|fo| QpObs::new(&fo.obs, self.inner.node, num));
+        let qp = Arc::new(QpInner::new(
             num,
-            node: self.inner.node,
+            self.inner.node,
             pd,
-            sq_cq: send_cq.clone(),
-            rq_cq: recv_cq.clone(),
-            state: Mutex::new(QpState::Init),
-            peer: Mutex::new(None),
-            recv: Mutex::new(RecvState {
-                posted: VecDeque::new(),
-                inbound: VecDeque::new(),
-            }),
+            send_cq.clone(),
+            recv_cq.clone(),
             srq,
-            fabric: self.fabric.clone(),
-            obs: qp_obs,
-        });
-        self.inner.qps.write().insert(num, qp.clone());
+            self.fabric.clone(),
+            qp_obs,
+        ));
+        self.inner.qps.lock().push(qp.clone());
         Ok(QueuePair { inner: qp })
     }
 
@@ -842,7 +855,9 @@ mod tests {
         p.b
             .post_recv(RecvWr::new(1, vec![Sge::whole(&dst)]))
             .unwrap();
+        assert_eq!(p.a.peer_alive(), Some(true));
         p.b.set_error();
+        assert_eq!(p.a.peer_alive(), Some(false));
         let c = p.cq_b.poll_one().unwrap().unwrap();
         assert_eq!(c.status, CqeStatus::Flushed);
         assert_eq!(c.wr_id, 1);
@@ -857,6 +872,130 @@ mod tests {
             .unwrap();
         let c = p.cq_a.poll_one().unwrap().unwrap();
         assert_eq!(c.status, CqeStatus::Flushed);
+    }
+
+    /// The peer is reached through the link `connect` cached, not
+    /// through the handle: dropping every `QueuePair` handle of the peer
+    /// leaves it connected, receiving and (to `peer_alive`) alive,
+    /// because its NIC owns it for as long as the fabric stands.
+    #[test]
+    fn send_after_peer_handle_dropped_still_delivers_or_parks() {
+        let Pair {
+            fabric: _fabric,
+            a,
+            b,
+            nic_a,
+            nic_b,
+            pd_a,
+            pd_b,
+            cq_a,
+            cq_b,
+        } = pair();
+        let dst = nic_b.register(pd_b, 8).unwrap();
+        b.post_recv(RecvWr::new(1, vec![Sge::whole(&dst)])).unwrap();
+        drop(b);
+        assert_eq!(a.peer_alive(), Some(true));
+        let src = nic_a.register_from(pd_a, b"orphan").unwrap();
+        for wr_id in [2, 3] {
+            a.post_send(SendWr::Send {
+                wr_id,
+                sges: crate::sge_list![Sge::whole(&src)],
+                imm: None,
+            })
+            .unwrap();
+        }
+        // The first found the posted receive; the second parked.
+        assert_eq!(dst.to_vec(0, 6).unwrap(), b"orphan");
+        assert_eq!(cq_b.poll(4).unwrap().len(), 1);
+        let tx = cq_a.poll(4).unwrap();
+        assert_eq!(tx.len(), 1);
+        assert_eq!((tx[0].wr_id, tx[0].status), (2, CqeStatus::Success));
+    }
+
+    #[test]
+    fn fabric_down_is_reported_at_every_post() {
+        let Pair {
+            fabric,
+            a,
+            b,
+            nic_a,
+            pd_a,
+            ..
+        } = pair();
+        let mr = nic_a.register(pd_a, 8).unwrap();
+        drop(fabric);
+        let send = a.post_send(SendWr::Send {
+            wr_id: 1,
+            sges: crate::sge_list![Sge::whole(&mr)],
+            imm: None,
+        });
+        assert_eq!(send, Err(NicError::FabricDown));
+        let recv = a.post_recv(RecvWr::new(2, vec![Sge::whole(&mr)]));
+        assert_eq!(recv, Err(NicError::FabricDown));
+        assert!(matches!(nic_a.register(pd_a, 8), Err(NicError::FabricDown)));
+        assert_eq!(a.peer_alive(), None);
+        assert_eq!(b.peer(), Some((a.node(), a.num())));
+    }
+
+    /// `set_chaos`, `clear_chaos` and `set_obs` publish through one flag
+    /// each; a change must be seen by the very next post.
+    #[test]
+    fn chaos_and_obs_toggles_take_effect_on_the_next_post() {
+        let p = pair();
+        let src = p.nic_a.register_from(p.pd_a, b"toggle").unwrap();
+        let dst = p.nic_b.register(p.pd_b, 8).unwrap();
+        let post = |wr_id: u64| {
+            p.b.post_recv(RecvWr::new(wr_id, vec![Sge::whole(&dst)]))
+                .unwrap();
+            p.a.post_send(SendWr::Send {
+                wr_id,
+                sges: crate::sge_list![Sge::whole(&src)],
+                imm: None,
+            })
+            .unwrap();
+            p.cq_a.poll_one().unwrap().unwrap().status
+        };
+        assert_eq!(post(0), CqeStatus::Success);
+        p.fabric.set_chaos(ChaosParams::drop_only(1, 1.0));
+        assert_eq!(post(1), CqeStatus::RetryExceeded);
+        p.fabric.clear_chaos();
+        // The receive armed for the dropped send is still posted.
+        assert_eq!(p.b.recv_depths(), (1, 0));
+        assert_eq!(post(2), CqeStatus::Success);
+        assert_eq!(p.fabric.chaos_stats(), None);
+
+        let obs = Obs::new();
+        let (ok, dma) = (
+            obs.counter("nic_cqe_total", &[("status", "ok")]),
+            obs.counter("nic_dma_ops_total", &[]),
+        );
+        p.fabric.set_obs(obs);
+        assert_eq!((ok.get(), dma.get()), (0, 0));
+        assert_eq!(post(3), CqeStatus::Success);
+        // One DMA; a receive and a send completion.
+        assert_eq!((ok.get(), dma.get()), (2, 1));
+    }
+
+    #[test]
+    fn polled_traffic_issues_no_wakeups() {
+        let p = pair();
+        let src = p.nic_a.register_from(p.pd_a, &[1u8; 64]).unwrap();
+        let dst = p.nic_b.register(p.pd_b, 64).unwrap();
+        let mut cqes = Vec::with_capacity(4);
+        for i in 0..500 {
+            p.b.post_recv(RecvWr::new(i, vec![Sge::whole(&dst)]))
+                .unwrap();
+            p.a.post_send(SendWr::Send {
+                wr_id: i,
+                sges: crate::sge_list![Sge::whole(&src)],
+                imm: None,
+            })
+            .unwrap();
+            assert_eq!(p.cq_a.poll_into(&mut cqes, 4).unwrap(), 1);
+            assert_eq!(p.cq_b.poll_into(&mut cqes, 4).unwrap(), 1);
+        }
+        assert_eq!((p.cq_a.delivered(), p.cq_b.delivered()), (500, 500));
+        assert_eq!((p.cq_a.wakeups(), p.cq_b.wakeups()), (0, 0));
     }
 
     #[test]

@@ -9,20 +9,23 @@
 //! receive produces one on the receive CQ, and one-sided RDMA touches the
 //! target's memory without involving its CPU.
 
+use crate::chaos::{crc32, ChaosVerdict};
 use crate::cq::{CompletionQueue, Cqe, CqeOpcode, CqeStatus};
 use crate::error::{NicError, Result};
 use crate::fabric::FabricInner;
-use crate::srq::SharedReceiveQueue;
 use crate::mr::ProtectionDomain;
+use crate::srq::SharedReceiveQueue;
 use crate::types::{NodeId, QpNum, RemoteAddr};
 use crate::wr::{sge_len, RecvWr, SendWr, Sge, SgeList};
 use parking_lot::Mutex;
 use polaris_obs::{Counter, Obs};
 use std::collections::VecDeque;
-use std::sync::{Arc, Weak};
+use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::{Arc, OnceLock, Weak};
 
 /// Queue-pair state machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
 pub enum QpState {
     /// Freshly created; nothing may be posted.
     Reset,
@@ -36,7 +39,7 @@ pub enum QpState {
 }
 
 impl QpState {
-    fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             QpState::Reset => "Reset",
             QpState::Init => "Init",
@@ -46,21 +49,13 @@ impl QpState {
     }
 }
 
-/// An inbound message parked at the target waiting for a receive to be
-/// posted (the virtual equivalent of infinite RNR retry).
-pub(crate) enum Inbound {
+/// What an inbound message carries besides its sender.
+pub(crate) enum Body {
     /// A two-sided send: the sender's gather list is held (keeping its
     /// regions alive) until a receive arrives to scatter into.
     Send {
         sges: SgeList,
         imm: Option<u32>,
-        sender_cq: CompletionQueue,
-        sender_qp: QpNum,
-        /// The sender QP itself, for per-QP completion accounting when
-        /// the CQE is finally generated at delivery time (the parked
-        /// message may outlive the handle, hence weak).
-        sender: Weak<QpInner>,
-        sender_wr_id: u64,
         /// Invariant CRC computed over the payload at post time; only
         /// carried when the fabric's chaos layer is armed.
         icrc: Option<u32>,
@@ -70,15 +65,96 @@ pub(crate) enum Inbound {
     },
     /// An RDMA-write-with-immediate whose data already landed; only the
     /// notification (and receive consumption) is pending.
-    WriteImm {
+    WriteImm { byte_len: usize, imm: u32 },
+}
+
+/// An inbound message parked at the target waiting for a receive to be
+/// posted (the virtual equivalent of infinite RNR retry). Only a message
+/// that finds no receive pays for this owned form; one that finds a
+/// receive posted is delivered from the sender's borrowed state.
+pub(crate) struct Inbound {
+    body: Body,
+    sender_cq: CompletionQueue,
+    sender_qp: QpNum,
+    /// The sender QP itself, for per-QP completion accounting when the
+    /// CQE is finally generated at delivery time (the parked message may
+    /// outlive the handle, hence weak).
+    sender: Weak<QpInner>,
+    sender_wr_id: u64,
+}
+
+impl Inbound {
+    pub(crate) fn park(body: Body, sender: &Arc<QpInner>, wr_id: u64) -> Self {
+        Inbound {
+            body,
+            sender_cq: sender.sq_cq.clone(),
+            sender_qp: sender.num,
+            sender: Arc::downgrade(sender),
+            sender_wr_id: wr_id,
+        }
+    }
+
+    /// Deliver into `recv` at the receiver `rx`, now that one is posted.
+    pub(crate) fn deliver(self, rx: &QpInner, recv: RecvWr, fabric: &FabricInner) {
+        let sender = self.sender.upgrade();
+        let from = Origin {
+            qp: sender.as_deref(),
+            cq: &self.sender_cq,
+            num: self.sender_qp,
+            wr_id: self.sender_wr_id,
+        };
+        deliver(rx, recv, self.body, &from, fabric);
+    }
+}
+
+/// The sender's half of a delivery: which work request completes, and
+/// where its completion goes.
+pub(crate) struct Origin<'a> {
+    /// `None` if the sender QP was dropped while the message was parked;
+    /// only the fabric-wide CQE counter can be credited then.
+    qp: Option<&'a QpInner>,
+    cq: &'a CompletionQueue,
+    num: QpNum,
+    wr_id: u64,
+}
+
+impl<'a> Origin<'a> {
+    pub(crate) fn live(qp: &'a QpInner, wr_id: u64) -> Self {
+        Origin {
+            qp: Some(qp),
+            cq: &qp.sq_cq,
+            num: qp.num,
+            wr_id,
+        }
+    }
+
+    /// Generate the sender-side completion of a remotely-delivered
+    /// operation. Attribution goes through the sender QP's [`note_cqe`]
+    /// (which also bumps the fabric-wide `nic_cqe_total`) so the per-QP
+    /// WQE/CQE books balance — the conservation audit asserts
+    /// `wqe == cqe + armed receives` per fabric.
+    ///
+    /// [`note_cqe`]: QpInner::note_cqe
+    fn complete(
+        &self,
+        fabric: &FabricInner,
+        status: CqeStatus,
+        opcode: CqeOpcode,
         byte_len: usize,
-        imm: u32,
-        sender_cq: CompletionQueue,
-        sender_qp: QpNum,
-        /// See [`Inbound::Send::sender`].
-        sender: Weak<QpInner>,
-        sender_wr_id: u64,
-    },
+    ) {
+        match self.qp {
+            Some(qp) => qp.note_cqe(Some(fabric), status, byte_len),
+            None => fabric.count_cqe(status == CqeStatus::Success),
+        }
+        self.cq.push(Cqe {
+            wr_id: self.wr_id,
+            status,
+            opcode,
+            byte_len,
+            imm: None,
+            qp: self.num,
+        });
+    }
 }
 
 /// Receive-side state guarded by one lock so that match decisions are
@@ -106,12 +182,27 @@ impl QpObs {
         let labels: [(&str, &str); 2] = [("node", &n), ("qp", &q)];
         QpObs {
             wqe_posted: obs.counter("nic_qp_wqe_total", &labels),
-            cqe_ok: obs.counter("nic_qp_cqe_total", &[("node", &n), ("qp", &q), ("status", "ok")]),
-            cqe_err: obs.counter("nic_qp_cqe_total", &[("node", &n), ("qp", &q), ("status", "err")]),
+            cqe_ok: obs.counter(
+                "nic_qp_cqe_total",
+                &[("node", &n), ("qp", &q), ("status", "ok")],
+            ),
+            cqe_err: obs.counter(
+                "nic_qp_cqe_total",
+                &[("node", &n), ("qp", &q), ("status", "err")],
+            ),
             rdma_ops: obs.counter("nic_qp_rdma_total", &labels),
             bytes: obs.counter("nic_qp_bytes_total", &labels),
         }
     }
+}
+
+/// The connected peer, resolved once by `Fabric::connect`.
+pub(crate) struct PeerLink {
+    pub(crate) node: NodeId,
+    pub(crate) num: QpNum,
+    /// Weak: the two ends of a connection must not keep each other
+    /// alive. The peer's NIC owns it for as long as the fabric stands.
+    pub(crate) qp: Weak<QpInner>,
 }
 
 pub(crate) struct QpInner {
@@ -120,9 +211,13 @@ pub(crate) struct QpInner {
     pub(crate) pd: ProtectionDomain,
     pub(crate) sq_cq: CompletionQueue,
     pub(crate) rq_cq: CompletionQueue,
-    pub(crate) state: Mutex<QpState>,
-    /// (peer node, peer qp) once connected.
-    pub(crate) peer: Mutex<Option<(NodeId, QpNum)>>,
+    /// A [`QpState`] discriminant. Stores are `Release` and loads
+    /// `Acquire`: whoever reads `Rts` also sees the `peer` that
+    /// `Fabric::connect` set just before it.
+    state: AtomicU8,
+    /// Set once: `Init → Rts` is one-way, so a QP connects at most once
+    /// and its peer cannot change afterwards.
+    pub(crate) peer: OnceLock<PeerLink>,
     pub(crate) recv: Mutex<RecvState>,
     /// When attached, receives come from the shared pool instead of the
     /// per-QP queue.
@@ -132,9 +227,57 @@ pub(crate) struct QpInner {
 }
 
 impl QpInner {
+    #[allow(clippy::too_many_arguments)] // one field each; built in one place
+    pub(crate) fn new(
+        num: QpNum,
+        node: NodeId,
+        pd: ProtectionDomain,
+        sq_cq: CompletionQueue,
+        rq_cq: CompletionQueue,
+        srq: Option<SharedReceiveQueue>,
+        fabric: Weak<FabricInner>,
+        obs: Option<QpObs>,
+    ) -> Self {
+        QpInner {
+            num,
+            node,
+            pd,
+            sq_cq,
+            rq_cq,
+            state: AtomicU8::new(QpState::Init as u8),
+            peer: OnceLock::new(),
+            recv: Mutex::new(RecvState {
+                posted: VecDeque::new(),
+                inbound: VecDeque::new(),
+            }),
+            srq,
+            fabric,
+            obs,
+        }
+    }
+
+    pub(crate) fn state(&self) -> QpState {
+        match self.state.load(Ordering::Acquire) {
+            0 => QpState::Reset,
+            1 => QpState::Init,
+            2 => QpState::Rts,
+            _ => QpState::Error,
+        }
+    }
+
+    pub(crate) fn set_state(&self, state: QpState) {
+        self.state.store(state as u8, Ordering::Release);
+    }
+
     /// Account one completion against this QP's counters and the
     /// fabric-wide `nic_cqe_total`; call exactly once per CQE pushed.
-    pub(crate) fn note_cqe(&self, status: CqeStatus, byte_len: usize) {
+    /// `fabric` is `None` only once the fabric itself is gone.
+    pub(crate) fn note_cqe(
+        &self,
+        fabric: Option<&FabricInner>,
+        status: CqeStatus,
+        byte_len: usize,
+    ) {
         if let Some(o) = &self.obs {
             if status == CqeStatus::Success {
                 o.cqe_ok.inc();
@@ -143,7 +286,7 @@ impl QpInner {
                 o.cqe_err.inc();
             }
         }
-        if let Some(f) = self.fabric.upgrade() {
+        if let Some(f) = fabric {
             f.count_cqe(status == CqeStatus::Success);
         }
     }
@@ -171,7 +314,7 @@ impl QueuePair {
     }
 
     pub fn state(&self) -> QpState {
-        *self.inner.state.lock()
+        self.inner.state()
     }
 
     pub fn pd(&self) -> ProtectionDomain {
@@ -190,7 +333,7 @@ impl QueuePair {
 
     /// Peer coordinates once connected.
     pub fn peer(&self) -> Option<(NodeId, QpNum)> {
-        *self.inner.peer.lock()
+        self.inner.peer.get().map(|link| (link.node, link.num))
     }
 
     /// Whether the connected peer QP is currently operational: `None`
@@ -198,11 +341,21 @@ impl QueuePair {
     /// is not in the error state. This is the liveness signal failure
     /// detectors build on.
     pub fn peer_alive(&self) -> Option<bool> {
-        let (node, num) = (*self.inner.peer.lock())?;
-        let fabric = self.inner.fabric.upgrade()?;
-        let peer = fabric.lookup_qp(node, num).ok()?;
-        let state = *peer.state.lock();
-        Some(state != QpState::Error)
+        let link = self.inner.peer.get()?;
+        self.inner.fabric.upgrade()?;
+        Some(link.qp.upgrade()?.state() != QpState::Error)
+    }
+
+    fn require_state(&self, ok: impl FnOnce(QpState) -> bool) -> Result<()> {
+        let state = self.state();
+        if ok(state) {
+            Ok(())
+        } else {
+            Err(NicError::InvalidQpState {
+                qp: self.num(),
+                state: state.name(),
+            })
+        }
     }
 
     /// Post a receive. Legal in `Init` (pre-posting) and `Rts`.
@@ -211,118 +364,73 @@ impl QueuePair {
         if self.inner.srq.is_some() {
             return Err(NicError::UsesSrq(self.num()));
         }
-        let state = self.state();
-        if !matches!(state, QpState::Init | QpState::Rts) {
-            return Err(NicError::InvalidQpState {
-                qp: self.num(),
-                state: state.name(),
-            });
-        }
-        for sge in &wr.sges {
-            if sge.mr.pd() != self.inner.pd {
-                return Err(NicError::PdMismatch);
-            }
-            sge.mr.inner.check_bounds(sge.offset, sge.len)?;
-        }
+        self.require_state(|s| matches!(s, QpState::Init | QpState::Rts))?;
+        check_sges(self.inner.pd, &wr.sges)?;
         let fabric = self.fabric()?;
         self.inner.note_wqe();
         let mut rs = self.inner.recv.lock();
-        if let Some(inbound) = rs.inbound.pop_front() {
+        match rs.inbound.pop_front() {
             // A sender is already parked: match immediately.
-            drop_guard_deliver(&self.inner, inbound, wr, &fabric);
-        } else {
-            rs.posted.push_back(wr);
+            Some(inbound) => inbound.deliver(&self.inner, wr, &fabric),
+            None => rs.posted.push_back(wr),
         }
         Ok(())
     }
 
     /// Post a send-queue work request. Legal only in `Rts`.
     pub fn post_send(&self, wr: SendWr) -> Result<()> {
-        let state = self.state();
-        if state != QpState::Rts {
-            return Err(NicError::InvalidQpState {
-                qp: self.num(),
-                state: state.name(),
-            });
-        }
+        self.require_state(|s| s == QpState::Rts)?;
         self.validate_local(&wr)?;
         let fabric = self.fabric()?;
+        let fabric = &*fabric;
         self.inner.note_wqe();
         if let Some(o) = &self.inner.obs {
             if !matches!(wr, SendWr::Send { .. }) {
                 o.rdma_ops.inc();
             }
         }
-        let (peer_node, peer_qp) = self.peer().ok_or(NicError::NotConnected(self.num()))?;
-        let peer = fabric.lookup_qp(peer_node, peer_qp)?;
-        if *peer.state.lock() == QpState::Error {
+        let link = self
+            .inner
+            .peer
+            .get()
+            .ok_or(NicError::NotConnected(self.num()))?;
+        let peer = link.qp.upgrade().ok_or(NicError::NotConnected(link.num))?;
+        if peer.state() == QpState::Error {
             // Retry exhaustion on real hardware: flush locally.
-            self.complete_send(&wr, CqeStatus::Flushed, 0);
+            self.push_sq(fabric, wr.wr_id(), CqeStatus::Flushed, send_opcode(&wr), 0);
             return Ok(());
         }
         match wr {
-            SendWr::Send {
-                wr_id,
-                sges,
-                imm,
-            } => {
+            SendWr::Send { wr_id, sges, imm } => {
                 // Chaos layer: two-sided sends ride the lossy wire.
                 let (icrc, corrupt) = match fabric.chaos_judge() {
                     None => (None, false),
-                    Some(crate::chaos::ChaosVerdict::Drop) => {
+                    Some(ChaosVerdict::Drop) => {
                         // Lost on the wire; transport retries exhaust
                         // and the sender learns via an error CQE.
-                        self.push_sq(Cqe {
-                            wr_id,
-                            status: CqeStatus::RetryExceeded,
-                            opcode: CqeOpcode::Send,
-                            byte_len: 0,
-                            imm: None,
-                            qp: self.inner.num,
-                        });
+                        self.push_sq(fabric, wr_id, CqeStatus::RetryExceeded, CqeOpcode::Send, 0);
                         return Ok(());
                     }
                     Some(verdict) => (
-                        Some(crate::chaos::crc32(&gather_bytes(&sges))),
-                        verdict == crate::chaos::ChaosVerdict::Corrupt,
+                        Some(crc32(&gather_bytes(&sges))),
+                        verdict == ChaosVerdict::Corrupt,
                     ),
                 };
-                let inbound = Inbound::Send {
+                let body = Body::Send {
                     sges,
                     imm,
-                    sender_cq: self.inner.sq_cq.clone(),
-                    sender_qp: self.inner.num,
-                    sender: Arc::downgrade(&self.inner),
-                    sender_wr_id: wr_id,
                     icrc,
                     corrupt,
                 };
-                if let Some(srq) = &peer.srq {
-                    srq.handle_inbound(&peer, inbound, &fabric);
-                } else {
-                    let mut rs = peer.recv.lock();
-                    if let Some(recv) = rs.posted.pop_front() {
-                        drop_guard_deliver(&peer, inbound, recv, &fabric);
-                    } else {
-                        rs.inbound.push_back(inbound);
-                    }
-                }
+                self.arrive(&peer, body, wr_id, fabric);
             }
             SendWr::RdmaWrite {
                 wr_id,
                 sges,
                 remote,
             } => {
-                let n = self.rdma_write(&fabric, &peer, &sges, remote, wr_id)?;
-                if let Some(n) = n {
-                    self.push_sq(Cqe {
-                        wr_id,
-                        status: CqeStatus::Success,
-                        opcode: CqeOpcode::RdmaWrite,
-                        byte_len: n,
-                        imm: None,
-                        qp: self.inner.num,
-                    });
+                if let Some(n) = self.rdma_write(fabric, &sges, remote, wr_id) {
+                    self.push_sq(fabric, wr_id, CqeStatus::Success, CqeOpcode::RdmaWrite, n);
                 }
             }
             SendWr::RdmaWriteImm {
@@ -331,27 +439,9 @@ impl QueuePair {
                 remote,
                 imm,
             } => {
-                let n = self.rdma_write(&fabric, &peer, &sges, remote, wr_id)?;
-                if let Some(n) = n {
+                if let Some(byte_len) = self.rdma_write(fabric, &sges, remote, wr_id) {
                     // Data is in place; consume (or park for) a receive.
-                    let inbound = Inbound::WriteImm {
-                        byte_len: n,
-                        imm,
-                        sender_cq: self.inner.sq_cq.clone(),
-                        sender_qp: self.inner.num,
-                        sender: Arc::downgrade(&self.inner),
-                        sender_wr_id: wr_id,
-                    };
-                    if let Some(srq) = &peer.srq {
-                        srq.handle_inbound(&peer, inbound, &fabric);
-                    } else {
-                        let mut rs = peer.recv.lock();
-                        if let Some(recv) = rs.posted.pop_front() {
-                            drop_guard_deliver(&peer, inbound, recv, &fabric);
-                        } else {
-                            rs.inbound.push_back(inbound);
-                        }
-                    }
+                    self.arrive(&peer, Body::WriteImm { byte_len, imm }, wr_id, fabric);
                 }
             }
             SendWr::RdmaRead {
@@ -360,52 +450,42 @@ impl QueuePair {
                 remote,
             } => {
                 let total = sge_len(&sges);
-                match fabric.lookup_mr(peer_node, remote.rkey) {
-                    Ok(mr) => {
-                        if mr.check_bounds(remote.offset, total).is_err() {
-                            self.push_sq(Cqe {
-                                wr_id,
-                                status: CqeStatus::RemoteAccessError,
-                                opcode: CqeOpcode::RdmaRead,
-                                byte_len: 0,
-                                imm: None,
-                                qp: self.inner.num,
-                            });
-                        } else {
-                            let mut off = remote.offset;
-                            for sge in &sges {
-                                // SAFETY: bounds checked above and at post
-                                // validation; ownership contract covers
-                                // concurrent access.
-                                unsafe {
-                                    std::ptr::copy_nonoverlapping(
-                                        mr.ptr().add(off),
-                                        sge.mr.inner.ptr().add(sge.offset),
-                                        sge.len,
-                                    );
-                                }
-                                off += sge.len;
-                            }
-                            fabric.count_dma(total as u64);
-                            self.push_sq(Cqe {
-                                wr_id,
-                                status: CqeStatus::Success,
-                                opcode: CqeOpcode::RdmaRead,
-                                byte_len: total,
-                                imm: None,
-                                qp: self.inner.num,
-                            });
-                        }
-                    }
-                    Err(_) => self.push_sq(Cqe {
+                let mr = fabric
+                    .lookup_mr(link.node, remote.rkey)
+                    .ok()
+                    .filter(|mr| mr.check_bounds(remote.offset, total).is_ok());
+                let Some(mr) = mr else {
+                    self.push_sq(
+                        fabric,
                         wr_id,
-                        status: CqeStatus::RemoteAccessError,
-                        opcode: CqeOpcode::RdmaRead,
-                        byte_len: 0,
-                        imm: None,
-                        qp: self.inner.num,
-                    }),
+                        CqeStatus::RemoteAccessError,
+                        CqeOpcode::RdmaRead,
+                        0,
+                    );
+                    return Ok(());
+                };
+                let mut off = remote.offset;
+                for sge in &sges {
+                    // SAFETY: bounds checked above and at post
+                    // validation; ownership contract covers
+                    // concurrent access.
+                    unsafe {
+                        std::ptr::copy_nonoverlapping(
+                            mr.ptr().add(off),
+                            sge.mr.inner.ptr().add(sge.offset),
+                            sge.len,
+                        );
+                    }
+                    off += sge.len;
                 }
+                fabric.count_dma(total as u64);
+                self.push_sq(
+                    fabric,
+                    wr_id,
+                    CqeStatus::Success,
+                    CqeOpcode::RdmaRead,
+                    total,
+                );
             }
             SendWr::CompareSwap {
                 wr_id,
@@ -414,12 +494,8 @@ impl QueuePair {
                 expect,
                 swap,
             } => {
-                self.remote_atomic(&fabric, peer_node, wr_id, local, remote, |old| {
-                    if old == expect {
-                        Some(swap)
-                    } else {
-                        None
-                    }
+                self.remote_atomic(fabric, link.node, wr_id, local, remote, |old| {
+                    (old == expect).then_some(swap)
                 })?;
             }
             SendWr::FetchAdd {
@@ -428,7 +504,7 @@ impl QueuePair {
                 remote,
                 add,
             } => {
-                self.remote_atomic(&fabric, peer_node, wr_id, local, remote, |old| {
+                self.remote_atomic(fabric, link.node, wr_id, local, remote, |old| {
                     Some(old.wrapping_add(add))
                 })?;
             }
@@ -436,12 +512,32 @@ impl QueuePair {
         Ok(())
     }
 
+    /// Hand a message to the connected `peer`: deliver it into the
+    /// oldest posted receive, or park it until one is posted. The
+    /// decision is made under the receive side's one lock (the QP's, or
+    /// its shared pool's), and a message that finds a receive is
+    /// delivered from the sender's borrowed state.
+    fn arrive(&self, peer: &Arc<QpInner>, body: Body, wr_id: u64, fabric: &FabricInner) {
+        if let Some(srq) = &peer.srq {
+            return srq.handle_inbound(peer, body, &self.inner, wr_id, fabric);
+        }
+        let mut rs = peer.recv.lock();
+        match rs.posted.pop_front() {
+            Some(recv) => deliver(peer, recv, body, &Origin::live(&self.inner, wr_id), fabric),
+            None => rs
+                .inbound
+                .push_back(Inbound::park(body, &self.inner, wr_id)),
+        }
+    }
+
     /// Force the QP into the error state, flushing posted receives.
     pub fn set_error(&self) {
-        *self.inner.state.lock() = QpState::Error;
+        self.inner.set_state(QpState::Error);
+        let fabric = self.inner.fabric.upgrade();
         let mut rs = self.inner.recv.lock();
         for wr in rs.posted.drain(..) {
-            self.inner.note_cqe(CqeStatus::Flushed, 0);
+            self.inner
+                .note_cqe(fabric.as_deref(), CqeStatus::Flushed, 0);
             self.inner.rq_cq.push(Cqe {
                 wr_id: wr.wr_id,
                 status: CqeStatus::Flushed,
@@ -465,23 +561,13 @@ impl QueuePair {
     }
 
     fn validate_local(&self, wr: &SendWr) -> Result<()> {
-        let check = |sges: &[Sge]| -> Result<()> {
-            for sge in sges {
-                if sge.mr.pd() != self.inner.pd {
-                    return Err(NicError::PdMismatch);
-                }
-                sge.mr.inner.check_bounds(sge.offset, sge.len)?;
-            }
-            Ok(())
-        };
         match wr {
             SendWr::Send { sges, .. }
             | SendWr::RdmaWrite { sges, .. }
             | SendWr::RdmaWriteImm { sges, .. }
-            | SendWr::RdmaRead { sges, .. } => check(sges),
-            SendWr::CompareSwap { local, remote, .. }
-            | SendWr::FetchAdd { local, remote, .. } => {
-                check(std::slice::from_ref(local))?;
+            | SendWr::RdmaRead { sges, .. } => check_sges(self.inner.pd, sges),
+            SendWr::CompareSwap { local, remote, .. } | SendWr::FetchAdd { local, remote, .. } => {
+                check_sges(self.inner.pd, std::slice::from_ref(local))?;
                 if local.len != 8 || remote.offset % 8 != 0 {
                     return Err(NicError::BadAtomicBuffer);
                 }
@@ -490,64 +576,42 @@ impl QueuePair {
         }
     }
 
-    fn complete_send(&self, wr: &SendWr, status: CqeStatus, byte_len: usize) {
-        let opcode = match wr {
-            SendWr::Send { .. } => CqeOpcode::Send,
-            SendWr::RdmaWrite { .. } | SendWr::RdmaWriteImm { .. } => CqeOpcode::RdmaWrite,
-            SendWr::RdmaRead { .. } => CqeOpcode::RdmaRead,
-            SendWr::CompareSwap { .. } | SendWr::FetchAdd { .. } => CqeOpcode::Atomic,
-        };
-        self.push_sq(Cqe {
-            wr_id: wr.wr_id(),
-            status,
-            opcode,
-            byte_len,
-            imm: None,
-            qp: self.inner.num,
-        });
+    /// Complete a send-queue work request on this QP's send CQ.
+    fn push_sq(
+        &self,
+        fabric: &FabricInner,
+        wr_id: u64,
+        status: CqeStatus,
+        opcode: CqeOpcode,
+        byte_len: usize,
+    ) {
+        Origin::live(&self.inner, wr_id).complete(fabric, status, opcode, byte_len);
     }
 
-    fn push_sq(&self, cqe: Cqe) {
-        self.inner.note_cqe(cqe.status, cqe.byte_len);
-        self.inner.sq_cq.push(cqe);
-    }
-
-    /// Execute the data movement of an RDMA write. Returns `Ok(Some(n))`
-    /// on success, `Ok(None)` if an error completion was generated.
+    /// Execute the data movement of an RDMA write. Returns the bytes
+    /// moved, or `None` if an error completion was generated.
     fn rdma_write(
         &self,
-        fabric: &Arc<FabricInner>,
-        _peer: &Arc<QpInner>,
+        fabric: &FabricInner,
         sges: &[Sge],
         remote: RemoteAddr,
         wr_id: u64,
-    ) -> Result<Option<usize>> {
+    ) -> Option<usize> {
         let total = sge_len(sges);
-        let mr = match fabric.lookup_mr(remote.node, remote.rkey) {
-            Ok(mr) => mr,
-            Err(_) => {
-                self.push_sq(Cqe {
-                    wr_id,
-                    status: CqeStatus::RemoteAccessError,
-                    opcode: CqeOpcode::RdmaWrite,
-                    byte_len: 0,
-                    imm: None,
-                    qp: self.inner.num,
-                });
-                return Ok(None);
-            }
-        };
-        if mr.check_bounds(remote.offset, total).is_err() {
-            self.push_sq(Cqe {
+        let mr = fabric
+            .lookup_mr(remote.node, remote.rkey)
+            .ok()
+            .filter(|mr| mr.check_bounds(remote.offset, total).is_ok());
+        let Some(mr) = mr else {
+            self.push_sq(
+                fabric,
                 wr_id,
-                status: CqeStatus::RemoteAccessError,
-                opcode: CqeOpcode::RdmaWrite,
-                byte_len: 0,
-                imm: None,
-                qp: self.inner.num,
-            });
-            return Ok(None);
-        }
+                CqeStatus::RemoteAccessError,
+                CqeOpcode::RdmaWrite,
+                0,
+            );
+            return None;
+        };
         let mut off = remote.offset;
         for sge in sges {
             // SAFETY: both sides bounds-checked; ownership contract covers
@@ -562,39 +626,32 @@ impl QueuePair {
             off += sge.len;
         }
         fabric.count_dma(total as u64);
-        Ok(Some(total))
+        Some(total)
     }
 
     fn remote_atomic(
         &self,
-        fabric: &Arc<FabricInner>,
+        fabric: &FabricInner,
         peer_node: NodeId,
         wr_id: u64,
         local: Sge,
         remote: RemoteAddr,
         op: impl FnOnce(u64) -> Option<u64>,
     ) -> Result<()> {
-        let fail = |qp: &Self| {
-            qp.push_sq(Cqe {
+        let mr = fabric
+            .lookup_mr(peer_node, remote.rkey)
+            .ok()
+            .filter(|mr| mr.check_bounds(remote.offset, 8).is_ok());
+        let Some(mr) = mr else {
+            self.push_sq(
+                fabric,
                 wr_id,
-                status: CqeStatus::RemoteAccessError,
-                opcode: CqeOpcode::Atomic,
-                byte_len: 0,
-                imm: None,
-                qp: qp.inner.num,
-            })
-        };
-        let mr = match fabric.lookup_mr(peer_node, remote.rkey) {
-            Ok(mr) => mr,
-            Err(_) => {
-                fail(self);
-                return Ok(());
-            }
-        };
-        if mr.check_bounds(remote.offset, 8).is_err() {
-            fail(self);
+                CqeStatus::RemoteAccessError,
+                CqeOpcode::Atomic,
+                0,
+            );
             return Ok(());
-        }
+        };
         let old = {
             let _g = mr.atomic_lock.lock();
             // SAFETY: bounds checked; atomicity provided by the lock.
@@ -609,64 +666,66 @@ impl QueuePair {
         };
         local.mr.write_at(local.offset, &old.to_le_bytes())?;
         fabric.count_dma(8);
-        self.push_sq(Cqe {
-            wr_id,
-            status: CqeStatus::Success,
-            opcode: CqeOpcode::Atomic,
-            byte_len: 8,
-            imm: None,
-            qp: self.inner.num,
-        });
+        self.push_sq(fabric, wr_id, CqeStatus::Success, CqeOpcode::Atomic, 8);
         Ok(())
     }
 }
 
-/// Deliver a matched (inbound, receive) pair at the receiver `rx`.
+/// The completion opcode a send-queue work request reports.
+fn send_opcode(wr: &SendWr) -> CqeOpcode {
+    match wr {
+        SendWr::Send { .. } => CqeOpcode::Send,
+        SendWr::RdmaWrite { .. } | SendWr::RdmaWriteImm { .. } => CqeOpcode::RdmaWrite,
+        SendWr::RdmaRead { .. } => CqeOpcode::RdmaRead,
+        SendWr::CompareSwap { .. } | SendWr::FetchAdd { .. } => CqeOpcode::Atomic,
+    }
+}
+
+/// Every element must belong to `pd` and lie inside its region.
+fn check_sges(pd: ProtectionDomain, sges: &[Sge]) -> Result<()> {
+    for sge in sges {
+        if sge.mr.pd() != pd {
+            return Err(NicError::PdMismatch);
+        }
+        sge.mr.inner.check_bounds(sge.offset, sge.len)?;
+    }
+    Ok(())
+}
+
+/// Deliver a matched (message, receive) pair at the receiver `rx`.
 ///
-/// Named for the invariant that callers must still hold (or have just
-/// released) the receiver's recv lock such that the match decision was
-/// atomic; the copy itself happens outside any sender-side locks.
-pub(crate) fn drop_guard_deliver(
-    rx: &Arc<QpInner>,
-    inbound: Inbound,
+/// Callers hold the receiver's recv lock (the QP's, or its shared
+/// pool's), which is what made the match decision atomic; the copy
+/// happens outside any sender-side lock.
+pub(crate) fn deliver(
+    rx: &QpInner,
     recv: RecvWr,
-    fabric: &Arc<FabricInner>,
+    body: Body,
+    from: &Origin<'_>,
+    fabric: &FabricInner,
 ) {
-    match inbound {
-        Inbound::Send {
+    let rx_done = |status, opcode, byte_len, imm| {
+        rx.note_cqe(Some(fabric), status, byte_len);
+        rx.rq_cq.push(Cqe {
+            wr_id: recv.wr_id,
+            status,
+            opcode,
+            byte_len,
+            imm,
+            qp: rx.num,
+        });
+    };
+    match body {
+        Body::Send {
             sges,
             imm,
-            sender_cq,
-            sender_qp,
-            sender,
-            sender_wr_id,
             icrc,
             corrupt,
         } => {
             let total = sge_len(&sges);
             if total > recv.capacity() {
-                rx.note_cqe(CqeStatus::LocalProtectionError, 0);
-                rx.rq_cq.push(Cqe {
-                    wr_id: recv.wr_id,
-                    status: CqeStatus::LocalProtectionError,
-                    opcode: CqeOpcode::Recv,
-                    byte_len: 0,
-                    imm: None,
-                    qp: rx.num,
-                });
-                complete_remote_send(
-                    &sender,
-                    fabric,
-                    &sender_cq,
-                    Cqe {
-                        wr_id: sender_wr_id,
-                        status: CqeStatus::RemoteAccessError,
-                        opcode: CqeOpcode::Send,
-                        byte_len: 0,
-                        imm: None,
-                        qp: sender_qp,
-                    },
-                );
+                rx_done(CqeStatus::LocalProtectionError, CqeOpcode::Recv, 0, None);
+                from.complete(fabric, CqeStatus::RemoteAccessError, CqeOpcode::Send, 0);
                 return;
             }
             // Gather from the sender's regions, scatter into the
@@ -679,113 +738,26 @@ pub(crate) fn drop_guard_deliver(
             }
             // ICRC check (chaos runs only): recompute over what landed
             // and compare with what the sender stamped.
-            if let Some(expect) = icrc {
-                let got = crate::chaos::crc32(&read_scatter(&recv.sges, total));
-                if got != expect {
-                    rx.note_cqe(CqeStatus::ChecksumError, 0);
-                    rx.rq_cq.push(Cqe {
-                        wr_id: recv.wr_id,
-                        status: CqeStatus::ChecksumError,
-                        opcode: CqeOpcode::Recv,
-                        byte_len: 0,
-                        imm: None,
-                        qp: rx.num,
-                    });
-                    // The receiver NACKs the bad packet; the sender's
-                    // retries exhaust.
-                    complete_remote_send(
-                        &sender,
-                        fabric,
-                        &sender_cq,
-                        Cqe {
-                            wr_id: sender_wr_id,
-                            status: CqeStatus::RetryExceeded,
-                            opcode: CqeOpcode::Send,
-                            byte_len: 0,
-                            imm: None,
-                            qp: sender_qp,
-                        },
-                    );
-                    return;
-                }
+            if icrc.is_some_and(|expect| crc32(&read_scatter(&recv.sges, total)) != expect) {
+                rx_done(CqeStatus::ChecksumError, CqeOpcode::Recv, 0, None);
+                // The receiver NACKs the bad packet; the sender's
+                // retries exhaust.
+                from.complete(fabric, CqeStatus::RetryExceeded, CqeOpcode::Send, 0);
+                return;
             }
-            rx.note_cqe(CqeStatus::Success, total);
-            rx.rq_cq.push(Cqe {
-                wr_id: recv.wr_id,
-                status: CqeStatus::Success,
-                opcode: CqeOpcode::Recv,
-                byte_len: total,
-                imm,
-                qp: rx.num,
-            });
-            complete_remote_send(
-                &sender,
-                fabric,
-                &sender_cq,
-                Cqe {
-                    wr_id: sender_wr_id,
-                    status: CqeStatus::Success,
-                    opcode: CqeOpcode::Send,
-                    byte_len: total,
-                    imm: None,
-                    qp: sender_qp,
-                },
-            );
+            rx_done(CqeStatus::Success, CqeOpcode::Recv, total, imm);
+            from.complete(fabric, CqeStatus::Success, CqeOpcode::Send, total);
         }
-        Inbound::WriteImm {
-            byte_len,
-            imm,
-            sender_cq,
-            sender_qp,
-            sender,
-            sender_wr_id,
-        } => {
-            rx.note_cqe(CqeStatus::Success, byte_len);
-            rx.rq_cq.push(Cqe {
-                wr_id: recv.wr_id,
-                status: CqeStatus::Success,
-                opcode: CqeOpcode::RecvRdmaImm,
+        Body::WriteImm { byte_len, imm } => {
+            rx_done(
+                CqeStatus::Success,
+                CqeOpcode::RecvRdmaImm,
                 byte_len,
-                imm: Some(imm),
-                qp: rx.num,
-            });
-            complete_remote_send(
-                &sender,
-                fabric,
-                &sender_cq,
-                Cqe {
-                    wr_id: sender_wr_id,
-                    status: CqeStatus::Success,
-                    opcode: CqeOpcode::RdmaWrite,
-                    byte_len,
-                    imm: None,
-                    qp: sender_qp,
-                },
+                Some(imm),
             );
+            from.complete(fabric, CqeStatus::Success, CqeOpcode::RdmaWrite, byte_len);
         }
     }
-}
-
-/// Generate the sender-side completion of a remotely-delivered
-/// operation. Attribution goes through the sender QP's [`note_cqe`]
-/// (which also bumps the fabric-wide `nic_cqe_total`) so the per-QP
-/// WQE/CQE books balance — the conservation audit asserts
-/// `wqe == cqe + armed receives` per fabric. If the sender QP handle
-/// was dropped while the message was parked, only the fabric-wide
-/// counter can be credited.
-///
-/// [`note_cqe`]: QpInner::note_cqe
-fn complete_remote_send(
-    sender: &Weak<QpInner>,
-    fabric: &Arc<FabricInner>,
-    sender_cq: &CompletionQueue,
-    cqe: Cqe,
-) {
-    match sender.upgrade() {
-        Some(qp) => qp.note_cqe(cqe.status, cqe.byte_len),
-        None => fabric.count_cqe(cqe.status == CqeStatus::Success),
-    }
-    sender_cq.push(cqe);
 }
 
 /// Gather a scatter list's bytes into one contiguous buffer (ICRC input).

@@ -12,7 +12,7 @@
 use crate::cq::{Cqe, CqeOpcode, CqeStatus};
 use crate::error::{NicError, Result};
 use crate::fabric::FabricInner;
-use crate::qp::{drop_guard_deliver, Inbound, QpInner};
+use crate::qp::{deliver, Body, Inbound, Origin, QpInner};
 use crate::wr::RecvWr;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
@@ -61,7 +61,7 @@ impl SharedReceiveQueue {
             match qp_weak.upgrade() {
                 Some(qp) => {
                     let (_, inbound) = st.parked.pop_front().expect("front exists");
-                    drop_guard_deliver(&qp, inbound, wr, &fabric);
+                    inbound.deliver(&qp, wr, &fabric);
                     return Ok(());
                 }
                 None => {
@@ -79,19 +79,22 @@ impl SharedReceiveQueue {
         (st.posted.len(), st.parked.len())
     }
 
-    /// Handle an inbound message for `rx` (a QP attached to this SRQ):
-    /// deliver with a pooled buffer or park.
+    /// Handle a message from `sender` for `rx` (a QP attached to this
+    /// SRQ): deliver with a pooled buffer or park.
     pub(crate) fn handle_inbound(
         &self,
         rx: &Arc<QpInner>,
-        inbound: Inbound,
-        fabric: &Arc<FabricInner>,
+        body: Body,
+        sender: &Arc<QpInner>,
+        wr_id: u64,
+        fabric: &FabricInner,
     ) {
         let mut st = self.inner.state.lock();
-        if let Some(recv) = st.posted.pop_front() {
-            drop_guard_deliver(rx, inbound, recv, fabric);
-        } else {
-            st.parked.push_back((Arc::downgrade(rx), inbound));
+        match st.posted.pop_front() {
+            Some(recv) => deliver(rx, recv, body, &Origin::live(sender, wr_id), fabric),
+            None => st
+                .parked
+                .push_back((Arc::downgrade(rx), Inbound::park(body, sender, wr_id))),
         }
     }
 
