@@ -21,8 +21,6 @@ use crate::types::{NodeId, PdId, QpNum, Rkey};
 use parking_lot::{Mutex, RwLock};
 use polaris_obs::{Counter, Obs};
 use polaris_simnet::fasthash::FastHashMap;
-use polaris_simnet::shard::Partition;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
@@ -96,9 +94,6 @@ pub(crate) struct FabricInner {
     /// Whether `obs` is `Some`, written under its lock: an unobserved
     /// fabric pays one load per counted event, not a lock.
     observed: AtomicBool,
-    /// Engine-shard affinity per node (see [`Fabric::assign_shards`]);
-    /// unmapped nodes implicitly live on shard 0.
-    shards: RwLock<HashMap<NodeId, u32>>,
 }
 
 impl FabricInner {
@@ -190,7 +185,6 @@ impl Fabric {
                 chaos_armed: AtomicBool::new(false),
                 obs: RwLock::new(None),
                 observed: AtomicBool::new(false),
-                shards: RwLock::new(HashMap::new()),
             }),
         }
     }
@@ -279,47 +273,6 @@ impl Fabric {
 
     pub fn node_count(&self) -> usize {
         self.inner.nodes.read().len()
-    }
-
-    /// Pin one node to an engine shard (overriding any block
-    /// assignment). Affinity is advisory metadata: the fabric itself
-    /// stays shared-memory, but a sharded driver reads this map to
-    /// decide which worker thread owns each node's event stream.
-    pub fn set_node_shard(&self, node: NodeId, shard: u32) {
-        self.inner.shards.write().insert(node, shard);
-    }
-
-    /// The engine shard a node is pinned to (0 when never assigned).
-    pub fn node_shard(&self, node: NodeId) -> u32 {
-        self.inner.shards.read().get(&node).copied().unwrap_or(0)
-    }
-
-    /// Block-partition every currently attached node across `nshards`
-    /// engine shards using the same contiguous [`Partition`] arithmetic
-    /// the sharded simulator uses (node id = rank), and record the
-    /// per-node affinity. Returns the partition so callers can size
-    /// their shard worlds consistently. Nodes attached later default to
-    /// shard 0 until assigned.
-    pub fn assign_shards(&self, nshards: u32) -> Partition {
-        let nodes = self.inner.nodes.read();
-        let part = Partition::block(nodes.len() as u32, nshards);
-        let mut shards = self.inner.shards.write();
-        for nic in nodes.iter() {
-            shards.insert(nic.node, part.shard_of(nic.node.0));
-        }
-        part
-    }
-
-    /// All nodes pinned to `shard`, in node-id order.
-    pub fn nodes_on_shard(&self, shard: u32) -> Vec<NodeId> {
-        let shards = self.inner.shards.read();
-        let mut nodes: Vec<NodeId> = shards
-            .iter()
-            .filter(|&(_, &s)| s == shard)
-            .map(|(&n, _)| n)
-            .collect();
-        nodes.sort_unstable();
-        nodes
     }
 }
 
@@ -1203,35 +1156,6 @@ mod tests {
         assert_eq!(f.create_nic().node_id(), NodeId(0));
         assert_eq!(f.create_nic().node_id(), NodeId(1));
         assert_eq!(f.node_count(), 2);
-    }
-
-    #[test]
-    fn shard_affinity_blocks_and_overrides() {
-        let f = Fabric::new();
-        let nics: Vec<Nic> = (0..8).map(|_| f.create_nic()).collect();
-        // Unassigned nodes default to shard 0.
-        assert_eq!(f.node_shard(nics[5].node_id()), 0);
-        let part = f.assign_shards(4);
-        assert_eq!(part, Partition::block(8, 4));
-        for nic in &nics {
-            let node = nic.node_id();
-            assert_eq!(f.node_shard(node), part.shard_of(node.0));
-        }
-        // nodes_on_shard tiles the id space contiguously and completely.
-        let mut covered = Vec::new();
-        for s in 0..part.nshards {
-            let on_shard = f.nodes_on_shard(s);
-            assert_eq!(
-                on_shard,
-                part.ranks_of(s).map(NodeId).collect::<Vec<_>>()
-            );
-            covered.extend(on_shard);
-        }
-        assert_eq!(covered.len(), 8);
-        // Manual pinning overrides the block assignment.
-        f.set_node_shard(nics[0].node_id(), 3);
-        assert_eq!(f.node_shard(nics[0].node_id()), 3);
-        assert!(f.nodes_on_shard(3).contains(&nics[0].node_id()));
     }
 
     #[test]

@@ -1,17 +1,9 @@
-//! Typed errors for the simulator core.
-//!
-//! The engine and the packet-level models used to `expect()` their
-//! internal invariants; under fault injection those invariants are
-//! exactly the interesting place for a model bug to surface, so the hot
-//! paths now report structured errors instead of tearing down the
-//! process.
+//! Typed errors for the simulator core: a malformed input reports a
+//! structured error instead of tearing down the process.
 
-/// An invariant violation inside a simulation model.
+/// A rejected input to a simulation model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimError {
-    /// An output port signalled transmission-complete while its queue
-    /// was empty (packet accounting bug in the switch model).
-    EmptyOutputQueue { port: u32 },
     /// A port index exceeded the configured port count.
     PortOutOfRange { port: u32, ports: u32 },
 }
@@ -19,9 +11,6 @@ pub enum SimError {
 impl std::fmt::Display for SimError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            SimError::EmptyOutputQueue { port } => {
-                write!(f, "output port {port} completed with an empty queue")
-            }
             SimError::PortOutOfRange { port, ports } => {
                 write!(f, "port {port} out of range (switch has {ports} ports)")
             }

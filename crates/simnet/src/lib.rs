@@ -15,7 +15,7 @@
 //!    fat tree).
 //! 3. **Network simulators**: a fast flow-level contention model
 //!    ([`network`]) used at scale, a packet-level output-queued reference
-//!    ([`switch`], [`packet`]) used to validate it, and an optical
+//!    ([`packetnet`], [`packet`]) used to validate it, and an optical
 //!    circuit-switching model ([`circuit`]).
 //!
 //! ```
@@ -40,7 +40,7 @@ pub mod packet;
 pub mod packetnet;
 pub mod rng;
 pub mod shard;
-pub mod stats;
+#[doc(hidden)]
 pub mod switch;
 pub mod time;
 pub mod topology;
@@ -60,14 +60,13 @@ pub mod prelude {
         FaultScope, FaultVerdict,
     };
     pub use crate::link::{Generation, LinkId, LinkModel};
-    pub use crate::network::{Delivery, LossConfig, Network};
+    pub use crate::network::{Delivery, Network};
     pub use crate::packetnet::{simulate_packets, Completion, Injection};
     pub use crate::rng::SplitMix64;
     pub use crate::event::{EventQueue, QueueSnapshot};
     pub use crate::shard::{
-        Lookahead, Partition, ShardCtx, ShardRunStats, ShardSim, ShardSnapshot, ShardWorld,
+        Partition, ShardCtx, ShardRunStats, ShardSim, ShardSnapshot, ShardWorld,
     };
-    pub use crate::stats::{Log2Histogram, Summary};
     pub use crate::time::{SimDuration, SimTime};
     pub use crate::topology::{RoutePlan, Routing, Topology, TopologyKind, Vertex};
 }

@@ -3,8 +3,8 @@
 //! [`Network`] charges each message's serialization time against every
 //! link on its route, tracking per-link `busy_until` horizons. It is the
 //! fast model used by the scaling experiments (thousands of nodes);
-//! `switch.rs` holds a packet-level reference model used to validate its
-//! behaviour in the small.
+//! `packetnet.rs` holds the packet-level reference model used to
+//! validate its behaviour in the small.
 //!
 //! Callers must present transfers in non-decreasing time order (the
 //! discrete-event executors do this by construction); the model then
@@ -28,15 +28,6 @@ pub struct Delivery {
     /// receiver would fail; the NIC layer surfaces this as an error
     /// completion).
     pub corrupted: bool,
-}
-
-/// Loss-injection configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct LossConfig {
-    /// Probability that a given message is dropped.
-    pub drop_prob: f64,
-    /// Seed for the deterministic drop stream.
-    pub seed: u64,
 }
 
 /// Bandwidth used for rank-local (loopback) transfers: a 2002-era memory
@@ -136,12 +127,6 @@ impl Network {
         }
         self.faults = Some(inj);
         self
-    }
-
-    /// Uniform i.i.d. loss — kept as a convenience wrapper over
-    /// [`Network::with_faults`] for the single-knob callers.
-    pub fn with_loss(self, cfg: LossConfig) -> Self {
-        self.with_faults(FaultPlan::new(cfg.seed).uniform_drop(cfg.drop_prob))
     }
 
     /// Replay log of every fault injected so far (empty without a plan).
@@ -461,10 +446,8 @@ mod tests {
     #[test]
     fn loss_injection_is_deterministic_and_calibrated() {
         let mk = || {
-            net(TopologyKind::Ring { hosts: 4 }, Generation::Myrinet2000).with_loss(LossConfig {
-                drop_prob: 0.2,
-                seed: 99,
-            })
+            net(TopologyKind::Ring { hosts: 4 }, Generation::Myrinet2000)
+                .with_faults(FaultPlan::new(99).uniform_drop(0.2))
         };
         let mut a = mk();
         let mut b = mk();

@@ -1,27 +1,26 @@
 //! Sharded parallel discrete-event execution: conservative windows from
-//! per-channel lookahead.
+//! one lookahead.
 //!
 //! [`ShardSim`] partitions a model across worker shards, each owning an
 //! independent calendar [`EventQueue`], and runs them in windows:
 //!
-//! * **Per-channel lookahead.** Every (src, dst) shard pair carries its
-//!   own minimum latency promise in a [`Lookahead`] matrix — the
-//!   null-message-style earliest-input-time (EIT) bound. Each window,
-//!   every shard publishes the minimum timestamp it could still send
-//!   (its queue minimum), and shard `s` derives its *own* safe window
-//!   end `wend_s = min over src of (min_src + dist[src][s])`. Sparsely
-//!   coupled partitions (e.g. dragonfly group-aligned shards, where
-//!   cross-group latency dwarfs local latency) get windows sized by the
-//!   channels that actually constrain them, not by the global minimum
-//!   link latency.
+//! * **One lookahead.** Every cross-shard send lands at least `L` past
+//!   the sender's clock, `L` being the single [`SimDuration`] the
+//!   simulator was built with. Each window, every shard publishes the
+//!   minimum timestamp it could still send (its queue minimum), and
+//!   shard `d` derives its own safe window end from them with
+//!   [`window_end`]: a peer's pending work reaches `d` no earlier than
+//!   `L` later, `d`'s own no earlier than the `2L` round trip through a
+//!   peer.
 //! * **Batched channel exchange.** Cross-shard sends buffer per
 //!   destination and flush once per window through
 //!   [`ShardChannel::push_batch`] — one release store per (src, dst)
 //!   pair per window instead of one per event.
 //!
 //! This is the only window protocol. Optimistic execution past the
-//! window end was tried and removed; docs/PERFORMANCE.md records the
-//! measurement and what a retry would have to show.
+//! window end and a per-channel lookahead matrix were tried and
+//! removed; docs/PERFORMANCE.md records the measurements and what a
+//! retry would have to show.
 //!
 //! Determinism — and, stronger, *shard-count invariance* — comes from
 //! the key discipline: models supply tie-break keys derived from global
@@ -40,7 +39,6 @@
 use crate::channel::ShardChannel;
 use crate::event::{EventQueue, QueueSnapshot};
 use crate::time::{SimDuration, SimTime};
-use crate::topology::Topology;
 use polaris_obs::Obs;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -58,11 +56,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 pub struct Partition {
     pub hosts: u32,
     pub nshards: u32,
-    /// Shard boundaries are snapped to multiples of `align` ranks.
-    /// `block()` uses 1 (plain block partition); `for_topology` on a
-    /// Dragonfly snaps to the group size so a group's dense local
-    /// traffic never crosses a shard boundary.
-    align: u32,
 }
 
 impl Partition {
@@ -72,222 +65,53 @@ impl Partition {
         Partition {
             hosts,
             nshards: nshards.clamp(1, hosts.max(1)),
-            align: 1,
         }
-    }
-
-    /// Block partition whose shard boundaries fall only on multiples of
-    /// `align` ranks (the last block absorbs any remainder). `nshards`
-    /// is additionally clamped so no shard is empty.
-    pub fn block_aligned(hosts: u32, nshards: u32, align: u32) -> Self {
-        let align = align.clamp(1, hosts.max(1));
-        let nblocks = hosts.div_ceil(align).max(1);
-        Partition {
-            hosts,
-            nshards: nshards.clamp(1, nblocks),
-            align,
-        }
-    }
-
-    /// Partition the hosts of a topology. Dragonfly topologies are
-    /// partitioned on group boundaries (all hosts of a group share a
-    /// shard); every other kind gets the plain block partition.
-    pub fn for_topology(topo: &Topology, nshards: u32) -> Self {
-        match topo.kind() {
-            crate::topology::TopologyKind::Dragonfly { .. } => {
-                Self::block_aligned(topo.hosts(), nshards, topo.group_size())
-            }
-            _ => Self::block(topo.hosts(), nshards),
-        }
-    }
-
-    /// The boundary-snapping unit (1 for plain block partitions).
-    #[inline]
-    pub fn align(&self) -> u32 {
-        self.align
-    }
-
-    /// Number of indivisible alignment blocks.
-    #[inline]
-    fn nblocks(&self) -> u64 {
-        (self.hosts as u64).div_ceil(self.align as u64).max(1)
     }
 
     /// Which shard owns `rank`.
     #[inline]
     pub fn shard_of(&self, rank: u32) -> u32 {
         debug_assert!(rank < self.hosts);
-        let block = (rank / self.align) as u64;
-        ((block * self.nshards as u64) / self.nblocks()) as u32
+        ((rank as u64 * self.nshards as u64) / (self.hosts as u64).max(1)) as u32
     }
 
     /// The contiguous rank range shard `shard` owns.
     pub fn ranks_of(&self, shard: u32) -> std::ops::Range<u32> {
         debug_assert!(shard < self.nshards);
-        let nb = self.nblocks();
-        let lo_b = (shard as u64 * nb).div_ceil(self.nshards as u64);
-        let hi_b = ((shard as u64 + 1) * nb).div_ceil(self.nshards as u64);
-        let lo = (lo_b * self.align as u64).min(self.hosts as u64) as u32;
-        let hi = (hi_b * self.align as u64).min(self.hosts as u64) as u32;
-        lo..hi
+        let (hosts, n) = (self.hosts as u64, self.nshards as u64);
+        let lo = (shard as u64 * hosts).div_ceil(n);
+        let hi = ((shard as u64 + 1) * hosts).div_ceil(n);
+        lo as u32..hi as u32
     }
 }
 
 // ---------------------------------------------------------------------
-// Per-channel lookahead
+// Window bound
 // ---------------------------------------------------------------------
 
-/// Per-channel lookahead matrix: `get(src, dst)` is the minimum delay
-/// any event sent from shard `src` to shard `dst` carries — the EIT
-/// promise backing the conservative window computation. Off-diagonal
-/// entries must be positive; the diagonal is unused. An entry of
-/// `u64::MAX` declares "this pair never exchanges events" and removes
-/// the channel from the window computation entirely (saturating
-/// arithmetic keeps the math well-defined).
+/// Safe window end for shard `dst` given every shard's published
+/// minimum and the lookahead `l` every cross-shard send honours.
 ///
-/// Window math runs on the *min-plus transitive closure* of the
-/// matrix, not on single edges: a future event at `dst` can be the end
-/// of a causal chain that relays through any sequence of shards, so
-/// the earliest possible arrival from `src`'s pending work is
-/// `mins[src] + dist(src, dst)` where `dist` is the shortest-path
-/// delay (at least one edge). Crucially the diagonal of the closure —
-/// the cheapest round trip `dst -> ... -> dst` — bounds `dst`'s own
-/// window too: with a single-edge formula, a shard whose peers have
-/// all gone idle (published minimum `u64::MAX`) would compute an
-/// unbounded window and drain events that its *own* in-flight sends
-/// were about to invalidate on the rebound. The lookahead property
-/// suite's shard-count invariance proptest caught exactly that.
-#[derive(Debug, Clone)]
-pub struct Lookahead {
-    n: u32,
-    /// `la[src * n + dst]`, picoseconds.
-    la: Vec<u64>,
-    /// Min-plus closure of `la`: `dist[src * n + dst]` is the cheapest
-    /// delay of any path `src -> ... -> dst` with at least one edge
-    /// (the diagonal holds the cheapest cycle through peers).
-    dist: Vec<u64>,
-    /// Minimum off-diagonal entry — the model-facing
-    /// [`ShardCtx::lookahead`] value. For uniform matrices this is the
-    /// construction value at any shard count (including 1), which is
-    /// what keeps models that derive send times from it shard-count
-    /// invariant.
-    min_la: u64,
-}
-
-/// Min-plus (tropical) closure of an `n x n` edge matrix whose
-/// diagonal is unused: Floyd–Warshall with saturating adds, seeded
-/// with the single edges and a `u64::MAX` diagonal so every path in
-/// the result has at least one edge.
-fn min_plus_closure(n: usize, la: &[u64]) -> Vec<u64> {
-    let mut dist = vec![u64::MAX; n * n];
-    for src in 0..n {
-        for dst in 0..n {
-            if src != dst {
-                dist[src * n + dst] = la[src * n + dst];
-            }
-        }
-    }
-    for k in 0..n {
-        for i in 0..n {
-            let ik = dist[i * n + k];
-            if ik == u64::MAX {
-                continue;
-            }
-            for j in 0..n {
-                let through = ik.saturating_add(dist[k * n + j]);
-                if through < dist[i * n + j] {
-                    dist[i * n + j] = through;
-                }
-            }
-        }
-    }
-    dist
-}
-
-impl Lookahead {
-    /// Every cross-shard channel promises the same minimum delay — the
-    /// pre-round-2 global-lookahead behavior.
-    pub fn uniform(nshards: u32, min_latency: SimDuration) -> Self {
-        assert!(nshards >= 1, "at least one shard required");
-        assert!(min_latency.0 > 0, "conservative lookahead must be positive");
-        let n = nshards as usize;
-        let la = vec![min_latency.0; n * n];
-        Lookahead {
-            n: nshards,
-            dist: min_plus_closure(n, &la),
-            la,
-            min_la: min_latency.0,
-        }
-    }
-
-    /// Build the matrix from a per-pair extraction function (called for
-    /// `src != dst` only). Entries must be positive.
-    pub fn from_fn(nshards: u32, mut f: impl FnMut(u32, u32) -> SimDuration) -> Self {
-        assert!(nshards >= 1, "at least one shard required");
-        let n = nshards as usize;
-        let mut la = vec![0u64; n * n];
-        let mut min_la = u64::MAX;
-        for src in 0..nshards {
-            for dst in 0..nshards {
-                if src == dst {
-                    continue;
-                }
-                let d = f(src, dst).0;
-                assert!(d > 0, "lookahead for channel {src}->{dst} must be positive");
-                la[(src * nshards + dst) as usize] = d;
-                min_la = min_la.min(d);
-            }
-        }
-        Lookahead {
-            n: nshards,
-            dist: min_plus_closure(n, &la),
-            la,
-            min_la,
-        }
-    }
-
-    #[inline]
-    pub fn nshards(&self) -> u32 {
-        self.n
-    }
-
-    /// The channel promise for `src -> dst`, in raw time units.
-    #[inline]
-    pub fn get(&self, src: u32, dst: u32) -> u64 {
-        debug_assert!(src != dst, "diagonal lookahead is meaningless");
-        self.la[(src * self.n + dst) as usize]
-    }
-
-    /// The minimum off-diagonal promise (`u64::MAX` for a 1-shard
-    /// `from_fn` matrix, which has no channels).
-    #[inline]
-    pub fn min(&self) -> u64 {
-        self.min_la
-    }
-
-    /// The closure delay for `src -> dst`: the cheapest relay path
-    /// with at least one edge (the diagonal is the cheapest round
-    /// trip through peers).
-    #[inline]
-    pub fn dist(&self, src: u32, dst: u32) -> u64 {
-        self.dist[(src * self.n + dst) as usize]
-    }
-
-    /// Safe window end for shard `dst` given every shard's published
-    /// minimum: no event can arrive at `dst` earlier than
-    /// `min over all src of (mins[src] + dist(src, dst))`, where
-    /// `dist` is the min-plus closure — every causal chain from a
-    /// pending event to an arrival at `dst` relays through some path
-    /// of channels, and `src == dst` contributes its own round trip.
-    /// Public so the lookahead property suite can check
-    /// safety/progress bounds directly against random matrices.
-    pub fn window_end(&self, mins: &[u64], dst: usize) -> u64 {
-        let mut wend = u64::MAX;
-        for (src, &m) in mins.iter().enumerate() {
-            wend = wend.min(m.saturating_add(self.dist(src as u32, dst as u32)));
-        }
-        wend
-    }
+/// A future event at `dst` is the end of a causal chain of sends that
+/// starts at some shard's pending work. From a peer the shortest chain
+/// is one send, `mins[src] + l`; from `dst` itself it is the round
+/// trip out to a peer and back, `mins[dst] + 2l` — without that term a
+/// shard whose peers have all gone idle (published `u64::MAX`) would
+/// open an unbounded window and drain events its own in-flight sends
+/// were about to invalidate on the rebound. A lone shard has no peer to
+/// rebound from and is never bounded. Adds saturate, so a `u64::MAX`
+/// minimum drops out.
+///
+/// Public so the lookahead property suite can hold it against the
+/// min-plus closure of the uniform channel matrix it is the closed form
+/// of.
+pub fn window_end(l: SimDuration, mins: &[u64], dst: usize) -> u64 {
+    let own = if mins.len() > 1 { l.0.saturating_mul(2) } else { u64::MAX };
+    mins.iter()
+        .enumerate()
+        .map(|(src, &m)| m.saturating_add(if src == dst { own } else { l.0 }))
+        .min()
+        .unwrap_or(u64::MAX)
 }
 
 // ---------------------------------------------------------------------
@@ -318,7 +142,7 @@ pub struct ShardCtx<'a, E> {
     now: SimTime,
     shard: u32,
     nshards: u32,
-    la: &'a Lookahead,
+    lookahead: SimDuration,
     queue: &'a mut EventQueue<E>,
     /// Per-destination outbound buffers, flushed in one
     /// [`ShardChannel::push_batch`] per pair per window.
@@ -344,37 +168,30 @@ impl<E> ShardCtx<'_, E> {
         self.nshards
     }
 
-    /// The minimum cross-shard lookahead: cross-shard events are always
-    /// safe at `now + lookahead()` regardless of destination. Models
-    /// that derive send times from this should construct the simulator
-    /// with a *uniform* matrix so the value is shard-count invariant.
+    /// The cross-shard lookahead the simulator was built with:
+    /// cross-shard events are always safe at `now + lookahead()`. The
+    /// same value at every shard count, 1 included, so models that
+    /// derive send times from it stay shard-count invariant.
     #[inline]
     pub fn lookahead(&self) -> SimDuration {
-        SimDuration(self.la.min())
-    }
-
-    /// The per-channel promise to `dst`: cross-shard sends to `dst`
-    /// must be scheduled at least this far past `now`.
-    #[inline]
-    pub fn lookahead_to(&self, dst: u32) -> SimDuration {
-        SimDuration(self.la.get(self.shard, dst))
+        self.lookahead
     }
 
     /// Schedule `event` at `time` on shard `dst`, tie-broken by `key`.
     ///
     /// Local sends (`dst == self.shard()`) may target any `time >= now`.
-    /// Cross-shard sends must satisfy `time >= now + lookahead_to(dst)`
-    /// — the per-channel window contract; debug builds assert it.
+    /// Cross-shard sends must satisfy `time >= now + lookahead()` — the
+    /// window contract; debug builds assert it.
     pub fn send(&mut self, dst: u32, time: SimTime, key: u64, event: E) {
         debug_assert!(time >= self.now, "event scheduled in the past");
         if dst == self.shard {
             self.queue.push_keyed(time.max(self.now), key, event);
         } else {
             debug_assert!(
-                time.0 >= self.now.0 + self.la.get(self.shard, dst),
+                time.0 >= self.now.0 + self.lookahead.0,
                 "cross-shard event at {} violates lookahead {} from {} ({} -> {})",
                 time.0,
-                self.la.get(self.shard, dst),
+                self.lookahead.0,
                 self.now.0,
                 self.shard,
                 dst
@@ -456,7 +273,7 @@ struct ShardSlot<W: ShardWorld> {
 /// Read-only per-run context shared by every phase function.
 struct Shared<'a, W: ShardWorld> {
     n: usize,
-    la: &'a Lookahead,
+    lookahead: SimDuration,
     /// Event-granular horizon cap: events with `t.0 > hcap` never
     /// execute.
     hcap: u64,
@@ -466,19 +283,16 @@ struct Shared<'a, W: ShardWorld> {
 /// A model partitioned across shards, executed in lookahead windows.
 pub struct ShardSim<W: ShardWorld> {
     shards: Vec<ShardSlot<W>>,
-    lookahead: Lookahead,
+    lookahead: SimDuration,
 }
 
 impl<W: ShardWorld> ShardSim<W> {
-    /// One world per shard, with a per-channel [`Lookahead`] matrix
-    /// (`lookahead.nshards()` must match `worlds.len()`).
-    pub fn new(worlds: Vec<W>, lookahead: Lookahead) -> Self {
+    /// One world per shard; every cross-shard send promises at least
+    /// `lookahead` of delay. (Named for the per-channel matrix it was
+    /// once the uniform case of; the frozen benchmark calls it.)
+    pub fn uniform(worlds: Vec<W>, lookahead: SimDuration) -> Self {
         assert!(!worlds.is_empty(), "at least one shard required");
-        assert_eq!(
-            worlds.len(),
-            lookahead.nshards() as usize,
-            "lookahead matrix size must match shard count"
-        );
+        assert!(lookahead.0 > 0, "conservative lookahead must be positive");
         let n = worlds.len();
         ShardSim {
             shards: worlds
@@ -495,13 +309,6 @@ impl<W: ShardWorld> ShardSim<W> {
                 .collect(),
             lookahead,
         }
-    }
-
-    /// Convenience constructor: every channel promises the same
-    /// `min_latency` (the pre-round-2 global-lookahead behavior).
-    pub fn uniform(worlds: Vec<W>, min_latency: SimDuration) -> Self {
-        let n = worlds.len() as u32;
-        Self::new(worlds, Lookahead::uniform(n, min_latency))
     }
 
     pub fn nshards(&self) -> u32 {
@@ -532,7 +339,7 @@ impl<W: ShardWorld> ShardSim<W> {
         let horizon_hit = AtomicBool::new(false);
         let shared = Shared::<W> {
             n,
-            la: &self.lookahead,
+            lookahead: self.lookahead,
             hcap: horizon.map_or(u64::MAX, |h| h.0),
             channels: &channels,
         };
@@ -553,7 +360,7 @@ impl<W: ShardWorld> ShardSim<W> {
                 }
                 windows.fetch_add(1, Ordering::Relaxed);
                 for (s, slot) in self.shards.iter_mut().enumerate() {
-                    let wend = shared.la.window_end(&mins, s);
+                    let wend = window_end(shared.lookahead, &mins, s);
                     drain_window(slot, s, &shared, wend);
                     flush_outbufs(slot, s, &shared);
                 }
@@ -606,7 +413,7 @@ impl<W: ShardWorld> ShardSim<W> {
 // ---------------------------------------------------------------------
 
 /// Full serializable state of a [`ShardSim`] at a quiescent point
-/// (between runs): the lookahead matrix and every shard's world, its
+/// (between runs): the lookahead and every shard's world, its
 /// calendar queue (as a [`QueueSnapshot`] — entries behind stable
 /// `(time, key)` identities, never arena slots) and its clock.
 ///
@@ -622,19 +429,14 @@ impl<W: ShardWorld> ShardSim<W> {
 ///
 /// A deserialized snapshot is shape-checked at the boundary
 /// (`Deserialize::from_value` returns a `DeError` for a wrong schema
-/// tag, `nshards` 0, or arrays that do not match `nshards`), so
-/// [`restore`](ShardSnapshot::restore) never sees a malformed one.
+/// tag, `nshards` 0, a zero `lookahead` — under which no window ever
+/// advances and `run` would not return — or arrays that do not match
+/// `nshards`), so [`restore`](ShardSnapshot::restore) never sees a
+/// malformed one.
 pub struct ShardSnapshot<W: ShardWorld> {
     nshards: u32,
-    /// Row-major `nshards x nshards` lookahead edge matrix (the
-    /// closure is recomputed on restore — it is a pure function of
-    /// the edges).
-    la: Vec<u64>,
-    /// Serialized explicitly: `Lookahead::uniform(1, d)` carries
-    /// `min_la = d` while a 1-shard `from_fn` matrix carries
-    /// `u64::MAX`, and models that derive send times from
-    /// [`ShardCtx::lookahead`] would diverge if a restore guessed.
-    min_la: u64,
+    /// The construction lookahead, picoseconds.
+    lookahead: u64,
     worlds: Vec<W>,
     queues: Vec<QueueSnapshot<W::Event>>,
     /// Per-shard clock, picoseconds.
@@ -666,14 +468,7 @@ impl<W: ShardWorld> ShardSnapshot<W> {
         W: Clone,
         W::Event: Clone,
     {
-        let n = self.nshards as usize;
-        let lookahead = Lookahead {
-            n: self.nshards,
-            dist: min_plus_closure(n, &self.la),
-            la: self.la.clone(),
-            min_la: self.min_la,
-        };
-        let mut sim = ShardSim::new(self.worlds.clone(), lookahead);
+        let mut sim = ShardSim::uniform(self.worlds.clone(), SimDuration(self.lookahead));
         for (s, slot) in sim.shards.iter_mut().enumerate() {
             slot.queue = EventQueue::from_snapshot(self.queues[s].snapshot_clone());
             slot.now = SimTime(self.nows[s]);
@@ -713,8 +508,7 @@ where
         }
         ShardSnapshot {
             nshards: self.shards.len() as u32,
-            la: self.lookahead.la.clone(),
-            min_la: self.lookahead.min_la,
+            lookahead: self.lookahead.0,
             worlds: self.shards.iter().map(|s| s.world.clone()).collect(),
             queues: self.shards.iter().map(|s| s.queue.snapshot()).collect(),
             nows: self.shards.iter().map(|s| s.now.0).collect(),
@@ -723,7 +517,7 @@ where
 }
 
 /// Snapshot wire-format version tag (bump on layout changes).
-const SHARD_SNAPSHOT_SCHEMA: &str = "polaris-shardsim-snapshot/2";
+const SHARD_SNAPSHOT_SCHEMA: &str = "polaris-shardsim-snapshot/3";
 
 impl<W> Serialize for ShardSnapshot<W>
 where
@@ -737,8 +531,7 @@ where
         Value::Object(vec![
             ("schema".to_string(), Value::Str(SHARD_SNAPSHOT_SCHEMA.to_string())),
             ("nshards".to_string(), self.nshards.to_value()),
-            ("la".to_string(), self.la.to_value()),
-            ("min_la".to_string(), self.min_la.to_value()),
+            ("lookahead".to_string(), self.lookahead.to_value()),
             ("worlds".to_string(), self.worlds.to_value()),
             ("queues".to_string(), self.queues.to_value()),
             ("nows".to_string(), self.nows.to_value()),
@@ -760,8 +553,7 @@ where
         }
         let snap = ShardSnapshot {
             nshards: u32::from_value(v.field("nshards")?)?,
-            la: Vec::<u64>::from_value(v.field("la")?)?,
-            min_la: u64::from_value(v.field("min_la")?)?,
+            lookahead: u64::from_value(v.field("lookahead")?)?,
             worlds: Vec::<W>::from_value(v.field("worlds")?)?,
             queues: Vec::<QueueSnapshot<W::Event>>::from_value(v.field("queues")?)?,
             nows: Vec::<u64>::from_value(v.field("nows")?)?,
@@ -772,11 +564,10 @@ where
         if n == 0 {
             return Err(serde::DeError::new("shard snapshot holds no shards"));
         }
-        if n.checked_mul(n) != Some(snap.la.len()) {
-            return Err(serde::DeError::new(format!(
-                "shard snapshot lookahead matrix has {} entries, expected {n}x{n}",
-                snap.la.len()
-            )));
+        if snap.lookahead == 0 {
+            return Err(serde::DeError::new(
+                "shard snapshot lookahead is zero: no window could advance",
+            ));
         }
         if snap.worlds.len() != n || snap.queues.len() != n || snap.nows.len() != n {
             return Err(serde::DeError::new(format!(
@@ -811,7 +602,7 @@ fn drain_window<W: ShardWorld>(slot: &mut ShardSlot<W>, s: usize, sh: &Shared<'_
             now: t,
             shard: s as u32,
             nshards: sh.n as u32,
-            la: sh.la,
+            lookahead: sh.lookahead,
             queue: &mut slot.queue,
             outbufs: &mut slot.outbufs,
             remote_sent: &mut slot.remote_sent,
@@ -936,7 +727,7 @@ fn worker<W: ShardWorld>(
         if s == 0 {
             windows.fetch_add(1, Ordering::Relaxed);
         }
-        let wend = sh.la.window_end(&local_mins, s);
+        let wend = window_end(sh.lookahead, &local_mins, s);
         drain_window(slot, s, sh, wend);
         flush_outbufs(slot, s, sh);
         barrier.wait();
@@ -1056,41 +847,35 @@ mod tests {
     }
 
     #[test]
-    fn lookahead_window_math() {
-        // 3 shards; la[src][dst] asymmetric. Direct edges are always
-        // the cheapest path here, so off-diagonal closure == edges;
-        // the diagonal picks up the cheapest round trip.
-        let la = Lookahead::from_fn(3, |src, dst| SimDuration(100 * (src as u64 + 1) + dst as u64));
-        assert_eq!(la.dist(1, 0), 200);
-        assert_eq!(la.dist(0, 0), 301); // 0 -> 1 -> 0 = 101 + 200
-        assert_eq!(la.dist(2, 2), 402); // 2 -> 0 -> 2 = 300 + 102
+    fn window_end_math() {
+        let l = SimDuration(100);
         // mins: shard 0 at 1000, shard 1 at 2000, shard 2 empty.
         let mins = [1000u64, 2000, u64::MAX];
-        // wend_0 = min(m0 + rt_0, m1 + la[1][0], m2 + la[2][0])
-        //        = min(1000+301, 2000+200, MAX) = 1301
-        assert_eq!(la.window_end(&mins, 0), 1301);
-        // wend_1 = min(1000+101, 2000+301, MAX) = 1101
-        assert_eq!(la.window_end(&mins, 1), 1101);
-        // wend_2 = min(1000+102, 2000+202, MAX) = 1102
-        assert_eq!(la.window_end(&mins, 2), 1102);
+        // A peer's pending work arrives one lookahead later, the own
+        // shard's two (out to a peer and back).
+        assert_eq!(window_end(l, &mins, 0), 1200); // min(1000+200, 2000+100)
+        assert_eq!(window_end(l, &mins, 1), 1100); // min(1000+100, 2000+200)
+        assert_eq!(window_end(l, &mins, 2), 1100);
         // With every peer idle, a shard's own pending work still bounds
-        // its window through the cheapest round trip — the single-edge
-        // formula returned MAX here and drained events its own
-        // in-flight sends were about to invalidate.
+        // its window through the round trip — a single-edge formula
+        // returned MAX here and drained events its own in-flight sends
+        // were about to invalidate.
         let solo = [1000u64, u64::MAX, u64::MAX];
-        assert_eq!(la.window_end(&solo, 0), 1301);
-        // An empty system never schedules a window.
-        let empty = [u64::MAX, u64::MAX, u64::MAX];
-        assert_eq!(la.window_end(&empty, 0), u64::MAX);
-        // Uniform matrix minimum is the construction value at any n.
-        assert_eq!(Lookahead::uniform(1, SimDuration(7)).min(), 7);
-        assert_eq!(Lookahead::uniform(4, SimDuration(7)).min(), 7);
+        assert_eq!(window_end(l, &solo, 0), 1200);
+        // An empty system never schedules a window; a lone shard has no
+        // peer to rebound from.
+        assert_eq!(window_end(l, &[u64::MAX; 3], 0), u64::MAX);
+        assert_eq!(window_end(l, &[1000], 0), u64::MAX);
     }
 
     #[test]
     fn shard_counts_produce_identical_traces() {
         let (base_stats, base_log) = run_ping(8, 1, false);
         assert_eq!(base_stats.events_dispatched, 8 * 41);
+        // Hops are `ctx.lookahead()` apart: the last token (seeded at
+        // t = 7, 40 hops) pins it to the construction value on one shard,
+        // and the trace equality below on every other count.
+        assert_eq!(base_stats.end_time, SimTime(7 + 40 * 100));
         for nshards in [2u32, 4] {
             let runs = [false, true].map(|parallel| run_ping(8, nshards, parallel));
             for (stats, log) in &runs {
@@ -1192,88 +977,6 @@ mod tests {
             assert_eq!(stats.events_dispatched, base_stats.events_dispatched);
             assert_eq!(stats.end_time, base_stats.end_time);
         }
-    }
-
-    /// A 2-rank exchange with asymmetric per-channel latency: rank 0
-    /// messages rank 1 with a 100-tick delay, rank 1 replies with a
-    /// 700-tick delay. The per-channel matrix lets shard 0 run 700-wide
-    /// windows where the old global minimum (100) would have forced
-    /// 7× as many.
-    struct AsymWorld {
-        part: Partition,
-        seq: u64,
-        log: Vec<(u64, u32)>,
-    }
-
-    #[derive(Clone, Debug)]
-    struct Ball {
-        rank: u32,
-        bounces_left: u32,
-    }
-
-    const A_TO_B: u64 = 100;
-    const B_TO_A: u64 = 700;
-
-    impl ShardWorld for AsymWorld {
-        type Event = Ball;
-        fn handle(&mut self, ctx: &mut ShardCtx<'_, Ball>, ev: Ball) {
-            self.log.push((ctx.now().0, ev.rank));
-            if ev.bounces_left == 0 {
-                return;
-            }
-            let (next, delay) = if ev.rank == 0 { (1, A_TO_B) } else { (0, B_TO_A) };
-            self.seq += 1;
-            let key = ((ev.rank as u64) << 32) | self.seq;
-            ctx.send(
-                self.part.shard_of(next),
-                SimTime(ctx.now().0 + delay),
-                key,
-                Ball {
-                    rank: next,
-                    bounces_left: ev.bounces_left - 1,
-                },
-            );
-        }
-    }
-
-    fn run_asym(nshards: u32) -> (ShardRunStats, Vec<(u64, u32)>) {
-        let part = Partition::block(2, nshards);
-        let la = if part.nshards == 1 {
-            Lookahead::uniform(1, SimDuration(A_TO_B))
-        } else {
-            Lookahead::from_fn(2, |src, _| {
-                SimDuration(if src == 0 { A_TO_B } else { B_TO_A })
-            })
-        };
-        let worlds: Vec<AsymWorld> = (0..part.nshards)
-            .map(|_| AsymWorld {
-                part,
-                seq: 0,
-                log: Vec::new(),
-            })
-            .collect();
-        let mut sim = ShardSim::new(worlds, la);
-        sim.schedule(part.shard_of(0), SimTime(0), 0, Ball { rank: 0, bounces_left: 30 });
-        let stats = sim.run(true, None);
-        let mut log: Vec<(u64, u32)> = sim.worlds().flat_map(|w| w.log.iter().copied()).collect();
-        log.sort_unstable();
-        (stats, log)
-    }
-
-    #[test]
-    fn per_channel_lookahead_widens_windows_without_changing_results() {
-        let (wide_stats, wide_log) = run_asym(2);
-        let (base_stats, base_log) = run_asym(1);
-        assert_eq!(wide_log, base_log);
-        assert_eq!(wide_stats.events_dispatched, base_stats.events_dispatched);
-        // Each 800-tick round trip costs at most 2 windows under the
-        // per-channel matrix; the old uniform-100 window would have
-        // needed ~8. Bound it loosely to stay robust.
-        assert!(
-            wide_stats.windows <= 2 * 31 + 4,
-            "windows should scale with per-channel latency, got {}",
-            wide_stats.windows
-        );
     }
 
     #[test]

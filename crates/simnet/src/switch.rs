@@ -1,155 +1,21 @@
-//! Packet-level output-queued crossbar switch: the reference model.
-//!
-//! The flow-level model in `network.rs` approximates contention by
-//! charging whole-message serialization against links. This module
-//! simulates a single crossbar switch at packet granularity — input
-//! serialization, switch traversal, per-output FIFO queueing — and is used
-//! by tests to validate that the fast model's aggregate behaviour (fair
-//! sharing, saturation throughput) matches a first-principles simulation.
+//! Crossbar facade over [`packetnet`](crate::packetnet), kept only
+//! because the frozen `examples/benchmark/src/probes.rs` imports it
+//! (`simnet.switch.packet_ns`). A crossbar is one more topology to the
+//! routed packet model; new code calls `simulate_packets` directly.
 
-use crate::engine::{run, Scheduler, World};
 use crate::error::SimError;
 use crate::link::LinkModel;
-use crate::packet::{segment, Packet, Reassembled, Reassembler};
-use crate::time::{SimDuration, SimTime};
-use std::collections::VecDeque;
+pub use crate::packetnet::Injection;
+use crate::packetnet::{simulate_packets, Completion};
+use crate::topology::{Topology, TopologyKind};
 
-#[derive(Debug)]
-pub enum SwEvent {
-    /// Packet finished serializing on its input link and reaches the switch.
-    ArriveAtSwitch(Packet),
-    /// Output port finished transmitting its current packet.
-    OutputDone(u32),
-}
-
-/// A message to inject at a given time.
-#[derive(Debug, Clone, Copy)]
-pub struct Injection {
-    pub at: SimTime,
-    pub src: u32,
-    pub dst: u32,
-    pub bytes: u64,
-}
-
-/// A completed message delivery.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Completion {
-    pub msg: Reassembled,
-    pub dst: u32,
-    pub at: SimTime,
-}
-
-/// Packet-level model of `ports` hosts attached to one output-queued
-/// crossbar switch.
-pub struct CrossbarSim {
-    model: LinkModel,
-    /// Per-input link: time the input wire becomes free.
-    input_free: Vec<SimTime>,
-    /// Per-output port FIFO of packets awaiting transmission.
-    out_queue: Vec<VecDeque<Packet>>,
-    /// Whether each output port is currently transmitting.
-    out_busy: Vec<bool>,
-    reasm: Reassembler,
-    completions: Vec<Completion>,
-    next_msg_id: u64,
-    /// First invariant violation observed, if any; once set the model
-    /// stops scheduling work and the run drains.
-    error: Option<SimError>,
-}
-
-impl CrossbarSim {
-    pub fn new(ports: u32, model: LinkModel) -> Self {
-        CrossbarSim {
-            model,
-            input_free: vec![SimTime::ZERO; ports as usize],
-            out_queue: (0..ports).map(|_| VecDeque::new()).collect(),
-            out_busy: vec![false; ports as usize],
-            reasm: Reassembler::new(),
-            completions: Vec::new(),
-            next_msg_id: 0,
-            error: None,
-        }
-    }
-
-    /// Queue a message's packets onto the source's input link.
-    fn inject(&mut self, sched: &mut Scheduler<SwEvent>, inj: Injection) {
-        let id = self.next_msg_id;
-        self.next_msg_id += 1;
-        let pkts = segment(id, inj.src, inj.dst, inj.bytes, &self.model);
-        let mut free = self.input_free[inj.src as usize].max(inj.at);
-        let hop = SimDuration::from_ps(self.model.hop_latency);
-        for p in pkts {
-            let ser = self.model.serialize(p.wire_bytes(&self.model));
-            free += ser;
-            // The packet reaches the switch after serialization plus the
-            // input link's propagation share.
-            sched.at(free + hop, SwEvent::ArriveAtSwitch(p));
-        }
-        self.input_free[inj.src as usize] = free;
-    }
-
-    fn start_output(&mut self, sched: &mut Scheduler<SwEvent>, port: u32) {
-        if self.out_busy[port as usize] {
-            return;
-        }
-        if let Some(pkt) = self.out_queue[port as usize].front().copied() {
-            self.out_busy[port as usize] = true;
-            let ser = self.model.serialize(pkt.wire_bytes(&self.model));
-            sched.after(ser, SwEvent::OutputDone(port));
-        }
-    }
-
-    pub fn completions(&self) -> &[Completion] {
-        &self.completions
-    }
-
-    /// First invariant violation observed during the run, if any.
-    pub fn error(&self) -> Option<SimError> {
-        self.error
-    }
-}
-
-impl World for CrossbarSim {
-    type Event = SwEvent;
-
-    fn handle(&mut self, sched: &mut Scheduler<SwEvent>, event: SwEvent) {
-        if self.error.is_some() {
-            return;
-        }
-        match event {
-            SwEvent::ArriveAtSwitch(pkt) => {
-                self.out_queue[pkt.dst as usize].push_back(pkt);
-                self.start_output(sched, pkt.dst);
-            }
-            SwEvent::OutputDone(port) => {
-                let Some(pkt) = self.out_queue[port as usize].pop_front() else {
-                    self.error = Some(SimError::EmptyOutputQueue { port });
-                    return;
-                };
-                self.out_busy[port as usize] = false;
-                if let Some(msg) = self.reasm.push(pkt) {
-                    self.completions.push(Completion {
-                        msg,
-                        dst: port,
-                        at: sched.now(),
-                    });
-                }
-                self.start_output(sched, port);
-            }
-        }
-    }
-}
-
-/// Run a packet-level crossbar simulation of the given injections and
-/// return completions sorted by time, or the first model invariant
-/// violation.
+/// `simulate_packets` on a `ports`-host crossbar, with out-of-range
+/// ports refused as a typed error.
 pub fn simulate_crossbar(
     ports: u32,
     model: LinkModel,
     injections: &[Injection],
 ) -> Result<Vec<Completion>, SimError> {
-    let mut world = CrossbarSim::new(ports, model);
-    let mut sched = Scheduler::with_capacity(injections.len());
     for inj in injections {
         if inj.src >= ports || inj.dst >= ports {
             return Err(SimError::PortOutOfRange {
@@ -158,196 +24,21 @@ pub fn simulate_crossbar(
             });
         }
     }
-    // Injections are applied up front: input-link occupancy ensures the
-    // wire is shared correctly even for same-time injections.
-    let mut sorted: Vec<Injection> = injections.to_vec();
-    sorted.sort_by_key(|i| i.at);
-    for inj in sorted {
-        world.inject(&mut sched, inj);
-    }
-    run(&mut world, &mut sched, None);
-    if let Some(e) = world.error {
-        return Err(e);
-    }
-    let mut done = world.completions;
-    done.sort_by_key(|c| c.at);
-    Ok(done)
+    let topo = Topology::new(TopologyKind::Crossbar { hosts: ports });
+    Ok(simulate_packets(topo, model, injections))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::link::Generation;
-
-    fn gige() -> LinkModel {
-        Generation::GigabitEthernet.link_model()
-    }
-
-    #[test]
-    fn single_message_matches_analytic_two_hop_time() {
-        let m = gige();
-        let done = simulate_crossbar(
-            4,
-            m,
-            &[Injection {
-                at: SimTime::ZERO,
-                src: 0,
-                dst: 1,
-                bytes: 6000,
-            }],
-        ).unwrap();
-        assert_eq!(done.len(), 1);
-        let analytic = m.message_time(6000, 2);
-        let sim = done[0].at.since(SimTime::ZERO);
-        // Packet-level vs analytic pipelining agree within one hop latency
-        // (the analytic model folds both hops' latency in, the packet
-        // model pays the output side as serialization only).
-        let diff = sim.as_ps().abs_diff(analytic.as_ps());
-        assert!(
-            diff <= 2 * m.hop_latency,
-            "sim {sim} vs analytic {analytic}"
-        );
-    }
-
-    #[test]
-    fn two_senders_one_receiver_halves_throughput() {
-        let m = gige();
-        let bytes = 1 << 20;
-        let solo = simulate_crossbar(
-            4,
-            m,
-            &[Injection {
-                at: SimTime::ZERO,
-                src: 0,
-                dst: 2,
-                bytes,
-            }],
-        ).unwrap();
-        let pair = simulate_crossbar(
-            4,
-            m,
-            &[
-                Injection {
-                    at: SimTime::ZERO,
-                    src: 0,
-                    dst: 2,
-                    bytes,
-                },
-                Injection {
-                    at: SimTime::ZERO,
-                    src: 1,
-                    dst: 2,
-                    bytes,
-                },
-            ],
-        ).unwrap();
-        let t_solo = solo[0].at.as_secs();
-        let t_pair = pair.last().unwrap().at.as_secs();
-        let ratio = t_pair / t_solo;
-        assert!(
-            (1.8..2.2).contains(&ratio),
-            "congested/uncongested ratio = {ratio}"
-        );
-    }
-
-    #[test]
-    fn congested_flows_interleave_fairly() {
-        let m = gige();
-        let bytes = 512 * 1024;
-        let done = simulate_crossbar(
-            4,
-            m,
-            &[
-                Injection {
-                    at: SimTime::ZERO,
-                    src: 0,
-                    dst: 3,
-                    bytes,
-                },
-                Injection {
-                    at: SimTime::ZERO,
-                    src: 1,
-                    dst: 3,
-                    bytes,
-                },
-            ],
-        ).unwrap();
-        // Both finish within ~one message serialization of each other:
-        // packets interleave in the output queue rather than one flow
-        // starving the other.
-        let gap = done[1].at.since(done[0].at);
-        let one_pkt = m.serialize((m.mtu + m.header_bytes) as u64);
-        assert!(
-            gap.as_ps() <= 4 * one_pkt.as_ps(),
-            "unfair completion gap {gap}"
-        );
-    }
-
-    #[test]
-    fn disjoint_pairs_do_not_interact() {
-        let m = gige();
-        let done = simulate_crossbar(
-            4,
-            m,
-            &[
-                Injection {
-                    at: SimTime::ZERO,
-                    src: 0,
-                    dst: 1,
-                    bytes: 100_000,
-                },
-                Injection {
-                    at: SimTime::ZERO,
-                    src: 2,
-                    dst: 3,
-                    bytes: 100_000,
-                },
-            ],
-        ).unwrap();
-        assert_eq!(done[0].at, done[1].at);
-    }
-
-    #[test]
-    fn flow_model_agrees_with_packet_model_on_saturation() {
-        // Cross-validation: the fast flow model and the packet-level
-        // reference should agree on total time for a many-to-one pattern
-        // within 25%.
-        use crate::network::Network;
-        use crate::topology::{Topology, TopologyKind};
-        let m = gige();
-        let bytes = 256 * 1024;
-        let senders = 4u32;
-        let injections: Vec<Injection> = (1..=senders)
-            .map(|s| Injection {
-                at: SimTime::ZERO,
-                src: s,
-                dst: 0,
-                bytes,
-            })
-            .collect();
-        let pkt_done = simulate_crossbar(senders + 1, m, &injections).unwrap();
-        let t_pkt = pkt_done.last().unwrap().at.as_secs();
-
-        let mut flow = Network::new(
-            Topology::new(TopologyKind::Crossbar { hosts: senders + 1 }),
-            m,
-        );
-        let t_flow = injections
-            .iter()
-            .map(|i| flow.transfer(i.at, i.src, i.dst, i.bytes).arrival.as_secs())
-            .fold(0.0, f64::max);
-        let ratio = t_flow / t_pkt;
-        assert!(
-            (0.75..1.25).contains(&ratio),
-            "flow {t_flow} vs packet {t_pkt}: ratio {ratio}"
-        );
-    }
+    use crate::time::SimTime;
 
     #[test]
     fn out_of_range_port_is_a_typed_error_not_a_panic() {
         let err = simulate_crossbar(
             2,
-            gige(),
+            Generation::GigabitEthernet.link_model(),
             &[Injection {
                 at: SimTime::ZERO,
                 src: 0,

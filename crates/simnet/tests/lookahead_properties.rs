@@ -1,41 +1,29 @@
-//! Property suite for the per-channel lookahead math behind the
-//! conservative window protocol (round 2 of the parallel engine).
+//! Property suite for the window bound behind the conservative window
+//! protocol, and for the shard-count invariance it exists to keep.
 //!
-//! Two contracts from the design note in `shard.rs`, checked against
-//! randomly drawn lookahead matrices and published-minimum vectors:
+//! `shard::window_end` is a closed form: the bound a shard would get
+//! from the min-plus closure of a channel matrix whose every entry is
+//! the one lookahead `L`. The suite holds it against that closure,
+//! computed here by an independent Bellman–Ford relaxation, and checks
+//! the two properties the barrier protocol leans on:
 //!
-//! * **Safety** — a shard's window end never exceeds what any single
-//!   inbound channel promises (`mins[src] + la[src][dst]`), so no
-//!   event can ever arrive below the window boundary.
-//! * **Progress** — the per-channel window is always at least the old
-//!   global window (`min(mins) + min(la)`), so round 2 can only widen
-//!   windows, never narrow them.
+//! * **Progress** — every shard's window is at least the global window
+//!   `min(mins) + L`, so some shard always drains its minimum.
+//! * **Monotonicity** — raising a published minimum never narrows a
+//!   window.
 //!
 //! Plus an end-to-end shard-count invariance property over randomly
-//! seeded token workloads.
+//! seeded token workloads, which is what a wrong bound breaks.
 
-use polaris_simnet::prelude::{
-    Lookahead, Partition, ShardCtx, ShardSim, ShardWorld, SimDuration, SimTime,
-};
+use polaris_simnet::prelude::{Partition, ShardCtx, ShardSim, ShardWorld, SimDuration, SimTime};
+use polaris_simnet::shard::window_end;
 use proptest::prelude::*;
 
-/// Build a matrix from a flat entry vector (row-major, diagonal
-/// ignored).
-fn matrix(n: u32, entries: &[u64]) -> Lookahead {
-    Lookahead::from_fn(n, |src, dst| SimDuration(entries[(src * n + dst) as usize]))
-}
-
-/// The old global window: every shard advanced to the same bound,
-/// `min(published minimums) + min(all channel promises)`.
-fn global_window(mins: &[u64], la: &Lookahead) -> u64 {
-    mins.iter().copied().min().unwrap().saturating_add(la.min())
-}
-
-/// Independent min-plus closure reference: relax every edge until a
-/// fixed point (Bellman-Ford style), seeded with the single edges and
-/// a saturated diagonal so every path keeps at least one edge. The
-/// engine uses Floyd-Warshall; agreement between the two is the
-/// differential the property suite leans on.
+/// Min-plus closure of an `n x n` channel matrix (row-major, diagonal
+/// ignored) by relaxing every edge until a fixed point, seeded with the
+/// single edges and a saturated diagonal so every path keeps at least
+/// one edge: `dist[src * n + dst]` is the least delay of any relay
+/// chain `src -> ... -> dst`, the diagonal the cheapest round trip.
 fn reference_closure(n: usize, entries: &[u64]) -> Vec<u64> {
     let mut dist = vec![u64::MAX; n * n];
     for src in 0..n {
@@ -68,98 +56,52 @@ fn reference_closure(n: usize, entries: &[u64]) -> Vec<u64> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::with_cases(256))]
 
-    // The closure matches an independent reference: repeated
-    // Bellman-Ford-style relaxation from the raw edges. This is the
-    // ground truth for every other property here.
+    // The oracle: for every shard, the closed form equals the earliest
+    // arrival any causal chain could produce — the minimum over sources
+    // of `mins[src] + closure(src, dst)` — so it is safe (no chain beats
+    // it) and tight (some chain achieves it). Lookaheads reach up to
+    // `u64::MAX - 1` and minimums include `u64::MAX` (an idle shard):
+    // the saturating arithmetic has to agree too.
     #[test]
-    fn closure_matches_bellman_ford_reference(
-        n in 2u32..=6,
-        entries in collection::vec(1u64..=1_000, 36..37),
+    fn window_end_equals_the_reference_closure_of_the_uniform_matrix(
+        n in 1usize..=8,
+        l in 1u64..=1_000,
+        l_from_top in any::<bool>(),
+        raw in collection::vec((0u64..=10_000, 0u8..3), 8..9),
     ) {
-        let la = matrix(n, &entries);
-        let reference = reference_closure(n as usize, &entries);
-        for src in 0..n {
-            for dst in 0..n {
-                prop_assert!(
-                    la.dist(src, dst) == reference[(src * n + dst) as usize],
-                    "dist({src},{dst}) = {} but reference says {}",
-                    la.dist(src, dst),
-                    reference[(src * n + dst) as usize]
-                );
-            }
-        }
-    }
-
-    // Safety: `window_end(mins, dst)` never exceeds the earliest
-    // arrival any causal chain could produce — `mins[src] +
-    // dist(src, dst)` for every source, including `dst`'s own round
-    // trip — and is tight: some chain achieves it exactly.
-    #[test]
-    fn window_end_is_safe_and_tight(
-        n in 2u32..=6,
-        entries in collection::vec(1u64..=1_000, 36..37),
-        mins in collection::vec(0u64..=10_000, 6..7),
-    ) {
-        let la = matrix(n, &entries);
-        let mins = &mins[..n as usize];
-        for dst in 0..n as usize {
-            let wend = la.window_end(mins, dst);
-            let mut tight = false;
-            for (src, &m) in mins.iter().enumerate() {
-                let promise = m.saturating_add(la.dist(src as u32, dst as u32));
-                prop_assert!(
-                    wend <= promise,
-                    "dst {dst}: window {wend} outruns chain {src}->{dst} promise {promise}"
-                );
-                tight |= wend == promise;
-            }
-            prop_assert!(tight, "dst {dst}: window {wend} is not achieved by any chain");
-        }
-    }
-
-    // Progress: the per-channel window is at least the old global
-    // window for every shard.
-    #[test]
-    fn window_end_dominates_the_global_window(
-        n in 2u32..=6,
-        entries in collection::vec(1u64..=1_000, 36..37),
-        mins in collection::vec(0u64..=10_000, 6..7),
-    ) {
-        let la = matrix(n, &entries);
-        let mins = &mins[..n as usize];
-        let global = global_window(mins, &la);
-        for dst in 0..n as usize {
-            let wend = la.window_end(mins, dst);
-            prop_assert!(
-                wend >= global,
-                "dst {dst}: per-channel window {wend} below global window {global}"
-            );
-        }
-    }
-
-    // A uniform matrix collapses to the global behavior plus the
-    // self round trip: `window_end(dst) = min(min over src≠dst of
-    // mins[src] + d, mins[dst] + 2d)`.
-    #[test]
-    fn uniform_matrix_reduces_to_global(
-        n in 2u32..=6,
-        d in 1u64..=1_000,
-        mins in collection::vec(0u64..=10_000, 6..7),
-    ) {
-        let la = Lookahead::uniform(n, SimDuration(d));
-        let mins = &mins[..n as usize];
-        for dst in 0..n as usize {
-            let others = mins
-                .iter()
-                .enumerate()
-                .filter(|&(s, _)| s != dst)
-                .map(|(_, &m)| m)
+        let l = if l_from_top { u64::MAX - l } else { l };
+        let mins: Vec<u64> = raw[..n]
+            .iter()
+            .map(|&(m, top)| match top {
+                0 => m,
+                1 => u64::MAX - 1 - m,
+                _ => u64::MAX,
+            })
+            .collect();
+        let closure = reference_closure(n, &vec![l; n * n]);
+        for dst in 0..n {
+            let expect = (0..n)
+                .map(|src| mins[src].saturating_add(closure[src * n + dst]))
                 .min()
                 .unwrap();
-            let expect = (others + d).min(mins[dst] + 2 * d);
-            prop_assert_eq!(la.window_end(mins, dst), expect);
+            prop_assert_eq!(window_end(SimDuration(l), &mins, dst), expect);
+        }
+    }
+
+    // Progress: no shard's window is below the global window.
+    #[test]
+    fn window_end_dominates_the_global_window(
+        n in 2usize..=6,
+        l in 1u64..=1_000,
+        mins in collection::vec(0u64..=10_000, 6..7),
+    ) {
+        let mins = &mins[..n];
+        let global = mins.iter().min().unwrap() + l;
+        for dst in 0..n {
+            let wend = window_end(SimDuration(l), mins, dst);
+            prop_assert!(wend >= global, "dst {dst}: window {wend} below global window {global}");
         }
     }
 
@@ -168,55 +110,23 @@ proptest! {
     // only ever moving forward as minimums advance).
     #[test]
     fn window_end_is_monotone_in_the_minimums(
-        n in 2u32..=6,
-        entries in collection::vec(1u64..=1_000, 36..37),
+        n in 2usize..=6,
+        l in 1u64..=1_000,
         mins in collection::vec(0u64..=10_000, 6..7),
         bump_at in 0usize..6,
         bump in 1u64..=5_000,
     ) {
-        let la = matrix(n, &entries);
-        let mins = &mins[..n as usize];
+        let mins = &mins[..n];
         let mut bumped = mins.to_vec();
-        let i = bump_at % n as usize;
+        let i = bump_at % n;
         bumped[i] += bump;
-        for dst in 0..n as usize {
+        for dst in 0..n {
             prop_assert!(
-                la.window_end(&bumped, dst) >= la.window_end(mins, dst),
+                window_end(SimDuration(l), &bumped, dst) >= window_end(SimDuration(l), mins, dst),
                 "raising min[{i}] narrowed dst {dst}'s window"
             );
         }
     }
-}
-
-/// A `u64::MAX` entry declares "this pair never exchanges events" and
-/// drops the channel from the window computation: with every other
-/// channel saturated, the one live channel alone bounds the window.
-#[test]
-fn saturated_channels_drop_out_of_the_window() {
-    let la = Lookahead::from_fn(3, |src, dst| {
-        if src == 0 && dst == 2 {
-            SimDuration(7)
-        } else {
-            SimDuration(u64::MAX)
-        }
-    });
-    let mins = [10u64, 1, 1];
-    assert_eq!(la.window_end(&mins, 2), 17);
-    assert_eq!(la.window_end(&mins, 1), u64::MAX);
-}
-
-/// A concrete witness that per-channel lookahead is a *strict*
-/// improvement: with one slow channel into shard 0 and fast channels
-/// everywhere else, shard 1's window runs well past the old global
-/// bound.
-#[test]
-fn asymmetric_matrix_strictly_widens_some_window() {
-    let la = Lookahead::from_fn(2, |src, _| SimDuration(if src == 0 { 1 } else { 100 }));
-    let mins = [50u64, 50];
-    let global = global_window(&mins, &la);
-    assert_eq!(global, 51);
-    assert_eq!(la.window_end(&mins, 0), 150); // fed only by the slow channel
-    assert!(la.window_end(&mins, 0) > global);
 }
 
 // ---------------------------------------------------------------------
@@ -224,7 +134,7 @@ fn asymmetric_matrix_strictly_widens_some_window() {
 // ---------------------------------------------------------------------
 
 /// A token-passing world: each token logs its arrival and forwards to
-/// the next rank exactly one global-minimum lookahead later — the
+/// the next rank exactly one lookahead later — the
 /// window edge, the earliest a cross-shard event may land. Identical
 /// to the unit suite's ping world but driven with random token
 /// placement here.
@@ -327,10 +237,10 @@ proptest! {
 /// shards drive shard 1's queue empty mid-run; with the single-edge
 /// window formula, shard 0 then saw a `u64::MAX` peer minimum,
 /// computed an unbounded window, and drained events that its own
-/// in-flight sends (relayed back through shard 1 at
-/// `m0 + la[0][1] + la[1][0]`) were about to invalidate — tripping
-/// the `remote event inside a drained window` assertion. The min-plus
-/// closure's round-trip diagonal bounds the window correctly.
+/// in-flight sends (relayed back through shard 1 at `m0 + 2L`) were
+/// about to invalidate — tripping the `remote event inside a drained
+/// window` assertion. The own-shard `2L` round-trip term of
+/// `window_end` bounds the window correctly.
 #[test]
 fn idle_peer_round_trip_regression() {
     let reference = run_tokens(5, 1, 0xd, 5);

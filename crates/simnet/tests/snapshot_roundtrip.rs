@@ -288,17 +288,21 @@ fn malformed_snapshots_are_typed_errors() {
         ("truncated nows", truncated(&good, "nows")),
         ("nshards 0", with_field(&good, "nshards", Some(Value::U64(0)))),
         ("nshards mismatched", with_field(&good, "nshards", Some(Value::U64(3)))),
-        ("wrong la size", truncated(&good, "la")),
+        // No window advances under a zero lookahead: restored, the run
+        // would never return.
+        ("lookahead 0", with_field(&good, "lookahead", Some(Value::U64(0)))),
+        // Version skew: /2 carried a per-channel matrix this engine no
+        // longer runs.
         (
-            "schema /1",
+            "schema /2",
             with_field(
                 &good,
                 "schema",
-                Some(Value::Str("polaris-shardsim-snapshot/1".to_string())),
+                Some(Value::Str("polaris-shardsim-snapshot/2".to_string())),
             ),
         ),
         ("missing schema", with_field(&good, "schema", None)),
-        ("missing min_la", with_field(&good, "min_la", None)),
+        ("missing lookahead", with_field(&good, "lookahead", None)),
         ("missing queues", with_field(&good, "queues", None)),
     ];
     for (name, doc) in cases {
