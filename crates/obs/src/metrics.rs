@@ -299,6 +299,35 @@ pub fn metric_key(name: &str, labels: &[(&str, &str)]) -> String {
     key
 }
 
+/// Fetch-or-create in one series map. A label-free key is the name
+/// itself, so it is looked up as the `&str` it arrived as and a
+/// `String` is built only to insert.
+fn series<T: Default + Clone>(
+    map: &mut BTreeMap<String, T>,
+    name: &str,
+    labels: &[(&str, &str)],
+) -> T {
+    if labels.is_empty() {
+        if let Some(found) = map.get(name) {
+            return found.clone();
+        }
+    }
+    map.entry(metric_key(name, labels)).or_default().clone()
+}
+
+/// Read-only counterpart of [`series`]: never materializes one.
+fn existing<'a, T>(
+    map: &'a BTreeMap<String, T>,
+    name: &str,
+    labels: &[(&str, &str)],
+) -> Option<&'a T> {
+    if labels.is_empty() {
+        map.get(name)
+    } else {
+        map.get(&metric_key(name, labels))
+    }
+}
+
 impl Registry {
     pub fn new() -> Self {
         Self::default()
@@ -306,51 +335,26 @@ impl Registry {
 
     /// Fetch-or-create the counter for `name` + `labels`.
     pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> Counter {
-        self.inner
-            .lock()
-            .counters
-            .entry(metric_key(name, labels))
-            .or_default()
-            .clone()
+        series(&mut self.inner.lock().counters, name, labels)
     }
 
     pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> Gauge {
-        self.inner
-            .lock()
-            .gauges
-            .entry(metric_key(name, labels))
-            .or_default()
-            .clone()
+        series(&mut self.inner.lock().gauges, name, labels)
     }
 
     pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Histogram {
-        self.inner
-            .lock()
-            .histograms
-            .entry(metric_key(name, labels))
-            .or_default()
-            .clone()
+        series(&mut self.inner.lock().histograms, name, labels)
     }
 
     /// Current value of a counter, 0 if it was never created (reading
     /// must not materialize series).
     pub fn counter_value(&self, name: &str, labels: &[(&str, &str)]) -> u64 {
-        self.inner
-            .lock()
-            .counters
-            .get(&metric_key(name, labels))
-            .map(|c| c.get())
-            .unwrap_or(0)
+        existing(&self.inner.lock().counters, name, labels).map_or(0, Counter::get)
     }
 
     /// Current value of a gauge, 0.0 if absent.
     pub fn gauge_value(&self, name: &str, labels: &[(&str, &str)]) -> f64 {
-        self.inner
-            .lock()
-            .gauges
-            .get(&metric_key(name, labels))
-            .map(|g| g.get())
-            .unwrap_or(0.0)
+        existing(&self.inner.lock().gauges, name, labels).map_or(0.0, Gauge::get)
     }
 
     /// Fold every series of `other` into `self`: counters add, gauges

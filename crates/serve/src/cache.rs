@@ -18,11 +18,16 @@
 //!   `serve_cache_evictions_total`, `serve_singleflight_waits_total`
 //!   counters and the `serve_cache_bytes` gauge publish through the
 //!   shared [`Obs`] registry, so the Prometheus plane sees cache
-//!   behavior with no extra plumbing.
+//!   behavior with no extra plumbing. The series are resolved once, in
+//!   [`ResultCache::new`], and exist at 0 from then on; a request bumps
+//!   the handle and never goes back to the registry.
+//!
+//! A hit's critical section is one map probe, one tick store and one
+//! `Arc::clone`; its counter is bumped after the lock is released.
 
 use crate::canonical::SpecHash;
-use polaris_obs::Obs;
-use std::collections::HashMap;
+use polaris_obs::{Counter, Gauge, Obs};
+use polaris_simnet::fasthash::FastHashMap;
 use std::sync::{Arc, Condvar, Mutex};
 
 enum Slot<V> {
@@ -36,7 +41,9 @@ enum Slot<V> {
 }
 
 struct Inner<V> {
-    map: HashMap<u128, Slot<V>>,
+    /// Keys are FNV-128 content addresses: already uniform, so the
+    /// multiply-xor hasher spreads them as well as SipHash would.
+    map: FastHashMap<u128, Slot<V>>,
     /// Monotonic touch counter driving LRU order.
     tick: u64,
     /// Bytes charged by Ready entries.
@@ -50,6 +57,11 @@ pub struct ResultCache<V> {
     done: Condvar,
     budget: u64,
     obs: Obs,
+    hits: Counter,
+    misses: Counter,
+    evictions: Counter,
+    singleflight_waits: Counter,
+    bytes: Gauge,
 }
 
 /// Point-in-time cache counters (mirrors the obs series).
@@ -60,6 +72,8 @@ pub struct CacheStats {
     pub evictions: u64,
     pub singleflight_waits: u64,
     pub bytes: u64,
+    /// Resident results; a slot whose computation is still in flight
+    /// is not an entry.
     pub entries: usize,
 }
 
@@ -68,9 +82,14 @@ impl<V> ResultCache<V> {
     /// counters into `obs`.
     pub fn new(budget_bytes: u64, obs: Obs) -> Self {
         ResultCache {
-            inner: Mutex::new(Inner { map: HashMap::new(), tick: 0, bytes: 0 }),
+            inner: Mutex::new(Inner { map: FastHashMap::default(), tick: 0, bytes: 0 }),
             done: Condvar::new(),
             budget: budget_bytes,
+            hits: obs.counter("serve_cache_hits_total", &[]),
+            misses: obs.counter("serve_cache_misses_total", &[]),
+            evictions: obs.counter("serve_cache_evictions_total", &[]),
+            singleflight_waits: obs.counter("serve_singleflight_waits_total", &[]),
+            bytes: obs.gauge("serve_cache_bytes", &[]),
             obs,
         }
     }
@@ -91,38 +110,38 @@ impl<V> ResultCache<V> {
     {
         {
             let mut inner = self.inner.lock().unwrap();
+            let mut waited = false;
             loop {
-                match inner.map.get(&key.0) {
-                    Some(Slot::Ready { .. }) => {
-                        inner.tick += 1;
-                        let tick = inner.tick;
-                        let Some(Slot::Ready { value, last_used, .. }) =
-                            inner.map.get_mut(&key.0)
-                        else {
-                            unreachable!("checked Ready under the same lock")
-                        };
-                        *last_used = tick;
+                let store = &mut *inner;
+                match store.map.get_mut(&key.0) {
+                    Some(Slot::Ready { value, last_used, .. }) => {
+                        store.tick += 1;
+                        *last_used = store.tick;
                         let value = Arc::clone(value);
-                        self.obs.counter("serve_cache_hits_total", &[]).add(1);
+                        drop(inner);
+                        self.hits.add(1);
                         return value;
                     }
                     Some(Slot::Pending) => {
-                        self.obs.counter("serve_singleflight_waits_total", &[]).add(1);
-                        inner = self.done.wait(inner).unwrap();
-                        // Re-check: the leader finished (Ready), died
-                        // (slot removed — fall through to claim it), or
-                        // the entry was since evicted.
-                        if !inner.map.contains_key(&key.0) {
-                            break;
+                        // Once per call: `notify_all` also wakes this
+                        // waiter for every other key's completion.
+                        if !waited {
+                            waited = true;
+                            self.singleflight_waits.add(1);
                         }
+                        // Woken: the leader finished (Ready), died
+                        // (slot removed — claim it below), the entry
+                        // was since evicted, or another key completed
+                        // (still Pending — park again).
+                        inner = self.done.wait(inner).unwrap();
                     }
                     None => break,
                 }
             }
             // Miss: claim the slot as the computing leader.
             inner.map.insert(key.0, Slot::Pending);
-            self.obs.counter("serve_cache_misses_total", &[]).add(1);
         }
+        self.misses.add(1);
 
         // Compute outside the lock. If `compute` panics, clear the
         // Pending slot and wake waiters so they can elect a new leader
@@ -157,7 +176,7 @@ impl<V> ResultCache<V> {
             Slot::Ready { value: Arc::clone(&value), bytes, last_used: tick },
         );
         self.evict_locked(&mut inner, key.0);
-        self.obs.gauge("serve_cache_bytes", &[]).set(inner.bytes as f64);
+        self.bytes.set(inner.bytes as f64);
         drop(inner);
         self.done.notify_all();
         value
@@ -182,22 +201,21 @@ impl<V> ResultCache<V> {
             let Some((_, k)) = victim else { break };
             if let Some(Slot::Ready { bytes, .. }) = inner.map.remove(&k) {
                 inner.bytes -= bytes;
-                self.obs.counter("serve_cache_evictions_total", &[]).add(1);
+                self.evictions.add(1);
             }
         }
     }
 
-    /// Current counters (from the shared obs registry plus the store).
+    /// Current counters (the obs series plus the store).
     pub fn stats(&self) -> CacheStats {
         let inner = self.inner.lock().unwrap();
-        let c = |name| self.obs.registry.counter_value(name, &[]);
         CacheStats {
-            hits: c("serve_cache_hits_total"),
-            misses: c("serve_cache_misses_total"),
-            evictions: c("serve_cache_evictions_total"),
-            singleflight_waits: c("serve_singleflight_waits_total"),
+            hits: self.hits.get(),
+            misses: self.misses.get(),
+            evictions: self.evictions.get(),
+            singleflight_waits: self.singleflight_waits.get(),
             bytes: inner.bytes,
-            entries: inner.map.len(),
+            entries: inner.map.values().filter(|s| matches!(s, Slot::Ready { .. })).count(),
         }
     }
 
@@ -211,6 +229,7 @@ impl<V> ResultCache<V> {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::mpsc;
 
     fn key(n: u64) -> SpecHash {
         SpecHash(n as u128)
@@ -314,5 +333,50 @@ mod tests {
         // A later caller becomes the new leader and succeeds.
         let v = cache.get_or_compute(key(3), || 11, |_| 8);
         assert_eq!(*v, 11);
+    }
+
+    /// Two keys in flight: a waiter parked on A is woken by every B's
+    /// completion (`notify_all` is per cache, not per key), finds A
+    /// still pending and parks again. That is one wait, however often
+    /// it woke.
+    #[test]
+    fn a_wait_is_counted_once_however_often_it_wakes() {
+        let cache = ResultCache::<u64>::new(1 << 20, Obs::new());
+        let cache = &cache;
+        let (started_tx, started_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        // Nothing is asserted while the leader is held: a panic in the
+        // scope would wait for a release that never comes.
+        let (mid, answers) = std::thread::scope(|scope| {
+            let leader = scope.spawn(move || {
+                let held = || {
+                    started_tx.send(()).unwrap();
+                    release_rx.recv().unwrap();
+                    10
+                };
+                *cache.get_or_compute(key(1), held, |_| 8)
+            });
+            started_rx.recv().unwrap();
+            let waiter = scope.spawn(move || {
+                *cache.get_or_compute(key(1), || panic!("the leader computes"), |_| 8)
+            });
+            // The wait is counted under the lock, which the waiter
+            // gives up only by parking: once it shows, it is parked.
+            while cache.stats().singleflight_waits == 0 {
+                std::thread::yield_now();
+            }
+            for b in 2..10 {
+                cache.get_or_compute(key(b), || b, |_| 8);
+                std::thread::yield_now();
+            }
+            let mid = cache.stats();
+            release_tx.send(()).unwrap();
+            (mid, [leader.join().unwrap(), waiter.join().unwrap()])
+        });
+        assert_eq!(answers, [10, 10]);
+        let stats = cache.stats();
+        assert_eq!(stats.singleflight_waits, 1);
+        assert_eq!(mid.entries, 8, "A is in flight, not an entry");
+        assert_eq!((stats.hits, stats.misses, stats.entries), (1, 9, 9));
     }
 }

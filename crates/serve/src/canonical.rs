@@ -27,19 +27,16 @@ const FNV_PRIME: u128 = 0x0000000001000000000000000000013B;
 impl SpecHash {
     /// Hash raw canonical bytes.
     pub fn of_bytes(bytes: &[u8]) -> SpecHash {
-        let mut h = FNV_OFFSET;
-        for &b in bytes {
-            h ^= b as u128;
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-        SpecHash(h)
+        let mut buf = CanonicalBuf::new();
+        buf.write(bytes);
+        buf.finish()
     }
 
     /// Hash a spec via its canonical encoding.
     pub fn of<T: Canonical + ?Sized>(spec: &T) -> SpecHash {
         let mut buf = CanonicalBuf::new();
         spec.encode(&mut buf);
-        SpecHash::of_bytes(&buf.bytes)
+        buf.finish()
     }
 }
 
@@ -55,13 +52,21 @@ impl fmt::Display for SpecHash {
     }
 }
 
-/// Accumulates a spec's canonical bytes. Every write is framed — field
-/// names length-prefixed, integers fixed-width little-endian — so no
+/// Folds a spec's canonical bytes into the FNV state as they are
+/// written; nothing is buffered. Every write is framed — field names
+/// length-prefixed, integers fixed-width little-endian — so no
 /// concatenation of two different field sequences can produce the same
 /// byte stream.
-#[derive(Default)]
 pub struct CanonicalBuf {
-    bytes: Vec<u8>,
+    hash: u128,
+    /// Bytes folded so far: what frames a list element.
+    len: usize,
+}
+
+impl Default for CanonicalBuf {
+    fn default() -> Self {
+        CanonicalBuf { hash: FNV_OFFSET, len: 0 }
+    }
 }
 
 impl CanonicalBuf {
@@ -69,41 +74,54 @@ impl CanonicalBuf {
         CanonicalBuf::default()
     }
 
-    pub fn bytes(&self) -> &[u8] {
-        &self.bytes
+    /// The address of everything written so far.
+    pub fn finish(&self) -> SpecHash {
+        SpecHash(self.hash)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        let mut h = self.hash;
+        for &b in bytes {
+            h ^= b as u128;
+            h = h.wrapping_mul(FNV_PRIME);
+        }
+        self.hash = h;
+        self.len += bytes.len();
     }
 
     fn tag(&mut self, name: &str) {
-        self.bytes.extend_from_slice(&(name.len() as u32).to_le_bytes());
-        self.bytes.extend_from_slice(name.as_bytes());
+        self.write(&(name.len() as u32).to_le_bytes());
+        self.write(name.as_bytes());
     }
 
     /// A named unsigned field.
     pub fn u64(&mut self, name: &str, v: u64) {
         self.tag(name);
-        self.bytes.push(b'u');
-        self.bytes.extend_from_slice(&v.to_le_bytes());
+        self.write(b"u");
+        self.write(&v.to_le_bytes());
     }
 
     /// A named string field (length-prefixed UTF-8).
     pub fn str(&mut self, name: &str, v: &str) {
         self.tag(name);
-        self.bytes.push(b's');
-        self.bytes.extend_from_slice(&(v.len() as u32).to_le_bytes());
-        self.bytes.extend_from_slice(v.as_bytes());
+        self.write(b"s");
+        self.write(&(v.len() as u32).to_le_bytes());
+        self.write(v.as_bytes());
     }
 
-    /// A named nested list: each element encodes into its own framed
-    /// sub-buffer, so element boundaries are unambiguous.
+    /// A named nested list: each element is framed by its encoded
+    /// length, so element boundaries are unambiguous. The length goes
+    /// before the bytes, so an element is encoded twice: once into a
+    /// scratch state to count, once into this one.
     pub fn list<T: Canonical>(&mut self, name: &str, items: &[T]) {
         self.tag(name);
-        self.bytes.push(b'l');
-        self.bytes.extend_from_slice(&(items.len() as u32).to_le_bytes());
+        self.write(b"l");
+        self.write(&(items.len() as u32).to_le_bytes());
         for item in items {
-            let mut sub = CanonicalBuf::new();
-            item.encode(&mut sub);
-            self.bytes.extend_from_slice(&(sub.bytes.len() as u32).to_le_bytes());
-            self.bytes.extend_from_slice(&sub.bytes);
+            let mut counted = CanonicalBuf::new();
+            item.encode(&mut counted);
+            self.write(&(counted.len as u32).to_le_bytes());
+            item.encode(self);
         }
     }
 }
@@ -171,5 +189,74 @@ mod tests {
         let other = L(vec![Pair(1, 2), Pair(3, 5)]);
         assert_ne!(SpecHash::of(&one), SpecHash::of(&other));
         assert_eq!(SpecHash::of(&one), SpecHash::of(&L(vec![Pair(1, 2), Pair(3, 4)])));
+    }
+
+    /// Fold a sequence of addresses into one: FNV over their
+    /// little-endian bytes, in order.
+    fn fold(addresses: impl Iterator<Item = SpecHash>) -> SpecHash {
+        let bytes: Vec<u8> = addresses.flat_map(|h| h.0.to_le_bytes()).collect();
+        SpecHash::of_bytes(&bytes)
+    }
+
+    /// Content addresses are persistent names: a cache or checkpoint
+    /// store written by one build must be readable by the next. A
+    /// failure here means every persisted key moved: fix the encoder,
+    /// not the literals.
+    #[test]
+    fn content_addresses_are_pinned() {
+        use crate::incremental::{PhaseCfg, PhasedSpec};
+        use crate::spec::{figure_specs, PointSpec};
+        use polaris_collectives::prelude::{AllreduceAlgo, Collective};
+
+        let scales: Vec<u32> = (1..=16).map(|i| 4 * i).collect();
+        let specs = figure_specs(&scales);
+        assert_eq!(specs.len(), 160);
+        assert_eq!(
+            fold(specs.iter().map(SpecHash::of)).0,
+            0xecbfc292_2ce9faed_6794907f_36de100c,
+            "PointSpec addresses moved"
+        );
+
+        // The only `list` user: every prefix of a three-phase spec.
+        let phased = PhasedSpec {
+            hosts: 12,
+            nshards: 2,
+            phase_len: 400,
+            phases: vec![
+                PhaseCfg { tokens: 6, hops: 40, stagger: 1 },
+                PhaseCfg { tokens: 4, hops: 60, stagger: 0 },
+                PhaseCfg { tokens: 8, hops: 25, stagger: 3 },
+            ],
+        };
+        assert_eq!(
+            fold((0..=3).map(|k| phased.prefix_hash(k))).0,
+            0x450a8a5f_0a05aaee_272c0e06_9ead4416,
+            "PhasedSpec prefix addresses moved"
+        );
+        assert_eq!(SpecHash::of(&phased), phased.prefix_hash(3));
+
+        // The documented framing, spelled out: u32-LE length + name,
+        // a kind byte, then a u64-LE value or a u32-LE length + UTF-8.
+        let spec = PointSpec {
+            nodes: 16,
+            collective: Collective::Allreduce(AllreduceAlgo::Ring),
+            payload_bytes: 1 << 16,
+        };
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(&5u32.to_le_bytes());
+        bytes.extend_from_slice(b"nodes");
+        bytes.push(b'u');
+        bytes.extend_from_slice(&16u64.to_le_bytes());
+        bytes.extend_from_slice(&10u32.to_le_bytes());
+        bytes.extend_from_slice(b"collective");
+        bytes.push(b's');
+        bytes.extend_from_slice(&15u32.to_le_bytes());
+        bytes.extend_from_slice(b"Allreduce(Ring)");
+        bytes.extend_from_slice(&13u32.to_le_bytes());
+        bytes.extend_from_slice(b"payload_bytes");
+        bytes.push(b'u');
+        bytes.extend_from_slice(&65536u64.to_le_bytes());
+        assert_eq!(SpecHash::of(&spec), SpecHash::of_bytes(&bytes));
+        assert_eq!(SpecHash::of_bytes(&bytes).0, 0x4d145416_968f1471_26b199c2_503f5335);
     }
 }

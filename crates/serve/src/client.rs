@@ -1,16 +1,17 @@
-//! Open-loop simulated client population.
+//! Closed-loop simulated client population.
 //!
 //! The north star turned on itself: the serving plane is exercised by
 //! the same kind of synthetic population the simulator models —
 //! millions of requests drawn from a seeded Zipf distribution over the
 //! spec space (real request logs are Zipf-ish: a few hot sweep points
 //! dominate, a long tail of one-off questions). Clients are
-//! **open-loop per thread**: each worker issues its share of requests
-//! back-to-back without think time, so the measured throughput is the
-//! server's saturation throughput, not the clients' patience.
+//! **closed-loop**: each worker sends its next request when the
+//! previous one returns, with no think time, so the measured throughput
+//! is the server's saturation throughput at that client count, and a
+//! slower server is offered less load.
 //!
-//! Latencies are collected per-thread and merged for an *exact* p99
-//! (no histogram interpolation error in the gated number); hit counts
+//! Every request's latency is kept, for an *exact* p99 (no histogram
+//! interpolation error in the gated number); hit counts
 //! come from the cache's own obs counters, so the report can't drift
 //! from what Prometheus would scrape.
 
@@ -91,37 +92,33 @@ pub fn drive(server: &SweepServer, specs: &[PointSpec], cfg: LoadConfig) -> Load
     let before = server.cache_stats();
 
     let start = Instant::now();
-    let mut all_latencies: Vec<Vec<u64>> = Vec::new();
+    // One vector, each client filling its own stretch of it.
+    let mut latencies = vec![0u64; cfg.requests as usize];
     std::thread::scope(|scope| {
-        let mut handles = Vec::new();
+        let mut rest = latencies.as_mut_slice();
         for c in 0..clients {
             let share = cfg.requests / clients + u64::from(c < cfg.requests % clients);
+            let (mine, tail) = rest.split_at_mut(share as usize);
+            rest = tail;
             let zipf = &zipf;
-            let server = &server;
-            handles.push(scope.spawn(move || {
+            scope.spawn(move || {
                 let mut rng = SplitMix64::new(cfg.seed ^ (0x9e37_79b9_7f4a_7c15u64.wrapping_mul(c + 1)));
-                let mut latencies = Vec::with_capacity(share as usize);
-                for _ in 0..share {
+                for slot in mine {
                     let spec = specs[zipf.sample(&mut rng)];
                     let t = Instant::now();
                     server.request(spec);
-                    latencies.push(t.elapsed().as_nanos() as u64);
+                    *slot = t.elapsed().as_nanos() as u64;
                 }
-                latencies
-            }));
-        }
-        for h in handles {
-            all_latencies.push(h.join().expect("client thread panicked"));
+            });
         }
     });
     let wall_seconds = start.elapsed().as_secs_f64();
 
-    let mut latencies: Vec<u64> = all_latencies.concat();
-    latencies.sort_unstable();
     let p99_latency_ns = if latencies.is_empty() {
         0
     } else {
-        latencies[((latencies.len() as f64 * 0.99) as usize).min(latencies.len() - 1)]
+        let rank = ((latencies.len() as f64 * 0.99) as usize).min(latencies.len() - 1);
+        *latencies.select_nth_unstable(rank).1
     };
 
     let after = server.cache_stats();

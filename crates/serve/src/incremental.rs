@@ -74,7 +74,7 @@ impl PhasedSpec {
     pub fn prefix_hash(&self, k: usize) -> SpecHash {
         let mut buf = CanonicalBuf::new();
         self.encode_prefix(&mut buf, k);
-        SpecHash::of_bytes(buf.bytes())
+        buf.finish()
     }
 }
 

@@ -21,7 +21,7 @@
 //!    unaffected instead of from t=0.
 //!
 //! [`server`] ties the layers into a [`server::SweepServer`];
-//! [`client`] drives it with an open-loop simulated client population
+//! [`client`] drives it with a closed-loop simulated client population
 //! (seeded Zipf over spec space, millions of requests) whose hit
 //! ratio, p99 latency, and throughput publish through the obs plane;
 //! the benchmark's `serve_zipf` workload and `serve.*` probes time them

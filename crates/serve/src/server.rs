@@ -13,13 +13,15 @@
 use crate::cache::{CacheStats, ResultCache};
 use crate::canonical::SpecHash;
 use crate::spec::{figure_specs, PointResult, PointSpec};
-use polaris_obs::Obs;
+use polaris_obs::{Histogram, Obs};
 use std::sync::Arc;
 use std::time::Instant;
 
 pub struct SweepServer {
     cache: ResultCache<PointResult>,
     obs: Obs,
+    /// `serve_request_latency_ns`, resolved once.
+    latency: Histogram,
 }
 
 /// A rendered figure: one row per spec, formatted exactly as the
@@ -35,7 +37,11 @@ impl SweepServer {
     /// A server whose cache charges against `cache_budget_bytes`,
     /// publishing all serving metrics into `obs`.
     pub fn new(cache_budget_bytes: u64, obs: Obs) -> Self {
-        SweepServer { cache: ResultCache::new(cache_budget_bytes, obs.clone()), obs }
+        SweepServer {
+            cache: ResultCache::new(cache_budget_bytes, obs.clone()),
+            latency: obs.histogram("serve_request_latency_ns", &[]),
+            obs,
+        }
     }
 
     /// Answer one request. Cache hits return the shared result without
@@ -47,9 +53,7 @@ impl SweepServer {
             || spec.compute(),
             PointResult::cache_bytes,
         );
-        self.obs
-            .histogram("serve_request_latency_ns", &[])
-            .record(start.elapsed().as_nanos() as u64);
+        self.latency.record(start.elapsed().as_nanos() as u64);
         result
     }
 

@@ -27,12 +27,29 @@ pub struct PointSpec {
 impl Canonical for PointSpec {
     fn encode(&self, buf: &mut CanonicalBuf) {
         buf.u64("nodes", self.nodes as u64);
-        // `Collective` is a plain C-like tree of unit payloads; its
-        // Debug rendering is a stable, injective name for the variant
-        // ("Allreduce(Ring)"), which is exactly what a canonical
-        // encoding needs.
-        buf.str("collective", &format!("{:?}", self.collective));
+        buf.str("collective", collective_name(self.collective));
         buf.u64("payload_bytes", self.payload_bytes);
+    }
+}
+
+/// `Collective` is a plain C-like tree of unit payloads; its Debug
+/// rendering is a stable, injective name for the variant
+/// ("Allreduce(Ring)"), which is exactly what a canonical encoding
+/// needs. Spelled out so the request path formats nothing; with no
+/// wildcard arm, a new variant does not compile until it is named here.
+fn collective_name(c: Collective) -> &'static str {
+    match c {
+        Collective::Barrier(BarrierAlgo::Dissemination) => "Barrier(Dissemination)",
+        Collective::Barrier(BarrierAlgo::Tree) => "Barrier(Tree)",
+        Collective::Bcast(BcastAlgo::Binomial) => "Bcast(Binomial)",
+        Collective::Bcast(BcastAlgo::ScatterAllgather) => "Bcast(ScatterAllgather)",
+        Collective::Allreduce(AllreduceAlgo::RecursiveDoubling) => "Allreduce(RecursiveDoubling)",
+        Collective::Allreduce(AllreduceAlgo::Ring) => "Allreduce(Ring)",
+        Collective::Allreduce(AllreduceAlgo::ReduceBcast) => "Allreduce(ReduceBcast)",
+        Collective::Allgather(AllgatherAlgo::Ring) => "Allgather(Ring)",
+        Collective::Allgather(AllgatherAlgo::Bruck) => "Allgather(Bruck)",
+        Collective::AlltoallPairwise => "AlltoallPairwise",
+        Collective::ReduceBinomial => "ReduceBinomial",
     }
 }
 
@@ -117,6 +134,25 @@ mod tests {
         hashes.sort();
         hashes.dedup();
         assert_eq!(hashes.len(), specs.len(), "spec space must be collision-free");
+    }
+
+    #[test]
+    fn collective_names_are_the_debug_rendering() {
+        for c in [
+            Collective::Barrier(BarrierAlgo::Dissemination),
+            Collective::Barrier(BarrierAlgo::Tree),
+            Collective::Bcast(BcastAlgo::Binomial),
+            Collective::Bcast(BcastAlgo::ScatterAllgather),
+            Collective::Allreduce(AllreduceAlgo::RecursiveDoubling),
+            Collective::Allreduce(AllreduceAlgo::Ring),
+            Collective::Allreduce(AllreduceAlgo::ReduceBcast),
+            Collective::Allgather(AllgatherAlgo::Ring),
+            Collective::Allgather(AllgatherAlgo::Bruck),
+            Collective::AlltoallPairwise,
+            Collective::ReduceBinomial,
+        ] {
+            assert_eq!(collective_name(c), format!("{c:?}"));
+        }
     }
 
     #[test]

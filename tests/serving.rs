@@ -1,5 +1,5 @@
 //! Integration tests for the serving plane: the content-addressed
-//! result cache, the sweep server, the open-loop client population,
+//! result cache, the sweep server, the closed-loop client population,
 //! and incremental re-simulation — exercised together, from outside
 //! the `polaris-serve` crate, the way the benchmark's `serve_zipf`
 //! workload drives them.
