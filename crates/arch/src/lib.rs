@@ -9,7 +9,6 @@
 
 pub mod device;
 pub mod kernels;
-pub mod memory;
 pub mod node;
 pub mod projection;
 pub mod roofline;
@@ -17,7 +16,6 @@ pub mod roofline;
 pub mod prelude {
     pub use crate::device::{Anchor, DevicePoint, DoublingPeriods, Projection, ANCHOR_YEAR};
     pub use crate::kernels::{Kernel, DAXPY, DGEMM, FFT, GUPS, STENCIL7, SUITE};
-    pub use crate::memory::{Level, MemoryHierarchy};
     pub use crate::node::{NodeKind, NodeModel};
     pub use crate::projection::{
         cluster_at, crossing_in, crossover_year, crossover_year_in, curve, ClusterPoint,

@@ -126,11 +126,6 @@ impl NodeModel {
     pub fn bytes_per_flop(&self) -> f64 {
         self.mem_bw / self.flops
     }
-
-    /// Peak GFLOPS, for display.
-    pub fn gflops(&self) -> f64 {
-        self.flops / 1e9
-    }
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! `figures` — regenerate the evaluation tables.
 //!
-//! Usage: `cargo run --release -p polaris-bench -- [all|f1|f2|f3|f4|f5|t2|f6|f7|a2]...`
+//! Usage: `cargo run --release -p polaris-bench -- [all|f1|f2|...|f14|a2|ablations]...`
 //!        `cargo run --release -p polaris-bench -- [--jobs N] ...`
 //!        `cargo run --release -p polaris-bench -- --check-output [path]`
 //!
@@ -9,8 +9,10 @@
 //! byte-identical at any job count. `--check-output` regenerates every
 //! table and diffs the result against the committed snapshot
 //! (`figures_output.txt` by default), exiting nonzero on drift.
+//! `ablations` (A1 / A3 / A4) runs only when named: `all` is exactly
+//! what the snapshot holds.
 
-use polaris_bench::{all_experiments, sweep};
+use polaris_bench::{all_experiments, named_experiments, sweep};
 use std::path::PathBuf;
 
 /// Compare the regenerated output with the committed snapshot; report
@@ -62,9 +64,10 @@ fn main() {
     } else {
         args
     };
+    let known: Vec<_> = all_experiments().into_iter().chain(named_experiments()).collect();
     let out_dir = PathBuf::from("target/figures");
     let mut ran = 0;
-    for (id, gen) in all_experiments() {
+    for &(id, gen) in &known {
         if !wanted.iter().any(|w| w.eq_ignore_ascii_case(id)) {
             continue;
         }
@@ -79,7 +82,7 @@ fn main() {
         eprintln!("[{id} regenerated in {:?}]\n", t0.elapsed());
     }
     if ran == 0 {
-        let known: Vec<&str> = all_experiments().iter().map(|(id, _)| *id).collect();
+        let known: Vec<&str> = known.iter().map(|(id, _)| *id).collect();
         eprintln!("unknown experiment id(s) {wanted:?}; known: {} all", known.join(" "));
         std::process::exit(2);
     }

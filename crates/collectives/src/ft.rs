@@ -498,15 +498,6 @@ pub fn ft_bcast(
     Err(FtError::RetriesExhausted)
 }
 
-/// Typed convenience: snapshot-preserving fault-tolerant sum/min/max.
-pub fn ft_allreduce_elems<T: Reducible>(
-    ftc: &mut FtComm,
-    op: ReduceOp,
-    data: &mut [T],
-) -> Result<FtReport, FtError> {
-    ft_allreduce(ftc, AllreduceAlgo::RecursiveDoubling, op, data)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -10,8 +10,8 @@
 //!
 //! [`BufferPool`] is the registration cache: registration is expensive on
 //! real hardware (page pinning), so freed buffers are kept and reused by
-//! size class instead of being deregistered. Ablation A1 measures the
-//! difference.
+//! size class instead of being deregistered. Ablation A1
+//! (`figures -- ablations`) measures the difference.
 
 use polaris_nic::prelude::{MemoryRegion, Nic, NicResult, ProtectionDomain, Rkey};
 use polaris_obs::Counter;

@@ -92,13 +92,14 @@ pub struct MsgConfig {
     /// MTU used by the sockets baseline's segmentation.
     pub sockets_mtu: usize,
     /// Modeled cost of one syscall (sockets baseline); implemented as a
-    /// calibrated busy-wait so wall-clock benches reflect it. Zero
+    /// calibrated busy-wait so wall-clock measurements reflect it. Zero
     /// disables the model (the default, so tests run fast).
     pub syscall_overhead: Duration,
     /// Modeled cost of taking one receive interrupt (sockets baseline).
     pub interrupt_overhead: Duration,
     /// Buffer-pool (registration cache) capacity in buffers; 0 disables
-    /// reuse so every `alloc` registers fresh memory (ablation A1).
+    /// reuse so every `alloc` registers fresh memory (ablation A1,
+    /// `figures -- ablations`).
     pub reg_cache_capacity: usize,
     /// Use one shared receive queue per endpoint instead of per-peer
     /// receive windows: receive memory becomes O(srq_bufs) instead of

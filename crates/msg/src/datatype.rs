@@ -6,7 +6,7 @@
 //! *pack/unpack* (copy through a contiguous staging buffer — one extra
 //! host copy per side) and *direct scatter/gather* (hand the block list
 //! to the NIC as SGEs — no extra copy). The endpoint supports both; the
-//! A4 ablation in the bench crate measures the difference.
+//! A4 ablation (`figures -- ablations`) measures the difference.
 
 /// A byte-granularity data layout within a buffer.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -34,15 +34,6 @@ impl Layout {
                 count, block_len, ..
             } => count * block_len,
             Layout::Indexed { blocks } => blocks.iter().map(|&(_, l)| l).sum(),
-        }
-    }
-
-    /// Number of distinct blocks (SGEs the direct strategy needs).
-    pub fn block_count(&self) -> usize {
-        match self {
-            Layout::Contiguous { len } => usize::from(*len > 0),
-            Layout::Strided { count, .. } => *count,
-            Layout::Indexed { blocks } => blocks.len(),
         }
     }
 
@@ -121,8 +112,7 @@ mod tests {
         let l = Layout::Contiguous { len: 10 };
         assert_eq!(l.total_len(), 10);
         assert_eq!(l.blocks(), vec![(0, 10)]);
-        assert_eq!(l.block_count(), 1);
-        assert_eq!(Layout::Contiguous { len: 0 }.block_count(), 0);
+        assert!(Layout::Contiguous { len: 0 }.blocks().is_empty());
     }
 
     #[test]

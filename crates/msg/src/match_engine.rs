@@ -160,11 +160,6 @@ impl<R, P> MatchEngine<R, P> {
         }
         cancelled
     }
-
-    /// Drain all posted receives (endpoint shutdown / error flush).
-    pub fn drain_posted(&mut self) -> Vec<R> {
-        self.posted.drain(..).map(|p| p.req).collect()
-    }
 }
 
 #[cfg(test)]
@@ -282,14 +277,5 @@ mod tests {
         assert!(none.is_empty());
         assert_eq!(none.capacity(), 0);
         assert_eq!(e.posted_len(), 4);
-    }
-
-    #[test]
-    fn drain_posted_flushes() {
-        let mut e = Eng::new();
-        e.post_recv(MatchSpec::any(), 1);
-        e.post_recv(MatchSpec::any(), 2);
-        assert_eq!(e.drain_posted(), vec![1, 2]);
-        assert_eq!(e.posted_len(), 0);
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! Work completes asynchronously; the application learns about it by
 //! polling (latency-optimal, burns a core) or blocking (frees the core,
-//! pays a wakeup) on a [`CompletionQueue`]. Both modes are exercised by
-//! the A3 ablation.
+//! pays a wakeup) on a [`CompletionQueue`]. The A3 ablation
+//! (`figures -- ablations`) times both and counts [`CompletionQueue::wakeups`].
 
 use crate::error::{NicError, Result};
 use crate::types::QpNum;

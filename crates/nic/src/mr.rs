@@ -170,11 +170,6 @@ impl MemoryRegion {
     pub unsafe fn as_mut_slice(&self) -> &mut [u8] {
         std::slice::from_raw_parts_mut(self.inner.ptr(), self.len())
     }
-
-    /// True if both handles name the same registration.
-    pub fn same_region(&self, other: &MemoryRegion) -> bool {
-        Arc::ptr_eq(&self.inner, &other.inner)
-    }
 }
 
 impl std::fmt::Debug for MemoryRegion {
@@ -227,8 +222,6 @@ mod tests {
         let b = MemoryRegion::allocate(pd(), 8);
         assert_ne!(a.lkey(), b.lkey());
         assert_ne!(a.rkey(), b.rkey());
-        assert!(!a.same_region(&b));
-        assert!(a.same_region(&a.clone()));
     }
 
     #[test]

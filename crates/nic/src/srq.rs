@@ -9,7 +9,6 @@
 //! (in arrival order, preserving per-sender FIFO) until a buffer is
 //! posted — the virtual equivalent of RNR retry.
 
-use crate::cq::{Cqe, CqeOpcode, CqeStatus};
 use crate::error::{NicError, Result};
 use crate::fabric::FabricInner;
 use crate::qp::{deliver, Body, Inbound, Origin, QpInner};
@@ -96,30 +95,6 @@ impl SharedReceiveQueue {
                 .parked
                 .push_back((Arc::downgrade(rx), Inbound::park(body, sender, wr_id))),
         }
-    }
-
-    /// Flush all posted buffers (error/teardown): each produces a
-    /// flushed completion on `cq_of` the owning QP is unknown for pool
-    /// buffers, so the caller supplies the CQ to notify.
-    pub fn flush_to(&self, cq: &crate::cq::CompletionQueue) {
-        let fabric = self.inner.fabric.upgrade();
-        let mut st = self.inner.state.lock();
-        for wr in st.posted.drain(..) {
-            // Pool buffers have no owning QP, so only the fabric-wide
-            // CQE ledger can account for the flush.
-            if let Some(f) = &fabric {
-                f.count_cqe(false);
-            }
-            cq.push(Cqe {
-                wr_id: wr.wr_id,
-                status: CqeStatus::Flushed,
-                opcode: CqeOpcode::Recv,
-                byte_len: 0,
-                imm: None,
-                qp: crate::types::QpNum(u32::MAX),
-            });
-        }
-        st.parked.clear();
     }
 }
 
@@ -241,18 +216,5 @@ mod tests {
             assert_eq!(c.wr_id, i);
             assert_eq!(mr.to_vec(0, 1).unwrap(), vec![i as u8]);
         }
-    }
-
-    #[test]
-    fn flush_produces_flushed_completions() {
-        let (_f, rx_nic, rx_qps, _senders, srq, rx_cq) = world();
-        let rx_pd = rx_qps[0].pd();
-        let mr = rx_nic.register(rx_pd, 8).unwrap();
-        srq.post_recv(RecvWr::new(7, vec![Sge::whole(&mr)])).unwrap();
-        srq.flush_to(&rx_cq);
-        let c = rx_cq.wait_one(Duration::from_secs(1)).unwrap();
-        assert_eq!(c.status, CqeStatus::Flushed);
-        assert_eq!(c.wr_id, 7);
-        assert_eq!(srq.depths(), (0, 0));
     }
 }

@@ -19,7 +19,6 @@
 //! fleet simulation only materializes heartbeat streams for disturbed
 //! nodes, and an unregistered node is by construction undisturbed.
 
-use crate::health::DetectorConfig;
 use polaris_simnet::time::{SimDuration, SimTime};
 use std::collections::{BTreeMap, VecDeque};
 
@@ -32,7 +31,7 @@ pub enum HealthVerdict {
 }
 
 /// Aggregator thresholds. Heartbeat semantics mirror
-/// [`DetectorConfig`]: `Failed` fires `heartbeat_period ×
+/// [`crate::health::DetectorConfig`]: `Failed` fires `heartbeat_period ×
 /// missed_threshold` after the last arrival.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HealthConfig {
@@ -58,24 +57,8 @@ impl Default for HealthConfig {
 }
 
 impl HealthConfig {
-    /// Carry the analytic detector's period/threshold over into the
-    /// control plane (seconds → picoseconds), keeping both layers'
-    /// timeout math identical.
-    pub fn from_detector(
-        d: &DetectorConfig,
-        link_fault_window: SimDuration,
-        link_fault_threshold: u32,
-    ) -> Self {
-        HealthConfig {
-            heartbeat_period: SimDuration::from_secs_f64(d.period),
-            missed_threshold: d.missed_threshold,
-            link_fault_window,
-            link_fault_threshold,
-        }
-    }
-
     /// Silence span after which a node is `Failed`
-    /// (= [`DetectorConfig::timeout`]).
+    /// (= [`crate::health::DetectorConfig::timeout`]).
     pub fn timeout(&self) -> SimDuration {
         self.heartbeat_period.saturating_mul(self.missed_threshold as u64)
     }
@@ -231,13 +214,5 @@ mod tests {
         // 97+ seconds later, all three faults left the 60s window.
         assert_eq!(a.recent_faults(3, secs(100)), 0);
         assert_eq!(a.verdict(3, secs(100)), HealthVerdict::Ok);
-    }
-
-    #[test]
-    fn detector_timeout_math_carries_over() {
-        let d = crate::health::DetectorConfig { period: 5.0, missed_threshold: 4, ..Default::default() };
-        let cfg = HealthConfig::from_detector(&d, SimDuration::from_secs(60), 3);
-        assert_eq!(cfg.timeout(), SimDuration::from_secs(20));
-        assert_eq!(cfg.timeout().as_secs(), d.timeout());
     }
 }

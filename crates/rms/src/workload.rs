@@ -80,21 +80,6 @@ impl FailureModel {
     pub fn system_mtbf(&self, nodes: u32) -> f64 {
         self.node_mtbf / nodes.max(1) as f64
     }
-
-    /// Sample failure times of the whole system within `[0, horizon)`.
-    pub fn sample_failures(&self, nodes: u32, horizon: f64, seed: u64) -> Vec<f64> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let exp = Exp::new(1.0 / self.system_mtbf(nodes)).expect("positive rate");
-        let mut t = 0.0;
-        let mut out = Vec::new();
-        loop {
-            t += exp.sample(&mut rng);
-            if t >= horizon {
-                return out;
-            }
-            out.push(t);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -160,20 +145,5 @@ mod tests {
         let f = FailureModel { node_mtbf: 1e6 };
         assert_eq!(f.system_mtbf(1), 1e6);
         assert_eq!(f.system_mtbf(1000), 1e3);
-    }
-
-    #[test]
-    fn failure_sampling_rate_is_calibrated() {
-        let f = FailureModel { node_mtbf: 1e5 };
-        let horizon = 1e6;
-        let fails = f.sample_failures(100, horizon, 11);
-        // Expected: horizon / (1e5/100) = 1000 failures.
-        assert!(
-            (800..1200).contains(&fails.len()),
-            "failures {}",
-            fails.len()
-        );
-        assert!(fails.windows(2).all(|w| w[0] <= w[1]));
-        assert!(fails.iter().all(|&t| t < horizon));
     }
 }

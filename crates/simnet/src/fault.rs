@@ -194,20 +194,6 @@ impl FaultPlan {
         )
     }
 
-    /// The scheduled crash instant for `node`, if the plan contains
-    /// one (the earliest, if several).
-    pub fn crash_time(&self, node: u32) -> Option<SimTime> {
-        self.rules
-            .iter()
-            .filter_map(|r| match (r.scope, r.kind) {
-                (FaultScope::Node(n), FaultKind::Crash { at_ps }) if n == node => {
-                    Some(SimTime(at_ps))
-                }
-                _ => None,
-            })
-            .min()
-    }
-
     /// All rules scoped to `node`, in plan order.
     pub fn node_rules(&self, node: u32) -> impl Iterator<Item = &FaultRule> + '_ {
         self.rules
@@ -610,9 +596,6 @@ mod tests {
             .flap_node(9, SimTime(100), 50, 150)
             .degrade_node(11, 0.02, 0.2, 0.0, 0.9)
             .uniform_drop(0.01);
-        // Earliest crash wins; non-crashing nodes answer None.
-        assert_eq!(plan.crash_time(7), Some(SimTime(3_000)));
-        assert_eq!(plan.crash_time(9), None);
         assert_eq!(plan.disturbed_nodes(), vec![7, 9, 11]);
         assert_eq!(plan.node_rules(7).count(), 2);
         assert_eq!(plan.node_rules(9).count(), 1);

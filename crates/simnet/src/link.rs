@@ -194,12 +194,6 @@ impl LinkModel {
         let t = self.message_time(bytes, hops).as_secs();
         bytes as f64 / t
     }
-
-    /// Convenience: half round-trip time for a minimal message, the
-    /// canonical "latency" number.
-    pub fn min_latency(&self, hops: u32) -> SimDuration {
-        self.message_time(8, hops)
-    }
 }
 
 /// Identifier for a directed link inside a topology.
@@ -297,7 +291,7 @@ mod tests {
     fn small_message_latency_dominated_by_hop_latency() {
         let fe = Generation::FastEthernet.link_model();
         // One hop of 10us dominates 8B serialization (~3.7us incl header).
-        let lat = fe.min_latency(1);
+        let lat = fe.message_time(8, 1);
         assert!(lat.as_us() > 10.0 && lat.as_us() < 20.0, "{lat}");
     }
 

@@ -286,17 +286,6 @@ impl Network {
         self.corrupted
     }
 
-    /// Peak link utilization over the interval `[0, horizon]`.
-    pub fn peak_link_utilization(&self, horizon: SimTime) -> f64 {
-        if horizon == SimTime::ZERO {
-            return 0.0;
-        }
-        self.links
-            .iter()
-            .map(|l| l.busy_time.as_ps() as f64 / horizon.as_ps() as f64)
-            .fold(0.0, f64::max)
-    }
-
     /// Total bytes carried across all links (payload + headers, counted
     /// once per traversed link).
     pub fn total_link_bytes(&self) -> u64 {
@@ -518,21 +507,6 @@ mod tests {
         n.reset();
         assert_eq!(n.transfers(), 0);
         assert_eq!(n.total_link_bytes(), 0);
-    }
-
-    #[test]
-    fn utilization_bounded_by_one_under_saturation() {
-        let mut n = net(
-            TopologyKind::Crossbar { hosts: 2 },
-            Generation::FastEthernet,
-        );
-        let mut t = SimTime::ZERO;
-        for _ in 0..50 {
-            let d = n.transfer(t, 0, 1, 1 << 16);
-            t = d.arrival;
-        }
-        let u = n.peak_link_utilization(t);
-        assert!(u > 0.5 && u <= 1.0, "utilization = {u}");
     }
 
     #[test]

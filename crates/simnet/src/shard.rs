@@ -448,11 +448,6 @@ impl<W: ShardWorld> ShardSnapshot<W> {
         self.nshards
     }
 
-    /// Pending events across all shard queues.
-    pub fn pending_events(&self) -> usize {
-        self.queues.iter().map(|q| q.len()).sum()
-    }
-
     /// The latest shard clock in the snapshot, picoseconds.
     pub fn time(&self) -> SimTime {
         SimTime(self.nows.iter().copied().max().unwrap_or(0))

@@ -32,11 +32,6 @@ impl SimTime {
     }
 
     #[inline]
-    pub fn as_ns(self) -> f64 {
-        self.0 as f64 / PS_PER_NS as f64
-    }
-
-    #[inline]
     pub fn as_us(self) -> f64 {
         self.0 as f64 / PS_PER_US as f64
     }
@@ -78,11 +73,6 @@ impl SimDuration {
     }
 
     #[inline]
-    pub fn from_ms(ms: u64) -> Self {
-        SimDuration(ms * PS_PER_MS)
-    }
-
-    #[inline]
     pub fn from_secs(s: u64) -> Self {
         SimDuration(s * PS_PER_SEC)
     }
@@ -96,11 +86,6 @@ impl SimDuration {
     #[inline]
     pub fn as_ps(self) -> u64 {
         self.0
-    }
-
-    #[inline]
-    pub fn as_ns(self) -> f64 {
-        self.0 as f64 / PS_PER_NS as f64
     }
 
     #[inline]
@@ -192,7 +177,6 @@ mod tests {
     fn conversions_roundtrip() {
         assert_eq!(SimDuration::from_us(3).as_ps(), 3 * PS_PER_US);
         assert_eq!(SimDuration::from_ns(7).as_ps(), 7_000);
-        assert_eq!(SimDuration::from_ms(2).as_ps(), 2 * PS_PER_MS);
         assert_eq!(SimDuration::from_secs(1).as_secs(), 1.0);
     }
 
