@@ -151,7 +151,7 @@ pub fn generate_with(obs: &Obs) -> Vec<Table> {
         ],
     );
     // Every (generation, loss) cell is an independent seeded scenario;
-    // fan the grid out across the sweep pool. Each cell runs against an
+    // fan the grid out across the sweep threads. Each cell runs against an
     // isolated Obs that is merged back in grid order — label sets are
     // disjoint per cell, and the flight-recorder merge re-stamps
     // sequence numbers in the same order a serial grid walk records

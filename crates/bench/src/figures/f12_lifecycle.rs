@@ -12,7 +12,7 @@
 //! `Reclaim`) inside the horizon.
 //!
 //! Every run is a pure function of `(config, plan)`; cells fan out
-//! across the sweep pool with per-cell observability planes merged in
+//! across the sweep threads with per-cell observability planes merged in
 //! grid order, so the table is bit-identical at any `--jobs` count.
 
 use crate::table::Table;

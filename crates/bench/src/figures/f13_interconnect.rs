@@ -14,7 +14,7 @@
 //! leader stage on the packet fabric and on circuits reserved from the
 //! [`CircuitScheduler`] (paying reconfiguration per wave).
 //!
-//! Cells fan out across the sweep pool with per-cell observability
+//! Cells fan out across the sweep threads with per-cell observability
 //! planes merged in grid order; the local-stage simulations inside a
 //! cell run at `jobs = 1`, so the tables are bit-identical at any
 //! `--jobs` count (held by `tests/parallel_determinism.rs` and the CI

@@ -17,7 +17,7 @@
 //! open-loop serving tier's completion is pinned by its arrival stream,
 //! so faster nodes stop helping).
 //!
-//! Cells fan out across the sweep pool with per-cell observability
+//! Cells fan out across the sweep threads with per-cell observability
 //! planes merged in grid order, and every inner simulation runs at
 //! `jobs = 1`, so the tables are bit-identical at any `--jobs` count
 //! (the workload generators themselves are shard-invariant; held by

@@ -45,7 +45,7 @@ pub fn generate() -> Vec<Table> {
     let params = ExecParams::default();
 
     // Every (scale, collective, payload) cell is an independent
-    // simulation; fan them out across the sweep pool and assemble rows
+    // simulation; fan them out across the sweep threads and assemble rows
     // from the index-ordered completions, so the rendered tables are
     // byte-identical at any job count.
     let points: Vec<(u32, Collective, u64)> =

@@ -2,11 +2,13 @@
 //!
 //! Figure sweeps are embarrassingly parallel — each point (a message
 //! size, a rank count, a loss-rate cell) is an independent simulation —
-//! but the harness must keep two properties the serial generators
+//! but the harness must keep three properties the serial generators
 //! already have:
 //!
-//! 1. **Deterministic output.** Points run on a rayon pool sized by
-//!    [`jobs`], yet results come back in point-index order, and
+//! 1. **Deterministic output.** A sweep of [`jobs`] runs its points on
+//!    the caller plus `jobs − 1` scoped threads, each claiming point
+//!    indices from one counter and writing each result into that
+//!    point's slot, so results come back in point-index order.
 //!    [`sweep_obs`] gives every point an isolated [`Obs`] bundle that is
 //!    merged back into the caller's bundle in index order via
 //!    [`Obs::merge_from`] — so metric registries, Prometheus/JSON
@@ -16,11 +18,14 @@
 //! 2. **Serial by default.** The job count resolves, in order, to the
 //!    value set by `figures --jobs N`, then the `POLARIS_JOBS`
 //!    environment variable, then 1.
+//! 3. **A panicking point fails the sweep.** `std::thread::scope` joins
+//!    every worker before the panic leaves the call, so a sweep never
+//!    hangs on a dead worker and no thread outlives the points it
+//!    borrows.
 
 use polaris_obs::Obs;
-use rayon::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Mutex;
 
 /// 0 = unset (fall back to `POLARIS_JOBS`, then 1).
 static JOBS: AtomicUsize = AtomicUsize::new(0);
@@ -43,8 +48,8 @@ pub fn jobs() -> usize {
     }
 }
 
-/// Run `f` over every point on a pool of [`jobs`] workers, returning
-/// results in point-index order.
+/// Run `f` over every point on [`jobs`] threads, returning results in
+/// point-index order.
 pub fn sweep<T, R, F>(points: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
@@ -54,58 +59,55 @@ where
     sweep_with_jobs(points, jobs(), f)
 }
 
-/// The pool serving `jobs`-wide sweeps, built once per job count and
-/// cached for the life of the process. The vendored pool parks its
-/// workers between operations, so every sweep after the first reuses
-/// warm threads — short sweeps (a figure of 20 sub-millisecond points)
-/// no longer pay a spawn/join per point batch, which is what turned
-/// the 2-job sweep into a 0.76× regression.
-fn pool_for(jobs: usize) -> Arc<rayon::ThreadPool> {
-    type PoolCache = Mutex<Vec<(usize, Arc<rayon::ThreadPool>)>>;
-    static POOLS: OnceLock<PoolCache> = OnceLock::new();
-    let pools = POOLS.get_or_init(|| Mutex::new(Vec::new()));
-    let mut cached = pools.lock().unwrap();
-    if let Some((_, pool)) = cached.iter().find(|(n, _)| *n == jobs) {
-        return Arc::clone(pool);
-    }
-    let pool = Arc::new(
-        rayon::ThreadPoolBuilder::new()
-            .num_threads(jobs)
-            .build()
-            .expect("building a sweep pool cannot fail"),
-    );
-    cached.push((jobs, Arc::clone(&pool)));
-    pool
-}
-
-/// Build (or fetch) the persistent pool for `jobs` workers and run one
-/// trivial operation through it, so the threads exist and have parked
-/// once before any timed region. The benchmark's `bench.sweep.*` probes
-/// call this ahead of their measured sweeps: without it, the first
-/// sample at each job count pays thread spawn inside the timing window,
-/// which is what kept the 2-job sweep point below break-even even after
-/// the pool became persistent.
-pub fn warm_pool(jobs: usize) {
-    if jobs <= 1 {
-        return;
-    }
-    let warmed: Vec<usize> = pool_for(jobs).install(|| (0..jobs).into_par_iter().collect());
-    debug_assert_eq!(warmed.len(), jobs);
-}
+/// Does nothing: sweeps spawn their threads per call, so there is no
+/// pool to warm. Kept only because the frozen benchmark's `probes.rs`
+/// calls it ahead of its `bench.sweep.*` timings.
+pub fn warm_pool(_jobs: usize) {}
 
 /// [`sweep`] with an explicit worker count (used by the benchmark's
 /// `bench.sweep.*` probes to measure specific job counts regardless of
-/// the global setting).
+/// the global setting). A panic in `f` is re-raised with its own
+/// payload once every thread has stopped.
 pub fn sweep_with_jobs<T, R, F>(points: Vec<T>, jobs: usize, f: F) -> Vec<R>
 where
     T: Send,
     R: Send,
     F: Fn(T) -> R + Sync + Send,
 {
-    if jobs <= 1 {
+    let threads = jobs.min(points.len());
+    if threads <= 1 {
         return points.into_iter().map(f).collect();
     }
-    pool_for(jobs).install(|| points.into_par_iter().map(f).collect())
+    let points: Vec<Mutex<Option<T>>> = points.into_iter().map(|p| Mutex::new(Some(p))).collect();
+    let results: Vec<Mutex<Option<R>>> = points.iter().map(|_| Mutex::new(None)).collect();
+    let next = AtomicUsize::new(0);
+    let claim = || loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        let Some(slot) = points.get(i) else { break };
+        let point = slot
+            .lock()
+            .unwrap()
+            .take()
+            .expect("each point is claimed once");
+        let r = f(point);
+        *results[i].lock().unwrap() = Some(r);
+    };
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = (1..threads).map(|_| scope.spawn(claim)).collect();
+        claim();
+        for w in workers {
+            // Joining here, rather than leaving it to the scope, keeps
+            // the point's own panic message instead of the scope's
+            // generic one.
+            if let Err(payload) = w.join() {
+                std::panic::resume_unwind(payload);
+            }
+        }
+    });
+    results
+        .into_iter()
+        .map(|r| r.into_inner().unwrap().expect("every point ran"))
+        .collect()
 }
 
 /// Run `f` over every point with a per-point isolated [`Obs`] bundle,
@@ -136,11 +138,62 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc::{self, RecvTimeoutError};
+    use std::sync::Barrier;
+    use std::thread;
+    use std::time::Duration;
 
     #[test]
     fn results_come_back_in_point_order() {
         let out = sweep_with_jobs((0..64u64).collect(), 4, |i| i * i);
         assert_eq!(out, (0..64u64).map(|i| i * i).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn many_small_sweeps_back_to_back() {
+        for round in 0..200usize {
+            let out = sweep_with_jobs((0..8usize).collect(), 2, |i| i + round);
+            assert_eq!(out, (0..8).map(|i| i + round).collect::<Vec<_>>());
+        }
+    }
+
+    /// Points 0 and 1 meet at a barrier, so they run on different
+    /// threads and one of them is the worker's; that one panics. The
+    /// sweep runs on a helper thread so a hang fails the test within
+    /// seconds instead of stalling the suite.
+    #[test]
+    fn a_panicking_point_fails_the_sweep_instead_of_hanging() {
+        let (done, finished) = mpsc::channel::<()>();
+        let sweep = thread::spawn(move || {
+            let _done = done;
+            let caller = thread::current().id();
+            let both_claimed = Barrier::new(2);
+            sweep_with_jobs((0..64u64).collect(), 2, |i| {
+                if i < 2 {
+                    both_claimed.wait();
+                    if thread::current().id() != caller {
+                        panic!("point {i} panicked on a worker");
+                    }
+                }
+                i
+            })
+        });
+        assert_eq!(
+            finished.recv_timeout(Duration::from_secs(10)),
+            Err(RecvTimeoutError::Disconnected),
+            "the sweep hung on a panicking point"
+        );
+        let payload = sweep.join().expect_err("the sweep must fail");
+        let msg = payload
+            .downcast_ref::<String>()
+            .expect("the point's message");
+        let expected = [
+            "point 0 panicked on a worker",
+            "point 1 panicked on a worker",
+        ];
+        assert!(expected.contains(&msg.as_str()), "{msg}");
+        let again = sweep_with_jobs((0..64u64).collect(), 2, |i| i * i);
+        assert_eq!(again, (0..64u64).map(|i| i * i).collect::<Vec<_>>());
     }
 
     #[test]

@@ -1,14 +1,26 @@
-//! SPMD test harness: run one closure per rank on real threads over a
-//! shared fabric. Used by this crate's tests and re-exported for
-//! downstream integration tests.
+//! The thread-per-rank world launcher: run one closure per rank on real
+//! threads over a shared fabric. This crate's tests call [`run_world`];
+//! `polaris::runtime::Cluster` runs on [`run_world_with_stats`], and
+//! downstream integration tests use either.
 
 use polaris_msg::prelude::{Endpoint, MsgConfig};
-use polaris_nic::prelude::Fabric;
+use polaris_nic::prelude::{Fabric, FabricStats};
 use std::sync::Arc;
 
 /// Spawn `n` rank threads, each running `f(endpoint)`, and collect the
-/// per-rank results in rank order. Panics in any rank propagate.
+/// per-rank results in rank order. A rank's panic propagates with its
+/// own payload, so `should_panic(expected = ..)` sees the real message.
 pub fn run_world<T, F>(n: u32, cfg: MsgConfig, f: F) -> Vec<T>
+where
+    T: Send + 'static,
+    F: Fn(Endpoint) -> T + Send + Sync + 'static,
+{
+    run_world_with_stats(n, cfg, f).0
+}
+
+/// [`run_world`], also returning the fabric's data-movement statistics
+/// once every rank has finished.
+pub fn run_world_with_stats<T, F>(n: u32, cfg: MsgConfig, f: F) -> (Vec<T>, FabricStats)
 where
     T: Send + 'static,
     F: Fn(Endpoint) -> T + Send + Sync + 'static,
@@ -26,10 +38,11 @@ where
                 .expect("spawn rank thread")
         })
         .collect();
-    handles
+    let results = handles
         .into_iter()
-        .map(|h| h.join().expect("rank thread panicked"))
-        .collect()
+        .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+        .collect();
+    (results, fabric.stats())
 }
 
 #[cfg(test)]
@@ -54,5 +67,15 @@ mod tests {
             got[0] as u32
         });
         assert_eq!(out, vec![2, 0, 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "rank 2 gave up")]
+    fn a_rank_panic_keeps_its_message() {
+        run_world(3, MsgConfig::default(), |ep| {
+            if ep.rank() == 2 {
+                panic!("rank 2 gave up");
+            }
+        });
     }
 }

@@ -1,5 +1,7 @@
 //! The SPMD cluster runtime: spawn N node threads over one fabric and
-//! hand each a connected [`NodeCtx`].
+//! hand each a connected [`NodeCtx`]. The threads come from
+//! `polaris_collectives::testing::run_world_with_stats`, the one
+//! thread-per-rank launcher in the workspace.
 //!
 //! This is the "supporting software" glue of the keynote's definition of
 //! a commodity cluster: it performs the out-of-band bootstrap (QP
@@ -8,10 +10,10 @@
 
 use polaris_collectives::comm::Comm;
 use polaris_collectives::op::{Reducible, ReduceOp};
+use polaris_collectives::testing::run_world_with_stats;
 use polaris_collectives::tuning::Tuning;
 use polaris_msg::prelude::{Endpoint, MsgBuf, MsgConfig, MsgResult, RecvInfo};
-use polaris_nic::prelude::{Fabric, FabricStats};
-use std::sync::Arc;
+use polaris_nic::prelude::FabricStats;
 
 /// Per-rank context handed to the SPMD closure.
 pub struct NodeCtx {
@@ -129,31 +131,8 @@ impl ClusterBuilder {
         T: Send + 'static,
         F: Fn(NodeCtx) -> T + Send + Sync + 'static,
     {
-        let fabric = Fabric::new();
-        let eps =
-            Endpoint::create_world(&fabric, self.nodes, self.cfg).expect("cluster bootstrap");
-        let f = Arc::new(f);
         let tuning = self.tuning;
-        let handles: Vec<_> = eps
-            .into_iter()
-            .map(|ep| {
-                let f = Arc::clone(&f);
-                std::thread::Builder::new()
-                    .name(format!("polaris-rank{}", ep.rank()))
-                    .spawn(move || f(NodeCtx { ep, tuning }))
-                    .expect("spawn rank thread")
-            })
-            .collect();
-        let results = handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(v) => v,
-                // Propagate the original panic payload so callers (and
-                // `should_panic` tests) see the real message.
-                Err(e) => std::panic::resume_unwind(e),
-            })
-            .collect();
-        (results, fabric.stats())
+        run_world_with_stats(self.nodes, self.cfg, move |ep| f(NodeCtx { ep, tuning }))
     }
 }
 

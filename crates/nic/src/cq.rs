@@ -7,9 +7,8 @@
 
 use crate::error::{NicError, Result};
 use crate::types::QpNum;
-use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Completion status, mirroring the interesting subset of IB statuses.
@@ -109,10 +108,11 @@ impl CompletionQueue {
     /// The condvar is signalled only when a thread is parked in
     /// `wait_one`: a sleeper registers under the same lock the push
     /// takes, so the push either sees it or the sleeper sees the entry.
-    /// The vendored condvar makes a system call per `notify`, which a
-    /// polled queue must not pay per completion.
+    /// `std`'s futex condvar makes a `futex_wake` system call on every
+    /// `notify`, sleeper or not, which a polled queue must not pay per
+    /// completion.
     pub(crate) fn push(&self, cqe: Cqe) {
-        let mut st = self.inner.state.lock();
+        let mut st = self.inner.state.lock().unwrap();
         if st.queue.len() >= self.inner.capacity {
             st.overflowed = true;
             return;
@@ -129,7 +129,7 @@ impl CompletionQueue {
 
     /// Lock the queue, surfacing a latched overflow.
     fn lock_checked(&self) -> Result<MutexGuard<'_, CqState>> {
-        let st = self.inner.state.lock();
+        let st = self.inner.state.lock().unwrap();
         if st.overflowed {
             Err(NicError::CqOverflow)
         } else {
@@ -180,7 +180,7 @@ impl CompletionQueue {
     /// `timeout` elapses. This is the core-friendly mode.
     pub fn wait_one(&self, timeout: Duration) -> Result<Cqe> {
         let deadline = Instant::now() + timeout;
-        let mut st = self.inner.state.lock();
+        let mut st = self.inner.state.lock().unwrap();
         loop {
             if st.overflowed {
                 return Err(NicError::CqOverflow);
@@ -192,9 +192,11 @@ impl CompletionQueue {
                 return Err(NicError::Timeout);
             }
             st.sleepers += 1;
-            let timed_out = self.inner.cond.wait_until(&mut st, deadline).timed_out();
+            let left = deadline.saturating_duration_since(Instant::now());
+            let (guard, res) = self.inner.cond.wait_timeout(st, left).unwrap();
+            st = guard;
             st.sleepers -= 1;
-            if timed_out {
+            if res.timed_out() {
                 return st.queue.pop_front().ok_or(NicError::Timeout);
             }
         }
@@ -202,19 +204,19 @@ impl CompletionQueue {
 
     /// Completions currently waiting to be reaped.
     pub fn depth(&self) -> usize {
-        self.inner.state.lock().queue.len()
+        self.inner.state.lock().unwrap().queue.len()
     }
 
     /// Total completions ever delivered to this CQ.
     pub fn delivered(&self) -> u64 {
-        self.inner.state.lock().delivered
+        self.inner.state.lock().unwrap().delivered
     }
 
     /// How many pushes signalled the condvar because a thread was parked
     /// in [`wait_one`](Self::wait_one). A queue that is only ever polled
     /// reports zero.
     pub fn wakeups(&self) -> u64 {
-        self.inner.state.lock().wakeups
+        self.inner.state.lock().unwrap().wakeups
     }
 }
 

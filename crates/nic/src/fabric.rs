@@ -18,11 +18,10 @@ use crate::mr::{MemoryRegion, MrInner, ProtectionDomain};
 use crate::qp::{PeerLink, QpInner, QpObs, QpState, QueuePair};
 use crate::srq::SharedReceiveQueue;
 use crate::types::{NodeId, PdId, QpNum, Rkey};
-use parking_lot::{Mutex, RwLock};
 use polaris_obs::{Counter, Obs};
 use polaris_simnet::fasthash::FastHashMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::{Arc, Mutex, RwLock, Weak};
 
 /// Fabric-wide data-movement statistics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -98,11 +97,11 @@ pub(crate) struct FabricInner {
 
 impl FabricInner {
     pub(crate) fn lookup_mr(&self, node: NodeId, rkey: Rkey) -> Result<Arc<MrInner>> {
-        let nodes = self.nodes.read();
+        let nodes = self.nodes.read().unwrap();
         let nic = nodes
             .get(node.0 as usize)
             .ok_or(NicError::UnknownNode(node))?;
-        let mrs = nic.mrs.read();
+        let mrs = nic.mrs.read().unwrap();
         mrs.get(&rkey)
             .and_then(Weak::upgrade)
             .ok_or(NicError::BadRkey(rkey))
@@ -111,7 +110,7 @@ impl FabricInner {
     /// Run `f` on the attached observability plane, if there is one.
     fn if_observed(&self, f: impl FnOnce(&FabObs)) {
         if self.observed.load(Ordering::Acquire) {
-            if let Some(fo) = &*self.obs.read() {
+            if let Some(fo) = &*self.obs.read().unwrap() {
                 f(fo);
             }
         }
@@ -127,7 +126,7 @@ impl FabricInner {
     }
 
     pub(crate) fn obs(&self) -> Option<Arc<FabObs>> {
-        self.obs.read().clone()
+        self.obs.read().unwrap().clone()
     }
 
     /// Bump the fabric-wide completion counters (`nic_cqe_total`).
@@ -150,7 +149,7 @@ impl FabricInner {
         if !self.chaos_armed.load(Ordering::Acquire) {
             return None;
         }
-        let verdict = self.chaos.lock().as_mut().map(ChaosState::judge);
+        let verdict = self.chaos.lock().unwrap().as_mut().map(ChaosState::judge);
         match verdict {
             Some(ChaosVerdict::Drop) => self.if_observed(|fo| fo.chaos_drops.inc()),
             Some(ChaosVerdict::Corrupt) => self.if_observed(|fo| fo.chaos_corruptions.inc()),
@@ -193,7 +192,7 @@ impl Fabric {
     /// counters land in the registry under `nic_*`; QPs created after
     /// this call additionally get per-QP `nic_qp_*{node,qp}` series.
     pub fn set_obs(&self, obs: Obs) {
-        let mut slot = self.inner.obs.write();
+        let mut slot = self.inner.obs.write().unwrap();
         *slot = Some(Arc::new(FabObs::new(obs)));
         self.inner.observed.store(true, Ordering::Release);
     }
@@ -202,19 +201,24 @@ impl Fabric {
     /// crossing this fabric (see [`crate::chaos`]). Replaces any
     /// previous chaos configuration and resets its counters.
     pub fn set_chaos(&self, params: ChaosParams) {
-        let mut chaos = self.inner.chaos.lock();
+        let mut chaos = self.inner.chaos.lock().unwrap();
         *chaos = Some(ChaosState::new(params));
         self.inner.chaos_armed.store(true, Ordering::Release);
     }
 
     /// Counters of injected faults, if chaos is armed.
     pub fn chaos_stats(&self) -> Option<ChaosStats> {
-        self.inner.chaos.lock().as_ref().map(ChaosState::stats)
+        self.inner
+            .chaos
+            .lock()
+            .unwrap()
+            .as_ref()
+            .map(ChaosState::stats)
     }
 
     /// Attach a new NIC (node) to the fabric, assigning the next rank.
     pub fn create_nic(&self) -> Nic {
-        let mut nodes = self.inner.nodes.write();
+        let mut nodes = self.inner.nodes.write().unwrap();
         let nic = Arc::new(NicInner {
             node: NodeId(nodes.len() as u32),
             next_pd: AtomicU32::new(0),
@@ -291,6 +295,7 @@ impl Nic {
         self.inner
             .mrs
             .write()
+            .unwrap()
             .insert(mr.rkey(), Arc::downgrade(&mr.inner));
         fabric.registrations.fetch_add(1, Ordering::Relaxed);
         fabric
@@ -359,14 +364,14 @@ impl Nic {
             self.fabric.clone(),
             qp_obs,
         ));
-        self.inner.qps.lock().push(qp.clone());
+        self.inner.qps.lock().unwrap().push(qp.clone());
         Ok(QueuePair { inner: qp })
     }
 
     /// Drop the NIC's record of a memory region, invalidating its rkey
     /// for future remote access (existing handles keep the memory alive).
     pub fn deregister(&self, mr: &MemoryRegion) {
-        self.inner.mrs.write().remove(&mr.rkey());
+        self.inner.mrs.write().unwrap().remove(&mr.rkey());
     }
 }
 

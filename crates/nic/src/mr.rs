@@ -21,9 +21,8 @@
 
 use crate::error::{NicError, Result};
 use crate::types::{Lkey, NodeId, PdId, Rkey, KEYS};
-use parking_lot::Mutex;
 use std::cell::UnsafeCell;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// A protection domain: memory regions and queue pairs must share one for
 /// work requests to be authorized.

@@ -17,11 +17,10 @@ use crate::mr::ProtectionDomain;
 use crate::srq::SharedReceiveQueue;
 use crate::types::{NodeId, QpNum, RemoteAddr};
 use crate::wr::{sge_len, RecvWr, SendWr, Sge, SgeList};
-use parking_lot::Mutex;
 use polaris_obs::{Counter, Obs};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::{Arc, OnceLock, Weak};
+use std::sync::{Arc, Mutex, OnceLock, Weak};
 
 /// Queue-pair state machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -368,7 +367,7 @@ impl QueuePair {
         check_sges(self.inner.pd, &wr.sges)?;
         let fabric = self.fabric()?;
         self.inner.note_wqe();
-        let mut rs = self.inner.recv.lock();
+        let mut rs = self.inner.recv.lock().unwrap();
         match rs.inbound.pop_front() {
             // A sender is already parked: match immediately.
             Some(inbound) => inbound.deliver(&self.inner, wr, &fabric),
@@ -521,7 +520,7 @@ impl QueuePair {
         if let Some(srq) = &peer.srq {
             return srq.handle_inbound(peer, body, &self.inner, wr_id, fabric);
         }
-        let mut rs = peer.recv.lock();
+        let mut rs = peer.recv.lock().unwrap();
         match rs.posted.pop_front() {
             Some(recv) => deliver(peer, recv, body, &Origin::live(&self.inner, wr_id), fabric),
             None => rs
@@ -534,7 +533,7 @@ impl QueuePair {
     pub fn set_error(&self) {
         self.inner.set_state(QpState::Error);
         let fabric = self.inner.fabric.upgrade();
-        let mut rs = self.inner.recv.lock();
+        let mut rs = self.inner.recv.lock().unwrap();
         for wr in rs.posted.drain(..) {
             self.inner
                 .note_cqe(fabric.as_deref(), CqeStatus::Flushed, 0);
@@ -552,7 +551,7 @@ impl QueuePair {
 
     /// Receives currently posted and inbound messages currently parked.
     pub fn recv_depths(&self) -> (usize, usize) {
-        let rs = self.inner.recv.lock();
+        let rs = self.inner.recv.lock().unwrap();
         (rs.posted.len(), rs.inbound.len())
     }
 
@@ -653,7 +652,7 @@ impl QueuePair {
             return Ok(());
         };
         let old = {
-            let _g = mr.atomic_lock.lock();
+            let _g = mr.atomic_lock.lock().unwrap();
             // SAFETY: bounds checked; atomicity provided by the lock.
             unsafe {
                 let p = mr.ptr().add(remote.offset) as *mut u64;

@@ -13,9 +13,8 @@ use crate::error::{NicError, Result};
 use crate::fabric::FabricInner;
 use crate::qp::{deliver, Body, Inbound, Origin, QpInner};
 use crate::wr::RecvWr;
-use parking_lot::Mutex;
 use std::collections::VecDeque;
-use std::sync::{Arc, Weak};
+use std::sync::{Arc, Mutex, Weak};
 
 pub(crate) struct SrqState {
     pub(crate) posted: VecDeque<RecvWr>,
@@ -54,7 +53,7 @@ impl SharedReceiveQueue {
     /// thread, like every transfer in the virtual NIC).
     pub fn post_recv(&self, wr: RecvWr) -> Result<()> {
         let fabric = self.inner.fabric.upgrade().ok_or(NicError::FabricDown)?;
-        let mut st = self.inner.state.lock();
+        let mut st = self.inner.state.lock().unwrap();
         // Drain the oldest parked inbound whose QP is still alive.
         while let Some((qp_weak, _)) = st.parked.front() {
             match qp_weak.upgrade() {
@@ -74,7 +73,7 @@ impl SharedReceiveQueue {
 
     /// Buffers currently available and messages currently parked.
     pub fn depths(&self) -> (usize, usize) {
-        let st = self.inner.state.lock();
+        let st = self.inner.state.lock().unwrap();
         (st.posted.len(), st.parked.len())
     }
 
@@ -88,7 +87,7 @@ impl SharedReceiveQueue {
         wr_id: u64,
         fabric: &FabricInner,
     ) {
-        let mut st = self.inner.state.lock();
+        let mut st = self.inner.state.lock().unwrap();
         match st.posted.pop_front() {
             Some(recv) => deliver(rx, recv, body, &Origin::live(sender, wr_id), fabric),
             None => st

@@ -7,10 +7,9 @@
 //! with labels sorted by key, so iteration order — and therefore every
 //! export — is deterministic.
 
-use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Sub-buckets per octave in [`Histogram`] (log-linear, HDR-style).
 pub const SUB_BUCKETS: usize = 16;
@@ -335,26 +334,26 @@ impl Registry {
 
     /// Fetch-or-create the counter for `name` + `labels`.
     pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> Counter {
-        series(&mut self.inner.lock().counters, name, labels)
+        series(&mut self.inner.lock().unwrap().counters, name, labels)
     }
 
     pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> Gauge {
-        series(&mut self.inner.lock().gauges, name, labels)
+        series(&mut self.inner.lock().unwrap().gauges, name, labels)
     }
 
     pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Histogram {
-        series(&mut self.inner.lock().histograms, name, labels)
+        series(&mut self.inner.lock().unwrap().histograms, name, labels)
     }
 
     /// Current value of a counter, 0 if it was never created (reading
     /// must not materialize series).
     pub fn counter_value(&self, name: &str, labels: &[(&str, &str)]) -> u64 {
-        existing(&self.inner.lock().counters, name, labels).map_or(0, Counter::get)
+        existing(&self.inner.lock().unwrap().counters, name, labels).map_or(0, Counter::get)
     }
 
     /// Current value of a gauge, 0.0 if absent.
     pub fn gauge_value(&self, name: &str, labels: &[(&str, &str)]) -> f64 {
-        existing(&self.inner.lock().gauges, name, labels).map_or(0.0, Gauge::get)
+        existing(&self.inner.lock().unwrap().gauges, name, labels).map_or(0.0, Gauge::get)
     }
 
     /// Fold every series of `other` into `self`: counters add, gauges
@@ -365,8 +364,8 @@ impl Registry {
     /// shared registry would have held, because counter/histogram merge
     /// is commutative and the sweep points write disjoint gauge keys.
     pub fn merge_from(&self, other: &Registry) {
-        let src = other.inner.lock();
-        let mut dst = self.inner.lock();
+        let src = other.inner.lock().unwrap();
+        let mut dst = self.inner.lock().unwrap();
         for (k, c) in &src.counters {
             dst.counters.entry(k.clone()).or_default().add(c.get());
         }
@@ -382,6 +381,7 @@ impl Registry {
     pub fn counters_snapshot(&self) -> Vec<(String, u64)> {
         self.inner
             .lock()
+            .unwrap()
             .counters
             .iter()
             .map(|(k, c)| (k.clone(), c.get()))
@@ -392,6 +392,7 @@ impl Registry {
     pub fn gauges_snapshot(&self) -> Vec<(String, f64)> {
         self.inner
             .lock()
+            .unwrap()
             .gauges
             .iter()
             .map(|(k, g)| (k.clone(), g.get()))
@@ -402,6 +403,7 @@ impl Registry {
     pub fn histograms_snapshot(&self) -> Vec<(String, HistogramSnapshot)> {
         self.inner
             .lock()
+            .unwrap()
             .histograms
             .iter()
             .map(|(k, h)| (k.clone(), h.snapshot()))

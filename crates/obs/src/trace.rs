@@ -7,10 +7,9 @@
 //! so even same-timestamp events have a total order and the JSONL
 //! export is byte-stable across replays.
 
-use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Default ring capacity; deep enough for every figure scenario while
 /// bounding memory for long chaos soaks.
@@ -152,7 +151,7 @@ impl FlightRecorder {
         phase: Phase,
         fields: &[(&'static str, u64)],
     ) {
-        let mut g = self.inner.lock();
+        let mut g = self.inner.lock().unwrap();
         if g.ring.len() == g.capacity {
             g.ring.pop_front();
             g.dropped += 1;
@@ -201,7 +200,7 @@ impl FlightRecorder {
 
     /// Number of events currently retained.
     pub fn len(&self) -> usize {
-        self.inner.lock().ring.len()
+        self.inner.lock().unwrap().ring.len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -210,18 +209,18 @@ impl FlightRecorder {
 
     /// Events evicted due to capacity pressure.
     pub fn dropped(&self) -> u64 {
-        self.inner.lock().dropped
+        self.inner.lock().unwrap().dropped
     }
 
     /// Copy of the retained events, oldest first.
     pub fn events(&self) -> Vec<TraceEvent> {
-        self.inner.lock().ring.iter().cloned().collect()
+        self.inner.lock().unwrap().ring.iter().cloned().collect()
     }
 
     /// One JSON object per line, oldest first, trailing newline after
     /// every event. Byte-identical across same-seed replays.
     pub fn to_jsonl(&self) -> String {
-        let g = self.inner.lock();
+        let g = self.inner.lock().unwrap();
         let mut out = String::new();
         for ev in &g.ring {
             out.push_str(&ev.to_json());
@@ -238,8 +237,8 @@ impl FlightRecorder {
     /// parallel sweep harness relies on. Capacity eviction applies as
     /// if the events had been recorded here directly.
     pub fn merge_from(&self, other: &FlightRecorder) {
-        let src = other.inner.lock();
-        let mut g = self.inner.lock();
+        let src = other.inner.lock().unwrap();
+        let mut g = self.inner.lock().unwrap();
         // Pre-size for the incoming events (bounded by the ring cap) so
         // a sweep merging hundreds of per-point recorders reallocates
         // the destination ring once, not per growth step.
@@ -262,7 +261,7 @@ impl FlightRecorder {
     /// Drop all retained events and reset the sequence counter; used
     /// between independent runs sharing one recorder.
     pub fn clear(&self) {
-        let mut g = self.inner.lock();
+        let mut g = self.inner.lock().unwrap();
         g.ring.clear();
         g.next_seq = 0;
         g.dropped = 0;

@@ -331,7 +331,7 @@ pub fn reliable_superset(spec: &WorkloadSpec) -> Vec<Violation> {
 
 /// Figure regeneration at sweep jobs=1 vs jobs=4: rendered tables,
 /// registry export, and trace JSONL must be byte-identical. Process-
-/// global (toggles the sweep pool), so run once per sentinel
+/// global (sets the sweep job count), so run once per sentinel
 /// invocation, not per case.
 pub fn figures_jobs_oracle() -> Vec<Violation> {
     use polaris_bench::figures::{f11_chaos, f2_p2p};

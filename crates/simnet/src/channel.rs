@@ -17,10 +17,10 @@
 //! `(time, key)`, so transport order is deliberately irrelevant to the
 //! simulation outcome.
 
-use parking_lot::Mutex;
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Default ring capacity per shard pair; sized for the largest window
 /// burst the collective workloads produce without measurable memory
@@ -72,7 +72,7 @@ impl<T> ShardChannel<T> {
         let head = self.head.load(Ordering::Acquire);
         if tail.wrapping_sub(head) > self.mask {
             self.spilled.fetch_add(1, Ordering::Relaxed);
-            self.spill.lock().push(value);
+            self.spill.lock().unwrap().push(value);
             return;
         }
         // SAFETY: `head <= tail - cap` was just excluded, so slot
@@ -103,7 +103,7 @@ impl<T> ShardChannel<T> {
         let fit = items.len().min(room);
         if fit < items.len() {
             self.spilled.fetch_add(items.len() - fit, Ordering::Relaxed);
-            let mut spill = self.spill.lock();
+            let mut spill = self.spill.lock().unwrap();
             spill.extend(items.drain(fit..));
         }
         for (i, value) in items.drain(..).enumerate() {
@@ -132,7 +132,7 @@ impl<T> ShardChannel<T> {
             out.push(v);
         }
         self.head.store(tail, Ordering::Release);
-        let mut spill = self.spill.lock();
+        let mut spill = self.spill.lock().unwrap();
         let spilled = spill.len();
         out.append(&mut spill);
         n + spilled

@@ -3,8 +3,8 @@
 //!
 //! The contract under test: running the same model partitioned across
 //! 1, 2, or 4 engine shards — serially or on worker threads — produces
-//! *bit-identical* results, and regenerating figures on a multi-worker
-//! sweep pool produces byte-identical tables, Prometheus exports, and
+//! *bit-identical* results, and regenerating figures with multi-job
+//! sweeps produces byte-identical tables, Prometheus exports, and
 //! flight-recorder JSONL. Determinism comes from the `(time, key)`
 //! total order (keys derived from global identities, never shard ids)
 //! and from merging per-point observability bundles in point-index
