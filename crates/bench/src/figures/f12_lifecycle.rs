@@ -4,7 +4,7 @@
 //! Each cell runs [`run_fleet`]: the reconciling lifecycle controller
 //! and fused health aggregator driving a fleet through a seeded churn
 //! plan (crash / flap / degrade, built by [`churn_plan`] from the chaos
-//! plane's node-scoped primitives) while a multi-tenant synthetic job
+//! plane's node-scoped primitives) while a seeded synthetic job
 //! stream exercises scheduler admission. The sweep holds the fleet at
 //! 10 k nodes and raises the churn rate; a final 100 k-node row is the
 //! scale point the keynote's "exploding cluster sizes" argument asks

@@ -3,14 +3,14 @@
 //! Resource management and fault recovery: the keynote's claim that "the
 //! software tools to manage [exploding-scale clusters] will take on new
 //! responsibilities", made executable. Batch scheduling (FCFS vs EASY
-//! backfill, experiment T2), synthetic workload generation, heartbeat
-//! failure detection, and checkpoint/restart with Young/Daly interval
-//! analysis (experiment F6), and the reconciling node-lifecycle control
-//! plane ([`lifecycle`], experiment F12).
+//! backfill, experiment T2), synthetic workload generation,
+//! checkpoint/restart with Young/Daly interval analysis (experiment F6),
+//! and the reconciling node-lifecycle control plane ([`lifecycle`],
+//! experiment F12) with its heartbeat failure detection. T2 and F12
+//! run on the same fleet simulation.
 
 pub mod alloc;
 pub mod checkpoint;
-pub mod health;
 pub mod job;
 pub mod lifecycle;
 pub mod recovery;
@@ -23,7 +23,6 @@ pub mod prelude {
     pub use crate::checkpoint::{
         simulate_checkpointing, waste_sweep, CheckpointParams, McResult,
     };
-    pub use crate::health::{evaluate as evaluate_detector, DetectionStats, DetectorConfig};
     pub use crate::job::{Job, JobOutcome, ScheduleMetrics};
     pub use crate::lifecycle::{
         churn_plan, run_fleet, ChurnSpec, Controller, ControllerConfig, FleetConfig,

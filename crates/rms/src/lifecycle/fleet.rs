@@ -2,7 +2,7 @@
 //! discrete-event workload.
 //!
 //! [`run_fleet`] wires the reconciling [`Controller`], the fused
-//! [`HealthAggregator`], and a multi-tenant synthetic job stream onto
+//! [`HealthAggregator`], and a seeded synthetic job stream onto
 //! the simnet engine, then disturbs the fleet with a seeded, JSON-
 //! replayable [`FaultPlan`] built by [`churn_plan`] from the chaos
 //! plane's node-scoped primitives (crash / flap / degrade). Scheduler
@@ -25,10 +25,16 @@
 //! (from the plan) when a node is really crashed, which is what makes
 //! the **false-evict rate** measurable — an eviction of a node the
 //! plan says was alive is a detector mistake, not a repair.
+//!
+//! The same simulation is the batch scheduler ([`crate::sched::simulate`],
+//! experiment T2): given jobs instead of the generated stream, instant
+//! provisioning and an empty plan, every node is `Healthy` at t = 0 and
+//! stays so, and the run is pure queueing under the admission policy.
 
 use super::controller::{Controller, ControllerConfig, StartedOp};
 use super::health::{HealthAggregator, HealthConfig};
 use super::state::NodeState;
+use crate::job::{Job, JobOutcome};
 use crate::sched::{plan_admissions, Policy, QueuedReq, RunningRes};
 use polaris_obs::{Counter, Obs};
 use polaris_simnet::engine::{self, Scheduler, World};
@@ -125,8 +131,6 @@ pub struct FleetConfig {
     pub health: HealthConfig,
     /// Jobs in the synthetic stream.
     pub jobs: u32,
-    /// Tenants the stream is striped across.
-    pub tenants: u32,
     /// Widths are uniform in `1..=max_job_width`.
     pub max_job_width: u32,
     pub min_runtime: SimDuration,
@@ -154,7 +158,6 @@ impl Default for FleetConfig {
             controller: ControllerConfig::default(),
             health: HealthConfig::default(),
             jobs: 64,
-            tenants: 4,
             max_job_width: 8,
             min_runtime: SimDuration::from_secs(120),
             max_runtime: SimDuration::from_secs(900),
@@ -240,8 +243,6 @@ struct Disturbance {
 #[derive(Debug, Clone)]
 struct JobRec {
     width: u32,
-    #[allow(dead_code)]
-    tenant: u32,
     total: SimDuration,
     /// The user's runtime estimate (>= `total`; what backfill plans
     /// against — the scheduler never sees true runtimes).
@@ -255,8 +256,27 @@ struct JobRec {
     /// Bumped on every (re)start; stale `JobDone` events are ignored.
     epoch: u32,
     nodes: Vec<u32>,
-    done: bool,
-    started_once: bool,
+    /// First start (the end of the queue wait) and completion.
+    first_start: Option<SimTime>,
+    finish: Option<SimTime>,
+}
+
+impl JobRec {
+    fn new(width: u32, total: SimDuration, estimate: SimDuration, arrival: SimTime) -> Self {
+        JobRec {
+            width,
+            total,
+            estimate,
+            arrival,
+            durable: SimDuration::ZERO,
+            restart_cost: SimDuration::ZERO,
+            running_since: None,
+            epoch: 0,
+            nodes: Vec::new(),
+            first_start: None,
+            finish: None,
+        }
+    }
 }
 
 /// Pre-resolved metric handles (handles are `Arc`-backed; resolving
@@ -310,9 +330,13 @@ pub struct FleetSim {
     /// Heartbeat stream live per node (only ever set for victims).
     hb_live: Vec<bool>,
     jobs: Vec<JobRec>,
-    queue: VecDeque<u32>,
-    /// Jobs currently holding nodes (the planner's reservation view).
-    running: Vec<u32>,
+    /// Queued jobs in order, each beside the request the planner sees,
+    /// computed when it is enqueued or requeued (its only inputs,
+    /// `durable` and `restart_cost`, change only at eviction).
+    queue: VecDeque<(u32, QueuedReq)>,
+    /// Jobs currently holding nodes, each beside its reservation,
+    /// computed at start.
+    running: Vec<(u32, RunningRes)>,
     /// Free-list of schedulable nodes, with lazy deletion.
     free: Vec<u32>,
     in_free: Vec<bool>,
@@ -342,8 +366,9 @@ fn est_remaining(rec: &JobRec) -> SimDuration {
     rec.restart_cost + SimDuration::from_ps(left)
 }
 
-fn secs_of(d: SimDuration) -> f64 {
-    d.as_ps() as f64 / PS_PER_SEC as f64
+/// The planner sees user estimates, never true runtimes.
+fn queued_req(rec: &JobRec) -> QueuedReq {
+    QueuedReq { width: rec.width, estimate: est_remaining(rec).as_secs() }
 }
 
 impl FleetSim {
@@ -532,46 +557,17 @@ impl FleetSim {
         }
     }
 
-    /// Admission: route the queue through the configured
-    /// [`Policy`] via [`plan_admissions`] — the *same* planner the batch
-    /// scheduler runs — instead of the strict-FCFS loop this method
-    /// used to hard-code (which silently ignored `cfg.policy` and let
-    /// a wide requeued head block the whole machine).
+    /// Admission: route the queue through the configured [`Policy`]
+    /// via [`plan_admissions`].
     fn dispatch(&mut self, sched: &mut Scheduler<FleetEvent>) {
-        let now = sched.now();
-        while matches!(self.queue.front(), Some(&j) if self.jobs[j as usize].done) {
-            self.queue.pop_front();
-        }
         if self.queue.is_empty() || self.avail == 0 {
             return;
         }
-        // The planner sees user estimates, never true runtimes.
-        let queued: Vec<QueuedReq> = self
-            .queue
-            .iter()
-            .map(|&j| {
-                let rec = &self.jobs[j as usize];
-                debug_assert!(!rec.done, "done jobs never sit in the queue");
-                QueuedReq { width: rec.width, estimate: secs_of(est_remaining(rec)) }
-            })
-            .collect();
-        let running: Vec<RunningRes> = self
-            .running
-            .iter()
-            .map(|&j| {
-                let rec = &self.jobs[j as usize];
-                let since = rec.running_since.expect("running-set job has a start time");
-                // `durable`/`restart_cost` are only updated at evict or
-                // completion, so this is the estimate as of job start.
-                RunningRes {
-                    width: rec.width,
-                    est_end: secs_of(since.since(SimTime::ZERO) + est_remaining(rec)),
-                }
-            })
-            .collect();
-        let now_s = now.as_ps() as f64 / PS_PER_SEC as f64;
-        let picks = plan_admissions(self.cfg.policy, now_s, &queued, &running, self.avail);
-        let admitted: Vec<u32> = picks.iter().map(|&i| self.queue[i]).collect();
+        let now = sched.now();
+        let queued: Vec<QueuedReq> = self.queue.iter().map(|&(_, q)| q).collect();
+        let running: Vec<RunningRes> = self.running.iter().map(|&(_, r)| r).collect();
+        let picks = plan_admissions(self.cfg.policy, now.as_secs(), &queued, &running, self.avail);
+        let admitted: Vec<u32> = picks.iter().map(|&i| self.queue[i].0).collect();
         for &i in picks.iter().rev() {
             self.queue.remove(i);
         }
@@ -597,21 +593,24 @@ impl FleetSim {
             got.push(n);
         }
         let rec = &mut self.jobs[job as usize];
-        let first_wait = (!rec.started_once).then(|| now.since(rec.arrival));
-        rec.started_once = true;
+        let first_wait = rec.first_start.is_none().then(|| now.since(rec.arrival));
+        rec.first_start.get_or_insert(now);
         rec.epoch = rec.epoch.wrapping_add(1);
         rec.running_since = Some(now);
-        rec.nodes = got.clone();
         let run = rec.restart_cost + (rec.total - rec.durable);
         sched.after(run, FleetEvent::JobDone { job, epoch: rec.epoch });
+        // `durable`/`restart_cost` change only at evict or completion,
+        // so this reservation holds for the whole run.
+        let res = RunningRes { width, est_end: (now + est_remaining(rec)).as_secs() };
         if let Some(w) = first_wait {
             self.wait_ps += w.as_ps() as u128;
             self.waited += 1;
         }
-        self.running.push(job);
+        self.running.push((job, res));
         if self.cfg.record_audit {
-            self.audit.push(AuditEvent::JobStart { at_ps: now.as_ps(), job, nodes: got });
+            self.audit.push(AuditEvent::JobStart { at_ps: now.as_ps(), job, nodes: got.clone() });
         }
+        rec.nodes = got;
     }
 
     /// A serving node under `job` left for `Breakfix`: stop the run,
@@ -636,6 +635,7 @@ impl FleetSim {
         rec.durable += durable_gain;
         rec.restart_cost = restart;
         rec.epoch = rec.epoch.wrapping_add(1); // fence the in-flight JobDone
+        let req = queued_req(rec);
         let width = rec.width as u128;
         self.consumed_ps += width * elapsed.as_ps() as u128;
         self.useful_ps += width * durable_gain.as_ps() as u128;
@@ -646,7 +646,7 @@ impl FleetSim {
                 self.mark_available(n);
             }
         }
-        self.running.retain(|&j| j != job);
+        self.running.retain(|&(j, _)| j != job);
         self.requeues += 1;
         if let Some(m) = &self.metrics {
             m.requeues.inc();
@@ -654,13 +654,13 @@ impl FleetSim {
         if self.cfg.record_audit {
             self.audit.push(AuditEvent::JobEvict { at_ps, job, node: leaving });
         }
-        self.queue.push_front(job);
+        self.queue.push_front((job, req));
     }
 
     fn job_done(&mut self, sched: &mut Scheduler<FleetEvent>, job: u32, epoch: u32) {
         let now = sched.now();
         let rec = &mut self.jobs[job as usize];
-        if rec.done || rec.epoch != epoch {
+        if rec.finish.is_some() || rec.epoch != epoch {
             return; // a stale completion from before an eviction
         }
         let since = rec.running_since.take().expect("completing job was running");
@@ -669,9 +669,9 @@ impl FleetSim {
         self.consumed_ps += width * elapsed.as_ps() as u128;
         self.useful_ps += width * (rec.total - rec.durable).as_ps() as u128;
         rec.durable = rec.total;
-        rec.done = true;
+        rec.finish = Some(now);
         let nodes = std::mem::take(&mut rec.nodes);
-        self.running.retain(|&j| j != job);
+        self.running.retain(|&(j, _)| j != job);
         self.jobs_completed += 1;
         if let Some(m) = &self.metrics {
             m.jobs_completed.inc();
@@ -714,7 +714,7 @@ impl World for FleetSim {
             FleetEvent::Heartbeat { node } => self.heartbeat(sched, node),
             FleetEvent::Reconcile => self.reconcile(sched),
             FleetEvent::Arrival { job } => {
-                self.queue.push_back(job);
+                self.queue.push_back((job, queued_req(&self.jobs[job as usize])));
                 self.dispatch(sched);
             }
             FleetEvent::JobDone { job, epoch } => self.job_done(sched, job, epoch),
@@ -766,40 +766,89 @@ fn disturbances(plan: &FaultPlan, fleet_nodes: u32) -> BTreeMap<u32, Disturbance
 /// observability plane is supplied, lifecycle counters, the end-of-run
 /// census, and convergence metrics are published into it.
 pub fn run_fleet(cfg: FleetConfig, plan: &FaultPlan, obs: Option<&Obs>) -> FleetReport {
-    let n = cfg.nodes as usize;
+    run(cfg, plan, obs, generated_jobs(&cfg)).0
+}
+
+/// Run `jobs` (sorted by arrival, none wider than `nodes`) through the
+/// fleet as a batch scheduler: instant provisioning, no churn, no
+/// horizon. Times are rounded to the picosecond, and the outcomes
+/// report them on that clock, sorted by job id.
+pub(crate) fn run_batch(nodes: u32, policy: Policy, jobs: &[Job]) -> Vec<JobOutcome> {
+    let cfg = FleetConfig {
+        nodes,
+        policy,
+        horizon: SimDuration::from_ps(u64::MAX),
+        restart_cost: SimDuration::ZERO,
+        controller: ControllerConfig {
+            provision_time: SimDuration::ZERO,
+            validate_time: SimDuration::ZERO,
+            ..ControllerConfig::default()
+        },
+        ..FleetConfig::default()
+    };
+    let ps = SimDuration::from_secs_f64;
+    let recs = jobs
+        .iter()
+        .map(|j| {
+            JobRec::new(j.width, ps(j.runtime), ps(j.estimate), SimTime::ZERO + ps(j.arrival))
+        })
+        .collect();
+    let (_, recs) = run(cfg, &FaultPlan::new(0), None, recs);
+    let mut out: Vec<JobOutcome> = jobs
+        .iter()
+        .zip(recs)
+        .map(|(j, r)| JobOutcome {
+            id: j.id,
+            arrival: r.arrival.as_secs(),
+            start: r.first_start.expect("a churn-free fleet starts every job").as_secs(),
+            finish: r.finish.expect("an unbounded run finishes every job").as_secs(),
+            width: j.width,
+            runtime: j.runtime,
+        })
+        .collect();
+    out.sort_by_key(|o| o.id);
+    out
+}
+
+/// The seeded synthetic job stream [`run_fleet`] serves.
+fn generated_jobs(cfg: &FleetConfig) -> Vec<JobRec> {
     let mut job_rng = SplitMix64::new(cfg.seed ^ 0x666C_6565_746A_6F62); // "fleetjob"
     let width_bound = cfg.max_job_width.clamp(1, cfg.nodes) as u64;
     let runtime_span = cfg.max_runtime.as_ps().saturating_sub(cfg.min_runtime.as_ps()).max(1);
-    let mut jobs = Vec::with_capacity(cfg.jobs as usize);
-    let mut arrivals = Vec::with_capacity(cfg.jobs as usize);
     // Estimates ride a separate stream so the job population (widths,
-    // runtimes, tenants, arrivals) is identical across policy knobs.
+    // runtimes, arrivals) is identical across policy knobs.
     let mut est_rng = SplitMix64::new(cfg.seed ^ 0x6573_7469_6D61_7465); // "estimate"
-    for _ in 0..cfg.jobs {
-        let width = 1 + job_rng.next_below(width_bound) as u32;
-        let total = cfg.min_runtime + SimDuration::from_ps(job_rng.next_below(runtime_span));
-        let tenant = job_rng.next_below(cfg.tenants.max(1) as u64) as u32;
-        let arrival = SimTime(job_rng.next_below(cfg.arrival_window.as_ps().max(1)));
-        arrivals.push(arrival);
-        // Users overestimate: 1–3× the true runtime, never under.
-        let estimate =
-            SimDuration::from_ps((total.as_ps() as f64 * (1.0 + 2.0 * est_rng.next_f64())) as u64);
-        jobs.push(JobRec {
-            width,
-            tenant,
-            total,
-            estimate,
-            arrival,
-            durable: SimDuration::ZERO,
-            restart_cost: SimDuration::ZERO,
-            running_since: None,
-            epoch: 0,
-            nodes: Vec::new(),
-            done: false,
-            started_once: false,
-        });
-    }
+    (0..cfg.jobs)
+        .map(|_| {
+            let width = 1 + job_rng.next_below(width_bound) as u32;
+            let total = cfg.min_runtime + SimDuration::from_ps(job_rng.next_below(runtime_span));
+            // A retired tenant draw, kept so the stream is unchanged.
+            job_rng.next_below(4);
+            let arrival = SimTime(job_rng.next_below(cfg.arrival_window.as_ps().max(1)));
+            // Users overestimate: 1–3× the true runtime, never under.
+            let estimate = SimDuration::from_ps(
+                (total.as_ps() as f64 * (1.0 + 2.0 * est_rng.next_f64())) as u64,
+            );
+            JobRec::new(width, total, estimate, arrival)
+        })
+        .collect()
+}
 
+/// The simulation both entry points share: `jobs` arrive at their
+/// `arrival` times onto a fleet bootstrapping from t = 0 under `plan`.
+/// Returns the report and the jobs' final records.
+fn run(
+    cfg: FleetConfig,
+    plan: &FaultPlan,
+    obs: Option<&Obs>,
+    jobs: Vec<JobRec>,
+) -> (FleetReport, Vec<JobRec>) {
+    let n = cfg.nodes as usize;
+    let jobs_total = jobs.len() as u32;
+    let mut sched: Scheduler<FleetEvent> = Scheduler::with_capacity(n + jobs.len());
+    for (job, rec) in jobs.iter().enumerate() {
+        sched.at(rec.arrival, FleetEvent::Arrival { job: job as u32 });
+    }
     let mut sim = FleetSim {
         controller: Controller::new(cfg.controller, cfg.nodes, cfg.seed),
         health: HealthAggregator::new(cfg.health),
@@ -826,11 +875,6 @@ pub fn run_fleet(cfg: FleetConfig, plan: &FaultPlan, obs: Option<&Obs>) -> Fleet
         useful_ps: 0,
         cfg,
     };
-
-    let mut sched: Scheduler<FleetEvent> = Scheduler::with_capacity(n + cfg.jobs as usize);
-    for (job, at) in arrivals.into_iter().enumerate() {
-        sched.at(at, FleetEvent::Arrival { job: job as u32 });
-    }
     sched.after(cfg.reconcile_period, FleetEvent::Reconcile);
     let boot = sim.controller.bootstrap(SimTime::ZERO);
     sim.after_controller(&mut sched, boot);
@@ -868,7 +912,7 @@ pub fn run_fleet(cfg: FleetConfig, plan: &FaultPlan, obs: Option<&Obs>) -> Fleet
     }
     let converged = sim.controller.all_settled()
         && sim.disturbed.keys().all(|&v| sim.controller.state(v).terminal());
-    FleetReport {
+    let report = FleetReport {
         nodes: cfg.nodes,
         disturbed: sim.disturbed.len() as u32,
         converged,
@@ -877,7 +921,7 @@ pub fn run_fleet(cfg: FleetConfig, plan: &FaultPlan, obs: Option<&Obs>) -> Fleet
         evictions: sim.evictions,
         false_evictions: sim.false_evictions,
         requeues: sim.requeues,
-        jobs_total: cfg.jobs,
+        jobs_total,
         jobs_completed: sim.jobs_completed,
         mean_wait_s: if sim.waited > 0 {
             sim.wait_ps as f64 / sim.waited as f64 / PS_PER_SEC as f64
@@ -894,7 +938,8 @@ pub fn run_fleet(cfg: FleetConfig, plan: &FaultPlan, obs: Option<&Obs>) -> Fleet
         lost_node_s: (sim.consumed_ps - sim.useful_ps) as f64 / PS_PER_SEC as f64,
         end_ps: stats.end_time.as_ps(),
         audit: sim.audit,
-    }
+    };
+    (report, sim.jobs)
 }
 
 #[cfg(test)]

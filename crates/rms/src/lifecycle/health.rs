@@ -1,8 +1,8 @@
 //! Fused per-node health verdicts: heartbeat silence + NIC/link fault
 //! signals.
 //!
-//! The analytic detector ([`crate::health::DetectorConfig`]) answers
-//! "how long after the last heartbeat do we declare death?"; the chaos
+//! The heartbeat timeout ([`HealthConfig::timeout`]) answers "how long
+//! after the last heartbeat do we declare death?"; the chaos
 //! fabric surfaces link-level symptoms (carrier loss during a flap
 //! window, error completions from a bursty channel) well before a full
 //! heartbeat timeout. The aggregator fuses both streams into one of
@@ -30,9 +30,8 @@ pub enum HealthVerdict {
     Failed,
 }
 
-/// Aggregator thresholds. Heartbeat semantics mirror
-/// [`crate::health::DetectorConfig`]: `Failed` fires `heartbeat_period ×
-/// missed_threshold` after the last arrival.
+/// Aggregator thresholds. `Failed` fires [`HealthConfig::timeout`]
+/// (`heartbeat_period × missed_threshold`) after the last arrival.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HealthConfig {
     /// Expected heartbeat period.
@@ -57,8 +56,7 @@ impl Default for HealthConfig {
 }
 
 impl HealthConfig {
-    /// Silence span after which a node is `Failed`
-    /// (= [`crate::health::DetectorConfig::timeout`]).
+    /// Silence span after which a node is `Failed`.
     pub fn timeout(&self) -> SimDuration {
         self.heartbeat_period.saturating_mul(self.missed_threshold as u64)
     }

@@ -21,21 +21,21 @@
 //! lands back in `Breakfix`; an exhausted repair budget reclaims the
 //! node).
 //!
-//! Health is a fused verdict ([`health::HealthAggregator`]): the
-//! heartbeat-timeout math of the analytic detector
-//! ([`crate::health::DetectorConfig`]) combined with NIC/link fault
-//! signals surfaced by the chaos fabric. Only `Healthy` nodes are
+//! Health is a fused verdict ([`health::HealthAggregator`]): heartbeat
+//! silence past [`health::HealthConfig::timeout`] combined with NIC/link
+//! fault signals surfaced by the chaos fabric. Only `Healthy` nodes are
 //! schedulable; `Degraded` nodes drain; jobs on dying nodes requeue
 //! through checkpoint-restart accounting.
 //!
 //! [`fleet::FleetSim`] runs the whole control plane as a discrete-event
 //! workload on the simnet engine: a fleet under a seeded churn plan
 //! (crash / flap / degrade rules from the chaos plane, JSON-replayable)
-//! serving a multi-tenant synthetic job stream. Figure F12 publishes
+//! serving a seeded synthetic job stream. Figure F12 publishes
 //! convergence time, scheduler goodput, and false-evict rate vs. churn
 //! rate from its observability plane; the sentinel lifecycle
-//! conservation ledger audits its event log. See
-//! `docs/CONTROL_PLANE.md`.
+//! conservation ledger audits its event log. Without churn and with
+//! given jobs, the same simulation is the batch scheduler behind T2
+//! ([`crate::sched::simulate`]). See `docs/CONTROL_PLANE.md`.
 
 pub mod controller;
 pub mod fleet;

@@ -3,6 +3,8 @@
 //! The keynote's "resource management" responsibility. An event-driven
 //! simulation of a space-shared cluster: jobs arrive, wait in a queue,
 //! run on a rigid node allocation for their actual runtime, and leave.
+//! The events run on the node-lifecycle fleet ([`crate::lifecycle::fleet`])
+//! with churn switched off; this module owns the admission policy.
 //! Three policies:
 //!
 //! * **FCFS** — start the head of the queue whenever it fits; nothing
@@ -18,7 +20,6 @@
 use crate::job::{Job, JobOutcome, ScheduleMetrics};
 use crate::timeline::Timeline;
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 
 /// Scheduling policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -32,110 +33,32 @@ pub enum Policy {
     ConservativeBackfill,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Running {
-    job: Job,
-    start: f64,
-    /// When the scheduler believes the job ends (start + estimate).
-    est_end: f64,
-    /// When it actually ends.
-    end: f64,
-}
-
 /// Simulate `jobs` (sorted by arrival) on `nodes` nodes under `policy`.
-/// Returns one outcome per job.
+/// Returns one outcome per job, sorted by id.
+///
+/// This is the node-lifecycle fleet without churn
+/// ([`crate::lifecycle::fleet`]): every node is `Healthy` from t = 0,
+/// so the run is pure queueing. Times are rounded to the fleet's
+/// picosecond clock, and `arrival`, `start` and `finish` are reported
+/// on it.
 pub fn simulate(nodes: u32, policy: Policy, jobs: &[Job]) -> Vec<JobOutcome> {
     assert!(jobs.windows(2).all(|w| w[0].arrival <= w[1].arrival));
     assert!(
         jobs.iter().all(|j| j.width <= nodes),
         "a job wider than the machine never starts"
     );
-    let mut queue: VecDeque<Job> = VecDeque::new();
-    let mut running: Vec<Running> = Vec::new();
-    let mut outcomes: Vec<JobOutcome> = Vec::with_capacity(jobs.len());
-    let mut next_arrival = 0usize;
-    let mut free = nodes;
-
-    loop {
-        // Advance to the next event: an arrival or a completion.
-        let t_arr = jobs.get(next_arrival).map(|j| j.arrival);
-        let t_done = running
-            .iter()
-            .map(|r| r.end)
-            .min_by(|a, b| a.total_cmp(b));
-        let now = match (t_arr, t_done) {
-            (None, None) => break,
-            (Some(a), None) => a,
-            (None, Some(d)) => d,
-            (Some(a), Some(d)) => a.min(d),
-        };
-        // Process completions at `now`.
-        let mut i = 0;
-        while i < running.len() {
-            if running[i].end <= now {
-                let r = running.swap_remove(i);
-                free += r.job.width;
-                outcomes.push(JobOutcome {
-                    id: r.job.id,
-                    arrival: r.job.arrival,
-                    start: r.start,
-                    finish: r.end,
-                    width: r.job.width,
-                    runtime: r.job.runtime,
-                });
-            } else {
-                i += 1;
-            }
-        }
-        // Process arrivals at `now`.
-        while next_arrival < jobs.len() && jobs[next_arrival].arrival <= now {
-            queue.push_back(jobs[next_arrival]);
-            next_arrival += 1;
-        }
-        schedule_pass(policy, now, &mut queue, &mut running, &mut free);
-    }
-    outcomes.sort_by_key(|o| o.id);
-    outcomes
-}
-
-fn start(now: f64, job: Job, running: &mut Vec<Running>, free: &mut u32) {
-    debug_assert!(*free >= job.width);
-    *free -= job.width;
-    running.push(Running {
-        job,
-        start: now,
-        est_end: now + job.estimate,
-        end: now + job.runtime,
-    });
-}
-
-fn schedule_pass(
-    policy: Policy,
-    now: f64,
-    queue: &mut VecDeque<Job>,
-    running: &mut Vec<Running>,
-    free: &mut u32,
-) {
-    let q: Vec<QueuedReq> = queue
-        .iter()
-        .map(|j| QueuedReq { width: j.width, estimate: j.estimate })
-        .collect();
-    let r: Vec<RunningRes> = running
-        .iter()
-        .map(|r| RunningRes { width: r.job.width, est_end: r.est_end })
-        .collect();
-    let picks = plan_admissions(policy, now, &q, &r, *free);
-    // Remove picked indices back to front so earlier indices stay
-    // valid, then start in queue order.
-    let mut jobs: Vec<Job> = picks
-        .iter()
-        .rev()
-        .map(|&i| queue.remove(i).expect("planned index in range"))
-        .collect();
-    jobs.reverse();
-    for job in jobs {
-        start(now, job, running, free);
-    }
+    // Some job runs whenever the queue is non-empty, so every job ends
+    // by the last arrival plus all the work, and every estimated end by
+    // that plus the largest overestimate. Past 2^64 ps the clock would
+    // saturate silently.
+    let work: f64 = jobs.iter().map(|j| j.runtime).sum();
+    let slack = jobs.iter().map(|j| j.estimate - j.runtime).fold(0.0, f64::max);
+    let bound = jobs.last().map_or(0.0, |j| j.arrival) + work + slack;
+    assert!(
+        bound * 1e12 < u64::MAX as f64,
+        "jobs may run to {bound:.3e} s, past the 2^64 ps (about 213 days) simulated clock"
+    );
+    crate::lifecycle::fleet::run_batch(nodes, policy, jobs)
 }
 
 /// A queued admission request, as the planner sees it: how many nodes,
@@ -166,11 +89,9 @@ const CONSERVATIVE_DEPTH: usize = 32;
 /// queued requests start *now* under `policy`. Returns their queue
 /// indices in ascending order.
 ///
-/// This is a pure planning function — it mutates nothing — so both the
-/// batch simulator ([`simulate`]) and the node-lifecycle fleet
-/// (`lifecycle::fleet`) route admission through the identical policy
-/// logic; the fleet keeping its own FCFS loop was exactly the bug that
-/// made F12 policy-blind.
+/// A pure planning function — it mutates nothing. The node-lifecycle
+/// fleet (`lifecycle::fleet`) calls it on every dispatch, and so does
+/// [`simulate`], which is that fleet without churn.
 pub fn plan_admissions(
     policy: Policy,
     now: f64,
@@ -340,12 +261,9 @@ mod tests {
             job(2, 1, 500.0, 500.0, 2.0), // fits the idle node but runs long
         ];
         let out = simulate(4, Policy::EasyBackfill, &jobs);
-        // Candidate would hold its node until 502 — but the head only
-        // needs 2 nodes and 1 is beyond its reservation? Head needs 2:
-        // at t=100, 3 nodes free; reservation consumes 2, extra = 1 once
-        // job 0 ends, but at submit time extra counts nodes beyond the
-        // head's need *at shadow*: avail(4) - width(2) = 2... candidate
-        // width 1 <= extra, so it may run on the spare node.
+        // At the shadow time (100) 4 nodes are free and the head needs
+        // 2, so 2 are spare: a candidate no wider than that may run past
+        // the shadow.
         assert_eq!(out[2].start, 2.0);
         // Head still starts exactly at its reservation.
         assert_eq!(out[1].start, 100.0);
@@ -426,7 +344,7 @@ mod tests {
             assert_eq!(out.len(), jobs.len());
             for (o, j) in out.iter().zip(jobs.iter()) {
                 assert_eq!(o.id, j.id);
-                assert!(o.start >= j.arrival, "{policy:?} started before arrival");
+                assert!(o.start >= o.arrival, "{policy:?} started before arrival");
                 assert!((o.finish - o.start - j.runtime).abs() < 1e-9);
             }
         }
@@ -491,5 +409,18 @@ mod tests {
     #[should_panic(expected = "wider than the machine")]
     fn oversized_job_rejected() {
         simulate(4, Policy::Fcfs, &[job(0, 8, 10.0, 10.0, 0.0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "2^64 ps")]
+    fn job_set_past_the_picosecond_clock_rejected() {
+        // Two 100-day jobs on one node: the second would end on day 200
+        // of a 213-day clock, and its estimate reaches past it.
+        let day = 86_400.0;
+        let jobs = [
+            job(0, 1, 100.0 * day, 100.0 * day, 0.0),
+            job(1, 1, 100.0 * day, 120.0 * day, 0.0),
+        ];
+        simulate(1, Policy::Fcfs, &jobs);
     }
 }

@@ -344,55 +344,6 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Failure detector
-// ---------------------------------------------------------------------
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-    // Raising `missed_threshold` only ever lengthens the timeout, so
-    // the measured false-positive rate is monotone non-increasing in
-    // it. The delay draws are threshold-independent (same seed, same
-    // number of samples), so the comparison is apples to apples.
-    #[test]
-    fn detector_false_positive_rate_monotone_in_threshold(
-        period in 0.05f64..2.0,
-        delay_median in 0.001f64..0.5,
-        delay_sigma in 0.1f64..2.0,
-        seed in any::<u64>(),
-    ) {
-        let mut prev = f64::MAX;
-        for missed_threshold in 1u32..=6 {
-            let cfg = DetectorConfig { period, missed_threshold, delay_median, delay_sigma };
-            let s = evaluate_detector(&cfg, 64, 4096, seed);
-            prop_assert!(
-                s.false_positive_rate <= prev,
-                "threshold {missed_threshold} worsened FP rate: {} > {prev}",
-                s.false_positive_rate
-            );
-            prev = s.false_positive_rate;
-        }
-    }
-
-    // A crash can land right after a heartbeat was emitted, so the
-    // worst case always exceeds the bare timeout by one period.
-    #[test]
-    fn detector_worst_case_dominates_timeout(
-        period in 1e-3f64..100.0,
-        missed_threshold in 1u32..100,
-        delay_median in 1e-4f64..1.0,
-        delay_sigma in 0.01f64..3.0,
-    ) {
-        let cfg = DetectorConfig { period, missed_threshold, delay_median, delay_sigma };
-        prop_assert!(cfg.worst_case_detection() >= cfg.timeout());
-        prop_assert!((cfg.worst_case_detection() - cfg.timeout() - period).abs() < 1e-9);
-        // And the measured latency respects the analytic envelope: every
-        // trial waits at least the timeout.
-        let s = evaluate_detector(&cfg, 32, 32, 5);
-        prop_assert!(s.mean_latency >= cfg.timeout());
-    }
-}
-
-// ---------------------------------------------------------------------
 // Checkpoint / recovery edge cases
 // ---------------------------------------------------------------------
 
