@@ -4,13 +4,14 @@
 //! warm circuits, and the amortization crossover.
 
 use crate::table::{si_bytes, Table};
-use polaris_simnet::circuit::{CircuitConfig, CircuitNetwork};
+use polaris_simnet::circuit::{CircuitScheduler, CircuitSchedulerConfig};
 use polaris_simnet::link::Generation;
 use polaris_simnet::time::SimTime;
 
 pub fn generate() -> Vec<Table> {
     let ib = Generation::InfiniBand4x.link_model();
     let hops = 4; // through a fat tree tier
+    let cfg = CircuitSchedulerConfig::default();
 
     let mut t = Table::new(
         "F7",
@@ -20,17 +21,14 @@ pub fn generate() -> Vec<Table> {
     for exp in [10u32, 13, 16, 19, 22, 25] {
         let bytes = 1u64 << exp;
         let t_pkt = ib.message_time(bytes, hops).as_secs();
-        // Cold: a fresh network per transfer pays setup.
-        let mut cold_net = CircuitNetwork::new(CircuitConfig::default());
-        let t_cold = cold_net
-            .transfer(SimTime::ZERO, 0, 1, bytes)
-            .arrival
-            .as_secs();
-        // Warm: reuse the circuit established by a priming transfer.
-        let mut warm_net = CircuitNetwork::new(CircuitConfig::default());
-        let prime = warm_net.transfer(SimTime::ZERO, 0, 1, 1);
-        let d = warm_net.transfer(prime.arrival, 0, 1, bytes);
-        let t_warm = d.arrival.since(prime.arrival).as_secs();
+        // Cold: reserve a circuit, then transfer, paying reconfiguration.
+        // Warm: a second transfer on the same reservation.
+        let mut s = CircuitScheduler::new(cfg);
+        let r = s.try_reserve(SimTime::ZERO, 0, 1).expect("room");
+        let cold = s.transfer(SimTime::ZERO, &r, bytes).expect("reserved");
+        let warm = s.transfer(cold, &r, bytes).expect("reserved");
+        let t_cold = cold.as_secs();
+        let t_warm = warm.since(cold).as_secs();
         let bw = |t: f64| bytes as f64 / t / 1e6;
         let winner = if t_cold < t_pkt { "optical" } else { "packet" };
         t.row(vec![
@@ -41,7 +39,7 @@ pub fn generate() -> Vec<Table> {
             winner.to_string(),
         ]);
     }
-    let crossover = CircuitNetwork::new(CircuitConfig::default()).crossover_bytes(&ib, hops);
+    let crossover = cfg.crossover_bytes(&ib, hops);
     t.note(format!(
         "cold-circuit amortization crossover: {} ({} bytes)",
         si_bytes(crossover),

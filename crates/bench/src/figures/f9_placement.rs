@@ -6,9 +6,8 @@
 use crate::table::Table;
 use polaris_rms::prelude::*;
 use polaris_rms::workload::WorkloadConfig;
+use polaris_simnet::rng::SplitMix64;
 use polaris_simnet::topology::{Topology, TopologyKind};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 const NODES: u32 = 256;
 const CHURN: usize = 2000;
@@ -26,7 +25,7 @@ struct ChurnResult {
 fn churn(placement: Placement, seed: u64) -> ChurnResult {
     let topo = Topology::new(TopologyKind::Torus2D { w: 16, h: 16 });
     let mut pool = NodePool::new(NODES, seed);
-    let mut rng = StdRng::seed_from_u64(seed ^ 0xabcdef);
+    let mut rng = SplitMix64::new(seed ^ 0xabcdef);
     let wl = WorkloadConfig::default();
     let mut live: Vec<Vec<u32>> = Vec::new();
     let mut neighbor = 0.0;
@@ -39,11 +38,11 @@ fn churn(placement: Placement, seed: u64) -> ChurnResult {
         // emptier (random victim — jobs end in arbitrary order).
         let occupancy = 1.0 - pool.free_count() as f64 / NODES as f64;
         if occupancy > 0.7 && !live.is_empty() {
-            let idx = rng.random_range(0..live.len());
+            let idx = rng.next_below(live.len() as u64) as usize;
             let nodes = live.swap_remove(idx);
             pool.release(&nodes);
         } else {
-            let exp = rng.random_range(0..=wl.max_width_log2);
+            let exp = rng.next_below(u64::from(wl.max_width_log2) + 1);
             let width = 1u32 << exp;
             match pool.allocate(width, placement) {
                 Some(nodes) => {

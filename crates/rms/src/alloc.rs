@@ -7,10 +7,8 @@
 //! experiment F9 measures the placement-vs-fragmentation trade-off on a
 //! torus.
 
+use polaris_simnet::rng::SplitMix64;
 use polaris_simnet::topology::Topology;
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 /// How the allocator picks nodes for a job.
@@ -31,7 +29,7 @@ pub enum Placement {
 pub struct NodePool {
     free: Vec<bool>,
     free_count: u32,
-    rng: StdRng,
+    rng: SplitMix64,
 }
 
 impl NodePool {
@@ -39,7 +37,7 @@ impl NodePool {
         NodePool {
             free: vec![true; n as usize],
             free_count: n,
-            rng: StdRng::seed_from_u64(seed),
+            rng: SplitMix64::new(seed),
         }
     }
 
@@ -74,7 +72,7 @@ impl NodePool {
                     .filter(|(_, &f)| f)
                     .map(|(i, _)| i as u32)
                     .collect();
-                ids.shuffle(&mut self.rng);
+                self.rng.shuffle(&mut ids);
                 ids.truncate(width as usize);
                 ids
             }

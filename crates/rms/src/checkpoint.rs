@@ -7,9 +7,7 @@
 //! wasted-work fraction against checkpoint interval and checks the
 //! simulated optimum against the analytic one.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use rand_distr::{Distribution, Exp};
+use polaris_simnet::rng::SplitMix64;
 use serde::{Deserialize, Serialize};
 
 /// Checkpoint system parameters.
@@ -83,13 +81,13 @@ pub fn simulate_checkpointing(
     seed: u64,
 ) -> McResult {
     assert!(tau > 0.0 && work > 0.0);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let exp = Exp::new(1.0 / params.system_mtbf).expect("positive rate");
+    let rate = 1.0 / params.system_mtbf;
+    let mut rng = SplitMix64::new(seed);
     let mut wall = 0.0f64;
     let mut done = 0.0f64; // checkpointed (durable) progress
     let mut failures = 0u64;
     let mut checkpoints = 0u64;
-    let mut next_failure = exp.sample(&mut rng);
+    let mut next_failure = rng.exp(rate);
     while done < work {
         // Attempt one segment: compute min(tau, remaining) then checkpoint.
         let segment = tau.min(work - done);
@@ -102,7 +100,7 @@ pub fn simulate_checkpointing(
             // Failure mid-segment: lose uncheckpointed progress, restart.
             failures += 1;
             wall = next_failure + params.restart_cost;
-            next_failure = wall + exp.sample(&mut rng);
+            next_failure = wall + rng.exp(rate);
         }
     }
     McResult {
@@ -208,6 +206,18 @@ mod tests {
             (young / 3.0..young * 3.0).contains(&best_tau),
             "simulated optimum {best_tau} vs Young {young}"
         );
+    }
+
+    /// A zero MTBF fails every segment before it starts: refused up
+    /// front, not an endless string of restarts.
+    #[test]
+    #[should_panic(expected = "positive rate")]
+    fn zero_mtbf_is_refused_not_a_hang() {
+        let p = CheckpointParams {
+            system_mtbf: 0.0,
+            ..params()
+        };
+        simulate_checkpointing(&p, 10_000.0, 1_000.0, 1);
     }
 
     #[test]

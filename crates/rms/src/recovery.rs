@@ -7,11 +7,8 @@
 //! quantitative version of the keynote's claim that at exploding scale
 //! the software must take on fault recovery.
 
-use crate::checkpoint::CheckpointParams;
+use crate::checkpoint::{simulate_checkpointing, CheckpointParams};
 use crate::workload::FailureModel;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use rand_distr::{Distribution, Exp};
 use serde::{Deserialize, Serialize};
 
 /// What happens to a job when a node it occupies fails.
@@ -21,7 +18,7 @@ pub enum RecoveryPolicy {
     RestartFromScratch,
     /// Resume from the last coordinated checkpoint.
     CheckpointRestart {
-        /// Checkpoint interval, seconds.
+        /// Checkpoint interval, seconds; must be positive.
         interval_s: u32,
     },
 }
@@ -36,8 +33,10 @@ pub struct RecoveryOutcome {
     pub inflation: f64,
 }
 
-/// Simulate one job of `runtime` seconds on `width` nodes.
-/// Deterministic in `seed`.
+/// Simulate one job of `runtime` seconds on `width` nodes: the
+/// checkpoint Monte-Carlo at the system MTBF of `width` nodes.
+/// Restarting from scratch is the same loop with one free checkpoint
+/// at the end of the run. Deterministic in `seed`.
 pub fn run_job(
     failures: &FailureModel,
     ckpt: &CheckpointParams,
@@ -47,49 +46,20 @@ pub fn run_job(
     seed: u64,
 ) -> RecoveryOutcome {
     assert!(runtime > 0.0);
-    let mtbf = failures.system_mtbf(width);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let exp = Exp::new(1.0 / mtbf).expect("positive rate");
-    let mut wall = 0.0f64;
-    let mut durable = 0.0f64; // progress that survives a failure
-    let mut fail_count = 0u64;
-    let mut next_failure = exp.sample(&mut rng);
-    loop {
-        match policy {
-            RecoveryPolicy::RestartFromScratch => {
-                let finish = wall + runtime;
-                if finish <= next_failure {
-                    return RecoveryOutcome {
-                        wall: finish,
-                        failures: fail_count,
-                        inflation: finish / runtime,
-                    };
-                }
-                fail_count += 1;
-                wall = next_failure + ckpt.restart_cost;
-                next_failure = wall + exp.sample(&mut rng);
-            }
-            RecoveryPolicy::CheckpointRestart { interval_s } => {
-                let tau = interval_s as f64;
-                if durable >= runtime {
-                    return RecoveryOutcome {
-                        wall,
-                        failures: fail_count,
-                        inflation: wall / runtime,
-                    };
-                }
-                let segment = tau.min(runtime - durable);
-                let need = segment + ckpt.checkpoint_cost;
-                if wall + need <= next_failure {
-                    wall += need;
-                    durable += segment;
-                } else {
-                    fail_count += 1;
-                    wall = next_failure + ckpt.restart_cost;
-                    next_failure = wall + exp.sample(&mut rng);
-                }
-            }
+    let mut params = *ckpt;
+    params.system_mtbf = failures.system_mtbf(width);
+    let tau = match policy {
+        RecoveryPolicy::RestartFromScratch => {
+            params.checkpoint_cost = 0.0;
+            runtime
         }
+        RecoveryPolicy::CheckpointRestart { interval_s } => f64::from(interval_s),
+    };
+    let r = simulate_checkpointing(&params, runtime, tau, seed);
+    RecoveryOutcome {
+        wall: r.wall,
+        failures: r.failures,
+        inflation: r.wall / runtime,
     }
 }
 
@@ -212,24 +182,19 @@ mod tests {
         assert!(wide > narrow, "wide {wide} vs narrow {narrow}");
     }
 
+    /// A zero interval never makes progress, so it is refused rather
+    /// than looping forever.
+    #[test]
+    #[should_panic(expected = "tau > 0.0")]
+    fn zero_checkpoint_interval_is_refused_not_a_hang() {
+        let policy = RecoveryPolicy::CheckpointRestart { interval_s: 0 };
+        run_job(&flaky(), &ckpt(), policy, 64, 10_000.0, 1);
+    }
+
     #[test]
     fn deterministic_in_seed() {
-        let a = run_job(
-            &flaky(),
-            &ckpt(),
-            RecoveryPolicy::CheckpointRestart { interval_s: 600 },
-            128,
-            50_000.0,
-            99,
-        );
-        let b = run_job(
-            &flaky(),
-            &ckpt(),
-            RecoveryPolicy::CheckpointRestart { interval_s: 600 },
-            128,
-            50_000.0,
-            99,
-        );
-        assert_eq!(a, b);
+        let policy = RecoveryPolicy::CheckpointRestart { interval_s: 600 };
+        let run = || run_job(&flaky(), &ckpt(), policy, 128, 50_000.0, 99);
+        assert_eq!(run(), run());
     }
 }

@@ -87,8 +87,7 @@ impl Timeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
+    use polaris_simnet::rng::SplitMix64;
 
     /// The search `earliest_fit` replaced, kept as its oracle: try every
     /// step time as a start and re-walk the steps inside its window.
@@ -119,28 +118,29 @@ mod tests {
     /// zero widths and durations and unsatisfiable widths too.
     #[test]
     fn earliest_fit_matches_the_reference_search_bit_for_bit() {
-        let mut rng = StdRng::seed_from_u64(0x71E1);
+        let mut rng = SplitMix64::new(0x71E1);
         let (mut queries, mut unsatisfiable, mut deferred) = (0u32, 0u32, 0u32);
         for case in 0..2_000 {
             let origin = [0.0, 17.5, 1e6][case % 3];
-            let nodes = rng.random_range(0..=12u32);
-            let mut tl = Timeline::new(origin, rng.random_range(0..=nodes));
-            for _ in 0..rng.random_range(0..=16) {
+            // `lo..=hi` draws `lo + next_below(hi - lo + 1)`.
+            let nodes = rng.next_below(13) as u32;
+            let mut tl = Timeline::new(origin, rng.next_below(u64::from(nodes) + 1) as u32);
+            for _ in 0..rng.next_below(17) {
                 // A quarter-second grid, reaching back before the origin.
-                let time = origin + f64::from(rng.random_range(-4..=60i32)) * 0.25;
-                let width = rng.random_range(0..=4u32);
-                if rng.random_bool(0.5) {
+                let time = origin + (rng.next_below(65) as f64 - 4.0) * 0.25;
+                let width = rng.next_below(5) as u32;
+                if rng.chance(0.5) {
                     tl.release_at(time, width);
                 } else {
-                    tl.commit(time, f64::from(rng.random_range(0..=24u32)) * 0.25, width);
+                    tl.commit(time, rng.next_below(25) as f64 * 0.25, width);
                 }
             }
             for _ in 0..20 {
-                let width = rng.random_range(0..=nodes + 2);
-                let duration = match rng.random_range(0..10u32) {
+                let width = rng.next_below(u64::from(nodes) + 3) as u32;
+                let duration = match rng.next_below(10) {
                     0 => 0.0,
                     1 => f64::INFINITY,
-                    _ => f64::from(rng.random_range(1..=40u32)) * 0.25,
+                    _ => (1 + rng.next_below(40)) as f64 * 0.25,
                 };
                 let got = tl.earliest_fit(width, duration);
                 let want = earliest_fit_reference(&tl, width, duration);

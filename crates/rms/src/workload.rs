@@ -9,9 +9,7 @@
 //! gives EASY backfill its holes to fill.
 
 use crate::job::Job;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use rand_distr::{Distribution, Exp, LogNormal, Uniform};
+use polaris_simnet::rng::SplitMix64;
 use serde::{Deserialize, Serialize};
 
 /// Workload generator parameters.
@@ -46,21 +44,22 @@ impl Default for WorkloadConfig {
 
 /// Generate `n` jobs deterministically from `seed`.
 pub fn generate(cfg: &WorkloadConfig, n: usize, seed: u64) -> Vec<Job> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let inter = Exp::new(1.0 / cfg.mean_interarrival).expect("positive rate");
-    let runtime = LogNormal::new(cfg.runtime_mu, cfg.runtime_sigma).expect("valid lognormal");
-    let over = Uniform::new(1.0, cfg.max_overestimate).expect("range");
+    let mut rng = SplitMix64::new(seed);
+    let rate = 1.0 / cfg.mean_interarrival;
     let mut t = 0.0;
     (0..n)
         .map(|i| {
-            t += inter.sample(&mut rng);
-            let r: f64 = runtime.sample(&mut rng).clamp(1.0, 86_400.0);
-            let e = r * over.sample(&mut rng);
-            let exp = rng.random_range(0..=cfg.max_width_log2);
-            let width = if rng.random_bool(cfg.pow2_fraction) {
+            t += rng.exp(rate);
+            let r = rng
+                .normal(cfg.runtime_mu, cfg.runtime_sigma)
+                .exp()
+                .clamp(1.0, 86_400.0);
+            let e = r * (1.0 + (cfg.max_overestimate - 1.0) * rng.next_f64());
+            let exp = rng.next_below(u64::from(cfg.max_width_log2) + 1) as u32;
+            let width = if rng.chance(cfg.pow2_fraction) {
                 1u32 << exp
             } else {
-                rng.random_range(1..=(1u32 << cfg.max_width_log2))
+                1 + rng.next_below(1u64 << cfg.max_width_log2) as u32
             };
             Job::new(i as u64, width, r, e, t)
         })
@@ -138,6 +137,26 @@ mod tests {
         let max = jobs.iter().map(|j| j.runtime).fold(0.0, f64::max);
         assert!(min < 60.0, "short jobs exist: {min}");
         assert!(max > 3_600.0, "long jobs exist: {max}");
+    }
+
+    /// Every draw `generate` makes, at its call site, as one FNV-1a
+    /// digest held to the stream of the `rand` / `rand_distr` it
+    /// replaced: a reordered expression here fails before it moves T2.
+    #[test]
+    fn jobs_match_the_pinned_stream() {
+        let h = generate(&WorkloadConfig::default(), 1000, 42)
+            .iter()
+            .flat_map(|j| {
+                [j.arrival, j.runtime, j.estimate]
+                    .map(f64::to_bits)
+                    .into_iter()
+                    .chain([j.width.into()])
+            })
+            .flat_map(u64::to_le_bytes)
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+            });
+        assert_eq!(h, 0xcf98_ee78_71ca_eadb);
     }
 
     #[test]

@@ -7,169 +7,21 @@
 //! mirror settle or wavelength assignment taking tens of microseconds —
 //! and the switch holds only a bounded number of simultaneous circuits.
 //!
-//! [`CircuitNetwork`] models this: per-(src,dst) circuits with a setup
-//! cost, an LRU-bounded circuit table (evicting a circuit tears it down),
-//! and full link bandwidth once a circuit is up. Experiment F7 contrasts
-//! it with packet switching to find the message-size crossover where
-//! setup cost is amortized.
+//! [`CircuitScheduler`] models this: callers reserve a circuit (paying
+//! the reconfiguration latency), run transfers on it at full link
+//! bandwidth, and release it; the switch holds at most `max_circuits`,
+//! and an append-only ledger records every state change for the
+//! sentinel's conservation audit. Experiment F7 times a cold circuit
+//! (reserve, then transfer) and a warm one (a second transfer on the
+//! same reservation) against packet switching, and
+//! [`CircuitSchedulerConfig::crossover_bytes`] finds the message size
+//! where the reconfiguration is amortized; `collectives::hier` reserves
+//! circuits for its inter-group stage.
 
 use crate::link::{Generation, LinkModel};
 use crate::time::{SimDuration, SimTime};
 
 /// Configuration of the optical circuit switch.
-#[derive(Debug, Clone, Copy)]
-pub struct CircuitConfig {
-    /// Time to establish a new circuit (mirror settle / lambda assign).
-    pub setup: SimDuration,
-    /// Maximum simultaneously held circuits (wavelengths / mirror pairs).
-    pub max_circuits: usize,
-    /// Data-plane model once the circuit is up.
-    pub link: LinkModel,
-}
-
-impl Default for CircuitConfig {
-    fn default() -> Self {
-        CircuitConfig {
-            setup: SimDuration::from_us(30),
-            max_circuits: 64,
-            link: Generation::Optical.link_model(),
-        }
-    }
-}
-
-#[derive(Debug, Clone, Copy)]
-struct Circuit {
-    src: u32,
-    dst: u32,
-    /// Circuit is usable from this time (setup completes).
-    ready_at: SimTime,
-    /// Data currently scheduled on the circuit up to this time.
-    busy_until: SimTime,
-    last_used: SimTime,
-}
-
-/// Outcome of a circuit-switched transfer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CircuitDelivery {
-    pub arrival: SimTime,
-    /// Whether this transfer had to establish a new circuit.
-    pub setup_paid: bool,
-}
-
-pub struct CircuitNetwork {
-    cfg: CircuitConfig,
-    circuits: Vec<Circuit>,
-    setups: u64,
-    reuses: u64,
-    evictions: u64,
-}
-
-impl CircuitNetwork {
-    pub fn new(cfg: CircuitConfig) -> Self {
-        CircuitNetwork {
-            cfg,
-            circuits: Vec::new(),
-            setups: 0,
-            reuses: 0,
-            evictions: 0,
-        }
-    }
-
-    pub fn config(&self) -> CircuitConfig {
-        self.cfg
-    }
-
-    /// Transfer `bytes` from `src` to `dst`, establishing a circuit if one
-    /// is not already held.
-    pub fn transfer(&mut self, now: SimTime, src: u32, dst: u32, bytes: u64) -> CircuitDelivery {
-        let xfer = self.cfg.link.message_time(bytes, 1);
-        if let Some(c) = self
-            .circuits
-            .iter_mut()
-            .find(|c| c.src == src && c.dst == dst)
-        {
-            self.reuses += 1;
-            let start = now.max(c.ready_at).max(c.busy_until);
-            let arrival = start + xfer;
-            c.busy_until = arrival;
-            c.last_used = now;
-            return CircuitDelivery {
-                arrival,
-                setup_paid: false,
-            };
-        }
-        // Need a new circuit; evict the least-recently-used if full.
-        if self.circuits.len() >= self.cfg.max_circuits {
-            let (idx, _) = self
-                .circuits
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, c)| c.last_used)
-                .expect("non-empty when full");
-            self.circuits.swap_remove(idx);
-            self.evictions += 1;
-        }
-        self.setups += 1;
-        let ready = now + self.cfg.setup;
-        let arrival = ready + xfer;
-        self.circuits.push(Circuit {
-            src,
-            dst,
-            ready_at: ready,
-            busy_until: arrival,
-            last_used: now,
-        });
-        CircuitDelivery {
-            arrival,
-            setup_paid: true,
-        }
-    }
-
-    pub fn setups(&self) -> u64 {
-        self.setups
-    }
-
-    pub fn reuses(&self) -> u64 {
-        self.reuses
-    }
-
-    pub fn evictions(&self) -> u64 {
-        self.evictions
-    }
-
-    /// Message size at which a cold circuit transfer matches a packet
-    /// network's delivery time (the amortization crossover), by bisection
-    /// over message size against the given packet-switched model.
-    pub fn crossover_bytes(&self, packet_model: &LinkModel, hops: u32) -> u64 {
-        let cold =
-            |bytes: u64| (self.cfg.setup + self.cfg.link.message_time(bytes, 1)).as_secs();
-        let pkt = |bytes: u64| packet_model.message_time(bytes, hops).as_secs();
-        // If the circuit never wins below 1 GiB, report the cap.
-        let cap = 1u64 << 30;
-        if cold(cap) >= pkt(cap) {
-            return cap;
-        }
-        let (mut lo, mut hi) = (1u64, cap);
-        while lo + 1 < hi {
-            let mid = lo + (hi - lo) / 2;
-            if cold(mid) < pkt(mid) {
-                hi = mid;
-            } else {
-                lo = mid;
-            }
-        }
-        hi
-    }
-}
-
-// ---------------------------------------------------------------------
-// Scheduled circuits
-// ---------------------------------------------------------------------
-
-/// Configuration of the *scheduled* circuit plane: unlike
-/// [`CircuitNetwork`]'s implicit LRU table, callers explicitly reserve a
-/// circuit (paying reconfiguration latency), run transfers on it, and
-/// release it — the reservation discipline collectives use.
 #[derive(Debug, Clone, Copy)]
 pub struct CircuitSchedulerConfig {
     /// Reconfiguration latency charged on every reservation before the
@@ -188,6 +40,32 @@ impl Default for CircuitSchedulerConfig {
             max_circuits: 64,
             link: Generation::Optical.link_model(),
         }
+    }
+}
+
+impl CircuitSchedulerConfig {
+    /// Message size at which a cold circuit (reconfiguration, then the
+    /// transfer) matches a packet network's delivery time — the
+    /// amortization crossover — by bisection over message size against
+    /// the given packet-switched model.
+    pub fn crossover_bytes(&self, packet_model: &LinkModel, hops: u32) -> u64 {
+        let cold = |bytes: u64| (self.reconfig + self.link.message_time(bytes, 1)).as_secs();
+        let pkt = |bytes: u64| packet_model.message_time(bytes, hops).as_secs();
+        // If the circuit never wins below 1 GiB, report the cap.
+        let cap = 1u64 << 30;
+        if cold(cap) >= pkt(cap) {
+            return cap;
+        }
+        let (mut lo, mut hi) = (1u64, cap);
+        while lo + 1 < hi {
+            let mid = lo + (hi - lo) / 2;
+            if cold(mid) < pkt(mid) {
+                hi = mid;
+            } else {
+                lo = mid;
+            }
+        }
+        hi
     }
 }
 
@@ -418,90 +296,31 @@ impl CircuitScheduler {
 mod tests {
     use super::*;
 
-    fn net() -> CircuitNetwork {
-        CircuitNetwork::new(CircuitConfig::default())
-    }
-
-    #[test]
-    fn first_transfer_pays_setup_second_does_not() {
-        let mut n = net();
-        let d1 = n.transfer(SimTime::ZERO, 0, 1, 4096);
-        assert!(d1.setup_paid);
-        let d2 = n.transfer(d1.arrival, 0, 1, 4096);
-        assert!(!d2.setup_paid);
-        let warm = d2.arrival.since(d1.arrival);
-        let cold = d1.arrival.since(SimTime::ZERO);
-        assert!(cold.as_ps() > warm.as_ps() + SimDuration::from_us(25).as_ps());
-        assert_eq!(n.setups(), 1);
-        assert_eq!(n.reuses(), 1);
-    }
-
-    #[test]
-    fn reverse_direction_is_a_distinct_circuit() {
-        let mut n = net();
-        let d1 = n.transfer(SimTime::ZERO, 0, 1, 100);
-        let d2 = n.transfer(d1.arrival, 1, 0, 100);
-        assert!(d2.setup_paid);
-        assert_eq!(n.setups(), 2);
-    }
-
-    #[test]
-    fn lru_eviction_when_full() {
-        let mut n = CircuitNetwork::new(CircuitConfig {
-            max_circuits: 2,
-            ..CircuitConfig::default()
-        });
-        let mut t = SimTime::ZERO;
-        t = n.transfer(t, 0, 1, 10).arrival; // circuit A
-        t = n.transfer(t, 0, 2, 10).arrival; // circuit B
-        t = n.transfer(t, 0, 1, 10).arrival; // touch A
-        t = n.transfer(t, 0, 3, 10).arrival; // evicts B (LRU)
-        assert_eq!(n.evictions(), 1);
-        // A survives, B does not.
-        assert!(!n.transfer(t, 0, 1, 10).setup_paid);
-        let t2 = n.transfer(t, 0, 2, 10);
-        assert!(t2.setup_paid);
-    }
-
-    #[test]
-    fn back_to_back_transfers_queue_on_circuit() {
-        let mut n = net();
-        let d1 = n.transfer(SimTime::ZERO, 0, 1, 1 << 20);
-        let d2 = n.transfer(SimTime::ZERO, 0, 1, 1 << 20);
-        assert!(d2.arrival > d1.arrival);
-    }
-
     #[test]
     fn crossover_exists_vs_infiniband() {
-        let n = net();
+        let cfg = CircuitSchedulerConfig::default();
         let ib = Generation::InfiniBand4x.link_model();
-        let x = n.crossover_bytes(&ib, 4);
-        // With 30us setup and 5x the bandwidth, the crossover sits in the
-        // tens-of-kilobytes range.
-        assert!(
-            (4_096..4_194_304).contains(&x),
-            "crossover = {x} bytes"
-        );
+        let x = cfg.crossover_bytes(&ib, 4);
+        // With 30us reconfiguration and 5x the bandwidth, the crossover
+        // sits in the tens-of-kilobytes range.
+        assert!((4_096..4_194_304).contains(&x), "crossover = {x} bytes");
         // Below crossover packet wins, above circuit wins.
-        let cold = |b: u64| {
-            (n.config().setup + n.config().link.message_time(b, 1)).as_secs()
-        };
+        let cold = |b: u64| (cfg.reconfig + cfg.link.message_time(b, 1)).as_secs();
         assert!(cold(x / 4) > ib.message_time(x / 4, 4).as_secs());
         assert!(cold(x * 4) < ib.message_time(x * 4, 4).as_secs());
     }
 
     #[test]
     fn crossover_caps_when_circuit_never_wins() {
-        // A circuit with absurd setup against a fast packet net never wins.
-        let n = CircuitNetwork::new(CircuitConfig {
-            setup: SimDuration::from_secs(10),
-            ..CircuitConfig::default()
-        });
+        // A circuit with absurd reconfiguration against a fast packet net
+        // never wins.
+        let cfg = CircuitSchedulerConfig {
+            reconfig: SimDuration::from_secs(10),
+            ..CircuitSchedulerConfig::default()
+        };
         let ib = Generation::Optical.link_model();
-        assert_eq!(n.crossover_bytes(&ib, 1), 1 << 30);
+        assert_eq!(cfg.crossover_bytes(&ib, 1), 1 << 30);
     }
-
-    // -- scheduled circuits ------------------------------------------
 
     fn sched(max: usize) -> CircuitScheduler {
         CircuitScheduler::new(CircuitSchedulerConfig {
@@ -519,6 +338,10 @@ mod tests {
         // A transfer issued immediately cannot start before ready_at.
         let arrival = s.transfer(t0, &r, 4096).unwrap();
         assert_eq!(arrival, r.ready_at + s.config().link.message_time(4096, 1));
+        // A second transfer on the warm circuit pays no reconfiguration.
+        let warm = s.transfer(arrival, &r, 4096).unwrap();
+        assert_eq!(warm, arrival + s.config().link.message_time(4096, 1));
+        assert_eq!(s.reserves(), 1);
     }
 
     #[test]

@@ -49,8 +49,7 @@ pub mod topology;
 pub mod prelude {
     pub use crate::channel::ShardChannel;
     pub use crate::circuit::{
-        CircuitConfig, CircuitError, CircuitEvent, CircuitNetwork, CircuitScheduler,
-        CircuitSchedulerConfig, Reservation,
+        CircuitError, CircuitEvent, CircuitScheduler, CircuitSchedulerConfig, Reservation,
     };
     pub use crate::engine::{run, RunStats, Scheduler, World};
     pub use crate::error::SimError;

@@ -137,8 +137,7 @@ pub fn run(cfg: &ServingConfig, node: &NodeModel, fabric: &Fabric, p: u32, jobs:
         let mut rng = SplitMix64::new(cfg.seed ^ ((s as u64) << 20) ^ 0x5E12_71E2);
         let mut t_ps = 0u64;
         for seq in 0..cfg.requests_per_server {
-            let u = rng.next_f64();
-            let gap_s = -(1.0 - u).ln() / cfg.rate_hz;
+            let gap_s = rng.exp(cfg.rate_hz);
             t_ps += (gap_s * PS_PER_SEC as f64).ceil().max(1.0) as u64;
             sim.schedule(
                 part.shard_of(s),

@@ -6,7 +6,7 @@
 
 use polaris_msg::config::{Protocol, RendezvousMode};
 use polaris_msg::model::{eager_rendezvous_crossover, p2p_bandwidth, p2p_time, HostParams};
-use polaris_simnet::circuit::{CircuitConfig, CircuitNetwork};
+use polaris_simnet::circuit::CircuitSchedulerConfig;
 use polaris_simnet::link::Generation;
 
 fn main() {
@@ -56,10 +56,9 @@ fn main() {
         println!("  {:<18} {:>8} bytes", g.name(), x);
     }
 
-    // Optical circuit switching: when does paying the setup win?
-    let circuit = CircuitNetwork::new(CircuitConfig::default());
+    // Optical circuit switching: when does paying the reconfiguration win?
     let ib = Generation::InfiniBand4x.link_model();
-    let crossover = circuit.crossover_bytes(&ib, 4);
+    let crossover = CircuitSchedulerConfig::default().crossover_bytes(&ib, 4);
     println!(
         "\noptical circuit vs InfiniBand packet switching: circuit wins above {} KiB\n",
         crossover / 1024
