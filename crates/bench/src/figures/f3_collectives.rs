@@ -2,57 +2,43 @@
 //! versus node count for the algorithm variants, on a simulated
 //! InfiniBand fat-tree (an ideal crossbar stands in at the node counts
 //! no fat-tree arity `k` fits exactly, `k^3/4` hosts: 4, 64 and 256).
+//! Each cell is a [`PointSpec`] computed by the serving plane's own
+//! miss path, so a served F3 cell and the figure share one network.
 
 use crate::table::Table;
 use polaris_collectives::prelude::*;
-use polaris_simnet::link::Generation;
-use polaris_simnet::network::Network;
-use polaris_simnet::topology::{Topology, TopologyKind};
-
-fn net(p: u32) -> Network {
-    // Fat tree where a k fits exactly, crossbar (ideal full-bisection
-    // approximation) otherwise.
-    let topo = match p {
-        16 => Topology::new(TopologyKind::FatTree { k: 4 }),
-        128 => Topology::new(TopologyKind::FatTree { k: 8 }),
-        1024 => Topology::new(TopologyKind::FatTree { k: 16 }),
-        _ => Topology::new(TopologyKind::Crossbar { hosts: p }),
-    };
-    Network::new(topo, Generation::InfiniBand4x.link_model())
-}
+use polaris_serve::spec::PointSpec;
+use polaris_simnet::time::SimDuration;
 
 const SCALES: [u32; 5] = [4, 16, 64, 256, 1024];
 
 /// The ten (collective, payload) cells each scale runs, in row order.
 const CELLS_PER_SCALE: usize = 10;
 
-fn cells_for(p: u32) -> [(u32, Collective, u64); CELLS_PER_SCALE] {
+fn cells_for(nodes: u32) -> [PointSpec; CELLS_PER_SCALE] {
     [
-        (p, Collective::Barrier(BarrierAlgo::Dissemination), 0),
-        (p, Collective::Barrier(BarrierAlgo::Tree), 0),
-        (p, Collective::Allreduce(AllreduceAlgo::RecursiveDoubling), 64),
-        (p, Collective::Allreduce(AllreduceAlgo::Ring), 64),
-        (p, Collective::Allreduce(AllreduceAlgo::ReduceBcast), 64),
-        (p, Collective::Allreduce(AllreduceAlgo::RecursiveDoubling), 4 << 20),
-        (p, Collective::Allreduce(AllreduceAlgo::Ring), 4 << 20),
-        (p, Collective::Allreduce(AllreduceAlgo::ReduceBcast), 4 << 20),
-        (p, Collective::Bcast(BcastAlgo::Binomial), 1 << 20),
-        (p, Collective::Bcast(BcastAlgo::ScatterAllgather), 1 << 20),
+        (Collective::Barrier(BarrierAlgo::Dissemination), 0),
+        (Collective::Barrier(BarrierAlgo::Tree), 0),
+        (Collective::Allreduce(AllreduceAlgo::RecursiveDoubling), 64),
+        (Collective::Allreduce(AllreduceAlgo::Ring), 64),
+        (Collective::Allreduce(AllreduceAlgo::ReduceBcast), 64),
+        (Collective::Allreduce(AllreduceAlgo::RecursiveDoubling), 4 << 20),
+        (Collective::Allreduce(AllreduceAlgo::Ring), 4 << 20),
+        (Collective::Allreduce(AllreduceAlgo::ReduceBcast), 4 << 20),
+        (Collective::Bcast(BcastAlgo::Binomial), 1 << 20),
+        (Collective::Bcast(BcastAlgo::ScatterAllgather), 1 << 20),
     ]
+    .map(|(collective, payload_bytes)| PointSpec { nodes, collective, payload_bytes })
 }
 
 pub fn generate() -> Vec<Table> {
-    let params = ExecParams::default();
-
     // Every (scale, collective, payload) cell is an independent
-    // simulation; fan them out across the sweep threads and assemble rows
-    // from the index-ordered completions, so the rendered tables are
+    // simulation on the network the serving plane answers it from; fan
+    // them out across the sweep threads and assemble rows from the
+    // index-ordered completions, so the rendered tables are
     // byte-identical at any job count.
-    let points: Vec<(u32, Collective, u64)> =
-        SCALES.iter().flat_map(|&p| cells_for(p)).collect();
-    let times = crate::sweep::sweep(points, |(p, coll, bytes)| {
-        simulate_collective(&mut net(p), coll, bytes, params).completion
-    });
+    let points: Vec<PointSpec> = SCALES.iter().flat_map(|&p| cells_for(p)).collect();
+    let times = crate::sweep::sweep(points, |spec| SimDuration(spec.compute().completion_ps));
 
     let mut barrier = Table::new(
         "F3a",
@@ -112,7 +98,7 @@ trait AsMs {
     fn as_ms(&self) -> f64;
 }
 
-impl AsMs for polaris_simnet::time::SimDuration {
+impl AsMs for SimDuration {
     fn as_ms(&self) -> f64 {
         self.as_secs() * 1e3
     }

@@ -363,6 +363,7 @@ pub fn simulate_programs_sharded(
             completion: completion.since(SimTime::ZERO),
             payload_bytes,
             messages,
+            events: stats.events_dispatched,
         },
         stats,
     )

@@ -16,13 +16,15 @@
 //! * `--spec FILE` — replay one JSON spec (as dumped in a failure
 //!   report) instead of fuzzing.
 //!
-//! Exit status: 0 clean, 1 violations found, 2 usage error. Every
+//! Exit status: 0 clean, 1 violations found, 2 usage error or a
+//! replayed spec whose topology the simulator refuses. Every
 //! failing case writes `<out>/case-<case_seed>.json` — a
 //! [`FailureReport`] with the original and minimized specs plus the
 //! violation details — so CI can upload the minimal reproducer.
 
 use polaris_sentinel::gen::WorkloadSpec;
 use polaris_sentinel::{oracle, run_case, shrink, FailureReport};
+use polaris_simnet::prelude::Topology;
 use std::process::ExitCode;
 
 struct Args {
@@ -105,6 +107,12 @@ fn main() -> ExitCode {
                 }
             },
         };
+        // A replayed spec is outside input, not a seed draw: refuse a
+        // shape the simulator cannot build before any audit runs it.
+        if let Err(e) = Topology::try_new(spec.topology()) {
+            eprintln!("sentinel: {path}: {e}");
+            return ExitCode::from(2);
+        }
         let violations = run_case(&spec);
         if violations.is_empty() {
             println!("replay {path}: clean");

@@ -18,7 +18,8 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PointSpec {
     /// Node count; fat tree where a k fits exactly (16/128/1024),
-    /// crossbar otherwise — same mapping as figure F3.
+    /// crossbar otherwise. Figure F3 computes its cells through
+    /// [`PointSpec::compute`], so the mapping has one home.
     pub nodes: u32,
     pub collective: Collective,
     pub payload_bytes: u64,

@@ -67,5 +67,5 @@ pub mod prelude {
         Partition, ShardCtx, ShardRunStats, ShardSim, ShardSnapshot, ShardWorld,
     };
     pub use crate::time::{SimDuration, SimTime};
-    pub use crate::topology::{RoutePlan, Routing, Topology, TopologyKind, Vertex};
+    pub use crate::topology::{RoutePlan, Routing, Topology, TopologyError, TopologyKind, Vertex};
 }

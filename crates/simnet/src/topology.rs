@@ -86,6 +86,36 @@ pub enum Routing {
     Valiant { seed: u64 },
 }
 
+/// Why [`Topology::try_new`] refused a shape.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TopologyError {
+    /// A dimension outside the kind's domain (a one-host ring, an odd
+    /// fat-tree arity); `rule` names the bound it broke.
+    Domain { kind: TopologyKind, rule: &'static str },
+    /// More hosts than a `u32` rank can name.
+    TooManyHosts(TopologyKind),
+    /// More directed links than a `u32` link id can name.
+    TooManyLinks(TopologyKind),
+}
+
+impl std::fmt::Display for TopologyError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            TopologyError::Domain { kind, rule } => write!(f, "{kind:?}: {rule}"),
+            TopologyError::TooManyHosts(kind) => {
+                let (name, n, dims) = host_dims(kind);
+                let dims = &dims[..n];
+                write!(f, "{name} {dims:?} has more hosts than a u32 rank can name")
+            }
+            TopologyError::TooManyLinks(kind) => {
+                write!(f, "{kind:?} has more links than a u32 link id can name")
+            }
+        }
+    }
+}
+
+impl std::error::Error for TopologyError {}
+
 /// Explicit link table built only by [`Topology::new_reference`]; the
 /// oracle half of the routing refactor. Never present on the hot path.
 #[derive(Debug, Clone, Default)]
@@ -112,60 +142,61 @@ const NO_VIA: u32 = u32::MAX;
 impl Topology {
     /// Build a topology. O(1) time and memory for every kind: no link
     /// table, no route storage — everything downstream is arithmetic.
-    /// Panics on dimensions outside a kind's domain or whose host or
-    /// link count overflows the `u32` rank or link-id space (in release
-    /// the product would wrap and pass for a small machine).
+    /// Panics where [`Topology::try_new`] refuses the shape.
     pub fn new(kind: TopologyKind) -> Self {
-        let hosts = match kind {
-            TopologyKind::Crossbar { hosts } => {
-                assert!(hosts >= 1);
-                hosts
+        Self::try_new(kind).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Build a topology, or say why the shape cannot be one: a dimension
+    /// outside the kind's domain, or a host or link count that overflows
+    /// the `u32` rank or link-id space (in release the product would
+    /// wrap and pass for a small machine).
+    pub fn try_new(kind: TopologyKind) -> Result<Self, TopologyError> {
+        let domain = |ok: bool, rule: &'static str| {
+            if ok {
+                Ok(())
+            } else {
+                Err(TopologyError::Domain { kind, rule })
             }
-            TopologyKind::Ring { hosts } => {
-                assert!(hosts >= 2, "ring needs at least two hosts");
-                hosts
-            }
-            TopologyKind::Torus2D { w, h } => {
-                assert!(w >= 2 && h >= 2, "torus dims must be >= 2");
-                host_count("2-D torus", &[w, h])
-            }
+        };
+        let even_arity = |k: u32| domain(k >= 2 && k.is_multiple_of(2), "fat tree arity must be even");
+        match kind {
+            TopologyKind::Crossbar { hosts } => domain(hosts >= 1, "crossbar needs a host"),
+            TopologyKind::Ring { hosts } => domain(hosts >= 2, "ring needs at least two hosts"),
+            TopologyKind::Torus2D { w, h } => domain(w >= 2 && h >= 2, "torus dims must be >= 2"),
             TopologyKind::Torus3D { x, y, z } => {
-                assert!(x >= 2 && y >= 2 && z >= 2);
-                host_count("3-D torus", &[x, y, z])
+                domain(x >= 2 && y >= 2 && z >= 2, "torus dims must be >= 2")
             }
-            TopologyKind::FatTree { k } => {
-                assert!(k >= 2 && k % 2 == 0, "fat tree arity must be even");
-                host_count("fat tree", &[k, k / 2, k / 2])
-            }
-            TopologyKind::FatTreePods { k, pods } => {
-                assert!(k >= 2 && k % 2 == 0, "fat tree arity must be even");
-                assert!(
-                    pods >= 1 && pods <= k,
-                    "pod count must be in 1..=k (core ports)"
-                );
-                host_count("multi-pod fat tree", &[pods, k / 2, k / 2])
-            }
+            TopologyKind::FatTree { k } => even_arity(k),
+            TopologyKind::FatTreePods { k, pods } => even_arity(k).and(domain(
+                pods >= 1 && pods <= k,
+                "pod count must be in 1..=k (core ports)",
+            )),
             TopologyKind::Dragonfly {
                 groups,
                 routers_per_group,
                 hosts_per_router,
-            } => {
-                assert!(groups >= 1 && routers_per_group >= 1 && hosts_per_router >= 1);
-                host_count("dragonfly", &[groups, routers_per_group, hosts_per_router])
-            }
-        };
+            } => domain(
+                groups >= 1 && routers_per_group >= 1 && hosts_per_router >= 1,
+                "dragonfly dims must be >= 1",
+            ),
+        }?;
+        let (_, _, dims) = host_dims(kind);
+        let hosts = dims
+            .iter()
+            .try_fold(1u32, |n, &d| n.checked_mul(d))
+            .ok_or(TopologyError::TooManyHosts(kind))?;
         // Link ids are `u32` too, and a machine has two to six directed
         // links per host: the link count can pass 2^32 while the ranks fit.
-        assert!(
-            link_total(kind, hosts).is_some_and(|n| n <= u32::MAX as u64),
-            "{kind:?} has more links than a u32 link id can name"
-        );
-        Topology {
+        if link_total(kind, hosts).is_none_or(|n| n > u32::MAX as u64) {
+            return Err(TopologyError::TooManyLinks(kind));
+        }
+        Ok(Topology {
             kind,
             hosts,
             routing: Routing::Minimal,
             reference: None,
-        }
+        })
     }
 
     /// Like [`Topology::new`], but additionally builds the explicit
@@ -1190,11 +1221,22 @@ fn df_router_hops(a: u32, from: (u32, u32), to: (u32, u32)) -> u32 {
     }
 }
 
-/// Host count of a topology as the checked product of its dimensions.
-fn host_count(kind: &str, dims: &[u32]) -> u32 {
-    dims.iter()
-        .try_fold(1u32, |n, &d| n.checked_mul(d))
-        .unwrap_or_else(|| panic!("{kind} {dims:?} has more hosts than a u32 rank can name"))
+/// A kind's name and the dimensions whose product is its host count,
+/// padded with ones to three (the second field counts the real ones).
+fn host_dims(kind: TopologyKind) -> (&'static str, usize, [u32; 3]) {
+    match kind {
+        TopologyKind::Crossbar { hosts } => ("crossbar", 1, [hosts, 1, 1]),
+        TopologyKind::Ring { hosts } => ("ring", 1, [hosts, 1, 1]),
+        TopologyKind::Torus2D { w, h } => ("2-D torus", 2, [w, h, 1]),
+        TopologyKind::Torus3D { x, y, z } => ("3-D torus", 3, [x, y, z]),
+        TopologyKind::FatTree { k } => ("fat tree", 3, [k, k / 2, k / 2]),
+        TopologyKind::FatTreePods { k, pods } => ("multi-pod fat tree", 3, [pods, k / 2, k / 2]),
+        TopologyKind::Dragonfly {
+            groups,
+            routers_per_group,
+            hosts_per_router,
+        } => ("dragonfly", 3, [groups, routers_per_group, hosts_per_router]),
+    }
 }
 
 /// Total directed links of a `kind` machine with `hosts` hosts, exact in
@@ -1782,6 +1824,46 @@ mod tests {
     #[should_panic(expected = "FatTree { k: 2000 } has more links")]
     fn fat_tree_past_the_link_id_limit_is_refused() {
         Topology::new(TopologyKind::FatTree { k: 2000 });
+    }
+
+    /// Every shape outside a kind's domain, and every count past the
+    /// `u32` spaces, comes back as a typed refusal instead of a panic.
+    #[test]
+    fn refused_shapes_are_typed_errors() {
+        use TopologyError::{Domain, TooManyHosts, TooManyLinks};
+        let domain = |kind, rule| Domain { kind, rule };
+        let ring1 = TopologyKind::Ring { hosts: 1 };
+        let ft3 = TopologyKind::FatTree { k: 3 };
+        let pods3 = TopologyKind::FatTreePods { k: 3, pods: 1 };
+        let pods0 = TopologyKind::FatTreePods { k: 4, pods: 0 };
+        let pods5 = TopologyKind::FatTreePods { k: 4, pods: 5 };
+        let xbar0 = TopologyKind::Crossbar { hosts: 0 };
+        let t2 = TopologyKind::Torus2D { w: 1, h: 4 };
+        let t3 = TopologyKind::Torus3D { x: 2, y: 2, z: 1 };
+        let df = TopologyKind::Dragonfly { groups: 2, routers_per_group: 0, hosts_per_router: 1 };
+        let big_t2 = TopologyKind::Torus2D { w: 70_000, h: 70_000 };
+        let big_xbar = TopologyKind::Crossbar { hosts: 3_000_000_000 };
+        let pods = "pod count must be in 1..=k (core ports)";
+        for (kind, want) in [
+            (ring1, domain(ring1, "ring needs at least two hosts")),
+            (ft3, domain(ft3, "fat tree arity must be even")),
+            (pods3, domain(pods3, "fat tree arity must be even")),
+            (pods0, domain(pods0, pods)),
+            (pods5, domain(pods5, pods)),
+            (xbar0, domain(xbar0, "crossbar needs a host")),
+            (t2, domain(t2, "torus dims must be >= 2")),
+            (t3, domain(t3, "torus dims must be >= 2")),
+            (df, domain(df, "dragonfly dims must be >= 1")),
+            (big_t2, TooManyHosts(big_t2)),
+            (big_xbar, TooManyLinks(big_xbar)),
+        ] {
+            assert_eq!(Topology::try_new(kind).unwrap_err(), want, "{kind:?}");
+        }
+        assert_eq!(
+            TopologyError::Domain { kind: ring1, rule: "ring needs at least two hosts" }.to_string(),
+            "Ring { hosts: 1 }: ring needs at least two hosts"
+        );
+        assert_eq!(Topology::try_new(TopologyKind::Ring { hosts: 2 }).unwrap().hosts(), 2);
     }
 
     #[test]
