@@ -42,7 +42,9 @@ macro_rules! check {
 /// Calendar queue vs reference heap: identical observable behaviour
 /// over a seeded op stream. Timestamps are constructed unique (low bits
 /// carry the event id), so pop order is fully determined and the two
-/// queues must agree event-for-event, not just time-for-time.
+/// queues must agree event-for-event, not just time-for-time. A keyed
+/// near-future phase follows on fresh queues ([`keyed_spill_phase`]),
+/// drawing after the op stream so pinned seeds replay it unchanged.
 pub fn queue_oracle(spec: &WorkloadSpec) -> Vec<Violation> {
     let mut out = Vec::new();
     let inv = "queue-divergence";
@@ -106,7 +108,50 @@ pub fn queue_oracle(spec: &WorkloadSpec) -> Vec<Violation> {
         "calendar scheduled_total {} != pushes {pushes}",
         cal.scheduled_total()
     );
+    if out.is_empty() {
+        keyed_spill_phase(spec.queue_ops, &mut rng, &mut out);
+    }
     out
+}
+
+/// The sharded engine's pattern on a fresh queue: keyed chains start at
+/// one instant and reschedule 0.5, 2, 3 or 36 µs out, so most pushes
+/// land past the wheel's horizon and the queue must re-fit to the
+/// spill. Keys follow insertion order, so the heap's FIFO tie-break is
+/// the same total order and the two must agree event for event.
+fn keyed_spill_phase(ops: u32, rng: &mut SplitMix64, out: &mut Vec<Violation>) {
+    const DELTAS: [u64; 4] = [500_000, 2_000_000, 3_000_000, 36_000_000];
+    let inv = "queue-divergence";
+    let mut cal: EventQueue<u64> = EventQueue::new();
+    let mut heap: HeapQueue<u64> = HeapQueue::new();
+    let mut key = 0u64;
+    let chains = 1 + rng.next_below((u64::from(ops) / 4).max(1));
+    for chain in 0..chains {
+        cal.push_keyed(SimTime(0), key, chain);
+        heap.push(SimTime(0), chain);
+        key += 1;
+    }
+    for _ in 0..ops {
+        let a = cal.pop();
+        let b = heap.pop();
+        check!(out, a == b, inv, "keyed pop diverged: calendar {a:?} vs heap {b:?}");
+        if !out.is_empty() {
+            return;
+        }
+        let (now, chain) = b.expect("every pop reschedules its chain");
+        let at = SimTime(now.0 + DELTAS[rng.next_below(4) as usize]);
+        cal.push_keyed(at, key, chain);
+        heap.push(at, chain);
+        key += 1;
+    }
+    loop {
+        let a = cal.pop();
+        let b = heap.pop();
+        check!(out, a == b, inv, "keyed drain diverged: calendar {a:?} vs heap {b:?}");
+        if b.is_none() || !out.is_empty() {
+            return;
+        }
+    }
 }
 
 /// Sharded executor determinism, two halves:

@@ -17,9 +17,23 @@
 //!   (`tests/event_queue.rs`) and the sentinel `queue-divergence`
 //!   oracle.
 //!
-//! The calendar queue adapts its bucket width and count to the live
-//! event population (classic Brown calendar-queue resizing), so it stays
-//! O(1) amortized whether events are nanoseconds or milliseconds apart.
+//! The calendar queue resizes in the manner of Brown's calendar queue,
+//! but only on what it can see:
+//!
+//! * the wheel doubles when the events *in the wheel* exceed twice its
+//!   buckets, and a drained bucket crowded with distinct times re-fits
+//!   the width to the live span; both only ever narrow the width;
+//! * when the pushes spilled to the `far` heap since the last rebuild
+//!   outnumber those that landed in the wheel and exceed
+//!   `max(nbuckets, live population)`, the wheel is re-fit to the delays
+//!   pushes are scheduled with: the width to their short end, the
+//!   bucket count (at most one per live event) to their long end.
+//!
+//! A push past the horizon pays the far heap's O(log n) push, pop and
+//! migration, so the queue is O(1) amortized only for pushes whose
+//! delays the wheel covers. A minority of far-future pushes (timers
+//! seconds out among nanosecond link events) never triggers a re-fit
+//! and keeps paying O(log n).
 //!
 //! # Storage layout
 //!
@@ -196,14 +210,26 @@ pub struct EventQueue<E> {
     len: usize,
     next_seq: u64,
     scheduled_total: u64,
+    /// Pushes since the last rebuild that landed in the wheel.
+    landed: usize,
+    /// Pushes since the last rebuild that spilled to `far`.
+    spilled: usize,
+    /// Time of the last pop: the clock pushes are scheduled from.
+    clock: u64,
+    /// Pushes made while a third or more spill, by the bit length of
+    /// their delay past `clock`, halved at each rebuild: what a re-fit
+    /// for spilled pushes sizes the wheel to.
+    delays: [u64; 65],
+    /// Rebuilds so far (read by the amortisation test).
+    rebuilds: u64,
     /// Population outgrew the wheel; double it at the next `advance`.
     grow_pending: bool,
-    /// A crowded mixed-time bucket was drained; re-fit the bucket width
-    /// at the next `advance`.
+    /// A crowded mixed-time bucket was drained, or most pushes spill
+    /// past the horizon; re-fit the wheel at the next `advance`.
     refit_pending: bool,
-    /// The last width re-fit changed nothing — stop re-trying until the
-    /// geometry changes, so a pathological distribution cannot force an
-    /// O(n) rebuild per batch.
+    /// The last rebuild left width and bucket count as they were — stop
+    /// re-fitting until a grow changes them, so a pathological
+    /// distribution cannot force an O(n) rebuild per batch.
     refit_futile: bool,
 }
 
@@ -238,6 +264,11 @@ impl<E> EventQueue<E> {
             len: 0,
             next_seq: 0,
             scheduled_total: 0,
+            landed: 0,
+            spilled: 0,
+            clock: 0,
+            delays: [0; 65],
+            rebuilds: 0,
             grow_pending: false,
             refit_pending: false,
             refit_futile: false,
@@ -286,6 +317,14 @@ impl<E> EventQueue<E> {
     #[inline]
     fn push_with_seq(&mut self, time: SimTime, seq: u64, event: E) {
         self.scheduled_total += 1;
+        if 2 * self.spilled >= self.landed {
+            // A third or more of the pushes since the last rebuild spill:
+            // record this one's delay for a spill re-fit. That re-fit
+            // needs a majority of spills, so the pushes before it are
+            // recorded.
+            let delay = time.0.saturating_sub(self.clock);
+            self.delays[(64 - delay.leading_zeros()) as usize] += 1;
+        }
         let slot = self.arena.alloc(event);
         self.insert(Handle { time, seq, slot });
         self.len += 1;
@@ -314,8 +353,20 @@ impl<E> EventQueue<E> {
             self.wheel[idx].push(h);
             self.set_occupied(idx);
             self.wheel_len += 1;
+            self.landed += 1;
         } else {
             self.far.push(h);
+            self.spilled += 1;
+            // Most pushes miss the horizon: neither the grow trigger
+            // (`wheel_len`) nor the crowding check sees them, so re-fit
+            // here. Waiting for more than `max(nbuckets, len)` spills
+            // keeps the O(len + nbuckets) rebuild amortised O(1) a push.
+            if !self.refit_futile
+                && self.spilled > self.landed
+                && self.spilled > self.nbuckets().max(self.len)
+            {
+                self.refit_pending = true;
+            }
         }
     }
 
@@ -341,6 +392,7 @@ impl<E> EventQueue<E> {
             self.current.pop().expect("advance staged a batch")
         };
         self.len -= 1;
+        self.clock = h.time.0;
         h
     }
 
@@ -416,6 +468,7 @@ impl<E> EventQueue<E> {
             self.current.pop().expect("checked non-empty")
         };
         self.len -= 1;
+        self.clock = h.time.0;
         // SAFETY: `h` was just removed from the queue's containers.
         Some((h.time, unsafe { self.arena.take(h.slot) }))
     }
@@ -432,13 +485,22 @@ impl<E> EventQueue<E> {
             let grow = self.grow_pending && self.nbuckets() < MAX_BUCKETS;
             self.grow_pending = false;
             self.refit_pending = false;
-            let before = self.shift;
-            self.rebuild(if grow {
+            let before = (self.shift, self.nbuckets());
+            let nbuckets = if grow {
                 self.nbuckets() * 2
             } else {
                 self.nbuckets()
-            });
-            self.refit_futile = self.shift == before && !grow;
+            };
+            if self.spilled > self.landed {
+                // While most pushes spill, the live span says nothing
+                // about how far ahead they are made: fit the wheel to
+                // their delays.
+                let (shift, fitted) = self.fit_to_delays();
+                self.rebuild(fitted.max(nbuckets), Some(shift));
+            } else {
+                self.rebuild(nbuckets, None);
+            }
+            self.refit_futile = (self.shift, self.nbuckets()) == before;
         }
         if self.wheel_len == 0 && self.far.is_empty() {
             // Everything pending sits behind the cursor; nothing to
@@ -467,12 +529,20 @@ impl<E> EventQueue<E> {
             let idx = (self.epoch & self.mask) as usize;
             // Drain rather than steal: the bucket keeps its allocation
             // for the next lap, and `current` reuses its own — zero
-            // allocations per batch at steady state.
+            // allocations per batch at steady state. A batch larger than
+            // CROWDED_BATCH is stolen instead: a population in lockstep
+            // puts all of itself in one bucket per instant, and a
+            // burst-sized buffer parked in every bucket it visits would
+            // hold nbuckets × population.
             {
                 let EventQueue { wheel, current, .. } = self;
                 let bucket = &mut wheel[idx];
                 debug_assert!(!bucket.is_empty());
-                current.append(bucket);
+                if bucket.len() > CROWDED_BATCH {
+                    *current = std::mem::take(bucket);
+                } else {
+                    current.append(bucket);
+                }
             }
             self.wheel_len -= self.current.len();
             self.clear_occupied(idx);
@@ -511,22 +581,62 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Rebuild the wheel with `nbuckets` buckets and a bucket width
-    /// re-fit to the live population. Only called from `advance` with
+    /// `(shift, nbuckets)` for a wheel that most pushes spill past, from
+    /// the delays they were scheduled with (recent ones weighted most):
+    /// buckets as wide as all but a sixteenth of the delays exceed, so
+    /// pushes land ahead of the cursor rather than behind it, and as many
+    /// of them as cover all but a sixteenth, at most one per live event.
+    /// A snapshot of the live population cannot give both: a collective's
+    /// ranks run in lockstep, so its pending events often sit at one
+    /// instant. Zero delays (same-instant follow-ups) are left out; they
+    /// land behind the cursor at any width.
+    fn fit_to_delays(&self) -> (u32, usize) {
+        let total: u64 = self.delays[1..].iter().sum();
+        let (mut width_bits, mut horizon_bits) = (0, 64);
+        let mut shorter = 0;
+        // `delays[bits]` counts delays in [2^(bits-1), 2^bits).
+        for (bits, &n) in self.delays.iter().enumerate().skip(1) {
+            shorter += n;
+            if shorter * 16 <= total {
+                width_bits = bits;
+            }
+            if shorter * 16 >= total * 15 {
+                horizon_bits = bits;
+                break;
+            }
+        }
+        let cap = self.len.next_power_of_two().clamp(MIN_BUCKETS, MAX_BUCKETS);
+        let nbuckets = 1usize << (horizon_bits - width_bits).min(16);
+        (
+            (width_bits as u32).min(40),
+            nbuckets.clamp(MIN_BUCKETS, cap),
+        )
+    }
+
+    /// Rebuild the wheel with `nbuckets` buckets of width `2^shift`, or
+    /// of a width re-fit to the live population when `shift` is `None`.
+    /// Only called from `advance` with
     /// `current` empty: rebuilding re-bases the cursor onto the earliest
     /// remaining event, which would reorder a partially drained batch
     /// against pushes landing near the new epoch boundary.
     ///
     /// Moves handles only — payloads stay put in the arena, so a rebuild
     /// of a queue of fat events costs the same as one of unit events.
-    fn rebuild(&mut self, nbuckets: usize) {
+    /// The population is gathered into `far`'s own buffer, and each
+    /// bucket's buffer is released as it is emptied, so the handles are
+    /// never held twice over.
+    fn rebuild(&mut self, nbuckets: usize, shift: Option<u32>) {
         debug_assert!(self.current.is_empty());
         let nbuckets = nbuckets.min(MAX_BUCKETS);
-        let mut entries: Vec<Handle> = Vec::with_capacity(self.wheel_len + self.far.len());
+        self.rebuilds += 1;
+        self.landed = 0;
+        self.spilled = 0;
+        self.delays.iter_mut().for_each(|n| *n /= 2);
+        let mut entries = std::mem::take(&mut self.far).into_vec();
+        entries.reserve_exact(self.wheel_len);
         for b in &mut self.wheel {
-            entries.append(b);
+            entries.extend(std::mem::take(b));
         }
-        entries.extend(std::mem::take(&mut self.far));
         self.occupied.iter_mut().for_each(|w| *w = 0);
         self.wheel_len = 0;
         if self.nbuckets() != nbuckets {
@@ -538,32 +648,49 @@ impl<E> EventQueue<E> {
             entries.iter().map(|e| e.time.0).min(),
             entries.iter().map(|e| e.time.0).max(),
         ) {
-            // Aim for ~TARGET_OCCUPANCY live events per bucket, but
-            // never so narrow that the wheel horizon (nbuckets * width)
-            // stops covering the live span with slack — otherwise events
-            // cycle through the far heap and its O(log n) cost comes
-            // back.
-            let span = (max - min).max(1);
-            let per_batch = span.saturating_mul(TARGET_OCCUPANCY) / entries.len() as u64;
-            let per_horizon = (2 * span) / nbuckets as u64;
-            let width = per_batch.max(per_horizon).max(1);
-            // Ceiling log2: the realized width is the power of two >= the
-            // target, keeping the horizon guarantee.
-            self.shift = (64 - (width - 1).leading_zeros()).min(40);
+            self.shift = shift.unwrap_or_else(|| {
+                // Aim for ~TARGET_OCCUPANCY live events per bucket, but
+                // never so narrow that the wheel horizon (nbuckets *
+                // width) stops covering the live span with slack —
+                // otherwise events cycle through the far heap and its
+                // O(log n) cost comes back.
+                let span = (max - min).max(1);
+                let per_batch = span.saturating_mul(TARGET_OCCUPANCY) / entries.len() as u64;
+                let per_horizon = (2 * span) / nbuckets as u64;
+                let width = per_batch.max(per_horizon).max(1);
+                // Ceiling log2: the realized width is the power of two >=
+                // the target, keeping the horizon guarantee. A grown or
+                // crowded wheel is a denser one: never widen it here. A
+                // population in lockstep can show a span of milliseconds
+                // between two instants; only the delays can widen.
+                (64 - (width - 1).leading_zeros()).min(self.shift)
+            });
             self.epoch = min >> self.shift;
         }
-        for h in entries {
-            let k = h.time.0 >> self.shift;
-            debug_assert!(k >= self.epoch);
-            if k - self.epoch < nbuckets as u64 {
-                let idx = (k & self.mask) as usize;
-                self.wheel[idx].push(h);
-                self.set_occupied(idx);
-                self.wheel_len += 1;
-            } else {
-                self.far.push(h);
+        // Handles inside the horizon go to their buckets; the rest stay
+        // in `entries`, which becomes the new `far`.
+        let EventQueue {
+            wheel,
+            occupied,
+            shift,
+            mask,
+            epoch,
+            wheel_len,
+            ..
+        } = self;
+        entries.retain(|h| {
+            let k = h.time.0 >> *shift;
+            debug_assert!(k >= *epoch);
+            if k - *epoch >= nbuckets as u64 {
+                return true;
             }
-        }
+            let idx = (k & *mask) as usize;
+            wheel[idx].push(*h);
+            occupied[idx / 64] |= 1u64 << (idx % 64);
+            *wheel_len += 1;
+            false
+        });
+        self.far = BinaryHeap::from(entries);
     }
 
     pub fn len(&self) -> usize {
@@ -1027,6 +1154,74 @@ mod tests {
                 break;
             }
         }
+    }
+
+    /// The 256-rank GigE ring cell's pattern: keyed chains that start
+    /// together at time 0, as a collective's ranks do, and reschedule
+    /// themselves 0.5, 2, 3 or 36 µs out. The same-instant start grows
+    /// the wheel to a width fit to a zero span; every later push then
+    /// lands past the horizon, where the grow trigger cannot see it.
+    /// Once the wheel has re-fit to the spilled pushes, they land in the
+    /// wheel instead of `far`.
+    #[test]
+    fn keyed_chains_past_the_horizon_refit_the_wheel() {
+        use crate::rng::SplitMix64;
+        const DELTAS: [u64; 4] = [500_000, 2_000_000, 3_000_000, 36_000_000];
+        const CHAINS: u64 = 256;
+        let mut q = EventQueue::new();
+        let mut rng = SplitMix64::new(7);
+        for rank in 0..CHAINS {
+            q.push_keyed(SimTime(0), rank << 32, rank);
+        }
+        let (mut pushes, mut spills) = (0u64, 0u64);
+        for pop in 0..CHAINS * 400 {
+            let (now, key, rank) = q.pop_entry().expect("chains never end");
+            let far = q.far.len();
+            let at = now.0 + DELTAS[rng.next_below(4) as usize];
+            q.push_keyed(SimTime(at), key + 1, rank);
+            if pop >= CHAINS * 10 {
+                pushes += 1;
+                spills += u64::from(q.far.len() > far);
+            }
+        }
+        assert!(
+            spills * 20 < pushes,
+            "{spills} of {pushes} pushes spilled to far"
+        );
+    }
+
+    /// The spill trigger is amortised: with 7 of 8 pushes landing 15
+    /// simulated seconds out over a population of 4096, a rebuild needs
+    /// more spilled pushes than the population since the last one, so
+    /// no pattern turns it into a rebuild per batch.
+    #[test]
+    fn spill_refits_are_amortised_over_the_population() {
+        use crate::rng::SplitMix64;
+        const POPULATION: u64 = 4096;
+        const TXNS: u64 = 1 << 18;
+        let mut q = EventQueue::new();
+        let mut rng = SplitMix64::new(9);
+        let delay = |rng: &mut SplitMix64| {
+            let link = [10_000, 25_000, 50_000, 100_000][rng.next_below(4) as usize];
+            if rng.next_below(8) < 7 {
+                15_000_000_000_000 + link
+            } else {
+                link
+            }
+        };
+        for i in 0..POPULATION {
+            q.push(SimTime(delay(&mut rng)), i);
+        }
+        for _ in 0..TXNS {
+            let (now, i) = q.pop().expect("queue stays charged");
+            q.push(SimTime(now.0 + delay(&mut rng)), i);
+        }
+        let pushes = POPULATION + TXNS;
+        assert!(
+            q.rebuilds <= pushes / POPULATION + 16,
+            "{} rebuilds in {pushes} pushes",
+            q.rebuilds
+        );
     }
 
     #[test]

@@ -33,15 +33,30 @@ enum Shape {
     PastClamped,
     /// Mixed magnitudes forcing rebuilds and horizon crossings.
     MixedMagnitude,
+    /// The sharded engine's keyed pushes (`rank << 32 | seq`) at the
+    /// 256-rank GigE ring cell's deltas, 0.5 to 36 µs, on a fresh queue:
+    /// most land past its ~1 µs horizon, and the wheel must re-fit to
+    /// the spill.
+    KeyedSpill,
 }
 
-const SHAPES: [Shape; 5] = [
+const SHAPES: [Shape; 6] = [
     Shape::WideUniform,
     Shape::QuantizedDeltas,
     Shape::FewInstants,
     Shape::PastClamped,
     Shape::MixedMagnitude,
+    Shape::KeyedSpill,
 ];
+
+/// Ranks drawing keys in [`Shape::KeyedSpill`].
+const RANKS: usize = 256;
+/// The oracle breaks ties in insertion order, keyed pushes by key, so
+/// the heap is fed `time << KEY_BITS | rank << SEQ_BITS | seq`: the
+/// same `(time, key)` order in one timestamp. A run's at most 3000
+/// pushes keep `seq` within `SEQ_BITS` and times within 2^40 ps.
+const SEQ_BITS: u32 = 12;
+const KEY_BITS: u32 = SEQ_BITS + 8;
 
 fn gen_time(shape: Shape, rng: &mut SplitMix64, now: u64) -> u64 {
     match shape {
@@ -64,29 +79,44 @@ fn gen_time(shape: Shape, rng: &mut SplitMix64, now: u64) -> u64 {
             let exp = rng.next_below(40);
             rng.next_below(1u64 << exp.max(1))
         }
+        Shape::KeyedSpill => {
+            let deltas = [500_000u64, 2_000_000, 3_000_000, 36_000_000];
+            now + deltas[rng.next_below(4) as usize]
+        }
     }
 }
 
 /// Drive both queues through an identical op sequence and assert
 /// identical observable behaviour at every step.
 fn lockstep(seed: u64, shape: Shape) {
-    let mut cal: EventQueue<u64> = if seed.is_multiple_of(2) {
+    let keyed = matches!(shape, Shape::KeyedSpill);
+    let mut cal: EventQueue<u64> = if keyed || seed.is_multiple_of(2) {
         EventQueue::new()
     } else {
         EventQueue::with_capacity(1 << (seed % 13) as usize)
     };
     let mut heap: HeapQueue<u64> = HeapQueue::new();
+    let oracle_time = |t: SimTime| if keyed { SimTime(t.0 >> KEY_BITS) } else { t };
+    let mut seqs = [0u64; RANKS];
     let mut rng = SplitMix64::new(seed);
     let mut now = 0u64;
     for step in 0..4000u64 {
         let ctx = || format!("seed={seed} shape={shape:?} step={step}");
         if rng.next_below(4) < 3 {
             let t = gen_time(shape, &mut rng, now);
-            cal.push(SimTime(t), step);
-            heap.push(SimTime(t), step);
+            if keyed {
+                let rank = rng.next_below(RANKS as u64);
+                let seq = &mut seqs[rank as usize];
+                *seq += 1;
+                cal.push_keyed(SimTime(t), rank << 32 | *seq, step);
+                heap.push(SimTime(t << KEY_BITS | rank << SEQ_BITS | *seq), step);
+            } else {
+                cal.push(SimTime(t), step);
+                heap.push(SimTime(t), step);
+            }
         } else {
             let a = cal.pop();
-            let b = heap.pop();
+            let b = heap.pop().map(|(t, e)| (oracle_time(t), e));
             assert_eq!(a, b, "pop diverged at {}", ctx());
             if let Some((t, _)) = a {
                 now = t.0;
@@ -96,9 +126,10 @@ fn lockstep(seed: u64, shape: Shape) {
     }
     // Drain fully; order must match to the last event.
     loop {
-        assert_eq!(cal.peek_time(), heap.peek_time(), "peek diverged draining");
+        let peek = heap.peek_time().map(oracle_time);
+        assert_eq!(cal.peek_time(), peek, "peek diverged draining");
         let a = cal.pop();
-        let b = heap.pop();
+        let b = heap.pop().map(|(t, e)| (oracle_time(t), e));
         assert_eq!(a, b, "drain diverged at seed={seed} shape={shape:?}");
         if a.is_none() {
             break;
