@@ -23,10 +23,11 @@
 //! * [`serving`] — a latency-SLO key-value tier with open-loop Poisson
 //!   arrivals and a p99 gate.
 //!
-//! Every generator is a pure function of its config, and every run goes
-//! through [`simulate_programs_sharded`] (or, for serving, a dedicated
-//! `ShardWorld`) — bit-identical at any `--jobs`/shard count, which
-//! `tests/workloads.rs` holds as an oracle.
+//! Every generator is a pure function of its config. The four compiled
+//! workloads run through [`simulate_programs_sharded`], bit-identical at
+//! any `--jobs`/shard count, which `tests/workloads.rs` holds as an
+//! oracle. The serving tier's replicas never exchange an event, so it
+//! needs no engine: each replica's queue is one Lindley loop.
 
 pub mod fabric;
 pub mod paramserver;
@@ -171,7 +172,8 @@ pub fn run_compiled(compiled: Compiled, fabric: &Fabric, jobs: u32) -> WorkloadR
 }
 
 /// Run one suite workload at its figure-scale default config: `p` ranks
-/// of `node` over `fabric`, sharded across `jobs` engine shards.
+/// of `node` over `fabric`, sharded across `jobs` engine shards (the
+/// serving tier has no engine and ignores `jobs`).
 pub fn run_workload(
     kind: WorkloadKind,
     node: &NodeModel,

@@ -9,20 +9,20 @@
 //! service time. Network time is the fabric round trip from a client
 //! half the machine away.
 //!
-//! Arrivals are pre-generated with [`SplitMix64`] and pre-scheduled
-//! into the sharded engine keyed `(server << 32) | seq`; each server's
-//! queue evolves by the Lindley recursion inside its shard and no event
-//! ever crosses shards, so any shard count replays the identical
-//! `(time, key)` order — the same determinism contract as the program
-//! executor, held by `tests/workloads.rs`.
+//! No request ever reaches another replica, so the tier needs no event
+//! engine. Each replica is a FIFO server whose arrivals [`SplitMix64`]
+//! generates in time order, so its queue is the Lindley recursion
+//! `start = max(arrival, busy_until)`: one loop per server, no event
+//! stored. The latency [`Histogram`] and the completion and busy-time
+//! maxima do not depend on the order the servers run in, so the result
+//! is a pure function of the config.
 
 use crate::{phase_ps, Fabric, WorkloadResult};
 use polaris_arch::kernels::GUPS;
 use polaris_arch::node::NodeModel;
 use polaris_obs::metrics::Histogram;
 use polaris_simnet::rng::SplitMix64;
-use polaris_simnet::shard::{Partition, ShardCtx, ShardSim, ShardWorld};
-use polaris_simnet::time::{SimDuration, SimTime, PS_PER_SEC};
+use polaris_simnet::time::{SimDuration, PS_PER_SEC};
 
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServingConfig {
@@ -55,117 +55,45 @@ impl Default for ServingConfig {
     }
 }
 
-#[derive(Clone, Copy)]
-enum SEv {
-    /// One request reaches `server`'s queue.
-    Request { server: u32 },
-}
-
-#[derive(Clone)]
-struct ServeWorld {
-    base: u32,
-    /// Per local server: queue free time (ps), busy-time sum (ps).
-    busy_until: Vec<u64>,
-    busy_sum: Vec<u64>,
-    /// Per local server: service + fabric round-trip cost (ps).
-    service_ps: Vec<u64>,
-    net_ps: Vec<u64>,
-    /// Request latencies (queueing + service + network), ps.
-    latencies: Vec<u64>,
-    last_finish: u64,
-}
-
-impl ShardWorld for ServeWorld {
-    type Event = SEv;
-
-    fn handle(&mut self, ctx: &mut ShardCtx<'_, SEv>, event: SEv) {
-        let SEv::Request { server } = event;
-        let now = ctx.now().0;
-        let l = (server - self.base) as usize;
-        let start = now.max(self.busy_until[l]);
-        let finish = start + self.service_ps[l];
-        self.busy_until[l] = finish;
-        self.busy_sum[l] += self.service_ps[l];
-        self.latencies.push(finish - now + self.net_ps[l]);
-        self.last_finish = self.last_finish.max(finish + self.net_ps[l]);
-    }
-}
-
-/// Run the serving tier: `p` replicas of `node` over `fabric`, sharded
-/// across `jobs` engine shards. Bit-identical at any `jobs` value.
-pub fn run(cfg: &ServingConfig, node: &NodeModel, fabric: &Fabric, p: u32, jobs: u32) -> WorkloadResult {
+/// Run the serving tier: `p` replicas of `node` over `fabric`. The tier
+/// has no engine to shard, so `jobs` (taken for the same call shape as
+/// [`crate::run_compiled`]) cannot change the result.
+pub fn run(cfg: &ServingConfig, node: &NodeModel, fabric: &Fabric, p: u32, _jobs: u32) -> WorkloadResult {
     assert!(p > 0, "at least one replica");
     let link = fabric.link();
     let service = phase_ps(node, &GUPS, cfg.flops_per_req);
-    let part = Partition::block(p, jobs.max(1));
-    let worlds: Vec<ServeWorld> = (0..part.nshards)
-        .map(|sh| {
-            let ranks = part.ranks_of(sh);
-            let base = ranks.start;
-            let (mut service_ps, mut net_ps) = (Vec::new(), Vec::new());
-            for s in ranks {
-                // Round trip from a client half the machine away.
-                let far = (s + p / 2) % p;
-                let net = if far == s {
-                    link.message_time(cfg.req_bytes, 1).0 + link.message_time(cfg.resp_bytes, 1).0
-                } else {
-                    let c = fabric.path_cost(s, far);
-                    link.message_time(cfg.req_bytes, c.hops).0
-                        + link.message_time(cfg.resp_bytes, c.hops).0
-                        + 2 * c.extra_ps
-                };
-                service_ps.push(service);
-                net_ps.push(net);
-            }
-            let n = service_ps.len();
-            ServeWorld {
-                base,
-                busy_until: vec![0; n],
-                busy_sum: vec![0; n],
-                service_ps,
-                net_ps,
-                latencies: Vec::new(),
-                last_finish: 0,
-            }
-        })
-        .collect();
-
-    let mut sim = ShardSim::uniform(worlds, SimDuration::from_us(1));
-    for s in 0..p {
-        // Per-server Poisson stream; the stream is a pure function of
-        // (seed, server), independent of sharding.
-        let mut rng = SplitMix64::new(cfg.seed ^ ((s as u64) << 20) ^ 0x5E12_71E2);
-        let mut t_ps = 0u64;
-        for seq in 0..cfg.requests_per_server {
-            let gap_s = rng.exp(cfg.rate_hz);
-            t_ps += (gap_s * PS_PER_SEC as f64).ceil().max(1.0) as u64;
-            sim.schedule(
-                part.shard_of(s),
-                SimTime(t_ps),
-                ((s as u64) << 32) | seq as u64,
-                SEv::Request { server: s },
-            );
-        }
-    }
-    sim.run(jobs > 1, None);
-
     let hist = Histogram::new();
     let mut completion = 0u64;
-    let mut compute = 0u64;
-    let mut requests = 0u64;
-    for w in sim.worlds() {
-        completion = completion.max(w.last_finish);
-        compute = compute.max(w.busy_sum.iter().copied().max().unwrap_or(0));
-        requests += w.latencies.len() as u64;
-        for &l in &w.latencies {
-            hist.record(l);
+    for s in 0..p {
+        // Round trip from a client half the machine away.
+        let far = (s + p / 2) % p;
+        let net = if far == s {
+            link.message_time(cfg.req_bytes, 1).0 + link.message_time(cfg.resp_bytes, 1).0
+        } else {
+            let c = fabric.path_cost(s, far);
+            link.message_time(cfg.req_bytes, c.hops).0
+                + link.message_time(cfg.resp_bytes, c.hops).0
+                + 2 * c.extra_ps
+        };
+        // Per-server Poisson stream, a pure function of (seed, server).
+        let mut rng = SplitMix64::new(cfg.seed ^ ((s as u64) << 20) ^ 0x5E12_71E2);
+        let (mut arrival, mut busy_until) = (0u64, 0u64);
+        for _ in 0..cfg.requests_per_server {
+            let gap_s = rng.exp(cfg.rate_hz);
+            arrival += (gap_s * PS_PER_SEC as f64).ceil().max(1.0) as u64;
+            busy_until = arrival.max(busy_until) + service;
+            hist.record(busy_until - arrival + net);
+            completion = completion.max(busy_until + net);
         }
     }
+
+    let requests = p as u64 * cfg.requests_per_server as u64;
     WorkloadResult {
         completion: SimDuration(completion),
         messages: 2 * requests,
         payload_bytes: requests * (cfg.req_bytes + cfg.resp_bytes),
-        compute: SimDuration(compute),
+        // Every replica serves the same count at the same service time.
+        compute: SimDuration(cfg.requests_per_server as u64 * service),
         useful_flops: cfg.flops_per_req * requests as f64,
         p99: Some(SimDuration(hist.quantile(0.99))),
     }
@@ -204,14 +132,16 @@ mod tests {
     }
 
     #[test]
-    fn shard_count_does_not_change_the_tail() {
-        let fabric = Fabric::dragonfly(Generation::Optical, 32);
-        let cfg = ServingConfig::default();
-        let pc = node(NodeKind::Pc);
-        let base = run(&cfg, &pc, &fabric, 32, 1);
-        for jobs in [2u32, 4] {
-            let r = run(&cfg, &pc, &fabric, 32, jobs);
-            assert_eq!(r, base, "jobs={jobs}");
-        }
+    fn a_saturated_replica_serves_back_to_back() {
+        // Arrivals about 1 ns apart against a service of microseconds:
+        // every request queues behind the one before, so the replica
+        // finishes all its services in a row after its first arrival.
+        let fabric = Fabric::crossbar(Generation::GigabitEthernet, 8);
+        let cfg = ServingConfig { rate_hz: 1e9, ..ServingConfig::default() };
+        let r = run(&cfg, &node(NodeKind::Pc), &fabric, 1, 1);
+        let link = fabric.link();
+        let net = link.message_time(cfg.req_bytes, 1).0 + link.message_time(cfg.resp_bytes, 1).0;
+        let first_arrival = r.completion.0 - r.compute.0 - net;
+        assert!((1..100_000).contains(&first_arrival), "{first_arrival} ps");
     }
 }

@@ -1,7 +1,7 @@
 //! Workload-generator determinism and calibration oracles.
 //!
-//! Two contracts: (1) every workload generator run through the sharded
-//! engine is bit-identical at any shard/job count — the same invariance
+//! Two contracts: (1) every workload is bit-identical at any shard/job
+//! count (the serving tier has no engine, so trivially) — the same invariance
 //! `tests/parallel_determinism.rs` holds for the collectives; (2) the
 //! stencil's comm-to-compute ratio on 2002 commodity hardware lands in
 //! the 5–30% band the 512-CPU astrophysics Beowulf runs reported.
