@@ -221,12 +221,12 @@ impl Controller {
         &self.log
     }
 
-    /// Transitions appended since the last drain (the caller mirrors
-    /// them into occupancy/audit/metrics, then the cursor advances).
-    pub fn drain_transitions(&mut self) -> &[TransitionRecord] {
-        let s = self.drained;
-        self.drained = self.log.len();
-        &self.log[s..]
+    /// The oldest transition not yet taken, advancing the cursor past
+    /// it (the caller mirrors each into occupancy/audit/metrics).
+    pub fn next_transition(&mut self) -> Option<TransitionRecord> {
+        let t = self.log.get(self.drained).copied()?;
+        self.drained += 1;
+        Some(t)
     }
 
     /// Jittered duration: `d ± jitter_pm‰`, deterministic.
@@ -281,7 +281,7 @@ impl Controller {
 
     /// Enter `Breakfix` (evicting the node from service), or `Reclaim`
     /// if the repair budget is spent. At most one repair op results.
-    fn enter_breakfix(&mut self, now: SimTime, node: u32, ops: &mut Vec<StartedOp>) {
+    fn enter_breakfix(&mut self, now: SimTime, node: u32) -> Option<StartedOp> {
         self.nodes[node as usize].in_op = None;
         self.nodes[node as usize].drain_deadline = None;
         self.transition(now, node, NodeState::Breakfix);
@@ -292,11 +292,11 @@ impl Controller {
         };
         if repairs > self.cfg.repair_budget {
             self.transition(now, node, NodeState::Reclaim);
-            return;
+            return None;
         }
         // Later repair rounds back off before the technician re-tries.
         let delay = if repairs > 1 { self.backoff(repairs - 1) } else { SimDuration::ZERO };
-        ops.push(self.start_op(node, OpKind::Breakfix, delay));
+        Some(self.start_op(node, OpKind::Breakfix, delay))
     }
 
     /// Kick off provisioning for the whole fleet (staggered by jitter).
@@ -308,101 +308,94 @@ impl Controller {
 
     /// An operation completed. `verdict` is the node's fused health
     /// verdict at completion time (the `Validate → Healthy` guard).
+    /// Returns the follow-up operation, if one starts.
     pub fn op_done(
         &mut self,
         now: SimTime,
         node: u32,
         epoch: u32,
         verdict: HealthVerdict,
-    ) -> Vec<StartedOp> {
-        let mut ops = Vec::new();
-        let Some(kind) = self.pending_op(node, epoch) else {
-            return ops; // stale epoch: a newer decision superseded this op
-        };
+    ) -> Option<StartedOp> {
+        // A stale epoch: a newer decision superseded this op.
+        let kind = self.pending_op(node, epoch)?;
         self.nodes[node as usize].in_op = None;
         match kind {
             OpKind::Provision => {
                 self.transition(now, node, NodeState::Validate);
                 self.nodes[node as usize].validate_retries = 0;
-                ops.push(self.start_op(node, OpKind::Validate, SimDuration::ZERO));
+                Some(self.start_op(node, OpKind::Validate, SimDuration::ZERO))
             }
             OpKind::Validate => {
                 if verdict == HealthVerdict::Ok {
                     self.transition(now, node, NodeState::Healthy);
                     self.nodes[node as usize].validate_retries = 0;
+                    return None;
+                }
+                let retries = {
+                    let rec = &mut self.nodes[node as usize];
+                    rec.validate_retries += 1;
+                    rec.validate_retries
+                };
+                if retries > self.cfg.max_validate_retries {
+                    self.enter_breakfix(now, node)
                 } else {
-                    let retries = {
-                        let rec = &mut self.nodes[node as usize];
-                        rec.validate_retries += 1;
-                        rec.validate_retries
-                    };
-                    if retries > self.cfg.max_validate_retries {
-                        self.enter_breakfix(now, node, &mut ops);
-                    } else {
-                        let delay = self.backoff(retries);
-                        ops.push(self.start_op(node, OpKind::Validate, delay));
-                    }
+                    let delay = self.backoff(retries);
+                    Some(self.start_op(node, OpKind::Validate, delay))
                 }
             }
             OpKind::Breakfix => {
                 self.transition(now, node, NodeState::Reboot);
-                ops.push(self.start_op(node, OpKind::Reboot, SimDuration::ZERO));
+                Some(self.start_op(node, OpKind::Reboot, SimDuration::ZERO))
             }
             OpKind::Reboot => {
                 self.transition(now, node, NodeState::Validate);
                 self.nodes[node as usize].validate_retries = 0;
-                ops.push(self.start_op(node, OpKind::Validate, SimDuration::ZERO));
+                Some(self.start_op(node, OpKind::Validate, SimDuration::ZERO))
             }
         }
-        ops
     }
 
     /// A node-side operation's deadline passed without completion:
     /// escalate to `Breakfix` (stuck `Reboot` → `Breakfix`, stuck
     /// `Provision` → `Breakfix`).
-    pub fn op_timeout(&mut self, now: SimTime, node: u32, epoch: u32) -> Vec<StartedOp> {
-        let mut ops = Vec::new();
-        let Some(kind) = self.pending_op(node, epoch) else {
-            return ops; // completed (or superseded) before the deadline
-        };
+    pub fn op_timeout(&mut self, now: SimTime, node: u32, epoch: u32) -> Option<StartedOp> {
+        // Completed (or superseded) before the deadline.
+        let kind = self.pending_op(node, epoch)?;
         if kind.node_side() {
-            self.enter_breakfix(now, node, &mut ops);
+            self.enter_breakfix(now, node)
+        } else {
+            None
         }
-        ops
     }
 
     /// Reconcile one node against its observed health verdict. Only
     /// meaningful for nodes at rest (`Healthy`/`Degraded`); nodes with
     /// an operation in flight are left to the operation's own guard.
-    pub fn observe(&mut self, now: SimTime, node: u32, verdict: HealthVerdict) -> Vec<StartedOp> {
-        let mut ops = Vec::new();
+    pub fn observe(&mut self, now: SimTime, node: u32, verdict: HealthVerdict) -> Option<StartedOp> {
         let rec = &self.nodes[node as usize];
         if rec.in_op.is_some() {
-            return ops;
+            return None;
         }
         match (rec.state, verdict) {
-            (NodeState::Healthy, HealthVerdict::Failed) => {
-                self.enter_breakfix(now, node, &mut ops);
-            }
+            (NodeState::Healthy, HealthVerdict::Failed) => self.enter_breakfix(now, node),
             (NodeState::Healthy, HealthVerdict::Suspect) => {
                 self.transition(now, node, NodeState::Degraded);
                 self.nodes[node as usize].drain_deadline = Some(now + self.cfg.drain_timeout);
+                None
             }
             (NodeState::Degraded, HealthVerdict::Ok) => {
                 self.transition(now, node, NodeState::Healthy);
                 self.nodes[node as usize].drain_deadline = None;
+                None
             }
-            (NodeState::Degraded, HealthVerdict::Failed) => {
-                self.enter_breakfix(now, node, &mut ops);
-            }
+            (NodeState::Degraded, HealthVerdict::Failed) => self.enter_breakfix(now, node),
             (NodeState::Degraded, HealthVerdict::Suspect)
                 // Still suspect at the drain deadline: force repair.
                 if self.nodes[node as usize].drain_deadline.is_some_and(|d| now >= d) => {
-                    self.enter_breakfix(now, node, &mut ops);
+                    self.enter_breakfix(now, node)
                 }
-            _ => {}
+            _ => None,
         }
-        ops
     }
 }
 
@@ -504,10 +497,10 @@ mod tests {
         // Completion consumes the epoch; a duplicate is a no-op.
         let next = c.op_done(secs(60), 0, first.epoch, HealthVerdict::Ok);
         assert_eq!(c.state(0), NodeState::Validate);
-        assert!(c.op_done(secs(61), 0, first.epoch, HealthVerdict::Ok).is_empty());
+        assert!(c.op_done(secs(61), 0, first.epoch, HealthVerdict::Ok).is_none());
         assert_eq!(c.state(0), NodeState::Validate);
         // A timeout for the already-completed provision is also fenced.
-        assert!(c.op_timeout(secs(200), 0, first.epoch).is_empty());
+        assert!(c.op_timeout(secs(200), 0, first.epoch).is_none());
         assert_eq!(c.state(0), NodeState::Validate);
         let _ = next;
     }

@@ -32,12 +32,13 @@
 //! stays so, and the run is pure queueing under the admission policy.
 
 use super::controller::{Controller, ControllerConfig, StartedOp};
-use super::health::{HealthAggregator, HealthConfig};
+use super::health::{HealthAggregator, HealthConfig, HealthVerdict};
 use super::state::NodeState;
 use crate::job::{Job, JobOutcome};
 use crate::sched::{plan_admissions, Policy, QueuedReq, RunningRes};
 use polaris_obs::{Counter, Obs};
 use polaris_simnet::engine::{self, Scheduler, World};
+use polaris_simnet::event::QueueStats;
 use polaris_simnet::fault::{FaultKind, FaultPlan, FaultScope};
 use polaris_simnet::rng::SplitMix64;
 use polaris_simnet::time::{SimDuration, SimTime, PS_PER_SEC};
@@ -170,6 +171,43 @@ impl Default for FleetConfig {
     }
 }
 
+impl FleetConfig {
+    /// Refuse a configuration [`run_fleet`] could not finish: a zero
+    /// period re-arms its event at the same instant forever, so the
+    /// clock never reaches the horizon.
+    pub fn validate(&self) -> Result<(), FleetConfigError> {
+        for (field, period) in [
+            ("reconcile_period", self.reconcile_period),
+            ("health.heartbeat_period", self.health.heartbeat_period),
+        ] {
+            if period == SimDuration::ZERO {
+                return Err(FleetConfigError::ZeroPeriod { field });
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Why [`FleetConfig::validate`] refused a configuration.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FleetConfigError {
+    /// The named period is zero.
+    ZeroPeriod { field: &'static str },
+}
+
+impl std::fmt::Display for FleetConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            FleetConfigError::ZeroPeriod { field } => write!(
+                f,
+                "FleetConfig::{field} is zero: its event would re-arm at the same instant forever"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for FleetConfigError {}
+
 /// One entry of the fleet's audit log: the exact stream the sentinel
 /// lifecycle-conservation ledger replays.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -209,6 +247,8 @@ pub struct FleetReport {
     /// Node-seconds burned on lost progress and restart overhead.
     pub lost_node_s: f64,
     pub end_ps: u64,
+    /// Where the engine queue's pushes went, and its rebuilds.
+    pub queue: QueueStats,
     /// Present when `record_audit` was set.
     pub audit: Vec<AuditEvent>,
 }
@@ -325,18 +365,26 @@ pub struct FleetSim {
     controller: Controller,
     health: HealthAggregator,
     disturbed: BTreeMap<u32, Disturbance>,
+    /// Per node: does `disturbed` hold it? Only those nodes stream
+    /// heartbeats, so only they are known to `health`; the hot path asks
+    /// here before probing either map.
+    victim: Vec<bool>,
     /// RNG for heartbeat-loss draws (one stream, event-order stable).
     hb_rng: SplitMix64,
     /// Heartbeat stream live per node (only ever set for victims).
     hb_live: Vec<bool>,
     jobs: Vec<JobRec>,
-    /// Queued jobs in order, each beside the request the planner sees,
-    /// computed when it is enqueued or requeued (its only inputs,
-    /// `durable` and `restart_cost`, change only at eviction).
-    queue: VecDeque<(u32, QueuedReq)>,
-    /// Jobs currently holding nodes, each beside its reservation,
-    /// computed at start.
-    running: Vec<(u32, RunningRes)>,
+    /// Queued jobs in order, and at the same index of `queued_reqs` the
+    /// request the planner sees, computed when the job is enqueued or
+    /// requeued (its only inputs, `durable` and `restart_cost`, change
+    /// only at eviction). Kept apart so the planner reads the requests
+    /// in place.
+    queued_jobs: VecDeque<u32>,
+    queued_reqs: VecDeque<QueuedReq>,
+    /// Jobs holding nodes in start order, and at the same index of
+    /// `running_res` the reservation computed at start.
+    running_jobs: Vec<u32>,
+    running_res: Vec<RunningRes>,
     /// Free-list of schedulable nodes, with lazy deletion.
     free: Vec<u32>,
     in_free: Vec<bool>,
@@ -373,15 +421,30 @@ fn queued_req(rec: &JobRec) -> QueuedReq {
 
 impl FleetSim {
     fn crashed(&self, node: u32, now: SimTime) -> bool {
-        self.disturbed
-            .get(&node)
-            .and_then(|d| d.crash_at)
-            .is_some_and(|at| at <= now.as_ps())
+        self.victim[node as usize]
+            && self
+                .disturbed
+                .get(&node)
+                .and_then(|d| d.crash_at)
+                .is_some_and(|at| at <= now.as_ps())
+    }
+
+    /// `health`'s verdict, which is `Ok` for a node it does not know.
+    fn verdict(&self, node: u32, now: SimTime) -> HealthVerdict {
+        if self.victim[node as usize] {
+            self.health.verdict(node, now)
+        } else {
+            HealthVerdict::Ok
+        }
     }
 
     /// Schedule the controller's new operations and absorb its freshly
     /// logged transitions into occupancy, audit, and metrics.
-    fn after_controller(&mut self, sched: &mut Scheduler<FleetEvent>, ops: Vec<StartedOp>) {
+    fn after_controller(
+        &mut self,
+        sched: &mut Scheduler<FleetEvent>,
+        ops: impl IntoIterator<Item = StartedOp>,
+    ) {
         self.process_transitions(sched);
         for op in ops {
             sched.after(op.delay, FleetEvent::OpDone { node: op.node, epoch: op.epoch });
@@ -393,16 +456,17 @@ impl FleetSim {
     }
 
     fn process_transitions(&mut self, sched: &mut Scheduler<FleetEvent>) {
-        let fresh: Vec<_> = self.controller.drain_transitions().to_vec();
-        for t in fresh {
+        while let Some(t) = self.controller.next_transition() {
             self.transitions += 1;
             if let Some(m) = &self.metrics {
                 if let Some(i) = NodeState::EDGES.iter().position(|&e| e == (t.from, t.to)) {
                     m.edges[i].inc();
                 }
             }
-            if let Some(d) = self.disturbed.get_mut(&t.node) {
-                d.last_change_ps = Some(t.at_ps);
+            if self.victim[t.node as usize] {
+                if let Some(d) = self.disturbed.get_mut(&t.node) {
+                    d.last_change_ps = Some(t.at_ps);
+                }
             }
             match (t.from, t.to) {
                 (_, NodeState::Healthy) => {
@@ -472,7 +536,7 @@ impl FleetSim {
     }
 
     fn start_heartbeats(&mut self, sched: &mut Scheduler<FleetEvent>, node: u32) {
-        if !self.disturbed.contains_key(&node) || self.hb_live[node as usize] {
+        if !self.victim[node as usize] || self.hb_live[node as usize] {
             return;
         }
         self.hb_live[node as usize] = true;
@@ -560,16 +624,17 @@ impl FleetSim {
     /// Admission: route the queue through the configured [`Policy`]
     /// via [`plan_admissions`].
     fn dispatch(&mut self, sched: &mut Scheduler<FleetEvent>) {
-        if self.queue.is_empty() || self.avail == 0 {
+        if self.queued_jobs.is_empty() || self.avail == 0 {
             return;
         }
         let now = sched.now();
-        let queued: Vec<QueuedReq> = self.queue.iter().map(|&(_, q)| q).collect();
-        let running: Vec<RunningRes> = self.running.iter().map(|&(_, r)| r).collect();
-        let picks = plan_admissions(self.cfg.policy, now.as_secs(), &queued, &running, self.avail);
-        let admitted: Vec<u32> = picks.iter().map(|&i| self.queue[i].0).collect();
+        let queued = self.queued_reqs.make_contiguous();
+        let picks =
+            plan_admissions(self.cfg.policy, now.as_secs(), queued, &self.running_res, self.avail);
+        let admitted: Vec<u32> = picks.iter().map(|&i| self.queued_jobs[i]).collect();
         for &i in picks.iter().rev() {
-            self.queue.remove(i);
+            self.queued_jobs.remove(i);
+            self.queued_reqs.remove(i);
         }
         for job in admitted {
             self.start_job(sched, now, job);
@@ -606,7 +671,8 @@ impl FleetSim {
             self.wait_ps += w.as_ps() as u128;
             self.waited += 1;
         }
-        self.running.push((job, res));
+        self.running_jobs.push(job);
+        self.running_res.push(res);
         if self.cfg.record_audit {
             self.audit.push(AuditEvent::JobStart { at_ps: now.as_ps(), job, nodes: got.clone() });
         }
@@ -646,7 +712,7 @@ impl FleetSim {
                 self.mark_available(n);
             }
         }
-        self.running.retain(|&(j, _)| j != job);
+        self.stop_running(job);
         self.requeues += 1;
         if let Some(m) = &self.metrics {
             m.requeues.inc();
@@ -654,7 +720,16 @@ impl FleetSim {
         if self.cfg.record_audit {
             self.audit.push(AuditEvent::JobEvict { at_ps, job, node: leaving });
         }
-        self.queue.push_front((job, req));
+        self.queued_jobs.push_front(job);
+        self.queued_reqs.push_front(req);
+    }
+
+    /// Drop `job`'s reservation, keeping the others in start order: the
+    /// planner's walk over estimated ends breaks ties in that order.
+    fn stop_running(&mut self, job: u32) {
+        let i = self.running_jobs.iter().position(|&j| j == job).expect("job was running");
+        self.running_jobs.remove(i);
+        self.running_res.remove(i);
     }
 
     fn job_done(&mut self, sched: &mut Scheduler<FleetEvent>, job: u32, epoch: u32) {
@@ -671,7 +746,7 @@ impl FleetSim {
         rec.durable = rec.total;
         rec.finish = Some(now);
         let nodes = std::mem::take(&mut rec.nodes);
-        self.running.retain(|&(j, _)| j != job);
+        self.stop_running(job);
         self.jobs_completed += 1;
         if let Some(m) = &self.metrics {
             m.jobs_completed.inc();
@@ -703,7 +778,7 @@ impl World for FleetSim {
                 if kind.node_side() && self.crashed(node, sched.now()) {
                     return;
                 }
-                let verdict = self.health.verdict(node, sched.now());
+                let verdict = self.verdict(node, sched.now());
                 let ops = self.controller.op_done(sched.now(), node, epoch, verdict);
                 self.after_controller(sched, ops);
             }
@@ -714,7 +789,8 @@ impl World for FleetSim {
             FleetEvent::Heartbeat { node } => self.heartbeat(sched, node),
             FleetEvent::Reconcile => self.reconcile(sched),
             FleetEvent::Arrival { job } => {
-                self.queue.push_back((job, queued_req(&self.jobs[job as usize])));
+                self.queued_jobs.push_back(job);
+                self.queued_reqs.push_back(queued_req(&self.jobs[job as usize]));
                 self.dispatch(sched);
             }
             FleetEvent::JobDone { job, epoch } => self.job_done(sched, job, epoch),
@@ -765,7 +841,13 @@ fn disturbances(plan: &FaultPlan, fleet_nodes: u32) -> BTreeMap<u32, Disturbance
 /// Run one fleet experiment: a pure function of `(cfg, plan)`. When an
 /// observability plane is supplied, lifecycle counters, the end-of-run
 /// census, and convergence metrics are published into it.
+///
+/// # Panics
+/// If [`FleetConfig::validate`] refuses `cfg`, with its message.
 pub fn run_fleet(cfg: FleetConfig, plan: &FaultPlan, obs: Option<&Obs>) -> FleetReport {
+    if let Err(e) = cfg.validate() {
+        panic!("{e}");
+    }
     run(cfg, plan, obs, generated_jobs(&cfg)).0
 }
 
@@ -849,15 +931,19 @@ fn run(
     for (job, rec) in jobs.iter().enumerate() {
         sched.at(rec.arrival, FleetEvent::Arrival { job: job as u32 });
     }
+    let disturbed = disturbances(plan, cfg.nodes);
     let mut sim = FleetSim {
         controller: Controller::new(cfg.controller, cfg.nodes, cfg.seed),
         health: HealthAggregator::new(cfg.health),
-        disturbed: disturbances(plan, cfg.nodes),
+        victim: (0..cfg.nodes).map(|v| disturbed.contains_key(&v)).collect(),
+        disturbed,
         hb_rng: SplitMix64::new(cfg.seed ^ plan.seed ^ 0x6865_6172_7462_6561), // "heartbea"
         hb_live: vec![false; n],
         jobs,
-        queue: VecDeque::new(),
-        running: Vec::new(),
+        queued_jobs: VecDeque::new(),
+        queued_reqs: VecDeque::new(),
+        running_jobs: Vec::new(),
+        running_res: Vec::new(),
         free: Vec::with_capacity(n),
         in_free: vec![false; n],
         avail: 0,
@@ -937,6 +1023,7 @@ fn run(
         },
         lost_node_s: (sim.consumed_ps - sim.useful_ps) as f64 / PS_PER_SEC as f64,
         end_ps: stats.end_time.as_ps(),
+        queue: stats.queue,
         audit: sim.audit,
     };
     (report, sim.jobs)
@@ -1149,6 +1236,43 @@ mod tests {
             recovered_occupied,
             "scenario must exercise the occupied Degraded→Healthy path: {r:?}"
         );
+    }
+
+    /// F12's shape at 2 000 nodes: the job arrivals over 1200 s are
+    /// pushed first, in job order, then the bootstrap's completions and
+    /// timeouts 48 to 216 s out. With the queue's cursor rebased onto
+    /// the first arrival, 6 935 of 7 796 pushes went to `behind`.
+    #[test]
+    fn the_fleet_preload_stays_out_of_behind() {
+        let cfg = FleetConfig { nodes: 2_000, jobs: 125, ..FleetConfig::default() };
+        let plan = churn_plan(12, cfg.nodes, &ChurnSpec { events: 10, ..ChurnSpec::default() });
+        let r = run_fleet(cfg, &plan, None);
+        assert!(r.queue.behind * 100 <= r.queue.pushes(), "{:?}", r.queue);
+    }
+
+    /// A zero period used to hang `run_fleet`: the event re-armed
+    /// itself at the same instant forever.
+    #[test]
+    #[should_panic(expected = "FleetConfig::reconcile_period is zero")]
+    fn a_zero_reconcile_period_is_refused() {
+        let cfg = FleetConfig { nodes: 8, reconcile_period: SimDuration::ZERO, ..small_cfg() };
+        assert_eq!(
+            cfg.validate(),
+            Err(FleetConfigError::ZeroPeriod { field: "reconcile_period" })
+        );
+        run_fleet(cfg, &FaultPlan::new(0), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "FleetConfig::health.heartbeat_period is zero")]
+    fn a_zero_heartbeat_period_is_refused() {
+        let health = HealthConfig { heartbeat_period: SimDuration::ZERO, ..HealthConfig::default() };
+        let cfg = FleetConfig { nodes: 8, health, ..small_cfg() };
+        assert_eq!(
+            cfg.validate(),
+            Err(FleetConfigError::ZeroPeriod { field: "health.heartbeat_period" })
+        );
+        run_fleet(cfg, &FaultPlan::new(0).crash_node(3, SimTime(600 * PS_PER_SEC)), None);
     }
 
     #[test]

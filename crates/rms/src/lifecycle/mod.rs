@@ -43,6 +43,8 @@ pub mod health;
 pub mod state;
 
 pub use controller::{Controller, ControllerConfig, OpKind, StartedOp, TransitionRecord};
-pub use fleet::{churn_plan, run_fleet, AuditEvent, ChurnSpec, FleetConfig, FleetReport};
+pub use fleet::{
+    churn_plan, run_fleet, AuditEvent, ChurnSpec, FleetConfig, FleetConfigError, FleetReport,
+};
 pub use health::{HealthAggregator, HealthConfig, HealthVerdict};
 pub use state::NodeState;

@@ -44,7 +44,8 @@ macro_rules! check {
 /// carry the event id), so pop order is fully determined and the two
 /// queues must agree event-for-event, not just time-for-time. A keyed
 /// near-future phase follows on fresh queues ([`keyed_spill_phase`]),
-/// drawing after the op stream so pinned seeds replay it unchanged.
+/// then a preload phase ([`preload_phase`]), each drawing after the
+/// phases before it so pinned seeds replay those unchanged.
 pub fn queue_oracle(spec: &WorkloadSpec) -> Vec<Violation> {
     let mut out = Vec::new();
     let inv = "queue-divergence";
@@ -111,6 +112,9 @@ pub fn queue_oracle(spec: &WorkloadSpec) -> Vec<Violation> {
     if out.is_empty() {
         keyed_spill_phase(spec.queue_ops, &mut rng, &mut out);
     }
+    if out.is_empty() {
+        preload_phase(spec.queue_ops, &mut rng, &mut out);
+    }
     out
 }
 
@@ -150,6 +154,46 @@ fn keyed_spill_phase(ops: u32, rng: &mut SplitMix64, out: &mut Vec<Violation>) {
         check!(out, a == b, inv, "keyed drain diverged: calendar {a:?} vs heap {b:?}");
         if b.is_none() || !out.is_empty() {
             return;
+        }
+    }
+}
+
+/// The fleet's pattern on fresh queues: arrivals spread over 1200 s and
+/// timers 48 to 216 s out, pushed in no order before the first pop, then
+/// a drain in which some pops schedule a follow-up. No push made before
+/// the first pop may land behind the cursor, and the two queues must
+/// agree event for event (FIFO ties on both sides).
+fn preload_phase(ops: u32, rng: &mut SplitMix64, out: &mut Vec<Violation>) {
+    const S: u64 = 1_000_000_000_000;
+    let inv = "queue-divergence";
+    let mut cal: EventQueue<u64> = EventQueue::new();
+    let mut heap: HeapQueue<u64> = HeapQueue::new();
+    let mut next_id = 0u64;
+    for _ in 0..ops {
+        let t = if rng.chance(0.25) {
+            rng.next_below(1_200 * S)
+        } else {
+            48 * S + rng.next_below(168 * S)
+        };
+        cal.push(SimTime(t), next_id);
+        heap.push(SimTime(t), next_id);
+        next_id += 1;
+    }
+    let behind = cal.stats().behind;
+    check!(out, behind == 0, inv, "{behind} of {ops} preload pushes landed behind the cursor");
+    loop {
+        let a = cal.pop();
+        let b = heap.pop();
+        check!(out, a == b, inv, "preload drain diverged: calendar {a:?} vs heap {b:?}");
+        let Some((now, _)) = b else { return };
+        if !out.is_empty() {
+            return;
+        }
+        if next_id < 2 * u64::from(ops) && rng.chance(0.5) {
+            let t = SimTime(now.0 + rng.next_below(60 * S));
+            cal.push(t, next_id);
+            heap.push(t, next_id);
+            next_id += 1;
         }
     }
 }

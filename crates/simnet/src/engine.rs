@@ -13,7 +13,7 @@
 //! hot pop-compare-dispatch path walks densely packed keys instead of
 //! dragging whole events through the cache (see `crate::event`).
 
-use crate::event::EventQueue;
+use crate::event::{EventQueue, QueueStats};
 use crate::time::{SimDuration, SimTime};
 
 /// Scheduling interface handed to event handlers.
@@ -92,6 +92,9 @@ pub struct RunStats {
     /// True if the run stopped because the horizon was reached while
     /// events were still pending.
     pub horizon_reached: bool,
+    /// Where the scheduler's pushes went over its life, including those
+    /// made before the run.
+    pub queue: QueueStats,
 }
 
 /// Drive `world` until the queue drains or `horizon` (if given) is passed.
@@ -112,6 +115,7 @@ pub fn run<W: World>(
                     events_dispatched: dispatched,
                     end_time: h,
                     horizon_reached: true,
+                    queue: sched.queue.stats(),
                 };
             }
         }
@@ -130,6 +134,7 @@ pub fn run<W: World>(
         events_dispatched: dispatched,
         end_time: sched.now,
         horizon_reached: false,
+        queue: sched.queue.stats(),
     }
 }
 

@@ -35,6 +35,25 @@
 //! seconds out among nanosecond link events) never triggers a re-fit
 //! and keeps paying O(log n).
 //!
+//! # The cursor and `behind`
+//!
+//! An empty queue rebases its cursor onto its clock, the time of the
+//! last pop, which no push through the engine's `Scheduler` precedes.
+//! So a preload pushed before the first pop, in any order, lands in the
+//! wheel or `far`, never behind the cursor. (Rebasing onto the first
+//! push instead put every earlier push of F12's 100 k-node preload, and
+//! the pushes that followed them, in `behind`: 310 547 of 368 250.)
+//!
+//! `behind` is a binary heap that no re-fit sees, so it holds only what
+//! cannot go anywhere else:
+//! * same-instant follow-ups of the batch being drained;
+//! * pushes made after `advance` skipped past empty buckets to stage
+//!   one ahead of the clock, for times in between (T2's nine runs make
+//!   576 such pushes of 55 737);
+//! * pushes before the clock, which a `Scheduler` never makes.
+//!
+//! [`EventQueue::stats`] counts the pushes each container took.
+//!
 //! # Storage layout
 //!
 //! The wheel, drain batch, and spill heaps hold 24-byte Copy [`Handle`]s
@@ -174,10 +193,10 @@ const CROWDED_BATCH: usize = 4 * TARGET_OCCUPANCY as usize;
 ///   bucket never mixes events from different wheel laps.
 /// * `current` is the bucket being drained, sorted *descending* by
 ///   `(time, seq)` so `pop` is a `Vec::pop` from the tail.
-/// * `behind` holds handles pushed "behind the cursor" (same-instant
-///   follow-ups, past-clamped events) in a small min-heap; `pop` takes
-///   whichever of `current`/`behind` is earlier, so global order is
-///   preserved without an O(batch) merge-insert per follow-up.
+/// * `behind` holds handles pushed "behind the cursor" (see the module
+///   doc) in a small min-heap; `pop` takes whichever of
+///   `current`/`behind` is earlier, so global order is preserved
+///   without an O(batch) merge-insert per follow-up.
 /// * `far` spills handles beyond the wheel horizon; they migrate into
 ///   the wheel as the cursor approaches (checked once per bucket
 ///   advance).
@@ -198,7 +217,8 @@ pub struct EventQueue<E> {
     /// tail.
     current: Vec<Handle>,
     /// Events pushed behind the cursor, merged with `current` at pop
-    /// time. Stays small: it only ever holds same-instant follow-ups
+    /// time. Stays small: it only ever holds same-instant follow-ups,
+    /// pushes between the clock and a cursor that skipped ahead of it,
     /// and past-clamped events that have not fired yet.
     behind: BinaryHeap<Handle>,
     /// Events beyond the wheel horizon, ordered by `(time, seq)`.
@@ -220,8 +240,8 @@ pub struct EventQueue<E> {
     /// their delay past `clock`, halved at each rebuild: what a re-fit
     /// for spilled pushes sizes the wheel to.
     delays: [u64; 65],
-    /// Rebuilds so far (read by the amortisation test).
-    rebuilds: u64,
+    /// Where pushes went, and the rebuilds, over the queue's life.
+    stats: QueueStats,
     /// Population outgrew the wheel; double it at the next `advance`.
     grow_pending: bool,
     /// A crowded mixed-time bucket was drained, or most pushes spill
@@ -268,7 +288,7 @@ impl<E> EventQueue<E> {
             spilled: 0,
             clock: 0,
             delays: [0; 65],
-            rebuilds: 0,
+            stats: QueueStats::default(),
             grow_pending: false,
             refit_pending: false,
             refit_futile: false,
@@ -338,9 +358,11 @@ impl<E> EventQueue<E> {
 
     fn insert(&mut self, h: Handle) {
         if self.len == 0 {
-            // Empty queue: rebase the cursor directly onto the event.
+            // Empty queue: rebase the cursor onto the clock, which no
+            // push through a `Scheduler` precedes. On the first push
+            // instead, every earlier push of a preload would land behind.
             debug_assert!(self.current.is_empty() && self.behind.is_empty());
-            self.epoch = h.time.0 >> self.shift;
+            self.epoch = self.clock >> self.shift;
         }
         let k = h.time.0 >> self.shift;
         if k < self.epoch {
@@ -348,15 +370,18 @@ impl<E> EventQueue<E> {
             // the window being drained. Pops consult this heap alongside
             // the staged batch.
             self.behind.push(h);
+            self.stats.behind += 1;
         } else if k - self.epoch < self.nbuckets() as u64 {
             let idx = (k & self.mask) as usize;
             self.wheel[idx].push(h);
             self.set_occupied(idx);
             self.wheel_len += 1;
             self.landed += 1;
+            self.stats.wheel += 1;
         } else {
             self.far.push(h);
             self.spilled += 1;
+            self.stats.far += 1;
             // Most pushes miss the horizon: neither the grow trigger
             // (`wheel_len`) nor the crowding check sees them, so re-fit
             // here. Waiting for more than `max(nbuckets, len)` spills
@@ -628,7 +653,7 @@ impl<E> EventQueue<E> {
     fn rebuild(&mut self, nbuckets: usize, shift: Option<u32>) {
         debug_assert!(self.current.is_empty());
         let nbuckets = nbuckets.min(MAX_BUCKETS);
-        self.rebuilds += 1;
+        self.stats.rebuilds += 1;
         self.landed = 0;
         self.spilled = 0;
         self.delays.iter_mut().for_each(|n| *n /= 2);
@@ -690,6 +715,9 @@ impl<E> EventQueue<E> {
             *wheel_len += 1;
             false
         });
+        // A preload that spilled whole would otherwise hold its buffer
+        // for the rest of the run.
+        entries.shrink_to_fit();
         self.far = BinaryHeap::from(entries);
     }
 
@@ -704,6 +732,31 @@ impl<E> EventQueue<E> {
     /// Total number of events ever scheduled (for run statistics).
     pub fn scheduled_total(&self) -> u64 {
         self.scheduled_total
+    }
+
+    /// Where this queue's pushes went, and its rebuilds, since it was
+    /// built (a restored queue counts from its restore).
+    pub fn stats(&self) -> QueueStats {
+        self.stats
+    }
+}
+
+/// Where an [`EventQueue`]'s pushes went: the wheel takes a push in
+/// O(1); `far` (past the horizon) and `behind` (behind the cursor) are
+/// binary heaps, O(log n) a push and again a pop.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct QueueStats {
+    pub wheel: u64,
+    pub far: u64,
+    pub behind: u64,
+    /// Wheel rebuilds (grows and re-fits).
+    pub rebuilds: u64,
+}
+
+impl QueueStats {
+    /// Every push, whichever container took it.
+    pub fn pushes(&self) -> u64 {
+        self.wheel + self.far + self.behind
     }
 }
 
@@ -1218,10 +1271,35 @@ mod tests {
         }
         let pushes = POPULATION + TXNS;
         assert!(
-            q.rebuilds <= pushes / POPULATION + 16,
+            q.stats().rebuilds <= pushes / POPULATION + 16,
             "{} rebuilds in {pushes} pushes",
-            q.rebuilds
+            q.stats().rebuilds
         );
+    }
+
+    /// The fleet's preload: job arrivals over 1200 s pushed in job order,
+    /// then bootstrap timers 48 to 216 s out, all before the first pop.
+    /// A cursor rebased onto the first push would sit at some arrival
+    /// and put every earlier push, timers included, in `behind`.
+    #[test]
+    fn an_out_of_order_preload_stays_out_of_behind() {
+        use crate::rng::SplitMix64;
+        const S: u64 = 1_000_000_000_000;
+        let mut q = EventQueue::with_capacity(16_384);
+        let mut heap = reference::HeapQueue::new();
+        let mut rng = SplitMix64::new(33);
+        let arrivals: Vec<u64> = (0..1_000).map(|_| rng.next_below(1_200 * S)).collect();
+        let timers: Vec<u64> = (0..10_000).map(|_| 48 * S + rng.next_below(168 * S)).collect();
+        for (i, t) in arrivals.into_iter().chain(timers).enumerate() {
+            q.push(SimTime(t), i);
+            heap.push(SimTime(t), i);
+        }
+        assert_eq!(q.behind.len(), 0, "{:?}", q.stats());
+        assert_eq!(q.stats().behind, 0);
+        while let Some(expected) = heap.pop() {
+            assert_eq!(q.pop(), Some(expected));
+        }
+        assert_eq!(q.pop(), None);
     }
 
     #[test]

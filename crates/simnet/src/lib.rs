@@ -62,7 +62,7 @@ pub mod prelude {
     pub use crate::network::{Delivery, Network};
     pub use crate::packetnet::{simulate_packets, Completion, Injection};
     pub use crate::rng::SplitMix64;
-    pub use crate::event::{EventQueue, QueueSnapshot};
+    pub use crate::event::{EventQueue, QueueSnapshot, QueueStats};
     pub use crate::shard::{
         Partition, ShardCtx, ShardRunStats, ShardSim, ShardSnapshot, ShardWorld,
     };

@@ -38,16 +38,26 @@ enum Shape {
     /// most land past its ~1 µs horizon, and the wheel must re-fit to
     /// the spill.
     KeyedSpill,
+    /// The fleet's preload: the first [`PRELOAD`] steps only push, job
+    /// arrivals over 1200 s among timers 48 to 216 s out, in no order.
+    /// None of them may land behind the cursor.
+    OutOfOrderPreload,
 }
 
-const SHAPES: [Shape; 6] = [
+const SHAPES: [Shape; 7] = [
     Shape::WideUniform,
     Shape::QuantizedDeltas,
     Shape::FewInstants,
     Shape::PastClamped,
     Shape::MixedMagnitude,
     Shape::KeyedSpill,
+    Shape::OutOfOrderPreload,
 ];
+
+/// Push-only steps that open [`Shape::OutOfOrderPreload`].
+const PRELOAD: u64 = 1000;
+/// One simulated second.
+const S: u64 = 1_000_000_000_000;
 
 /// Ranks drawing keys in [`Shape::KeyedSpill`].
 const RANKS: usize = 256;
@@ -83,6 +93,13 @@ fn gen_time(shape: Shape, rng: &mut SplitMix64, now: u64) -> u64 {
             let deltas = [500_000u64, 2_000_000, 3_000_000, 36_000_000];
             now + deltas[rng.next_below(4) as usize]
         }
+        Shape::OutOfOrderPreload => {
+            if rng.chance(0.25) {
+                now + rng.next_below(1_200 * S)
+            } else {
+                now + 48 * S + rng.next_below(168 * S)
+            }
+        }
     }
 }
 
@@ -102,7 +119,8 @@ fn lockstep(seed: u64, shape: Shape) {
     let mut now = 0u64;
     for step in 0..4000u64 {
         let ctx = || format!("seed={seed} shape={shape:?} step={step}");
-        if rng.next_below(4) < 3 {
+        let preload = matches!(shape, Shape::OutOfOrderPreload) && step < PRELOAD;
+        if rng.next_below(4) < 3 || preload {
             let t = gen_time(shape, &mut rng, now);
             if keyed {
                 let rank = rng.next_below(RANKS as u64);
@@ -123,6 +141,9 @@ fn lockstep(seed: u64, shape: Shape) {
             }
         }
         assert_eq!(cal.len(), heap.len(), "len diverged at {}", ctx());
+        if preload {
+            assert_eq!(cal.stats().behind, 0, "preload landed behind at {}", ctx());
+        }
     }
     // Drain fully; order must match to the last event.
     loop {
