@@ -85,8 +85,6 @@ pub struct MsgConfig {
     pub eager_threshold: usize,
     /// Payload capacity of one eager bounce buffer.
     pub eager_buf_size: usize,
-    /// Bounce buffers pre-posted per peer (the receive window).
-    pub eager_bufs_per_peer: usize,
     /// Send-side bounce pool size (shared across peers).
     pub send_pool_size: usize,
     /// MTU used by the sockets baseline's segmentation.
@@ -101,11 +99,10 @@ pub struct MsgConfig {
     /// reuse so every `alloc` registers fresh memory (ablation A1,
     /// `figures -- ablations`).
     pub reg_cache_capacity: usize,
-    /// Use one shared receive queue per endpoint instead of per-peer
-    /// receive windows: receive memory becomes O(srq_bufs) instead of
-    /// O(peers x eager_bufs_per_peer) — essential at exploding scale.
-    pub use_srq: bool,
-    /// Pooled receive buffers when `use_srq` is set.
+    /// Bounce buffers in the endpoint's one shared receive pool, which
+    /// every peer's queue pair draws from: receive memory is
+    /// O(srq_bufs), whatever the world size. Arrivals that find the
+    /// pool empty park at the NIC until a buffer is reposted.
     pub srq_bufs: usize,
     /// Reliable-delivery layer (sequence numbers, ACKs, retransmission).
     pub reliability: Reliability,
@@ -118,14 +115,12 @@ impl Default for MsgConfig {
             rendezvous_mode: RendezvousMode::Read,
             eager_threshold: 16 * 1024,
             eager_buf_size: 16 * 1024,
-            eager_bufs_per_peer: 16,
             send_pool_size: 64,
             sockets_mtu: 1500,
             syscall_overhead: Duration::ZERO,
             interrupt_overhead: Duration::ZERO,
             reg_cache_capacity: 64,
-            use_srq: false,
-            srq_bufs: 128,
+            srq_bufs: 32,
             reliability: Reliability::default(),
         }
     }
@@ -163,17 +158,14 @@ impl MsgConfig {
                 crate::envelope::HEADER_LEN
             ));
         }
-        if self.eager_bufs_per_peer == 0 {
-            return Err("eager_bufs_per_peer must be nonzero".into());
-        }
         if self.send_pool_size == 0 {
             return Err("send_pool_size must be nonzero".into());
         }
         if self.sockets_mtu == 0 {
             return Err("sockets_mtu must be nonzero".into());
         }
-        if self.use_srq && self.srq_bufs == 0 {
-            return Err("srq_bufs must be nonzero when use_srq is set".into());
+        if self.srq_bufs == 0 {
+            return Err("srq_bufs must be nonzero".into());
         }
         if self.reliability.enabled {
             if self.reliability.max_retries == 0 {
@@ -223,12 +215,6 @@ mod tests {
 
     #[test]
     fn invalid_configs_are_rejected() {
-        let c = MsgConfig {
-            eager_bufs_per_peer: 0,
-            ..MsgConfig::default()
-        };
-        assert!(c.validate().is_err());
-
         let base = MsgConfig::default();
         let c = MsgConfig {
             eager_threshold: base.eager_buf_size + 1,
@@ -243,7 +229,6 @@ mod tests {
         assert!(c.validate().is_err());
 
         let c = MsgConfig {
-            use_srq: true,
             srq_bufs: 0,
             ..MsgConfig::default()
         };

@@ -132,30 +132,6 @@ const K_GATHER: u64 = 5 << 56;
 const KIND_MASK: u64 = 0xff << 56;
 const PAYLOAD_MASK: u64 = !KIND_MASK;
 
-/// Sentinel "peer" marking a receive buffer from the shared pool.
-/// `u32::MAX` cannot collide with a real rank: [`Endpoint::create_world`]
-/// rejects worlds of `u32::MAX` ranks or more, so every valid peer id is
-/// strictly below it. (It used to be `0xff_ffff`, which a legitimate
-/// 16M-rank world would reach and silently misroute to the SRQ path.)
-const SRQ_PEER: u32 = u32::MAX;
-
-/// Receive buffers per peer (or SRQ slots) addressable in a wr_id.
-const RX_IDX_LIMIT: u32 = 1 << 24;
-
-/// Pack an RX completion cookie: kind byte, then the full 32-bit peer id
-/// in bits `[24, 56)`, then a 24-bit buffer index. The peer field spans
-/// all of `u32`, so no rank can alias [`SRQ_PEER`] or bleed into the
-/// kind byte; the index range is asserted at post time.
-fn rx_wr_id(peer: u32, idx: u32) -> u64 {
-    debug_assert!(idx < RX_IDX_LIMIT, "rx buffer index {idx} overflows 24-bit field");
-    K_RX | ((peer as u64) << 24) | idx as u64
-}
-
-fn rx_decode(wr_id: u64) -> (u32, u32) {
-    let p = wr_id & PAYLOAD_MASK;
-    ((p >> 24) as u32, (p & 0xff_ffff) as u32)
-}
-
 /// What an unmatched arrival parks in the match engine.
 enum Parked {
     /// Eager (or reassembled sockets) data copied off the bounce buffer.
@@ -215,13 +191,6 @@ struct RecvReq {
     phase: RecvPhase,
 }
 
-struct PeerState {
-    qp: QueuePair,
-    /// Eager receive bounce buffers, indexed by the slot in the wr_id.
-    /// Empty in SRQ mode (buffers live in the shared pool instead).
-    rx_bufs: Vec<MemoryRegion>,
-}
-
 /// A reliable frame awaiting acknowledgement.
 struct PendingTx {
     /// Full frame bytes (header + payload) for retransmission.
@@ -231,6 +200,12 @@ struct PendingTx {
     /// Current (backed-off) retransmission timeout.
     rto: Duration,
     retries: u32,
+    /// Transmissions of the frame still at the NIC: parked at the peer
+    /// for want of a receive buffer, their send completion not yet
+    /// back. The timer waits for them, so it covers a lost ACK only; a
+    /// dropped or corrupted frame fails its send completion and takes
+    /// the fast path instead.
+    in_flight: u32,
 }
 
 /// Per-peer reliability state: the TX window toward the peer and the RX
@@ -344,10 +319,15 @@ pub struct Endpoint {
     pd: ProtectionDomain,
     cq: CompletionQueue,
     cfg: MsgConfig,
-    peers: Vec<PeerState>,
-    /// Shared receive pool (when `cfg.use_srq`): the queue plus its flat
-    /// buffer table, indexed by the wr_id slot.
-    srq: Option<(SharedReceiveQueue, Vec<MemoryRegion>)>,
+    /// One connected queue pair per peer rank, self included. The NIC
+    /// numbers its QPs densely from zero and the world builder creates
+    /// them in rank order, so `qps[p].num() == QpNum(p)`: a completion's
+    /// `qp` field names the peer it came from.
+    qps: Vec<QueuePair>,
+    /// The shared receive pool every QP draws from, and its bounce
+    /// buffers, indexed by the slot in the rx wr_id.
+    srq: SharedReceiveQueue,
+    rx_bufs: Vec<MemoryRegion>,
     pool: BufferPool,
     /// Recycled wire-frame vectors (reliability frames, parked payloads).
     frames: FramePool,
@@ -394,48 +374,30 @@ pub struct Endpoint {
 impl Endpoint {
     /// Build the full set of endpoints for an `n`-rank job on `fabric`.
     /// This performs the out-of-band bootstrap: one QP per ordered pair,
-    /// all-to-all connected, eager buffers pre-posted.
+    /// all-to-all connected, each endpoint's shared receive pool
+    /// pre-posted. Receive memory per endpoint is `srq_bufs` bounce
+    /// buffers, whatever `n` is.
     pub fn create_world(fabric: &Fabric, n: u32, cfg: MsgConfig) -> MsgResult<Vec<Endpoint>> {
         cfg.validate().map_err(MsgError::BadConfig)?;
-        // Every rank must be encodable in the rx wr_id peer field without
-        // aliasing the SRQ sentinel, and every receive window index must
-        // fit the 24-bit slot field.
-        assert!(n < SRQ_PEER, "world size {n} would alias the SRQ_PEER sentinel");
-        assert!(
-            (cfg.eager_bufs_per_peer as u64) < RX_IDX_LIMIT as u64
-                && (cfg.srq_bufs as u64) < RX_IDX_LIMIT as u64,
-            "receive window exceeds the 24-bit wr_id index field"
-        );
         let mut eps: Vec<Endpoint> = Vec::with_capacity(n as usize);
         for rank in 0..n {
             let nic = fabric.create_nic();
             let pd = nic.alloc_pd();
-            let cq = CompletionQueue::new(
-                (cfg.eager_bufs_per_peer * n as usize + cfg.send_pool_size) * 4 + 1024,
-            );
-            let srq = if cfg.use_srq {
-                let srq = nic.create_srq();
-                let bufs = (0..cfg.srq_bufs)
-                    .map(|_| nic.register(pd, cfg.eager_buf_size + HEADER_LEN))
-                    .collect::<Result<Vec<_>, _>>()?;
-                Some((srq, bufs))
-            } else {
-                None
-            };
-            let mut peers = Vec::with_capacity(n as usize);
-            for _peer in 0..n {
-                let qp = match &srq {
-                    Some((srq, _)) => nic.create_qp_with_srq(pd, &cq, &cq, srq)?,
-                    None => nic.create_qp(pd, &cq, &cq)?,
-                };
-                let rx_bufs = if cfg.use_srq {
-                    Vec::new()
-                } else {
-                    (0..cfg.eager_bufs_per_peer)
-                        .map(|_| nic.register(pd, cfg.eager_buf_size + HEADER_LEN))
-                        .collect::<Result<Vec<_>, _>>()?
-                };
-                peers.push(PeerState { qp, rx_bufs });
+            // Outstanding receive completions are bounded by the pool
+            // (a buffer is reposted only after its CQE is handled), and
+            // send completions by the send slots in flight; the factor
+            // and the constant leave room for slot growth under bursts
+            // and for RDMA completions.
+            let cq = CompletionQueue::new((cfg.srq_bufs + cfg.send_pool_size) * 4 + 1024);
+            let srq = nic.create_srq();
+            let rx_bufs = (0..cfg.srq_bufs)
+                .map(|_| nic.register(pd, cfg.eager_buf_size + HEADER_LEN))
+                .collect::<Result<Vec<_>, _>>()?;
+            let mut qps = Vec::with_capacity(n as usize);
+            for peer in 0..n {
+                let qp = nic.create_qp_with_srq(pd, &cq, &cq, &srq)?;
+                assert_eq!(qp.num(), QpNum(peer), "a fresh NIC numbers its QPs from zero");
+                qps.push(qp);
             }
             let mut tx_slots = Vec::with_capacity(cfg.send_pool_size);
             let mut tx_free = Vec::with_capacity(cfg.send_pool_size);
@@ -451,8 +413,9 @@ impl Endpoint {
                 pd,
                 cq,
                 cfg,
-                peers,
+                qps,
                 srq,
+                rx_bufs,
                 pool,
                 frames: FramePool::new(cfg.send_pool_size.max(64)),
                 cq_scratch: Vec::with_capacity(64),
@@ -484,36 +447,22 @@ impl Endpoint {
         for i in 0..n as usize {
             for j in i..n as usize {
                 if i == j {
-                    let qp = eps[i].peers[i].qp.clone();
+                    let qp = eps[i].qps[i].clone();
                     fabric.connect(&qp, &qp)?;
                 } else {
-                    let a = eps[i].peers[j].qp.clone();
-                    let b = eps[j].peers[i].qp.clone();
+                    let a = eps[i].qps[j].clone();
+                    let b = eps[j].qps[i].clone();
                     fabric.connect(&a, &b)?;
                 }
             }
         }
-        // Pre-post the eager receive windows (per-peer or shared pool).
+        // Pre-post each endpoint's receive pool.
         for ep in &eps {
-            match &ep.srq {
-                Some((srq, bufs)) => {
-                    for (idx, mr) in bufs.iter().enumerate() {
-                        srq.post_recv(RecvWr::new(
-                            rx_wr_id(SRQ_PEER, idx as u32),
-                            SgeList::single(Sge::whole(mr)),
-                        ))?;
-                    }
-                }
-                None => {
-                    for (peer, ps) in ep.peers.iter().enumerate() {
-                        for (idx, mr) in ps.rx_bufs.iter().enumerate() {
-                            ps.qp.post_recv(RecvWr::new(
-                                rx_wr_id(peer as u32, idx as u32),
-                                SgeList::single(Sge::whole(mr)),
-                            ))?;
-                        }
-                    }
-                }
+            for (idx, mr) in ep.rx_bufs.iter().enumerate() {
+                ep.srq.post_recv(RecvWr::new(
+                    K_RX | idx as u64,
+                    SgeList::single(Sge::whole(mr)),
+                ))?;
             }
         }
         Ok(eps)
@@ -627,13 +576,7 @@ impl Endpoint {
     /// looks idle).
     pub fn rel_inflight(&self) -> usize {
         let pending: usize = self.rel.iter().map(|r| r.pending.len()).sum();
-        let parked: usize = self
-            .peers
-            .iter()
-            .map(|p| p.qp.recv_depths().1)
-            .sum::<usize>()
-            + self.srq.as_ref().map_or(0, |(s, _)| s.depths().1);
-        pending + parked
+        pending + self.srq.depths().1
     }
 
     /// Pretend `seq` reliable frames have already been exchanged with
@@ -743,8 +686,8 @@ impl Endpoint {
     /// effect.
     pub fn fail(&mut self) {
         self.down = true;
-        for ps in &self.peers {
-            ps.qp.set_error();
+        for qp in &self.qps {
+            qp.set_error();
         }
     }
 
@@ -753,7 +696,7 @@ impl Endpoint {
         if self.failed_peers.contains(&peer) {
             return false;
         }
-        self.peers[peer as usize].qp.peer_alive().unwrap_or(false)
+        self.qps[peer as usize].peer_alive().unwrap_or(false)
     }
 
     /// Poll every peer's liveness (the messaging-level analogue of a
@@ -765,7 +708,7 @@ impl Endpoint {
             if peer == self.rank || self.failed_peers.contains(&peer) {
                 continue;
             }
-            if self.peers[peer as usize].qp.peer_alive() == Some(false) {
+            if self.qps[peer as usize].peer_alive() == Some(false) {
                 newly.push(peer);
             }
         }
@@ -1068,7 +1011,7 @@ impl Endpoint {
         mr.write_at(HEADER_LEN, buf.as_slice())?;
         self.count_copy(buf.len());
         let wire_len = HEADER_LEN + buf.len();
-        self.peers[dst as usize].qp.post_send(SendWr::Send {
+        self.qps[dst as usize].post_send(SendWr::Send {
             wr_id: K_TX_BOUNCE | slot as u64,
             sges: SgeList::single(Sge {
                 mr: mr.clone(),
@@ -1155,7 +1098,7 @@ impl Endpoint {
                 });
             }
         }
-        self.peers[dst as usize].qp.post_send(SendWr::Send {
+        self.qps[dst as usize].post_send(SendWr::Send {
             wr_id: K_GATHER | req,
             sges,
             imm: None,
@@ -1227,7 +1170,7 @@ impl Endpoint {
         }
         match self.cfg.rendezvous_mode {
             RendezvousMode::Read => {
-                self.peers[src as usize].qp.post_send(SendWr::RdmaRead {
+                self.qps[src as usize].post_send(SendWr::RdmaRead {
                     wr_id: K_RDMA_READ | req,
                     sges: SgeList::single(Sge {
                         mr: rr.buf.region().clone(),
@@ -1311,7 +1254,7 @@ impl Endpoint {
             mr.write_at(HEADER_LEN, &self.kstage)?;
             self.count_copy(len);
             self.stats.sockets_segments += 1;
-            self.peers[dst as usize].qp.post_send(SendWr::Send {
+            self.qps[dst as usize].post_send(SendWr::Send {
                 wr_id: K_TX_BOUNCE | slot as u64,
                 sges: SgeList::single(Sge {
                     mr: mr.clone(),
@@ -1345,8 +1288,7 @@ impl Endpoint {
                 CqeOpcode::RecvRdmaImm => {
                     // A rendezvous write landed; the consumed bounce recv
                     // must be re-posted.
-                    let (peer, idx) = rx_decode(cqe.wr_id);
-                    self.repost_rx(peer, idx);
+                    self.repost_rx(cqe);
                     let handle = cqe.imm.expect("write-imm carries handle");
                     let Some(req) = self.write_pending.remove(&handle) else {
                         return;
@@ -1366,6 +1308,13 @@ impl Endpoint {
                 let slot = (cqe.wr_id & PAYLOAD_MASK) as usize;
                 self.tx_free.push(slot);
                 if let Some((peer, seq)) = self.tx_slot_rel[slot].take() {
+                    if let Some(p) = self.rel[peer as usize].pending.get_mut(&seq) {
+                        p.in_flight -= 1;
+                        // Delivered: from here the timer covers the ACK.
+                        if cqe.status == CqeStatus::Success {
+                            p.deadline = Instant::now() + p.rto;
+                        }
+                    }
                     if cqe.status != CqeStatus::Success && !self.failed_peers.contains(&peer) {
                         // The fabric reported the frame lost (retry
                         // exhaustion / flush): retransmit immediately
@@ -1429,16 +1378,12 @@ impl Endpoint {
     }
 
     fn handle_rx(&mut self, cqe: Cqe) {
-        let (peer, idx) = rx_decode(cqe.wr_id);
-        if cqe.status == CqeStatus::Flushed {
-            // Our own QP died (endpoint failed); nothing to repost.
-            return;
-        }
+        let idx = (cqe.wr_id & PAYLOAD_MASK) as usize;
         if cqe.status != CqeStatus::Success {
             // Corrupted arrival (e.g. ChecksumError): the buffer is
             // untrusted. Drop it; the sender's reliability layer (or its
             // own error completion) repairs the loss.
-            self.repost_rx(peer, idx);
+            self.repost_rx(cqe);
             return;
         }
         if self.cfg.reliability.enabled {
@@ -1447,15 +1392,15 @@ impl Endpoint {
             // vector comes from (and returns to) the frame pool.
             let mut frame = self.frames.acquire(cqe.byte_len.max(HEADER_LEN));
             frame.resize(cqe.byte_len.max(HEADER_LEN), 0);
-            rx_buffer(&self.peers, &self.srq, peer, idx)
+            self.rx_bufs[idx]
                 .read_at(0, &mut frame)
                 .expect("bounce frame");
-            self.repost_rx(peer, idx);
+            self.repost_rx(cqe);
             self.handle_reliable_frame(frame);
             return;
         }
         let mut header = [0u8; HEADER_LEN];
-        rx_buffer(&self.peers, &self.srq, peer, idx)
+        self.rx_bufs[idx]
             .read_at(0, &mut header)
             .expect("bounce header");
         let env = Envelope::decode(&header).expect("valid envelope");
@@ -1463,12 +1408,12 @@ impl Endpoint {
             Envelope::Eager { src, tag, len } => {
                 let len = len as usize;
                 if let Some(req) = self.matcher.arrive(src, tag) {
-                    let (peers, srq) = (&self.peers, &self.srq);
+                    let rx_buf = &self.rx_bufs[idx];
                     let info = RecvInfo { src, tag, len };
                     // Host copy #2: bounce buffer -> user buffer.
                     complete_recv(&mut self.recvs, &mut self.stats, req, info, |buf| {
                         buf.set_len(len);
-                        rx_buffer(peers, srq, peer, idx)
+                        rx_buf
                             .read_at(HEADER_LEN, buf.as_mut_slice())
                             .expect("payload")
                     });
@@ -1476,7 +1421,7 @@ impl Endpoint {
                     self.stats.unexpected_arrivals += 1;
                     let mut data = self.frames.acquire(len);
                     data.resize(len, 0);
-                    rx_buffer(&self.peers, &self.srq, peer, idx)
+                    self.rx_bufs[idx]
                         .read_at(HEADER_LEN, &mut data)
                         .expect("bounce payload");
                     self.count_copy(len);
@@ -1517,7 +1462,7 @@ impl Endpoint {
                 len,
             } => {
                 spin_for(self.cfg.interrupt_overhead);
-                let (peers, srq) = (&self.peers, &self.srq);
+                let rx_buf = &self.rx_bufs[idx];
                 let done = sock_segment(
                     &mut self.sock_assembly,
                     &mut self.frames,
@@ -1525,16 +1470,12 @@ impl Endpoint {
                     total as usize,
                     offset as usize,
                     len as usize,
-                    |dst| {
-                        rx_buffer(peers, srq, peer, idx)
-                            .read_at(HEADER_LEN, dst)
-                            .expect("segment payload")
-                    },
+                    |dst| rx_buf.read_at(HEADER_LEN, dst).expect("segment payload"),
                 );
                 self.sock_arrived(len as usize, done);
             }
         }
-        self.repost_rx(peer, idx);
+        self.repost_rx(cqe);
     }
 
     /// Account one sockets segment and, when it completed its message,
@@ -1582,7 +1523,7 @@ impl Endpoint {
         let SendPhase::AwaitCts { dst } = sr.phase else {
             return;
         };
-        let r = self.peers[dst as usize].qp.post_send(SendWr::RdmaWriteImm {
+        let r = self.qps[dst as usize].post_send(SendWr::RdmaWriteImm {
             wr_id: K_RDMA_WRITE | msg_id,
             sges: SgeList::single(Sge {
                 mr: sr.buf.region().clone(),
@@ -1773,21 +1714,20 @@ impl Endpoint {
         );
     }
 
-    /// Re-arm the bounce receive `(peer, idx)` after its completion was
-    /// consumed. A QP that refuses the receive has left `Rts`: on a
-    /// live endpoint that means the connection to `peer` is gone, so
-    /// the peer is marked failed; on a failed endpoint it is our own
-    /// crash and there is nothing left to arm.
-    fn repost_rx(&mut self, peer: u32, idx: u32) {
-        let wr = RecvWr::new(
-            rx_wr_id(peer, idx),
-            SgeList::single(Sge::whole(rx_buffer(&self.peers, &self.srq, peer, idx))),
-        );
-        let posted = match &self.srq {
-            Some((srq, _)) if peer == SRQ_PEER => srq.post_recv(wr),
-            _ => self.peers[peer as usize].qp.post_recv(wr),
-        };
-        if posted.is_err() && !self.down && peer != SRQ_PEER {
+    /// Return the bounce buffer a receive completion consumed to the
+    /// shared pool, then check the QP it arrived on. The pool accepts
+    /// the buffer whatever state that QP is in, so this is where a
+    /// broken connection shows: a QP that has left `Rts` on a live
+    /// endpoint means the connection to its peer is gone, and the peer
+    /// is marked failed. On a failed endpoint it is our own crash, and
+    /// no peer is to blame.
+    fn repost_rx(&mut self, cqe: Cqe) {
+        let idx = (cqe.wr_id & PAYLOAD_MASK) as usize;
+        let wr = RecvWr::new(cqe.wr_id, SgeList::single(Sge::whole(&self.rx_bufs[idx])));
+        // Only a fabric torn down under us refuses a post.
+        let _ = self.srq.post_recv(wr);
+        let peer = cqe.qp.0;
+        if !self.down && self.qps[peer as usize].state() != QpState::Rts {
             self.mark_peer_failed(peer);
         }
     }
@@ -1835,6 +1775,7 @@ impl Endpoint {
                 deadline: Instant::now() + rto,
                 rto: self.cfg.reliability.rto_initial,
                 retries: 0,
+                in_flight: 1,
             },
         );
         Ok(())
@@ -1847,7 +1788,7 @@ impl Endpoint {
         let mr = self.tx_slots[slot].take().expect("slot acquired");
         mr.write_at(0, frame)?;
         self.tx_slot_rel[slot] = rel.map(|seq| (dst, seq));
-        let r = self.peers[dst as usize].qp.post_send(SendWr::Send {
+        let r = self.qps[dst as usize].post_send(SendWr::Send {
             wr_id: K_TX_BOUNCE | slot as u64,
             sges: SgeList::single(Sge {
                 mr: mr.clone(),
@@ -1904,7 +1845,10 @@ impl Endpoint {
         }
         let r = self.post_frame(peer, &frame, Some(seq));
         match self.rel[peer as usize].pending.get_mut(&seq) {
-            Some(p) => p.frame = frame,
+            Some(p) => {
+                p.frame = frame;
+                p.in_flight += u32::from(r.is_ok());
+            }
             None => self.frames.release(frame),
         }
         r
@@ -1922,7 +1866,7 @@ impl Endpoint {
                 continue;
             }
             for (&seq, p) in &self.rel[peer as usize].pending {
-                if p.deadline > now {
+                if p.deadline > now || p.in_flight > 0 {
                     continue;
                 }
                 if p.retries >= max_retries {
@@ -1942,10 +1886,12 @@ impl Endpoint {
         }
     }
 
-    /// The retry budget toward `peer` is exhausted: drop its window and
-    /// declare it failed.
+    /// The retry budget toward `peer` is exhausted: drop its window,
+    /// returning the frames to the pool, and declare it failed.
     fn rel_fail_peer(&mut self, peer: u32) {
-        self.rel[peer as usize].pending.clear();
+        for (_, p) in std::mem::take(&mut self.rel[peer as usize].pending) {
+            self.frames.release(p.frame);
+        }
         self.mark_peer_failed(peer);
     }
 
@@ -2038,22 +1984,6 @@ impl Endpoint {
     }
 }
 
-/// The eager bounce region behind an rx completion cookie. A free
-/// function over the two fields that hold such regions, so a caller can
-/// borrow one while it updates other parts of the endpoint.
-fn rx_buffer<'a>(
-    peers: &'a [PeerState],
-    srq: &'a Option<(SharedReceiveQueue, Vec<MemoryRegion>)>,
-    peer: u32,
-    idx: u32,
-) -> &'a MemoryRegion {
-    if peer == SRQ_PEER {
-        &srq.as_ref().expect("SRQ slot without SRQ").1[idx as usize]
-    } else {
-        &peers[peer as usize].rx_bufs[idx as usize]
-    }
-}
-
 /// Complete the posted receive `req` with the payload `info` describes:
 /// `copy_in` writes it into the request's buffer (one host copy), unless
 /// the buffer is too small, which completes the request with
@@ -2138,37 +2068,12 @@ fn spin_for(d: Duration) {
 mod tests {
     use super::*;
 
-    /// Regression: peer id `0xff_ffff` used to alias the SRQ sentinel
-    /// (it *was* `SRQ_PEER`), so a 16M-rank world misrouted that rank's
-    /// completions to the shared-pool repost path. The widened encoding
-    /// keeps every real rank distinct from the sentinel.
-    #[test]
-    fn rx_wr_id_roundtrips_all_peer_widths() {
-        for peer in [0u32, 1, 0xff_fffe, 0xff_ffff, 0x100_0000, u32::MAX - 1] {
-            let id = rx_wr_id(peer, 42);
-            assert_eq!(id & KIND_MASK, K_RX, "peer {peer:#x} bled into the kind byte");
-            let (p, idx) = rx_decode(id);
-            assert_eq!((p, idx), (peer, 42), "peer {peer:#x} must roundtrip");
-            assert_ne!(p, SRQ_PEER, "peer {peer:#x} must not alias the SRQ sentinel");
-        }
-        let (p, idx) = rx_decode(rx_wr_id(SRQ_PEER, (1 << 24) - 1));
-        assert_eq!((p, idx), (SRQ_PEER, (1 << 24) - 1));
-    }
-
-    /// The world constructor refuses sizes that would alias the SRQ
-    /// sentinel rather than silently corrupting completion routing.
-    #[test]
-    #[should_panic(expected = "SRQ_PEER")]
-    fn create_world_rejects_sentinel_sized_worlds() {
-        let fabric = polaris_nic::prelude::Fabric::new();
-        let _ = Endpoint::create_world(&fabric, u32::MAX, MsgConfig::default());
-    }
-
     /// Regression (ROADMAP 5(d), the 1-in-10 `ft::tests` flake): a
-    /// receive completion can be reaped after the QP it must be re-armed
-    /// on has left `Rts`. `repost_rx` used to `expect` the post; it must
-    /// fail the peer instead, and do nothing at all when the endpoint
-    /// itself is the one that went down. The number of clean messages
+    /// receive completion can be reaped after the QP it arrived on has
+    /// left `Rts`. `repost_rx` used to `expect` the post; it must fail
+    /// the peer instead, and do nothing at all when the endpoint itself
+    /// is the one that went down. Under the shared pool the repost
+    /// itself succeeds, so the check reads the QP's state. The number of clean messages
     /// before the failure is drawn from a fixed seed.
     #[test]
     fn repost_on_a_dead_qp_fails_the_peer_not_the_process() {
@@ -2199,7 +2104,7 @@ mod tests {
             }
             // Between the CQE and the repost, the connection to rank 1
             // breaks.
-            ep0.peers[1].qp.set_error();
+            ep0.qps[1].set_error();
             ep0.progress();
             assert_eq!(ep0.wait_recv(pending).unwrap_err(), MsgError::PeerFailed(1));
             let buf = ep0.alloc(8).unwrap();
@@ -2208,6 +2113,71 @@ mod tests {
             ep2.send_slice(0, 5, b"fine").unwrap();
             assert_eq!(ep0.recv_vec(MatchSpec::exact(2, 5), 8).unwrap().0, b"fine");
         }
+    }
+
+    /// A burst far beyond the receive pool: 64 ranks each send four
+    /// eager messages to every rank, self included, before anyone
+    /// receives, against a 4-buffer pool. All but four arrivals per
+    /// rank park at the NIC, and the send pools grow. The CQ, sized
+    /// from the pool and the send slots alone, must never latch an
+    /// overflow, and every message must arrive intact.
+    #[test]
+    fn an_all_to_all_burst_against_a_tiny_pool_never_overflows_the_cq() {
+        let (n, m) = (64u32, 4u64);
+        let cfg = MsgConfig {
+            srq_bufs: 4,
+            eager_buf_size: 256,
+            eager_threshold: 256,
+            ..MsgConfig::with_protocol(Protocol::Eager)
+        };
+        let fabric = Fabric::new();
+        let mut eps = Endpoint::create_world(&fabric, n, cfg).unwrap();
+        let word = |src: u32, tag: u64| (src as u64 * 1000 + tag).to_le_bytes();
+        let mut sends = Vec::new();
+        for ep in eps.iter_mut() {
+            for dst in 0..n {
+                for tag in 0..m {
+                    let mut buf = ep.alloc(8).unwrap();
+                    buf.fill_from(&word(ep.rank(), tag));
+                    sends.push((ep.rank(), ep.isend(dst, tag, buf).unwrap()));
+                }
+            }
+        }
+        let mut recvs = Vec::new();
+        for ep in eps.iter_mut() {
+            for src in 0..n {
+                for tag in 0..m {
+                    let buf = ep.alloc(8).unwrap();
+                    let req = ep.irecv(MatchSpec::exact(src, tag), buf).unwrap();
+                    recvs.push((ep.rank(), src, tag, req));
+                }
+            }
+        }
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while !recvs.is_empty() {
+            assert!(Instant::now() < deadline, "{} receives never completed", recvs.len());
+            for ep in eps.iter_mut() {
+                ep.progress();
+                assert!(ep.cq.poll(0).is_ok(), "rank {}: CQ overflowed", ep.rank());
+            }
+            recvs.retain(|&(r, src, tag, req)| {
+                let ep = &mut eps[r as usize];
+                let Some((buf, info)) = ep.test_recv(req).unwrap() else {
+                    return true;
+                };
+                assert_eq!((info.src, info.tag), (src, tag));
+                assert_eq!(buf.as_slice(), word(src, tag));
+                ep.release(buf);
+                false
+            });
+        }
+        for (r, req) in sends {
+            let buf = eps[r as usize].wait_send(req).unwrap();
+            eps[r as usize].release(buf);
+        }
+        // Rank 0 sends into empty pools; every later rank finds them
+        // full and outgrows its send pool.
+        assert!(eps[1..].iter().all(|ep| ep.stats().tx_pool_growth > 0));
     }
 
     /// Regression: wire seqs are 32-bit; crossing `u32::MAX` must keep

@@ -335,7 +335,11 @@ impl Nic {
 
     /// Create a shared receive queue on this NIC.
     pub fn create_srq(&self) -> SharedReceiveQueue {
-        SharedReceiveQueue::new(self.fabric.clone())
+        let wqe_posted = self.fabric.upgrade().and_then(|f| f.obs()).map(|fo| {
+            let node = self.inner.node.0.to_string();
+            fo.obs.counter("nic_srq_wqe_total", &[("node", &node)])
+        });
+        SharedReceiveQueue::new(self.fabric.clone(), wqe_posted)
     }
 
     fn create_qp_inner(

@@ -104,6 +104,24 @@ impl Inbound {
         };
         deliver(rx, recv, self.body, &from, fabric);
     }
+
+    /// The receiving QP entered `Error` before a receive was posted:
+    /// the message is never delivered, and its sender completes with
+    /// `Flushed`, as a send posted to a dead peer does.
+    pub(crate) fn flush(self, fabric: &FabricInner) {
+        let sender = self.sender.upgrade();
+        let from = Origin {
+            qp: sender.as_deref(),
+            cq: &self.sender_cq,
+            num: self.sender_qp,
+            wr_id: self.sender_wr_id,
+        };
+        let opcode = match self.body {
+            Body::Send { .. } => CqeOpcode::Send,
+            Body::WriteImm { .. } => CqeOpcode::RdmaWrite,
+        };
+        from.complete(fabric, CqeStatus::Flushed, opcode, 0);
+    }
 }
 
 /// The sender's half of a delivery: which work request completes, and
@@ -529,10 +547,15 @@ impl QueuePair {
         }
     }
 
-    /// Force the QP into the error state, flushing posted receives.
+    /// Force the QP into the error state, flushing posted receives. A
+    /// QP on a shared receive queue also flushes the messages parked
+    /// there for it: their senders complete with `Flushed`.
     pub fn set_error(&self) {
         self.inner.set_state(QpState::Error);
         let fabric = self.inner.fabric.upgrade();
+        if let (Some(srq), Some(fabric)) = (&self.inner.srq, fabric.as_deref()) {
+            srq.flush_parked(&self.inner, fabric);
+        }
         let mut rs = self.inner.recv.lock().unwrap();
         for wr in rs.posted.drain(..) {
             self.inner

@@ -8,11 +8,17 @@
 //! instead of O(peers). Inbound messages that find the pool empty park
 //! (in arrival order, preserving per-sender FIFO) until a buffer is
 //! posted — the virtual equivalent of RNR retry.
+//!
+//! Each post is a receive WQE like a per-QP one: it is counted in
+//! `nic_srq_wqe_total{node}`, and the completion it feeds is counted
+//! against the QP the message arrived on, so the fabric-wide books read
+//! `qp WQEs + SRQ WQEs == CQEs + armed receives`.
 
 use crate::error::{NicError, Result};
 use crate::fabric::FabricInner;
-use crate::qp::{deliver, Body, Inbound, Origin, QpInner};
+use crate::qp::{deliver, Body, Inbound, Origin, QpInner, QpState};
 use crate::wr::RecvWr;
+use polaris_obs::Counter;
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, Weak};
 
@@ -26,6 +32,9 @@ pub(crate) struct SrqState {
 pub(crate) struct SrqInner {
     pub(crate) state: Mutex<SrqState>,
     fabric: Weak<FabricInner>,
+    /// `nic_srq_wqe_total{node}`, when the fabric had an attached plane
+    /// at creation.
+    wqe_posted: Option<Counter>,
 }
 
 /// A shared receive queue handle. Attach to QPs at creation via
@@ -36,7 +45,7 @@ pub struct SharedReceiveQueue {
 }
 
 impl SharedReceiveQueue {
-    pub(crate) fn new(fabric: Weak<FabricInner>) -> Self {
+    pub(crate) fn new(fabric: Weak<FabricInner>, wqe_posted: Option<Counter>) -> Self {
         SharedReceiveQueue {
             inner: Arc::new(SrqInner {
                 state: Mutex::new(SrqState {
@@ -44,6 +53,7 @@ impl SharedReceiveQueue {
                     parked: VecDeque::new(),
                 }),
                 fabric,
+                wqe_posted,
             }),
         }
     }
@@ -53,6 +63,9 @@ impl SharedReceiveQueue {
     /// thread, like every transfer in the virtual NIC).
     pub fn post_recv(&self, wr: RecvWr) -> Result<()> {
         let fabric = self.inner.fabric.upgrade().ok_or(NicError::FabricDown)?;
+        if let Some(c) = &self.inner.wqe_posted {
+            c.inc();
+        }
         let mut st = self.inner.state.lock().unwrap();
         // Drain the oldest parked inbound whose QP is still alive.
         while let Some((qp_weak, _)) = st.parked.front() {
@@ -88,11 +101,30 @@ impl SharedReceiveQueue {
         fabric: &FabricInner,
     ) {
         let mut st = self.inner.state.lock().unwrap();
+        if rx.state() == QpState::Error {
+            // `rx` failed after the sender checked it; `set_error` has
+            // flushed (or is about to flush) what was parked for it.
+            drop(st);
+            return Inbound::park(body, sender, wr_id).flush(fabric);
+        }
         match st.posted.pop_front() {
             Some(recv) => deliver(rx, recv, body, &Origin::live(sender, wr_id), fabric),
             None => st
                 .parked
                 .push_back((Arc::downgrade(rx), Inbound::park(body, sender, wr_id))),
+        }
+    }
+
+    /// `rx` entered `Error`: flush every message parked for it.
+    pub(crate) fn flush_parked(&self, rx: &QpInner, fabric: &FabricInner) {
+        let mut st = self.inner.state.lock().unwrap();
+        let (dead, live): (VecDeque<_>, VecDeque<_>) = std::mem::take(&mut st.parked)
+            .into_iter()
+            .partition(|(qp, _)| std::ptr::eq(qp.as_ptr(), rx));
+        st.parked = live;
+        drop(st);
+        for (_, inbound) in dead {
+            inbound.flush(fabric);
         }
     }
 }
@@ -191,6 +223,69 @@ mod tests {
             .post_recv(RecvWr::new(1, vec![Sge::whole(&mr)]))
             .unwrap_err();
         assert!(matches!(err, NicError::UsesSrq(_)));
+    }
+
+    #[test]
+    fn srq_posts_are_counted_as_wqes() {
+        let fabric = Fabric::new();
+        let obs = polaris_obs::Obs::new();
+        fabric.set_obs(obs.clone());
+        let (rx_nic, tx_nic) = (fabric.create_nic(), fabric.create_nic());
+        let (rx_pd, tx_pd) = (rx_nic.alloc_pd(), tx_nic.alloc_pd());
+        let (rx_cq, tx_cq) = (CompletionQueue::new(16), CompletionQueue::new(16));
+        let srq = rx_nic.create_srq();
+        let rx_qp = rx_nic.create_qp_with_srq(rx_pd, &rx_cq, &rx_cq, &srq).unwrap();
+        let tx_qp = tx_nic.create_qp(tx_pd, &tx_cq, &tx_cq).unwrap();
+        fabric.connect(&rx_qp, &tx_qp).unwrap();
+        let bufs: Vec<MemoryRegion> = (0..3).map(|_| rx_nic.register(rx_pd, 8).unwrap()).collect();
+        for (i, mr) in bufs.iter().enumerate() {
+            srq.post_recv(RecvWr::new(i as u64, vec![Sge::whole(mr)])).unwrap();
+        }
+        let src = tx_nic.register_from(tx_pd, b"x").unwrap();
+        tx_qp
+            .post_send(SendWr::Send {
+                wr_id: 7,
+                sges: crate::sge_list![Sge::whole(&src)],
+                imm: None,
+            })
+            .unwrap();
+        let count = |name: &str| -> u64 {
+            obs.registry
+                .counters_snapshot()
+                .into_iter()
+                .filter(|(k, _)| k.starts_with(name))
+                .map(|(_, v)| v)
+                .sum()
+        };
+        let wqe = count("nic_qp_wqe_total") + count("nic_srq_wqe_total");
+        // 3 receive posts and 1 send; a receive and a send completed;
+        // two receives stay armed.
+        assert_eq!(count("nic_srq_wqe_total"), 3);
+        assert_eq!(wqe, count("nic_qp_cqe_total") + 2);
+    }
+
+    #[test]
+    fn a_dead_qp_flushes_what_is_parked_for_it() {
+        let (_f, _rx_nic, rx_qps, senders, srq, _rx_cq) = world();
+        for (i, (nic, qp)) in senders.iter().enumerate() {
+            let src = nic.register_from(qp.pd(), &[i as u8]).unwrap();
+            qp.post_send(SendWr::Send {
+                wr_id: i as u64,
+                sges: crate::sge_list![Sge::whole(&src)],
+                imm: None,
+            })
+            .unwrap();
+        }
+        assert_eq!(srq.depths(), (0, 3));
+        rx_qps[1].set_error();
+        // Sender 1's message is gone from the pool's queue and its send
+        // completes; the other two stay parked, their senders waiting.
+        assert_eq!(srq.depths(), (0, 2));
+        let c = senders[1].1.send_cq().poll_one().unwrap().unwrap();
+        assert_eq!((c.wr_id, c.status), (1, CqeStatus::Flushed));
+        for i in [0, 2] {
+            assert!(senders[i].1.send_cq().poll_one().unwrap().is_none());
+        }
     }
 
     #[test]

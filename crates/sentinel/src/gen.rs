@@ -83,6 +83,12 @@ pub struct WorkloadSpec {
     /// Hops each straggler token travels in those oracles.
     #[serde(default)]
     pub spec_hops: u32,
+    /// Receive buffers in each endpoint's shared pool for the messaging
+    /// audits; small pools make arrivals park at the NIC. 0 (what
+    /// replay artifacts from before the field existed parse as) means
+    /// the `MsgConfig` default.
+    #[serde(default)]
+    pub srq_bufs: u32,
 }
 
 impl WorkloadSpec {
@@ -136,6 +142,13 @@ impl WorkloadSpec {
         // every earlier field (frozen draw-order contract).
         let spec_tokens = 1 + r.next_below(4) as u32;
         let spec_hops = 8 + r.next_below(57) as u32;
+        // The receive-pool draw is appended last, too: half the cases
+        // run a pool of 1..=4 buffers, the rest 5..=64.
+        let srq_bufs = if r.next_below(2) == 0 {
+            1 + r.next_below(4) as u32
+        } else {
+            5 + r.next_below(60) as u32
+        };
         WorkloadSpec {
             seed,
             topo_kind,
@@ -158,6 +171,7 @@ impl WorkloadSpec {
             circuit_capacity,
             spec_tokens,
             spec_hops,
+            srq_bufs,
         }
     }
 

@@ -208,6 +208,10 @@ pub fn endpoint_conservation(spec: &WorkloadSpec) -> Vec<Violation> {
             rto_max: Duration::from_millis(20),
             ..Reliability::on()
         },
+        srq_bufs: match spec.srq_bufs {
+            0 => MsgConfig::default().srq_bufs,
+            b => b as usize,
+        },
         ..MsgConfig::with_protocol(Protocol::Eager)
     };
     let mut eps = match Endpoint::create_world(&fabric, n, cfg) {
@@ -353,6 +357,19 @@ pub fn endpoint_conservation(spec: &WorkloadSpec) -> Vec<Violation> {
         std::thread::sleep(Duration::from_micros(200));
     }
 
+    // No endpoint crashed, so none may have given up on a peer: a live
+    // peer declared failed is a retry budget spent on a slow receiver,
+    // not on a lossy wire.
+    for (r, ep) in eps.iter().enumerate() {
+        let failed: Vec<u32> = (0..n).filter(|&p| !ep.peer_alive(p)).collect();
+        check!(
+            out,
+            failed.is_empty(),
+            "ep-no-false-failure",
+            "rank {r} declared live peers {failed:?} failed"
+        );
+    }
+
     // Invariant 3: frame custody. Every acquired frame is back home.
     for (r, ep) in eps.iter().enumerate() {
         let f = ep.frame_pool_stats();
@@ -387,13 +404,13 @@ pub fn endpoint_conservation(spec: &WorkloadSpec) -> Vec<Violation> {
 
     // Invariant 2: WQE/CQE balance. Each consumed receive is reposted
     // 1:1, so the armed receive population is constant: exactly the
-    // bootstrap posting — one full eager window per QP, and the world
-    // builder creates one QP per (rank, peer) pair *including self*,
-    // n^2 in total. Everything else must have completed.
-    let wqe = sum_counters(&obs, "nic_qp_wqe_total");
+    // bootstrap posting, one full shared pool per endpoint, `n` pools
+    // in total. WQEs are the QPs' sends plus the pools' receive posts.
+    // Everything else must have completed.
+    let wqe = sum_counters(&obs, "nic_qp_wqe_total") + sum_counters(&obs, "nic_srq_wqe_total");
     let qp_cqe = sum_counters(&obs, "nic_qp_cqe_total");
     let fabric_cqe = sum_counters(&obs, "nic_cqe_total");
-    let armed_rx = n as u64 * n as u64 * MsgConfig::default().eager_bufs_per_peer as u64;
+    let armed_rx = n as u64 * cfg.srq_bufs as u64;
     check!(
         out,
         wqe == qp_cqe + armed_rx,

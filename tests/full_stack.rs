@@ -205,9 +205,9 @@ fn unexpected_flood_is_survivable() {
 
 #[test]
 fn srq_world_runs_collectives_and_halo() {
-    // The whole stack in SRQ mode: bounded receive memory, same results.
+    // The whole stack on a receive pool larger than the default: same
+    // results.
     let cfg = MsgConfig {
-        use_srq: true,
         srq_bufs: 48,
         ..MsgConfig::default()
     };

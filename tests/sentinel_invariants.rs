@@ -41,6 +41,7 @@ fn nic_attribution_regression_spec() -> WorkloadSpec {
         circuit_capacity: 2,
         spec_tokens: 1,
         spec_hops: 8,
+        srq_bufs: 0,
     }
 }
 
@@ -48,6 +49,32 @@ fn nic_attribution_regression_spec() -> WorkloadSpec {
 fn nic_sender_cqe_attribution_regression() {
     let v = ledger::endpoint_conservation(&nic_attribution_regression_spec());
     assert!(v.is_empty(), "violations: {v:?}");
+}
+
+/// The parking path: receive pools of one to four buffers, so most
+/// arrivals park at the NIC until a buffer is reposted, on a lossless
+/// and on a lossy wire. The WQE/CQE identity must stay exact with the
+/// armed population at `ranks x srq_bufs`, and no rank may give up on
+/// a live peer (retransmitting frames that were only parked used to
+/// spend the retry budget; smoke case `0x6c45d188009454f` is the
+/// shape).
+#[test]
+fn small_receive_pools_keep_the_ledgers_exact() {
+    for srq_bufs in [1, 2, 4] {
+        for (drop_pm, corrupt_pm) in [(0, 0), (100, 10)] {
+            let spec = WorkloadSpec {
+                ranks: 5,
+                msgs: 40,
+                msg_len: 949,
+                drop_pm,
+                corrupt_pm,
+                srq_bufs,
+                ..nic_attribution_regression_spec()
+            };
+            let v = ledger::endpoint_conservation(&spec);
+            assert!(v.is_empty(), "pool {srq_bufs}, drop {drop_pm}: {v:?}");
+        }
+    }
 }
 
 /// Fuzzer-found regression seeds for the quiescence fixed point: with
@@ -166,6 +193,7 @@ fn lifecycle_occupied_recovery_regression() {
         circuit_capacity: 1,
         spec_tokens: 2,
         spec_hops: 16,
+        srq_bufs: 0,
     };
     let v = ledger::lifecycle_conservation(&spec);
     assert!(v.is_empty(), "violations: {v:?}");
