@@ -20,6 +20,7 @@ pub mod comm;
 pub mod ft;
 pub mod gather;
 pub mod hier;
+mod inbox;
 pub mod op;
 pub mod parsim;
 pub mod reduce;

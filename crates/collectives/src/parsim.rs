@@ -30,12 +30,11 @@
 //! exact picoseconds — the sharded executor's `jobs = 1` run is the
 //! reference for its own parallel runs.
 
+use crate::inbox::Inbox;
 use crate::simx::{schedule, Collective, ExecParams, SchedOp, SimResult};
-use polaris_simnet::fasthash::FastHashMap;
 use polaris_simnet::link::LinkModel;
 use polaris_simnet::shard::{Partition, ShardCtx, ShardRunStats, ShardSim, ShardWorld};
 use polaris_simnet::time::{SimDuration, SimTime};
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// What one message pays for its route across the fabric, beyond the
@@ -96,6 +95,12 @@ struct PRank {
     up_busy: u64,
     /// Downlink free time (ps) — receiver-side occupancy.
     down_busy: u64,
+    /// Messages whose head reached this rank and that it has not yet
+    /// received.
+    inbox: Inbox,
+    /// The sender this rank is blocked receiving from, with no message
+    /// of that sender's in the inbox.
+    waiting_on: Option<u32>,
 }
 
 struct ParWorld {
@@ -107,8 +112,6 @@ struct ParWorld {
     /// Route costs; `None` is the 2-hop crossbar.
     path: Option<PathModel>,
     ranks: Vec<PRank>,
-    mailboxes: Vec<FastHashMap<u32, VecDeque<SimTime>>>,
-    waiting_on: Vec<Option<u32>>,
     messages: u64,
     payload_bytes: u64,
 }
@@ -168,27 +171,20 @@ impl ParWorld {
                 ctx.at(SimTime(t), skey, PEv::Step(r));
             }
             SchedOp::Recv { from } => {
-                let arrival = self.mailboxes[local].get_mut(&from).and_then(|q| {
-                    if q.front().is_some_and(|&a| a <= now) {
-                        q.pop_front()
-                    } else {
-                        None
-                    }
-                });
-                match arrival {
-                    Some(_) => {
-                        self.ranks[local].pc += 1;
+                let st = &mut self.ranks[local];
+                match st.inbox.find(from) {
+                    Some((pos, arrival)) if arrival <= now => {
+                        st.inbox.take(pos);
+                        st.pc += 1;
                         let key = self.next_key(r);
                         ctx.at(now + self.params.overhead, key, PEv::Step(r));
                     }
-                    None => {
-                        if let Some(&a) = self.mailboxes[local].get(&from).and_then(|q| q.front()) {
-                            let key = self.next_key(r);
-                            ctx.at(a.max(now), key, PEv::Step(r));
-                        } else {
-                            self.waiting_on[local] = Some(from);
-                        }
+                    // On the wire: look again when it has arrived.
+                    Some((_, arrival)) => {
+                        let key = self.next_key(r);
+                        ctx.at(arrival, key, PEv::Step(r));
                     }
+                    None => st.waiting_on = Some(from),
                 }
             }
             SchedOp::Compute { bytes } => {
@@ -220,10 +216,11 @@ impl ParWorld {
             .map_or(PathCost::CROSSBAR, |p| p.cost(from, to));
         let arrival =
             SimTime(base.0 + extra1 + cost.extra_ps) + self.link.message_time(bytes, cost.hops);
-        self.mailboxes[local].entry(from).or_default().push_back(arrival);
-        if self.waiting_on[local] == Some(from) {
-            self.waiting_on[local] = None;
-            let wake = self.ranks[local].time.max(arrival);
+        let st = &mut self.ranks[local];
+        st.inbox.push(from, arrival);
+        if st.waiting_on == Some(from) {
+            st.waiting_on = None;
+            let wake = st.time.max(arrival);
             let key = self.next_key(to);
             ctx.at(wake, key, PEv::Step(to));
         }
@@ -315,7 +312,6 @@ pub fn simulate_programs_sharded(
         .map(|sh| {
             let ranks = part.ranks_of(sh);
             let base = ranks.start;
-            let count = ranks.len();
             ParWorld {
                 part,
                 base,
@@ -331,10 +327,10 @@ pub fn simulate_programs_sharded(
                         seq: 0,
                         up_busy: 0,
                         down_busy: 0,
+                        inbox: Inbox::default(),
+                        waiting_on: None,
                     })
                     .collect(),
-                mailboxes: (0..count).map(|_| FastHashMap::default()).collect(),
-                waiting_on: vec![None; count],
                 messages: 0,
                 payload_bytes: 0,
             }
@@ -434,6 +430,60 @@ mod tests {
             assert_eq!(sharded.payload_bytes, serial.payload_bytes, "{coll:?}");
             assert!(sharded.completion > SimDuration::ZERO || bytes == 0);
         }
+    }
+
+    /// The receive-matching programs of the serial executor's tests:
+    /// `(completion ps, events)` of each at one shard.
+    #[test]
+    fn receives_match_the_earliest_message_of_their_sender() {
+        let got = crate::simx::tests::MATCHING.map(|program| {
+            let programs = program.iter().map(|ops| ops.to_vec()).collect();
+            let link = Generation::GigabitEthernet.link_model();
+            let (r, _) = simulate_programs_sharded(programs, ExecParams::default(), link, None, 1);
+            (r.completion.0, r.events)
+        });
+        assert_eq!(got, [(630_016_000, 14), (8_611_620_000, 20)], "{got:?}");
+    }
+
+    /// FNV-1a over the completion ps of every collective at every
+    /// payload of the grid on the gigabit crossbar, one digest per
+    /// collective.
+    fn completion_digest(coll: Collective) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut mix = |x: u64| {
+            for b in x.to_le_bytes() {
+                h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        let link = Generation::GigabitEthernet.link_model();
+        for p in [2u32, 3, 5, 8, 17, 64] {
+            for bytes in [0u64, 8, 1000, (4 << 20) - (12 << 10)] {
+                let r = simulate_collective_sharded(p, coll, bytes, ExecParams::default(), link, 1);
+                mix(r.completion.0);
+            }
+        }
+        h
+    }
+
+    /// Taken from the executor that kept one hashed queue per sender
+    /// and receiver: the picoseconds F13 and F14 plot.
+    #[test]
+    fn completions_match_pinned_digests() {
+        const PINNED: [u64; 11] = [
+            0xd307a9d02babc6d5,
+            0xefbf20dc125191a5,
+            0xfa2d7fc83a498a3b,
+            0x284d39c7d7be7292,
+            0x2de76abe83cc698a,
+            0x2d56354d928a1471,
+            0xfe840ef17dd2618e,
+            0xd97813bb65d0d2f7,
+            0xb8cd848b675f397a,
+            0xd97813bb65d0d2f7,
+            0x28acf6a9b1f80154,
+        ];
+        let got = crate::simx::tests::ALL_COLLECTIVES.map(completion_digest);
+        assert_eq!(got, PINNED, "completion digests moved: {got:#018x?}");
     }
 
     #[test]

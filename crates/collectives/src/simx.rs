@@ -15,16 +15,19 @@
 //!
 //! **Run-ahead.** A rank advances on its own clock for as long as its
 //! next op depends on no other rank: `Compute` and `Work` add their
-//! duration, and a `Recv` whose message is already in the mailbox pops
-//! it, even while it is still on the wire (only this rank pops that
-//! mailbox, so the head is final). A `Recv` whose mailbox is empty
-//! blocks on the sender, whose `Send` runs it on from its clock; only a
-//! `Send` goes back through the queue, because the network must see
-//! transfers in time order. Each clock follows the same rules as
-//! stepping one op per event: a send presents at `t + overhead`, and a
-//! receive ends at `max(t, arrival) + overhead`. So the queue orders
-//! only network presentations, one event per message instead of 3.5
-//! for a ring.
+//! duration, and a `Recv` whose message is already in the rank's inbox
+//! takes it, even while it is still on the wire (only this rank takes
+//! from its inbox, so the sender's earliest entry is final). A `Recv`
+//! with nothing from its sender in the inbox blocks on the sender,
+//! whose `Send` runs it on from its clock; only a `Send` goes back
+//! through the queue, because the network must see transfers in time
+//! order. Each clock follows the same rules as stepping one op per
+//! event: a send presents at `t + overhead`, and a receive ends at
+//! `max(t, arrival) + overhead`. So the queue orders only network
+//! presentations, one event per message instead of 3.5 for a ring.
+//!
+//! Each rank's record holds its inbox (`crate::inbox`, shared with
+//! `parsim`): one queue in send order, not one per sender pair.
 //!
 //! Same-instant events leave the queue in insertion order, and a rank
 //! inserts its next send when its run starts, not one op before the
@@ -37,11 +40,10 @@ use crate::allgather::AllgatherAlgo;
 use crate::allreduce::AllreduceAlgo;
 use crate::barrier::BarrierAlgo;
 use crate::bcast::BcastAlgo;
+use crate::inbox::Inbox;
 use polaris_simnet::engine::{run, Scheduler, World};
-use polaris_simnet::fasthash::FastHashMap;
 use polaris_simnet::network::Network;
 use polaris_simnet::time::{SimDuration, SimTime};
-use std::collections::VecDeque;
 
 /// One step of a rank's schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -446,6 +448,10 @@ struct RankState {
     op: Option<SchedOp>,
     time: SimTime,
     finished: Option<SimTime>,
+    /// Messages sent to this rank and not yet received.
+    inbox: Inbox,
+    /// The sender this rank is blocked receiving from since its `time`.
+    waiting_on: Option<u32>,
 }
 
 impl RankState {
@@ -458,14 +464,6 @@ struct SimExec<'a> {
     net: &'a mut Network,
     params: ExecParams,
     ranks: Vec<RankState>,
-    /// Per-receiver mailboxes: `mailboxes[to]` maps sender -> FIFO of
-    /// message arrival times. Keying the hot map on a single u32 (the
-    /// sender) keeps the hash to one multiply; lookups only, never
-    /// iterated, so determinism is unaffected.
-    mailboxes: Vec<FastHashMap<u32, VecDeque<SimTime>>>,
-    /// `waiting_on[r]` is the sender rank `r` is blocked receiving from
-    /// since its `time` (a rank blocks on at most one peer at a time).
-    waiting_on: Vec<Option<u32>>,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -494,31 +492,27 @@ impl SimExec<'_> {
                 SchedOp::Send { to, bytes } => {
                     t += self.params.overhead;
                     let delivery = self.net.transfer(t, r, to, bytes);
-                    self.mailboxes[to as usize]
-                        .entry(r)
-                        .or_default()
-                        .push_back(delivery.arrival);
+                    let dst = &mut self.ranks[to as usize];
+                    dst.inbox.push(r, delivery.arrival);
                     // Run the receiver on if it is blocked on us; it stops
                     // before its own next send, so this nests once.
-                    if self.waiting_on[to as usize] == Some(r) {
-                        self.waiting_on[to as usize] = None;
-                        let blocked = self.ranks[to as usize].time;
+                    if dst.waiting_on == Some(r) {
+                        dst.waiting_on = None;
+                        let blocked = dst.time;
                         self.run_ahead(sched, to, blocked, false);
                     }
                 }
-                SchedOp::Recv { from } => {
-                    match self.mailboxes[rank]
-                        .get_mut(&from)
-                        .and_then(VecDeque::pop_front)
-                    {
-                        Some(head) => t = t.max(head) + self.params.overhead,
-                        // Not sent yet: the sender's `Send` runs us on.
-                        None => {
-                            self.waiting_on[rank] = Some(from);
-                            return;
-                        }
+                SchedOp::Recv { from } => match st.inbox.find(from) {
+                    Some((pos, arrival)) => {
+                        st.inbox.take(pos);
+                        t = t.max(arrival) + self.params.overhead;
                     }
-                }
+                    // Not sent yet: the sender's `Send` runs us on.
+                    None => {
+                        st.waiting_on = Some(from);
+                        return;
+                    }
+                },
                 SchedOp::Compute { bytes } => {
                     t += SimDuration::from_secs_f64(bytes as f64 / self.params.compute_bps as f64);
                 }
@@ -564,32 +558,9 @@ pub fn simulate_collective(
     let p = net.topology().hosts();
     let before_transfers = net.transfers();
     let before_bytes = net.payload_bytes();
-    let ranks = (0..p)
-        .map(|r| {
-            let mut stream = ops(coll, r, p, bytes);
-            RankState {
-                op: stream.next(),
-                stream,
-                time: SimTime::ZERO,
-                finished: None,
-            }
-        })
-        .collect();
-    let mut world = SimExec {
-        net,
-        params,
-        ranks,
-        mailboxes: (0..p).map(|_| FastHashMap::default()).collect(),
-        waiting_on: vec![None; p as usize],
-    };
-    // Live population peaks around one in-flight event per rank.
-    let mut sched = Scheduler::with_capacity(p as usize);
-    for r in 0..p {
-        sched.at(SimTime::ZERO, Ev::Step(r));
-    }
-    let events = run(&mut world, &mut sched, None).events_dispatched;
+    let (ranks, events) = execute(net, (0..p).map(|r| ops(coll, r, p, bytes)), params);
     let mut completion = SimTime::ZERO;
-    for (r, st) in world.ranks.iter().enumerate() {
+    for (r, st) in ranks.iter().enumerate() {
         // A stuck rank stands on the op before the stream's position.
         let done = st.finished.unwrap_or_else(|| {
             panic!("rank {r} deadlocked at op {} of {coll:?}", st.stream.pos - 1)
@@ -598,14 +569,42 @@ pub fn simulate_collective(
     }
     SimResult {
         completion: completion.since(SimTime::ZERO),
-        payload_bytes: world.net.payload_bytes() - before_bytes,
-        messages: world.net.transfers() - before_transfers,
+        payload_bytes: net.payload_bytes() - before_bytes,
+        messages: net.transfers() - before_transfers,
         events,
     }
 }
 
+/// Run one op stream per rank over `net` until the queue drains;
+/// returns the ranks' final states and the events dispatched.
+fn execute(
+    net: &mut Network,
+    streams: impl Iterator<Item = OpStream>,
+    params: ExecParams,
+) -> (Vec<RankState>, u64) {
+    let ranks: Vec<RankState> = streams
+        .map(|mut stream| RankState {
+            op: stream.next(),
+            stream,
+            time: SimTime::ZERO,
+            finished: None,
+            inbox: Inbox::default(),
+            waiting_on: None,
+        })
+        .collect();
+    let p = ranks.len();
+    let mut world = SimExec { net, params, ranks };
+    // Live population peaks around one in-flight event per rank.
+    let mut sched = Scheduler::with_capacity(p);
+    for r in 0..p as u32 {
+        sched.at(SimTime::ZERO, Ev::Step(r));
+    }
+    let events = run(&mut world, &mut sched, None).events_dispatched;
+    (world.ranks, events)
+}
+
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::allreduce::allreduce_with;
     use crate::barrier::barrier_with;
@@ -702,7 +701,7 @@ mod tests {
         }
     }
 
-    const ALL_COLLECTIVES: [Collective; 11] = [
+    pub(crate) const ALL_COLLECTIVES: [Collective; 11] = [
         Collective::Barrier(BarrierAlgo::Dissemination),
         Collective::Barrier(BarrierAlgo::Tree),
         Collective::Bcast(BcastAlgo::Binomial),
@@ -832,6 +831,63 @@ mod tests {
         ];
         let got = ALL_COLLECTIVES.map(completion_digest);
         assert_eq!(got, PINNED, "completion digests moved: {got:#018x?}");
+    }
+
+    /// Hand-built programs for the receive-matching rule: a `Recv` from
+    /// `s` takes the earliest-sent message of `s` that the rank has not
+    /// yet received, whatever other senders' messages sit before it.
+    pub(crate) const MATCHING: [&[&[SchedOp]]; 2] = [
+        // Rank 0 receives from 3, 2, 1 while they all send at once.
+        &[
+            &[SchedOp::Recv { from: 3 }, SchedOp::Recv { from: 2 }, SchedOp::Recv { from: 1 }],
+            &[SchedOp::Send { to: 0, bytes: 64 << 10 }],
+            &[SchedOp::Send { to: 0, bytes: 8 << 10 }],
+            &[SchedOp::Send { to: 0, bytes: 1 << 10 }],
+        ],
+        // Rank 1 sends a large then a small message to rank 0, rank 2's
+        // lands between them, and rank 0 first waits on rank 3.
+        &[
+            &[
+                SchedOp::Recv { from: 3 },
+                SchedOp::Recv { from: 1 },
+                SchedOp::Recv { from: 2 },
+                SchedOp::Recv { from: 1 },
+            ],
+            &[
+                SchedOp::Send { to: 0, bytes: 1 << 20 },
+                SchedOp::Work { ps: 2_000_000 },
+                SchedOp::Send { to: 0, bytes: 8 },
+            ],
+            &[SchedOp::Work { ps: 1_000_000 }, SchedOp::Send { to: 0, bytes: 100 }],
+            &[SchedOp::Work { ps: 50_000_000 }, SchedOp::Send { to: 0, bytes: 0 }],
+        ],
+    ];
+
+    /// Each rank's finish time, in ps, under the serial executor.
+    fn matching_finishes(program: &[&[SchedOp]]) -> Vec<u64> {
+        let p = program.len() as u32;
+        let streams = program.iter().enumerate().map(|(r, ops)| OpStream {
+            kind: Kind::Listed(ops.to_vec()),
+            rank: r as u32,
+            p,
+            pos: 0,
+            len: ops.len(),
+        });
+        let (ranks, _) = execute(&mut net(p), streams, ExecParams::default());
+        ranks.iter().map(|st| st.finished.expect("rank finished").0).collect()
+    }
+
+    #[test]
+    fn receives_match_the_earliest_message_of_their_sender() {
+        let got = MATCHING.map(matching_finishes);
+        assert_eq!(
+            got,
+            [
+                vec![78_262_000, 500_000, 500_000, 500_000],
+                vec![1_067_034_000, 3_000_000, 1_500_000, 50_500_000],
+            ],
+            "{got:?}"
+        );
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! does not need: keys here are small integers (ranks, vertex ids) under
 //! our own control, and the multiply-xor scheme below (the same family
 //! as rustc's FxHash) is several times faster on the hot lookup paths
-//! (topology link index, per-pair mailboxes).
+//! (the topology's link index, the serving cache, the NIC's
+//! memory-region table).
 //!
 //! Determinism note: swapping the hasher never changes simulation
 //! results — these maps are only ever used for keyed lookups, not

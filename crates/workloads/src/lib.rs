@@ -237,6 +237,48 @@ mod tests {
         assert!(phase_ps(&pim, &GUPS, 1e6) < phase_ps(&pc, &GUPS, 1e6));
     }
 
+    /// FNV-1a over `(completion ps, messages, payload_bytes)` of one
+    /// compiled workload on the four standard fabrics at 16 and 64
+    /// ranks: the picoseconds F14 plots.
+    fn completion_digest(kind: WorkloadKind) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut mix = |x: u64| {
+            for b in x.to_le_bytes() {
+                h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        let n = node(NodeKind::Pc, 2002);
+        for p in [16u32, 64] {
+            for fabric in Fabric::standard(p) {
+                let r = run_workload(kind, &n, &fabric, p, 1);
+                mix(r.completion.0);
+                mix(r.messages);
+                mix(r.payload_bytes);
+            }
+        }
+        h
+    }
+
+    /// Taken from the executor that kept one hashed queue per sender
+    /// and receiver.
+    #[test]
+    fn compiled_workloads_match_pinned_digests() {
+        const KINDS: [WorkloadKind; 4] = [
+            WorkloadKind::Stencil,
+            WorkloadKind::Training,
+            WorkloadKind::ParamServer,
+            WorkloadKind::Shuffle,
+        ];
+        const PINNED: [u64; 4] = [
+            0x8be02513cfd58ecb,
+            0xb2efc5fd8f6841cb,
+            0x3742efec92f79899,
+            0xe6534eebec3348a1,
+        ];
+        let got = KINDS.map(completion_digest);
+        assert_eq!(got, PINNED, "workload digests moved: {got:#018x?}");
+    }
+
     #[test]
     fn every_workload_runs_and_accounts() {
         let n = node(NodeKind::Pc, 2002);

@@ -14,7 +14,9 @@
 //! generous: the 1M-host machine has 65,536 routers, so an O(hosts)
 //! slip costs ~1M allocator-visible bytes in one growth sequence and an
 //! O(hosts^2) table is astronomically over the cap — while the intended
-//! O(1)/O(routers) representation stays in single digits.
+//! O(1)/O(routers) representation stays in single digits. The schedule
+//! executors are held the same way: O(1) schedule state and one inbox
+//! per rank, never one per rank pair.
 
 use polaris_collectives::prelude::*;
 use polaris_simnet::link::Generation;
@@ -152,11 +154,12 @@ fn route_plan_hot_path_is_allocation_free() {
 /// Schedules stream: simulating the F3 ring allreduce on 1024 hosts
 /// keeps O(1) schedule state per rank. Materialized per-rank op vectors
 /// were 1024 ranks x 5115 ops x 16 B = 84 MB (134 MB held, with `Vec`
-/// doubling) on top of everything else. Everything else is 25.5 MB,
-/// nearly all of it the calendar queue's buckets: a symmetric
-/// collective sooner or later lands a same-instant burst of one event
-/// per rank in every bucket, and a drained bucket keeps its capacity
-/// (1024 handles x 24 B x ~1k buckets). The cap sits between the two.
+/// doubling) on top of everything else. Everything else is about
+/// 0.3 MiB: the ranks' states and inboxes, the network's link state and
+/// the calendar queue, which takes a crowded bucket's buffer along with
+/// its batch instead of leaving a burst-sized buffer in every bucket the
+/// burst passed (that was 25.5 MB here). The cap leaves room for a few
+/// O(hosts) tables, not for the schedules or per-bucket bursts.
 #[test]
 fn ring_allreduce_schedules_are_never_materialized() {
     let mut net = Network::new(
@@ -173,7 +176,7 @@ fn ring_allreduce_schedules_are_never_materialized() {
     });
     assert_eq!(r.messages, 1024 * 2 * 1023);
     assert!(
-        held < 32 << 20,
+        held < 4 << 20,
         "simulate_collective held {held} bytes at once for a 1024-rank ring allreduce"
     );
 }
@@ -196,5 +199,26 @@ fn ring_allreduce_dispatches_about_one_event_per_message() {
         "{} events for {} messages",
         r.events,
         r.messages
+    );
+}
+
+/// Each rank keeps one inbox of the messages it has not yet received,
+/// in send order, so the bytes held follow the messages in flight, not
+/// the sender pairs that ever spoke. A 512-rank pairwise alltoall makes
+/// every rank hear from every other; one queue per receiver and sender
+/// held 28.6 MiB at once.
+#[test]
+fn pairwise_alltoall_keeps_no_queue_per_pair() {
+    let mut net = Network::new(
+        Topology::new(TopologyKind::Crossbar { hosts: 512 }),
+        Generation::InfiniBand4x.link_model(),
+    );
+    let (r, held) = peak_live_bytes(|| {
+        simulate_collective(&mut net, Collective::AlltoallPairwise, 1024, ExecParams::default())
+    });
+    assert_eq!(r.messages, 512 * 511);
+    assert!(
+        held < 2 << 20,
+        "simulate_collective held {held} bytes at once for a 512-rank pairwise alltoall"
     );
 }
