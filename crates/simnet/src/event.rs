@@ -17,23 +17,33 @@
 //!   (`tests/event_queue.rs`) and the sentinel `queue-divergence`
 //!   oracle.
 //!
-//! The calendar queue resizes in the manner of Brown's calendar queue,
-//! but only on what it can see:
+//! The calendar queue sizes its wheel as Brown's calendar queue (CACM
+//! 1988) does: from the gaps events are scheduled with, not from the live
+//! population, whose events sit at one or two instants when a
+//! collective's ranks run in lockstep. Every push records its delay past
+//! the clock in a log2 histogram, and one fit (`fit_to_delays`) sets the
+//! bucket width and count from it. Two triggers ask for the fit:
 //!
-//! * the wheel doubles when the events *in the wheel* exceed twice its
-//!   buckets, and a drained bucket crowded with distinct times re-fits
-//!   the width to the live span; both only ever narrow the width;
-//! * when the pushes spilled to the `far` heap since the last rebuild
-//!   outnumber those that landed in the wheel and exceed
-//!   `max(nbuckets, live population)`, the wheel is re-fit to the delays
-//!   pushes are scheduled with: the width to their short end, the
-//!   bucket count (at most one per live event) to their long end.
+//! * a drained bucket crowded with distinct times, the one trigger a
+//!   population growing at distinct times pulls (64 to 65 536 events in
+//!   `a_growing_population_keeps_batches_small`: mean batch 15);
+//! * more than `max(nbuckets, len)` pushes since the last fit that a heap
+//!   took: past the horizon, or behind the cursor with a delay. Counting
+//!   only `far`, the 512-rank ring's windows kept 44 % of their pushes
+//!   there, and `program_cells`' workload cells, fit at the first pop to
+//!   their millisecond compute phases, put up to 99.8 % in `behind`.
+//!
+//! The wheel is rebuilt only for a fit that narrows the buckets or
+//! reaches further, and at most once per `len` pushes: F14's 64-rank
+//! shuffle cell on the fat tree rebuilt 161 times on any change of fit,
+//! and `spill_refits_are_amortised_over_the_population` reads 34 rebuilds
+//! without the `len` guard and 14 with it (bound 81).
 //!
 //! A push past the horizon pays the far heap's O(log n) push, pop and
 //! migration, so the queue is O(1) amortized only for pushes whose
-//! delays the wheel covers. A minority of far-future pushes (timers
-//! seconds out among nanosecond link events) never triggers a re-fit
-//! and keeps paying O(log n).
+//! delays the wheel covers. The fit leaves the longest sixteenth of them
+//! there, at most one bucket per live event: F14's millisecond compute
+//! phases among microsecond messages are up to 48 % of its pushes.
 //!
 //! # The cursor and `behind`
 //!
@@ -44,8 +54,9 @@
 //! push instead put every earlier push of F12's 100 k-node preload, and
 //! the pushes that followed them, in `behind`: 310 547 of 368 250.)
 //!
-//! `behind` is a binary heap that no re-fit sees, so it holds only what
-//! cannot go anywhere else:
+//! `behind` is a binary heap; a push with a delay that lands there
+//! counts toward a re-fit. It should hold only what cannot go anywhere
+//! else:
 //! * same-instant follow-ups of the batch being drained;
 //! * pushes made after `advance` skipped past empty buckets to stage
 //!   one ahead of the clock, for times in between (T2's nine runs make
@@ -167,8 +178,6 @@ impl<E> Arena<E> {
 const MIN_BUCKETS: usize = 64;
 /// Largest wheel size; bounds rebuild cost and memory.
 const MAX_BUCKETS: usize = 1 << 16;
-/// Resize up when the wheel population exceeds `buckets * GROW_FACTOR`.
-const GROW_FACTOR: usize = 2;
 /// Bucket width target: ~this many live events per bucket. One event
 /// per bucket minimizes sort work but maximizes `advance` calls and
 /// scatters the working set across the wheel; a small batch amortizes
@@ -230,27 +239,20 @@ pub struct EventQueue<E> {
     len: usize,
     next_seq: u64,
     scheduled_total: u64,
-    /// Pushes since the last rebuild that landed in the wheel.
-    landed: usize,
-    /// Pushes since the last rebuild that spilled to `far`.
-    spilled: usize,
+    /// Pushes since the last fit that a heap took in the wheel's place.
+    missed: usize,
+    /// `scheduled_total` at the last rebuild.
+    rebuilt_at: u64,
     /// Time of the last pop: the clock pushes are scheduled from.
     clock: u64,
-    /// Pushes made while a third or more spill, by the bit length of
-    /// their delay past `clock`, halved at each rebuild: what a re-fit
-    /// for spilled pushes sizes the wheel to.
+    /// Every push by the bit length of its delay past `clock`, halved at
+    /// each rebuild: what a re-fit sizes the wheel to.
     delays: [u64; 65],
     /// Where pushes went, and the rebuilds, over the queue's life.
     stats: QueueStats,
-    /// Population outgrew the wheel; double it at the next `advance`.
-    grow_pending: bool,
-    /// A crowded mixed-time bucket was drained, or most pushes spill
-    /// past the horizon; re-fit the wheel at the next `advance`.
+    /// A crowded mixed-time bucket was drained, or many pushes missed the
+    /// wheel; re-fit it at the next `advance`.
     refit_pending: bool,
-    /// The last rebuild left width and bucket count as they were — stop
-    /// re-fitting until a grow changes them, so a pathological
-    /// distribution cannot force an O(n) rebuild per batch.
-    refit_futile: bool,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -284,14 +286,12 @@ impl<E> EventQueue<E> {
             len: 0,
             next_seq: 0,
             scheduled_total: 0,
-            landed: 0,
-            spilled: 0,
+            rebuilt_at: 0,
+            missed: 0,
             clock: 0,
             delays: [0; 65],
             stats: QueueStats::default(),
-            grow_pending: false,
             refit_pending: false,
-            refit_futile: false,
         }
     }
 
@@ -337,26 +337,10 @@ impl<E> EventQueue<E> {
     #[inline]
     fn push_with_seq(&mut self, time: SimTime, seq: u64, event: E) {
         self.scheduled_total += 1;
-        if 2 * self.spilled >= self.landed {
-            // A third or more of the pushes since the last rebuild spill:
-            // record this one's delay for a spill re-fit. That re-fit
-            // needs a majority of spills, so the pushes before it are
-            // recorded.
-            let delay = time.0.saturating_sub(self.clock);
-            self.delays[(64 - delay.leading_zeros()) as usize] += 1;
-        }
+        let delay = time.0.saturating_sub(self.clock);
+        self.delays[(64 - delay.leading_zeros()) as usize] += 1;
         let slot = self.arena.alloc(event);
-        self.insert(Handle { time, seq, slot });
-        self.len += 1;
-        if self.wheel_len > self.nbuckets() * GROW_FACTOR && self.nbuckets() < MAX_BUCKETS {
-            // Deferred to the next `advance`, when `current` is empty:
-            // rebuilding re-bases the cursor, which is only safe with no
-            // partially drained batch in flight.
-            self.grow_pending = true;
-        }
-    }
-
-    fn insert(&mut self, h: Handle) {
+        let h = Handle { time, seq, slot };
         if self.len == 0 {
             // Empty queue: rebase the cursor onto the clock, which no
             // push through a `Scheduler` precedes. On the first push
@@ -368,30 +352,32 @@ impl<E> EventQueue<E> {
         if k < self.epoch {
             // Behind the cursor: a same-instant follow-up or an event in
             // the window being drained. Pops consult this heap alongside
-            // the staged batch.
+            // the staged batch. Only a follow-up lands here at any width.
             self.behind.push(h);
             self.stats.behind += 1;
+            if delay > 0 {
+                self.missed();
+            }
         } else if k - self.epoch < self.nbuckets() as u64 {
             let idx = (k & self.mask) as usize;
             self.wheel[idx].push(h);
             self.set_occupied(idx);
             self.wheel_len += 1;
-            self.landed += 1;
             self.stats.wheel += 1;
         } else {
             self.far.push(h);
-            self.spilled += 1;
             self.stats.far += 1;
-            // Most pushes miss the horizon: neither the grow trigger
-            // (`wheel_len`) nor the crowding check sees them, so re-fit
-            // here. Waiting for more than `max(nbuckets, len)` spills
-            // keeps the O(len + nbuckets) rebuild amortised O(1) a push.
-            if !self.refit_futile
-                && self.spilled > self.landed
-                && self.spilled > self.nbuckets().max(self.len)
-            {
-                self.refit_pending = true;
-            }
+            self.missed();
+        }
+        self.len += 1;
+    }
+
+    /// A heap took a push the wheel should hold (see the module doc).
+    #[inline]
+    fn missed(&mut self) {
+        self.missed += 1;
+        if self.missed > self.nbuckets().max(self.len) {
+            self.refit_pending = true;
         }
     }
 
@@ -407,28 +393,39 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Pull the next handle out of the staged batch / behind heap.
-    /// Callers must have staged a batch (the `pop` preamble).
+    /// Take the earliest pending handle out of the staged batch or the
+    /// behind heap, if `wanted` accepts it.
     #[inline]
-    fn pop_handle(&mut self) -> Handle {
+    fn pop_handle_if(&mut self, wanted: impl FnOnce(&Handle) -> bool) -> Option<Handle> {
+        if !self.staged() {
+            return None;
+        }
         let h = if self.behind_is_next() {
-            self.behind.pop().expect("checked non-empty")
+            if !wanted(self.behind.peek()?) {
+                return None;
+            }
+            self.behind.pop()?
         } else {
-            self.current.pop().expect("advance staged a batch")
+            if !wanted(self.current.last()?) {
+                return None;
+            }
+            self.current.pop()?
         };
         self.len -= 1;
         self.clock = h.time.0;
-        h
+        Some(h)
+    }
+
+    /// Stage a batch unless one is in flight (a push into an emptied
+    /// queue lands in the wheel); false when nothing is pending.
+    #[inline]
+    fn staged(&mut self) -> bool {
+        !self.current.is_empty() || self.advance() || !self.behind.is_empty()
     }
 
     /// Remove and return the earliest event.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        if self.current.is_empty() && !self.advance() && self.behind.is_empty() {
-            return None;
-        }
-        let h = self.pop_handle();
-        // SAFETY: `h` was just removed from the queue's containers.
-        Some((h.time, unsafe { self.arena.take(h.slot) }))
+        self.pop_entry().map(|(t, _, e)| (t, e))
     }
 
     /// Remove and return the earliest event together with its tie-break
@@ -438,10 +435,7 @@ impl<E> EventQueue<E> {
     ///
     /// [`push_keyed`]: EventQueue::push_keyed
     pub fn pop_entry(&mut self) -> Option<(SimTime, u64, E)> {
-        if self.current.is_empty() && !self.advance() && self.behind.is_empty() {
-            return None;
-        }
-        let h = self.pop_handle();
+        let h = self.pop_handle_if(|_| true)?;
         // SAFETY: `h` was just removed from the queue's containers.
         Some((h.time, h.seq, unsafe { self.arena.take(h.slot) }))
     }
@@ -457,14 +451,15 @@ impl<E> EventQueue<E> {
     /// `(time, key)` of the earliest pending event without removing it:
     /// the stable identity a [`QueueSnapshot`] stores for it.
     pub fn peek_entry(&mut self) -> Option<(SimTime, u64)> {
-        if self.current.is_empty() && !self.advance() && self.behind.is_empty() {
+        if !self.staged() {
             return None;
         }
-        if self.behind_is_next() {
-            self.behind.peek().map(|h| (h.time, h.seq))
+        let h = if self.behind_is_next() {
+            self.behind.peek()
         } else {
-            self.current.last().map(|h| (h.time, h.seq))
-        }
+            self.current.last()
+        }?;
+        Some((h.time, h.seq))
     }
 
     /// Pop the earliest event only if it fires exactly at `time`.
@@ -474,26 +469,7 @@ impl<E> EventQueue<E> {
     /// same-instant follow-ups land behind the cursor), so this is a
     /// compare and a tail pop — the engine's same-timestamp drain loop.
     pub fn pop_at(&mut self, time: SimTime) -> Option<(SimTime, E)> {
-        // Stage a batch if none is in flight: popping the last staged
-        // event can empty the queue entirely, and a push right after
-        // rebases the cursor and lands in the wheel — visible only
-        // through `advance`, exactly as in `pop`.
-        if self.current.is_empty() && !self.advance() && self.behind.is_empty() {
-            return None;
-        }
-        let h = if self.behind_is_next() {
-            if self.behind.peek()?.time != time {
-                return None;
-            }
-            self.behind.pop().expect("peeked")
-        } else {
-            if self.current.last()?.time != time {
-                return None;
-            }
-            self.current.pop().expect("checked non-empty")
-        };
-        self.len -= 1;
-        self.clock = h.time.0;
+        let h = self.pop_handle_if(|h| h.time == time)?;
         // SAFETY: `h` was just removed from the queue's containers.
         Some((h.time, unsafe { self.arena.take(h.slot) }))
     }
@@ -506,36 +482,19 @@ impl<E> EventQueue<E> {
         if self.len == 0 {
             return false;
         }
-        if self.grow_pending || self.refit_pending {
-            let grow = self.grow_pending && self.nbuckets() < MAX_BUCKETS;
-            self.grow_pending = false;
-            self.refit_pending = false;
-            let before = (self.shift, self.nbuckets());
-            let nbuckets = if grow {
-                self.nbuckets() * 2
-            } else {
-                self.nbuckets()
-            };
-            if self.spilled > self.landed {
-                // While most pushes spill, the live span says nothing
-                // about how far ahead they are made: fit the wheel to
-                // their delays.
-                let (shift, fitted) = self.fit_to_delays();
-                self.rebuild(fitted.max(nbuckets), Some(shift));
-            } else {
-                self.rebuild(nbuckets, None);
-            }
-            self.refit_futile = (self.shift, self.nbuckets()) == before;
-        }
-        if self.wheel_len == 0 && self.far.is_empty() {
-            // Everything pending sits behind the cursor; nothing to
-            // stage.
-            return false;
+        if self.refit_pending {
+            // Deferred to here, with `current` empty: rebuilding re-bases
+            // the cursor, which is only safe with no partially drained
+            // batch in flight.
+            self.refit();
         }
         if self.wheel_len == 0 {
-            // Everything lives in `far`: rebase the wheel onto its min.
-            let min_k = self.far.peek().expect("len > 0").time.0 >> self.shift;
-            self.epoch = min_k;
+            // Rebase the wheel onto `far`'s min; with `far` empty too,
+            // everything pending sits behind the cursor.
+            let Some(min) = self.far.peek() else {
+                return false;
+            };
+            self.epoch = min.time.0 >> self.shift;
         }
         self.refill_from_far();
         debug_assert!(self.wheel_len > 0);
@@ -579,13 +538,27 @@ impl<E> EventQueue<E> {
             // Crowding check: many events at distinct times sharing one
             // bucket means each pop is paying for a large sort — the
             // width no longer fits the density.
-            if !self.refit_futile
-                && self.current.len() >= CROWDED_BATCH
+            if self.current.len() >= CROWDED_BATCH
                 && self.current.first().map(|h| h.time) != self.current.last().map(|h| h.time)
             {
                 self.refit_pending = true;
             }
             return true;
+        }
+    }
+
+    /// Re-fit if the fit narrows the buckets or reaches further. Cold, so
+    /// that the rebuild stays out of the code `advance` runs per batch.
+    #[cold]
+    fn refit(&mut self) {
+        self.refit_pending = false;
+        self.missed = 0;
+        let (shift, nbuckets) = self.fit_to_delays();
+        let horizon = |shift: u32, nbuckets: usize| shift + nbuckets.trailing_zeros();
+        if (shift < self.shift || horizon(shift, nbuckets) > horizon(self.shift, self.nbuckets()))
+            && self.scheduled_total - self.rebuilt_at >= self.len as u64
+        {
+            self.rebuild(nbuckets, shift);
         }
     }
 
@@ -606,56 +579,61 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// `(shift, nbuckets)` for a wheel that most pushes spill past, from
-    /// the delays they were scheduled with (recent ones weighted most):
-    /// buckets as wide as all but a sixteenth of the delays exceed, so
-    /// pushes land ahead of the cursor rather than behind it, and as many
-    /// of them as cover all but a sixteenth, at most one per live event.
-    /// A snapshot of the live population cannot give both: a collective's
-    /// ranks run in lockstep, so its pending events often sit at one
-    /// instant. Zero delays (same-instant follow-ups) are left out; they
-    /// land behind the cursor at any width.
+    /// `(shift, nbuckets)` from the recorded delays, recent ones weighted
+    /// most: buckets the narrower of the widest width all but a sixteenth
+    /// of the delays exceed (so pushes land ahead of the cursor) and the
+    /// narrowest that holds `TARGET_OCCUPANCY` live events (by Little's
+    /// law, `TARGET_OCCUPANCY × mean delay / len`); as many as cover all
+    /// but a sixteenth of the delays, at most one per live event. Zero
+    /// delays (same-instant follow-ups) land behind at any width and are
+    /// left out; with no other, the geometry stays.
     fn fit_to_delays(&self) -> (u32, usize) {
         let total: u64 = self.delays[1..].iter().sum();
+        if total == 0 {
+            return (self.shift, self.nbuckets());
+        }
         let (mut width_bits, mut horizon_bits) = (0, 64);
         let mut shorter = 0;
         // `delays[bits]` counts delays in [2^(bits-1), 2^bits).
         for (bits, &n) in self.delays.iter().enumerate().skip(1) {
             shorter += n;
             if shorter * 16 <= total {
-                width_bits = bits;
+                width_bits = bits as u32;
             }
             if shorter * 16 >= total * 15 {
-                horizon_bits = bits;
+                horizon_bits = bits as u32;
                 break;
             }
         }
+        // Each count at the middle of its range, 3/4 of 2^bits.
+        let sum: u128 = (1..65)
+            .map(|bits| u128::from(self.delays[bits]) << bits)
+            .sum();
+        let dense =
+            3 * sum * u128::from(TARGET_OCCUPANCY) / (4 * u128::from(total) * self.len as u128);
+        let shift = width_bits
+            .min(128 - (dense.max(1) - 1).leading_zeros())
+            .min(40);
         let cap = self.len.next_power_of_two().clamp(MIN_BUCKETS, MAX_BUCKETS);
-        let nbuckets = 1usize << (horizon_bits - width_bits).min(16);
-        (
-            (width_bits as u32).min(40),
-            nbuckets.clamp(MIN_BUCKETS, cap),
-        )
+        let nbuckets = 1usize << (horizon_bits - shift).min(16);
+        (shift, nbuckets.clamp(MIN_BUCKETS, cap))
     }
 
-    /// Rebuild the wheel with `nbuckets` buckets of width `2^shift`, or
-    /// of a width re-fit to the live population when `shift` is `None`.
-    /// Only called from `advance` with
-    /// `current` empty: rebuilding re-bases the cursor onto the earliest
-    /// remaining event, which would reorder a partially drained batch
-    /// against pushes landing near the new epoch boundary.
+    /// Rebuild the wheel with `nbuckets` buckets of width `2^shift`.
+    /// Only called from `advance` with `current` empty: rebuilding
+    /// re-bases the cursor onto the earliest remaining event, which would
+    /// reorder a partially drained batch against pushes landing near the
+    /// new epoch boundary.
     ///
     /// Moves handles only — payloads stay put in the arena, so a rebuild
     /// of a queue of fat events costs the same as one of unit events.
     /// The population is gathered into `far`'s own buffer, and each
     /// bucket's buffer is released as it is emptied, so the handles are
     /// never held twice over.
-    fn rebuild(&mut self, nbuckets: usize, shift: Option<u32>) {
+    fn rebuild(&mut self, nbuckets: usize, shift: u32) {
         debug_assert!(self.current.is_empty());
-        let nbuckets = nbuckets.min(MAX_BUCKETS);
         self.stats.rebuilds += 1;
-        self.landed = 0;
-        self.spilled = 0;
+        self.rebuilt_at = self.scheduled_total;
         self.delays.iter_mut().for_each(|n| *n /= 2);
         let mut entries = std::mem::take(&mut self.far).into_vec();
         entries.reserve_exact(self.wheel_len);
@@ -669,50 +647,21 @@ impl<E> EventQueue<E> {
             self.occupied = vec![0u64; nbuckets / 64];
             self.mask = (nbuckets - 1) as u64;
         }
-        if let (Some(min), Some(max)) = (
-            entries.iter().map(|e| e.time.0).min(),
-            entries.iter().map(|e| e.time.0).max(),
-        ) {
-            self.shift = shift.unwrap_or_else(|| {
-                // Aim for ~TARGET_OCCUPANCY live events per bucket, but
-                // never so narrow that the wheel horizon (nbuckets *
-                // width) stops covering the live span with slack —
-                // otherwise events cycle through the far heap and its
-                // O(log n) cost comes back.
-                let span = (max - min).max(1);
-                let per_batch = span.saturating_mul(TARGET_OCCUPANCY) / entries.len() as u64;
-                let per_horizon = (2 * span) / nbuckets as u64;
-                let width = per_batch.max(per_horizon).max(1);
-                // Ceiling log2: the realized width is the power of two >=
-                // the target, keeping the horizon guarantee. A grown or
-                // crowded wheel is a denser one: never widen it here. A
-                // population in lockstep can show a span of milliseconds
-                // between two instants; only the delays can widen.
-                (64 - (width - 1).leading_zeros()).min(self.shift)
-            });
-            self.epoch = min >> self.shift;
-        }
+        self.shift = shift;
+        // With everything behind the cursor, the wheel starts at the clock.
+        let min = entries.iter().map(|e| e.time.0).min().unwrap_or(self.clock);
+        self.epoch = min >> shift;
         // Handles inside the horizon go to their buckets; the rest stay
         // in `entries`, which becomes the new `far`.
-        let EventQueue {
-            wheel,
-            occupied,
-            shift,
-            mask,
-            epoch,
-            wheel_len,
-            ..
-        } = self;
         entries.retain(|h| {
-            let k = h.time.0 >> *shift;
-            debug_assert!(k >= *epoch);
-            if k - *epoch >= nbuckets as u64 {
+            let k = h.time.0 >> shift;
+            if k - self.epoch >= nbuckets as u64 {
                 return true;
             }
-            let idx = (k & *mask) as usize;
-            wheel[idx].push(*h);
-            occupied[idx / 64] |= 1u64 << (idx % 64);
-            *wheel_len += 1;
+            let idx = (k & self.mask) as usize;
+            self.wheel[idx].push(*h);
+            self.occupied[idx / 64] |= 1u64 << (idx % 64);
+            self.wheel_len += 1;
             false
         });
         // A preload that spilled whole would otherwise hold its buffer
@@ -749,7 +698,7 @@ pub struct QueueStats {
     pub wheel: u64,
     pub far: u64,
     pub behind: u64,
-    /// Wheel rebuilds (grows and re-fits).
+    /// Wheel rebuilds: re-fits that changed the geometry.
     pub rebuilds: u64,
 }
 
@@ -798,6 +747,30 @@ impl<E> QueueSnapshot<E> {
     pub fn is_empty(&self) -> bool {
         self.times.is_empty()
     }
+
+    /// What makes this snapshot unrestorable, if anything: arrays of
+    /// different lengths, or entries not strictly ascending by `(time,
+    /// key)`. A restored duplicate would pop in an order the restoring
+    /// queue's geometry decides, not the snapshot.
+    fn defect(&self) -> Option<String> {
+        if self.times.len() != self.keys.len() || self.keys.len() != self.events.len() {
+            return Some(format!(
+                "queue snapshot arrays are not parallel ({}/{}/{})",
+                self.times.len(),
+                self.keys.len(),
+                self.events.len()
+            ));
+        }
+        let entries = self.times.iter().zip(&self.keys);
+        let i = entries
+            .clone()
+            .zip(entries.skip(1))
+            .position(|(a, b)| a >= b)?;
+        Some(format!(
+            "queue snapshot entry {} is not after entry {i} by (time, key)",
+            i + 1
+        ))
+    }
 }
 
 impl<E: Clone> EventQueue<E> {
@@ -805,29 +778,23 @@ impl<E: Clone> EventQueue<E> {
     /// (payloads are cloned): the queue keeps running after the snapshot
     /// — the checkpoint pattern of a long simulation.
     pub fn snapshot(&self) -> QueueSnapshot<E> {
-        let mut handles: Vec<Handle> = Vec::with_capacity(self.len);
-        for bucket in &self.wheel {
-            handles.extend_from_slice(bucket);
-        }
-        handles.extend_from_slice(&self.current);
-        handles.extend(self.behind.iter().copied());
-        handles.extend(self.far.iter().copied());
+        let containers = self.wheel.iter().flatten().chain(&self.current);
+        let mut handles: Vec<Handle> = containers
+            .chain(&self.behind)
+            .chain(&self.far)
+            .copied()
+            .collect();
         debug_assert_eq!(handles.len(), self.len, "containers must cover len");
         handles.sort_unstable_by_key(|h| h.key());
-        let mut times = Vec::with_capacity(handles.len());
-        let mut keys = Vec::with_capacity(handles.len());
-        let mut events = Vec::with_capacity(handles.len());
-        for h in handles {
-            times.push(h.time.0);
-            keys.push(h.seq);
-            // SAFETY: `h` is live in exactly one container, so its slot
-            // is initialized; the payload is only borrowed for a clone.
-            events.push(unsafe { self.arena.slots[h.slot as usize].assume_init_ref() }.clone());
-        }
         QueueSnapshot {
-            times,
-            keys,
-            events,
+            times: handles.iter().map(|h| h.time.0).collect(),
+            keys: handles.iter().map(|h| h.seq).collect(),
+            // SAFETY: each handle is live in exactly one container, so its
+            // slot is initialized; the payload is only borrowed for a clone.
+            events: handles
+                .iter()
+                .map(|h| unsafe { self.arena.slots[h.slot as usize].assume_init_ref() }.clone())
+                .collect(),
             next_seq: self.next_seq,
             scheduled_total: self.scheduled_total,
         }
@@ -839,22 +806,16 @@ impl<E> EventQueue<E> {
     /// `(time, key, event)` sequence the snapshotted queue would have,
     /// and assigns subsequent `push` calls the same internal sequence
     /// numbers — restored runs are bit-identical to uninterrupted ones.
+    ///
+    /// Panics on a snapshot whose arrays are not parallel or whose
+    /// entries are not strictly ascending by `(time, key)`; a parsed one
+    /// was refused with a `DeError` instead.
     pub fn from_snapshot(snap: QueueSnapshot<E>) -> Self {
-        assert!(
-            snap.times.len() == snap.keys.len() && snap.keys.len() == snap.events.len(),
-            "queue snapshot arrays must be parallel ({}/{}/{})",
-            snap.times.len(),
-            snap.keys.len(),
-            snap.events.len()
-        );
+        if let Some(defect) = snap.defect() {
+            panic!("{defect}");
+        }
         let mut q = EventQueue::with_capacity(snap.times.len());
-        let mut prev: Option<(u64, u64)> = None;
         for ((&t, &k), e) in snap.times.iter().zip(&snap.keys).zip(snap.events) {
-            debug_assert!(
-                prev.is_none_or(|p| p < (t, k)),
-                "snapshot entries must be strictly ordered by (time, key)"
-            );
-            prev = Some((t, k));
             q.push_with_seq(SimTime(t), k, e);
         }
         q.next_seq = snap.next_seq;
@@ -887,12 +848,10 @@ impl<E: serde::Deserialize> serde::Deserialize for QueueSnapshot<E> {
             next_seq: u64::from_value(v.field("next_seq")?)?,
             scheduled_total: u64::from_value(v.field("scheduled_total")?)?,
         };
-        if snap.times.len() != snap.keys.len() || snap.keys.len() != snap.events.len() {
-            return Err(serde::DeError::new(
-                "queue snapshot arrays are not parallel",
-            ));
+        match snap.defect() {
+            Some(defect) => Err(serde::DeError::new(defect)),
+            None => Ok(snap),
         }
-        Ok(snap)
     }
 }
 
@@ -1274,6 +1233,61 @@ mod tests {
             q.stats().rebuilds <= pushes / POPULATION + 16,
             "{} rebuilds in {pushes} pushes",
             q.stats().rebuilds
+        );
+    }
+
+    /// A hold model whose live population grows from 64 to 65 536 at
+    /// distinct times, each pop rescheduling up to 1 µs out plus one
+    /// more event while it grows, then holding at 65 536. A wheel sized
+    /// for 64 must keep up: the batches `advance` stages stay small,
+    /// and few pushes land past the horizon. With a grow trigger the
+    /// mean batch read 23.7 and `far` took none; with crowded batches
+    /// alone, 15.4 and none.
+    #[test]
+    fn a_growing_population_keeps_batches_small() {
+        use crate::rng::SplitMix64;
+        const TARGET: usize = 65_536;
+        const WARM_UP: usize = 1_024;
+        let mut q = EventQueue::new();
+        let mut rng = SplitMix64::new(39);
+        for i in 0..64u64 {
+            q.push(SimTime(1 + rng.next_below(1_000_000)), i);
+        }
+        let (mut batches, mut staged) = (0u64, 0u64);
+        let mut measured = QueueStats::default();
+        let mut holds = 0;
+        while holds < TARGET {
+            let fresh = q.current.is_empty();
+            q.peek_time();
+            if fresh && !q.current.is_empty() && q.len() >= WARM_UP {
+                batches += 1;
+                staged += q.current.len() as u64;
+            }
+            let (now, i) = q.pop().expect("the population never empties");
+            let before = q.stats();
+            q.push(SimTime(now.0 + 1 + rng.next_below(1_000_000)), i);
+            if q.len() < TARGET {
+                q.push(SimTime(now.0 + 1 + rng.next_below(1_000_000)), i);
+            } else {
+                holds += 1;
+            }
+            if q.len() >= WARM_UP {
+                let after = q.stats();
+                measured.wheel += after.wheel - before.wheel;
+                measured.far += after.far - before.far;
+                measured.behind += after.behind - before.behind;
+            }
+        }
+        let mean = staged as f64 / batches as f64;
+        assert!(
+            mean <= (2 * CROWDED_BATCH) as f64,
+            "mean staged batch {mean:.1} over {batches} batches"
+        );
+        assert!(
+            measured.far * 20 < measured.pushes(),
+            "{} of {} pushes went to far",
+            measured.far,
+            measured.pushes()
         );
     }
 

@@ -430,8 +430,10 @@ impl<W: ShardWorld> ShardSim<W> {
 /// A deserialized snapshot is shape-checked at the boundary
 /// (`Deserialize::from_value` returns a `DeError` for a wrong schema
 /// tag, `nshards` 0, a zero `lookahead` — under which no window ever
-/// advances and `run` would not return — or arrays that do not match
-/// `nshards`), so [`restore`](ShardSnapshot::restore) never sees a
+/// advances and `run` would not return — arrays that do not match
+/// `nshards`, queue entries out of `(time, key)` order, or an entry
+/// earlier than its shard's clock, which would run the clock
+/// backwards), so [`restore`](ShardSnapshot::restore) never sees a
 /// malformed one.
 pub struct ShardSnapshot<W: ShardWorld> {
     nshards: u32,
@@ -571,6 +573,15 @@ where
                 snap.queues.len(),
                 snap.nows.len()
             )));
+        }
+        // Each queue is ascending (checked as it parsed): its first
+        // entry is its earliest.
+        for (s, (queue, &now)) in snap.queues.iter().zip(&snap.nows).enumerate() {
+            if let Some(&t) = queue.times.first().filter(|&&t| t < now) {
+                return Err(serde::DeError::new(format!(
+                    "shard {s} queues an event at {t} ps, before its clock at {now} ps"
+                )));
+            }
         }
         Ok(snap)
     }

@@ -42,9 +42,13 @@ enum Shape {
     /// arrivals over 1200 s among timers 48 to 216 s out, in no order.
     /// None of them may land behind the cursor.
     OutOfOrderPreload,
+    /// A population that outgrows the wheel at distinct times: pushes
+    /// up to 1 µs past the clock, three for every pop. Crowded batches
+    /// re-fit the wheel as it grows.
+    GrowingPopulation,
 }
 
-const SHAPES: [Shape; 7] = [
+const SHAPES: [Shape; 8] = [
     Shape::WideUniform,
     Shape::QuantizedDeltas,
     Shape::FewInstants,
@@ -52,6 +56,7 @@ const SHAPES: [Shape; 7] = [
     Shape::MixedMagnitude,
     Shape::KeyedSpill,
     Shape::OutOfOrderPreload,
+    Shape::GrowingPopulation,
 ];
 
 /// Push-only steps that open [`Shape::OutOfOrderPreload`].
@@ -100,6 +105,7 @@ fn gen_time(shape: Shape, rng: &mut SplitMix64, now: u64) -> u64 {
                 now + 48 * S + rng.next_below(168 * S)
             }
         }
+        Shape::GrowingPopulation => now + 1 + rng.next_below(1_000_000),
     }
 }
 

@@ -274,6 +274,60 @@ fn truncated(doc: &Value, name: &str) -> Value {
     with_field(doc, name, Some(Value::Array(items[..items.len() - 1].to_vec())))
 }
 
+/// Shard 0's queue with its `times` and `keys` arrays edited.
+fn with_queue0(doc: &Value, edit: impl FnOnce(&mut Vec<Value>, &mut Vec<Value>)) -> Value {
+    let Ok(Value::Array(queues)) = doc.field("queues") else {
+        panic!("queues serialize as an array");
+    };
+    let (Ok(Value::Array(times)), Ok(Value::Array(keys))) =
+        (queues[0].field("times"), queues[0].field("keys"))
+    else {
+        panic!("a queue serializes times and keys as arrays");
+    };
+    let (mut times, mut keys) = (times.clone(), keys.clone());
+    assert!(times.len() >= 2, "shard 0 queues two entries to edit");
+    edit(&mut times, &mut keys);
+    let mut queues = queues.clone();
+    queues[0] = with_field(&queues[0], "times", Some(Value::Array(times)));
+    queues[0] = with_field(&queues[0], "keys", Some(Value::Array(keys)));
+    with_field(doc, "queues", Some(Value::Array(queues)))
+}
+
+/// Shard 0's clock set one picosecond past its earliest queued event.
+fn clock_past_queue0(doc: &Value) -> Value {
+    let (Ok(Value::Array(nows)), Ok(Value::Array(queues))) =
+        (doc.field("nows"), doc.field("queues"))
+    else {
+        panic!("nows and queues serialize as arrays");
+    };
+    let Ok(Value::Array(times)) = queues[0].field("times") else {
+        panic!("a queue serializes times as an array");
+    };
+    let Some(Value::U64(first)) = times.first() else {
+        panic!("shard 0 queues an entry");
+    };
+    let mut nows = nows.clone();
+    nows[0] = Value::U64(first + 1);
+    with_field(doc, "nows", Some(Value::Array(nows)))
+}
+
+/// Every horizon of a multi-shard run snapshots to a document that
+/// parses: the boundary checks refuse no legitimate snapshot.
+#[test]
+fn snapshots_at_every_horizon_parse() {
+    for nshards in [1u32, 2, 4] {
+        for cut in 1u64..=60 {
+            let (part, mut sim) = fresh_sim(8, nshards);
+            seed_tokens(&mut sim, part, 0xff, 30);
+            sim.run(false, Some(SimTime(cut)));
+            let json = serde_json::to_string(&sim.snapshot()).expect("snapshot serializes");
+            if let Err(e) = serde_json::from_str::<ShardSnapshot<SnapWorld>>(&json) {
+                panic!("nshards={nshards} cut={cut}: {e}");
+            }
+        }
+    }
+}
+
 #[test]
 fn malformed_snapshots_are_typed_errors() {
     let (part, mut sim) = fresh_sim(8, 2);
@@ -304,6 +358,25 @@ fn malformed_snapshots_are_typed_errors() {
         ("missing schema", with_field(&good, "schema", None)),
         ("missing lookahead", with_field(&good, "lookahead", None)),
         ("missing queues", with_field(&good, "queues", None)),
+        // Pop order is a function of the (time, key) order only when
+        // entries are unique and sorted.
+        (
+            "entries swapped",
+            with_queue0(&good, |times, keys| {
+                times.swap(0, 1);
+                keys.swap(0, 1);
+            }),
+        ),
+        (
+            "duplicate (time, key)",
+            with_queue0(&good, |times, keys| {
+                times[1] = times[0].clone();
+                keys[1] = keys[0].clone();
+            }),
+        ),
+        // Restored, the shard would pop it with its clock running
+        // backwards.
+        ("entry before nows", clock_past_queue0(&good)),
     ];
     for (name, doc) in cases {
         // Through text as well as the value tree: the boundary a
