@@ -8,7 +8,7 @@
 //! times; the unit test asserts the counters exactly.
 
 use crate::table::{si_bytes, Table};
-use polaris_msg::config::{MsgConfig, Protocol, RendezvousMode};
+use polaris_msg::config::{MsgConfig, Protocol};
 use polaris_msg::datatype::Layout;
 use polaris_msg::endpoint::{Endpoint, ReqId};
 use polaris_msg::match_engine::MatchSpec;
@@ -26,13 +26,8 @@ pub fn generate() -> Vec<Table> {
     );
     for g in Generation::ALL {
         let link = g.link_model();
-        let x = eager_rendezvous_crossover(&link, 2, RendezvousMode::Read, &host);
-        let tt = |b: u64, p: Protocol| {
-            format!(
-                "{:.1}",
-                p2p_time(&link, 2, b, p, RendezvousMode::Read, &host).as_us()
-            )
-        };
+        let x = eager_rendezvous_crossover(&link, 2, &host);
+        let tt = |b: u64, p: Protocol| format!("{:.1}", p2p_time(&link, 2, b, p, &host).as_us());
         t.row(vec![
             g.name().to_string(),
             si_bytes(x),

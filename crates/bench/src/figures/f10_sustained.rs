@@ -11,7 +11,7 @@
 
 use crate::table::Table;
 use polaris_arch::prelude::*;
-use polaris_msg::config::{Protocol, RendezvousMode};
+use polaris_msg::config::Protocol;
 use polaris_msg::model::{p2p_time, HostParams};
 use polaris_obs::Obs;
 use polaris_simnet::link::{Generation, LinkModel};
@@ -53,7 +53,7 @@ fn sustained_fraction(year: u32, kind: NodeKind, protocol: Protocol) -> f64 {
     let face_bytes = (LOCAL_N * LOCAL_N * 8.0) as u64;
     let link = fabric(year);
     let host = HostParams::default();
-    let t_face = p2p_time(&link, 3, face_bytes, protocol, RendezvousMode::Read, &host);
+    let t_face = p2p_time(&link, 3, face_bytes, protocol, &host);
     // Three of the six exchanges overlap pairwise (one per dimension in
     // each direction is concurrent); charge three serialized exchanges.
     let t_comm = 3.0 * t_face.as_secs();

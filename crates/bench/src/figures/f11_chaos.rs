@@ -15,7 +15,7 @@
 //! forever.
 
 use crate::table::Table;
-use polaris_msg::config::{Protocol, RendezvousMode};
+use polaris_msg::config::Protocol;
 use polaris_msg::model::{p2p_time, HostParams};
 use polaris_obs::Obs;
 use polaris_simnet::fault::{FaultInjector, FaultPlan, FaultVerdict};
@@ -47,17 +47,9 @@ pub const TOTAL_PS: &str = "f11_total_ps";
 fn run(obs: &Obs, labels: &[(&str, &str)], gen: Generation, loss: f64, reliable: bool, seed: u64) {
     let link = gen.link_model();
     let host = HostParams::default();
-    let base = p2p_time(
-        &link,
-        HOPS,
-        BYTES,
-        Protocol::Eager,
-        RendezvousMode::Read,
-        &host,
-    )
-    .as_ps();
+    let base = p2p_time(&link, HOPS, BYTES, Protocol::Eager, &host).as_ps();
     // An ACK is a header-only frame on the return path.
-    let ack = p2p_time(&link, HOPS, 0, Protocol::Eager, RendezvousMode::Read, &host).as_ps();
+    let ack = p2p_time(&link, HOPS, 0, Protocol::Eager, &host).as_ps();
     let mut inj = FaultInjector::new(FaultPlan::new(seed).uniform_drop(loss));
     inj.set_obs(obs.clone());
     let route = [LinkId(0)];

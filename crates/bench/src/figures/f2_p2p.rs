@@ -3,7 +3,7 @@
 //! T1 — the headline small-message / peak-bandwidth summary table.
 
 use crate::table::{si_bytes, Table};
-use polaris_msg::config::{Protocol, RendezvousMode};
+use polaris_msg::config::Protocol;
 use polaris_msg::model::{p2p_bandwidth, p2p_time, HostParams};
 use polaris_obs::Obs;
 use polaris_simnet::link::Generation;
@@ -47,7 +47,7 @@ pub fn generate_with(obs: &Obs) -> Vec<Table> {
             for &b in &sizes {
                 let bs = b.to_string();
                 let labels = [("bytes", bs.as_str()), ("gen", g.name()), ("proto", name)];
-                let t = p2p_time(&link, HOPS, b, p, RendezvousMode::Read, &host);
+                let t = p2p_time(&link, HOPS, b, p, &host);
                 let v = publish(LATENCY_US, &labels, t.as_us());
                 cells.push(format!("{v:.1}"));
             }
@@ -58,7 +58,7 @@ pub fn generate_with(obs: &Obs) -> Vec<Table> {
             for &b in &sizes {
                 let bs = b.to_string();
                 let labels = [("bytes", bs.as_str()), ("gen", g.name()), ("proto", name)];
-                let raw = p2p_bandwidth(&link, HOPS, b, p, RendezvousMode::Read, &host) / 1e6;
+                let raw = p2p_bandwidth(&link, HOPS, b, p, &host) / 1e6;
                 let v = publish(BANDWIDTH_MBPS, &labels, raw);
                 cells.push(format!("{v:.0}"));
             }
@@ -66,12 +66,12 @@ pub fn generate_with(obs: &Obs) -> Vec<Table> {
         }
         let t = |p, name: &str| {
             let labels = [("bytes", "8"), ("gen", g.name()), ("proto", name)];
-            let us = p2p_time(&link, HOPS, 8, p, RendezvousMode::Read, &host).as_us();
+            let us = p2p_time(&link, HOPS, 8, p, &host).as_us();
             format!("{:.1}", publish(LATENCY_US, &labels, us))
         };
         let b = |p, name: &str| {
             let labels = [("bytes", "4194304"), ("gen", g.name()), ("proto", name)];
-            let raw = p2p_bandwidth(&link, HOPS, 4 << 20, p, RendezvousMode::Read, &host) / 1e6;
+            let raw = p2p_bandwidth(&link, HOPS, 4 << 20, p, &host) / 1e6;
             format!("{:.0}", publish(BANDWIDTH_MBPS, &labels, raw))
         };
         let t1_row = vec![

@@ -7,7 +7,7 @@
 //! curve.
 
 use crate::table::Table;
-use polaris_msg::config::{Protocol, RendezvousMode};
+use polaris_msg::config::Protocol;
 use polaris_msg::model::{p2p_bandwidth, p2p_time, HostParams};
 use polaris_simnet::link::{Generation, LinkModel};
 use polaris_simnet::time::SimDuration;
@@ -54,8 +54,8 @@ pub fn generate() -> Vec<Table> {
     let mut first: Option<(SimDuration, f64)> = None;
     for year in (2002..=2010).step_by(2) {
         let (name, link, hostp) = era(year);
-        let lat = |p| p2p_time(&link, 2, 8, p, RendezvousMode::Read, &hostp);
-        let bw = |p| p2p_bandwidth(&link, 2, 4 << 20, p, RendezvousMode::Read, &hostp) / 1e6;
+        let lat = |p| p2p_time(&link, 2, 8, p, &hostp);
+        let bw = |p| p2p_bandwidth(&link, 2, 4 << 20, p, &hostp) / 1e6;
         let zc_lat = lat(Protocol::Eager);
         let zc_bw = bw(Protocol::Rendezvous);
         first.get_or_insert((zc_lat, zc_bw));

@@ -48,8 +48,6 @@ pub mod prelude {
     pub use crate::runtime::{Cluster, ClusterBuilder, NodeCtx};
     pub use crate::sort::{sample_sort, verify_sorted};
     pub use polaris_collectives::op::{Reducible, ReduceOp};
-    pub use polaris_msg::prelude::{
-        Endpoint, MatchSpec, MsgBuf, MsgConfig, MsgError, Protocol, RendezvousMode,
-    };
+    pub use polaris_msg::prelude::{Endpoint, MatchSpec, MsgBuf, MsgConfig, MsgError, Protocol};
     pub use polaris_nic::prelude::{Fabric, FabricStats};
 }

@@ -8,8 +8,8 @@ pub enum Protocol {
     /// Copy into pre-registered bounce buffers and send two-sided. One
     /// host copy on each side; lowest latency for small messages.
     Eager,
-    /// RTS/CTS handshake followed by one-sided RDMA straight between the
-    /// user buffers: zero host copies. Best for large messages.
+    /// RTS, a one-sided RDMA read straight between the user buffers,
+    /// then FIN: zero host copies. Best for large messages.
     Rendezvous,
     /// Pick eager below `eager_threshold`, rendezvous at or above it.
     Auto,
@@ -17,18 +17,6 @@ pub enum Protocol {
     /// per side, and per-segment syscall/interrupt overheads. The
     /// baseline the user-level protocols are compared against.
     Sockets,
-}
-
-/// How the rendezvous data transfer is performed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum RendezvousMode {
-    /// Receiver pulls with RDMA read, then sends FIN (default: one
-    /// handshake message).
-    Read,
-    /// Receiver replies CTS; sender pushes with RDMA-write-immediate
-    /// (two handshake messages, but the write path is faster on some
-    /// hardware).
-    Write,
 }
 
 /// Reliable-delivery configuration (off by default).
@@ -80,7 +68,6 @@ impl Reliability {
 #[derive(Debug, Clone, Copy)]
 pub struct MsgConfig {
     pub protocol: Protocol,
-    pub rendezvous_mode: RendezvousMode,
     /// Payload size at or above which `Auto` switches to rendezvous.
     pub eager_threshold: usize,
     /// Payload capacity of one eager bounce buffer.
@@ -112,7 +99,6 @@ impl Default for MsgConfig {
     fn default() -> Self {
         MsgConfig {
             protocol: Protocol::Auto,
-            rendezvous_mode: RendezvousMode::Read,
             eager_threshold: 16 * 1024,
             eager_buf_size: 16 * 1024,
             send_pool_size: 64,

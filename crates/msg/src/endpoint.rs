@@ -4,14 +4,12 @@
 //! # Protocols
 //!
 //! * **Eager** — the payload is copied into a pre-registered bounce
-//!   buffer behind a 48-byte envelope and sent two-sided. One host copy
+//!   buffer behind a 64-byte envelope and sent two-sided. One host copy
 //!   on each side. Sends complete locally (buffered semantics).
 //! * **Rendezvous** — the envelope (RTS) advertises the sender's
-//!   registered buffer; the receiver either pulls with RDMA read and
-//!   FINs (read mode) or advertises its own buffer (CTS) for the sender
-//!   to push with RDMA-write-immediate (write mode). Zero host copies:
-//!   the only data movement is the fabric DMA, straight between user
-//!   buffers.
+//!   registered buffer; the receiver pulls it with RDMA read and FINs.
+//!   Zero host copies: the only data movement is the fabric DMA,
+//!   straight between user buffers.
 //! * **Sockets** — the 2002 kernel-path model: MTU segmentation, two
 //!   extra copies per side (user ↔ socket buffer ↔ driver), and optional
 //!   calibrated busy-waits standing in for syscall and interrupt costs.
@@ -25,7 +23,7 @@
 //! and the CQ's internal lock provides the happens-before edge.
 
 use crate::buffer::{BufferPool, FramePool, FramePoolStats, MsgBuf, PoolStats};
-use crate::config::{MsgConfig, Protocol, RendezvousMode};
+use crate::config::{MsgConfig, Protocol};
 use crate::envelope::{rel_sequenced, rel_src, rel_wire_seq, stamp_rel, Envelope, HEADER_LEN};
 use crate::match_engine::{MatchEngine, MatchSpec};
 use polaris_nic::prelude::*;
@@ -127,20 +125,43 @@ pub struct EndpointStats {
 const K_RX: u64 = 1 << 56;
 const K_TX_BOUNCE: u64 = 2 << 56;
 const K_RDMA_READ: u64 = 3 << 56;
-const K_RDMA_WRITE: u64 = 4 << 56;
-const K_GATHER: u64 = 5 << 56;
+const K_GATHER: u64 = 4 << 56;
 const KIND_MASK: u64 = 0xff << 56;
 const PAYLOAD_MASK: u64 = !KIND_MASK;
 
 /// What an unmatched arrival parks in the match engine.
 enum Parked {
     /// Eager (or reassembled sockets) data copied off the bounce buffer.
-    /// `extra_copies` accounts for the kernel-side copies the sockets
-    /// model already performed on this payload.
-    Data { data: Vec<u8>, extra_copies: u64 },
+    /// Its copies are counted as they happen, so delivery adds only the
+    /// final one.
+    Data(Vec<u8>),
     /// A rendezvous RTS: no data moved yet — the zero-copy property
     /// holds even for unexpected messages.
     Rts { len: u64, msg_id: u64, rkey: u64 },
+}
+
+/// Where a received envelope's payload is: still in the receive bounce
+/// buffer it landed in (reliability off), or in a frame the reliability
+/// layer copied off one. Either way it starts `HEADER_LEN` bytes in.
+#[derive(Clone, Copy)]
+enum Payload<'a> {
+    /// Index into `Endpoint::rx_bufs`.
+    Bounce(usize),
+    Frame(&'a [u8]),
+}
+
+impl Payload<'_> {
+    /// Fill `dst` with the first `dst.len()` payload bytes.
+    fn copy_to(self, rx_bufs: &[MemoryRegion], dst: &mut [u8]) {
+        match self {
+            Payload::Bounce(idx) => rx_bufs[idx]
+                .read_at(HEADER_LEN, dst)
+                .expect("bounce payload"),
+            Payload::Frame(frame) => {
+                dst.copy_from_slice(&frame[HEADER_LEN..HEADER_LEN + dst.len()])
+            }
+        }
+    }
 }
 
 /// Where a send request stands. Its buffer rides alongside in
@@ -152,12 +173,8 @@ enum SendPhase {
     /// The destination failed mid-flight; the buffer is recycled when
     /// the caller reaps the error.
     Failed { peer: u32 },
-    /// Rendezvous-read: waiting for the receiver's FIN.
+    /// Rendezvous: waiting for the receiver's FIN.
     AwaitFin { dst: u32 },
-    /// Rendezvous-write: waiting for the receiver's CTS.
-    AwaitCts { dst: u32 },
-    /// Rendezvous-write: RDMA write posted, waiting for its completion.
-    WriteInflight { dst: u32 },
     /// Gather-eager: the NIC reads the user buffer's blocks directly;
     /// the buffer and the header slot are held until the send completes.
     GatherInflight { slot: usize, dst: u32 },
@@ -180,8 +197,6 @@ enum RecvPhase {
         len: usize,
         msg_id: u64,
     },
-    /// Rendezvous write expected (CTS sent); waiting for the immediate.
-    AwaitWrite { src: u32, tag: u64, len: usize },
     /// Finished.
     Done(MsgResult<RecvInfo>),
 }
@@ -338,18 +353,15 @@ pub struct Endpoint {
     tx_slots: Vec<Option<MemoryRegion>>,
     tx_free: Vec<usize>,
     matcher: MatchEngine<ReqId, Parked>,
-    /// Requests by id. Ids, handles and assembly keys all come from this
+    /// Requests by id. Ids and assembly keys all come from this
     /// process's own counters, so the maps use the fast integer hasher;
     /// a reaped id is removed, which is what makes a second reap
     /// [`MsgError::UnknownRequest`].
     sends: FastHashMap<ReqId, SendReq>,
     recvs: FastHashMap<ReqId, RecvReq>,
-    /// Rendezvous-write handle -> recv request.
-    write_pending: FastHashMap<u32, ReqId>,
     /// Original user buffers for layout sends that fell back to
     /// pack+rendezvous: returned in place of the packed staging buffer.
     sends_return_original: FastHashMap<u64, MsgBuf>,
-    next_handle: u32,
     sock_assembly: FastHashMap<u64, SockAssembly>,
     next_req: u64,
     /// Peers known to have failed (via detect_failures or explicit mark).
@@ -424,9 +436,7 @@ impl Endpoint {
                 matcher: MatchEngine::new(),
                 sends: FastHashMap::with_capacity_and_hasher(64, Default::default()),
                 recvs: FastHashMap::with_capacity_and_hasher(64, Default::default()),
-                write_pending: FastHashMap::default(),
                 sends_return_original: FastHashMap::default(),
-                next_handle: 0,
                 sock_assembly: FastHashMap::default(),
                 next_req: 1,
                 failed_peers: std::collections::HashSet::new(),
@@ -542,16 +552,6 @@ impl Endpoint {
         &self.cfg
     }
 
-    /// The underlying NIC (for direct verbs access alongside messaging).
-    pub fn nic(&self) -> &Nic {
-        &self.nic
-    }
-
-    /// The endpoint's protection domain.
-    pub fn pd(&self) -> ProtectionDomain {
-        self.pd
-    }
-
     pub fn stats(&self) -> EndpointStats {
         self.stats
     }
@@ -652,8 +652,7 @@ impl Endpoint {
         if let Some(un) = self.matcher.post_recv(spec, req) {
             let (src, tag) = (un.src, un.tag);
             match un.payload {
-                Parked::Data { data, extra_copies } => {
-                    self.stats.host_copies += extra_copies;
+                Parked::Data(data) => {
                     self.deliver_data(req, src, tag, &data);
                     self.frames.release(data);
                 }
@@ -666,12 +665,6 @@ impl Endpoint {
             }
         }
         Ok(req)
-    }
-
-    /// Has a matching message arrived (without consuming it)?
-    pub fn probe(&mut self, spec: MatchSpec) -> Option<(u32, u64)> {
-        self.progress();
-        self.matcher.probe(spec)
     }
 
     // ------------------------------------------------------------------
@@ -731,11 +724,7 @@ impl Endpoint {
         // parked message's header. The slot returns via its own CQE if
         // the send ever completes; otherwise it is retired.
         for sr in self.sends.values_mut() {
-            if let SendPhase::AwaitFin { dst }
-            | SendPhase::AwaitCts { dst }
-            | SendPhase::WriteInflight { dst }
-            | SendPhase::GatherInflight { dst, .. } = sr.phase
-            {
+            if let SendPhase::AwaitFin { dst } | SendPhase::GatherInflight { dst, .. } = sr.phase {
                 if dst == peer {
                     sr.phase = SendPhase::Failed { peer };
                 }
@@ -743,7 +732,7 @@ impl Endpoint {
         }
         // Fail in-flight receives from the peer.
         for rr in self.recvs.values_mut() {
-            if let RecvPhase::Reading { src, .. } | RecvPhase::AwaitWrite { src, .. } = rr.phase {
+            if let RecvPhase::Reading { src, .. } = rr.phase {
                 if src == peer {
                     rr.phase = RecvPhase::Done(Err(MsgError::PeerFailed(peer)));
                 }
@@ -870,18 +859,7 @@ impl Endpoint {
     }
 
     pub fn wait_send_timeout(&mut self, req: ReqId, timeout: Duration) -> MsgResult<MsgBuf> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            if let Some(buf) = self.reap_send(req)? {
-                return Ok(buf);
-            }
-            if self.progress() == 0 {
-                if Instant::now() >= deadline {
-                    return Err(MsgError::Timeout);
-                }
-                std::thread::yield_now();
-            }
-        }
+        self.wait_until(timeout, |ep| ep.reap_send(req))
     }
 
     /// Block until a receive completes, returning the buffer and info.
@@ -894,9 +872,19 @@ impl Endpoint {
         req: ReqId,
         timeout: Duration,
     ) -> MsgResult<(MsgBuf, RecvInfo)> {
+        self.wait_until(timeout, |ep| ep.reap_recv(req))
+    }
+
+    /// Drive progress until `reap` yields, yielding the thread whenever
+    /// a pass finds no completion, or until `timeout` passes.
+    fn wait_until<T>(
+        &mut self,
+        timeout: Duration,
+        mut reap: impl FnMut(&mut Self) -> MsgResult<Option<T>>,
+    ) -> MsgResult<T> {
         let deadline = Instant::now() + timeout;
         loop {
-            if let Some(done) = self.reap_recv(req)? {
+            if let Some(done) = reap(self)? {
                 return Ok(done);
             }
             if self.progress() == 0 {
@@ -905,40 +893,6 @@ impl Endpoint {
                 }
                 std::thread::yield_now();
             }
-        }
-    }
-
-    /// Wait for every send in `reqs` (in order), returning the buffers.
-    pub fn waitall_sends(&mut self, reqs: Vec<ReqId>) -> MsgResult<Vec<MsgBuf>> {
-        reqs.into_iter().map(|r| self.wait_send(r)).collect()
-    }
-
-    /// Wait for every receive in `reqs` (in order).
-    pub fn waitall_recvs(&mut self, reqs: Vec<ReqId>) -> MsgResult<Vec<(MsgBuf, RecvInfo)>> {
-        reqs.into_iter().map(|r| self.wait_recv(r)).collect()
-    }
-
-    /// Wait until *any* of the given receives completes; returns its
-    /// index in `reqs` along with the result. The completed request is
-    /// removed from the slice's semantics (callers typically
-    /// `swap_remove` it).
-    pub fn waitany_recv(
-        &mut self,
-        reqs: &[ReqId],
-        timeout: Duration,
-    ) -> MsgResult<(usize, MsgBuf, RecvInfo)> {
-        assert!(!reqs.is_empty(), "waitany on an empty set");
-        let deadline = Instant::now() + timeout;
-        loop {
-            for (i, &r) in reqs.iter().enumerate() {
-                if let Some((buf, info)) = self.test_recv(r)? {
-                    return Ok((i, buf, info));
-                }
-            }
-            if Instant::now() >= deadline {
-                return Err(MsgError::Timeout);
-            }
-            std::thread::yield_now();
         }
     }
 
@@ -996,31 +950,10 @@ impl Endpoint {
             tag,
             len: buf.len() as u64,
         };
-        if self.cfg.reliability.enabled {
-            // Host copy #1: user buffer -> retransmittable frame.
-            let (seq, frame) = self.rel_frame(dst, env, buf.as_slice());
-            self.count_copy(buf.len());
-            self.post_rel_frame(dst, seq, frame)?;
-            self.insert_send(req, buf, SendPhase::Done);
-            return Ok(());
-        }
-        let slot = self.acquire_tx_slot()?;
-        let mr = self.tx_slots[slot].take().expect("slot acquired");
-        mr.write_at(0, &env.encode())?;
-        // Host copy #1: user buffer -> bounce buffer.
-        mr.write_at(HEADER_LEN, buf.as_slice())?;
+        // Host copy #1: user buffer -> bounce buffer (or retransmittable
+        // frame).
         self.count_copy(buf.len());
-        let wire_len = HEADER_LEN + buf.len();
-        self.qps[dst as usize].post_send(SendWr::Send {
-            wr_id: K_TX_BOUNCE | slot as u64,
-            sges: SgeList::single(Sge {
-                mr: mr.clone(),
-                offset: 0,
-                len: wire_len,
-            }),
-            imm: None,
-        })?;
-        self.tx_slots[slot] = Some(mr);
+        self.send_frame(dst, env, buf.as_slice())?;
         // Buffered semantics: the user's buffer is free immediately.
         self.insert_send(req, buf, SendPhase::Done);
         Ok(())
@@ -1076,8 +1009,7 @@ impl Endpoint {
             // zero-copy gather degrades to pack-and-send (one copy).
             let packed = layout.pack(buf.as_slice());
             self.count_copy(total);
-            let (seq, frame) = self.rel_frame(dst, env, &packed);
-            self.post_rel_frame(dst, seq, frame)?;
+            self.send_frame(dst, env, &packed)?;
             self.insert_send(req, buf, SendPhase::Done);
             return Ok(req);
         }
@@ -1117,7 +1049,7 @@ impl Endpoint {
         let rank = self.rank;
         if let Some(o) = &mut self.obs {
             o.rendezvous.inc();
-            // Span: RTS opens, FIN (or CTS-write completion) closes.
+            // Span: RTS opens, FIN closes.
             o.enter(
                 Subject::Peer { rank, peer: dst },
                 "rendezvous",
@@ -1132,16 +1064,12 @@ impl Endpoint {
             rkey: buf.rkey().0,
         };
         self.send_ctrl(dst, env)?;
-        let phase = match self.cfg.rendezvous_mode {
-            RendezvousMode::Read => SendPhase::AwaitFin { dst },
-            RendezvousMode::Write => SendPhase::AwaitCts { dst },
-        };
-        self.insert_send(req, buf, phase);
+        self.insert_send(req, buf, SendPhase::AwaitFin { dst });
         Ok(())
     }
 
     /// Answer an RTS matched to the posted receive `req`: pull the
-    /// payload (read mode) or advertise the buffer (write mode).
+    /// payload with RDMA read. The read's completion sends the FIN.
     fn start_rendezvous_recv(
         &mut self,
         req: ReqId,
@@ -1163,49 +1091,32 @@ impl Endpoint {
             }));
             return self.send_ctrl(src, Envelope::Fin { msg_id });
         }
-        if len == 0 && self.cfg.rendezvous_mode == RendezvousMode::Read {
+        if len == 0 {
+            // Nothing to read: the receive completes here.
             rr.buf.set_len(0);
             rr.phase = RecvPhase::Done(Ok(RecvInfo { src, tag, len: 0 }));
+            self.stats.msgs_received += 1;
             return self.send_ctrl(src, Envelope::Fin { msg_id });
         }
-        match self.cfg.rendezvous_mode {
-            RendezvousMode::Read => {
-                self.qps[src as usize].post_send(SendWr::RdmaRead {
-                    wr_id: K_RDMA_READ | req,
-                    sges: SgeList::single(Sge {
-                        mr: rr.buf.region().clone(),
-                        offset: 0,
-                        len,
-                    }),
-                    remote: RemoteAddr {
-                        node: NodeId(src),
-                        rkey: Rkey(rkey),
-                        offset: 0,
-                    },
-                })?;
-                rr.phase = RecvPhase::Reading {
-                    src,
-                    tag,
-                    len,
-                    msg_id,
-                };
-            }
-            RendezvousMode::Write => {
-                let handle = self.next_handle;
-                self.next_handle = self.next_handle.wrapping_add(1);
-                self.write_pending.insert(handle, req);
-                rr.phase = RecvPhase::AwaitWrite { src, tag, len };
-                let rkey = rr.buf.rkey().0;
-                self.send_ctrl(
-                    src,
-                    Envelope::Cts {
-                        msg_id,
-                        rkey,
-                        handle,
-                    },
-                )?;
-            }
-        }
+        self.qps[src as usize].post_send(SendWr::RdmaRead {
+            wr_id: K_RDMA_READ | req,
+            sges: SgeList::single(Sge {
+                mr: rr.buf.region().clone(),
+                offset: 0,
+                len,
+            }),
+            remote: RemoteAddr {
+                node: NodeId(src),
+                rkey: Rkey(rkey),
+                offset: 0,
+            },
+        })?;
+        rr.phase = RecvPhase::Reading {
+            src,
+            tag,
+            len,
+            msg_id,
+        };
         Ok(())
     }
 
@@ -1233,37 +1144,13 @@ impl Endpoint {
                 offset: offset as u64,
                 len: len as u64,
             };
-            if self.cfg.reliability.enabled {
-                let seg = std::mem::take(&mut self.kstage);
-                let (seq, frame) = self.rel_frame(dst, env, &seg);
-                self.kstage = seg;
-                // Kernel copy #2: socket buffer -> driver ring.
-                self.count_copy(len);
-                self.stats.sockets_segments += 1;
-                self.post_rel_frame(dst, seq, frame)?;
-                offset += len;
-                if offset >= total {
-                    break;
-                }
-                continue;
-            }
-            let slot = self.acquire_tx_slot()?;
-            let mr = self.tx_slots[slot].take().expect("slot acquired");
-            mr.write_at(0, &env.encode())?;
             // Kernel copy #2: socket buffer -> driver ring.
-            mr.write_at(HEADER_LEN, &self.kstage)?;
             self.count_copy(len);
             self.stats.sockets_segments += 1;
-            self.qps[dst as usize].post_send(SendWr::Send {
-                wr_id: K_TX_BOUNCE | slot as u64,
-                sges: SgeList::single(Sge {
-                    mr: mr.clone(),
-                    offset: 0,
-                    len: HEADER_LEN + len,
-                }),
-                imm: None,
-            })?;
-            self.tx_slots[slot] = Some(mr);
+            let seg = std::mem::take(&mut self.kstage);
+            let sent = self.send_frame(dst, env, &seg);
+            self.kstage = seg;
+            sent?;
             offset += len;
             if offset >= total {
                 break;
@@ -1277,33 +1164,26 @@ impl Endpoint {
         self.sends.insert(req, SendReq { buf, phase });
     }
 
+    /// Send a user frame, `env` then `payload`: sequenced and
+    /// retransmittable when the reliability layer is on, else straight
+    /// through a bounce slot (recycling completed slots first if none is
+    /// free).
+    fn send_frame(&mut self, dst: u32, env: Envelope, payload: &[u8]) -> MsgResult<()> {
+        if self.cfg.reliability.enabled {
+            let (seq, frame) = self.rel_frame(dst, env, payload);
+            return self.post_rel_frame(dst, seq, frame);
+        }
+        let slot = self.acquire_tx_slot()?;
+        self.post_bounce(dst, slot, &env.encode(), payload, None)
+    }
+
     // ------------------------------------------------------------------
     // Completion handling
     // ------------------------------------------------------------------
 
     fn handle_cqe(&mut self, cqe: Cqe) {
         match cqe.wr_id & KIND_MASK {
-            K_RX => match cqe.opcode {
-                CqeOpcode::Recv => self.handle_rx(cqe),
-                CqeOpcode::RecvRdmaImm => {
-                    // A rendezvous write landed; the consumed bounce recv
-                    // must be re-posted.
-                    self.repost_rx(cqe);
-                    let handle = cqe.imm.expect("write-imm carries handle");
-                    let Some(req) = self.write_pending.remove(&handle) else {
-                        return;
-                    };
-                    if let Some(rr) = self.recvs.get_mut(&req) {
-                        if let RecvPhase::AwaitWrite { src, tag, len } = rr.phase {
-                            rr.buf.set_len(len);
-                            self.stats.msgs_received += 1;
-                            self.stats.bytes_received += len as u64;
-                            rr.phase = RecvPhase::Done(Ok(RecvInfo { src, tag, len }));
-                        }
-                    }
-                }
-                _ => {}
-            },
+            K_RX if cqe.opcode == CqeOpcode::Recv => self.handle_rx(cqe),
             K_TX_BOUNCE => {
                 let slot = (cqe.wr_id & PAYLOAD_MASK) as usize;
                 self.tx_free.push(slot);
@@ -1365,14 +1245,6 @@ impl Endpoint {
                     }
                 }
             }
-            K_RDMA_WRITE => {
-                let req = cqe.wr_id & PAYLOAD_MASK;
-                if let Some(sr) = self.sends.get_mut(&req) {
-                    if matches!(sr.phase, SendPhase::WriteInflight { .. }) {
-                        sr.phase = SendPhase::Done;
-                    }
-                }
-            }
             _ => {}
         }
     }
@@ -1404,35 +1276,33 @@ impl Endpoint {
             .read_at(0, &mut header)
             .expect("bounce header");
         let env = Envelope::decode(&header).expect("valid envelope");
+        self.dispatch(env, Payload::Bounce(idx));
+        self.repost_rx(cqe);
+    }
+
+    /// Act on one in-order envelope. An eager or sockets payload is
+    /// copied straight from where `payload` says it is; nothing is
+    /// staged in between. An `Ack` reaches `handle_ack`, which ignores
+    /// it when the reliability layer is off.
+    fn dispatch(&mut self, env: Envelope, payload: Payload<'_>) {
         match env {
             Envelope::Eager { src, tag, len } => {
                 let len = len as usize;
+                let rx_bufs = &self.rx_bufs;
                 if let Some(req) = self.matcher.arrive(src, tag) {
-                    let rx_buf = &self.rx_bufs[idx];
                     let info = RecvInfo { src, tag, len };
-                    // Host copy #2: bounce buffer -> user buffer.
+                    // Host copy #2: bounce buffer (or frame) -> user buffer.
                     complete_recv(&mut self.recvs, &mut self.stats, req, info, |buf| {
                         buf.set_len(len);
-                        rx_buf
-                            .read_at(HEADER_LEN, buf.as_mut_slice())
-                            .expect("payload")
+                        payload.copy_to(rx_bufs, buf.as_mut_slice());
                     });
                 } else {
                     self.stats.unexpected_arrivals += 1;
                     let mut data = self.frames.acquire(len);
                     data.resize(len, 0);
-                    self.rx_bufs[idx]
-                        .read_at(HEADER_LEN, &mut data)
-                        .expect("bounce payload");
+                    payload.copy_to(rx_bufs, &mut data);
                     self.count_copy(len);
-                    self.matcher.park(
-                        src,
-                        tag,
-                        Parked::Data {
-                            data,
-                            extra_copies: 0,
-                        },
-                    );
+                    self.matcher.park(src, tag, Parked::Data(data));
                 }
             }
             Envelope::Rts {
@@ -1442,17 +1312,8 @@ impl Endpoint {
                 msg_id,
                 rkey,
             } => self.on_rts(src, tag, len, msg_id, rkey),
-            Envelope::Cts {
-                msg_id,
-                rkey,
-                handle,
-            } => self.on_cts(msg_id, rkey, handle),
             Envelope::Fin { msg_id } => self.on_fin(msg_id),
-            Envelope::Ack { src, acked, cum } => {
-                if self.cfg.reliability.enabled {
-                    self.handle_ack(src, acked, cum);
-                }
-            }
+            Envelope::Ack { src, acked, cum } => self.handle_ack(src, acked, cum),
             Envelope::SockSeg {
                 src,
                 tag,
@@ -1462,7 +1323,7 @@ impl Endpoint {
                 len,
             } => {
                 spin_for(self.cfg.interrupt_overhead);
-                let rx_buf = &self.rx_bufs[idx];
+                let rx_bufs = &self.rx_bufs;
                 let done = sock_segment(
                     &mut self.sock_assembly,
                     &mut self.frames,
@@ -1470,12 +1331,11 @@ impl Endpoint {
                     total as usize,
                     offset as usize,
                     len as usize,
-                    |dst| rx_buf.read_at(HEADER_LEN, dst).expect("segment payload"),
+                    |dst| payload.copy_to(rx_bufs, dst),
                 );
                 self.sock_arrived(len as usize, done);
             }
         }
-        self.repost_rx(cqe);
     }
 
     /// Account one sockets segment and, when it completed its message,
@@ -1492,14 +1352,7 @@ impl Endpoint {
             self.frames.release(asm.data);
         } else {
             self.stats.unexpected_arrivals += 1;
-            self.matcher.park(
-                asm.src,
-                asm.tag,
-                Parked::Data {
-                    data: asm.data,
-                    extra_copies: 0,
-                },
-            );
+            self.matcher.park(asm.src, asm.tag, Parked::Data(asm.data));
         }
     }
 
@@ -1513,47 +1366,7 @@ impl Endpoint {
         }
     }
 
-    /// A rendezvous-write CTS arrived: push the payload.
-    fn on_cts(&mut self, msg_id: u64, rkey: u64, handle: u32) {
-        // A request that moved to `Failed` (peer marked dead) stays as
-        // it is, reapable.
-        let Some(sr) = self.sends.get_mut(&msg_id) else {
-            return;
-        };
-        let SendPhase::AwaitCts { dst } = sr.phase else {
-            return;
-        };
-        let r = self.qps[dst as usize].post_send(SendWr::RdmaWriteImm {
-            wr_id: K_RDMA_WRITE | msg_id,
-            sges: SgeList::single(Sge {
-                mr: sr.buf.region().clone(),
-                offset: 0,
-                len: sr.buf.len(),
-            }),
-            remote: RemoteAddr {
-                node: NodeId(dst),
-                rkey: Rkey(rkey),
-                offset: 0,
-            },
-            imm: handle,
-        });
-        sr.phase = match r {
-            Ok(()) => SendPhase::WriteInflight { dst },
-            Err(_) => SendPhase::Done,
-        };
-        let rank = self.rank;
-        if let Some(o) = &mut self.obs {
-            // Write-mode sender: the CTS hand-off ends its part of
-            // the protocol (the write is one-sided from here).
-            o.exit(
-                Subject::Peer { rank, peer: dst },
-                "rendezvous",
-                &[("msg_id", msg_id), ("phase", 1)],
-            );
-        }
-    }
-
-    /// A rendezvous-read FIN arrived: the receiver pulled the data.
+    /// A rendezvous FIN arrived: the receiver pulled the data.
     fn on_fin(&mut self, msg_id: u64) {
         let Some(sr) = self.sends.get_mut(&msg_id) else {
             return;
@@ -1583,14 +1396,9 @@ impl Endpoint {
             self.frames.release(frame);
             return;
         };
-        if let Envelope::Ack { src, acked, cum } = env {
-            self.handle_ack(src, acked, cum);
-            self.frames.release(frame);
-            return;
-        }
         if !rel_sequenced(&frame) {
-            // Unsequenced frame (peer running without reliability).
-            self.process_frame(&frame);
+            // An ACK, or a frame from a peer running without reliability.
+            self.dispatch(env, Payload::Frame(&frame));
             self.frames.release(frame);
             return;
         }
@@ -1618,10 +1426,10 @@ impl Endpoint {
         }
         rel.rx_cum = seq;
         self.send_ack(src, seq);
-        self.process_frame(&frame);
+        self.dispatch(env, Payload::Frame(&frame));
         self.frames.release(frame);
         // The gap may have been the only thing holding back later
-        // frames; drain them in order.
+        // frames; drain them in order. Each decoded when it arrived.
         loop {
             let rel = &mut self.rel[src as usize];
             let next = rel.rx_cum + 1;
@@ -1629,77 +1437,14 @@ impl Endpoint {
                 break;
             };
             rel.rx_cum = next;
-            self.process_frame(&parked);
+            let env = Envelope::decode(&parked).expect("decoded before parking");
+            self.dispatch(env, Payload::Frame(&parked));
             self.frames.release(parked);
         }
     }
 
-    /// Dispatch one in-order frame (header + payload as a byte slice).
-    fn process_frame(&mut self, frame: &[u8]) {
-        let Some(env) = Envelope::decode(frame) else {
-            return;
-        };
-        match env {
-            Envelope::Eager { src, tag, len } => {
-                let len = len as usize;
-                let payload = &frame[HEADER_LEN..HEADER_LEN + len];
-                if let Some(req) = self.matcher.arrive(src, tag) {
-                    self.deliver_data(req, src, tag, payload);
-                } else {
-                    self.stats.unexpected_arrivals += 1;
-                    let mut data = self.frames.acquire(len);
-                    data.extend_from_slice(payload);
-                    self.count_copy(len);
-                    self.matcher.park(
-                        src,
-                        tag,
-                        Parked::Data {
-                            data,
-                            extra_copies: 0,
-                        },
-                    );
-                }
-            }
-            Envelope::Rts {
-                src,
-                tag,
-                len,
-                msg_id,
-                rkey,
-            } => self.on_rts(src, tag, len, msg_id, rkey),
-            Envelope::Cts {
-                msg_id,
-                rkey,
-                handle,
-            } => self.on_cts(msg_id, rkey, handle),
-            Envelope::Fin { msg_id } => self.on_fin(msg_id),
-            Envelope::Ack { src, acked, cum } => self.handle_ack(src, acked, cum),
-            Envelope::SockSeg {
-                src,
-                tag,
-                msg_id,
-                total,
-                offset,
-                len,
-            } => {
-                spin_for(self.cfg.interrupt_overhead);
-                let len = len as usize;
-                let done = sock_segment(
-                    &mut self.sock_assembly,
-                    &mut self.frames,
-                    (src, tag, msg_id),
-                    total as usize,
-                    offset as usize,
-                    len,
-                    |dst| dst.copy_from_slice(&frame[HEADER_LEN..HEADER_LEN + len]),
-                );
-                self.sock_arrived(len, done);
-            }
-        }
-    }
-
     /// Complete the posted receive `req` by copying from a byte slice
-    /// (unexpected-eager, reliable and sockets paths).
+    /// (a parked payload or a reassembled sockets message).
     fn deliver_data(&mut self, req: ReqId, src: u32, tag: u64, data: &[u8]) {
         complete_recv(
             &mut self.recvs,
@@ -1781,22 +1526,43 @@ impl Endpoint {
         Ok(())
     }
 
-    /// Post raw frame bytes through a bounce slot. `rel` ties the slot to
-    /// a (peer, seq) so an error completion can fast-retransmit.
+    /// Post an encoded frame (header, then payload) through a bounce
+    /// slot taken without recursing into `progress`, so completion
+    /// handling and the retransmission path may call it.
     fn post_frame(&mut self, dst: u32, frame: &[u8], rel: Option<u64>) -> MsgResult<()> {
         let slot = self.acquire_tx_slot_quiet()?;
+        let (header, payload) = frame.split_at(HEADER_LEN);
+        self.post_bounce(dst, slot, header, payload, rel)
+    }
+
+    /// Fill the acquired bounce slot `slot` with `header`, then
+    /// `payload`, and post it to `dst`. `rel` ties the slot to a
+    /// (peer, seq) so an error completion can fast-retransmit. A refused
+    /// post returns the slot to the free list.
+    fn post_bounce(
+        &mut self,
+        dst: u32,
+        slot: usize,
+        header: &[u8],
+        payload: &[u8],
+        rel: Option<u64>,
+    ) -> MsgResult<()> {
         let mr = self.tx_slots[slot].take().expect("slot acquired");
-        mr.write_at(0, frame)?;
         self.tx_slot_rel[slot] = rel.map(|seq| (dst, seq));
-        let r = self.qps[dst as usize].post_send(SendWr::Send {
-            wr_id: K_TX_BOUNCE | slot as u64,
-            sges: SgeList::single(Sge {
-                mr: mr.clone(),
-                offset: 0,
-                len: frame.len(),
-            }),
-            imm: None,
-        });
+        let r = mr
+            .write_at(0, header)
+            .and_then(|()| mr.write_at(header.len(), payload))
+            .and_then(|()| {
+                self.qps[dst as usize].post_send(SendWr::Send {
+                    wr_id: K_TX_BOUNCE | slot as u64,
+                    sges: SgeList::single(Sge {
+                        mr: mr.clone(),
+                        offset: 0,
+                        len: header.len() + payload.len(),
+                    }),
+                    imm: None,
+                })
+            });
         self.tx_slots[slot] = Some(mr);
         if r.is_err() {
             self.tx_slot_rel[slot] = None;
@@ -1898,10 +1664,13 @@ impl Endpoint {
     /// An ACK from `src`: retire the specific frame and everything at or
     /// below the cumulative watermark. Wire values are 32-bit; they are
     /// extended against our send counter toward that peer, so retirement
-    /// comparisons stay exact across the wire-seq wrap.
+    /// comparisons stay exact across the wire-seq wrap. With reliability
+    /// off `rel` is empty and the ACK is ignored.
     fn handle_ack(&mut self, src: u32, acked: u32, cum: u32) {
         let Endpoint { rel, frames, .. } = self;
-        let rel = &mut rel[src as usize];
+        let Some(rel) = rel.get_mut(src as usize) else {
+            return;
+        };
         let acked = extend_ack(rel.next_seq, acked);
         let cum = extend_ack(rel.next_seq, cum);
         if let Some(p) = rel.pending.remove(&acked) {

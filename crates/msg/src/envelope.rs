@@ -70,14 +70,7 @@ pub enum Envelope {
         msg_id: u64,
         rkey: u64,
     },
-    /// Rendezvous clear-to-send (write mode): the receiver advertises its
-    /// buffer; `handle` comes back in the write's immediate data.
-    Cts {
-        msg_id: u64,
-        rkey: u64,
-        handle: u32,
-    },
-    /// Rendezvous finished (read mode): the receiver has pulled the data.
+    /// Rendezvous finished: the receiver has pulled the data.
     Fin { msg_id: u64 },
     /// One MTU segment of the sockets baseline. `offset` locates the
     /// segment's payload within the full message of `total` bytes.
@@ -99,13 +92,12 @@ pub enum Envelope {
 
 const T_EAGER: u8 = 1;
 const T_RTS: u8 = 2;
-const T_CTS: u8 = 3;
 const T_FIN: u8 = 4;
 const T_SOCKSEG: u8 = 5;
 const T_ACK: u8 = 6;
 
 impl Envelope {
-    /// Serialize into a 48-byte header.
+    /// Serialize into a `HEADER_LEN`-byte header.
     pub fn encode(&self) -> [u8; HEADER_LEN] {
         let mut b = [0u8; HEADER_LEN];
         match *self {
@@ -126,16 +118,6 @@ impl Envelope {
                 b[4..8].copy_from_slice(&src.to_le_bytes());
                 b[8..16].copy_from_slice(&tag.to_le_bytes());
                 b[16..24].copy_from_slice(&len.to_le_bytes());
-                b[24..32].copy_from_slice(&msg_id.to_le_bytes());
-                b[32..40].copy_from_slice(&rkey.to_le_bytes());
-            }
-            Envelope::Cts {
-                msg_id,
-                rkey,
-                handle,
-            } => {
-                b[0] = T_CTS;
-                b[4..8].copy_from_slice(&handle.to_le_bytes());
                 b[24..32].copy_from_slice(&msg_id.to_le_bytes());
                 b[32..40].copy_from_slice(&rkey.to_le_bytes());
             }
@@ -189,11 +171,6 @@ impl Envelope {
                 msg_id: u64_at(24),
                 rkey: u64_at(32),
             },
-            T_CTS => Envelope::Cts {
-                msg_id: u64_at(24),
-                rkey: u64_at(32),
-                handle: u32_at(4),
-            },
             T_FIN => Envelope::Fin { msg_id: u64_at(24) },
             T_SOCKSEG => Envelope::SockSeg {
                 src: u32_at(4),
@@ -235,11 +212,6 @@ mod tests {
             len: 1 << 40,
             msg_id: 0xdead_beef_cafe,
             rkey: 42,
-        });
-        roundtrip(Envelope::Cts {
-            msg_id: 9,
-            rkey: 10,
-            handle: u32::MAX,
         });
         roundtrip(Envelope::Fin { msg_id: 0 });
         roundtrip(Envelope::Ack {

@@ -14,7 +14,7 @@
 //! |------------|-------------|--------------------------|------------|
 //! | sockets    | 4           | syscalls + per-MTU work  | (baseline) |
 //! | eager      | 2           | one envelope             | small msgs |
-//! | rendezvous | **0**       | handshake (RTS/CTS/FIN)  | large msgs |
+//! | rendezvous | **0**       | handshake (RTS/FIN)      | large msgs |
 //!
 //! ```
 //! use polaris_msg::prelude::*;
@@ -47,7 +47,7 @@ pub mod model;
 
 pub mod prelude {
     pub use crate::buffer::{BufferPool, FramePool, FramePoolStats, MsgBuf, PoolStats};
-    pub use crate::config::{MsgConfig, Protocol, Reliability, RendezvousMode};
+    pub use crate::config::{MsgConfig, Protocol, Reliability};
     pub use crate::datatype::Layout;
     pub use crate::endpoint::{Endpoint, EndpointStats, MsgError, MsgResult, RecvInfo, ReqId};
     pub use crate::match_engine::MatchSpec;
@@ -55,8 +55,9 @@ pub mod prelude {
 
 #[cfg(test)]
 mod tests {
-    use crate::config::{MsgConfig, Protocol, Reliability, RendezvousMode};
-    use crate::endpoint::{Endpoint, MsgError};
+    use crate::buffer::MsgBuf;
+    use crate::config::{MsgConfig, Protocol, Reliability};
+    use crate::endpoint::{Endpoint, EndpointStats, MsgError, RecvInfo, ReqId};
     use crate::match_engine::MatchSpec;
     use polaris_nic::prelude::{ChaosParams, Fabric};
 
@@ -72,19 +73,14 @@ mod tests {
         (0..n).map(|i| (i * 31 + 7) as u8).collect()
     }
 
-    /// Single-threaded roundtrip: interleaves progress on both endpoints
-    /// so that protocols needing sender participation (rendezvous-write)
-    /// also complete.
-    fn roundtrip_with(cfg: MsgConfig, len: usize) {
-        let (_fabric, mut eps) = world(2, cfg);
-        let (e1, rest) = eps.split_at_mut(1);
-        let (ep0, ep1) = (&mut e1[0], &mut rest[0]);
-        let data = payload(len);
-        let mut buf = ep0.alloc(len).unwrap();
-        buf.fill_from(&data);
-        let sreq = ep0.isend(1, 42, buf).unwrap();
-        let rbuf = ep1.alloc(len.max(1)).unwrap();
-        let rreq = ep1.irecv(MatchSpec::exact(0, 42), rbuf).unwrap();
+    /// Interleave progress on both endpoints, from one thread, until the
+    /// send `sreq` on `ep0` and the receive `rreq` on `ep1` are done.
+    fn drive(
+        ep0: &mut Endpoint,
+        ep1: &mut Endpoint,
+        sreq: ReqId,
+        rreq: ReqId,
+    ) -> (MsgBuf, MsgBuf, RecvInfo) {
         let mut sdone = None;
         let mut rdone = None;
         for _ in 0..10_000 {
@@ -98,12 +94,29 @@ mod tests {
                 break;
             }
         }
-        let sbuf = sdone.expect("send completed");
         let (rbuf, info) = rdone.expect("recv completed");
+        (sdone.expect("send completed"), rbuf, info)
+    }
+
+    /// Single-threaded roundtrip of one `len`-byte message, which the
+    /// receiver must count once.
+    fn roundtrip_with(cfg: MsgConfig, len: usize) {
+        let (_fabric, mut eps) = world(2, cfg);
+        let (e1, rest) = eps.split_at_mut(1);
+        let (ep0, ep1) = (&mut e1[0], &mut rest[0]);
+        let data = payload(len);
+        let mut buf = ep0.alloc(len).unwrap();
+        buf.fill_from(&data);
+        let sreq = ep0.isend(1, 42, buf).unwrap();
+        let rbuf = ep1.alloc(len.max(1)).unwrap();
+        let rreq = ep1.irecv(MatchSpec::exact(0, 42), rbuf).unwrap();
+        let (sbuf, rbuf, info) = drive(ep0, ep1, sreq, rreq);
         assert_eq!(info.src, 0);
         assert_eq!(info.tag, 42);
         assert_eq!(info.len, len);
         assert_eq!(rbuf.as_slice(), &data[..]);
+        assert_eq!(ep1.stats().msgs_received, 1, "{:?}, {len} bytes", cfg.protocol);
+        assert_eq!(ep1.stats().bytes_received, len as u64);
         ep0.release(sbuf);
         ep1.release(rbuf);
     }
@@ -118,15 +131,6 @@ mod tests {
     #[test]
     fn rendezvous_read_roundtrip_various_sizes() {
         let cfg = MsgConfig::with_protocol(Protocol::Rendezvous);
-        for len in [0, 1, 100, 64 * 1024, 1 << 20] {
-            roundtrip_with(cfg, len);
-        }
-    }
-
-    #[test]
-    fn rendezvous_write_roundtrip_various_sizes() {
-        let mut cfg = MsgConfig::with_protocol(Protocol::Rendezvous);
-        cfg.rendezvous_mode = RendezvousMode::Write;
         for len in [0, 1, 100, 64 * 1024, 1 << 20] {
             roundtrip_with(cfg, len);
         }
@@ -405,22 +409,6 @@ mod tests {
     }
 
     #[test]
-    fn probe_sees_pending_message() {
-        let (_f, mut eps) = world(2, MsgConfig::default());
-        let (e1, rest) = eps.split_at_mut(1);
-        let (ep0, ep1) = (&mut e1[0], &mut rest[0]);
-        assert_eq!(ep1.probe(MatchSpec::any()), None);
-        let mut b = ep0.alloc(4).unwrap();
-        b.fill_from(b"peek");
-        let sreq = ep0.isend(1, 77, b).unwrap();
-        assert_eq!(ep1.probe(MatchSpec::any()), Some((0, 77)));
-        assert_eq!(ep1.probe(MatchSpec::exact(0, 78)), None);
-        let rb = ep1.alloc(8).unwrap();
-        ep1.recv(MatchSpec::exact(0, 77), rb).unwrap();
-        ep0.wait_send(sreq).unwrap();
-    }
-
-    #[test]
     fn send_slice_and_recv_vec_convenience() {
         let (_f, mut eps) = world(2, MsgConfig::default());
         let (e1, rest) = eps.split_at_mut(1);
@@ -484,40 +472,6 @@ mod tests {
     }
 
     #[test]
-    fn waitall_and_waitany_complete_request_sets() {
-        let (_f, mut eps) = world(2, MsgConfig::default());
-        let (e1, rest) = eps.split_at_mut(1);
-        let (ep0, ep1) = (&mut e1[0], &mut rest[0]);
-        // Post three receives, satisfy them out of order.
-        let reqs: Vec<_> = (0..3u64)
-            .map(|tag| {
-                let b = ep1.alloc(8).unwrap();
-                ep1.irecv(MatchSpec::exact(0, tag), b).unwrap()
-            })
-            .collect();
-        let mut sends = Vec::new();
-        for tag in [2u64, 0, 1] {
-            let mut b = ep0.alloc(8).unwrap();
-            b.fill_from(&tag.to_le_bytes());
-            sends.push(ep0.isend(1, tag, b).unwrap());
-        }
-        // waitany picks the first completed (all are complete; index 0).
-        let (idx, buf, info) = ep1
-            .waitany_recv(&reqs, std::time::Duration::from_secs(5))
-            .unwrap();
-        assert_eq!(u64::from_le_bytes(buf.as_slice().try_into().unwrap()), info.tag);
-        let mut remaining = reqs;
-        remaining.swap_remove(idx);
-        let done = ep1.waitall_recvs(remaining).unwrap();
-        assert_eq!(done.len(), 2);
-        for (b, i) in &done {
-            assert_eq!(u64::from_le_bytes(b.as_slice().try_into().unwrap()), i.tag);
-        }
-        let bufs = ep0.waitall_sends(sends).unwrap();
-        assert_eq!(bufs.len(), 3);
-    }
-
-    #[test]
     fn interleaved_sockets_messages_reassemble_independently() {
         // Two multi-segment sockets messages on different tags from the
         // same sender must reassemble without cross-talk even though
@@ -551,7 +505,7 @@ mod tests {
 
     #[test]
     fn a_one_buffer_pool_runs_all_protocols() {
-        // Every handshake frame (RTS, CTS, FIN, segments) takes a turn
+        // Every handshake frame (RTS, FIN, segments) takes a turn
         // in the endpoint's single receive buffer.
         for proto in [Protocol::Eager, Protocol::Rendezvous, Protocol::Sockets] {
             let mut cfg = MsgConfig::with_protocol(proto);
@@ -777,17 +731,8 @@ mod tests {
 
     #[test]
     fn cross_thread_ping_pong_all_protocols() {
-        let mut write_mode = MsgConfig::with_protocol(Protocol::Rendezvous);
-        write_mode.rendezvous_mode = RendezvousMode::Write;
-        let configs = [
-            MsgConfig::with_protocol(Protocol::Eager),
-            MsgConfig::with_protocol(Protocol::Rendezvous),
-            write_mode,
-            MsgConfig::with_protocol(Protocol::Sockets),
-        ];
-        for cfg in configs {
-            let proto = cfg.protocol;
-            let (_f, mut eps) = world(2, cfg);
+        for proto in [Protocol::Eager, Protocol::Rendezvous, Protocol::Sockets] {
+            let (_f, mut eps) = world(2, MsgConfig::with_protocol(proto));
             let ep1 = eps.pop().unwrap();
             let mut ep0 = eps.pop().unwrap();
             let iters = 50;
@@ -841,12 +786,78 @@ mod tests {
         for len in [0, 1, 64 * 1024, 1 << 20] {
             roundtrip_with(reliable(Protocol::Rendezvous), len);
         }
-        let mut cfg = reliable(Protocol::Rendezvous);
-        cfg.rendezvous_mode = RendezvousMode::Write;
-        roundtrip_with(cfg, 100_000);
         for len in [0, 1499, 100_000] {
             roundtrip_with(reliable(Protocol::Sockets), len);
         }
+    }
+
+    #[test]
+    fn reliability_on_and_off_count_alike_on_a_clean_fabric() {
+        // Both receive paths run one dispatch, so on a fabric that loses
+        // nothing the reliability layer must not move a single copy,
+        // protocol choice or arrival count. Even-numbered messages are
+        // sent, and have arrived as far as they can, before their
+        // receive is posted; odd ones find it posted.
+        let sizes = [0usize, 64, 4 << 10, 16 << 10, 100_000, 1 << 20];
+        let row = |s: EndpointStats| {
+            [
+                s.host_copies,
+                s.host_copy_bytes,
+                s.eager_sends,
+                s.rendezvous_sends,
+                s.sockets_segments,
+                s.msgs_received,
+                s.bytes_received,
+                s.unexpected_arrivals,
+            ]
+        };
+        let counts = |reliability: Reliability| {
+            let mut rows = Vec::new();
+            for proto in [
+                Protocol::Auto,
+                Protocol::Eager,
+                Protocol::Rendezvous,
+                Protocol::Sockets,
+            ] {
+                let cfg = MsgConfig {
+                    reliability,
+                    ..MsgConfig::with_protocol(proto)
+                };
+                let (_f, mut eps) = world(2, cfg);
+                let (e1, rest) = eps.split_at_mut(1);
+                let (ep0, ep1) = (&mut e1[0], &mut rest[0]);
+                let mut sent = 0;
+                for (tag, &len) in sizes.iter().enumerate() {
+                    if proto == Protocol::Eager && len > cfg.eager_buf_size {
+                        continue;
+                    }
+                    let tag = tag as u64;
+                    let data = payload(len);
+                    let mut sbuf = ep0.alloc(len).unwrap();
+                    sbuf.fill_from(&data);
+                    let rbuf = ep1.alloc(len.max(1)).unwrap();
+                    let spec = MatchSpec::exact(0, tag);
+                    let (sreq, rreq) = if tag.is_multiple_of(2) {
+                        let sreq = ep0.isend(1, tag, sbuf).unwrap();
+                        while ep0.progress() + ep1.progress() > 0 {}
+                        (sreq, ep1.irecv(spec, rbuf).unwrap())
+                    } else {
+                        let rreq = ep1.irecv(spec, rbuf).unwrap();
+                        (ep0.isend(1, tag, sbuf).unwrap(), rreq)
+                    };
+                    let (sbuf, rbuf, info) = drive(ep0, ep1, sreq, rreq);
+                    assert_eq!(rbuf.as_slice(), &data[..], "{proto:?}, {len} bytes");
+                    assert_eq!(info.len, len);
+                    ep0.release(sbuf);
+                    ep1.release(rbuf);
+                    sent += 1;
+                }
+                assert_eq!(ep1.stats().msgs_received, sent, "{proto:?}");
+                rows.push((proto, row(ep0.stats()), row(ep1.stats())));
+            }
+            rows
+        };
+        assert_eq!(counts(Reliability::default()), counts(Reliability::on()));
     }
 
     #[test]
@@ -1066,11 +1077,9 @@ mod tests {
 
     #[test]
     fn peer_failure_mid_rendezvous_fails_the_pending_send() {
-        // The sender is parked in AwaitCts — RTS delivered, but the
-        // receiver never posts a matching recv, so no CTS ever comes.
-        let mut cfg = MsgConfig::with_protocol(Protocol::Rendezvous);
-        cfg.rendezvous_mode = RendezvousMode::Write;
-        let (_f, mut eps) = world(2, cfg);
+        // The sender is parked in AwaitFin — RTS delivered, but the
+        // receiver never posts a matching recv, so no FIN ever comes.
+        let (_f, mut eps) = world(2, MsgConfig::with_protocol(Protocol::Rendezvous));
         let (e1, rest) = eps.split_at_mut(1);
         let ep0 = &mut e1[0];
         let _ep1 = &rest[0];
@@ -1078,7 +1087,7 @@ mod tests {
         b.fill_from(&payload(4096));
         let req = ep0.isend(1, 9, b).unwrap();
         ep0.progress();
-        assert!(matches!(ep0.test_send(req), Ok(None)), "stuck awaiting CTS");
+        assert!(matches!(ep0.test_send(req), Ok(None)), "stuck awaiting FIN");
 
         ep0.mark_peer_failed(1);
         assert_eq!(ep0.wait_send(req).unwrap_err(), MsgError::PeerFailed(1));

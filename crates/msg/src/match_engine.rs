@@ -126,14 +126,6 @@ impl<R, P> MatchEngine<R, P> {
         self.unexpected.push_back(Unexpected { src, tag, payload });
     }
 
-    /// Check for an unexpected arrival matching `spec` without posting.
-    pub fn probe(&self, spec: MatchSpec) -> Option<(u32, u64)> {
-        self.unexpected
-            .iter()
-            .find(|u| spec.matches(u.src, u.tag))
-            .map(|u| (u.src, u.tag))
-    }
-
     pub fn posted_len(&self) -> usize {
         self.posted.len()
     }
@@ -247,15 +239,6 @@ mod tests {
         assert_eq!(u.payload, vec![b'b']);
         let u = e.post_recv(MatchSpec::any(), 0).unwrap();
         assert_eq!(u.payload, vec![b'x']);
-    }
-
-    #[test]
-    fn probe_peeks_without_consuming() {
-        let mut e = Eng::new();
-        e.park(3, 30, vec![]);
-        assert_eq!(e.probe(MatchSpec::exact(3, 30)), Some((3, 30)));
-        assert_eq!(e.probe(MatchSpec::exact(3, 31)), None);
-        assert_eq!(e.unexpected_len(), 1);
     }
 
     #[test]

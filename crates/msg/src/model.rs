@@ -12,7 +12,7 @@
 //!
 //! Era parameters default to published 2002 ballpark values.
 
-use crate::config::{Protocol, RendezvousMode};
+use crate::config::{MsgConfig, Protocol};
 use crate::envelope::HEADER_LEN;
 use polaris_simnet::link::LinkModel;
 use polaris_simnet::time::SimDuration;
@@ -75,7 +75,6 @@ pub fn p2p_time(
     hops: u32,
     bytes: u64,
     protocol: Protocol,
-    mode: RendezvousMode,
     host: &HostParams,
 ) -> SimDuration {
     let hdr = HEADER_LEN as u64;
@@ -100,17 +99,12 @@ pub fn p2p_time(
                 + host.userlevel_overhead
         }
         Protocol::Rendezvous => {
+            // RTS -> (read) -> FIN; the FIN overlaps nothing here.
             let data = link.message_time(bytes.max(1), hops);
-            let reg = host.reg_time(bytes);
-            match mode {
-                // RTS -> (read) -> FIN; the FIN overlaps nothing here.
-                RendezvousMode::Read => ctrl(2) + reg + data,
-                // RTS -> CTS -> write.
-                RendezvousMode::Write => ctrl(2) + reg + data,
-            }
+            ctrl(2) + host.reg_time(bytes) + data
         }
         Protocol::Sockets => {
-            let mtu = 1500u64;
+            let mtu = MsgConfig::default().sockets_mtu as u64;
             let segs = bytes.div_ceil(mtu).max(1);
             // Two copies per side, one syscall per segment at the sender,
             // one interrupt per segment at the receiver, then the wire.
@@ -121,12 +115,9 @@ pub fn p2p_time(
                 + link.message_time(bytes + segs * hdr, hops)
         }
         Protocol::Auto => {
-            // Model the default 16 KiB threshold.
-            if bytes < 16 * 1024 {
-                p2p_time(link, hops, bytes, Protocol::Eager, mode, host)
-            } else {
-                p2p_time(link, hops, bytes, Protocol::Rendezvous, mode, host)
-            }
+            // The endpoint's default threshold picks the protocol.
+            let p = MsgConfig::default().protocol_for(bytes as usize);
+            p2p_time(link, hops, bytes, p, host)
         }
     }
 }
@@ -137,27 +128,20 @@ pub fn p2p_bandwidth(
     hops: u32,
     bytes: u64,
     protocol: Protocol,
-    mode: RendezvousMode,
     host: &HostParams,
 ) -> f64 {
     if bytes == 0 {
         return 0.0;
     }
-    bytes as f64
-        / p2p_time(link, hops, bytes, protocol, mode, host).as_secs()
+    bytes as f64 / p2p_time(link, hops, bytes, protocol, host).as_secs()
 }
 
 /// The payload size where rendezvous becomes faster than eager (the
 /// protocol switch point the A2 ablation sweeps), found by scanning
 /// powers of two then bisecting.
-pub fn eager_rendezvous_crossover(
-    link: &LinkModel,
-    hops: u32,
-    mode: RendezvousMode,
-    host: &HostParams,
-) -> u64 {
-    let eager = |b: u64| p2p_time(link, hops, b, Protocol::Eager, mode, host);
-    let rndv = |b: u64| p2p_time(link, hops, b, Protocol::Rendezvous, mode, host);
+pub fn eager_rendezvous_crossover(link: &LinkModel, hops: u32, host: &HostParams) -> u64 {
+    let eager = |b: u64| p2p_time(link, hops, b, Protocol::Eager, host);
+    let rndv = |b: u64| p2p_time(link, hops, b, Protocol::Rendezvous, host);
     let cap = 16u64 << 20;
     if rndv(cap) >= eager(cap) {
         return cap;
@@ -191,9 +175,8 @@ mod tests {
             Generation::InfiniBand4x,
         ] {
             let link = g.link_model();
-            let eager = p2p_time(&link, 2, 8, Protocol::Eager, RendezvousMode::Read, &host());
-            let sockets =
-                p2p_time(&link, 2, 8, Protocol::Sockets, RendezvousMode::Read, &host());
+            let eager = p2p_time(&link, 2, 8, Protocol::Eager, &host());
+            let sockets = p2p_time(&link, 2, 8, Protocol::Sockets, &host());
             let speedup = sockets.as_secs() / eager.as_secs();
             assert!(
                 speedup > 1.5,
@@ -206,50 +189,27 @@ mod tests {
     fn rendezvous_beats_eager_on_large_messages() {
         let link = Generation::InfiniBand4x.link_model();
         let big = 4 << 20;
-        let e = p2p_time(&link, 2, big, Protocol::Eager, RendezvousMode::Read, &host());
-        let r = p2p_time(
-            &link,
-            2,
-            big,
-            Protocol::Rendezvous,
-            RendezvousMode::Read,
-            &host(),
-        );
+        let e = p2p_time(&link, 2, big, Protocol::Eager, &host());
+        let r = p2p_time(&link, 2, big, Protocol::Rendezvous, &host());
         assert!(r < e, "rendezvous {r} must beat eager {e} at {big} bytes");
     }
 
     #[test]
     fn eager_beats_rendezvous_on_tiny_messages() {
         let link = Generation::InfiniBand4x.link_model();
-        let e = p2p_time(&link, 2, 8, Protocol::Eager, RendezvousMode::Read, &host());
-        let r = p2p_time(
-            &link,
-            2,
-            8,
-            Protocol::Rendezvous,
-            RendezvousMode::Read,
-            &host(),
-        );
+        let e = p2p_time(&link, 2, 8, Protocol::Eager, &host());
+        let r = p2p_time(&link, 2, 8, Protocol::Rendezvous, &host());
         assert!(e < r, "eager {e} must beat rendezvous {r} at 8 bytes");
     }
 
     #[test]
     fn crossover_is_between_the_extremes() {
         let link = Generation::InfiniBand4x.link_model();
-        let x = eager_rendezvous_crossover(&link, 2, RendezvousMode::Read, &host());
+        let x = eager_rendezvous_crossover(&link, 2, &host());
         assert!((64..=1 << 20).contains(&x), "crossover {x}");
         // Verify it is actually a crossover.
-        let e = |b| p2p_time(&link, 2, b, Protocol::Eager, RendezvousMode::Read, &host());
-        let r = |b| {
-            p2p_time(
-                &link,
-                2,
-                b,
-                Protocol::Rendezvous,
-                RendezvousMode::Read,
-                &host(),
-            )
-        };
+        let e = |b| p2p_time(&link, 2, b, Protocol::Eager, &host());
+        let r = |b| p2p_time(&link, 2, b, Protocol::Rendezvous, &host());
         assert!(e(x / 2) <= r(x / 2));
         assert!(r(2 * x) < e(2 * x));
     }
@@ -257,22 +217,8 @@ mod tests {
     #[test]
     fn sockets_bandwidth_saturates_below_link_rate() {
         let link = Generation::InfiniBand4x.link_model();
-        let bw_sockets = p2p_bandwidth(
-            &link,
-            2,
-            16 << 20,
-            Protocol::Sockets,
-            RendezvousMode::Read,
-            &host(),
-        );
-        let bw_rndv = p2p_bandwidth(
-            &link,
-            2,
-            16 << 20,
-            Protocol::Rendezvous,
-            RendezvousMode::Read,
-            &host(),
-        );
+        let bw_sockets = p2p_bandwidth(&link, 2, 16 << 20, Protocol::Sockets, &host());
+        let bw_rndv = p2p_bandwidth(&link, 2, 16 << 20, Protocol::Rendezvous, &host());
         // Four copies at 1 GB/s cap sockets far below the 1 GB/s link.
         assert!(bw_sockets < 0.4 * link.bandwidth_bps as f64);
         assert!(bw_rndv > 0.85 * link.bandwidth_bps as f64);
@@ -285,8 +231,8 @@ mod tests {
         cold.reg_cache = false;
         let warm = host();
         let b = 1 << 20;
-        let t_cold = p2p_time(&link, 2, b, Protocol::Rendezvous, RendezvousMode::Read, &cold);
-        let t_warm = p2p_time(&link, 2, b, Protocol::Rendezvous, RendezvousMode::Read, &warm);
+        let t_cold = p2p_time(&link, 2, b, Protocol::Rendezvous, &cold);
+        let t_warm = p2p_time(&link, 2, b, Protocol::Rendezvous, &warm);
         assert!(t_cold > t_warm);
         // 256 pages at 1us each = 256us extra.
         let extra = t_cold.as_us() - t_warm.as_us();
@@ -298,19 +244,12 @@ mod tests {
         let link = Generation::Myrinet2000.link_model();
         let h = host();
         assert_eq!(
-            p2p_time(&link, 2, 100, Protocol::Auto, RendezvousMode::Read, &h),
-            p2p_time(&link, 2, 100, Protocol::Eager, RendezvousMode::Read, &h)
+            p2p_time(&link, 2, 100, Protocol::Auto, &h),
+            p2p_time(&link, 2, 100, Protocol::Eager, &h)
         );
         assert_eq!(
-            p2p_time(&link, 2, 1 << 20, Protocol::Auto, RendezvousMode::Read, &h),
-            p2p_time(
-                &link,
-                2,
-                1 << 20,
-                Protocol::Rendezvous,
-                RendezvousMode::Read,
-                &h
-            )
+            p2p_time(&link, 2, 1 << 20, Protocol::Auto, &h),
+            p2p_time(&link, 2, 1 << 20, Protocol::Rendezvous, &h)
         );
     }
 
@@ -320,7 +259,7 @@ mod tests {
         for proto in [Protocol::Eager, Protocol::Rendezvous, Protocol::Sockets] {
             let mut prev = SimDuration::ZERO;
             for bytes in [1u64, 64, 1024, 65536, 1 << 20] {
-                let t = p2p_time(&link, 2, bytes, proto, RendezvousMode::Read, &host());
+                let t = p2p_time(&link, 2, bytes, proto, &host());
                 assert!(t >= prev, "{proto:?} not monotone");
                 prev = t;
             }
@@ -337,15 +276,7 @@ mod tests {
             Generation::Myrinet2000,
             Generation::InfiniBand4x,
         ] {
-            let t = p2p_time(
-                &g.link_model(),
-                2,
-                8,
-                Protocol::Eager,
-                RendezvousMode::Read,
-                &h,
-            )
-            .as_us();
+            let t = p2p_time(&g.link_model(), 2, 8, Protocol::Eager, &h).as_us();
             assert!(t < prev, "{g:?} latency {t}us not better than {prev}us");
             prev = t;
         }

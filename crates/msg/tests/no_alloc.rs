@@ -67,7 +67,7 @@ fn round(eps: &mut [Endpoint], sbuf: MsgBuf, rbuf: MsgBuf, tag: u64) -> (MsgBuf,
     let sreq = ep0.isend(1, tag, sbuf).unwrap();
     let (rbuf, info) = ep1.wait_recv(rreq).unwrap();
     assert_eq!(info.len, len);
-    // Rendezvous-read: the sender's FIN arrives only once the receiver
+    // Rendezvous: the sender's FIN arrives only once the receiver
     // has reaped its read completion, which `wait_recv` just did.
     let sbuf = ep0.wait_send(sreq).unwrap();
     (sbuf, rbuf)
@@ -108,10 +108,9 @@ fn eager_steady_state_is_allocation_free() {
 }
 
 #[test]
-fn rendezvous_read_steady_state_is_allocation_free() {
+fn rendezvous_steady_state_is_allocation_free() {
     // RTS, RDMA read and FIN per message: two control frames through
     // bounce slots, one one-sided read, five completions.
-    assert_eq!(MsgConfig::default().rendezvous_mode, RendezvousMode::Read);
     assert_eq!(steady_state_allocs(Protocol::Rendezvous, 64), 0);
     assert_eq!(steady_state_allocs(Protocol::Rendezvous, 16 << 10), 0);
 }

@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release --example interconnect_shootout`
 
-use polaris_msg::config::{Protocol, RendezvousMode};
+use polaris_msg::config::Protocol;
 use polaris_msg::model::{eager_rendezvous_crossover, p2p_bandwidth, p2p_time, HostParams};
 use polaris_simnet::circuit::CircuitSchedulerConfig;
 use polaris_simnet::link::Generation;
@@ -20,7 +20,7 @@ fn main() {
     );
     for g in Generation::ALL {
         let link = g.link_model();
-        let t = |p| p2p_time(&link, hops, 8, p, RendezvousMode::Read, &host).as_us();
+        let t = |p| p2p_time(&link, hops, 8, p, &host).as_us();
         println!(
             "{:<18} {:>10.1} {:>10.1} {:>12.1}",
             g.name(),
@@ -37,9 +37,7 @@ fn main() {
     );
     for g in Generation::ALL {
         let link = g.link_model();
-        let bw = |p| {
-            p2p_bandwidth(&link, hops, 4 << 20, p, RendezvousMode::Read, &host) / 1e6
-        };
+        let bw = |p| p2p_bandwidth(&link, hops, 4 << 20, p, &host) / 1e6;
         println!(
             "{:<18} {:>10.0} {:>10.0} {:>12.0} {:>10.0}",
             g.name(),
@@ -52,7 +50,7 @@ fn main() {
 
     println!("\neager/rendezvous crossover size by generation:");
     for g in Generation::ALL {
-        let x = eager_rendezvous_crossover(&g.link_model(), hops, RendezvousMode::Read, &host);
+        let x = eager_rendezvous_crossover(&g.link_model(), hops, &host);
         println!("  {:<18} {:>8} bytes", g.name(), x);
     }
 

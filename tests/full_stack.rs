@@ -118,36 +118,6 @@ fn collectives_compose_over_the_runtime() {
 }
 
 #[test]
-fn rendezvous_write_mode_full_stack() {
-    let mut cfg = MsgConfig::with_protocol(Protocol::Rendezvous);
-    cfg.rendezvous_mode = RendezvousMode::Write;
-    let (ok, stats) = Cluster::builder().nodes(4).messaging(cfg).run(|mut ctx| {
-        let rank = ctx.rank();
-        let p = ctx.size();
-        let len = 200_000;
-        let ep = ctx.endpoint();
-        let rbuf = ep.alloc(len).unwrap();
-        let rreq = ep
-            .irecv(MatchSpec::exact((rank + p - 1) % p, 3), rbuf)
-            .unwrap();
-        let mut sbuf = ep.alloc(len).unwrap();
-        sbuf.as_mut_slice().fill(rank as u8);
-        let sreq = ep.isend((rank + 1) % p, 3, sbuf).unwrap();
-        let (rbuf, info) = ep.wait_recv(rreq).unwrap();
-        assert_eq!(info.len, len);
-        let expect = ((rank + p - 1) % p) as u8;
-        assert!(rbuf.as_slice().iter().all(|&b| b == expect));
-        let sbuf = ep.wait_send(sreq).unwrap();
-        ep.release(sbuf);
-        ep.release(rbuf);
-        // Zero host copies in write mode too.
-        ep.stats().host_copies == 0
-    });
-    assert!(ok.into_iter().all(|x| x));
-    assert!(stats.dma_bytes >= 4 * 200_000);
-}
-
-#[test]
 fn qp_failure_flushes_cleanly_through_the_stack() {
     use polaris_nic::prelude::*;
     use std::time::Duration;

@@ -26,13 +26,6 @@ fn arb_envelope() -> impl Strategy<Value = Envelope> {
                 rkey
             }
         ),
-        (any::<u64>(), any::<u64>(), any::<u32>()).prop_map(|(msg_id, rkey, handle)| {
-            Envelope::Cts {
-                msg_id,
-                rkey,
-                handle,
-            }
-        }),
         any::<u64>().prop_map(|msg_id| Envelope::Fin { msg_id }),
         (
             any::<u32>(),
