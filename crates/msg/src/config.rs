@@ -72,8 +72,6 @@ pub struct MsgConfig {
     pub eager_threshold: usize,
     /// Payload capacity of one eager bounce buffer.
     pub eager_buf_size: usize,
-    /// Send-side bounce pool size (shared across peers).
-    pub send_pool_size: usize,
     /// MTU used by the sockets baseline's segmentation.
     pub sockets_mtu: usize,
     /// Modeled cost of one syscall (sockets baseline); implemented as a
@@ -101,7 +99,6 @@ impl Default for MsgConfig {
             protocol: Protocol::Auto,
             eager_threshold: 16 * 1024,
             eager_buf_size: 16 * 1024,
-            send_pool_size: 64,
             sockets_mtu: 1500,
             syscall_overhead: Duration::ZERO,
             interrupt_overhead: Duration::ZERO,
@@ -143,9 +140,6 @@ impl MsgConfig {
                 self.eager_buf_size,
                 crate::envelope::HEADER_LEN
             ));
-        }
-        if self.send_pool_size == 0 {
-            return Err("send_pool_size must be nonzero".into());
         }
         if self.sockets_mtu == 0 {
             return Err("sockets_mtu must be nonzero".into());

@@ -111,8 +111,9 @@ pub struct EndpointStats {
     pub rendezvous_sends: u64,
     pub sockets_segments: u64,
     pub unexpected_arrivals: u64,
-    /// Send-bounce slots allocated beyond the configured pool (bursts).
-    pub tx_pool_growth: u64,
+    /// Send-bounce slots registered: about the most eager and control
+    /// sends in flight at once. Slots recycle and are never given back.
+    pub tx_slots_registered: u64,
     /// Frames retransmitted by the reliability layer (timer or fast).
     pub rel_retransmits: u64,
     /// Duplicate frames discarded by receive-side dedup.
@@ -349,7 +350,8 @@ pub struct Endpoint {
     /// Scratch buffer for batched CQ polling; reused across progress
     /// calls so steady-state polling is allocation-free.
     cq_scratch: Vec<Cqe>,
-    /// Send bounce slots; `None` while in flight.
+    /// Send bounce slots, registered on first need; `None` while in
+    /// flight.
     tx_slots: Vec<Option<MemoryRegion>>,
     tx_free: Vec<usize>,
     matcher: MatchEngine<ReqId, Parked>,
@@ -388,7 +390,8 @@ impl Endpoint {
     /// This performs the out-of-band bootstrap: one QP per ordered pair,
     /// all-to-all connected, each endpoint's shared receive pool
     /// pre-posted. Receive memory per endpoint is `srq_bufs` bounce
-    /// buffers, whatever `n` is.
+    /// buffers, whatever `n` is; send bounce slots are registered by the
+    /// first sends that need them.
     pub fn create_world(fabric: &Fabric, n: u32, cfg: MsgConfig) -> MsgResult<Vec<Endpoint>> {
         cfg.validate().map_err(MsgError::BadConfig)?;
         let mut eps: Vec<Endpoint> = Vec::with_capacity(n as usize);
@@ -397,10 +400,9 @@ impl Endpoint {
             let pd = nic.alloc_pd();
             // Outstanding receive completions are bounded by the pool
             // (a buffer is reposted only after its CQE is handled), and
-            // send completions by the send slots in flight; the factor
-            // and the constant leave room for slot growth under bursts
-            // and for RDMA completions.
-            let cq = CompletionQueue::new((cfg.srq_bufs + cfg.send_pool_size) * 4 + 1024);
+            // send completions by the send slots in flight; the constant
+            // leaves room for those under bursts and for RDMA completions.
+            let cq = CompletionQueue::new(cfg.srq_bufs * 4 + 1280);
             let srq = nic.create_srq();
             let rx_bufs = (0..cfg.srq_bufs)
                 .map(|_| nic.register(pd, cfg.eager_buf_size + HEADER_LEN))
@@ -410,12 +412,6 @@ impl Endpoint {
                 let qp = nic.create_qp_with_srq(pd, &cq, &cq, &srq)?;
                 assert_eq!(qp.num(), QpNum(peer), "a fresh NIC numbers its QPs from zero");
                 qps.push(qp);
-            }
-            let mut tx_slots = Vec::with_capacity(cfg.send_pool_size);
-            let mut tx_free = Vec::with_capacity(cfg.send_pool_size);
-            for i in 0..cfg.send_pool_size {
-                tx_slots.push(Some(nic.register(pd, cfg.eager_buf_size + HEADER_LEN)?));
-                tx_free.push(i);
             }
             let pool = BufferPool::new(nic.clone(), pd, cfg.reg_cache_capacity);
             eps.push(Endpoint {
@@ -429,10 +425,10 @@ impl Endpoint {
                 srq,
                 rx_bufs,
                 pool,
-                frames: FramePool::new(cfg.send_pool_size.max(64)),
+                frames: FramePool::new(64),
                 cq_scratch: Vec::with_capacity(64),
-                tx_slots,
-                tx_free,
+                tx_slots: Vec::new(),
+                tx_free: Vec::new(),
                 matcher: MatchEngine::new(),
                 sends: FastHashMap::with_capacity_and_hasher(64, Default::default()),
                 recvs: FastHashMap::with_capacity_and_hasher(64, Default::default()),
@@ -446,7 +442,7 @@ impl Endpoint {
                 } else {
                     Vec::new()
                 },
-                tx_slot_rel: vec![None; cfg.send_pool_size],
+                tx_slot_rel: Vec::new(),
                 rel_rng: SplitMix64::new(cfg.reliability.jitter_seed ^ rank as u64),
                 stats: EndpointStats::default(),
                 kstage: Vec::new(),
@@ -1722,7 +1718,7 @@ impl Endpoint {
         if let Some(s) = self.tx_free.pop() {
             return Ok(s);
         }
-        // Burst exceeds the configured window: grow the pool instead of
+        // Every slot is in flight: register one more instead of
         // blocking (a blocked sender cannot progress a single-threaded
         // peer, and the virtual NIC's send queue is unbounded anyway).
         // Slots recycle through the free list once their sends complete.
@@ -1731,7 +1727,7 @@ impl Endpoint {
             .register(self.pd, self.cfg.eager_buf_size + HEADER_LEN)?;
         self.tx_slots.push(Some(mr));
         self.tx_slot_rel.push(None);
-        self.stats.tx_pool_growth += 1;
+        self.stats.tx_slots_registered += 1;
         Ok(self.tx_slots.len() - 1)
     }
 
@@ -1887,9 +1883,9 @@ mod tests {
     /// A burst far beyond the receive pool: 64 ranks each send four
     /// eager messages to every rank, self included, before anyone
     /// receives, against a 4-buffer pool. All but four arrivals per
-    /// rank park at the NIC, and the send pools grow. The CQ, sized
-    /// from the pool and the send slots alone, must never latch an
-    /// overflow, and every message must arrive intact.
+    /// rank park at the NIC, and the send slots are registered as the
+    /// sends need them. The CQ, sized from the receive pool alone, must
+    /// never latch an overflow, and every message must arrive intact.
     #[test]
     fn an_all_to_all_burst_against_a_tiny_pool_never_overflows_the_cq() {
         let (n, m) = (64u32, 4u64);
@@ -1944,9 +1940,11 @@ mod tests {
             let buf = eps[r as usize].wait_send(req).unwrap();
             eps[r as usize].release(buf);
         }
-        // Rank 0 sends into empty pools; every later rank finds them
-        // full and outgrows its send pool.
-        assert!(eps[1..].iter().all(|ep| ep.stats().tx_pool_growth > 0));
+        // Rank 0 sends into empty pools and recycles one slot; every
+        // later rank finds them full and registers a slot for each
+        // parked send, more than one per peer.
+        assert_eq!(eps[0].stats().tx_slots_registered, 1);
+        assert!(eps[1..].iter().all(|ep| ep.stats().tx_slots_registered > n as u64));
     }
 
     /// Regression: wire seqs are 32-bit; crossing `u32::MAX` must keep

@@ -188,7 +188,7 @@ mod tests {
             let copies = ep0.stats().host_copies + ep1.stats().host_copies - before_copies;
             assert_eq!(copies, 0, "rendezvous must not copy on the host");
             // Payload crossed the fabric exactly once (controls are
-            // header-only and move 48-byte envelopes).
+            // header-only and move 64-byte envelopes).
             let dma = fabric.stats().dma_bytes - dma_before;
             assert!(
                 dma >= len as u64 && dma < len as u64 + 1024,
@@ -525,7 +525,6 @@ mod tests {
         // inbounds must drain as the receiver reposts.
         let mut cfg = MsgConfig::with_protocol(Protocol::Eager);
         cfg.srq_bufs = 4;
-        cfg.send_pool_size = 128;
         let (_f, mut eps) = world(2, cfg);
         let (e1, rest) = eps.split_at_mut(1);
         let (ep0, ep1) = (&mut e1[0], &mut rest[0]);
@@ -550,19 +549,21 @@ mod tests {
 
     #[test]
     fn receive_memory_grows_linearly_with_the_world() {
-        // Each endpoint registers one receive pool and one send pool,
-        // whatever the world size, so doubling the ranks doubles the
-        // world's registered bytes; a receive window per peer would
-        // grow it with the square of the ranks (3.5x from 12 to 24).
+        // Each endpoint registers one receive pool, whatever the world
+        // size, and no send slot before its first send, so doubling the
+        // ranks exactly doubles the world's registered bytes; a receive
+        // window per peer would grow it with the square of the ranks
+        // (3.5x from 12 to 24).
         let registered = |p: u32| {
             let fabric = Fabric::new();
             let _eps = Endpoint::create_world(&fabric, p, MsgConfig::default()).unwrap();
             fabric.stats().registered_bytes
         };
         let (r12, r24) = (registered(12), registered(24));
-        assert!(
-            r24 <= 2 * r12,
-            "24 ranks registered {r24} bytes, more than twice the {r12} of 12 ranks"
+        assert_eq!(
+            r24,
+            2 * r12,
+            "24 ranks registered {r24} bytes, not twice the {r12} of 12 ranks"
         );
     }
 
@@ -1102,11 +1103,9 @@ mod tests {
     #[test]
     fn gather_slot_is_retired_not_recycled_on_peer_failure() {
         use crate::datatype::Layout;
-        // One bounce slot, reliability off, so the zero-copy gather path
-        // is exercised and slot accounting is observable via pool growth.
-        let mut cfg = MsgConfig::with_protocol(Protocol::Eager);
-        cfg.send_pool_size = 1;
-        let (_f, mut eps) = world(3, cfg);
+        // Reliability off, so the zero-copy gather path is exercised;
+        // slot accounting is observable via the slots registered.
+        let (_f, mut eps) = world(3, MsgConfig::with_protocol(Protocol::Eager));
         let (e1, rest) = eps.split_at_mut(1);
         let (r1, r2) = rest.split_at_mut(1);
         let (ep0, _ep1, ep2) = (&mut e1[0], &mut r1[0], &mut r2[0]);
@@ -1118,17 +1117,17 @@ mod tests {
         // Mark before any progress: the request is still GatherInflight.
         ep0.mark_peer_failed(1);
         assert_eq!(ep0.wait_send(req).unwrap_err(), MsgError::PeerFailed(1));
-        assert_eq!(ep0.stats().tx_pool_growth, 0);
+        assert_eq!(ep0.stats().tx_slots_registered, 1);
 
         // The retired slot must NOT come back through the gather CQE: the
-        // next eager send is forced to grow the pool instead of reusing
-        // it, and still goes through cleanly to a live peer.
+        // next eager send is forced to register a second slot instead of
+        // reusing it, and still goes through cleanly to a live peer.
         let mut b = ep0.alloc(32).unwrap();
         b.fill_from(&payload(32));
         let sreq = ep0.isend(2, 6, b).unwrap();
         assert_eq!(
-            ep0.stats().tx_pool_growth,
-            1,
+            ep0.stats().tx_slots_registered,
+            2,
             "slot parked at the dead peer stays retired"
         );
         let rb = ep2.alloc(32).unwrap();

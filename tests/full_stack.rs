@@ -218,3 +218,45 @@ fn fabric_stats_are_consistent() {
     assert!(stats.registrations > 0);
     assert!(stats.registered_bytes > 0);
 }
+
+#[test]
+fn send_slots_are_registered_by_the_traffic_not_up_front() {
+    use polaris_msg::envelope::HEADER_LEN;
+    use polaris_msg::prelude::{Endpoint, MatchSpec, MsgConfig, Protocol};
+    use polaris_nic::prelude::Fabric;
+    // A fresh world pins its receive pools and nothing else.
+    let cfg = MsgConfig::with_protocol(Protocol::Eager);
+    let bounce = (cfg.srq_bufs * (cfg.eager_buf_size + HEADER_LEN)) as u64;
+    for n in [1u32, 2, 16] {
+        let fabric = Fabric::new();
+        let _eps = Endpoint::create_world(&fabric, n, cfg).unwrap();
+        assert_eq!(fabric.stats().registered_bytes, n as u64 * bounce, "{n} ranks");
+    }
+    // A 2-rank eager ping-pong has one send in flight at a time, so each
+    // rank registers only the slots that traffic needs.
+    fn hop(src: &mut Endpoint, dst: &mut Endpoint, i: u64) {
+        let rb = dst.alloc(8).unwrap();
+        let rreq = dst.irecv(MatchSpec::exact(src.rank(), 1), rb).unwrap();
+        let mut sb = src.alloc(8).unwrap();
+        sb.fill_from(&i.to_le_bytes());
+        let sreq = src.isend(dst.rank(), 1, sb).unwrap();
+        let (rb, _) = dst.wait_recv(rreq).unwrap();
+        assert_eq!(rb.as_slice(), i.to_le_bytes());
+        dst.release(rb);
+        let sb = src.wait_send(sreq).unwrap();
+        src.release(sb);
+    }
+    let fabric = Fabric::new();
+    let mut eps = Endpoint::create_world(&fabric, 2, cfg).unwrap();
+    let (e0, e1) = eps.split_at_mut(1);
+    let (ep0, ep1) = (&mut e0[0], &mut e1[0]);
+    for i in 0..10_000u64 {
+        hop(ep0, ep1, i);
+        hop(ep1, ep0, i);
+    }
+    // Measured: one slot a rank, recycled by every send after the first.
+    for ep in [&*ep0, &*ep1] {
+        let slots = ep.stats().tx_slots_registered;
+        assert!(slots <= 1, "rank {} registered {slots} send slots", ep.rank());
+    }
+}
