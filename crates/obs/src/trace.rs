@@ -115,6 +115,16 @@ struct RecorderInner {
     ring: VecDeque<TraceEvent>,
 }
 
+impl RecorderInner {
+    /// Give the ring its first allocation (at most 4 096 slots) before
+    /// the first record lands; growth from there doubles up to the cap.
+    fn size_ring(&mut self) {
+        if self.ring.capacity() == 0 {
+            self.ring.reserve_exact(self.capacity.min(4096));
+        }
+    }
+}
+
 /// Shared, clonable handle to the event ring.
 #[derive(Clone)]
 pub struct FlightRecorder {
@@ -138,7 +148,9 @@ impl FlightRecorder {
                 capacity: capacity.max(1),
                 next_seq: 0,
                 dropped: 0,
-                ring: VecDeque::with_capacity(capacity.min(4096)),
+                // Sized on the first record: an `Obs` nothing traces
+                // into holds no ring.
+                ring: VecDeque::new(),
             })),
         }
     }
@@ -152,6 +164,7 @@ impl FlightRecorder {
         fields: &[(&'static str, u64)],
     ) {
         let mut g = self.inner.lock().unwrap();
+        g.size_ring();
         if g.ring.len() == g.capacity {
             g.ring.pop_front();
             g.dropped += 1;
@@ -240,8 +253,10 @@ impl FlightRecorder {
         let src = other.inner.lock().unwrap();
         let mut g = self.inner.lock().unwrap();
         // Pre-size for the incoming events (bounded by the ring cap) so
-        // a sweep merging hundreds of per-point recorders reallocates
-        // the destination ring once, not per growth step.
+        // a sweep merging hundreds of per-point recorders grows the
+        // destination ring by doubling from its first size, not per
+        // event.
+        g.size_ring();
         let incoming = src.ring.len().min(g.capacity.saturating_sub(g.ring.len()));
         g.ring.reserve(incoming);
         for ev in &src.ring {

@@ -5,15 +5,15 @@
 //! fleet simulation, or a future live agent). Each reconcile pass the
 //! caller feeds it observations — operation completions, operation
 //! timeouts, fused health verdicts — and the controller answers with
-//! the operations to start next, having already recorded every state
-//! transition in an append-only log.
+//! the operations to start next, having already queued every state
+//! transition for the caller to drain.
 //!
 //! Control discipline, in the style of explicit state-transition
 //! tables:
 //!
 //! * **Every transition is an edge** of [`NodeState::EDGES`]
 //!   (debug-asserted at the single `transition` choke point, re-audited
-//!   from the log by the sentinel ledger).
+//!   from the fleet's audit stream by the sentinel ledger).
 //! * **Guard conditions**: `Validate → Healthy` requires an `Ok` fused
 //!   verdict at validation completion; anything else retries.
 //! * **Bounded retries with backoff + jitter**: failed validations
@@ -40,6 +40,7 @@ use super::state::NodeState;
 use super::HealthVerdict;
 use polaris_simnet::rng::SplitMix64;
 use polaris_simnet::time::{SimDuration, SimTime};
+use std::collections::VecDeque;
 
 /// The operations the controller can ask the platform to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -145,15 +146,16 @@ struct NodeRec {
     drain_deadline: Option<SimTime>,
 }
 
-/// The reconciling controller: dense per-node records, an append-only
-/// transition log, and one seeded jitter stream. Deterministic given a
-/// deterministic caller.
+/// The reconciling controller: dense per-node records, the transitions
+/// the caller has not drained yet, and one seeded jitter stream.
+/// Deterministic given a deterministic caller.
 #[derive(Debug, Clone)]
 pub struct Controller {
     cfg: ControllerConfig,
     nodes: Vec<NodeRec>,
-    log: Vec<TransitionRecord>,
-    drained: usize,
+    /// Oldest first; a drained transition is gone (the caller keeps
+    /// what it audits).
+    pending: VecDeque<TransitionRecord>,
     rng: SplitMix64,
 }
 
@@ -172,18 +174,13 @@ impl Controller {
                 };
                 fleet as usize
             ],
-            log: Vec::new(),
-            drained: 0,
+            pending: VecDeque::new(),
             rng: SplitMix64::new(seed ^ 0x6C69_6665_6379_636C), // "lifecycl"
         }
     }
 
     pub fn config(&self) -> &ControllerConfig {
         &self.cfg
-    }
-
-    pub fn fleet_size(&self) -> u32 {
-        self.nodes.len() as u32
     }
 
     pub fn state(&self, node: u32) -> NodeState {
@@ -216,17 +213,10 @@ impl Controller {
         self.nodes.iter().all(|r| r.state.settled() && r.in_op.is_none())
     }
 
-    /// The full transition log.
-    pub fn log(&self) -> &[TransitionRecord] {
-        &self.log
-    }
-
-    /// The oldest transition not yet taken, advancing the cursor past
-    /// it (the caller mirrors each into occupancy/audit/metrics).
+    /// Take the oldest transition not yet taken (the caller mirrors each
+    /// into occupancy/audit/metrics).
     pub fn next_transition(&mut self) -> Option<TransitionRecord> {
-        let t = self.log.get(self.drained).copied()?;
-        self.drained += 1;
-        Some(t)
+        self.pending.pop_front()
     }
 
     /// Jittered duration: `d ± jitter_pm‰`, deterministic.
@@ -247,8 +237,8 @@ impl Controller {
         self.jittered(SimDuration::from_ps(capped))
     }
 
-    /// The single transition choke point: asserts the edge, appends to
-    /// the log.
+    /// The single transition choke point: asserts the edge, queues the
+    /// record.
     fn transition(&mut self, now: SimTime, node: u32, to: NodeState) {
         let rec = &mut self.nodes[node as usize];
         let from = rec.state;
@@ -257,7 +247,7 @@ impl Controller {
             "illegal transition {from:?} -> {to:?} for node {node}"
         );
         rec.state = to;
-        self.log.push(TransitionRecord { at_ps: now.as_ps(), node, from, to });
+        self.pending.push_back(TransitionRecord { at_ps: now.as_ps(), node, from, to });
     }
 
     /// Start `kind` on `node` after an extra `extra_delay` (backoff),
@@ -299,11 +289,10 @@ impl Controller {
         Some(self.start_op(node, OpKind::Breakfix, delay))
     }
 
-    /// Kick off provisioning for the whole fleet (staggered by jitter).
-    pub fn bootstrap(&mut self, _now: SimTime) -> Vec<StartedOp> {
-        (0..self.fleet_size())
-            .map(|n| self.start_op(n, OpKind::Provision, SimDuration::ZERO))
-            .collect()
+    /// Start provisioning `node`, the first operation of its life
+    /// (staggered by jitter). No transition is queued.
+    pub fn provision(&mut self, node: u32) -> StartedOp {
+        self.start_op(node, OpKind::Provision, SimDuration::ZERO)
     }
 
     /// An operation completed. `verdict` is the node's fused health
@@ -428,6 +417,11 @@ mod tests {
         SimTime(s * polaris_simnet::time::PS_PER_SEC)
     }
 
+    /// Every transition not yet taken, oldest first.
+    fn drain(c: &mut Controller) -> Vec<TransitionRecord> {
+        std::iter::from_fn(|| c.next_transition()).collect()
+    }
+
     /// Walk one node Provision → Validate → Healthy by completing its
     /// operations with Ok verdicts.
     fn to_healthy(c: &mut Controller, node: u32, ops: &mut Vec<StartedOp>, now: &mut SimTime) {
@@ -442,7 +436,7 @@ mod tests {
     #[test]
     fn happy_path_reaches_healthy() {
         let mut c = ctl(3);
-        let mut ops = c.bootstrap(SimTime::ZERO);
+        let mut ops: Vec<_> = (0..3).map(|n| c.provision(n)).collect();
         assert_eq!(ops.len(), 3);
         let mut now = SimTime::ZERO;
         for n in 0..3 {
@@ -450,10 +444,11 @@ mod tests {
         }
         assert_eq!(c.census()[NodeState::Healthy.index()], 3);
         assert!(c.all_settled());
-        // Log shows exactly the expected chain per node.
+        // The drained transitions show exactly the expected chain per node.
+        let log = drain(&mut c);
         for n in 0..3 {
             let chain: Vec<_> =
-                c.log().iter().filter(|t| t.node == n).map(|t| (t.from, t.to)).collect();
+                log.iter().filter(|t| t.node == n).map(|t| (t.from, t.to)).collect();
             assert_eq!(
                 chain,
                 vec![
@@ -467,7 +462,7 @@ mod tests {
     #[test]
     fn every_logged_transition_is_an_edge() {
         let mut c = ctl(2);
-        let mut ops = c.bootstrap(SimTime::ZERO);
+        let mut ops: Vec<_> = (0..2).map(|n| c.provision(n)).collect();
         let mut now = SimTime::ZERO;
         // Node 0 validates fine; node 1 fails validation forever and is
         // eventually reclaimed.
@@ -483,7 +478,7 @@ mod tests {
             };
             ops.extend(c.op_done(now, 1, op.epoch, verdict));
         }
-        for t in c.log() {
+        for t in drain(&mut c) {
             assert!(NodeState::is_edge(t.from, t.to), "{t:?}");
         }
         assert!(c.all_settled());
@@ -492,8 +487,7 @@ mod tests {
     #[test]
     fn stale_epochs_are_fenced() {
         let mut c = ctl(1);
-        let ops = c.bootstrap(SimTime::ZERO);
-        let first = ops[0];
+        let first = c.provision(0);
         // Completion consumes the epoch; a duplicate is a no-op.
         let next = c.op_done(secs(60), 0, first.epoch, HealthVerdict::Ok);
         assert_eq!(c.state(0), NodeState::Validate);
@@ -508,7 +502,7 @@ mod tests {
     #[test]
     fn stuck_reboot_escalates_to_breakfix() {
         let mut c = ctl(1);
-        let mut ops = c.bootstrap(SimTime::ZERO);
+        let mut ops = vec![c.provision(0)];
         let mut now = SimTime::ZERO;
         to_healthy(&mut c, 0, &mut ops, &mut now);
         // Fail it into breakfix → reboot.
@@ -547,7 +541,7 @@ mod tests {
     #[test]
     fn degraded_drains_then_recovers_or_escalates() {
         let mut c = ctl(2);
-        let mut ops = c.bootstrap(SimTime::ZERO);
+        let mut ops: Vec<_> = (0..2).map(|n| c.provision(n)).collect();
         let mut now = SimTime::ZERO;
         to_healthy(&mut c, 0, &mut ops, &mut now);
         to_healthy(&mut c, 1, &mut ops, &mut now);
@@ -582,14 +576,28 @@ mod tests {
     fn controller_is_deterministic() {
         let run = || {
             let mut c = ctl(4);
-            let mut ops = c.bootstrap(SimTime::ZERO);
+            let mut ops: Vec<_> = (0..4).map(|n| c.provision(n)).collect();
             let mut now = SimTime::ZERO;
             for n in 0..4 {
                 to_healthy(&mut c, n, &mut ops, &mut now);
             }
             c.observe(now, 2, HealthVerdict::Failed);
-            c.log().to_vec()
+            drain(&mut c)
         };
         assert_eq!(run(), run());
+    }
+
+    /// A drained transition is the caller's: once every one is taken,
+    /// the controller holds none.
+    #[test]
+    fn drained_transitions_are_not_kept() {
+        let mut c = ctl(64);
+        let mut ops: Vec<_> = (0..64).map(|n| c.provision(n)).collect();
+        let mut now = SimTime::ZERO;
+        for n in 0..64 {
+            to_healthy(&mut c, n, &mut ops, &mut now);
+        }
+        assert_eq!(drain(&mut c).len(), 2 * 64);
+        assert!(c.pending.is_empty());
     }
 }

@@ -962,8 +962,12 @@ fn run(
         cfg,
     };
     sched.after(cfg.reconcile_period, FleetEvent::Reconcile);
-    let boot = sim.controller.bootstrap(SimTime::ZERO);
-    sim.after_controller(&mut sched, boot);
+    // Each node's provision is pushed as it starts (it queues no
+    // transition, and no job has arrived to dispatch).
+    for node in 0..cfg.nodes {
+        let op = sim.controller.provision(node);
+        sim.after_controller(&mut sched, Some(op));
+    }
     let stats = engine::run(&mut sim, &mut sched, Some(SimTime::ZERO + cfg.horizon));
 
     // Convergence: onset → last transition, per settled victim.

@@ -627,9 +627,16 @@ impl<E> EventQueue<E> {
     ///
     /// Moves handles only — payloads stay put in the arena, so a rebuild
     /// of a queue of fat events costs the same as one of unit events.
-    /// The population is gathered into `far`'s own buffer, and each
-    /// bucket's buffer is released as it is emptied, so the handles are
-    /// never held twice over.
+    ///
+    /// What a re-fit holds: the population is gathered into `far`'s own
+    /// buffer, each bucket's buffer released as it is emptied into it.
+    /// The handles that stay past the horizon are partitioned to the
+    /// buffer's front, and the wheel-bound tail is popped into the
+    /// buckets, the buffer shrinking before each eighth of them. A wheel
+    /// whose bucket count changes is resized in place. So a re-fit holds
+    /// the population once, plus the buckets' growth slack and at most
+    /// an eighth of the wheel-bound handles in the buffer's tail
+    /// (`tests/interconnect_memory.rs` holds it to that).
     fn rebuild(&mut self, nbuckets: usize, shift: u32) {
         debug_assert!(self.current.is_empty());
         self.stats.rebuilds += 1;
@@ -643,7 +650,10 @@ impl<E> EventQueue<E> {
         self.occupied.iter_mut().for_each(|w| *w = 0);
         self.wheel_len = 0;
         if self.nbuckets() != nbuckets {
-            self.wheel = (0..nbuckets).map(|_| Vec::new()).collect();
+            // Every bucket is empty: resize in place, so the old array
+            // and a new one are never held together.
+            self.wheel.resize_with(nbuckets, Vec::new);
+            self.wheel.shrink_to_fit();
             self.occupied = vec![0u64; nbuckets / 64];
             self.mask = (nbuckets - 1) as u64;
         }
@@ -651,19 +661,30 @@ impl<E> EventQueue<E> {
         // With everything behind the cursor, the wheel starts at the clock.
         let min = entries.iter().map(|e| e.time.0).min().unwrap_or(self.clock);
         self.epoch = min >> shift;
-        // Handles inside the horizon go to their buckets; the rest stay
-        // in `entries`, which becomes the new `far`.
-        entries.retain(|h| {
-            let k = h.time.0 >> shift;
-            if k - self.epoch >= nbuckets as u64 {
-                return true;
+        // Handles past the horizon to the front: they stay in `entries`,
+        // which becomes the new `far`.
+        let past_horizon = |h: &Handle| (h.time.0 >> shift) - self.epoch >= nbuckets as u64;
+        let mut stay = 0;
+        for i in 0..entries.len() {
+            if past_horizon(&entries[i]) {
+                entries.swap(stay, i);
+                stay += 1;
             }
-            let idx = (k & self.mask) as usize;
-            self.wheel[idx].push(*h);
+        }
+        // The tail goes to the buckets, the buffer giving back what has
+        // left it before each eighth. The buckets' order is free:
+        // `advance` sorts each batch it stages.
+        let eighth = ((entries.len() - stay) / 8).max(1);
+        while entries.len() > stay {
+            if self.wheel_len.is_multiple_of(eighth) {
+                entries.shrink_to_fit();
+            }
+            let h = entries.pop().expect("the tail is not empty");
+            let idx = ((h.time.0 >> shift) & self.mask) as usize;
+            self.wheel[idx].push(h);
             self.occupied[idx / 64] |= 1u64 << (idx % 64);
             self.wheel_len += 1;
-            false
-        });
+        }
         // A preload that spilled whole would otherwise hold its buffer
         // for the rest of the run.
         entries.shrink_to_fit();

@@ -141,7 +141,7 @@ fn controller_escalates_stuck_node_to_reclaim() {
     let cfg = ControllerConfig::default();
     let mut c = Controller::new(cfg, 1, 5);
     let mut now = SimTime::ZERO;
-    let mut ops = c.bootstrap(now);
+    let mut ops = vec![c.provision(0)];
     // Node-side ops never complete (the machine is dead) and time out;
     // controller-side repairs run fine but the reboot after each one
     // hangs again, so the budget must eventually reclaim the node.

@@ -16,12 +16,15 @@
 //! O(hosts^2) table is astronomically over the cap — while the intended
 //! O(1)/O(routers) representation stays in single digits. The schedule
 //! executors are held the same way: O(1) schedule state and one inbox
-//! per rank, never one per rank pair.
+//! per rank, never one per rank pair. So is the event queue's re-fit: it
+//! holds a far-future preload once, not twice.
 
 use polaris_collectives::prelude::*;
+use polaris_simnet::event::EventQueue;
 use polaris_simnet::link::Generation;
 use polaris_simnet::network::Network;
 use polaris_simnet::rng::SplitMix64;
+use polaris_simnet::time::{SimTime, PS_PER_SEC};
 use polaris_simnet::topology::{Routing, Topology, TopologyKind};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -220,5 +223,34 @@ fn pairwise_alltoall_keeps_no_queue_per_pair() {
     assert!(
         held < 2 << 20,
         "simulate_collective held {held} bytes at once for a 512-rank pairwise alltoall"
+    );
+}
+
+/// A re-fit moves the population out of `far`'s buffer into the wheel
+/// without holding it twice. F12's 100 k-node bootstrap pushes, before
+/// the first pop, each node's provision completion 48 to 72 s out and
+/// its timeout at three times that: 200 000 timers past the horizon of
+/// a wheel sized for link events. The first pop re-fits the wheel to
+/// them. The bytes it holds above the preload are capped at half the
+/// preload's 24-byte handles: a re-fit that filled the buckets beside
+/// the whole buffer would hold more than all of them again.
+#[test]
+fn a_refit_holds_a_far_future_preload_once() {
+    const NODES: u32 = 100_000;
+    const EVENTS: i64 = 2 * NODES as i64;
+    let mut q = EventQueue::with_capacity(EVENTS as usize);
+    let mut rng = SplitMix64::new(0xF12);
+    for node in 0..NODES {
+        let done = 48 * PS_PER_SEC + rng.next_below(24 * PS_PER_SEC);
+        q.push(SimTime(done), node);
+        q.push(SimTime(3 * done), node);
+    }
+    let (first, held) = peak_live_bytes(|| q.pop());
+    assert!(first.is_some());
+    assert_eq!(q.stats().rebuilds, 1, "the first pop re-fits the wheel");
+    let cap = EVENTS * 24 / 2;
+    assert!(
+        held <= cap,
+        "the re-fit held {held} bytes above a {EVENTS}-event preload (cap {cap})"
     );
 }
