@@ -17,12 +17,14 @@ pub mod alltoall;
 pub mod barrier;
 pub mod bcast;
 pub mod comm;
+mod cursor;
 pub mod ft;
 pub mod gather;
 pub mod hier;
 mod inbox;
 pub mod op;
 pub mod parsim;
+pub mod program;
 pub mod reduce;
 pub mod reduce_scatter;
 pub mod scan;

@@ -1,9 +1,19 @@
-//! Sharded conservative-parallel execution of collective schedules.
+//! Sharded conservative-parallel execution of collective schedules and
+//! workload programs.
 //!
 //! [`simulate_collective_sharded`] interprets the same per-rank
 //! schedules as [`crate::simx::simulate_collective`], but partitions
 //! the ranks across [`ShardSim`] shards so a figure-scale run can use
-//! multiple cores. The network model is a partitioned crossbar: each
+//! multiple cores. [`simulate_programs_sharded`] runs workload
+//! [`Program`]s the same way.
+//!
+//! Like `simx`, it never holds a schedule. Each rank holds its op
+//! stream and the op it stands on (`crate::cursor`): a collective's
+//! stream is [`crate::simx::ops`] itself, and a program's splices
+//! expand through `ops` as the rank reaches them. Collected, the
+//! schedules of a 256-rank ring allreduce are 5 MiB.
+//!
+//! The network model is a partitioned crossbar: each
 //! rank owns an uplink and a downlink with first-come-first-served
 //! occupancy, and every message pays the contention-free crossbar cost
 //! `message_time(bytes, 2)` plus whatever extra queueing its uplink
@@ -30,8 +40,10 @@
 //! exact picoseconds — the sharded executor's `jobs = 1` run is the
 //! reference for its own parallel runs.
 
+use crate::cursor::Cursor;
 use crate::inbox::Inbox;
-use crate::simx::{schedule, Collective, ExecParams, SchedOp, SimResult};
+use crate::program::{Program, ProgramOps};
+use crate::simx::{ops, Collective, ExecParams, SchedOp, SimResult};
 use polaris_simnet::link::LinkModel;
 use polaris_simnet::shard::{Partition, ShardCtx, ShardRunStats, ShardSim, ShardWorld};
 use polaris_simnet::time::{SimDuration, SimTime};
@@ -76,7 +88,7 @@ impl PathModel {
 
 #[derive(Debug, Clone, Copy)]
 enum PEv {
-    /// Advance rank `r`'s program counter.
+    /// Run rank `r`'s next op.
     Step(u32),
     /// A message's head reaches `to`'s downlink; `base` is the send
     /// time plus uplink queueing already paid at the sender.
@@ -84,8 +96,8 @@ enum PEv {
 }
 
 struct PRank {
-    ops: Vec<SchedOp>,
-    pc: usize,
+    /// The rank's program and the op it stands on.
+    at: Cursor<ProgramOps<Program>>,
     time: SimTime,
     finished: Option<SimTime>,
     /// Per-rank event sequence; with the rank id it forms the globally
@@ -142,7 +154,7 @@ impl ParWorld {
         let local = self.local(r);
         debug_assert!(self.ranks[local].time <= now);
         self.ranks[local].time = now;
-        let Some(op) = self.ranks[local].ops.get(self.ranks[local].pc).copied() else {
+        let Some(op) = self.ranks[local].at.op() else {
             self.ranks[local].finished.get_or_insert(now);
             return;
         };
@@ -153,7 +165,7 @@ impl ParWorld {
                 let st = &mut self.ranks[local];
                 let start0 = t.max(st.up_busy);
                 st.up_busy = start0 + ser;
-                st.pc += 1;
+                st.at.advance();
                 self.messages += 1;
                 self.payload_bytes += bytes;
                 // The head leaves the uplink at start0 and needs one hop
@@ -175,7 +187,7 @@ impl ParWorld {
                 match st.inbox.find(from) {
                     Some((pos, arrival)) if arrival <= now => {
                         st.inbox.take(pos);
-                        st.pc += 1;
+                        st.at.advance();
                         let key = self.next_key(r);
                         ctx.at(now + self.params.overhead, key, PEv::Step(r));
                     }
@@ -189,12 +201,12 @@ impl ParWorld {
             }
             SchedOp::Compute { bytes } => {
                 let d = SimDuration::from_secs_f64(bytes as f64 / self.params.compute_bps as f64);
-                self.ranks[local].pc += 1;
+                self.ranks[local].at.advance();
                 let key = self.next_key(r);
                 ctx.at(now + d, key, PEv::Step(r));
             }
             SchedOp::Work { ps } => {
-                self.ranks[local].pc += 1;
+                self.ranks[local].at.advance();
                 let key = self.next_key(r);
                 ctx.at(now + SimDuration::from_ps(ps), key, PEv::Step(r));
             }
@@ -267,9 +279,8 @@ pub fn simulate_collective_sharded_stats(
     link: LinkModel,
     jobs: u32,
 ) -> (SimResult, ShardRunStats) {
-    assert!(p > 0, "at least one rank");
-    let programs = (0..p).map(|r| schedule(coll, r, p, bytes)).collect();
-    simulate_programs_sharded(programs, params, link, None, jobs)
+    let streams = (0..p).map(|r| ProgramOps::from(ops(coll, r, p, bytes)));
+    execute(streams, params, link, None, jobs)
 }
 
 // Forwarding shim: called only by the frozen examples/benchmark/src/probes.rs.
@@ -286,27 +297,37 @@ pub fn simulate_collective_sharded_opts(
     simulate_collective_sharded_stats(p, coll, bytes, params, link, jobs)
 }
 
-/// Execute arbitrary per-rank schedules (`programs[r]` is rank `r`'s
-/// ops) over the partitioned fabric, sharded across `jobs` engine
-/// shards. This is the entry point the workload compilers use: they
-/// build programs out of collective schedules, halo exchanges, and
-/// roofline-priced [`SchedOp::Work`] phases, then run them through the
-/// same engine and determinism contract as the collectives. `path`
-/// supplies per-message route costs (hop counts + fixed extras) for
-/// non-crossbar fabrics; `None` keeps the 2-hop crossbar.
+/// Execute per-rank programs (`programs[r]` is rank `r`'s) over the
+/// partitioned fabric, sharded across `jobs` engine shards. This is the
+/// entry point the workload compilers use: their programs splice
+/// collective schedules between halo exchanges and roofline-priced
+/// [`SchedOp::Work`] phases, and run through the same engine and
+/// determinism contract as the collectives. `path` supplies
+/// per-message route costs (hop counts + fixed extras) for non-crossbar
+/// fabrics; `None` keeps the 2-hop crossbar.
 ///
 /// Results are bit-identical for every `jobs` value. Panics if any
 /// rank's program deadlocks (a program-generation bug).
 pub fn simulate_programs_sharded(
-    programs: Vec<Vec<SchedOp>>,
+    programs: Vec<Program>,
     params: ExecParams,
     link: LinkModel,
     path: Option<PathModel>,
     jobs: u32,
 ) -> (SimResult, ShardRunStats) {
-    let p = programs.len() as u32;
+    execute(programs.into_iter().map(Program::into_ops), params, link, path, jobs)
+}
+
+/// Run one op stream per rank, in rank order, until the engine drains.
+fn execute(
+    mut streams: impl ExactSizeIterator<Item = ProgramOps<Program>>,
+    params: ExecParams,
+    link: LinkModel,
+    path: Option<PathModel>,
+    jobs: u32,
+) -> (SimResult, ShardRunStats) {
+    let p = u32::try_from(streams.len()).expect("ranks are numbered in u32");
     assert!(p > 0, "at least one rank");
-    let mut programs = programs;
     let part = Partition::block(p, jobs.max(1));
     let worlds: Vec<ParWorld> = (0..part.nshards)
         .map(|sh| {
@@ -318,10 +339,11 @@ pub fn simulate_programs_sharded(
                 params,
                 link,
                 path: path.clone(),
-                ranks: ranks
-                    .map(|r| PRank {
-                        ops: std::mem::take(&mut programs[r as usize]),
-                        pc: 0,
+                ranks: streams
+                    .by_ref()
+                    .take(ranks.len())
+                    .map(|stream| PRank {
+                        at: Cursor::new(stream),
                         time: SimTime::ZERO,
                         finished: None,
                         seq: 0,
@@ -349,7 +371,7 @@ pub fn simulate_programs_sharded(
         payload_bytes += w.payload_bytes;
         for (i, st) in w.ranks.iter().enumerate() {
             let done = st.finished.unwrap_or_else(|| {
-                panic!("rank {} deadlocked at op {}", w.base + i as u32, st.pc)
+                panic!("rank {} deadlocked at op {}", w.base + i as u32, st.at.index())
             });
             completion = completion.max(done);
         }
@@ -437,12 +459,20 @@ mod tests {
     #[test]
     fn receives_match_the_earliest_message_of_their_sender() {
         let got = crate::simx::tests::MATCHING.map(|program| {
-            let programs = program.iter().map(|ops| ops.to_vec()).collect();
+            let programs = program.iter().map(|ops| Program::from(ops.to_vec())).collect();
             let link = Generation::GigabitEthernet.link_model();
             let (r, _) = simulate_programs_sharded(programs, ExecParams::default(), link, None, 1);
             (r.completion.0, r.events)
         });
         assert_eq!(got, [(630_016_000, 14), (8_611_620_000, 20)], "{got:?}");
+    }
+
+    #[test]
+    #[should_panic(expected = "rank 1 deadlocked at op 0")]
+    fn a_receive_nobody_sends_names_its_rank_and_op() {
+        let programs = vec![Program::default(), Program::from(vec![SchedOp::Recv { from: 0 }])];
+        let link = Generation::GigabitEthernet.link_model();
+        simulate_programs_sharded(programs, ExecParams::default(), link, None, 1);
     }
 
     /// FNV-1a over the completion ps of every collective at every

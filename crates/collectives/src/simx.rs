@@ -7,11 +7,13 @@
 //! a discrete-event executor over the flow-level [`Network`] model.
 //!
 //! [`ops`] generates, per rank, the stream of operations each algorithm
-//! performs ([`schedule`] is that stream collected); `tests` in this
-//! module cross-check those schedules against traces recorded from the
-//! executable algorithms, so the simulator is guaranteed to time the
-//! algorithm that actually runs. The executor pulls ops from each
-//! rank's stream and never holds a schedule.
+//! performs; `tests` in this module cross-check those streams against
+//! traces recorded from the executable algorithms, so the simulator is
+//! guaranteed to time the algorithm that actually runs. Both executors,
+//! this one and [`crate::parsim`], pull ops from each rank's stream one
+//! at a time (`crate::cursor`) and never hold a schedule; the workload
+//! programs `parsim` runs keep their collectives as splices that expand
+//! through [`ops`] as they are reached ([`crate::program`]).
 //!
 //! **Run-ahead.** A rank advances on its own clock for as long as its
 //! next op depends on no other rank: `Compute` and `Work` add their
@@ -40,6 +42,7 @@ use crate::allgather::AllgatherAlgo;
 use crate::allreduce::AllreduceAlgo;
 use crate::barrier::BarrierAlgo;
 use crate::bcast::BcastAlgo;
+use crate::cursor::{Cursor, OpSource};
 use crate::inbox::Inbox;
 use polaris_simnet::engine::{run, Scheduler, World};
 use polaris_simnet::network::Network;
@@ -74,10 +77,13 @@ pub enum Collective {
     ReduceBinomial,
 }
 
-/// Generate rank `rank`'s schedule for `coll` over `p` ranks with a
-/// total payload of `bytes` (semantics per collective: bcast/allreduce =
-/// vector size; allgather/alltoall = per-rank block size): the collected
-/// [`ops`] stream, for callers that splice schedules into programs.
+/// Rank `rank`'s schedule for `coll` over `p` ranks with a total
+/// payload of `bytes` (semantics per collective: bcast/allreduce =
+/// vector size; allgather/alltoall = per-rank block size), collected
+/// into a `Vec`. No executor or program uses it: it serves the trace
+/// cross-check and digest pins in this module's tests and the
+/// benchmark's schedule-generation probe. Everything that runs a
+/// schedule takes the [`ops`] stream.
 pub fn schedule(coll: Collective, rank: u32, p: u32, bytes: u64) -> Vec<SchedOp> {
     ops(coll, rank, p, bytes).collect()
 }
@@ -249,6 +255,12 @@ impl Iterator for OpStream {
     fn size_hint(&self) -> (usize, Option<usize>) {
         let left = self.len - self.pos;
         (left, Some(left))
+    }
+}
+
+impl OpSource for OpStream {
+    fn yielded(&self) -> usize {
+        self.pos
     }
 }
 
@@ -443,21 +455,14 @@ impl Default for ExecParams {
 }
 
 struct RankState {
-    stream: OpStream,
-    /// The op the rank stands on; `None` once the stream is spent.
-    op: Option<SchedOp>,
+    /// The rank's schedule and the op it stands on.
+    at: Cursor<OpStream>,
     time: SimTime,
     finished: Option<SimTime>,
     /// Messages sent to this rank and not yet received.
     inbox: Inbox,
     /// The sender this rank is blocked receiving from since its `time`.
     waiting_on: Option<u32>,
-}
-
-impl RankState {
-    fn advance(&mut self) {
-        self.op = self.stream.next();
-    }
 }
 
 struct SimExec<'a> {
@@ -480,7 +485,7 @@ impl SimExec<'_> {
         loop {
             let st = &mut self.ranks[rank];
             st.time = t;
-            let Some(op) = st.op else {
+            let Some(op) = st.at.op() else {
                 st.finished = Some(t);
                 return;
             };
@@ -519,7 +524,7 @@ impl SimExec<'_> {
                 SchedOp::Work { ps } => t += SimDuration::from_ps(ps),
             }
             may_send = false;
-            self.ranks[rank].advance();
+            self.ranks[rank].at.advance();
         }
     }
 }
@@ -561,9 +566,8 @@ pub fn simulate_collective(
     let (ranks, events) = execute(net, (0..p).map(|r| ops(coll, r, p, bytes)), params);
     let mut completion = SimTime::ZERO;
     for (r, st) in ranks.iter().enumerate() {
-        // A stuck rank stands on the op before the stream's position.
         let done = st.finished.unwrap_or_else(|| {
-            panic!("rank {r} deadlocked at op {} of {coll:?}", st.stream.pos - 1)
+            panic!("rank {r} deadlocked at op {} of {coll:?}", st.at.index())
         });
         completion = completion.max(done);
     }
@@ -583,9 +587,8 @@ fn execute(
     params: ExecParams,
 ) -> (Vec<RankState>, u64) {
     let ranks: Vec<RankState> = streams
-        .map(|mut stream| RankState {
-            op: stream.next(),
-            stream,
+        .map(|stream| RankState {
+            at: Cursor::new(stream),
             time: SimTime::ZERO,
             finished: None,
             inbox: Inbox::default(),

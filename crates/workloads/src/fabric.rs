@@ -11,7 +11,8 @@
 //! workload completion times exactly as they shape F6/F13.
 
 use polaris_collectives::parsim::{simulate_programs_sharded, PathCost, PathModel};
-use polaris_collectives::simx::{ExecParams, SchedOp, SimResult};
+use polaris_collectives::program::Program;
+use polaris_collectives::simx::{ExecParams, SimResult};
 use polaris_simnet::circuit::CircuitSchedulerConfig;
 use polaris_simnet::link::{Generation, LinkModel};
 use polaris_simnet::shard::ShardRunStats;
@@ -141,7 +142,7 @@ impl Fabric {
     /// `jobs` engine shards. Bit-identical at any `jobs` value.
     pub fn run(
         &self,
-        programs: Vec<Vec<SchedOp>>,
+        programs: Vec<Program>,
         params: ExecParams,
         jobs: u32,
     ) -> (SimResult, ShardRunStats) {

@@ -3,7 +3,7 @@
 //! The keynote's trans-Petaflops argument is about *delivered*
 //! application performance, not peak. This crate closes that loop: it
 //! compiles five representative cluster applications into per-rank
-//! [`SchedOp`] programs whose compute phases are priced by the roofline
+//! [`Program`]s whose compute phases are priced by the roofline
 //! model ([`polaris_arch::roofline::attainable`]) and whose
 //! communication runs through the sharded conservative-parallel engine
 //! over a real interconnect topology ([`fabric::Fabric`]). A node track
@@ -23,10 +23,15 @@
 //! * [`serving`] — a latency-SLO key-value tier with open-loop Poisson
 //!   arrivals and a p99 gate.
 //!
-//! Every generator is a pure function of its config. The four compiled
-//! workloads run through [`simulate_programs_sharded`], bit-identical at
-//! any `--jobs`/shard count, which `tests/workloads.rs` holds as an
-//! oracle. The serving tier's replicas never exchange an event, so it
+//! Every generator is a pure function of its config. A program holds
+//! the ops a compiler writes itself ([`SchedOp::Work`] phases, halo and
+//! push/pull messages) and keeps each collective it splices in as the
+//! collective's arguments and a rank map; the executor expands a splice
+//! only when the rank reaches it, so no collective schedule is ever
+//! collected. The four compiled workloads run through
+//! [`polaris_collectives::parsim::simulate_programs_sharded`],
+//! bit-identical at any `--jobs`/shard count, which
+//! `tests/workloads.rs` holds as an oracle. The serving tier's replicas never exchange an event, so it
 //! needs no engine: each replica's queue is one Lindley loop.
 
 pub mod fabric;
@@ -39,6 +44,7 @@ pub mod training;
 use polaris_arch::kernels::Kernel;
 use polaris_arch::node::NodeModel;
 use polaris_arch::roofline;
+use polaris_collectives::program::Program;
 use polaris_collectives::simx::{ExecParams, SchedOp};
 use polaris_simnet::time::{SimDuration, PS_PER_SEC};
 
@@ -91,8 +97,8 @@ impl WorkloadKind {
 /// A compiled workload: per-rank programs plus the accounting the
 /// simulator cannot reconstruct from timing alone.
 pub struct Compiled {
-    /// `programs[r]` is rank `r`'s operation list.
-    pub programs: Vec<Vec<SchedOp>>,
+    /// `programs[r]` is rank `r`'s program.
+    pub programs: Vec<Program>,
     /// Application-useful flops across all ranks (excludes reduction
     /// arithmetic spliced in by collective schedules).
     pub useful_flops: f64,
@@ -137,12 +143,13 @@ impl WorkloadResult {
 /// Busiest rank's total local-work virtual time: roofline-priced
 /// [`SchedOp::Work`] plus [`SchedOp::Compute`] at the executor's
 /// reduction throughput.
-fn max_compute_ps(programs: &[Vec<SchedOp>], params: &ExecParams) -> u64 {
+fn max_compute_ps(programs: &[Program], params: &ExecParams) -> u64 {
     programs
         .iter()
-        .map(|ops| {
-            ops.iter()
-                .map(|op| match *op {
+        .map(|program| {
+            program
+                .ops()
+                .map(|op| match op {
                     SchedOp::Work { ps } => ps,
                     SchedOp::Compute { bytes } => {
                         SimDuration::from_secs_f64(bytes as f64 / params.compute_bps as f64).0
@@ -277,6 +284,64 @@ mod tests {
         ];
         let got = KINDS.map(completion_digest);
         assert_eq!(got, PINNED, "workload digests moved: {got:#018x?}");
+    }
+
+    /// FNV-1a over every rank's op sequence, as each of the four
+    /// compilers emits it for the four standard fabrics at 16 and 64
+    /// ranks (the fabric moves training's group size).
+    fn program_digest(kind: WorkloadKind) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut mix = |x: u64| {
+            for b in x.to_le_bytes() {
+                h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        let n = node(NodeKind::Pc, 2002);
+        for p in [16u32, 64] {
+            for fabric in Fabric::standard(p) {
+                let compiled = match kind {
+                    WorkloadKind::Stencil => stencil::compile(&Default::default(), &n, p),
+                    WorkloadKind::Training => {
+                        training::compile(&training::TrainingConfig::for_fabric(&fabric), &n, p)
+                    }
+                    WorkloadKind::ParamServer => paramserver::compile(&Default::default(), &n, p),
+                    WorkloadKind::Shuffle => shuffle::compile(&Default::default(), &n, p),
+                    WorkloadKind::Serving => unreachable!("serving has no program"),
+                };
+                for program in &compiled.programs {
+                    for op in program.ops() {
+                        match op {
+                            SchedOp::Send { to, bytes } => [0, to as u64, bytes].map(&mut mix),
+                            SchedOp::Recv { from } => [1, from as u64, 0].map(&mut mix),
+                            SchedOp::Compute { bytes } => [2, bytes, 0].map(&mut mix),
+                            SchedOp::Work { ps } => [3, ps, 0].map(&mut mix),
+                        };
+                    }
+                    mix(u64::MAX);
+                }
+            }
+        }
+        h
+    }
+
+    /// Taken from the compilers that built every collective splice
+    /// into a `Vec` of ops.
+    #[test]
+    fn programs_match_pinned_digests() {
+        const KINDS: [WorkloadKind; 4] = [
+            WorkloadKind::Stencil,
+            WorkloadKind::Training,
+            WorkloadKind::ParamServer,
+            WorkloadKind::Shuffle,
+        ];
+        const PINNED: [u64; 4] = [
+            0xfd83db7b4f8f9f25,
+            0xdfc69aa2cc63d325,
+            0x6d734fce57edd025,
+            0xb0242ecf3014d125,
+        ];
+        let got = KINDS.map(program_digest);
+        assert_eq!(got, PINNED, "program digests moved: {got:#018x?}");
     }
 
     #[test]

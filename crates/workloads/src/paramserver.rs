@@ -72,7 +72,7 @@ pub fn compile(cfg: &ParamServerConfig, node: &NodeModel, p: u32) -> Compiled {
                     }
                 }
             }
-            ops
+            ops.into()
         })
         .collect();
 

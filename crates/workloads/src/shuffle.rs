@@ -10,7 +10,8 @@
 use crate::{phase_ps, Compiled};
 use polaris_arch::kernels::FFT;
 use polaris_arch::node::NodeModel;
-use polaris_collectives::simx::{schedule, Collective, SchedOp};
+use polaris_collectives::program::{Program, RankMap};
+use polaris_collectives::simx::{Collective, SchedOp};
 
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShuffleConfig {
@@ -41,18 +42,14 @@ pub fn compile(cfg: &ShuffleConfig, node: &NodeModel, p: u32) -> Compiled {
     let reduce = phase_ps(node, &FFT, cfg.reduce_flops);
     let programs = (0..p)
         .map(|rank| {
-            let mut ops = Vec::new();
+            let mut program = Program::default();
             for _ in 0..cfg.rounds {
-                ops.push(SchedOp::Work { ps: map });
-                ops.extend(schedule(
-                    Collective::AlltoallPairwise,
-                    rank,
-                    p,
-                    cfg.bytes_per_pair,
-                ));
-                ops.push(SchedOp::Work { ps: reduce });
+                program.push(SchedOp::Work { ps: map });
+                let bytes = cfg.bytes_per_pair;
+                program.splice(Collective::AlltoallPairwise, rank, p, bytes, RankMap::IDENTITY);
+                program.push(SchedOp::Work { ps: reduce });
             }
-            ops
+            program
         })
         .collect();
     Compiled {

@@ -49,7 +49,7 @@ impl Default for StencilConfig {
 /// Factor `p` into `dims` near-equal factors (largest-divisor greedy),
 /// the processor grid of the decomposition. Product is always exactly
 /// `p`.
-pub fn grid_dims(p: u32, dims: u32) -> Vec<u32> {
+fn grid_dims(p: u32, dims: u32) -> Vec<u32> {
     let mut out = Vec::with_capacity(dims as usize);
     let mut rem = p.max(1);
     for i in 0..dims {
@@ -125,7 +125,7 @@ pub fn compile(cfg: &StencilConfig, node: &NodeModel, p: u32) -> Compiled {
                     ops.push(SchedOp::Recv { from: n });
                 }
             }
-            ops
+            ops.into()
         })
         .collect();
 
@@ -166,9 +166,9 @@ mod tests {
         // Globally, every send has a matching recv on its target.
         let mut sent = std::collections::HashMap::new();
         let mut recvd = std::collections::HashMap::new();
-        for (r, ops) in c.programs.iter().enumerate() {
-            for op in ops {
-                match *op {
+        for (r, program) in c.programs.iter().enumerate() {
+            for op in program.ops() {
+                match op {
                     SchedOp::Send { to, .. } => *sent.entry((r as u32, to)).or_insert(0u32) += 1,
                     SchedOp::Recv { from } => *recvd.entry((from, r as u32)).or_insert(0u32) += 1,
                     _ => {}
@@ -184,9 +184,9 @@ mod tests {
     fn no_rank_messages_itself() {
         for p in [1u32, 2, 4, 64] {
             let cfg = StencilConfig { side: 4, iters: 1, ..StencilConfig::default() };
-            for (r, ops) in compile(&cfg, &pc2002(), p).programs.iter().enumerate() {
-                for op in ops {
-                    if let SchedOp::Send { to, .. } = *op {
+            for (r, program) in compile(&cfg, &pc2002(), p).programs.iter().enumerate() {
+                for op in program.ops() {
+                    if let SchedOp::Send { to, .. } = op {
                         assert_ne!(to, r as u32, "p={p}");
                     }
                 }

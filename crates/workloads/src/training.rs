@@ -7,16 +7,17 @@
 //! inside each group, recursive doubling among the group leaders, then
 //! a binomial broadcast back down. On flat fabrics it is plain
 //! recursive doubling. Both splice the *exact* schedules
-//! [`polaris_collectives::simx::schedule`] generates — the ones
-//! cross-checked against the executable algorithms — with ranks
-//! remapped into group-local numbering.
+//! [`polaris_collectives::simx::ops`] generates — the ones
+//! cross-checked against the executable algorithms — each placed on
+//! the machine by a [`RankMap`] from its communicator's ranks.
 
 use crate::{phase_ps, Compiled, Fabric};
 use polaris_arch::kernels::DGEMM;
 use polaris_arch::node::NodeModel;
 use polaris_collectives::allreduce::AllreduceAlgo;
 use polaris_collectives::bcast::BcastAlgo;
-use polaris_collectives::simx::{schedule, Collective, SchedOp};
+use polaris_collectives::program::{Program, RankMap};
+use polaris_collectives::simx::{Collective, SchedOp};
 
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrainingConfig {
@@ -49,52 +50,26 @@ impl TrainingConfig {
     }
 }
 
-fn remap(ops: Vec<SchedOp>, f: impl Fn(u32) -> u32) -> impl Iterator<Item = SchedOp> {
-    ops.into_iter().map(move |op| match op {
-        SchedOp::Send { to, bytes } => SchedOp::Send { to: f(to), bytes },
-        SchedOp::Recv { from } => SchedOp::Recv { from: f(from) },
-        other => other,
-    })
-}
-
-/// Splice rank `rank`'s allreduce schedule for this config into `ops`.
-fn splice_allreduce(ops: &mut Vec<SchedOp>, cfg: &TrainingConfig, rank: u32, p: u32) {
-    let gs = cfg.group_size;
+/// Splice rank `rank`'s allreduce schedule for this config into
+/// `program`.
+fn splice_allreduce(program: &mut Program, cfg: &TrainingConfig, rank: u32, p: u32) {
+    let allreduce = Collective::Allreduce(AllreduceAlgo::RecursiveDoubling);
+    let (gs, bytes) = (cfg.group_size, cfg.model_bytes);
     let flat = gs < 2 || gs >= p || !p.is_multiple_of(gs);
     if flat {
-        ops.extend(schedule(
-            Collective::Allreduce(AllreduceAlgo::RecursiveDoubling),
-            rank,
-            p,
-            cfg.model_bytes,
-        ));
+        program.splice(allreduce, rank, p, bytes, RankMap::IDENTITY);
         return;
     }
-    let groups = p / gs;
     let (g, local) = (rank / gs, rank % gs);
-    let global = |lr: u32| g * gs + lr;
+    let group = RankMap { base: g * gs, stride: 1 };
     // Stage 1: reduce to the group leader (group-local rank 0).
-    ops.extend(remap(
-        schedule(Collective::ReduceBinomial, local, gs, cfg.model_bytes),
-        global,
-    ));
+    program.splice(Collective::ReduceBinomial, local, gs, bytes, group);
     // Stage 2: leaders allreduce among themselves.
     if local == 0 {
-        ops.extend(remap(
-            schedule(
-                Collective::Allreduce(AllreduceAlgo::RecursiveDoubling),
-                g,
-                groups,
-                cfg.model_bytes,
-            ),
-            |leader| leader * gs,
-        ));
+        program.splice(allreduce, g, p / gs, bytes, RankMap { base: 0, stride: gs });
     }
     // Stage 3: broadcast back down inside the group.
-    ops.extend(remap(
-        schedule(Collective::Bcast(BcastAlgo::Binomial), local, gs, cfg.model_bytes),
-        global,
-    ));
+    program.splice(Collective::Bcast(BcastAlgo::Binomial), local, gs, bytes, group);
 }
 
 /// Compile the training loop for `p` ranks of `node`.
@@ -102,12 +77,12 @@ pub fn compile(cfg: &TrainingConfig, node: &NodeModel, p: u32) -> Compiled {
     let work = phase_ps(node, &DGEMM, cfg.flops_per_step);
     let programs = (0..p)
         .map(|rank| {
-            let mut ops = Vec::new();
+            let mut program = Program::default();
             for _ in 0..cfg.steps {
-                ops.push(SchedOp::Work { ps: work });
-                splice_allreduce(&mut ops, cfg, rank, p);
+                program.push(SchedOp::Work { ps: work });
+                splice_allreduce(&mut program, cfg, rank, p);
             }
-            ops
+            program
         })
         .collect();
     Compiled {
@@ -155,9 +130,9 @@ mod tests {
                 .programs
                 .iter()
                 .enumerate()
-                .flat_map(|(r, ops)| {
+                .flat_map(|(r, program)| {
                     let r = r as u32;
-                    ops.iter().filter_map(move |op| match *op {
+                    program.ops().filter_map(move |op| match op {
                         SchedOp::Send { to, bytes } if to / gs != r / gs => Some(bytes),
                         _ => None,
                     })

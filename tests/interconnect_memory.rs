@@ -19,6 +19,7 @@
 //! per rank, never one per rank pair. So is the event queue's re-fit: it
 //! holds a far-future preload once, not twice.
 
+use polaris_arch::prelude::*;
 use polaris_collectives::prelude::*;
 use polaris_simnet::event::EventQueue;
 use polaris_simnet::link::Generation;
@@ -26,6 +27,8 @@ use polaris_simnet::network::Network;
 use polaris_simnet::rng::SplitMix64;
 use polaris_simnet::time::{SimTime, PS_PER_SEC};
 use polaris_simnet::topology::{Routing, Topology, TopologyKind};
+use polaris_workloads::shuffle::{self, ShuffleConfig};
+use polaris_workloads::{run_compiled, Fabric};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -181,6 +184,37 @@ fn ring_allreduce_schedules_are_never_materialized() {
     assert!(
         held < 4 << 20,
         "simulate_collective held {held} bytes at once for a 1024-rank ring allreduce"
+    );
+}
+
+/// The sharded executor streams as well, at its single-shard path on
+/// the calling thread. Each rank holds its collective's op stream, and
+/// a compiled workload keeps each collective splice as its arguments
+/// until the rank reaches it. Collected into `Vec`s, the ring's
+/// schedules were 84 MB, and the 128-rank shuffle's spliced pairwise
+/// all-to-all held 2.2 MB.
+#[test]
+fn sharded_schedules_and_programs_are_never_materialized() {
+    let coll = Collective::Allreduce(AllreduceAlgo::Ring);
+    let link = Generation::GigabitEthernet.link_model();
+    let ((r, _), held) = peak_live_bytes(|| {
+        simulate_collective_sharded_stats(1024, coll, 4 << 20, ExecParams::default(), link, 1)
+    });
+    assert_eq!(r.messages, 1024 * 2 * 1023);
+    assert!(
+        held < 4 << 20,
+        "simulate_collective_sharded_stats held {held} bytes at once for a 1024-rank ring allreduce"
+    );
+
+    let node = NodeModel::build(NodeKind::SmpOnChip, &Projection::default().at(2008));
+    let fabric = Fabric::fat_tree(Generation::InfiniBand4x, 128);
+    let (r, held) = peak_live_bytes(|| {
+        run_compiled(shuffle::compile(&ShuffleConfig::default(), &node, 128), &fabric, 1)
+    });
+    assert_eq!(r.messages, 2 * 128 * 127);
+    assert!(
+        held < 1 << 20,
+        "a 128-rank shuffle held {held} bytes at once from compile to completion"
     );
 }
 
