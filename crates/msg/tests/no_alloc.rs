@@ -11,50 +11,15 @@
 use polaris_msg::match_engine::{MatchEngine, MatchSpec};
 use polaris_msg::prelude::*;
 use polaris_nic::prelude::Fabric;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+use polaris_obs::alloc::{calls as allocs, Counting};
 
 /// Counts every allocation (alloc, alloc_zeroed, realloc) the calling
 /// thread makes. Deallocations are free. Per thread, because the
 /// harness runs this binary's tests on parallel threads and a sibling's
 /// allocations must not land in a measured window; every test here
 /// drives its endpoints from its own thread.
-struct CountingAlloc;
-
-thread_local! {
-    // `const` + `Cell<u64>`: reachable from the allocator hook without
-    // allocating or registering a destructor.
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn record() {
-    ALLOCS.with(|c| c.set(c.get() + 1));
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        record();
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        record();
-        unsafe { System.alloc_zeroed(layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        record();
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
 #[global_allocator]
-static ALLOCATOR: CountingAlloc = CountingAlloc;
-
-fn allocs() -> u64 {
-    ALLOCS.with(Cell::get)
-}
+static ALLOCATOR: Counting = Counting;
 
 /// One matched round trip: rank 0 sends, rank 1 receives, both buffers
 /// come back to the caller for reuse.

@@ -19,7 +19,11 @@
 //!   node/link/QP/endpoint/collective-epoch [`Subject`]s.
 //! * [`export`] — Prometheus-style text and JSON snapshot exporters
 //!   with fully deterministic formatting (sorted keys, no wall-clock).
+//!
+//! Beside them, [`alloc`] is a counting allocator that test binaries
+//! install to bound the calls and bytes a code path allocates.
 
+pub mod alloc;
 pub mod export;
 pub mod metrics;
 pub mod trace;

@@ -143,8 +143,13 @@ struct NodeRec {
     in_op: Option<OpKind>,
     validate_retries: u32,
     repairs: u32,
-    drain_deadline: Option<SimTime>,
+    /// When a `Degraded` node still suspect is forced to repair;
+    /// `SimTime::MAX` when it is not draining.
+    drain_deadline: SimTime,
 }
+
+// F12 keeps one per node of a 100 k-node fleet.
+const _: () = assert!(std::mem::size_of::<NodeRec>() == 24);
 
 /// The reconciling controller: dense per-node records, the transitions
 /// the caller has not drained yet, and one seeded jitter stream.
@@ -170,7 +175,7 @@ impl Controller {
                     in_op: None,
                     validate_retries: 0,
                     repairs: 0,
-                    drain_deadline: None,
+                    drain_deadline: SimTime::MAX,
                 };
                 fleet as usize
             ],
@@ -273,7 +278,7 @@ impl Controller {
     /// if the repair budget is spent. At most one repair op results.
     fn enter_breakfix(&mut self, now: SimTime, node: u32) -> Option<StartedOp> {
         self.nodes[node as usize].in_op = None;
-        self.nodes[node as usize].drain_deadline = None;
+        self.nodes[node as usize].drain_deadline = SimTime::MAX;
         self.transition(now, node, NodeState::Breakfix);
         let repairs = {
             let rec = &mut self.nodes[node as usize];
@@ -369,18 +374,18 @@ impl Controller {
             (NodeState::Healthy, HealthVerdict::Failed) => self.enter_breakfix(now, node),
             (NodeState::Healthy, HealthVerdict::Suspect) => {
                 self.transition(now, node, NodeState::Degraded);
-                self.nodes[node as usize].drain_deadline = Some(now + self.cfg.drain_timeout);
+                self.nodes[node as usize].drain_deadline = now + self.cfg.drain_timeout;
                 None
             }
             (NodeState::Degraded, HealthVerdict::Ok) => {
                 self.transition(now, node, NodeState::Healthy);
-                self.nodes[node as usize].drain_deadline = None;
+                self.nodes[node as usize].drain_deadline = SimTime::MAX;
                 None
             }
             (NodeState::Degraded, HealthVerdict::Failed) => self.enter_breakfix(now, node),
             (NodeState::Degraded, HealthVerdict::Suspect)
                 // Still suspect at the drain deadline: force repair.
-                if self.nodes[node as usize].drain_deadline.is_some_and(|d| now >= d) => {
+                if now >= self.nodes[node as usize].drain_deadline => {
                     self.enter_breakfix(now, node)
                 }
             _ => None,

@@ -44,6 +44,7 @@ use polaris_simnet::rng::SplitMix64;
 use polaris_simnet::time::{SimDuration, SimTime, PS_PER_SEC};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
+use std::num::NonZeroU32;
 
 /// Shape of a churn schedule: how many disturbances land on the fleet
 /// inside the onset window, and the crash / flap / degrade mix.
@@ -390,7 +391,8 @@ pub struct FleetSim {
     in_free: Vec<bool>,
     /// Exact count of `Healthy` ∧ unoccupied nodes.
     avail: u32,
-    node_job: Vec<Option<u32>>,
+    /// The job each node runs, as `job + 1` so that a node costs 4 bytes.
+    node_job: Vec<Option<NonZeroU32>>,
     audit: Vec<AuditEvent>,
     metrics: Option<Metrics>,
     // Tallies.
@@ -495,7 +497,7 @@ impl FleetSim {
                         if let Some(m) = &self.metrics {
                             if false_evict { &m.evict_false } else { &m.evict_true }.inc();
                         }
-                        if let Some(job) = self.node_job[t.node as usize] {
+                        if let Some(job) = self.node_job[t.node as usize].map(|j| j.get() - 1) {
                             // The evict is audited before the transition
                             // record: occupancy must be clear by the time
                             // the node has left its serving state.
@@ -654,7 +656,7 @@ impl FleetSim {
             debug_assert!(self.node_job[n as usize].is_none());
             self.in_free[n as usize] = false;
             self.avail -= 1;
-            self.node_job[n as usize] = Some(job);
+            self.node_job[n as usize] = NonZeroU32::new(job + 1);
             got.push(n);
         }
         let rec = &mut self.jobs[job as usize];

@@ -7,11 +7,11 @@
 //! Keeping the world outside the engine sidesteps borrow conflicts between
 //! "the thing being simulated" and "the queue of things to do to it".
 //!
-//! The dispatch loop inherits the arena/structure-of-arrays layout of
-//! [`EventQueue`] for free: calendar buckets hold small `Copy` handles
-//! (time, key, arena slot) while payloads stay put in a slab, so the
-//! hot pop-compare-dispatch path walks densely packed keys instead of
-//! dragging whole events through the cache (see `crate::event`).
+//! The dispatch loop inherits the arena layout of [`EventQueue`] for
+//! free: each event is stored once, in a slab slot, and the calendar
+//! links, sorts and sifts slot indices and small `Copy` handles (time,
+//! key, slot) instead of dragging whole events through the cache (see
+//! `crate::event`).
 
 use crate::event::{EventQueue, QueueStats};
 use crate::time::{SimDuration, SimTime};

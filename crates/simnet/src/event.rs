@@ -7,7 +7,7 @@
 //!
 //! * [`EventQueue`] — a calendar queue (rotating bucket wheel over time,
 //!   with a far-future spill heap) specialized for the near-monotone
-//!   insert pattern of link/switch events. Pushes append to a bucket in
+//!   insert pattern of link/switch events. Pushes link into a bucket in
 //!   O(1); pops drain one bucket at a time, sorting each small batch by
 //!   `(time, seq)` once. Same-timestamp bursts — the common case in
 //!   symmetric collectives, where every rank schedules at the same
@@ -67,24 +67,36 @@
 //!
 //! # Storage layout
 //!
-//! The wheel, drain batch, and spill heaps hold 24-byte Copy [`Handle`]s
-//! (`time`, `seq`, arena slot); event payloads live in a slab arena and
-//! are written exactly once on push and read exactly once on pop. Every
-//! sort, heap sift, and bucket migration therefore moves fixed-size
-//! handles instead of whole events — for the fat enum payloads the NIC
-//! and collective models schedule, that is the difference between a
-//! cache-resident drain loop and one that streams the full event bodies
-//! through every `rebuild`/`advance`. Freed slots recycle through a free
-//! list, so steady-state churn performs zero allocations.
+//! Each pending event is stored once, in an arena slot: its key
+//! `(time, seq)`, a `u32` list link and its payload (32 bytes for F12's
+//! 12-byte `FleetEvent`). The containers name slots by `u32` index:
+//!
+//! * a wheel bucket is the head of a list threaded through the slots'
+//!   links. A push links its slot at the head. A bucket's order is
+//!   free, because `advance` copies the list into `current` and sorts
+//!   it, so 32 768 buckets cost 128 KiB of heads, not 768 KiB of `Vec`s;
+//! * `far` is a binary min-heap of slot indices ordered by the slot's
+//!   time alone: migrating into a bucket drops any finer order, and the
+//!   rebase onto its minimum reads only the time;
+//! * `current` and `behind` hold 24-byte [`Handle`]s, the key copied
+//!   beside the slot, because `behind` needs the exact `(time, seq)`
+//!   order and a sort should not chase slots. Both stay small.
+//!
+//! Payloads are written once on push and read once on pop: no sort,
+//! sift or migration moves one. Freed slots recycle through the same
+//! link, so steady-state churn allocates nothing, and a re-fit relinks
+//! indices in place.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::mem::MaybeUninit;
 
-/// Index entry for one scheduled event: the ordering key plus the arena
-/// slot holding the payload. Deliberately `Copy` and payload-free so the
-/// calendar's sorts and heap operations never touch event bodies.
+/// The end of a bucket list or of the free list.
+const NIL: u32 = u32::MAX;
+
+/// A staged or behind-the-cursor event: its slot's key copied beside
+/// the slot, so sorts and heap sifts compare without reading the arena.
 #[derive(Clone, Copy)]
 struct Handle {
     time: SimTime,
@@ -119,59 +131,108 @@ impl Ord for Handle {
     }
 }
 
-/// Slab of event payloads addressed by [`Handle::slot`].
+/// One pending event, stored once. `next` links the slot into its wheel
+/// bucket's list or, once freed, into the arena's free list.
+struct Slot<E> {
+    time: SimTime,
+    seq: u64,
+    next: u32,
+    event: MaybeUninit<E>,
+}
+
+/// Slab of pending events addressed by slot index.
 ///
-/// Invariant: a slot is initialized iff exactly one live `Handle` in the
-/// owning queue's containers names it. `alloc` initializes, `take` reads
-/// out and recycles; the queue's `Drop` impl drops whatever is still
-/// live.
+/// Invariant: a slot's payload is initialized iff the slot is pending:
+/// on one bucket list, or named once in `current`, `behind` or `far`.
+/// `alloc` initializes, `take` reads out and recycles; the queue's
+/// `Drop` impl drops whatever is still pending.
 struct Arena<E> {
-    slots: Vec<MaybeUninit<E>>,
-    free: Vec<u32>,
+    slots: Vec<Slot<E>>,
+    /// Head of the free list, threaded through `Slot::next`.
+    free: u32,
 }
 
 impl<E> Arena<E> {
     fn with_capacity(n: usize) -> Self {
         Arena {
             slots: Vec::with_capacity(n),
-            free: Vec::new(),
+            free: NIL,
         }
     }
 
     #[inline]
-    fn alloc(&mut self, event: E) -> u32 {
-        match self.free.pop() {
-            Some(slot) => {
-                self.slots[slot as usize] = MaybeUninit::new(event);
-                slot
-            }
-            None => {
-                let slot = u32::try_from(self.slots.len()).expect("arena slot overflow");
-                self.slots.push(MaybeUninit::new(event));
-                slot
-            }
+    fn alloc(&mut self, time: SimTime, seq: u64, event: E) -> u32 {
+        let slot = Slot { time, seq, next: NIL, event: MaybeUninit::new(event) };
+        if self.free == NIL {
+            assert!(self.slots.len() < NIL as usize, "arena slot overflow");
+            self.slots.push(slot);
+            return (self.slots.len() - 1) as u32;
         }
+        let s = self.free;
+        self.free = self.slots[s as usize].next;
+        self.slots[s as usize] = slot;
+        s
     }
 
-    /// Read the payload out of `slot` and recycle it.
+    #[inline]
+    fn time(&self, s: u32) -> u64 {
+        self.slots[s as usize].time.0
+    }
+
+    #[inline]
+    fn handle(&self, s: u32) -> Handle {
+        let Slot { time, seq, .. } = self.slots[s as usize];
+        Handle { time, seq, slot: s }
+    }
+
+    /// The slots on the list that starts at `head`.
+    fn list(&self, head: u32) -> impl Iterator<Item = u32> + '_ {
+        let next = |&s: &u32| Some(self.slots[s as usize].next).filter(|&n| n != NIL);
+        std::iter::successors(Some(head).filter(|&s| s != NIL), next)
+    }
+
+    /// Read the payload out of slot `s` and recycle it.
     ///
     /// # Safety
-    /// `slot` must come from a `Handle` just removed from the queue's
-    /// containers (so it is initialized and will not be read again).
+    /// `s` must have just left the queue's containers (so it is
+    /// initialized and will not be read again).
     #[inline]
-    unsafe fn take(&mut self, slot: u32) -> E {
-        let e = unsafe { self.slots[slot as usize].assume_init_read() };
-        self.free.push(slot);
-        e
+    unsafe fn take(&mut self, s: u32) -> E {
+        let slot = &mut self.slots[s as usize];
+        slot.next = self.free;
+        self.free = s;
+        unsafe { slot.event.assume_init_read() }
     }
 
-    /// Drop the payload in `slot` without recycling (queue teardown).
+    /// Drop the payload in slot `s` without recycling (queue teardown).
     ///
     /// # Safety
     /// Same contract as [`Arena::take`].
-    unsafe fn drop_slot(&mut self, slot: u32) {
-        unsafe { self.slots[slot as usize].assume_init_drop() }
+    unsafe fn drop_slot(&mut self, s: u32) {
+        unsafe { self.slots[s as usize].event.assume_init_drop() }
     }
+}
+
+/// Restore the order of `far`, a min-heap of slots by time alone,
+/// downward from `i`. std's `BinaryHeap` orders by the element, and
+/// this key lives in the arena.
+fn sift_down<E>(heap: &mut [u32], mut i: usize, arena: &Arena<E>) {
+    let (s, t) = (heap[i], arena.time(heap[i]));
+    loop {
+        let mut child = 2 * i + 1;
+        if child >= heap.len() {
+            break;
+        }
+        if child + 1 < heap.len() && arena.time(heap[child + 1]) < arena.time(heap[child]) {
+            child += 1;
+        }
+        if t <= arena.time(heap[child]) {
+            break;
+        }
+        heap[i] = heap[child];
+        i = child;
+    }
+    heap[i] = s;
 }
 
 /// Smallest wheel size; must be a power of two.
@@ -196,22 +257,24 @@ const CROWDED_BATCH: usize = 4 * TARGET_OCCUPANCY as usize;
 ///
 /// Calendar-queue layout:
 ///
-/// * `wheel[i]` holds handles whose bucket index `k = time >> shift`
-///   satisfies `k & mask == i` and `epoch <= k < epoch + nbuckets`.
-///   Within a window of `nbuckets` a slot maps to exactly one `k`, so a
-///   bucket never mixes events from different wheel laps.
+/// * `wheel[i]` heads the list of slots whose bucket index
+///   `k = time >> shift` satisfies `k & mask == i` and
+///   `epoch <= k < epoch + nbuckets`. Within a window of `nbuckets` a
+///   bucket maps to exactly one `k`, so a bucket never mixes events
+///   from different wheel laps.
 /// * `current` is the bucket being drained, sorted *descending* by
 ///   `(time, seq)` so `pop` is a `Vec::pop` from the tail.
 /// * `behind` holds handles pushed "behind the cursor" (see the module
 ///   doc) in a small min-heap; `pop` takes whichever of
 ///   `current`/`behind` is earlier, so global order is preserved
 ///   without an O(batch) merge-insert per follow-up.
-/// * `far` spills handles beyond the wheel horizon; they migrate into
+/// * `far` spills slots beyond the wheel horizon; they migrate into
 ///   the wheel as the cursor approaches (checked once per bucket
 ///   advance).
-/// * `arena` owns the payloads; every container above stores handles.
+/// * `arena` owns each event's key, link and payload.
 pub struct EventQueue<E> {
-    wheel: Vec<Vec<Handle>>,
+    /// Bucket list heads, `NIL` when empty.
+    wheel: Vec<u32>,
     /// Occupancy bitmap, one bit per bucket, for O(nbuckets/64) scans.
     occupied: Vec<u64>,
     /// log2 of the bucket width in picoseconds.
@@ -230,9 +293,9 @@ pub struct EventQueue<E> {
     /// pushes between the clock and a cursor that skipped ahead of it,
     /// and past-clamped events that have not fired yet.
     behind: BinaryHeap<Handle>,
-    /// Events beyond the wheel horizon, ordered by `(time, seq)`.
-    far: BinaryHeap<Handle>,
-    /// Payload slab addressed by handle slots.
+    /// Slots beyond the wheel horizon, unlinked, in a min-heap by time
+    /// alone (`far_push`, `sift_down`).
+    far: Vec<u32>,
     arena: Arena<E>,
     /// Events in `wheel` (excluding `current` and `far`).
     wheel_len: usize,
@@ -271,7 +334,7 @@ impl<E> EventQueue<E> {
     pub fn with_capacity(capacity: usize) -> Self {
         let nbuckets = capacity.next_power_of_two().clamp(MIN_BUCKETS, MAX_BUCKETS);
         EventQueue {
-            wheel: (0..nbuckets).map(|_| Vec::new()).collect(),
+            wheel: vec![NIL; nbuckets],
             occupied: vec![0u64; nbuckets / 64],
             // 2^14 ps ≈ 16 ns buckets: a sensible default for link-rate
             // events; adapted on the first rebuild either way.
@@ -280,7 +343,7 @@ impl<E> EventQueue<E> {
             epoch: 0,
             current: Vec::new(),
             behind: BinaryHeap::new(),
-            far: BinaryHeap::new(),
+            far: Vec::new(),
             arena: Arena::with_capacity(capacity),
             wheel_len: 0,
             len: 0,
@@ -300,14 +363,32 @@ impl<E> EventQueue<E> {
         self.wheel.len()
     }
 
+    /// Link slot `s` at the head of the bucket for bucket index `k`.
     #[inline]
-    fn set_occupied(&mut self, idx: usize) {
+    fn link(&mut self, k: u64, s: u32) {
+        let idx = (k & self.mask) as usize;
+        self.arena.slots[s as usize].next = self.wheel[idx];
+        self.wheel[idx] = s;
         self.occupied[idx / 64] |= 1u64 << (idx % 64);
+        self.wheel_len += 1;
     }
 
     #[inline]
     fn clear_occupied(&mut self, idx: usize) {
         self.occupied[idx / 64] &= !(1u64 << (idx % 64));
+    }
+
+    /// Push slot `s`, unlinked, onto `far` and sift it up.
+    fn far_push(&mut self, s: u32) {
+        let (far, arena) = (&mut self.far, &self.arena);
+        debug_assert_eq!(arena.slots[s as usize].next, NIL);
+        let (mut i, t) = (far.len(), arena.time(s));
+        far.push(s);
+        while i > 0 && arena.time(far[(i - 1) / 2]) > t {
+            far[i] = far[(i - 1) / 2];
+            i = (i - 1) / 2;
+        }
+        far[i] = s;
     }
 
     /// Schedule `event` to fire at absolute time `time`.
@@ -339,8 +420,7 @@ impl<E> EventQueue<E> {
         self.scheduled_total += 1;
         let delay = time.0.saturating_sub(self.clock);
         self.delays[(64 - delay.leading_zeros()) as usize] += 1;
-        let slot = self.arena.alloc(event);
-        let h = Handle { time, seq, slot };
+        let slot = self.arena.alloc(time, seq, event);
         if self.len == 0 {
             // Empty queue: rebase the cursor onto the clock, which no
             // push through a `Scheduler` precedes. On the first push
@@ -348,24 +428,21 @@ impl<E> EventQueue<E> {
             debug_assert!(self.current.is_empty() && self.behind.is_empty());
             self.epoch = self.clock >> self.shift;
         }
-        let k = h.time.0 >> self.shift;
+        let k = time.0 >> self.shift;
         if k < self.epoch {
             // Behind the cursor: a same-instant follow-up or an event in
             // the window being drained. Pops consult this heap alongside
             // the staged batch. Only a follow-up lands here at any width.
-            self.behind.push(h);
+            self.behind.push(Handle { time, seq, slot });
             self.stats.behind += 1;
             if delay > 0 {
                 self.missed();
             }
         } else if k - self.epoch < self.nbuckets() as u64 {
-            let idx = (k & self.mask) as usize;
-            self.wheel[idx].push(h);
-            self.set_occupied(idx);
-            self.wheel_len += 1;
+            self.link(k, slot);
             self.stats.wheel += 1;
         } else {
-            self.far.push(h);
+            self.far_push(slot);
             self.stats.far += 1;
             self.missed();
         }
@@ -450,7 +527,7 @@ impl<E> EventQueue<E> {
 
     /// `(time, key)` of the earliest pending event without removing it:
     /// the stable identity a [`QueueSnapshot`] stores for it.
-    pub fn peek_entry(&mut self) -> Option<(SimTime, u64)> {
+    fn peek_entry(&mut self) -> Option<(SimTime, u64)> {
         if !self.staged() {
             return None;
         }
@@ -491,10 +568,10 @@ impl<E> EventQueue<E> {
         if self.wheel_len == 0 {
             // Rebase the wheel onto `far`'s min; with `far` empty too,
             // everything pending sits behind the cursor.
-            let Some(min) = self.far.peek() else {
+            let Some(&min) = self.far.first() else {
                 return false;
             };
-            self.epoch = min.time.0 >> self.shift;
+            self.epoch = self.arena.time(min) >> self.shift;
         }
         self.refill_from_far();
         debug_assert!(self.wheel_len > 0);
@@ -511,23 +588,10 @@ impl<E> EventQueue<E> {
             }
             self.epoch += u64::from(word.trailing_zeros());
             let idx = (self.epoch & self.mask) as usize;
-            // Drain rather than steal: the bucket keeps its allocation
-            // for the next lap, and `current` reuses its own — zero
-            // allocations per batch at steady state. A batch larger than
-            // CROWDED_BATCH is stolen instead: a population in lockstep
-            // puts all of itself in one bucket per instant, and a
-            // burst-sized buffer parked in every bucket it visits would
-            // hold nbuckets × population.
-            {
-                let EventQueue { wheel, current, .. } = self;
-                let bucket = &mut wheel[idx];
-                debug_assert!(!bucket.is_empty());
-                if bucket.len() > CROWDED_BATCH {
-                    *current = std::mem::take(bucket);
-                } else {
-                    current.append(bucket);
-                }
-            }
+            // Copy the bucket's list into `current`, which keeps its
+            // buffer from batch to batch.
+            let head = std::mem::replace(&mut self.wheel[idx], NIL);
+            self.current.extend(self.arena.list(head).map(|s| self.arena.handle(s)));
             self.wheel_len -= self.current.len();
             self.clear_occupied(idx);
             // Descending so `pop` drains earliest-first from the tail.
@@ -565,17 +629,17 @@ impl<E> EventQueue<E> {
     /// Migrate far events whose bucket fell inside the horizon.
     fn refill_from_far(&mut self) {
         let horizon = self.epoch + self.nbuckets() as u64;
-        while let Some(top) = self.far.peek() {
-            let k = top.time.0 >> self.shift;
+        while let Some(&top) = self.far.first() {
+            let k = self.arena.time(top) >> self.shift;
             if k >= horizon {
                 break;
             }
-            let h = self.far.pop().expect("peeked");
+            self.far.swap_remove(0);
+            if !self.far.is_empty() {
+                sift_down(&mut self.far, 0, &self.arena);
+            }
             debug_assert!(k >= self.epoch);
-            let idx = (k & self.mask) as usize;
-            self.wheel[idx].push(h);
-            self.set_occupied(idx);
-            self.wheel_len += 1;
+            self.link(k, top);
         }
     }
 
@@ -625,70 +689,62 @@ impl<E> EventQueue<E> {
     /// reorder a partially drained batch against pushes landing near the
     /// new epoch boundary.
     ///
-    /// Moves handles only — payloads stay put in the arena, so a rebuild
-    /// of a queue of fat events costs the same as one of unit events.
-    ///
-    /// What a re-fit holds: the population is gathered into `far`'s own
-    /// buffer, each bucket's buffer released as it is emptied into it.
-    /// The handles that stay past the horizon are partitioned to the
-    /// buffer's front, and the wheel-bound tail is popped into the
-    /// buckets, the buffer shrinking before each eighth of them. A wheel
-    /// whose bucket count changes is resized in place. So a re-fit holds
-    /// the population once, plus the buckets' growth slack and at most
-    /// an eighth of the wheel-bound handles in the buffer's tail
+    /// Relinks slot indices only: keys and payloads stay put in the
+    /// arena, so a rebuild of a queue of fat events costs the same as
+    /// one of unit events. Every bucket list and `far`'s slots are
+    /// chained into one list and the heads reset; a wheel whose bucket
+    /// count changes is resized in place, its buckets being empty. Each
+    /// chained slot is then linked into its new bucket or pushed back
+    /// into `far`'s own buffer, which is heapified in place. So a re-fit
+    /// allocates nothing, unless more slots end past the horizon than
+    /// `far` held, and never holds the population twice
     /// (`tests/interconnect_memory.rs` holds it to that).
     fn rebuild(&mut self, nbuckets: usize, shift: u32) {
         debug_assert!(self.current.is_empty());
         self.stats.rebuilds += 1;
         self.rebuilt_at = self.scheduled_total;
         self.delays.iter_mut().for_each(|n| *n /= 2);
-        let mut entries = std::mem::take(&mut self.far).into_vec();
-        entries.reserve_exact(self.wheel_len);
-        for b in &mut self.wheel {
-            entries.extend(std::mem::take(b));
+        let (mut chain, mut min) = (NIL, u64::MAX);
+        let heads = self.wheel.iter_mut().map(|head| std::mem::replace(head, NIL));
+        // A slot in `far` is unlinked: a list of one.
+        for mut s in self.far.drain(..).chain(heads) {
+            while s != NIL {
+                let slot = &mut self.arena.slots[s as usize];
+                min = min.min(slot.time.0);
+                let next = std::mem::replace(&mut slot.next, chain);
+                chain = s;
+                s = next;
+            }
         }
         self.occupied.iter_mut().for_each(|w| *w = 0);
         self.wheel_len = 0;
         if self.nbuckets() != nbuckets {
             // Every bucket is empty: resize in place, so the old array
             // and a new one are never held together.
-            self.wheel.resize_with(nbuckets, Vec::new);
+            self.wheel.resize(nbuckets, NIL);
             self.wheel.shrink_to_fit();
             self.occupied = vec![0u64; nbuckets / 64];
             self.mask = (nbuckets - 1) as u64;
         }
         self.shift = shift;
         // With everything behind the cursor, the wheel starts at the clock.
-        let min = entries.iter().map(|e| e.time.0).min().unwrap_or(self.clock);
-        self.epoch = min >> shift;
-        // Handles past the horizon to the front: they stay in `entries`,
-        // which becomes the new `far`.
-        let past_horizon = |h: &Handle| (h.time.0 >> shift) - self.epoch >= nbuckets as u64;
-        let mut stay = 0;
-        for i in 0..entries.len() {
-            if past_horizon(&entries[i]) {
-                entries.swap(stay, i);
-                stay += 1;
+        self.epoch = if chain == NIL { self.clock } else { min } >> shift;
+        while chain != NIL {
+            let s = chain;
+            chain = std::mem::replace(&mut self.arena.slots[s as usize].next, NIL);
+            let k = self.arena.time(s) >> shift;
+            if k - self.epoch >= nbuckets as u64 {
+                self.far.push(s);
+            } else {
+                self.link(k, s);
             }
         }
-        // The tail goes to the buckets, the buffer giving back what has
-        // left it before each eighth. The buckets' order is free:
-        // `advance` sorts each batch it stages.
-        let eighth = ((entries.len() - stay) / 8).max(1);
-        while entries.len() > stay {
-            if self.wheel_len.is_multiple_of(eighth) {
-                entries.shrink_to_fit();
-            }
-            let h = entries.pop().expect("the tail is not empty");
-            let idx = ((h.time.0 >> shift) & self.mask) as usize;
-            self.wheel[idx].push(h);
-            self.occupied[idx / 64] |= 1u64 << (idx % 64);
-            self.wheel_len += 1;
+        for i in (0..self.far.len() / 2).rev() {
+            sift_down(&mut self.far, i, &self.arena);
         }
         // A preload that spilled whole would otherwise hold its buffer
         // for the rest of the run.
-        entries.shrink_to_fit();
-        self.far = BinaryHeap::from(entries);
+        self.far.shrink_to_fit();
     }
 
     pub fn len(&self) -> usize {
@@ -799,22 +855,20 @@ impl<E: Clone> EventQueue<E> {
     /// (payloads are cloned): the queue keeps running after the snapshot
     /// — the checkpoint pattern of a long simulation.
     pub fn snapshot(&self) -> QueueSnapshot<E> {
-        let containers = self.wheel.iter().flatten().chain(&self.current);
-        let mut handles: Vec<Handle> = containers
-            .chain(&self.behind)
-            .chain(&self.far)
-            .copied()
-            .collect();
+        // A slot in `far` is unlinked: a list of one.
+        let listed = self.far.iter().chain(&self.wheel).flat_map(|&head| self.arena.list(head));
+        let mut handles: Vec<Handle> = self.current.iter().chain(&self.behind).copied().collect();
+        handles.extend(listed.map(|s| self.arena.handle(s)));
         debug_assert_eq!(handles.len(), self.len, "containers must cover len");
         handles.sort_unstable_by_key(|h| h.key());
         QueueSnapshot {
             times: handles.iter().map(|h| h.time.0).collect(),
             keys: handles.iter().map(|h| h.seq).collect(),
-            // SAFETY: each handle is live in exactly one container, so its
-            // slot is initialized; the payload is only borrowed for a clone.
+            // SAFETY: each slot is pending in exactly one container, so it
+            // is initialized; the payload is only borrowed for a clone.
             events: handles
                 .iter()
-                .map(|h| unsafe { self.arena.slots[h.slot as usize].assume_init_ref() }.clone())
+                .map(|h| unsafe { self.arena.slots[h.slot as usize].event.assume_init_ref() }.clone())
                 .collect(),
             next_seq: self.next_seq,
             scheduled_total: self.scheduled_total,
@@ -881,18 +935,22 @@ impl<E> Drop for EventQueue<E> {
         if !std::mem::needs_drop::<E>() {
             return;
         }
-        // Every live handle names an initialized arena slot exactly
-        // once; walk all containers and drop the payloads in place.
-        let wheel = std::mem::take(&mut self.wheel);
-        for h in wheel
-            .into_iter()
-            .flatten()
-            .chain(self.current.drain(..))
-            .chain(std::mem::take(&mut self.behind))
-            .chain(std::mem::take(&mut self.far))
-        {
-            // SAFETY: the handle was live and is visited exactly once.
-            unsafe { self.arena.drop_slot(h.slot) };
+        // Every pending slot is named exactly once by the containers;
+        // walk them, lists too, and drop the payloads in place.
+        let EventQueue { wheel, current, behind, far, arena, .. } = self;
+        for h in current.iter().chain(behind.iter()) {
+            // SAFETY: the slot was pending and is visited exactly once.
+            unsafe { arena.drop_slot(h.slot) };
+        }
+        // A slot in `far` is unlinked: a list of one.
+        for &head in far.iter().chain(wheel.iter()) {
+            let mut s = head;
+            while s != NIL {
+                let next = arena.slots[s as usize].next;
+                // SAFETY: as above; the link is read before the drop.
+                unsafe { arena.drop_slot(s) };
+                s = next;
+            }
         }
     }
 }
@@ -1411,5 +1469,62 @@ mod tests {
             assert_eq!(Rc::strong_count(&marker), 5);
         }
         assert_eq!(Rc::strong_count(&marker), 1);
+    }
+
+    /// A queue of 100 events at distinct picoseconds in one bucket of
+    /// the default wheel: draining that bucket asks for a re-fit, which
+    /// narrows the buckets at the next `advance`.
+    fn crowded<E>(event: impl Fn(u64) -> E) -> EventQueue<E> {
+        let mut q = EventQueue::new();
+        for t in 1..=100 {
+            q.push(SimTime(t), event(t));
+        }
+        q
+    }
+
+    /// Drops balance after a rebuild has relinked the lists, with events
+    /// in `far`, in several bucket lists, in `behind` and in a partly
+    /// drained `current`.
+    #[test]
+    fn drops_balance_after_a_rebuild() {
+        use std::rc::Rc;
+        let marker = Rc::new(());
+        {
+            let mut q = crowded(|_| Rc::clone(&marker));
+            q.push(SimTime(1 << 40), Rc::clone(&marker)); // far
+            for _ in 0..100 {
+                q.pop();
+            }
+            for _ in 0..3 {
+                q.push(SimTime(20_000), Rc::clone(&marker));
+            }
+            q.pop(); // rebuilds, stages the 20 000 ps batch, pops one
+            assert_eq!(q.stats().rebuilds, 1);
+            q.push(SimTime(20_000), Rc::clone(&marker)); // behind
+            for j in 1..=3 {
+                q.push(SimTime(20_000 + (j << q.shift)), Rc::clone(&marker));
+            }
+            assert_eq!((q.far.len(), q.behind.len(), q.current.len()), (1, 1, 2));
+            assert_eq!(q.wheel.iter().filter(|&&head| head != NIL).count(), 3);
+            assert_eq!(Rc::strong_count(&marker), 1 + q.len());
+        }
+        assert_eq!(Rc::strong_count(&marker), 1);
+    }
+
+    /// Churn across rebuilds does not grow the arena past the live
+    /// population: slots freed while a re-fit relinks the lists still
+    /// recycle through their links.
+    #[test]
+    fn arena_slots_recycle_across_rebuilds() {
+        let mut q = crowded(|t| t);
+        let peak = q.arena.slots.len();
+        for round in 0..200 {
+            let popped: Vec<_> = (0..50).map(|_| q.pop().expect("100 pending")).collect();
+            for (now, i) in popped {
+                q.push(SimTime(now.0 + 1 + (i * 7_919 + round) % (1 << (round % 24))), i);
+            }
+        }
+        assert!(q.stats().rebuilds >= 2, "{:?}", q.stats());
+        assert_eq!(q.arena.slots.len(), peak, "arena grew under churn");
     }
 }

@@ -4,8 +4,8 @@
 //! deriving routes through [`Topology::route_plan`] must not allocate
 //! at all.
 //!
-//! The test binary installs a metering wrapper around the system
-//! allocator and counts allocator calls around the
+//! The test binary installs `polaris_obs::alloc`'s counting allocator
+//! and counts allocator calls around the
 //! constructor and the routing hot path, and the bytes held at once
 //! around a simulated collective. The counters are per thread:
 //! the harness runs the tests of this binary on parallel threads, and a
@@ -17,10 +17,12 @@
 //! O(1)/O(routers) representation stays in single digits. The schedule
 //! executors are held the same way: O(1) schedule state and one inbox
 //! per rank, never one per rank pair. So is the event queue's re-fit: it
-//! holds a far-future preload once, not twice.
+//! holds a far-future preload once, not twice, at no more than 44 bytes
+//! an event.
 
 use polaris_arch::prelude::*;
 use polaris_collectives::prelude::*;
+use polaris_obs::alloc::{self, peak_live_bytes, Counting};
 use polaris_simnet::event::EventQueue;
 use polaris_simnet::link::Generation;
 use polaris_simnet::network::Network;
@@ -29,75 +31,11 @@ use polaris_simnet::time::{SimTime, PS_PER_SEC};
 use polaris_simnet::topology::{Routing, Topology, TopologyKind};
 use polaris_workloads::shuffle::{self, ShuffleConfig};
 use polaris_workloads::{run_compiled, Fabric};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 
 /// The system allocator with call, byte and live-byte counters, so the
 /// tests can bound total constructor footprint, not just call count.
-struct MeteredAlloc;
-
-thread_local! {
-    // `const` + `Cell<u64>`: reachable from the allocator hook without
-    // allocating or registering a destructor.
-    static BYTES: Cell<u64> = const { Cell::new(0) };
-    static CALLS: Cell<u64> = const { Cell::new(0) };
-    // Bytes this thread holds now (allocated minus freed), and the most
-    // it has held since `peak_live_bytes` last reset it.
-    static LIVE: Cell<i64> = const { Cell::new(0) };
-    static PEAK: Cell<i64> = const { Cell::new(0) };
-}
-
-fn record(bytes: usize) {
-    BYTES.with(|b| b.set(b.get() + bytes as u64));
-    CALLS.with(|c| c.set(c.get() + 1));
-}
-
-fn hold(delta: i64) {
-    let live = LIVE.with(|l| {
-        l.set(l.get() + delta);
-        l.get()
-    });
-    PEAK.with(|p| p.set(p.get().max(live)));
-}
-
-unsafe impl GlobalAlloc for MeteredAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        record(layout.size());
-        hold(layout.size() as i64);
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        record(layout.size());
-        hold(layout.size() as i64);
-        unsafe { System.alloc_zeroed(layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        record(new_size);
-        hold(new_size as i64 - layout.size() as i64);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        hold(-(layout.size() as i64));
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
 #[global_allocator]
-static ALLOC: MeteredAlloc = MeteredAlloc;
-
-/// `(calls, bytes)` allocated by the calling thread so far.
-fn counts() -> (u64, u64) {
-    (CALLS.with(Cell::get), BYTES.with(Cell::get))
-}
-
-/// The most bytes the calling thread held at once while running `f`,
-/// beyond what it held going in.
-fn peak_live_bytes<R>(f: impl FnOnce() -> R) -> (R, i64) {
-    let before = LIVE.with(Cell::get);
-    PEAK.with(|p| p.set(before));
-    let out = f();
-    (out, PEAK.with(Cell::get) - before)
-}
+static ALLOC: Counting = Counting;
 
 const MILLION_HOST_FLY: TopologyKind = TopologyKind::Dragonfly {
     groups: 2048,
@@ -111,9 +49,9 @@ const MILLION_HOST_FLY: TopologyKind = TopologyKind::Dragonfly {
 /// O(hosts) and certainly not O(hosts^2).
 #[test]
 fn million_host_dragonfly_builds_in_o_routers_memory() {
-    let (calls0, bytes0) = counts();
+    let (calls0, bytes0) = (alloc::calls(), alloc::bytes());
     let topo = std::hint::black_box(Topology::new(MILLION_HOST_FLY));
-    let (calls1, bytes1) = counts();
+    let (calls1, bytes1) = (alloc::calls(), alloc::bytes());
     assert_eq!(topo.hosts(), 1 << 20);
     let calls = calls1 - calls0;
     let bytes = bytes1 - bytes0;
@@ -138,7 +76,7 @@ fn route_plan_hot_path_is_allocation_free() {
         // Warm up once so lazy process-wide state cannot masquerade as
         // a per-route allocation.
         let _ = std::hint::black_box(topo.hops(0, topo.hosts() - 1));
-        let (calls0, _) = counts();
+        let calls0 = alloc::calls();
         let mut acc = 0u64;
         for _ in 0..10_000 {
             let s = rng.next_below(hosts) as u32;
@@ -147,7 +85,7 @@ fn route_plan_hot_path_is_allocation_free() {
                 acc = acc.wrapping_add(link.0 as u64);
             }
         }
-        let (calls1, _) = counts();
+        let calls1 = alloc::calls();
         std::hint::black_box(acc);
         assert_eq!(
             calls1 - calls0,
@@ -286,5 +224,36 @@ fn a_refit_holds_a_far_future_preload_once() {
     assert!(
         held <= cap,
         "the re-fit held {held} bytes above a {EVENTS}-event preload (cap {cap})"
+    );
+}
+
+/// The bytes a pending event costs the queue: its arena slot (key, link
+/// and payload, stored once) plus its share of the containers. F12's
+/// preload shape, 200 000 timers 48 to 216 s out with 12-byte payloads
+/// like `FleetEvent`, pushed into a queue sized for half of them, then
+/// the first pop and its re-fit. With each key kept in a 24-byte handle
+/// apart from its payload and `Vec` buckets, this read 53.6 bytes an
+/// event; with one 32-byte slot an event and `far` naming slots by
+/// `u32`, 38.6.
+#[test]
+fn a_far_future_preload_costs_at_most_44_bytes_an_event() {
+    const NODES: u32 = 100_000;
+    const EVENTS: f64 = 2.0 * NODES as f64;
+    let mut rng = SplitMix64::new(0xF12);
+    let (q, held) = peak_live_bytes(|| {
+        let mut q = EventQueue::with_capacity(NODES as usize);
+        for node in 0..NODES {
+            let done = 48 * PS_PER_SEC + rng.next_below(24 * PS_PER_SEC);
+            q.push(SimTime(done), [node; 3]);
+            q.push(SimTime(3 * done), [node; 3]);
+        }
+        assert!(q.pop().is_some());
+        q
+    });
+    assert_eq!(q.stats().rebuilds, 1, "the first pop re-fits the wheel");
+    let per_event = held as f64 / EVENTS;
+    assert!(
+        per_event <= 44.0,
+        "the queue held {held} bytes at once for {EVENTS} events: {per_event:.1} an event"
     );
 }

@@ -9,57 +9,16 @@
 //! there: a `String`, `Vec` or registry key back on the request path
 //! fails this test instead of quietly costing 40 ns a request.
 
+use polaris_obs::alloc::{calls as allocs, Counting};
 use polaris_obs::Obs;
 use polaris_serve::prelude::*;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 
 /// Counts every allocation (alloc, alloc_zeroed, realloc) the calling
 /// thread makes, as `crates/msg/tests/no_alloc.rs` does. Per thread, so
 /// the count is sound on a 1-core box and beside sibling tests: the
 /// measured window holds what this thread asked for and nothing else.
-struct CountingAlloc;
-
-thread_local! {
-    // `const` + `Cell<u64>`: reachable from the allocator hook without
-    // allocating or registering a destructor.
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn record() {
-    ALLOCS.with(|c| c.set(c.get() + 1));
-}
-
-// SAFETY: every call is forwarded unchanged to `System`; the hook only
-// bumps a thread-local counter, which neither allocates nor unwinds.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        record();
-        // SAFETY: the caller's contract is `System.alloc`'s.
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        record();
-        // SAFETY: as above.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        record();
-        // SAFETY: as above; `ptr` came from this allocator, i.e. `System`.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: as above.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
 #[global_allocator]
-static ALLOCATOR: CountingAlloc = CountingAlloc;
-
-fn allocs() -> u64 {
-    ALLOCS.with(Cell::get)
-}
+static ALLOCATOR: Counting = Counting;
 
 #[test]
 fn a_cache_hit_does_not_allocate() {
