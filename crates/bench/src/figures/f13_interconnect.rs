@@ -12,7 +12,8 @@
 //! model of the per-round global-cable serialization) against the
 //! hierarchical schedule of [`simulate_hier_allreduce`] with the
 //! leader stage on the packet fabric and on circuits reserved from the
-//! [`CircuitScheduler`] (paying reconfiguration per wave).
+//! [`CircuitScheduler`](polaris_simnet::circuit::CircuitScheduler)
+//! (paying reconfiguration per wave).
 //!
 //! Cells fan out across the sweep threads with per-cell observability
 //! planes merged in grid order; the local-stage simulations inside a

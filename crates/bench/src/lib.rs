@@ -22,7 +22,7 @@ pub type Generator = fn() -> Vec<Table>;
 /// prints them to stdout: each table's [`Table::render`] output followed
 /// by the newline `println!` appends. `figures --check-output` diffs
 /// this against the committed `figures_output.txt`.
-pub fn render_all() -> String {
+fn render_all() -> String {
     let mut out = String::new();
     for (_id, generator) in all_experiments() {
         for table in generator() {

@@ -119,7 +119,7 @@ impl<'a> FtComm<'a> {
     }
 
     /// Whether the local endpoint has failed.
-    pub fn is_down(&self) -> bool {
+    fn is_down(&self) -> bool {
         self.down
     }
 

@@ -10,7 +10,7 @@ use crate::op::{from_bytes, reduce_into, to_bytes, Reducible, ReduceOp};
 const TAG: u64 = COLL_TAG_BASE + 70;
 
 /// Ring reduce-scatter over `data` (length n on every rank). Returns
-/// this rank's fully reduced chunk (per [`chunk_range`] partitioning).
+/// this rank's fully reduced chunk (per `chunk_range` partitioning).
 /// `data`'s contents are clobbered (used as workspace).
 pub fn reduce_scatter_ring<C: Comm, T: Reducible>(
     comm: &mut C,

@@ -13,7 +13,8 @@
 //!
 //! * [`msg`] — the core contribution: eager / rendezvous / sockets
 //!   protocols with verified copy counts.
-//! * [`nic`] — the verbs-style virtual NIC (PD/MR/QP/CQ, RDMA, atomics).
+//! * [`nic`] — the verbs-style virtual NIC (PD/MR/QP/CQ): send/receive
+//!   with immediate data, RDMA read/write, shared receive queues.
 //! * [`collectives`] — barrier/bcast/reduce/allreduce/… in classic
 //!   algorithm variants, with a simulated-time executor.
 //! * [`simnet`] — discrete-event interconnect models (Fast Ethernet

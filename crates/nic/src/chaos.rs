@@ -14,7 +14,7 @@
 //!   sender sees `RetryExceeded` (on hardware, the receiver NACKs the
 //!   bad packet and the sender retries until the retry budget dies).
 //!
-//! One-sided RDMA and atomics are exempt: the reliability experiments
+//! One-sided RDMA is exempt: the reliability experiments
 //! scope chaos to the two-sided path, which carries every control
 //! envelope and eager payload of the messaging layer above.
 //!
@@ -43,7 +43,7 @@ impl ChaosParams {
 
 /// What the chaos layer decided for one send.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChaosVerdict {
+pub(crate) enum ChaosVerdict {
     Deliver,
     Drop,
     Corrupt,
@@ -93,7 +93,7 @@ impl ChaosState {
 /// CRC-32 (IEEE 802.3 polynomial, bit-reversed 0xEDB88320), the same
 /// family of check an IB ICRC or Ethernet FCS performs. Bitwise — plenty
 /// fast for the message sizes the chaos tests push.
-pub fn crc32(data: &[u8]) -> u32 {
+pub(crate) fn crc32(data: &[u8]) -> u32 {
     let mut crc: u32 = 0xFFFF_FFFF;
     for &b in data {
         crc ^= b as u32;

@@ -37,11 +37,8 @@ pub enum CqeStatus {
 pub enum CqeOpcode {
     Send,
     Recv,
-    /// A receive consumed by an RDMA-write-with-immediate.
-    RecvRdmaImm,
     RdmaWrite,
     RdmaRead,
-    Atomic,
 }
 
 /// A completion-queue entry.
@@ -157,7 +154,7 @@ impl CompletionQueue {
     }
 
     /// Non-blocking poll of a single completion.
-    pub fn poll_one(&self) -> Result<Option<Cqe>> {
+    pub(crate) fn poll_one(&self) -> Result<Option<Cqe>> {
         Ok(self.lock_checked()?.queue.pop_front())
     }
 
@@ -203,7 +200,7 @@ impl CompletionQueue {
     }
 
     /// Completions currently waiting to be reaped.
-    pub fn depth(&self) -> usize {
+    fn depth(&self) -> usize {
         self.inner.state.lock().unwrap().queue.len()
     }
 

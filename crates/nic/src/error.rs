@@ -27,8 +27,6 @@ pub enum NicError {
     PdMismatch,
     /// A completion queue overflowed; completions were lost.
     CqOverflow,
-    /// Atomic operations require 8-byte aligned, 8-byte buffers.
-    BadAtomicBuffer,
     /// Timed out waiting for a completion.
     Timeout,
     /// The fabric has been shut down.
@@ -57,9 +55,6 @@ impl fmt::Display for NicError {
             NicError::BadRkey(r) => write!(f, "rkey {:#x} does not name a live region", r.0),
             NicError::PdMismatch => write!(f, "memory region and QP protection domains differ"),
             NicError::CqOverflow => write!(f, "completion queue overflow"),
-            NicError::BadAtomicBuffer => {
-                write!(f, "atomic operations require aligned 8-byte buffers")
-            }
             NicError::Timeout => write!(f, "timed out waiting for completion"),
             NicError::FabricDown => write!(f, "fabric has been shut down"),
             NicError::UsesSrq(qp) => {

@@ -249,7 +249,6 @@ impl Fabric {
             // Both were just seen in `Init`, so neither is connected
             // yet; a loopback QP sets its one cell twice, to itself.
             let _ = qp.inner.peer.set(PeerLink {
-                node: peer.node(),
                 num: peer.num(),
                 qp: Arc::downgrade(&peer.inner),
             });
@@ -399,6 +398,12 @@ mod tests {
         cq_b: CompletionQueue,
     }
 
+    /// Receives posted at `qp` and messages parked there.
+    fn recv_depths(qp: &QueuePair) -> (usize, usize) {
+        let rs = qp.inner.recv.lock().unwrap();
+        (rs.posted.len(), rs.inbound.len())
+    }
+
     fn pair() -> Pair {
         let fabric = Fabric::new();
         let nic_a = fabric.create_nic();
@@ -466,7 +471,7 @@ mod tests {
             .unwrap();
         // No completion yet on either side.
         assert!(p.cq_a.poll_one().unwrap().is_none());
-        assert_eq!(p.b.recv_depths(), (0, 1));
+        assert_eq!(recv_depths(&p.b), (0, 1));
         let dst = p.nic_b.register(p.pd_b, 8).unwrap();
         p.b
             .post_recv(RecvWr::new(2, vec![Sge::whole(&dst)]))
@@ -527,34 +532,6 @@ mod tests {
         // The target CPU saw nothing.
         assert!(p.cq_b.poll_one().unwrap().is_none());
         assert_eq!(dst.to_vec(4, 8).unwrap(), b"onesided");
-    }
-
-    #[test]
-    fn rdma_write_imm_notifies_receiver() {
-        let p = pair();
-        let src = p.nic_a.register_from(p.pd_a, b"notify").unwrap();
-        let dst = p.nic_b.register(p.pd_b, 16).unwrap();
-        let note = p.nic_b.register(p.pd_b, 0).unwrap();
-        p.b
-            .post_recv(RecvWr::new(7, vec![Sge::whole(&note)]))
-            .unwrap();
-        p.a
-            .post_send(SendWr::RdmaWriteImm {
-                wr_id: 6,
-                sges: crate::sge_list![Sge::whole(&src)],
-                remote: RemoteAddr {
-                    node: p.b.node(),
-                    rkey: dst.rkey(),
-                    offset: 0,
-                },
-                imm: 0xfeed,
-            })
-            .unwrap();
-        let rx = p.cq_b.wait_one(Duration::from_secs(1)).unwrap();
-        assert_eq!(rx.opcode, CqeOpcode::RecvRdmaImm);
-        assert_eq!(rx.imm, Some(0xfeed));
-        assert_eq!(rx.byte_len, 6);
-        assert_eq!(dst.to_vec(0, 6).unwrap(), b"notify");
     }
 
     #[test]
@@ -668,102 +645,6 @@ mod tests {
     }
 
     #[test]
-    fn fetch_add_and_compare_swap() {
-        let p = pair();
-        let counter = p.nic_b.register(p.pd_b, 8).unwrap();
-        counter.write_at(0, &5u64.to_le_bytes()).unwrap();
-        let old = p.nic_a.register(p.pd_a, 8).unwrap();
-        let remote = RemoteAddr {
-            node: p.b.node(),
-            rkey: counter.rkey(),
-            offset: 0,
-        };
-        p.a
-            .post_send(SendWr::FetchAdd {
-                wr_id: 1,
-                local: Sge::whole(&old),
-                remote,
-                add: 10,
-            })
-            .unwrap();
-        let c = p.cq_a.poll_one().unwrap().unwrap();
-        assert_eq!(c.status, CqeStatus::Success);
-        assert_eq!(
-            u64::from_le_bytes(old.to_vec(0, 8).unwrap().try_into().unwrap()),
-            5
-        );
-        assert_eq!(
-            u64::from_le_bytes(counter.to_vec(0, 8).unwrap().try_into().unwrap()),
-            15
-        );
-        // CAS success.
-        p.a
-            .post_send(SendWr::CompareSwap {
-                wr_id: 2,
-                local: Sge::whole(&old),
-                remote,
-                expect: 15,
-                swap: 100,
-            })
-            .unwrap();
-        p.cq_a.poll_one().unwrap().unwrap();
-        assert_eq!(
-            u64::from_le_bytes(counter.to_vec(0, 8).unwrap().try_into().unwrap()),
-            100
-        );
-        // CAS failure leaves the value alone but reports the old value.
-        p.a
-            .post_send(SendWr::CompareSwap {
-                wr_id: 3,
-                local: Sge::whole(&old),
-                remote,
-                expect: 15,
-                swap: 0,
-            })
-            .unwrap();
-        p.cq_a.poll_one().unwrap().unwrap();
-        assert_eq!(
-            u64::from_le_bytes(old.to_vec(0, 8).unwrap().try_into().unwrap()),
-            100
-        );
-        assert_eq!(
-            u64::from_le_bytes(counter.to_vec(0, 8).unwrap().try_into().unwrap()),
-            100
-        );
-    }
-
-    #[test]
-    fn atomic_requires_aligned_8_bytes() {
-        let p = pair();
-        let small = p.nic_a.register(p.pd_a, 4).unwrap();
-        let remote = RemoteAddr {
-            node: p.b.node(),
-            rkey: Rkey(1),
-            offset: 0,
-        };
-        let r = p.a.post_send(SendWr::FetchAdd {
-            wr_id: 1,
-            local: Sge::whole(&small),
-            remote,
-            add: 1,
-        });
-        assert_eq!(r, Err(NicError::BadAtomicBuffer));
-        let ok = p.nic_a.register(p.pd_a, 8).unwrap();
-        let misaligned = RemoteAddr {
-            node: p.b.node(),
-            rkey: Rkey(1),
-            offset: 3,
-        };
-        let r = p.a.post_send(SendWr::FetchAdd {
-            wr_id: 1,
-            local: Sge::whole(&ok),
-            remote: misaligned,
-            add: 1,
-        });
-        assert_eq!(r, Err(NicError::BadAtomicBuffer));
-    }
-
-    #[test]
     fn post_before_connect_is_rejected() {
         let fabric = Fabric::new();
         let nic = fabric.create_nic();
@@ -819,6 +700,31 @@ mod tests {
             .unwrap();
         let c = p.cq_a.poll_one().unwrap().unwrap();
         assert_eq!(c.status, CqeStatus::Flushed);
+    }
+
+    /// A send parked at a QP with no receive posted completes exactly
+    /// once, `Flushed`, when that QP enters `Error`.
+    #[test]
+    fn error_state_flushes_parked_sends_to_their_senders() {
+        let p = pair();
+        let src = p.nic_a.register_from(p.pd_a, b"stuck").unwrap();
+        p.a.post_send(SendWr::Send {
+            wr_id: 7,
+            sges: crate::sge_list![Sge::whole(&src)],
+            imm: None,
+        })
+        .unwrap();
+        assert_eq!(recv_depths(&p.b), (0, 1));
+        assert!(p.cq_a.poll_one().unwrap().is_none());
+        p.b.set_error();
+        assert_eq!(recv_depths(&p.b), (0, 0));
+        let tx = p.cq_a.poll(4).unwrap();
+        assert_eq!(tx.len(), 1);
+        assert_eq!(
+            (tx[0].wr_id, tx[0].status, tx[0].opcode),
+            (7, CqeStatus::Flushed, CqeOpcode::Send)
+        );
+        assert!(p.cq_b.poll_one().unwrap().is_none());
     }
 
     /// The peer is reached through the link `connect` cached, not
@@ -881,7 +787,7 @@ mod tests {
         assert_eq!(recv, Err(NicError::FabricDown));
         assert!(matches!(nic_a.register(pd_a, 8), Err(NicError::FabricDown)));
         assert_eq!(a.peer_alive(), None);
-        assert_eq!(b.peer(), Some((a.node(), a.num())));
+        assert_eq!(b.inner.peer.get().map(|link| link.num), Some(a.num()));
     }
 
     /// `set_chaos` and `set_obs` publish through one flag each; a change
@@ -917,7 +823,7 @@ mod tests {
         p.fabric.set_chaos(ChaosParams::drop_only(1, 1.0));
         assert_eq!(post(2), CqeStatus::RetryExceeded);
         // The receive armed for the dropped send is still posted.
-        assert_eq!(p.b.recv_depths(), (1, 0));
+        assert_eq!(recv_depths(&p.b), (1, 0));
     }
 
     #[test]
@@ -1044,7 +950,7 @@ mod tests {
         assert_eq!(tx.wr_id, 2);
         // Nothing reached the receiver; its recv is still posted.
         assert!(p.cq_b.poll_one().unwrap().is_none());
-        assert_eq!(p.b.recv_depths(), (1, 0));
+        assert_eq!(recv_depths(&p.b), (1, 0));
         assert_eq!(dst.to_vec(0, 4).unwrap(), vec![0u8; 4]);
         assert_eq!(p.fabric.chaos_stats().unwrap().drops, 1);
     }

@@ -1,9 +1,10 @@
 //! # polaris-nic
 //!
 //! A virtual user-level NIC with InfiniBand-verbs semantics: protection
-//! domains, registered memory regions (lkey/rkey), reliable-connected
-//! queue pairs, completion queues, two-sided send/receive, one-sided RDMA
-//! read/write (with immediate), and remote atomics.
+//! domains, registered memory regions (rkey), reliable-connected queue
+//! pairs, completion queues, and the three verbs the stack above posts:
+//! send/receive with immediate data, one-sided RDMA read/write, and
+//! shared receive queues.
 //!
 //! This crate is the substitution for the RDMA hardware the CLUSTER 2002
 //! keynote anticipates ("anticipated advances in networking including
@@ -45,13 +46,13 @@ pub mod types;
 pub mod wr;
 
 pub mod prelude {
-    pub use crate::chaos::{crc32, ChaosParams, ChaosStats, ChaosVerdict};
+    pub use crate::chaos::{ChaosParams, ChaosStats};
     pub use crate::cq::{CompletionQueue, Cqe, CqeOpcode, CqeStatus};
     pub use crate::error::{NicError, Result as NicResult};
     pub use crate::fabric::{Fabric, FabricStats, Nic};
     pub use crate::mr::{MemoryRegion, ProtectionDomain};
     pub use crate::qp::{QpState, QueuePair};
     pub use crate::srq::SharedReceiveQueue;
-    pub use crate::types::{Lkey, NodeId, PdId, QpNum, RemoteAddr, Rkey};
-    pub use crate::wr::{sge_len, RecvWr, SendWr, Sge, SgeList};
+    pub use crate::types::{NodeId, QpNum, RemoteAddr, Rkey};
+    pub use crate::wr::{RecvWr, SendWr, Sge, SgeList};
 }

@@ -2,8 +2,8 @@
 //!
 //! A [`MemoryRegion`] is the unit of DMA-able memory: library-allocated,
 //! "pinned" (it never moves — the storage lives behind an `Arc`), and
-//! named by an lkey (local work requests) and an rkey (remote RDMA
-//! access). Handing an rkey to a peer grants that peer access, exactly as
+//! named by an rkey for remote RDMA access (a local work request names
+//! the region itself). Handing an rkey to a peer grants that peer access, exactly as
 //! on real RDMA hardware.
 //!
 //! # Safety contract
@@ -11,18 +11,18 @@
 //! Real RDMA hardware writes application memory asynchronously; the
 //! program must not touch a buffer between posting a work request that
 //! uses it and reaping the corresponding completion. The virtual NIC has
-//! the same contract: [`MemoryRegion::as_slice`]/[`as_mut_slice`] are
-//! `unsafe fn`s whose caller asserts no DMA targeting the region is in
-//! flight. The safe `read_at`/`write_at` accessors carry the same
+//! the same contract: [`MemoryRegion::as_slice`] and
+//! [`MemoryRegion::as_mut_slice`] are `unsafe fn`s whose caller asserts
+//! no DMA targeting the region is in flight. The safe `read_at`/`write_at` accessors carry the same
 //! contract in their documentation; violating it is a data race in the
 //! application, just as it would be under ibverbs. Completion delivery
 //! goes through a mutex-protected queue, which establishes the
 //! happens-before edge that makes post → complete → access well defined.
 
 use crate::error::{NicError, Result};
-use crate::types::{Lkey, NodeId, PdId, Rkey, KEYS};
+use crate::types::{NodeId, PdId, Rkey, KEYS};
 use std::cell::UnsafeCell;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// A protection domain: memory regions and queue pairs must share one for
 /// work requests to be authorized.
@@ -44,11 +44,8 @@ unsafe impl Send for MrStorage {}
 
 pub(crate) struct MrInner {
     pub(crate) storage: MrStorage,
-    pub(crate) lkey: Lkey,
     pub(crate) rkey: Rkey,
     pub(crate) pd: ProtectionDomain,
-    /// Serializes remote atomic operations on this region.
-    pub(crate) atomic_lock: Mutex<()>,
 }
 
 impl MrInner {
@@ -84,17 +81,14 @@ pub struct MemoryRegion {
 
 impl MemoryRegion {
     pub(crate) fn allocate(pd: ProtectionDomain, len: usize) -> Self {
-        let (lkey, rkey) = KEYS.next_pair();
         MemoryRegion {
             inner: Arc::new(MrInner {
                 storage: MrStorage {
                     data: UnsafeCell::new(vec![0u8; len].into_boxed_slice()),
                     len,
                 },
-                lkey,
-                rkey,
+                rkey: KEYS.next_rkey(),
                 pd,
-                atomic_lock: Mutex::new(()),
             }),
         }
     }
@@ -107,17 +101,13 @@ impl MemoryRegion {
         self.len() == 0
     }
 
-    pub fn lkey(&self) -> Lkey {
-        self.inner.lkey
-    }
-
     /// The remote key. Sharing this value with a peer grants it RDMA
     /// access to the region.
     pub fn rkey(&self) -> Rkey {
         self.inner.rkey
     }
 
-    pub fn pd(&self) -> ProtectionDomain {
+    pub(crate) fn pd(&self) -> ProtectionDomain {
         self.inner.pd
     }
 
@@ -175,7 +165,6 @@ impl std::fmt::Debug for MemoryRegion {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MemoryRegion")
             .field("len", &self.len())
-            .field("lkey", &self.lkey())
             .field("rkey", &self.rkey())
             .field("pd", &self.inner.pd.id)
             .finish()
@@ -219,7 +208,6 @@ mod tests {
     fn keys_are_distinct_per_region() {
         let a = MemoryRegion::allocate(pd(), 8);
         let b = MemoryRegion::allocate(pd(), 8);
-        assert_ne!(a.lkey(), b.lkey());
         assert_ne!(a.rkey(), b.rkey());
     }
 

@@ -48,23 +48,18 @@ impl QpState {
     }
 }
 
-/// What an inbound message carries besides its sender.
-pub(crate) enum Body {
-    /// A two-sided send: the sender's gather list is held (keeping its
-    /// regions alive) until a receive arrives to scatter into.
-    Send {
-        sges: SgeList,
-        imm: Option<u32>,
-        /// Invariant CRC computed over the payload at post time; only
-        /// carried when the fabric's chaos layer is armed.
-        icrc: Option<u32>,
-        /// Chaos verdict: flip a byte in flight so the receiver's ICRC
-        /// check fails.
-        corrupt: bool,
-    },
-    /// An RDMA-write-with-immediate whose data already landed; only the
-    /// notification (and receive consumption) is pending.
-    WriteImm { byte_len: usize, imm: u32 },
+/// What a two-sided send carries besides its sender. The sender's
+/// gather list is held (keeping its regions alive) until a receive
+/// arrives to scatter into.
+pub(crate) struct Body {
+    sges: SgeList,
+    imm: Option<u32>,
+    /// Invariant CRC computed over the payload at post time; only
+    /// carried when the fabric's chaos layer is armed.
+    icrc: Option<u32>,
+    /// Chaos verdict: flip a byte in flight so the receiver's ICRC
+    /// check fails.
+    corrupt: bool,
 }
 
 /// An inbound message parked at the target waiting for a receive to be
@@ -116,11 +111,7 @@ impl Inbound {
             num: self.sender_qp,
             wr_id: self.sender_wr_id,
         };
-        let opcode = match self.body {
-            Body::Send { .. } => CqeOpcode::Send,
-            Body::WriteImm { .. } => CqeOpcode::RdmaWrite,
-        };
-        from.complete(fabric, CqeStatus::Flushed, opcode, 0);
+        from.complete(fabric, CqeStatus::Flushed, CqeOpcode::Send, 0);
     }
 }
 
@@ -215,7 +206,6 @@ impl QpObs {
 
 /// The connected peer, resolved once by `Fabric::connect`.
 pub(crate) struct PeerLink {
-    pub(crate) node: NodeId,
     pub(crate) num: QpNum,
     /// Weak: the two ends of a connection must not keep each other
     /// alive. The peer's NIC owns it for as long as the fabric stands.
@@ -334,25 +324,6 @@ impl QueuePair {
         self.inner.state()
     }
 
-    pub fn pd(&self) -> ProtectionDomain {
-        self.inner.pd
-    }
-
-    /// The CQ receiving send-queue completions.
-    pub fn send_cq(&self) -> &CompletionQueue {
-        &self.inner.sq_cq
-    }
-
-    /// The CQ receiving receive-queue completions.
-    pub fn recv_cq(&self) -> &CompletionQueue {
-        &self.inner.rq_cq
-    }
-
-    /// Peer coordinates once connected.
-    pub fn peer(&self) -> Option<(NodeId, QpNum)> {
-        self.inner.peer.get().map(|link| (link.node, link.num))
-    }
-
     /// Whether the connected peer QP is currently operational: `None`
     /// if unconnected or the fabric is gone, otherwise whether the peer
     /// is not in the error state. This is the liveness signal failure
@@ -397,7 +368,7 @@ impl QueuePair {
     /// Post a send-queue work request. Legal only in `Rts`.
     pub fn post_send(&self, wr: SendWr) -> Result<()> {
         self.require_state(|s| s == QpState::Rts)?;
-        self.validate_local(&wr)?;
+        check_sges(self.inner.pd, wr.sges())?;
         let fabric = self.fabric()?;
         let fabric = &*fabric;
         self.inner.note_wqe();
@@ -433,7 +404,7 @@ impl QueuePair {
                         verdict == ChaosVerdict::Corrupt,
                     ),
                 };
-                let body = Body::Send {
+                let body = Body {
                     sges,
                     imm,
                     icrc,
@@ -445,86 +416,12 @@ impl QueuePair {
                 wr_id,
                 sges,
                 remote,
-            } => {
-                if let Some(n) = self.rdma_write(fabric, &sges, remote, wr_id) {
-                    self.push_sq(fabric, wr_id, CqeStatus::Success, CqeOpcode::RdmaWrite, n);
-                }
-            }
-            SendWr::RdmaWriteImm {
-                wr_id,
-                sges,
-                remote,
-                imm,
-            } => {
-                if let Some(byte_len) = self.rdma_write(fabric, &sges, remote, wr_id) {
-                    // Data is in place; consume (or park for) a receive.
-                    self.arrive(&peer, Body::WriteImm { byte_len, imm }, wr_id, fabric);
-                }
-            }
+            } => self.rdma(fabric, wr_id, &sges, remote, CqeOpcode::RdmaWrite),
             SendWr::RdmaRead {
                 wr_id,
                 sges,
                 remote,
-            } => {
-                let total = sge_len(&sges);
-                let mr = fabric
-                    .lookup_mr(link.node, remote.rkey)
-                    .ok()
-                    .filter(|mr| mr.check_bounds(remote.offset, total).is_ok());
-                let Some(mr) = mr else {
-                    self.push_sq(
-                        fabric,
-                        wr_id,
-                        CqeStatus::RemoteAccessError,
-                        CqeOpcode::RdmaRead,
-                        0,
-                    );
-                    return Ok(());
-                };
-                let mut off = remote.offset;
-                for sge in &sges {
-                    // SAFETY: bounds checked above and at post
-                    // validation; ownership contract covers
-                    // concurrent access.
-                    unsafe {
-                        std::ptr::copy_nonoverlapping(
-                            mr.ptr().add(off),
-                            sge.mr.inner.ptr().add(sge.offset),
-                            sge.len,
-                        );
-                    }
-                    off += sge.len;
-                }
-                fabric.count_dma(total as u64);
-                self.push_sq(
-                    fabric,
-                    wr_id,
-                    CqeStatus::Success,
-                    CqeOpcode::RdmaRead,
-                    total,
-                );
-            }
-            SendWr::CompareSwap {
-                wr_id,
-                local,
-                remote,
-                expect,
-                swap,
-            } => {
-                self.remote_atomic(fabric, link.node, wr_id, local, remote, |old| {
-                    (old == expect).then_some(swap)
-                })?;
-            }
-            SendWr::FetchAdd {
-                wr_id,
-                local,
-                remote,
-                add,
-            } => {
-                self.remote_atomic(fabric, link.node, wr_id, local, remote, |old| {
-                    Some(old.wrapping_add(add))
-                })?;
-            }
+            } => self.rdma(fabric, wr_id, &sges, remote, CqeOpcode::RdmaRead),
         }
         Ok(())
     }
@@ -539,6 +436,12 @@ impl QueuePair {
             return srq.handle_inbound(peer, body, &self.inner, wr_id, fabric);
         }
         let mut rs = peer.recv.lock().unwrap();
+        if peer.state() == QpState::Error {
+            // `peer` failed after the sender checked it; `set_error`
+            // has flushed (or is about to flush) what was parked there.
+            drop(rs);
+            return Inbound::park(body, &self.inner, wr_id).flush(fabric);
+        }
         match rs.posted.pop_front() {
             Some(recv) => deliver(peer, recv, body, &Origin::live(&self.inner, wr_id), fabric),
             None => rs
@@ -547,9 +450,9 @@ impl QueuePair {
         }
     }
 
-    /// Force the QP into the error state, flushing posted receives. A
-    /// QP on a shared receive queue also flushes the messages parked
-    /// there for it: their senders complete with `Flushed`.
+    /// Force the QP into the error state, flushing posted receives and
+    /// the messages parked for it (in its own queue, or on its shared
+    /// receive queue): their senders complete with `Flushed`.
     pub fn set_error(&self) {
         self.inner.set_state(QpState::Error);
         let fabric = self.inner.fabric.upgrade();
@@ -569,33 +472,17 @@ impl QueuePair {
                 qp: self.inner.num,
             });
         }
-        rs.inbound.clear();
-    }
-
-    /// Receives currently posted and inbound messages currently parked.
-    pub fn recv_depths(&self) -> (usize, usize) {
-        let rs = self.inner.recv.lock().unwrap();
-        (rs.posted.len(), rs.inbound.len())
+        let parked = std::mem::take(&mut rs.inbound);
+        drop(rs);
+        if let Some(fabric) = fabric.as_deref() {
+            for inbound in parked {
+                inbound.flush(fabric);
+            }
+        }
     }
 
     fn fabric(&self) -> Result<Arc<FabricInner>> {
         self.inner.fabric.upgrade().ok_or(NicError::FabricDown)
-    }
-
-    fn validate_local(&self, wr: &SendWr) -> Result<()> {
-        match wr {
-            SendWr::Send { sges, .. }
-            | SendWr::RdmaWrite { sges, .. }
-            | SendWr::RdmaWriteImm { sges, .. }
-            | SendWr::RdmaRead { sges, .. } => check_sges(self.inner.pd, sges),
-            SendWr::CompareSwap { local, remote, .. } | SendWr::FetchAdd { local, remote, .. } => {
-                check_sges(self.inner.pd, std::slice::from_ref(local))?;
-                if local.len != 8 || remote.offset % 8 != 0 {
-                    return Err(NicError::BadAtomicBuffer);
-                }
-                Ok(())
-            }
-        }
     }
 
     /// Complete a send-queue work request on this QP's send CQ.
@@ -610,86 +497,40 @@ impl QueuePair {
         Origin::live(&self.inner, wr_id).complete(fabric, status, opcode, byte_len);
     }
 
-    /// Execute the data movement of an RDMA write. Returns the bytes
-    /// moved, or `None` if an error completion was generated.
-    fn rdma_write(
+    /// Execute a one-sided RDMA write or read (`opcode`) between the
+    /// local list `sges` and the region `remote` names, and complete it.
+    fn rdma(
         &self,
         fabric: &FabricInner,
+        wr_id: u64,
         sges: &[Sge],
         remote: RemoteAddr,
-        wr_id: u64,
-    ) -> Option<usize> {
+        opcode: CqeOpcode,
+    ) {
         let total = sge_len(sges);
         let mr = fabric
             .lookup_mr(remote.node, remote.rkey)
             .ok()
             .filter(|mr| mr.check_bounds(remote.offset, total).is_ok());
         let Some(mr) = mr else {
-            self.push_sq(
-                fabric,
-                wr_id,
-                CqeStatus::RemoteAccessError,
-                CqeOpcode::RdmaWrite,
-                0,
-            );
-            return None;
+            return self.push_sq(fabric, wr_id, CqeStatus::RemoteAccessError, opcode, 0);
         };
         let mut off = remote.offset;
         for sge in sges {
             // SAFETY: both sides bounds-checked; ownership contract covers
             // concurrent access.
             unsafe {
-                std::ptr::copy_nonoverlapping(
-                    sge.mr.inner.ptr().add(sge.offset),
-                    mr.ptr().add(off),
-                    sge.len,
-                );
+                let (local, far) = (sge.mr.inner.ptr().add(sge.offset), mr.ptr().add(off));
+                let (src, dst) = match opcode {
+                    CqeOpcode::RdmaRead => (far, local),
+                    _ => (local, far),
+                };
+                std::ptr::copy_nonoverlapping(src, dst, sge.len);
             }
             off += sge.len;
         }
         fabric.count_dma(total as u64);
-        Some(total)
-    }
-
-    fn remote_atomic(
-        &self,
-        fabric: &FabricInner,
-        peer_node: NodeId,
-        wr_id: u64,
-        local: Sge,
-        remote: RemoteAddr,
-        op: impl FnOnce(u64) -> Option<u64>,
-    ) -> Result<()> {
-        let mr = fabric
-            .lookup_mr(peer_node, remote.rkey)
-            .ok()
-            .filter(|mr| mr.check_bounds(remote.offset, 8).is_ok());
-        let Some(mr) = mr else {
-            self.push_sq(
-                fabric,
-                wr_id,
-                CqeStatus::RemoteAccessError,
-                CqeOpcode::Atomic,
-                0,
-            );
-            return Ok(());
-        };
-        let old = {
-            let _g = mr.atomic_lock.lock().unwrap();
-            // SAFETY: bounds checked; atomicity provided by the lock.
-            unsafe {
-                let p = mr.ptr().add(remote.offset) as *mut u64;
-                let old = p.read_unaligned();
-                if let Some(new) = op(old) {
-                    p.write_unaligned(new);
-                }
-                old
-            }
-        };
-        local.mr.write_at(local.offset, &old.to_le_bytes())?;
-        fabric.count_dma(8);
-        self.push_sq(fabric, wr_id, CqeStatus::Success, CqeOpcode::Atomic, 8);
-        Ok(())
+        self.push_sq(fabric, wr_id, CqeStatus::Success, opcode, total);
     }
 }
 
@@ -697,9 +538,8 @@ impl QueuePair {
 fn send_opcode(wr: &SendWr) -> CqeOpcode {
     match wr {
         SendWr::Send { .. } => CqeOpcode::Send,
-        SendWr::RdmaWrite { .. } | SendWr::RdmaWriteImm { .. } => CqeOpcode::RdmaWrite,
+        SendWr::RdmaWrite { .. } => CqeOpcode::RdmaWrite,
         SendWr::RdmaRead { .. } => CqeOpcode::RdmaRead,
-        SendWr::CompareSwap { .. } | SendWr::FetchAdd { .. } => CqeOpcode::Atomic,
     }
 }
 
@@ -726,60 +566,47 @@ pub(crate) fn deliver(
     from: &Origin<'_>,
     fabric: &FabricInner,
 ) {
-    let rx_done = |status, opcode, byte_len, imm| {
+    let rx_done = |status, byte_len, imm| {
         rx.note_cqe(Some(fabric), status, byte_len);
         rx.rq_cq.push(Cqe {
             wr_id: recv.wr_id,
             status,
-            opcode,
+            opcode: CqeOpcode::Recv,
             byte_len,
             imm,
             qp: rx.num,
         });
     };
-    match body {
-        Body::Send {
-            sges,
-            imm,
-            icrc,
-            corrupt,
-        } => {
-            let total = sge_len(&sges);
-            if total > recv.capacity() {
-                rx_done(CqeStatus::LocalProtectionError, CqeOpcode::Recv, 0, None);
-                from.complete(fabric, CqeStatus::RemoteAccessError, CqeOpcode::Send, 0);
-                return;
-            }
-            // Gather from the sender's regions, scatter into the
-            // receiver's: this is the fabric "DMA", the single copy of
-            // the two-sided path.
-            scatter_gather(&sges, &recv.sges);
-            fabric.count_dma(total as u64);
-            if corrupt && total > 0 {
-                flip_byte(&recv.sges, total / 2);
-            }
-            // ICRC check (chaos runs only): recompute over what landed
-            // and compare with what the sender stamped.
-            if icrc.is_some_and(|expect| crc32(&read_scatter(&recv.sges, total)) != expect) {
-                rx_done(CqeStatus::ChecksumError, CqeOpcode::Recv, 0, None);
-                // The receiver NACKs the bad packet; the sender's
-                // retries exhaust.
-                from.complete(fabric, CqeStatus::RetryExceeded, CqeOpcode::Send, 0);
-                return;
-            }
-            rx_done(CqeStatus::Success, CqeOpcode::Recv, total, imm);
-            from.complete(fabric, CqeStatus::Success, CqeOpcode::Send, total);
-        }
-        Body::WriteImm { byte_len, imm } => {
-            rx_done(
-                CqeStatus::Success,
-                CqeOpcode::RecvRdmaImm,
-                byte_len,
-                Some(imm),
-            );
-            from.complete(fabric, CqeStatus::Success, CqeOpcode::RdmaWrite, byte_len);
-        }
+    let Body {
+        sges,
+        imm,
+        icrc,
+        corrupt,
+    } = body;
+    let total = sge_len(&sges);
+    if total > recv.capacity() {
+        rx_done(CqeStatus::LocalProtectionError, 0, None);
+        from.complete(fabric, CqeStatus::RemoteAccessError, CqeOpcode::Send, 0);
+        return;
     }
+    // Gather from the sender's regions, scatter into the receiver's:
+    // this is the fabric "DMA", the single copy of the two-sided path.
+    scatter_gather(&sges, &recv.sges);
+    fabric.count_dma(total as u64);
+    if corrupt && total > 0 {
+        flip_byte(&recv.sges, total / 2);
+    }
+    // ICRC check (chaos runs only): recompute over what landed and
+    // compare with what the sender stamped.
+    if icrc.is_some_and(|expect| crc32(&read_scatter(&recv.sges, total)) != expect) {
+        rx_done(CqeStatus::ChecksumError, 0, None);
+        // The receiver NACKs the bad packet; the sender's retries
+        // exhaust.
+        from.complete(fabric, CqeStatus::RetryExceeded, CqeOpcode::Send, 0);
+        return;
+    }
+    rx_done(CqeStatus::Success, total, imm);
+    from.complete(fabric, CqeStatus::Success, CqeOpcode::Send, total);
 }
 
 /// Gather a scatter list's bytes into one contiguous buffer (ICRC input).

@@ -180,7 +180,7 @@ mod tests {
     #[test]
     fn one_pool_serves_many_peers() {
         let (_f, rx_nic, rx_qps, senders, srq, rx_cq) = world();
-        let rx_pd = rx_qps[0].pd();
+        let rx_pd = rx_qps[0].inner.pd;
         // Post two pooled buffers for three senders.
         let bufs: Vec<MemoryRegion> =
             (0..2).map(|_| rx_nic.register(rx_pd, 64).unwrap()).collect();
@@ -190,7 +190,7 @@ mod tests {
         // All three senders fire.
         for (i, (nic, qp)) in senders.iter().enumerate() {
             let src = nic
-                .register_from(qp.pd(), format!("msg{i}").as_bytes())
+                .register_from(qp.inner.pd, format!("msg{i}").as_bytes())
                 .unwrap();
             qp.post_send(SendWr::Send {
                 wr_id: 100 + i as u64,
@@ -218,7 +218,7 @@ mod tests {
     #[test]
     fn qp_with_srq_rejects_direct_post_recv() {
         let (_f, rx_nic, rx_qps, _senders, _srq, _cq) = world();
-        let mr = rx_nic.register(rx_qps[0].pd(), 8).unwrap();
+        let mr = rx_nic.register(rx_qps[0].inner.pd, 8).unwrap();
         let err = rx_qps[0]
             .post_recv(RecvWr::new(1, vec![Sge::whole(&mr)]))
             .unwrap_err();
@@ -268,7 +268,7 @@ mod tests {
     fn a_dead_qp_flushes_what_is_parked_for_it() {
         let (_f, _rx_nic, rx_qps, senders, srq, _rx_cq) = world();
         for (i, (nic, qp)) in senders.iter().enumerate() {
-            let src = nic.register_from(qp.pd(), &[i as u8]).unwrap();
+            let src = nic.register_from(qp.inner.pd, &[i as u8]).unwrap();
             qp.post_send(SendWr::Send {
                 wr_id: i as u64,
                 sges: crate::sge_list![Sge::whole(&src)],
@@ -281,20 +281,20 @@ mod tests {
         // Sender 1's message is gone from the pool's queue and its send
         // completes; the other two stay parked, their senders waiting.
         assert_eq!(srq.depths(), (0, 2));
-        let c = senders[1].1.send_cq().poll_one().unwrap().unwrap();
+        let c = senders[1].1.inner.sq_cq.poll_one().unwrap().unwrap();
         assert_eq!((c.wr_id, c.status), (1, CqeStatus::Flushed));
         for i in [0, 2] {
-            assert!(senders[i].1.send_cq().poll_one().unwrap().is_none());
+            assert!(senders[i].1.inner.sq_cq.poll_one().unwrap().is_none());
         }
     }
 
     #[test]
     fn parked_messages_drain_in_arrival_order() {
         let (_f, rx_nic, rx_qps, senders, srq, rx_cq) = world();
-        let rx_pd = rx_qps[0].pd();
+        let rx_pd = rx_qps[0].inner.pd;
         // No buffers posted: all three park in order.
         for (i, (nic, qp)) in senders.iter().enumerate() {
-            let src = nic.register_from(qp.pd(), &[i as u8]).unwrap();
+            let src = nic.register_from(qp.inner.pd, &[i as u8]).unwrap();
             qp.post_send(SendWr::Send {
                 wr_id: i as u64,
                 sges: crate::sge_list![Sge::whole(&src)],

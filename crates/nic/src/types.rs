@@ -15,10 +15,6 @@ pub struct QpNum(pub u32);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PdId(pub u32);
 
-/// Local access key for a registered memory region.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Lkey(pub u64);
-
 /// Remote access key for a registered memory region. Handing the rkey to
 /// a peer is what grants it RDMA access, exactly as on real hardware.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -46,9 +42,8 @@ impl KeyGen {
         }
     }
 
-    pub(crate) fn next_pair(&self) -> (Lkey, Rkey) {
-        let base = self.next.fetch_add(2, Ordering::Relaxed);
-        (Lkey(base), Rkey(base + 1))
+    pub(crate) fn next_rkey(&self) -> Rkey {
+        Rkey(self.next.fetch_add(1, Ordering::Relaxed))
     }
 }
 
@@ -71,12 +66,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn key_pairs_are_unique() {
-        let (l1, r1) = KEYS.next_pair();
-        let (l2, r2) = KEYS.next_pair();
-        assert_ne!(l1, l2);
-        assert_ne!(r1, r2);
-        assert_ne!(l1.0, r1.0);
+    fn keys_are_unique() {
+        assert_ne!(KEYS.next_rkey(), KEYS.next_rkey());
     }
 
     #[test]

@@ -12,14 +12,6 @@ pub struct Sge {
 }
 
 impl Sge {
-    pub fn new(mr: &MemoryRegion, offset: usize, len: usize) -> Self {
-        Sge {
-            mr: mr.clone(),
-            offset,
-            len,
-        }
-    }
-
     /// The whole region as one element.
     pub fn whole(mr: &MemoryRegion) -> Self {
         Sge {
@@ -31,17 +23,17 @@ impl Sge {
 }
 
 /// Total byte length of a gather list.
-pub fn sge_len(sges: &[Sge]) -> usize {
+pub(crate) fn sge_len(sges: &[Sge]) -> usize {
     sges.iter().map(|s| s.len).sum()
 }
 
 /// Inline capacity of [`SgeList`]: almost every work request carries one
 /// element (a bounce slot or a whole user buffer), and a header+payload
 /// gather carries two. Longer lists (noncontiguous layouts) spill.
-pub const SGE_INLINE: usize = 2;
+const SGE_INLINE: usize = 2;
 
-/// A gather/scatter list that stores up to [`SGE_INLINE`] elements
-/// inline, spilling to the heap only beyond that. Posting a one- or
+/// A gather/scatter list that stores up to two elements inline,
+/// spilling to the heap only beyond that. Posting a one- or
 /// two-element work request therefore allocates nothing, which is what
 /// keeps the eager fast path heap-free.
 ///
@@ -94,35 +86,6 @@ impl SgeList {
         self.spill.push(sge);
         self.len += 1;
     }
-
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Whether the list overflowed its inline storage (diagnostics).
-    pub fn spilled(&self) -> bool {
-        self.len > SGE_INLINE
-    }
-
-    pub fn as_slice(&self) -> &[Sge] {
-        if self.len <= SGE_INLINE {
-            // SAFETY: per the invariant, the first `len` inline slots are
-            // initialized, and MaybeUninit<Sge> has the layout of Sge.
-            unsafe {
-                std::slice::from_raw_parts(self.inline.as_ptr() as *const Sge, self.len)
-            }
-        } else {
-            &self.spill
-        }
-    }
-
-    pub fn iter(&self) -> std::slice::Iter<'_, Sge> {
-        self.as_slice().iter()
-    }
 }
 
 impl Drop for SgeList {
@@ -144,20 +107,28 @@ impl Default for SgeList {
 
 impl Clone for SgeList {
     fn clone(&self) -> Self {
-        self.as_slice().iter().cloned().collect()
+        self.iter().cloned().collect()
     }
 }
 
 impl std::ops::Deref for SgeList {
     type Target = [Sge];
     fn deref(&self) -> &[Sge] {
-        self.as_slice()
+        if self.len <= SGE_INLINE {
+            // SAFETY: per the invariant, the first `len` inline slots are
+            // initialized, and MaybeUninit<Sge> has the layout of Sge.
+            unsafe {
+                std::slice::from_raw_parts(self.inline.as_ptr() as *const Sge, self.len)
+            }
+        } else {
+            &self.spill
+        }
     }
 }
 
 impl std::fmt::Debug for SgeList {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_list().entries(self.as_slice()).finish()
+        f.debug_list().entries(self.iter()).finish()
     }
 }
 
@@ -181,7 +152,7 @@ impl<'a> IntoIterator for &'a SgeList {
     type Item = &'a Sge;
     type IntoIter = std::slice::Iter<'a, Sge>;
     fn into_iter(self) -> Self::IntoIter {
-        self.as_slice().iter()
+        self.iter()
     }
 }
 
@@ -213,60 +184,29 @@ pub enum SendWr {
         sges: SgeList,
         remote: RemoteAddr,
     },
-    /// RDMA write that additionally consumes a posted receive at the peer
-    /// and delivers `imm` in its completion — the standard way to notify
-    /// the peer that a one-sided transfer finished.
-    RdmaWriteImm {
-        wr_id: u64,
-        sges: SgeList,
-        remote: RemoteAddr,
-        imm: u32,
-    },
     /// One-sided RDMA read from the peer's memory into local regions.
     RdmaRead {
         wr_id: u64,
         sges: SgeList,
         remote: RemoteAddr,
     },
-    /// 8-byte remote compare-and-swap; the prior remote value lands in
-    /// the local buffer.
-    CompareSwap {
-        wr_id: u64,
-        local: Sge,
-        remote: RemoteAddr,
-        expect: u64,
-        swap: u64,
-    },
-    /// 8-byte remote fetch-and-add; the prior remote value lands in the
-    /// local buffer.
-    FetchAdd {
-        wr_id: u64,
-        local: Sge,
-        remote: RemoteAddr,
-        add: u64,
-    },
 }
 
 impl SendWr {
-    pub fn wr_id(&self) -> u64 {
+    pub(crate) fn wr_id(&self) -> u64 {
         match self {
             SendWr::Send { wr_id, .. }
             | SendWr::RdmaWrite { wr_id, .. }
-            | SendWr::RdmaWriteImm { wr_id, .. }
-            | SendWr::RdmaRead { wr_id, .. }
-            | SendWr::CompareSwap { wr_id, .. }
-            | SendWr::FetchAdd { wr_id, .. } => *wr_id,
+            | SendWr::RdmaRead { wr_id, .. } => *wr_id,
         }
     }
 
-    /// Payload bytes this request moves.
-    pub fn byte_len(&self) -> usize {
+    /// The local gather (send, write) or scatter (read) list.
+    pub(crate) fn sges(&self) -> &SgeList {
         match self {
             SendWr::Send { sges, .. }
             | SendWr::RdmaWrite { sges, .. }
-            | SendWr::RdmaWriteImm { sges, .. }
-            | SendWr::RdmaRead { sges, .. } => sge_len(sges),
-            SendWr::CompareSwap { .. } | SendWr::FetchAdd { .. } => 8,
+            | SendWr::RdmaRead { sges, .. } => sges,
         }
     }
 }
@@ -286,7 +226,7 @@ impl RecvWr {
         }
     }
 
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         sge_len(&self.sges)
     }
 }
@@ -295,7 +235,7 @@ impl RecvWr {
 mod tests {
     use super::*;
     use crate::mr::{MemoryRegion, ProtectionDomain};
-    use crate::types::{NodeId, PdId, Rkey};
+    use crate::types::{NodeId, PdId};
 
     fn mr(len: usize) -> MemoryRegion {
         MemoryRegion::allocate(
@@ -307,12 +247,20 @@ mod tests {
         )
     }
 
+    fn sge(mr: &MemoryRegion, offset: usize, len: usize) -> Sge {
+        Sge {
+            mr: mr.clone(),
+            offset,
+            len,
+        }
+    }
+
     #[test]
     fn sge_helpers() {
         let m = mr(100);
         let s = Sge::whole(&m);
         assert_eq!(s.len, 100);
-        assert_eq!(sge_len(&[Sge::new(&m, 0, 10), Sge::new(&m, 50, 20)]), 30);
+        assert_eq!(sge_len(&[sge(&m, 0, 10), sge(&m, 50, 20)]), 30);
     }
 
     #[test]
@@ -324,18 +272,7 @@ mod tests {
             imm: Some(7),
         };
         assert_eq!(wr.wr_id(), 42);
-        assert_eq!(wr.byte_len(), 64);
-        let atomic = SendWr::FetchAdd {
-            wr_id: 1,
-            local: Sge::new(&m, 0, 8),
-            remote: RemoteAddr {
-                node: NodeId(1),
-                rkey: Rkey(9),
-                offset: 0,
-            },
-            add: 5,
-        };
-        assert_eq!(atomic.byte_len(), 8);
+        assert_eq!(sge_len(wr.sges()), 64);
     }
 
     #[test]
@@ -343,12 +280,12 @@ mod tests {
         let m = mr(64);
         let mut l = SgeList::new();
         assert!(l.is_empty());
-        l.push(Sge::new(&m, 0, 8));
-        l.push(Sge::new(&m, 8, 8));
+        l.push(sge(&m, 0, 8));
+        l.push(sge(&m, 8, 8));
         assert_eq!(l.len(), 2);
-        assert!(!l.spilled());
+        assert!(l.spill.is_empty());
         assert_eq!(sge_len(&l), 16);
-        assert_eq!(l.as_slice()[1].offset, 8);
+        assert_eq!(l[1].offset, 8);
     }
 
     #[test]
@@ -356,15 +293,15 @@ mod tests {
         let m = mr(64);
         let mut l = SgeList::new();
         for i in 0..5 {
-            l.push(Sge::new(&m, i * 4, 4));
+            l.push(sge(&m, i * 4, 4));
         }
         assert_eq!(l.len(), 5);
-        assert!(l.spilled());
+        assert_eq!(l.spill.len(), 5);
         let offsets: Vec<usize> = l.iter().map(|s| s.offset).collect();
         assert_eq!(offsets, [0, 4, 8, 12, 16]);
         let c = l.clone();
         assert_eq!(c.len(), 5);
-        assert_eq!(c.as_slice()[4].offset, 16);
+        assert_eq!(c[4].offset, 16);
     }
 
     #[test]
@@ -393,7 +330,7 @@ mod tests {
     #[test]
     fn sge_list_macro_and_from_vec() {
         let m = mr(32);
-        let l = crate::sge_list![Sge::new(&m, 0, 16), Sge::new(&m, 16, 16)];
+        let l = crate::sge_list![sge(&m, 0, 16), sge(&m, 16, 16)];
         assert_eq!(l.len(), 2);
         let v: SgeList = vec![Sge::whole(&m)].into();
         assert_eq!(v.len(), 1);
@@ -403,7 +340,7 @@ mod tests {
     #[test]
     fn recv_capacity_sums_sges() {
         let m = mr(128);
-        let r = RecvWr::new(3, vec![Sge::new(&m, 0, 64), Sge::new(&m, 64, 64)]);
+        let r = RecvWr::new(3, vec![sge(&m, 0, 64), sge(&m, 64, 64)]);
         assert_eq!(r.capacity(), 128);
         assert_eq!(r.wr_id, 3);
     }

@@ -276,7 +276,7 @@ impl std::fmt::Debug for Registry {
 }
 
 /// Canonical registry key for a name + label set.
-pub fn metric_key(name: &str, labels: &[(&str, &str)]) -> String {
+fn metric_key(name: &str, labels: &[(&str, &str)]) -> String {
     if labels.is_empty() {
         return name.to_string();
     }

@@ -111,22 +111,6 @@ pub fn simulate_checkpointing(
     }
 }
 
-/// Sweep `tau` values and return (tau, simulated waste fraction) pairs —
-/// the F6 series.
-pub fn waste_sweep(
-    params: &CheckpointParams,
-    work: f64,
-    taus: &[f64],
-    seed: u64,
-) -> Vec<(f64, f64)> {
-    taus.iter()
-        .map(|&tau| {
-            let r = simulate_checkpointing(params, work, tau, seed ^ tau.to_bits());
-            (tau, r.waste_fraction())
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -226,17 +210,5 @@ mod tests {
         let a = simulate_checkpointing(&p, 50_000.0, 900.0, 7);
         let b = simulate_checkpointing(&p, 50_000.0, 900.0, 7);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn waste_sweep_shape() {
-        let p = params();
-        let taus = [60.0, 600.0, 6_000.0, 60_000.0];
-        let sweep = waste_sweep(&p, 200_000.0, &taus, 3);
-        assert_eq!(sweep.len(), 4);
-        // Extremes are worse than the middle.
-        let min = sweep.iter().map(|&(_, w)| w).fold(f64::MAX, f64::min);
-        assert!(sweep[0].1 > min);
-        assert!(sweep[3].1 > min);
     }
 }

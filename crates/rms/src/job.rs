@@ -30,11 +30,6 @@ impl Job {
             arrival,
         }
     }
-
-    /// Node-seconds of actual work.
-    pub fn area(&self) -> f64 {
-        self.width as f64 * self.runtime
-    }
 }
 
 /// Outcome of one job in a scheduling run.
@@ -58,7 +53,7 @@ impl JobOutcome {
     }
 
     /// Bounded slowdown with the conventional 10-second floor.
-    pub fn bounded_slowdown(&self) -> f64 {
+    fn bounded_slowdown(&self) -> f64 {
         (self.response() / self.runtime.max(10.0)).max(1.0)
     }
 }
@@ -166,10 +161,5 @@ mod tests {
     #[should_panic(expected = "estimate must cover runtime")]
     fn bad_estimate_rejected() {
         Job::new(1, 1, 100.0, 50.0, 0.0);
-    }
-
-    #[test]
-    fn job_area() {
-        assert_eq!(Job::new(1, 8, 50.0, 60.0, 0.0).area(), 400.0);
     }
 }

@@ -20,9 +20,7 @@ pub mod workload;
 
 pub mod prelude {
     pub use crate::alloc::{mean_neighbor_hops, mean_pairwise_hops, NodePool, Placement};
-    pub use crate::checkpoint::{
-        simulate_checkpointing, waste_sweep, CheckpointParams, McResult,
-    };
+    pub use crate::checkpoint::{simulate_checkpointing, CheckpointParams, McResult};
     pub use crate::job::{Job, JobOutcome, ScheduleMetrics};
     pub use crate::lifecycle::{
         churn_plan, run_fleet, ChurnSpec, Controller, ControllerConfig, FleetConfig,

@@ -63,7 +63,7 @@ impl HealthConfig {
 
     /// Silence span after which a node is at least `Suspect`: one full
     /// period with slack for arrival jitter.
-    pub fn suspect_after(&self) -> SimDuration {
+    fn suspect_after(&self) -> SimDuration {
         self.heartbeat_period.saturating_mul(2)
     }
 }
@@ -124,7 +124,7 @@ impl HealthAggregator {
     }
 
     /// Link faults inside the window ending at `now`.
-    pub fn recent_faults(&self, node: u32, now: SimTime) -> u32 {
+    fn recent_faults(&self, node: u32, now: SimTime) -> u32 {
         let Some(rec) = self.nodes.get(&node) else { return 0 };
         let horizon = now.as_ps().saturating_sub(self.cfg.link_fault_window.as_ps());
         rec.faults.iter().filter(|t| t.as_ps() >= horizon && t.as_ps() <= now.as_ps()).count()

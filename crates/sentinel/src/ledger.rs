@@ -12,17 +12,18 @@
 //! 1. **Byte conservation (network).** Every transfer presented to
 //!    [`Network::transfer`] is delivered or dropped-with-recorded-reason;
 //!    `transfers == delivered + dropped`, every drop has a matching
-//!    [`FaultEvent`] in the injector log, and the `net_*_total` counters
-//!    equal the getters.
+//!    [`FaultEvent`](polaris_simnet::fault::FaultEvent) in the injector
+//!    log, and the `net_*_total` counters equal the getters.
 //! 2. **Completion conservation (NIC).** Over a full messaging workload,
 //!    every posted WQE yields exactly one CQE except receive descriptors
 //!    still armed at quiescence: `wqe_total - cqe_total` equals the
 //!    (constant) armed receive-window population, and the fabric-wide
 //!    CQE counter equals the per-QP sum.
 //! 3. **Frame conservation (msg).** Every wire frame acquired from the
-//!    [`FramePool`] is released by quiescence — `outstanding() == 0` on
-//!    every endpoint, including under loss and corruption (retransmit,
-//!    dedup-discard, and error paths all return their frames).
+//!    [`FramePool`](polaris_msg::prelude::FramePool) is released by
+//!    quiescence — `outstanding() == 0` on every endpoint, including
+//!    under loss and corruption (retransmit, dedup-discard, and error
+//!    paths all return their frames).
 //! 4. **Delivery conservation (msg).** Exactly-once, in-order payload
 //!    delivery per (sender, receiver) stream, reconciled against
 //!    endpoint stats.
@@ -669,7 +670,7 @@ pub fn lifecycle_conservation(spec: &WorkloadSpec) -> Vec<Violation> {
 
 /// Invariant 5, standalone: for every subject, flight-recorder events
 /// carry non-decreasing virtual timestamps in record (seq) order.
-pub fn trace_monotonicity(obs: &Obs) -> Vec<Violation> {
+fn trace_monotonicity(obs: &Obs) -> Vec<Violation> {
     let mut out = Vec::new();
     let mut events = obs.recorder.events();
     events.sort_by_key(|e| e.seq);

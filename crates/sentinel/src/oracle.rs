@@ -43,8 +43,8 @@ macro_rules! check {
 /// over a seeded op stream. Timestamps are constructed unique (low bits
 /// carry the event id), so pop order is fully determined and the two
 /// queues must agree event-for-event, not just time-for-time. A keyed
-/// near-future phase follows on fresh queues ([`keyed_spill_phase`]),
-/// then a preload phase ([`preload_phase`]), each drawing after the
+/// near-future phase follows on fresh queues (`keyed_spill_phase`),
+/// then a preload phase (`preload_phase`), each drawing after the
 /// phases before it so pinned seeds replay those unchanged.
 pub fn queue_oracle(spec: &WorkloadSpec) -> Vec<Violation> {
     let mut out = Vec::new();
@@ -205,7 +205,7 @@ fn preload_phase(ops: u32, rng: &mut SplitMix64, out: &mut Vec<Violation>) {
 ///    and events dispatched, and the serial flow-level executor must
 ///    agree on the message/payload ledgers.
 /// 2. A token workload that lands cross-shard events exactly on window
-///    edges ([`StragWorld`]): the merged log at 1/2/4 shards must equal
+///    edges (`StragWorld`): the merged log at 1/2/4 shards must equal
 ///    the 1-shard log, with an event-conservation ledger — every token
 ///    accounts for exactly `hops + 1` dispatches.
 pub fn shard_oracle(spec: &WorkloadSpec) -> Vec<Violation> {

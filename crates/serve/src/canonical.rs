@@ -25,13 +25,6 @@ const FNV_OFFSET: u128 = 0x6c62272e07bb014262b821756295c58d;
 const FNV_PRIME: u128 = 0x0000000001000000000000000000013B;
 
 impl SpecHash {
-    /// Hash raw canonical bytes.
-    pub fn of_bytes(bytes: &[u8]) -> SpecHash {
-        let mut buf = CanonicalBuf::new();
-        buf.write(bytes);
-        buf.finish()
-    }
-
     /// Hash a spec via its canonical encoding.
     pub fn of<T: Canonical + ?Sized>(spec: &T) -> SpecHash {
         let mut buf = CanonicalBuf::new();
@@ -140,6 +133,13 @@ pub trait Canonical {
 mod tests {
     use super::*;
 
+    /// Hash raw canonical bytes.
+    fn of_bytes(bytes: &[u8]) -> SpecHash {
+        let mut buf = CanonicalBuf::new();
+        buf.write(bytes);
+        buf.finish()
+    }
+
     struct Pair(u64, u64);
     impl Canonical for Pair {
         fn encode(&self, buf: &mut CanonicalBuf) {
@@ -151,9 +151,9 @@ mod tests {
     #[test]
     fn known_fnv_vectors() {
         // FNV-1a 128 of the empty string is the offset basis.
-        assert_eq!(SpecHash::of_bytes(b"").0, FNV_OFFSET);
+        assert_eq!(of_bytes(b"").0, FNV_OFFSET);
         // And hashing is sensitive to every byte.
-        assert_ne!(SpecHash::of_bytes(b"a"), SpecHash::of_bytes(b"b"));
+        assert_ne!(of_bytes(b"a"), of_bytes(b"b"));
     }
 
     #[test]
@@ -195,7 +195,7 @@ mod tests {
     /// little-endian bytes, in order.
     fn fold(addresses: impl Iterator<Item = SpecHash>) -> SpecHash {
         let bytes: Vec<u8> = addresses.flat_map(|h| h.0.to_le_bytes()).collect();
-        SpecHash::of_bytes(&bytes)
+        of_bytes(&bytes)
     }
 
     /// Content addresses are persistent names: a cache or checkpoint
@@ -256,7 +256,7 @@ mod tests {
         bytes.extend_from_slice(b"payload_bytes");
         bytes.push(b'u');
         bytes.extend_from_slice(&65536u64.to_le_bytes());
-        assert_eq!(SpecHash::of(&spec), SpecHash::of_bytes(&bytes));
-        assert_eq!(SpecHash::of_bytes(&bytes).0, 0x4d145416_968f1471_26b199c2_503f5335);
+        assert_eq!(SpecHash::of(&spec), of_bytes(&bytes));
+        assert_eq!(of_bytes(&bytes).0, 0x4d145416_968f1471_26b199c2_503f5335);
     }
 }

@@ -78,7 +78,7 @@
 //! * `far` is a binary min-heap of slot indices ordered by the slot's
 //!   time alone: migrating into a bucket drops any finer order, and the
 //!   rebase onto its minimum reads only the time;
-//! * `current` and `behind` hold 24-byte [`Handle`]s, the key copied
+//! * `current` and `behind` hold 24-byte `Handle`s, the key copied
 //!   beside the slot, because `behind` needs the exact `(time, seq)`
 //!   order and a sort should not chase slots. Both stay small.
 //!

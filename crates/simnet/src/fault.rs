@@ -168,8 +168,8 @@ impl FaultPlan {
 
     /// Periodic down/up flapping on every transfer touching `node` —
     /// a loose NIC transceiver rather than a bad switch port. The
-    /// lifecycle control plane reads this back via
-    /// [`FaultPlan::node_rules`] to drive heartbeat loss.
+    /// lifecycle control plane reads the plan's node-scoped rules back
+    /// to drive heartbeat loss.
     pub fn flap_node(self, node: u32, first_down: SimTime, down: u64, up: u64) -> Self {
         self.rule(
             FaultScope::Node(node),
@@ -192,13 +192,6 @@ impl FaultPlan {
             FaultScope::Node(node),
             FaultKind::GilbertElliott { p_good_bad, p_bad_good, drop_good, drop_bad },
         )
-    }
-
-    /// All rules scoped to `node`, in plan order.
-    pub fn node_rules(&self, node: u32) -> impl Iterator<Item = &FaultRule> + '_ {
-        self.rules
-            .iter()
-            .filter(move |r| matches!(r.scope, FaultScope::Node(n) if n == node))
     }
 
     /// The distinct node ids named by `Node`-scoped rules, ascending.
@@ -597,13 +590,6 @@ mod tests {
             .degrade_node(11, 0.02, 0.2, 0.0, 0.9)
             .uniform_drop(0.01);
         assert_eq!(plan.disturbed_nodes(), vec![7, 9, 11]);
-        assert_eq!(plan.node_rules(7).count(), 2);
-        assert_eq!(plan.node_rules(9).count(), 1);
-        assert!(matches!(
-            plan.node_rules(9).next().unwrap().kind,
-            FaultKind::Flap { first_down_ps: 100, down_ps: 50, up_ps: 150 }
-        ));
-        assert_eq!(plan.node_rules(1).count(), 0);
         // The AllLinks rule is not attributed to any node.
         assert!(!plan.disturbed_nodes().contains(&u32::MAX));
     }

@@ -113,7 +113,7 @@ impl Generation {
 impl LinkModel {
     /// Picoseconds to serialize one byte onto the wire.
     #[inline]
-    pub fn ps_per_byte(&self) -> f64 {
+    fn ps_per_byte(&self) -> f64 {
         PS_PER_SEC as f64 / self.bandwidth_bps as f64
     }
 
@@ -183,16 +183,6 @@ impl LinkModel {
                 .saturating_mul(hops);
             lead + tail + lat
         }
-    }
-
-    /// Effective bandwidth (payload bytes / message time) for a given size
-    /// and hop count, in bytes per second.
-    pub fn effective_bandwidth(&self, bytes: u64, hops: u32) -> f64 {
-        if bytes == 0 {
-            return 0.0;
-        }
-        let t = self.message_time(bytes, hops).as_secs();
-        bytes as f64 / t
     }
 }
 
@@ -282,7 +272,8 @@ mod tests {
     #[test]
     fn effective_bandwidth_approaches_link_rate() {
         let ib = Generation::InfiniBand4x.link_model();
-        let eff = ib.effective_bandwidth(16 << 20, 1);
+        let bytes = 16u64 << 20;
+        let eff = bytes as f64 / ib.message_time(bytes, 1).as_secs();
         let frac = eff / ib.bandwidth_bps as f64;
         assert!(frac > 0.9 && frac <= 1.0, "eff frac = {frac}");
     }

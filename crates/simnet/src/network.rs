@@ -286,12 +286,6 @@ impl Network {
         self.corrupted
     }
 
-    /// Total bytes carried across all links (payload + headers, counted
-    /// once per traversed link).
-    pub fn total_link_bytes(&self) -> u64 {
-        self.links.iter().map(|l| l.bytes_carried).sum()
-    }
-
     /// Reset link occupancy and rewind the fault injector, but keep
     /// topology/model/plan (new experiment run; replays are identical).
     pub fn reset(&mut self) {
@@ -316,6 +310,12 @@ mod tests {
 
     fn net(kind: TopologyKind, g: Generation) -> Network {
         Network::new(Topology::new(kind), g.link_model())
+    }
+
+    /// Total bytes carried across all links (payload + headers, counted
+    /// once per traversed link).
+    fn total_link_bytes(n: &Network) -> u64 {
+        n.links.iter().map(|l| l.bytes_carried).sum()
     }
 
     #[test]
@@ -350,7 +350,7 @@ mod tests {
                         "{g:?} {hops} hops {bytes} B"
                     );
                     assert_eq!(n.nominal_time(0, dst, bytes), m.message_time(bytes, hops));
-                    assert_eq!(n.total_link_bytes(), hops as u64 * m.wire_bytes(bytes));
+                    assert_eq!(total_link_bytes(&n), hops as u64 * m.wire_bytes(bytes));
                 }
             }
         }
@@ -391,7 +391,7 @@ mod tests {
         let mut n = net(TopologyKind::Crossbar { hosts: 4 }, Generation::FastEthernet);
         let d = n.transfer(SimTime::ZERO, 2, 2, 1 << 20);
         assert!(d.arrival < SimTime::ZERO + n.model().message_time(1 << 20, 2));
-        assert_eq!(n.total_link_bytes(), 0);
+        assert_eq!(total_link_bytes(&n), 0);
     }
 
     #[test]
@@ -503,10 +503,10 @@ mod tests {
         n.transfer(SimTime::ZERO, 0, 2, 1000);
         assert_eq!(n.transfers(), 1);
         assert_eq!(n.payload_bytes(), 1000);
-        assert!(n.total_link_bytes() >= 2 * 1000); // two hops
+        assert!(total_link_bytes(&n) >= 2 * 1000); // two hops
         n.reset();
         assert_eq!(n.transfers(), 0);
-        assert_eq!(n.total_link_bytes(), 0);
+        assert_eq!(total_link_bytes(&n), 0);
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //! builds the explicit link table the pre-refactor code used (insertion
 //! order via `add_bidi`, which defines the canonical link numbering for
 //! the legacy kinds), and [`Topology::route_reference`] walks routes
-//! through that table via the retained [`walk_route`] logic — for the
+//! through that table via the retained `walk_route` logic — for the
 //! fat trees a vertex-by-vertex walk that shares nothing with the
 //! closed form. The differential oracle
 //! (`sentinel::oracle::route_oracle`, plus the property suites) checks
