@@ -11,13 +11,12 @@
 //! bytes-per-flop gap is what makes "more of the same, only faster"
 //! nodes a dead end and motivates CMP and PIM organizations.
 
-use serde::{Deserialize, Serialize};
 
 /// The projection anchor year.
 pub const ANCHOR_YEAR: u32 = 2002;
 
 /// Doubling periods, in years.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct DoublingPeriods {
     /// Peak node floating-point rate (Moore + wider SIMD).
     pub flops: f64,
@@ -44,7 +43,7 @@ impl Default for DoublingPeriods {
 }
 
 /// A 2002 commodity-node anchor point.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Anchor {
     /// Peak double-precision FLOP/s of one node.
     pub flops: f64,
@@ -74,7 +73,7 @@ impl Default for Anchor {
 }
 
 /// Projected device parameters for a given year.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DevicePoint {
     pub year: u32,
     pub flops: f64,
@@ -94,7 +93,7 @@ impl DevicePoint {
 }
 
 /// The projection model.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct Projection {
     pub anchor: Anchor,
     pub periods: DoublingPeriods,

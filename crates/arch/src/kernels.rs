@@ -1,10 +1,9 @@
 //! Representative kernels and their operational characteristics.
 
-use serde::Serialize;
 
 /// A computational kernel characterized by its operational intensity
 /// (flops per byte of memory traffic) and its latency sensitivity.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Kernel {
     pub name: &'static str,
     /// Flops per byte moved to/from memory.

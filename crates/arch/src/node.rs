@@ -43,7 +43,7 @@ impl NodeKind {
 }
 
 /// A concrete node model derived from a device point.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NodeModel {
     pub kind: NodeKind,
     pub year: u32,

@@ -10,7 +10,7 @@ use crate::node::{NodeKind, NodeModel};
 use serde::{Deserialize, Serialize};
 
 /// Procurement constraint.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Constraint {
     /// Spend at most this many dollars on nodes.
     Budget(f64),
@@ -89,7 +89,7 @@ pub const DEFAULT_HORIZON: std::ops::RangeInclusive<u32> = 2002..=2020;
 /// Outcome of a crossover search over an explicit year range. The old
 /// `Option<u32>` API collapsed two very different "no" answers into
 /// `None`; this keeps them apart.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Crossing {
     /// First year inside the range the curve reaches the target.
     At(u32),

@@ -15,7 +15,7 @@
 //! forever.
 
 use crate::table::Table;
-use polaris_msg::config::Protocol;
+use polaris_msg::config::{Protocol, MAX_RETRIES};
 use polaris_msg::model::{p2p_time, HostParams};
 use polaris_obs::Obs;
 use polaris_simnet::fault::{FaultInjector, FaultPlan, FaultVerdict};
@@ -25,8 +25,6 @@ use polaris_simnet::time::SimTime;
 const HOPS: u32 = 2; // node - switch - node
 pub const MSGS: usize = 2000;
 const BYTES: u64 = 4096;
-/// Matches `Reliability::default().max_retries` in polaris-msg.
-const MAX_RETRIES: u32 = 8;
 pub const LOSS_RATES: [f64; 6] = [0.0, 0.001, 0.01, 0.05, 0.1, 0.5];
 
 /// All per-scenario tallies live in the metrics registry under these

@@ -17,6 +17,7 @@
 
 use crate::table::Table;
 use polaris_obs::Obs;
+use polaris_rms::lifecycle::fleet::CHURN_WINDOW;
 use polaris_rms::lifecycle::{churn_plan, run_fleet, ChurnSpec, FleetConfig};
 use polaris_rms::sched::Policy;
 use polaris_simnet::time::SimDuration;
@@ -115,12 +116,12 @@ pub fn generate_with(obs: &Obs) -> Vec<Table> {
         ],
     );
     let rows = crate::sweep::sweep_obs(grid(), obs, |cell_obs, (nodes, churn)| {
-        let spec = ChurnSpec { events: churn, ..ChurnSpec::default() };
+        let spec = ChurnSpec { events: churn };
         let plan = churn_plan(SEED ^ ((nodes as u64) << 32) ^ churn as u64, nodes, &spec);
         let cfg = cell_config(nodes);
         let report = run_fleet(cfg, &plan, Some(cell_obs));
         // Churn normalized to events per 1000 nodes per hour.
-        let rate = churn as f64 / (nodes as f64 / 1000.0) / (spec.window.as_secs() / 3600.0);
+        let rate = churn as f64 / (nodes as f64 / 1000.0) / (CHURN_WINDOW.as_secs() / 3600.0);
         let nodes_s = format!("{nodes}");
         let churn_s = format!("{rate:.1}");
         let labels = [("nodes", nodes_s.as_str()), ("churn", churn_s.as_str())];
@@ -170,7 +171,7 @@ pub fn generate_with(obs: &Obs) -> Vec<Table> {
     );
     let rows = crate::sweep::sweep_obs(policies(), obs, |cell_obs, (name, policy)| {
         let cfg = policy_config(policy);
-        let spec = ChurnSpec { events: 20, ..ChurnSpec::default() };
+        let spec = ChurnSpec { events: 20 };
         // Same plan for every policy: only the admission order differs.
         let plan = churn_plan(SEED ^ 0xF12B, cfg.nodes, &spec);
         let report = run_fleet(cfg, &plan, Some(cell_obs));

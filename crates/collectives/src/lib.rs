@@ -52,5 +52,5 @@ pub mod prelude {
     pub use crate::scan::{scan_exclusive, scan_inclusive};
     pub use crate::simx::{schedule, simulate_collective, Collective, ExecParams, SimResult};
     pub use crate::testing::run_world;
-    pub use crate::tuning::{allgather, allreduce, barrier, bcast, Tuning};
+    pub use crate::tuning::{allgather, allreduce, barrier, bcast};
 }

@@ -8,77 +8,56 @@ use crate::bcast::BcastAlgo;
 use crate::comm::Comm;
 use crate::op::{Reducible, ReduceOp};
 
-/// Tunable switch points (bytes). Defaults follow the usual MPI-library
-/// heuristics; the F3 bench sweeps around them.
-#[derive(Debug, Clone, Copy)]
-pub struct Tuning {
-    /// Bcast switches from binomial to scatter+allgather at this size.
-    pub bcast_large: usize,
-    /// Allreduce switches from recursive doubling to ring at this size.
-    pub allreduce_large: usize,
-    /// Allgather switches from Bruck to ring at this per-rank size.
-    pub allgather_large: usize,
-}
+/// Bcast switches from binomial to scatter+allgather at this size
+/// (bytes). The switch points follow the usual MPI-library heuristics;
+/// the F3 bench sweeps around them.
+const BCAST_LARGE: usize = 64 * 1024;
+/// Allreduce switches from recursive doubling to ring at this size.
+const ALLREDUCE_LARGE: usize = 64 * 1024;
+/// Allgather switches from Bruck to ring at this per-rank size.
+const ALLGATHER_LARGE: usize = 32 * 1024;
 
-impl Default for Tuning {
-    fn default() -> Self {
-        Tuning {
-            bcast_large: 64 * 1024,
-            allreduce_large: 64 * 1024,
-            allgather_large: 32 * 1024,
-        }
+fn pick_bcast(bytes: usize, p: u32) -> BcastAlgo {
+    if p >= 8 && bytes >= BCAST_LARGE {
+        BcastAlgo::ScatterAllgather
+    } else {
+        BcastAlgo::Binomial
     }
 }
 
-impl Tuning {
-    pub fn pick_bcast(&self, bytes: usize, p: u32) -> BcastAlgo {
-        if p >= 8 && bytes >= self.bcast_large {
-            BcastAlgo::ScatterAllgather
-        } else {
-            BcastAlgo::Binomial
-        }
+fn pick_allreduce(bytes: usize, p: u32) -> AllreduceAlgo {
+    if p >= 4 && bytes >= ALLREDUCE_LARGE {
+        AllreduceAlgo::Ring
+    } else {
+        AllreduceAlgo::RecursiveDoubling
     }
+}
 
-    pub fn pick_allreduce(&self, bytes: usize, p: u32) -> AllreduceAlgo {
-        if p >= 4 && bytes >= self.allreduce_large {
-            AllreduceAlgo::Ring
-        } else {
-            AllreduceAlgo::RecursiveDoubling
-        }
-    }
-
-    pub fn pick_allgather(&self, block_bytes: usize, _p: u32) -> AllgatherAlgo {
-        if block_bytes >= self.allgather_large {
-            AllgatherAlgo::Ring
-        } else {
-            AllgatherAlgo::Bruck
-        }
-    }
-
-    pub fn pick_barrier(&self, _p: u32) -> BarrierAlgo {
-        BarrierAlgo::Dissemination
+fn pick_allgather(block_bytes: usize) -> AllgatherAlgo {
+    if block_bytes >= ALLGATHER_LARGE {
+        AllgatherAlgo::Ring
+    } else {
+        AllgatherAlgo::Bruck
     }
 }
 
 /// Tuned entry points mirroring the MPI surface.
 pub fn barrier<C: Comm>(comm: &mut C) {
-    let algo = Tuning::default().pick_barrier(comm.size());
-    crate::barrier::barrier_with(comm, algo);
+    crate::barrier::barrier_with(comm, BarrierAlgo::Dissemination);
 }
 
 pub fn bcast<C: Comm>(comm: &mut C, root: u32, data: &mut [u8]) {
-    let algo = Tuning::default().pick_bcast(data.len(), comm.size());
+    let algo = pick_bcast(data.len(), comm.size());
     crate::bcast::bcast_with(comm, algo, root, data);
 }
 
 pub fn allreduce<C: Comm, T: Reducible>(comm: &mut C, op: ReduceOp, data: &mut [T]) {
-    let algo = Tuning::default().pick_allreduce(data.len() * T::SIZE, comm.size());
+    let algo = pick_allreduce(data.len() * T::SIZE, comm.size());
     crate::allreduce::allreduce_with(comm, algo, op, data);
 }
 
 pub fn allgather<C: Comm>(comm: &mut C, mine: &[u8], out: &mut [u8]) {
-    let algo = Tuning::default().pick_allgather(mine.len(), comm.size());
-    crate::allgather::allgather_with(comm, algo, mine, out);
+    crate::allgather::allgather_with(comm, pick_allgather(mine.len()), mine, out);
 }
 
 #[cfg(test)]
@@ -89,15 +68,39 @@ mod tests {
 
     #[test]
     fn selection_respects_thresholds() {
-        let t = Tuning::default();
-        assert_eq!(t.pick_bcast(100, 16), BcastAlgo::Binomial);
-        assert_eq!(t.pick_bcast(1 << 20, 16), BcastAlgo::ScatterAllgather);
-        // Small worlds stay on the tree regardless of size.
-        assert_eq!(t.pick_bcast(1 << 20, 4), BcastAlgo::Binomial);
-        assert_eq!(t.pick_allreduce(64, 64), AllreduceAlgo::RecursiveDoubling);
-        assert_eq!(t.pick_allreduce(1 << 20, 64), AllreduceAlgo::Ring);
-        assert_eq!(t.pick_allgather(100, 8), AllgatherAlgo::Bruck);
-        assert_eq!(t.pick_allgather(1 << 20, 8), AllgatherAlgo::Ring);
+        use AllgatherAlgo::{Bruck, Ring as GatherRing};
+        use AllreduceAlgo::{RecursiveDoubling, Ring};
+        use BcastAlgo::{Binomial, ScatterAllgather};
+        // (bytes, p, pick): far from, exactly at and one byte below each
+        // switch point; small worlds stay on the tree regardless of size.
+        for (bytes, p, want) in [
+            (100, 16, Binomial),
+            (1 << 20, 16, ScatterAllgather),
+            (1 << 20, 4, Binomial),
+            (BCAST_LARGE, 8, ScatterAllgather),
+            (BCAST_LARGE - 1, 8, Binomial),
+            (BCAST_LARGE, 7, Binomial),
+        ] {
+            assert_eq!(pick_bcast(bytes, p), want, "bcast {bytes} B at p = {p}");
+        }
+        for (bytes, p, want) in [
+            (64, 64, RecursiveDoubling),
+            (1 << 20, 64, Ring),
+            (ALLREDUCE_LARGE, 4, Ring),
+            (ALLREDUCE_LARGE - 1, 4, RecursiveDoubling),
+            (ALLREDUCE_LARGE, 3, RecursiveDoubling),
+        ] {
+            assert_eq!(pick_allreduce(bytes, p), want, "allreduce {bytes} B at p = {p}");
+        }
+        for (bytes, want) in [
+            (100, Bruck),
+            (1 << 20, GatherRing),
+            (ALLGATHER_LARGE, GatherRing),
+            (ALLGATHER_LARGE - 1, Bruck),
+        ] {
+            assert_eq!(pick_allgather(bytes), want, "allgather {bytes} B");
+        }
+        assert_eq!((BCAST_LARGE, ALLREDUCE_LARGE, ALLGATHER_LARGE), (65_536, 65_536, 32_768));
     }
 
     #[test]

@@ -11,14 +11,13 @@
 use polaris_collectives::comm::Comm;
 use polaris_collectives::op::{Reducible, ReduceOp};
 use polaris_collectives::testing::run_world_with_stats;
-use polaris_collectives::tuning::Tuning;
+use polaris_collectives::tuning;
 use polaris_msg::prelude::{Endpoint, MsgBuf, MsgConfig, MsgResult, RecvInfo};
 use polaris_nic::prelude::FabricStats;
 
 /// Per-rank context handed to the SPMD closure.
 pub struct NodeCtx {
     ep: Endpoint,
-    tuning: Tuning,
 }
 
 impl NodeCtx {
@@ -66,28 +65,22 @@ impl NodeCtx {
 
     /// Tuned barrier.
     pub fn barrier(&mut self) {
-        let algo = self.tuning.pick_barrier(self.ep.size());
-        polaris_collectives::barrier::barrier_with(&mut self.ep, algo);
+        tuning::barrier(&mut self.ep);
     }
 
     /// Tuned broadcast (same-length buffer on every rank).
     pub fn bcast(&mut self, root: u32, data: &mut [u8]) {
-        let algo = self.tuning.pick_bcast(data.len(), self.ep.size());
-        polaris_collectives::bcast::bcast_with(&mut self.ep, algo, root, data);
+        tuning::bcast(&mut self.ep, root, data);
     }
 
     /// Tuned allreduce.
     pub fn allreduce<T: Reducible>(&mut self, op: ReduceOp, data: &mut [T]) {
-        let algo = self
-            .tuning
-            .pick_allreduce(data.len() * T::SIZE, self.ep.size());
-        polaris_collectives::allreduce::allreduce_with(&mut self.ep, algo, op, data);
+        tuning::allreduce(&mut self.ep, op, data);
     }
 
     /// Tuned allgather of equal-size blocks.
     pub fn allgather(&mut self, mine: &[u8], out: &mut [u8]) {
-        let algo = self.tuning.pick_allgather(mine.len(), self.ep.size());
-        polaris_collectives::allgather::allgather_with(&mut self.ep, algo, mine, out);
+        tuning::allgather(&mut self.ep, mine, out);
     }
 
     /// Gather equal-size blocks to `root` (linear algorithm).
@@ -105,7 +98,6 @@ impl NodeCtx {
 pub struct ClusterBuilder {
     nodes: u32,
     cfg: MsgConfig,
-    tuning: Tuning,
 }
 
 impl ClusterBuilder {
@@ -119,11 +111,6 @@ impl ClusterBuilder {
         self
     }
 
-    pub fn tuning(mut self, tuning: Tuning) -> Self {
-        self.tuning = tuning;
-        self
-    }
-
     /// Launch the cluster and run `f` on every rank; returns per-rank
     /// results in rank order together with fabric statistics.
     pub fn run<T, F>(self, f: F) -> (Vec<T>, FabricStats)
@@ -131,8 +118,7 @@ impl ClusterBuilder {
         T: Send + 'static,
         F: Fn(NodeCtx) -> T + Send + Sync + 'static,
     {
-        let tuning = self.tuning;
-        run_world_with_stats(self.nodes, self.cfg, move |ep| f(NodeCtx { ep, tuning }))
+        run_world_with_stats(self.nodes, self.cfg, move |ep| f(NodeCtx { ep }))
     }
 }
 
@@ -144,7 +130,6 @@ impl Cluster {
         ClusterBuilder {
             nodes: 2,
             cfg: MsgConfig::default(),
-            tuning: Tuning::default(),
         }
     }
 }

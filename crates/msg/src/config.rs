@@ -26,7 +26,7 @@ pub enum Protocol {
 /// deduplicates, and reorders frames, and the sender retransmits on
 /// error completions (fast path) or timer expiry, with exponential
 /// backoff plus deterministic jitter. A frame that exhausts
-/// `max_retries` escalates to `mark_peer_failed`, so transient faults
+/// [`MAX_RETRIES`] escalates to `mark_peer_failed`, so transient faults
 /// heal transparently and persistent ones become clean
 /// [`MsgError::PeerFailed`](crate::endpoint::MsgError) errors.
 #[derive(Debug, Clone, Copy)]
@@ -35,12 +35,13 @@ pub struct Reliability {
     /// First retransmission timeout; doubles per retry up to `rto_max`.
     pub rto_initial: Duration,
     pub rto_max: Duration,
-    /// Retransmissions allowed per frame before the peer is declared
-    /// failed.
-    pub max_retries: u32,
-    /// Seed for the deterministic backoff jitter.
-    pub jitter_seed: u64,
 }
+
+/// Retransmissions allowed per frame before the peer is declared failed.
+pub const MAX_RETRIES: u32 = 8;
+
+/// Seed for the deterministic backoff jitter.
+pub(crate) const JITTER_SEED: u64 = 0x9e37_79b9_7f4a_7c15;
 
 impl Default for Reliability {
     fn default() -> Self {
@@ -48,8 +49,6 @@ impl Default for Reliability {
             enabled: false,
             rto_initial: Duration::from_millis(2),
             rto_max: Duration::from_millis(50),
-            max_retries: 8,
-            jitter_seed: 0x9e37_79b9_7f4a_7c15,
         }
     }
 }
@@ -72,8 +71,6 @@ pub struct MsgConfig {
     pub eager_threshold: usize,
     /// Payload capacity of one eager bounce buffer.
     pub eager_buf_size: usize,
-    /// MTU used by the sockets baseline's segmentation.
-    pub sockets_mtu: usize,
     /// Modeled cost of one syscall (sockets baseline); implemented as a
     /// calibrated busy-wait so wall-clock measurements reflect it. Zero
     /// disables the model (the default, so tests run fast).
@@ -99,7 +96,6 @@ impl Default for MsgConfig {
             protocol: Protocol::Auto,
             eager_threshold: 16 * 1024,
             eager_buf_size: 16 * 1024,
-            sockets_mtu: 1500,
             syscall_overhead: Duration::ZERO,
             interrupt_overhead: Duration::ZERO,
             reg_cache_capacity: 64,
@@ -108,6 +104,9 @@ impl Default for MsgConfig {
         }
     }
 }
+
+/// MTU used by the sockets baseline's segmentation.
+pub(crate) const SOCKETS_MTU: usize = 1500;
 
 impl MsgConfig {
     /// A configuration that forces one protocol for every message size.
@@ -141,19 +140,11 @@ impl MsgConfig {
                 crate::envelope::HEADER_LEN
             ));
         }
-        if self.sockets_mtu == 0 {
-            return Err("sockets_mtu must be nonzero".into());
-        }
         if self.srq_bufs == 0 {
             return Err("srq_bufs must be nonzero".into());
         }
-        if self.reliability.enabled {
-            if self.reliability.max_retries == 0 {
-                return Err("reliability.max_retries must be nonzero".into());
-            }
-            if self.reliability.rto_initial.is_zero() {
-                return Err("reliability.rto_initial must be nonzero".into());
-            }
+        if self.reliability.enabled && self.reliability.rto_initial.is_zero() {
+            return Err("reliability.rto_initial must be nonzero".into());
         }
         if self.protocol == Protocol::Eager || self.protocol == Protocol::Auto {
             // Bounce buffers are allocated `eager_buf_size + HEADER_LEN`
@@ -216,7 +207,7 @@ mod tests {
 
         let c = MsgConfig {
             reliability: Reliability {
-                max_retries: 0,
+                rto_initial: Duration::ZERO,
                 ..Reliability::on()
             },
             ..MsgConfig::default()

@@ -23,7 +23,7 @@
 //! and the CQ's internal lock provides the happens-before edge.
 
 use crate::buffer::{BufferPool, FramePool, FramePoolStats, MsgBuf, PoolStats};
-use crate::config::{MsgConfig, Protocol};
+use crate::config::{MsgConfig, Protocol, JITTER_SEED, MAX_RETRIES, SOCKETS_MTU};
 use crate::envelope::{rel_sequenced, rel_src, rel_wire_seq, stamp_rel, Envelope, HEADER_LEN};
 use crate::match_engine::{MatchEngine, MatchSpec};
 use polaris_nic::prelude::*;
@@ -443,7 +443,7 @@ impl Endpoint {
                     Vec::new()
                 },
                 tx_slot_rel: Vec::new(),
-                rel_rng: SplitMix64::new(cfg.reliability.jitter_seed ^ rank as u64),
+                rel_rng: SplitMix64::new(JITTER_SEED ^ rank as u64),
                 stats: EndpointStats::default(),
                 kstage: Vec::new(),
                 obs: None,
@@ -1122,7 +1122,7 @@ impl Endpoint {
 
     fn send_sockets(&mut self, dst: u32, tag: u64, buf: MsgBuf, req: ReqId) -> MsgResult<()> {
         let total = buf.len();
-        let mtu = self.cfg.sockets_mtu.min(self.cfg.eager_buf_size);
+        let mtu = SOCKETS_MTU.min(self.cfg.eager_buf_size);
         let mut offset = 0usize;
         loop {
             let len = (total - offset).min(mtu);
@@ -1198,7 +1198,7 @@ impl Endpoint {
                         let exhausted = self.rel[peer as usize]
                             .pending
                             .get(&seq)
-                            .is_some_and(|p| p.retries >= self.cfg.reliability.max_retries);
+                            .is_some_and(|p| p.retries >= MAX_RETRIES);
                         if exhausted {
                             self.rel_fail_peer(peer);
                         } else {
@@ -1620,7 +1620,6 @@ impl Endpoint {
     /// failure.
     fn rel_tick(&mut self) {
         let now = Instant::now();
-        let max_retries = self.cfg.reliability.max_retries;
         let mut due: Vec<(u32, u64)> = Vec::new();
         let mut dead: Vec<u32> = Vec::new();
         for peer in 0..self.size {
@@ -1631,7 +1630,7 @@ impl Endpoint {
                 if p.deadline > now || p.in_flight > 0 {
                     continue;
                 }
-                if p.retries >= max_retries {
+                if p.retries >= MAX_RETRIES {
                     dead.push(peer);
                     break;
                 }

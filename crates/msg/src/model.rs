@@ -12,7 +12,7 @@
 //!
 //! Era parameters default to published 2002 ballpark values.
 
-use crate::config::{MsgConfig, Protocol};
+use crate::config::{MsgConfig, Protocol, SOCKETS_MTU};
 use crate::envelope::HEADER_LEN;
 use polaris_simnet::link::LinkModel;
 use polaris_simnet::time::SimDuration;
@@ -22,17 +22,6 @@ use polaris_simnet::time::SimDuration;
 pub struct HostParams {
     /// Host memory copy bandwidth, bytes/sec (2002 commodity: ~1 GB/s).
     pub copy_bps: u64,
-    /// Per-message CPU overhead of the user-level send/recv paths.
-    pub userlevel_overhead: SimDuration,
-    /// Cost of one syscall (sockets path).
-    pub syscall: SimDuration,
-    /// Cost of one receive interrupt (sockets path).
-    pub interrupt: SimDuration,
-    /// Cost of registering one page (rendezvous without a cache pays
-    /// this per page of payload).
-    pub reg_per_page: SimDuration,
-    /// Page size for registration accounting.
-    pub page_size: usize,
     /// Whether the registration cache is warm (ablation A1).
     pub reg_cache: bool,
 }
@@ -41,17 +30,24 @@ impl Default for HostParams {
     fn default() -> Self {
         HostParams {
             copy_bps: 1_000_000_000,
-            userlevel_overhead: SimDuration::from_ns(500),
-            // 2002 kernel TCP path: syscall + protocol processing per
-            // segment on the send side, interrupt + protocol on receive.
-            syscall: SimDuration::from_us(5),
-            interrupt: SimDuration::from_us(15),
-            reg_per_page: SimDuration::from_us(1),
-            page_size: 4096,
             reg_cache: true,
         }
     }
 }
+
+/// Per-message CPU overhead of the user-level send/recv paths.
+const USERLEVEL_OVERHEAD: SimDuration = SimDuration::from_ns(500);
+/// Cost of one syscall (sockets path). The 2002 kernel TCP path pays a
+/// syscall and protocol processing per segment on the send side, an
+/// interrupt and protocol processing on receive.
+const SYSCALL: SimDuration = SimDuration::from_us(5);
+/// Cost of one receive interrupt (sockets path).
+const INTERRUPT: SimDuration = SimDuration::from_us(15);
+/// Cost of registering one page (rendezvous without a cache pays this
+/// per page of payload).
+const REG_PER_PAGE: SimDuration = SimDuration::from_us(1);
+/// Page size for registration accounting.
+const PAGE_SIZE: usize = 4096;
 
 impl HostParams {
     fn copy_time(&self, bytes: u64) -> SimDuration {
@@ -62,8 +58,8 @@ impl HostParams {
         if self.reg_cache {
             SimDuration::ZERO
         } else {
-            let pages = (bytes as usize).div_ceil(self.page_size).max(1) as u64;
-            self.reg_per_page.saturating_mul(pages)
+            let pages = (bytes as usize).div_ceil(PAGE_SIZE).max(1) as u64;
+            REG_PER_PAGE.saturating_mul(pages)
         }
     }
 }
@@ -83,20 +79,18 @@ pub fn p2p_time(
         // user-level overhead at both ends.
         let mut t = SimDuration::ZERO;
         for _ in 0..n {
-            t += link.message_time(hdr, hops)
-                + host.userlevel_overhead
-                + host.userlevel_overhead;
+            t += link.message_time(hdr, hops) + USERLEVEL_OVERHEAD + USERLEVEL_OVERHEAD;
         }
         t
     };
     match protocol {
         Protocol::Eager => {
             // copy in, wire (payload + envelope), copy out.
-            host.userlevel_overhead
+            USERLEVEL_OVERHEAD
                 + host.copy_time(bytes)
                 + link.message_time(bytes + hdr, hops)
                 + host.copy_time(bytes)
-                + host.userlevel_overhead
+                + USERLEVEL_OVERHEAD
         }
         Protocol::Rendezvous => {
             // RTS -> (read) -> FIN; the FIN overlaps nothing here.
@@ -104,14 +98,14 @@ pub fn p2p_time(
             ctrl(2) + host.reg_time(bytes) + data
         }
         Protocol::Sockets => {
-            let mtu = MsgConfig::default().sockets_mtu as u64;
+            let mtu = SOCKETS_MTU as u64;
             let segs = bytes.div_ceil(mtu).max(1);
             // Two copies per side, one syscall per segment at the sender,
             // one interrupt per segment at the receiver, then the wire.
             host.copy_time(2 * bytes)
                 + host.copy_time(2 * bytes)
-                + host.syscall.saturating_mul(segs)
-                + host.interrupt.saturating_mul(segs)
+                + SYSCALL.saturating_mul(segs)
+                + INTERRUPT.saturating_mul(segs)
                 + link.message_time(bytes + segs * hdr, hops)
         }
         Protocol::Auto => {

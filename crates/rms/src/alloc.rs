@@ -9,10 +9,9 @@
 
 use polaris_simnet::rng::SplitMix64;
 use polaris_simnet::topology::Topology;
-use serde::{Deserialize, Serialize};
 
 /// How the allocator picks nodes for a job.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Placement {
     /// Lowest-numbered free nodes (what a naive allocator does).
     FirstFit,

@@ -8,10 +8,9 @@
 //! simulated optimum against the analytic one.
 
 use polaris_simnet::rng::SplitMix64;
-use serde::{Deserialize, Serialize};
 
 /// Checkpoint system parameters.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct CheckpointParams {
     /// Time to write one coordinated checkpoint, seconds.
     pub checkpoint_cost: f64,
@@ -53,7 +52,7 @@ impl CheckpointParams {
 }
 
 /// Result of a Monte-Carlo checkpointing run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct McResult {
     /// Useful work completed, seconds.
     pub useful: f64,

@@ -1,9 +1,8 @@
 //! Jobs and per-job metrics.
 
-use serde::{Deserialize, Serialize};
 
 /// A rigid parallel job, as batch schedulers of the era saw them.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Job {
     pub id: u64,
     /// Nodes requested (rigid allocation).
@@ -33,7 +32,7 @@ impl Job {
 }
 
 /// Outcome of one job in a scheduling run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JobOutcome {
     pub id: u64,
     pub arrival: f64,
@@ -59,7 +58,7 @@ impl JobOutcome {
 }
 
 /// Aggregate metrics over a completed schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScheduleMetrics {
     pub jobs: usize,
     pub makespan: f64,

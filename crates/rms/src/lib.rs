@@ -23,8 +23,8 @@ pub mod prelude {
     pub use crate::checkpoint::{simulate_checkpointing, CheckpointParams, McResult};
     pub use crate::job::{Job, JobOutcome, ScheduleMetrics};
     pub use crate::lifecycle::{
-        churn_plan, run_fleet, ChurnSpec, Controller, ControllerConfig, FleetConfig,
-        FleetReport, HealthAggregator, HealthConfig, HealthVerdict, NodeState,
+        churn_plan, run_fleet, ChurnSpec, Controller, ControllerConfig, FleetConfig, FleetReport,
+        HealthAggregator, HealthVerdict, NodeState,
     };
     pub use crate::recovery::{mean_inflation, run_job, RecoveryOutcome, RecoveryPolicy};
     pub use crate::sched::{run_and_summarize, simulate, Policy};

@@ -17,7 +17,7 @@
 //! * **Guard conditions**: `Validate → Healthy` requires an `Ok` fused
 //!   verdict at validation completion; anything else retries.
 //! * **Bounded retries with backoff + jitter**: failed validations
-//!   retry up to `max_validate_retries` times, each delayed by an
+//!   retry up to `MAX_VALIDATE_RETRIES` times, each delayed by an
 //!   exponentially growing, deterministically jittered backoff, then
 //!   escalate to `Breakfix`.
 //! * **Timeout escalation**: node-side operations (`Provision`,
@@ -87,34 +87,16 @@ pub struct TransitionRecord {
     pub to: NodeState,
 }
 
-/// Controller tuning. Times are simulated durations; the defaults are
-/// sized for fleet-scale experiments (minutes-scale repair, hour-scale
-/// horizons).
+/// The controller's two operation times that differ between callers:
+/// the batch scheduler provisions and validates instantly. Times are
+/// simulated durations; the defaults are sized for fleet-scale
+/// experiments (minutes-scale repair, hour-scale horizons).
 #[derive(Debug, Clone, Copy)]
 pub struct ControllerConfig {
     /// Mean provisioning time.
     pub provision_time: SimDuration,
     /// Validation (burn-in) run time.
     pub validate_time: SimDuration,
-    /// Repair service time per `Breakfix` visit.
-    pub breakfix_time: SimDuration,
-    /// Power-cycle time.
-    pub reboot_time: SimDuration,
-    /// Node-side operation deadline = duration × this multiplier.
-    pub op_timeout_mult: u64,
-    /// Failed validations before escalating to `Breakfix`.
-    pub max_validate_retries: u32,
-    /// `Breakfix` visits before the node is `Reclaim`ed.
-    pub repair_budget: u32,
-    /// How long a `Degraded` node may drain before forced repair.
-    pub drain_timeout: SimDuration,
-    /// First retry backoff; doubles per retry.
-    pub backoff_base: SimDuration,
-    /// Backoff ceiling.
-    pub backoff_max: SimDuration,
-    /// Jitter applied to every operation delay, in permille of the
-    /// nominal duration (deterministic, seeded).
-    pub jitter_pm: u32,
 }
 
 impl Default for ControllerConfig {
@@ -122,18 +104,29 @@ impl Default for ControllerConfig {
         ControllerConfig {
             provision_time: SimDuration::from_secs(60),
             validate_time: SimDuration::from_secs(15),
-            breakfix_time: SimDuration::from_secs(300),
-            reboot_time: SimDuration::from_secs(120),
-            op_timeout_mult: 3,
-            max_validate_retries: 2,
-            repair_budget: 2,
-            drain_timeout: SimDuration::from_secs(180),
-            backoff_base: SimDuration::from_secs(10),
-            backoff_max: SimDuration::from_secs(120),
-            jitter_pm: 200,
         }
     }
 }
+
+/// Repair service time per `Breakfix` visit.
+const BREAKFIX_TIME: SimDuration = SimDuration::from_secs(300);
+/// Power-cycle time.
+const REBOOT_TIME: SimDuration = SimDuration::from_secs(120);
+/// Node-side operation deadline = duration × this multiplier.
+const OP_TIMEOUT_MULT: u64 = 3;
+/// Failed validations before escalating to `Breakfix`.
+const MAX_VALIDATE_RETRIES: u32 = 2;
+/// `Breakfix` visits before the node is `Reclaim`ed.
+const REPAIR_BUDGET: u32 = 2;
+/// How long a `Degraded` node may drain before forced repair.
+const DRAIN_TIMEOUT: SimDuration = SimDuration::from_secs(180);
+/// First retry backoff; doubles per retry.
+const BACKOFF_BASE: SimDuration = SimDuration::from_secs(10);
+/// Backoff ceiling.
+const BACKOFF_MAX: SimDuration = SimDuration::from_secs(120);
+/// Jitter applied to every operation delay, in permille of the nominal
+/// duration (deterministic, seeded).
+const JITTER_PM: u64 = 200;
 
 #[derive(Debug, Clone)]
 struct NodeRec {
@@ -184,10 +177,6 @@ impl Controller {
         }
     }
 
-    pub fn config(&self) -> &ControllerConfig {
-        &self.cfg
-    }
-
     pub fn state(&self, node: u32) -> NodeState {
         self.nodes[node as usize].state
     }
@@ -224,21 +213,20 @@ impl Controller {
         self.pending.pop_front()
     }
 
-    /// Jittered duration: `d ± jitter_pm‰`, deterministic.
+    /// Jittered duration: `d ± JITTER_PM‰`, deterministic.
     fn jittered(&mut self, d: SimDuration) -> SimDuration {
-        let j = self.cfg.jitter_pm as u64;
-        if j == 0 || d.as_ps() == 0 {
+        if d.as_ps() == 0 {
             return d;
         }
-        let span = 2 * j + 1;
-        let factor = 1000 - j + self.rng.next_below(span);
+        let span = 2 * JITTER_PM + 1;
+        let factor = 1000 - JITTER_PM + self.rng.next_below(span);
         SimDuration::from_ps((d.as_ps() as u128 * factor as u128 / 1000) as u64)
     }
 
     /// Exponential backoff for retry `attempt` (1-based), capped.
     fn backoff(&mut self, attempt: u32) -> SimDuration {
-        let exp = self.cfg.backoff_base.as_ps().saturating_shl(attempt.saturating_sub(1));
-        let capped = exp.min(self.cfg.backoff_max.as_ps());
+        let exp = BACKOFF_BASE.as_ps().saturating_shl(attempt.saturating_sub(1));
+        let capped = exp.min(BACKOFF_MAX.as_ps());
         self.jittered(SimDuration::from_ps(capped))
     }
 
@@ -261,13 +249,11 @@ impl Controller {
         let nominal = match kind {
             OpKind::Provision => self.cfg.provision_time,
             OpKind::Validate => self.cfg.validate_time,
-            OpKind::Breakfix => self.cfg.breakfix_time,
-            OpKind::Reboot => self.cfg.reboot_time,
+            OpKind::Breakfix => BREAKFIX_TIME,
+            OpKind::Reboot => REBOOT_TIME,
         };
         let delay = self.jittered(nominal) + extra_delay;
-        let timeout = kind
-            .node_side()
-            .then(|| delay.saturating_mul(self.cfg.op_timeout_mult.max(2)));
+        let timeout = kind.node_side().then(|| delay.saturating_mul(OP_TIMEOUT_MULT));
         let rec = &mut self.nodes[node as usize];
         rec.epoch = rec.epoch.wrapping_add(1);
         rec.in_op = Some(kind);
@@ -285,7 +271,7 @@ impl Controller {
             rec.repairs += 1;
             rec.repairs
         };
-        if repairs > self.cfg.repair_budget {
+        if repairs > REPAIR_BUDGET {
             self.transition(now, node, NodeState::Reclaim);
             return None;
         }
@@ -330,7 +316,7 @@ impl Controller {
                     rec.validate_retries += 1;
                     rec.validate_retries
                 };
-                if retries > self.cfg.max_validate_retries {
+                if retries > MAX_VALIDATE_RETRIES {
                     self.enter_breakfix(now, node)
                 } else {
                     let delay = self.backoff(retries);
@@ -374,7 +360,7 @@ impl Controller {
             (NodeState::Healthy, HealthVerdict::Failed) => self.enter_breakfix(now, node),
             (NodeState::Healthy, HealthVerdict::Suspect) => {
                 self.transition(now, node, NodeState::Degraded);
-                self.nodes[node as usize].drain_deadline = now + self.cfg.drain_timeout;
+                self.nodes[node as usize].drain_deadline = now + DRAIN_TIMEOUT;
                 None
             }
             (NodeState::Degraded, HealthVerdict::Ok) => {
@@ -558,7 +544,7 @@ mod tests {
         c.observe(now + SimDuration::from_secs(30), 0, HealthVerdict::Ok);
         assert_eq!(c.state(0), NodeState::Healthy);
         // Node 1 stays suspect past the drain deadline → breakfix.
-        let later = now + ControllerConfig::default().drain_timeout;
+        let later = now + DRAIN_TIMEOUT;
         c.observe(now + SimDuration::from_secs(30), 1, HealthVerdict::Suspect);
         assert_eq!(c.state(1), NodeState::Degraded, "deadline not reached yet");
         c.observe(later, 1, HealthVerdict::Suspect);
@@ -568,10 +554,10 @@ mod tests {
     #[test]
     fn backoff_grows_and_is_capped() {
         let mut c = ctl(1);
-        let base = c.cfg.backoff_base.as_ps() as f64;
+        let base = BACKOFF_BASE.as_ps() as f64;
         let b1 = c.backoff(1).as_ps() as f64;
         let b3 = c.backoff(3).as_ps() as f64;
-        let cap = c.cfg.backoff_max.as_ps() as f64;
+        let cap = BACKOFF_MAX.as_ps() as f64;
         assert!(b1 >= base * 0.7 && b1 <= base * 1.3, "jitter stays within ±30%");
         assert!(b3 > b1, "backoff grows");
         assert!(c.backoff(40).as_ps() as f64 <= cap * 1.3, "capped");

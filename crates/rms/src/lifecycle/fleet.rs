@@ -32,7 +32,7 @@
 //! stays so, and the run is pure queueing under the admission policy.
 
 use super::controller::{Controller, ControllerConfig, StartedOp};
-use super::health::{HealthAggregator, HealthConfig, HealthVerdict};
+use super::health::{HealthAggregator, HealthVerdict, HEARTBEAT_PERIOD};
 use super::state::NodeState;
 use crate::job::{Job, JobOutcome};
 use crate::sched::{plan_admissions, Policy, QueuedReq, RunningRes};
@@ -42,38 +42,33 @@ use polaris_simnet::event::QueueStats;
 use polaris_simnet::fault::{FaultKind, FaultPlan, FaultScope};
 use polaris_simnet::rng::SplitMix64;
 use polaris_simnet::time::{SimDuration, SimTime, PS_PER_SEC};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
 use std::num::NonZeroU32;
 
 /// Shape of a churn schedule: how many disturbances land on the fleet
-/// inside the onset window, and the crash / flap / degrade mix.
+/// inside [`CHURN_WINDOW`], in the crash / flap / degrade mix
+/// `CRASH_W : FLAP_W : DEGRADE_W`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChurnSpec {
     /// Disturbed nodes (each event picks a distinct victim).
     pub events: u32,
-    /// Onsets are drawn uniformly inside this window (its tail sixth is
-    /// left clear of the start so victims are in service when hit).
-    pub window: SimDuration,
-    /// Relative weight of fail-stop crashes.
-    pub crash_w: u32,
-    /// Relative weight of NIC flaps (periodic down/up windows).
-    pub flap_w: u32,
-    /// Relative weight of burst-loss link degradation.
-    pub degrade_w: u32,
 }
 
 impl Default for ChurnSpec {
     fn default() -> Self {
-        ChurnSpec {
-            events: 8,
-            window: SimDuration::from_secs(1800),
-            crash_w: 2,
-            flap_w: 1,
-            degrade_w: 1,
-        }
+        ChurnSpec { events: 8 }
     }
 }
+
+/// Churn onsets are drawn uniformly inside this window (its first sixth
+/// is left clear so victims are in service when hit).
+pub const CHURN_WINDOW: SimDuration = SimDuration::from_secs(1800);
+/// Relative weight of fail-stop crashes.
+const CRASH_W: u64 = 2;
+/// Relative weight of NIC flaps (periodic down/up windows).
+const FLAP_W: u64 = 1;
+/// Relative weight of burst-loss link degradation.
+const DEGRADE_W: u64 = 1;
 
 /// Build a seeded churn plan: `spec.events` distinct victims, each hit
 /// by one crash, flap, or degrade rule. Pure — the same arguments
@@ -83,12 +78,11 @@ pub fn churn_plan(seed: u64, fleet_nodes: u32, spec: &ChurnSpec) -> FaultPlan {
     let mut rng = SplitMix64::new(seed ^ 0x6368_7572_6E70_6C61); // "churnpla"
     let mut plan = FaultPlan::new(seed);
     let events = spec.events.min(fleet_nodes);
-    let total_w = (spec.crash_w + spec.flap_w + spec.degrade_w).max(1) as u64;
     let mut used = vec![false; fleet_nodes as usize];
     // Leave the first sixth of the window clear so victims have
     // provisioned and entered service before the disturbance lands.
-    let lo = spec.window.as_ps() / 6;
-    let span = (spec.window.as_ps() - lo).max(1);
+    let lo = CHURN_WINDOW.as_ps() / 6;
+    let span = CHURN_WINDOW.as_ps() - lo;
     for _ in 0..events {
         let node = loop {
             let n = rng.next_below(fleet_nodes as u64) as u32;
@@ -98,10 +92,10 @@ pub fn churn_plan(seed: u64, fleet_nodes: u32, spec: &ChurnSpec) -> FaultPlan {
         };
         used[node as usize] = true;
         let onset = SimTime(lo + rng.next_below(span));
-        let w = rng.next_below(total_w) as u32;
-        plan = if w < spec.crash_w {
+        let w = rng.next_below(CRASH_W + FLAP_W + DEGRADE_W);
+        plan = if w < CRASH_W {
             plan.crash_node(node, onset)
-        } else if w < spec.crash_w + spec.flap_w {
+        } else if w < CRASH_W + FLAP_W {
             // Down windows exceed the heartbeat timeout so a flap is
             // always observable as `Failed`, never only as jitter.
             let down = (35 + rng.next_below(60)) * PS_PER_SEC;
@@ -127,10 +121,7 @@ pub struct FleetConfig {
     /// Hard stop for the simulation clock.
     pub horizon: SimDuration,
     pub seed: u64,
-    /// Controller reconcile tick.
-    pub reconcile_period: SimDuration,
     pub controller: ControllerConfig,
-    pub health: HealthConfig,
     /// Jobs in the synthetic stream.
     pub jobs: u32,
     /// Widths are uniform in `1..=max_job_width`.
@@ -139,8 +130,6 @@ pub struct FleetConfig {
     pub max_runtime: SimDuration,
     /// Arrivals are uniform in `[0, arrival_window]`.
     pub arrival_window: SimDuration,
-    /// Checkpoint cadence (`ZERO` = continuous, nothing ever lost).
-    pub checkpoint_interval: SimDuration,
     /// Overhead added to a job's next run after an eviction.
     pub restart_cost: SimDuration,
     /// Admission policy — the *same* [`Policy`] the batch scheduler
@@ -156,15 +145,12 @@ impl Default for FleetConfig {
             nodes: 256,
             horizon: SimDuration::from_secs(5400),
             seed: 0,
-            reconcile_period: SimDuration::from_secs(15),
             controller: ControllerConfig::default(),
-            health: HealthConfig::default(),
             jobs: 64,
             max_job_width: 8,
             min_runtime: SimDuration::from_secs(120),
             max_runtime: SimDuration::from_secs(900),
             arrival_window: SimDuration::from_secs(1200),
-            checkpoint_interval: SimDuration::from_secs(120),
             restart_cost: SimDuration::from_secs(30),
             policy: Policy::EasyBackfill,
             record_audit: false,
@@ -172,46 +158,19 @@ impl Default for FleetConfig {
     }
 }
 
-impl FleetConfig {
-    /// Refuse a configuration [`run_fleet`] could not finish: a zero
-    /// period re-arms its event at the same instant forever, so the
-    /// clock never reaches the horizon.
-    pub fn validate(&self) -> Result<(), FleetConfigError> {
-        for (field, period) in [
-            ("reconcile_period", self.reconcile_period),
-            ("health.heartbeat_period", self.health.heartbeat_period),
-        ] {
-            if period == SimDuration::ZERO {
-                return Err(FleetConfigError::ZeroPeriod { field });
-            }
-        }
-        Ok(())
-    }
-}
+/// Controller reconcile tick.
+const RECONCILE_PERIOD: SimDuration = SimDuration::from_secs(15);
 
-/// Why [`FleetConfig::validate`] refused a configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FleetConfigError {
-    /// The named period is zero.
-    ZeroPeriod { field: &'static str },
-}
+/// Checkpoint cadence: an eviction keeps the run's whole intervals.
+const CHECKPOINT_INTERVAL: SimDuration = SimDuration::from_secs(120);
 
-impl std::fmt::Display for FleetConfigError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FleetConfigError::ZeroPeriod { field } => write!(
-                f,
-                "FleetConfig::{field} is zero: its event would re-arm at the same instant forever"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for FleetConfigError {}
+// A zero period would re-arm its event at the same instant forever, and
+// the clock would never reach the horizon.
+const _: () = assert!(RECONCILE_PERIOD.as_ps() > 0 && HEARTBEAT_PERIOD.as_ps() > 0);
 
 /// One entry of the fleet's audit log: the exact stream the sentinel
 /// lifecycle-conservation ledger replays.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AuditEvent {
     Transition { at_ps: u64, node: u32, from: NodeState, to: NodeState },
     JobStart { at_ps: u64, job: u32, nodes: Vec<u32> },
@@ -548,8 +507,7 @@ impl FleetSim {
             // A disturbance can only be observed once the node serves.
             d.onset_ps = d.onset_ps.max(now.as_ps());
         }
-        let period = self.health.config().heartbeat_period.as_ps().max(1);
-        let stagger = SimDuration::from_ps(self.hb_rng.next_below(period));
+        let stagger = SimDuration::from_ps(self.hb_rng.next_below(HEARTBEAT_PERIOD.as_ps()));
         sched.after(stagger, FleetEvent::Heartbeat { node });
     }
 
@@ -601,7 +559,7 @@ impl FleetSim {
                 m.hb_drop.inc();
             }
         }
-        sched.after(self.health.config().heartbeat_period, FleetEvent::Heartbeat { node });
+        sched.after(HEARTBEAT_PERIOD, FleetEvent::Heartbeat { node });
     }
 
     fn reconcile(&mut self, sched: &mut Scheduler<FleetEvent>) {
@@ -619,7 +577,7 @@ impl FleetSim {
         let quiescent = self.controller.all_settled()
             && self.disturbed.keys().all(|&n| self.controller.state(n).terminal());
         if !quiescent {
-            sched.after(self.cfg.reconcile_period, FleetEvent::Reconcile);
+            sched.after(RECONCILE_PERIOD, FleetEvent::Reconcile);
         }
     }
 
@@ -685,7 +643,7 @@ impl FleetSim {
     /// bank checkpointed progress, release the surviving nodes, and
     /// requeue at the head of the line.
     fn evict_job(&mut self, _sched: &mut Scheduler<FleetEvent>, job: u32, leaving: u32, at_ps: u64) {
-        let tau = self.cfg.checkpoint_interval.as_ps();
+        let tau = CHECKPOINT_INTERVAL.as_ps();
         let restart = self.cfg.restart_cost;
         let rec = &mut self.jobs[job as usize];
         let since = rec.running_since.take().expect("evicted job was running");
@@ -693,11 +651,7 @@ impl FleetSim {
         // Restart overhead produces no progress; past it, only whole
         // checkpoint intervals survive the eviction.
         let work = elapsed - rec.restart_cost;
-        // tau == 0 means continuous checkpointing: everything survives.
-        let durable_gain = match work.as_ps().checked_div(tau) {
-            Some(intervals) => SimDuration::from_ps(intervals * tau),
-            None => work,
-        };
+        let durable_gain = SimDuration::from_ps(work.as_ps() / tau * tau);
         let remaining = rec.total - rec.durable;
         let durable_gain = durable_gain.min(remaining);
         rec.durable += durable_gain;
@@ -843,13 +797,7 @@ fn disturbances(plan: &FaultPlan, fleet_nodes: u32) -> BTreeMap<u32, Disturbance
 /// Run one fleet experiment: a pure function of `(cfg, plan)`. When an
 /// observability plane is supplied, lifecycle counters, the end-of-run
 /// census, and convergence metrics are published into it.
-///
-/// # Panics
-/// If [`FleetConfig::validate`] refuses `cfg`, with its message.
 pub fn run_fleet(cfg: FleetConfig, plan: &FaultPlan, obs: Option<&Obs>) -> FleetReport {
-    if let Err(e) = cfg.validate() {
-        panic!("{e}");
-    }
     run(cfg, plan, obs, generated_jobs(&cfg)).0
 }
 
@@ -866,7 +814,6 @@ pub(crate) fn run_batch(nodes: u32, policy: Policy, jobs: &[Job]) -> Vec<JobOutc
         controller: ControllerConfig {
             provision_time: SimDuration::ZERO,
             validate_time: SimDuration::ZERO,
-            ..ControllerConfig::default()
         },
         ..FleetConfig::default()
     };
@@ -897,7 +844,7 @@ pub(crate) fn run_batch(nodes: u32, policy: Policy, jobs: &[Job]) -> Vec<JobOutc
 /// The seeded synthetic job stream [`run_fleet`] serves.
 fn generated_jobs(cfg: &FleetConfig) -> Vec<JobRec> {
     let mut job_rng = SplitMix64::new(cfg.seed ^ 0x666C_6565_746A_6F62); // "fleetjob"
-    let width_bound = cfg.max_job_width.clamp(1, cfg.nodes) as u64;
+    let width_bound = cfg.max_job_width.min(cfg.nodes).max(1) as u64;
     let runtime_span = cfg.max_runtime.as_ps().saturating_sub(cfg.min_runtime.as_ps()).max(1);
     // Estimates ride a separate stream so the job population (widths,
     // runtimes, arrivals) is identical across policy knobs.
@@ -936,7 +883,7 @@ fn run(
     let disturbed = disturbances(plan, cfg.nodes);
     let mut sim = FleetSim {
         controller: Controller::new(cfg.controller, cfg.nodes, cfg.seed),
-        health: HealthAggregator::new(cfg.health),
+        health: HealthAggregator::default(),
         victim: (0..cfg.nodes).map(|v| disturbed.contains_key(&v)).collect(),
         disturbed,
         hb_rng: SplitMix64::new(cfg.seed ^ plan.seed ^ 0x6865_6172_7462_6561), // "heartbea"
@@ -963,7 +910,7 @@ fn run(
         useful_ps: 0,
         cfg,
     };
-    sched.after(cfg.reconcile_period, FleetEvent::Reconcile);
+    sched.after(RECONCILE_PERIOD, FleetEvent::Reconcile);
     // Each node's provision is pushed as it starts (it queues no
     // transition, and no job has arrived to dispatch).
     for node in 0..cfg.nodes {
@@ -1097,7 +1044,7 @@ mod tests {
     #[test]
     fn seeded_churn_run_is_deterministic() {
         let cfg = FleetConfig { seed: 11, ..small_cfg() };
-        let spec = ChurnSpec { events: 5, ..ChurnSpec::default() };
+        let spec = ChurnSpec { events: 5 };
         let plan = churn_plan(77, cfg.nodes, &spec);
         assert_eq!(plan, churn_plan(77, cfg.nodes, &spec), "plan is pure");
         let a = run_fleet(cfg, &plan, None);
@@ -1108,7 +1055,7 @@ mod tests {
 
     #[test]
     fn churn_plan_round_trips_and_picks_distinct_victims() {
-        let spec = ChurnSpec { events: 12, ..ChurnSpec::default() };
+        let spec = ChurnSpec { events: 12 };
         let plan = churn_plan(5, 64, &spec);
         assert_eq!(FaultPlan::from_json(&plan.to_json()).unwrap(), plan);
         assert_eq!(plan.disturbed_nodes().len(), 12, "victims are distinct");
@@ -1120,7 +1067,7 @@ mod tests {
     #[test]
     fn audit_log_respects_the_state_graph_and_occupancy() {
         let cfg = FleetConfig { seed: 3, ..small_cfg() };
-        let plan = churn_plan(9, cfg.nodes, &ChurnSpec { events: 4, ..ChurnSpec::default() });
+        let plan = churn_plan(9, cfg.nodes, &ChurnSpec { events: 4 });
         let r = run_fleet(cfg, &plan, None);
         let mut state = vec![NodeState::Provision; cfg.nodes as usize];
         let mut occupant: Vec<Option<u32>> = vec![None; cfg.nodes as usize];
@@ -1170,7 +1117,7 @@ mod tests {
             seed: 11,
             ..FleetConfig::default()
         };
-        let plan = churn_plan(77, base.nodes, &ChurnSpec { events: 5, ..ChurnSpec::default() });
+        let plan = churn_plan(77, base.nodes, &ChurnSpec { events: 5 });
         let fcfs = run_fleet(FleetConfig { policy: Policy::Fcfs, ..base }, &plan, None);
         let easy = run_fleet(FleetConfig { policy: Policy::EasyBackfill, ..base }, &plan, None);
         assert_eq!(fcfs.jobs_completed, base.jobs, "horizon covers the FCFS schedule: {fcfs:?}");
@@ -1251,34 +1198,20 @@ mod tests {
     #[test]
     fn the_fleet_preload_stays_out_of_behind() {
         let cfg = FleetConfig { nodes: 2_000, jobs: 125, ..FleetConfig::default() };
-        let plan = churn_plan(12, cfg.nodes, &ChurnSpec { events: 10, ..ChurnSpec::default() });
+        let plan = churn_plan(12, cfg.nodes, &ChurnSpec { events: 10 });
         let r = run_fleet(cfg, &plan, None);
         assert!(r.queue.behind * 100 <= r.queue.pushes(), "{:?}", r.queue);
     }
 
-    /// A zero period used to hang `run_fleet`: the event re-armed
-    /// itself at the same instant forever.
+    /// A fleet of no nodes used to panic in the job generator: the
+    /// width bound was `max_job_width.clamp(1, 0)`.
     #[test]
-    #[should_panic(expected = "FleetConfig::reconcile_period is zero")]
-    fn a_zero_reconcile_period_is_refused() {
-        let cfg = FleetConfig { nodes: 8, reconcile_period: SimDuration::ZERO, ..small_cfg() };
-        assert_eq!(
-            cfg.validate(),
-            Err(FleetConfigError::ZeroPeriod { field: "reconcile_period" })
-        );
-        run_fleet(cfg, &FaultPlan::new(0), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "FleetConfig::health.heartbeat_period is zero")]
-    fn a_zero_heartbeat_period_is_refused() {
-        let health = HealthConfig { heartbeat_period: SimDuration::ZERO, ..HealthConfig::default() };
-        let cfg = FleetConfig { nodes: 8, health, ..small_cfg() };
-        assert_eq!(
-            cfg.validate(),
-            Err(FleetConfigError::ZeroPeriod { field: "health.heartbeat_period" })
-        );
-        run_fleet(cfg, &FaultPlan::new(0).crash_node(3, SimTime(600 * PS_PER_SEC)), None);
+    fn a_zero_node_fleet_starts_no_job() {
+        let cfg = FleetConfig { nodes: 0, ..small_cfg() };
+        let r = run_fleet(cfg, &FaultPlan::new(0), None);
+        assert_eq!(r.census, [0; 7]);
+        assert_eq!(r.jobs_completed, 0);
+        assert!(!r.audit.iter().any(|e| matches!(e, AuditEvent::JobStart { .. })), "{r:?}");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Fused per-node health verdicts: heartbeat silence + NIC/link fault
 //! signals.
 //!
-//! The heartbeat timeout ([`HealthConfig::timeout`]) answers "how long
+//! The heartbeat timeout ([`HEARTBEAT_TIMEOUT`]) answers "how long
 //! after the last heartbeat do we declare death?"; the chaos
 //! fabric surfaces link-level symptoms (carrier loss during a flap
 //! window, error completions from a bursty channel) well before a full
@@ -9,7 +9,7 @@
 //! three verdicts per node:
 //!
 //! * [`HealthVerdict::Failed`] — heartbeat silence past the detector
-//!   timeout (`period × missed_threshold`): treat as fail-stop.
+//!   timeout (`HEARTBEAT_PERIOD × MISSED_THRESHOLD`): treat as fail-stop.
 //! * [`HealthVerdict::Suspect`] — at least one missed heartbeat, or
 //!   NIC/link faults at or above the threshold inside the sliding
 //!   window: drain, don't evict.
@@ -30,43 +30,26 @@ pub enum HealthVerdict {
     Failed,
 }
 
-/// Aggregator thresholds. `Failed` fires [`HealthConfig::timeout`]
-/// (`heartbeat_period × missed_threshold`) after the last arrival.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HealthConfig {
-    /// Expected heartbeat period.
-    pub heartbeat_period: SimDuration,
-    /// Consecutive missed periods before `Failed`.
-    pub missed_threshold: u32,
-    /// Sliding window over which link faults are counted.
-    pub link_fault_window: SimDuration,
-    /// Link faults within the window to report `Suspect`.
-    pub link_fault_threshold: u32,
-}
+/// Expected heartbeat period.
+pub(crate) const HEARTBEAT_PERIOD: SimDuration = SimDuration::from_secs(10);
 
-impl Default for HealthConfig {
-    fn default() -> Self {
-        HealthConfig {
-            heartbeat_period: SimDuration::from_secs(10),
-            missed_threshold: 3,
-            link_fault_window: SimDuration::from_secs(60),
-            link_fault_threshold: 3,
-        }
-    }
-}
+/// Consecutive missed periods before `Failed`.
+const MISSED_THRESHOLD: u64 = 3;
 
-impl HealthConfig {
-    /// Silence span after which a node is `Failed`.
-    pub fn timeout(&self) -> SimDuration {
-        self.heartbeat_period.saturating_mul(self.missed_threshold as u64)
-    }
+/// Silence span after which a node is `Failed`:
+/// `HEARTBEAT_PERIOD × MISSED_THRESHOLD` after the last arrival.
+pub const HEARTBEAT_TIMEOUT: SimDuration =
+    SimDuration::from_ps(HEARTBEAT_PERIOD.as_ps() * MISSED_THRESHOLD);
 
-    /// Silence span after which a node is at least `Suspect`: one full
-    /// period with slack for arrival jitter.
-    fn suspect_after(&self) -> SimDuration {
-        self.heartbeat_period.saturating_mul(2)
-    }
-}
+/// Silence span after which a node is at least `Suspect`: one full
+/// period with slack for arrival jitter.
+const SUSPECT_AFTER: SimDuration = SimDuration::from_ps(HEARTBEAT_PERIOD.as_ps() * 2);
+
+/// Sliding window over which link faults are counted.
+const LINK_FAULT_WINDOW: SimDuration = SimDuration::from_secs(60);
+
+/// Link faults within the window to report `Suspect`.
+const LINK_FAULT_THRESHOLD: u32 = 3;
 
 #[derive(Debug, Clone)]
 struct NodeHealth {
@@ -79,21 +62,12 @@ struct NodeHealth {
 /// of link-fault signals. Keyed by a `BTreeMap` so iteration over
 /// registered nodes is deterministic (the reconcile loop depends on
 /// this for bit-identical replays).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct HealthAggregator {
-    cfg: HealthConfig,
     nodes: BTreeMap<u32, NodeHealth>,
 }
 
 impl HealthAggregator {
-    pub fn new(cfg: HealthConfig) -> Self {
-        HealthAggregator { cfg, nodes: BTreeMap::new() }
-    }
-
-    pub fn config(&self) -> &HealthConfig {
-        &self.cfg
-    }
-
     /// Start tracking `node`, treating `now` as a baseline heartbeat.
     pub fn register(&mut self, node: u32, now: SimTime) {
         self.nodes
@@ -117,7 +91,7 @@ impl HealthAggregator {
             .entry(node)
             .or_insert(NodeHealth { last_beat: at, faults: VecDeque::new() });
         rec.faults.push_back(at);
-        let horizon = at.as_ps().saturating_sub(self.cfg.link_fault_window.as_ps());
+        let horizon = at.as_ps().saturating_sub(LINK_FAULT_WINDOW.as_ps());
         while rec.faults.front().is_some_and(|t| t.as_ps() < horizon) {
             rec.faults.pop_front();
         }
@@ -126,7 +100,7 @@ impl HealthAggregator {
     /// Link faults inside the window ending at `now`.
     fn recent_faults(&self, node: u32, now: SimTime) -> u32 {
         let Some(rec) = self.nodes.get(&node) else { return 0 };
-        let horizon = now.as_ps().saturating_sub(self.cfg.link_fault_window.as_ps());
+        let horizon = now.as_ps().saturating_sub(LINK_FAULT_WINDOW.as_ps());
         rec.faults.iter().filter(|t| t.as_ps() >= horizon && t.as_ps() <= now.as_ps()).count()
             as u32
     }
@@ -138,11 +112,11 @@ impl HealthAggregator {
             return HealthVerdict::Ok;
         };
         let silence = now.since(rec.last_beat);
-        if silence >= self.cfg.timeout() {
+        if silence >= HEARTBEAT_TIMEOUT {
             return HealthVerdict::Failed;
         }
-        if silence >= self.cfg.suspect_after()
-            || self.recent_faults(node, now) >= self.cfg.link_fault_threshold
+        if silence >= SUSPECT_AFTER
+            || self.recent_faults(node, now) >= LINK_FAULT_THRESHOLD
         {
             return HealthVerdict::Suspect;
         }
@@ -160,7 +134,7 @@ mod tests {
     use super::*;
 
     fn agg() -> HealthAggregator {
-        HealthAggregator::new(HealthConfig::default())
+        HealthAggregator::default()
     }
 
     fn secs(s: u64) -> SimTime {
@@ -180,7 +154,7 @@ mod tests {
         assert_eq!(a.verdict(1, secs(10)), HealthVerdict::Ok);
         // ≥ 2 periods of silence: suspect.
         assert_eq!(a.verdict(1, secs(20)), HealthVerdict::Suspect);
-        // ≥ missed_threshold periods: failed.
+        // ≥ MISSED_THRESHOLD periods: failed.
         assert_eq!(a.verdict(1, secs(30)), HealthVerdict::Failed);
         // A heartbeat recovers the verdict completely.
         a.note_heartbeat(1, secs(31));

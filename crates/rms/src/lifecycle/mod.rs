@@ -22,7 +22,7 @@
 //! node).
 //!
 //! Health is a fused verdict ([`health::HealthAggregator`]): heartbeat
-//! silence past [`health::HealthConfig::timeout`] combined with NIC/link
+//! silence past [`health::HEARTBEAT_TIMEOUT`] combined with NIC/link
 //! fault signals surfaced by the chaos fabric. Only `Healthy` nodes are
 //! schedulable; `Degraded` nodes drain; jobs on dying nodes requeue
 //! through checkpoint-restart accounting.
@@ -43,8 +43,6 @@ pub mod health;
 pub mod state;
 
 pub use controller::{Controller, ControllerConfig, OpKind, StartedOp, TransitionRecord};
-pub use fleet::{
-    churn_plan, run_fleet, AuditEvent, ChurnSpec, FleetConfig, FleetConfigError, FleetReport,
-};
-pub use health::{HealthAggregator, HealthConfig, HealthVerdict};
+pub use fleet::{churn_plan, run_fleet, AuditEvent, ChurnSpec, FleetConfig, FleetReport};
+pub use health::{HealthAggregator, HealthVerdict};
 pub use state::NodeState;

@@ -8,12 +8,11 @@
 //! lifecycle-conservation audit replays event logs against the same
 //! table — so an illegal transition cannot hide in a code path.
 
-use serde::{Deserialize, Serialize};
 
 /// One node's lifecycle state. Exactly one state per node at every
 /// instant — the controller stores states densely and transitions are
 /// atomic log records, which is what the conservation ledger checks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum NodeState {
     /// Being imaged / configured; not yet part of the fleet.
     Provision,

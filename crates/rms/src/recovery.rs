@@ -9,10 +9,9 @@
 
 use crate::checkpoint::{simulate_checkpointing, CheckpointParams};
 use crate::workload::FailureModel;
-use serde::{Deserialize, Serialize};
 
 /// What happens to a job when a node it occupies fails.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecoveryPolicy {
     /// Restart from the beginning (the era's default).
     RestartFromScratch,
@@ -24,7 +23,7 @@ pub enum RecoveryPolicy {
 }
 
 /// Result of running one job to completion under failures.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RecoveryOutcome {
     /// Wall time to finish, seconds.
     pub wall: f64,

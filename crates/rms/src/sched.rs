@@ -19,10 +19,9 @@
 
 use crate::job::{Job, JobOutcome, ScheduleMetrics};
 use crate::timeline::Timeline;
-use serde::{Deserialize, Serialize};
 
 /// Scheduling policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Policy {
     Fcfs,
     /// Reservation for the queue head only; anything may backfill that

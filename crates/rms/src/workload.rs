@@ -10,37 +10,33 @@
 
 use crate::job::Job;
 use polaris_simnet::rng::SplitMix64;
-use serde::{Deserialize, Serialize};
 
 /// Workload generator parameters.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct WorkloadConfig {
     /// Mean inter-arrival time, seconds.
     pub mean_interarrival: f64,
-    /// Log-normal runtime: mean of ln(runtime).
-    pub runtime_mu: f64,
-    /// Log-normal runtime: std-dev of ln(runtime).
-    pub runtime_sigma: f64,
     /// Maximum job width as a power of two exponent (width ≤ 2^this).
     pub max_width_log2: u32,
-    /// Probability a width is an exact power of two.
-    pub pow2_fraction: f64,
-    /// Estimates are runtime × U(1, this).
-    pub max_overestimate: f64,
 }
 
 impl Default for WorkloadConfig {
     fn default() -> Self {
         WorkloadConfig {
             mean_interarrival: 600.0, // ~144 jobs/day
-            runtime_mu: 6.5,          // median ~11 min
-            runtime_sigma: 1.8,
-            max_width_log2: 6, // up to 64 nodes
-            pow2_fraction: 0.75,
-            max_overestimate: 5.0,
+            max_width_log2: 6,        // up to 64 nodes
         }
     }
 }
+
+/// Log-normal runtime: mean of ln(runtime) (median ~11 min).
+const RUNTIME_MU: f64 = 6.5;
+/// Log-normal runtime: std-dev of ln(runtime).
+const RUNTIME_SIGMA: f64 = 1.8;
+/// Probability a width is an exact power of two.
+const POW2_FRACTION: f64 = 0.75;
+/// Estimates are runtime × U(1, this).
+const MAX_OVERESTIMATE: f64 = 5.0;
 
 /// Generate `n` jobs deterministically from `seed`.
 pub fn generate(cfg: &WorkloadConfig, n: usize, seed: u64) -> Vec<Job> {
@@ -50,13 +46,10 @@ pub fn generate(cfg: &WorkloadConfig, n: usize, seed: u64) -> Vec<Job> {
     (0..n)
         .map(|i| {
             t += rng.exp(rate);
-            let r = rng
-                .normal(cfg.runtime_mu, cfg.runtime_sigma)
-                .exp()
-                .clamp(1.0, 86_400.0);
-            let e = r * (1.0 + (cfg.max_overestimate - 1.0) * rng.next_f64());
+            let r = rng.normal(RUNTIME_MU, RUNTIME_SIGMA).exp().clamp(1.0, 86_400.0);
+            let e = r * (1.0 + (MAX_OVERESTIMATE - 1.0) * rng.next_f64());
             let exp = rng.next_below(u64::from(cfg.max_width_log2) + 1) as u32;
-            let width = if rng.chance(cfg.pow2_fraction) {
+            let width = if rng.chance(POW2_FRACTION) {
                 1u32 << exp
             } else {
                 1 + rng.next_below(1u64 << cfg.max_width_log2) as u32
@@ -68,7 +61,7 @@ pub fn generate(cfg: &WorkloadConfig, n: usize, seed: u64) -> Vec<Job> {
 
 /// Per-node failure model: exponential time-to-failure (constant hazard),
 /// the standard first-order assumption for commodity parts.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct FailureModel {
     /// Per-node mean time between failures, seconds.
     pub node_mtbf: f64,

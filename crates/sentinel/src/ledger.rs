@@ -471,10 +471,7 @@ pub fn lifecycle_conservation(spec: &WorkloadSpec) -> Vec<Violation> {
         record_audit: true,
         ..FleetConfig::default()
     };
-    let churn = ChurnSpec {
-        events: spec.msgs % 13,
-        ..ChurnSpec::default()
-    };
+    let churn = ChurnSpec { events: spec.msgs % 13 };
     let plan = churn_plan(spec.chaos_seed, nodes, &churn);
     let obs = Obs::new();
     let report = run_fleet(cfg, &plan, Some(&obs));

@@ -31,7 +31,7 @@ use std::sync::{Arc, Mutex};
 /// One traffic phase: `tokens` ring tokens, each living `hops` hops,
 /// with an extra per-hop delay of `stagger` ps on top of the channel
 /// lookahead.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PhaseCfg {
     pub tokens: u32,
     pub hops: u32,
@@ -47,7 +47,7 @@ impl Canonical for PhaseCfg {
 }
 
 /// A phase-segmented workload spec.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PhasedSpec {
     pub hosts: u32,
     pub nshards: u32,

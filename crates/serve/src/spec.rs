@@ -12,7 +12,6 @@ use polaris_collectives::prelude::*;
 use polaris_simnet::link::Generation;
 use polaris_simnet::network::Network;
 use polaris_simnet::topology::{Topology, TopologyKind};
-use serde::{Deserialize, Serialize};
 
 /// One sweep point: a collective at a scale with a payload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,7 +54,7 @@ fn collective_name(c: Collective) -> &'static str {
 }
 
 /// The simulated answer for one point.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PointResult {
     /// Completion time of the slowest rank, picoseconds.
     pub completion_ps: u64,

@@ -221,7 +221,7 @@ impl FaultPlan {
 }
 
 /// Why a transfer was dropped.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DropCause {
     /// Uniform i.i.d. loss.
     Uniform,
@@ -234,7 +234,7 @@ pub enum DropCause {
 }
 
 /// What the injector did to one transfer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultAction {
     Drop(DropCause),
     Corrupt,
@@ -242,7 +242,7 @@ pub enum FaultAction {
 
 /// One replay-log entry: an injected fault, with enough context to
 /// reproduce and audit the decision.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultEvent {
     /// Simulation time of the affected transfer, picoseconds.
     pub at_ps: u64,

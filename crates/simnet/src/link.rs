@@ -12,10 +12,9 @@
 //! experiments depend on their relative shape, not their third digit.
 
 use crate::time::{SimDuration, SimTime, PS_PER_SEC};
-use serde::{Deserialize, Serialize};
 
 /// Physical/link-layer model of one interconnect technology.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkModel {
     /// Usable data bandwidth in bytes per second (after coding overhead).
     pub bandwidth_bps: u64,
@@ -35,7 +34,7 @@ pub struct LinkModel {
 pub type SimDurationPs = u64;
 
 /// The interconnect generations discussed in the keynote.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Generation {
     /// 100 Mb/s switched Fast Ethernet, the baseline Beowulf fabric.
     FastEthernet,

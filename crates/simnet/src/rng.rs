@@ -178,7 +178,7 @@ mod tests {
         let cases: [(u64, Draw, u64); 10] = [
             (1, |r, _| r.exp(1.0 / 600.0).to_bits(), 0x3287055bc27bf9fb),
             (2, |r, _| r.exp(1.0 / 21_600.0).to_bits(), 0x98559d5de183aed5),
-            // `WorkloadConfig::default()`'s runtime mu / sigma, normal and log-normal.
+            // `rms::workload`'s `RUNTIME_MU` / `RUNTIME_SIGMA`, normal and log-normal.
             (3, |r, _| r.normal(6.5, 1.8).to_bits(), 0x02987f3614e23113),
             (4, |r, _| r.normal(6.5, 1.8).exp().to_bits(), 0x0ebb60ae1befec2c),
             // Uniform(1, 5): the default overestimate factor.

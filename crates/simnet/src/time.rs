@@ -58,22 +58,22 @@ impl SimDuration {
     pub const ZERO: SimDuration = SimDuration(0);
 
     #[inline]
-    pub fn from_ps(ps: u64) -> Self {
+    pub const fn from_ps(ps: u64) -> Self {
         SimDuration(ps)
     }
 
     #[inline]
-    pub fn from_ns(ns: u64) -> Self {
+    pub const fn from_ns(ns: u64) -> Self {
         SimDuration(ns * PS_PER_NS)
     }
 
     #[inline]
-    pub fn from_us(us: u64) -> Self {
+    pub const fn from_us(us: u64) -> Self {
         SimDuration(us * PS_PER_US)
     }
 
     #[inline]
-    pub fn from_secs(s: u64) -> Self {
+    pub const fn from_secs(s: u64) -> Self {
         SimDuration(s * PS_PER_SEC)
     }
 
@@ -84,7 +84,7 @@ impl SimDuration {
     }
 
     #[inline]
-    pub fn as_ps(self) -> u64 {
+    pub const fn as_ps(self) -> u64 {
         self.0
     }
 

@@ -200,8 +200,8 @@ impl Topology {
     }
 
     /// Like [`Topology::new`], but additionally builds the explicit
-    /// per-link reference table so [`Topology::route_reference`] and
-    /// [`Topology::reference_links`] work. O(links) memory — for oracle
+    /// per-link reference table so [`Topology::route_reference`]
+    /// works. O(links) memory — for oracle
     /// and property tests only.
     pub fn new_reference(kind: TopologyKind) -> Self {
         let mut t = Self::new(kind);
@@ -895,14 +895,10 @@ impl Topology {
     // Reference graph (oracle half)
     // -----------------------------------------------------------------
 
-    /// Whether the explicit reference table is present.
-    pub fn has_reference(&self) -> bool {
-        self.reference.is_some()
-    }
-
     /// The explicit reference link table (panics without
     /// [`Topology::new_reference`]).
-    pub fn reference_links(&self) -> &[(Vertex, Vertex)] {
+    #[cfg(test)]
+    fn reference_links(&self) -> &[(Vertex, Vertex)] {
         &self.reference.as_ref().expect("reference graph not built").links
     }
 
@@ -1903,7 +1899,7 @@ mod tests {
             hosts_per_router: 16,
         });
         assert_eq!(t.hosts(), 1 << 20);
-        assert!(!t.has_reference());
+        assert!(t.reference.is_none());
         let mut total = 0u64;
         for (s, d) in [(0, 1), (0, 1_000_000), (123_456, 987_654), (7, 524_288)] {
             let h = t.hops(s, d);

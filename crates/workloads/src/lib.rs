@@ -21,7 +21,7 @@
 //! * [`paramserver`] — parameter-server push/pull,
 //! * [`shuffle`] — MapReduce-style all-to-all shuffle,
 //! * [`serving`] — a latency-SLO key-value tier with open-loop Poisson
-//!   arrivals and a p99 gate.
+//!   arrivals, reporting its p99.
 //!
 //! Every generator is a pure function of its config. A program holds
 //! the ops a compiler writes itself ([`SchedOp::Work`] phases, halo and
@@ -70,7 +70,7 @@ pub enum WorkloadKind {
     ParamServer,
     /// MapReduce shuffle (all-to-all).
     Shuffle,
-    /// Latency-SLO key-value serving (open-loop, p99 gate).
+    /// Latency-SLO key-value serving (open-loop, p99 reported).
     Serving,
 }
 

@@ -1,7 +1,7 @@
 //! Parameter-server push/pull: the asynchronous-looking pattern, run
 //! synchronously per step so it stays a deterministic schedule.
 //!
-//! Ranks `0..servers` are parameter servers, the rest are workers. Each
+//! Ranks `0..SERVERS` are parameter servers, the rest are workers. Each
 //! step a worker computes its gradients ([`DGEMM`] profile), pushes one
 //! shard to every server (nonblocking sends), then pulls the updated
 //! shards back (blocking receives). A server drains one push from every
@@ -17,36 +17,31 @@ use polaris_collectives::simx::SchedOp;
 
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ParamServerConfig {
-    /// Parameter-server ranks (must leave at least one worker).
-    pub servers: u32,
     /// Synchronous steps.
     pub steps: u32,
     /// Bytes pushed per worker per server per step (one shard).
     pub shard_bytes: u64,
-    /// Gradient-computation flops per worker per step.
-    pub flops_per_step: f64,
-    /// Update-apply flops per server per step.
-    pub apply_flops: f64,
 }
 
 impl Default for ParamServerConfig {
     fn default() -> Self {
-        ParamServerConfig {
-            servers: 4,
-            steps: 4,
-            shard_bytes: 1 << 20,
-            flops_per_step: 1e8,
-            apply_flops: 1e7,
-        }
+        ParamServerConfig { steps: 4, shard_bytes: 1 << 20 }
     }
 }
 
+/// Parameter-server ranks (clamped to leave at least one worker).
+const SERVERS: u32 = 4;
+/// Gradient-computation flops per worker per step.
+const FLOPS_PER_STEP: f64 = 1e8;
+/// Update-apply flops per server per step.
+const APPLY_FLOPS: f64 = 1e7;
+
 /// Compile the push/pull loop for `p` ranks of `node`.
 pub fn compile(cfg: &ParamServerConfig, node: &NodeModel, p: u32) -> Compiled {
-    let servers = cfg.servers.min(p.saturating_sub(1)).max(1);
+    let servers = SERVERS.min(p.saturating_sub(1)).max(1);
     let workers = p - servers;
-    let grad = phase_ps(node, &DGEMM, cfg.flops_per_step);
-    let apply = phase_ps(node, &DAXPY, cfg.apply_flops);
+    let grad = phase_ps(node, &DGEMM, FLOPS_PER_STEP);
+    let apply = phase_ps(node, &DAXPY, APPLY_FLOPS);
 
     let programs = (0..p)
         .map(|rank| {
@@ -78,7 +73,7 @@ pub fn compile(cfg: &ParamServerConfig, node: &NodeModel, p: u32) -> Compiled {
 
     Compiled {
         programs,
-        useful_flops: (cfg.flops_per_step * workers as f64 + cfg.apply_flops * servers as f64)
+        useful_flops: (FLOPS_PER_STEP * workers as f64 + APPLY_FLOPS * servers as f64)
             * cfg.steps as f64,
     }
 }
@@ -108,7 +103,7 @@ mod tests {
 
     #[test]
     fn degenerate_two_rank_cluster_still_works() {
-        let cfg = ParamServerConfig { servers: 4, steps: 1, ..ParamServerConfig::default() };
+        let cfg = ParamServerConfig { steps: 1, ..ParamServerConfig::default() };
         let c = compile(&cfg, &pc2002(), 2);
         // Clamped to one server, one worker.
         let fabric = Fabric::crossbar(Generation::GigabitEthernet, 2);

@@ -1,4 +1,4 @@
-//! Latency-SLO key-value serving: an open-loop tier with a p99 gate.
+//! Latency-SLO key-value serving: an open-loop tier reporting its p99.
 //!
 //! Each of the `p` ranks is a serving replica receiving its own
 //! open-loop Poisson request stream (arrivals do not slow down when the
@@ -30,30 +30,21 @@ pub struct ServingConfig {
     pub requests_per_server: u32,
     /// Open-loop arrival rate per replica, requests/second.
     pub rate_hz: f64,
-    /// Store-lookup flops per request (GUPS profile).
-    pub flops_per_req: f64,
-    /// Request / response payload bytes.
-    pub req_bytes: u64,
-    pub resp_bytes: u64,
     /// Arrival-stream seed.
     pub seed: u64,
-    /// The SLO the p99 is gated against.
-    pub slo: SimDuration,
 }
 
 impl Default for ServingConfig {
     fn default() -> Self {
-        ServingConfig {
-            requests_per_server: 256,
-            rate_hz: 8_000.0,
-            flops_per_req: 2e3,
-            req_bytes: 512,
-            resp_bytes: 2048,
-            seed: 0x5E12_F00D,
-            slo: SimDuration::from_us(500),
-        }
+        ServingConfig { requests_per_server: 256, rate_hz: 8_000.0, seed: 0x5E12_F00D }
     }
 }
+
+/// Store-lookup flops per request (GUPS profile).
+const FLOPS_PER_REQ: f64 = 2e3;
+/// Request / response payload bytes.
+const REQ_BYTES: u64 = 512;
+const RESP_BYTES: u64 = 2048;
 
 /// Run the serving tier: `p` replicas of `node` over `fabric`. The tier
 /// has no engine to shard, so `jobs` (taken for the same call shape as
@@ -61,18 +52,17 @@ impl Default for ServingConfig {
 pub fn run(cfg: &ServingConfig, node: &NodeModel, fabric: &Fabric, p: u32, _jobs: u32) -> WorkloadResult {
     assert!(p > 0, "at least one replica");
     let link = fabric.link();
-    let service = phase_ps(node, &GUPS, cfg.flops_per_req);
+    let service = phase_ps(node, &GUPS, FLOPS_PER_REQ);
     let hist = Histogram::new();
     let mut completion = 0u64;
     for s in 0..p {
         // Round trip from a client half the machine away.
         let far = (s + p / 2) % p;
         let net = if far == s {
-            link.message_time(cfg.req_bytes, 1).0 + link.message_time(cfg.resp_bytes, 1).0
+            link.message_time(REQ_BYTES, 1).0 + link.message_time(RESP_BYTES, 1).0
         } else {
             let c = fabric.path_cost(s, far);
-            link.message_time(cfg.req_bytes, c.hops).0
-                + link.message_time(cfg.resp_bytes, c.hops).0
+            link.message_time(REQ_BYTES, c.hops).0 + link.message_time(RESP_BYTES, c.hops).0
                 + 2 * c.extra_ps
         };
         // Per-server Poisson stream, a pure function of (seed, server).
@@ -91,10 +81,10 @@ pub fn run(cfg: &ServingConfig, node: &NodeModel, fabric: &Fabric, p: u32, _jobs
     WorkloadResult {
         completion: SimDuration(completion),
         messages: 2 * requests,
-        payload_bytes: requests * (cfg.req_bytes + cfg.resp_bytes),
+        payload_bytes: requests * (REQ_BYTES + RESP_BYTES),
         // Every replica serves the same count at the same service time.
         compute: SimDuration(cfg.requests_per_server as u64 * service),
-        useful_flops: cfg.flops_per_req * requests as f64,
+        useful_flops: FLOPS_PER_REQ * requests as f64,
         p99: Some(SimDuration(hist.quantile(0.99))),
     }
 }
@@ -140,7 +130,7 @@ mod tests {
         let cfg = ServingConfig { rate_hz: 1e9, ..ServingConfig::default() };
         let r = run(&cfg, &node(NodeKind::Pc), &fabric, 1, 1);
         let link = fabric.link();
-        let net = link.message_time(cfg.req_bytes, 1).0 + link.message_time(cfg.resp_bytes, 1).0;
+        let net = link.message_time(REQ_BYTES, 1).0 + link.message_time(RESP_BYTES, 1).0;
         let first_arrival = r.completion.0 - r.compute.0 - net;
         assert!((1..100_000).contains(&first_arrival), "{first_arrival} ps");
     }

@@ -19,27 +19,23 @@ pub struct ShuffleConfig {
     pub rounds: u32,
     /// Bytes each rank sends to each other rank per round.
     pub bytes_per_pair: u64,
-    /// Map flops per rank per round.
-    pub map_flops: f64,
-    /// Reduce flops per rank per round.
-    pub reduce_flops: f64,
 }
 
 impl Default for ShuffleConfig {
     fn default() -> Self {
-        ShuffleConfig {
-            rounds: 2,
-            bytes_per_pair: 1 << 16,
-            map_flops: 5e8,
-            reduce_flops: 2e8,
-        }
+        ShuffleConfig { rounds: 2, bytes_per_pair: 1 << 16 }
     }
 }
 
+/// Map flops per rank per round.
+const MAP_FLOPS: f64 = 5e8;
+/// Reduce flops per rank per round.
+const REDUCE_FLOPS: f64 = 2e8;
+
 /// Compile the shuffle for `p` ranks of `node`.
 pub fn compile(cfg: &ShuffleConfig, node: &NodeModel, p: u32) -> Compiled {
-    let map = phase_ps(node, &FFT, cfg.map_flops);
-    let reduce = phase_ps(node, &FFT, cfg.reduce_flops);
+    let map = phase_ps(node, &FFT, MAP_FLOPS);
+    let reduce = phase_ps(node, &FFT, REDUCE_FLOPS);
     let programs = (0..p)
         .map(|rank| {
             let mut program = Program::default();
@@ -54,7 +50,7 @@ pub fn compile(cfg: &ShuffleConfig, node: &NodeModel, p: u32) -> Compiled {
         .collect();
     Compiled {
         programs,
-        useful_flops: (cfg.map_flops + cfg.reduce_flops) * p as f64 * cfg.rounds as f64,
+        useful_flops: (MAP_FLOPS + REDUCE_FLOPS) * p as f64 * cfg.rounds as f64,
     }
 }
 

@@ -19,16 +19,10 @@ use polaris_collectives::simx::SchedOp;
 
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StencilConfig {
-    /// Decomposition dimensionality: 2 or 3.
-    pub dims: u32,
-    /// Local subgrid side length (points per rank = `side^dims`).
+    /// Local subgrid side length (points per rank = `side^DIMS`).
     pub side: u64,
     /// Stencil sweeps.
     pub iters: u32,
-    /// Flops per grid point per sweep (7-point update: 8).
-    pub flops_per_point: f64,
-    /// Bytes per grid point on the wire (double precision).
-    pub bytes_per_point: u64,
 }
 
 impl Default for StencilConfig {
@@ -36,15 +30,16 @@ impl Default for StencilConfig {
         // 256^3 points per rank: the per-node working set of the
         // astrophysics runs, and the size at which a 2002 PC on
         // gigabit-class Ethernet lands in their measured comm band.
-        StencilConfig {
-            dims: 3,
-            side: 256,
-            iters: 4,
-            flops_per_point: 8.0,
-            bytes_per_point: 8,
-        }
+        StencilConfig { side: 256, iters: 4 }
     }
 }
+
+/// Decomposition dimensionality.
+const DIMS: u32 = 3;
+/// Flops per grid point per sweep (7-point update: 8).
+const FLOPS_PER_POINT: f64 = 8.0;
+/// Bytes per grid point on the wire (double precision).
+const BYTES_PER_POINT: u64 = 8;
 
 /// Factor `p` into `dims` near-equal factors (largest-divisor greedy),
 /// the processor grid of the decomposition. Product is always exactly
@@ -73,11 +68,10 @@ fn grid_dims(p: u32, dims: u32) -> Vec<u32> {
 
 /// Compile the stencil for `p` ranks of `node`.
 pub fn compile(cfg: &StencilConfig, node: &NodeModel, p: u32) -> Compiled {
-    assert!(cfg.dims == 2 || cfg.dims == 3, "2-D or 3-D only");
-    let grid = grid_dims(p, cfg.dims);
-    let points = cfg.side.pow(cfg.dims);
-    let face_bytes = cfg.side.pow(cfg.dims - 1) * cfg.bytes_per_point;
-    let work = phase_ps(node, &STENCIL7, cfg.flops_per_point * points as f64);
+    let grid = grid_dims(p, DIMS);
+    let points = cfg.side.pow(DIMS);
+    let face_bytes = cfg.side.pow(DIMS - 1) * BYTES_PER_POINT;
+    let work = phase_ps(node, &STENCIL7, FLOPS_PER_POINT * points as f64);
 
     let coord = |rank: u32| -> Vec<u32> {
         let mut c = Vec::with_capacity(grid.len());
@@ -131,7 +125,7 @@ pub fn compile(cfg: &StencilConfig, node: &NodeModel, p: u32) -> Compiled {
 
     Compiled {
         programs,
-        useful_flops: cfg.flops_per_point * points as f64 * p as f64 * cfg.iters as f64,
+        useful_flops: FLOPS_PER_POINT * points as f64 * p as f64 * cfg.iters as f64,
     }
 }
 
@@ -161,7 +155,7 @@ mod tests {
 
     #[test]
     fn sends_and_recvs_pair_up() {
-        let cfg = StencilConfig { side: 8, iters: 1, ..StencilConfig::default() };
+        let cfg = StencilConfig { side: 8, iters: 1 };
         let c = compile(&cfg, &pc2002(), 27);
         // Globally, every send has a matching recv on its target.
         let mut sent = std::collections::HashMap::new();
@@ -183,7 +177,7 @@ mod tests {
     #[test]
     fn no_rank_messages_itself() {
         for p in [1u32, 2, 4, 64] {
-            let cfg = StencilConfig { side: 4, iters: 1, ..StencilConfig::default() };
+            let cfg = StencilConfig { side: 4, iters: 1 };
             for (r, program) in compile(&cfg, &pc2002(), p).programs.iter().enumerate() {
                 for op in program.ops() {
                     if let SchedOp::Send { to, .. } = op {

@@ -25,8 +25,6 @@ pub struct TrainingConfig {
     pub steps: u32,
     /// Model (gradient vector) size in bytes.
     pub model_bytes: u64,
-    /// Dense flops per rank per step.
-    pub flops_per_step: f64,
     /// Hosts per hierarchy group; `0` or `1` means flat allreduce.
     pub group_size: u32,
 }
@@ -36,11 +34,13 @@ impl Default for TrainingConfig {
         TrainingConfig {
             steps: 4,
             model_bytes: 1 << 24,
-            flops_per_step: 2e8,
             group_size: 0,
         }
     }
 }
+
+/// Dense flops per rank per step.
+const FLOPS_PER_STEP: f64 = 2e8;
 
 impl TrainingConfig {
     /// Default config with the hierarchy aligned to the fabric's
@@ -74,7 +74,7 @@ fn splice_allreduce(program: &mut Program, cfg: &TrainingConfig, rank: u32, p: u
 
 /// Compile the training loop for `p` ranks of `node`.
 pub fn compile(cfg: &TrainingConfig, node: &NodeModel, p: u32) -> Compiled {
-    let work = phase_ps(node, &DGEMM, cfg.flops_per_step);
+    let work = phase_ps(node, &DGEMM, FLOPS_PER_STEP);
     let programs = (0..p)
         .map(|rank| {
             let mut program = Program::default();
@@ -87,7 +87,7 @@ pub fn compile(cfg: &TrainingConfig, node: &NodeModel, p: u32) -> Compiled {
         .collect();
     Compiled {
         programs,
-        useful_flops: cfg.flops_per_step * p as f64 * cfg.steps as f64,
+        useful_flops: FLOPS_PER_STEP * p as f64 * cfg.steps as f64,
     }
 }
 
@@ -111,7 +111,6 @@ mod tests {
                 steps: 2,
                 model_bytes: 1 << 16,
                 group_size: gs,
-                ..TrainingConfig::default()
             };
             let c = compile(&cfg, &node, 32);
             let fabric = Fabric::crossbar(Generation::InfiniBand4x, 32);
@@ -152,7 +151,6 @@ mod tests {
             steps: 1,
             model_bytes: 1 << 12,
             group_size: 16,
-            ..TrainingConfig::default()
         };
         let c = compile(&cfg, &node, 24);
         let fabric = Fabric::crossbar(Generation::GigabitEthernet, 24);

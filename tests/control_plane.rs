@@ -24,7 +24,7 @@ fn smoke_cfg() -> FleetConfig {
 
 fn smoke_plan(nodes: u32) -> FaultPlan {
     // Mixed churn: the default weights cover crash, flap, and degrade.
-    churn_plan(17, nodes, &ChurnSpec { events: 6, ..ChurnSpec::default() })
+    churn_plan(17, nodes, &ChurnSpec { events: 6 })
 }
 
 /// The fleet under churn converges: every node ends settled, every

@@ -440,7 +440,6 @@ proptest! {
         let cfg = WorkloadConfig {
             max_width_log2: 3, // widths <= 8 <= nodes
             mean_interarrival: 200.0,
-            ..WorkloadConfig::default()
         };
         let jobs = generate(&cfg, 150, seed);
         for policy in [
