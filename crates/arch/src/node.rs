@@ -13,10 +13,9 @@
 //!   usable memory bandwidth at far lower power.
 
 use crate::device::DevicePoint;
-use serde::{Deserialize, Serialize};
 
 /// The node organizations under study.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NodeKind {
     Pc,
     Blade,

@@ -7,7 +7,6 @@
 
 use crate::device::Projection;
 use crate::node::{NodeKind, NodeModel};
-use serde::{Deserialize, Serialize};
 
 /// Procurement constraint.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -21,7 +20,7 @@ pub enum Constraint {
 }
 
 /// One year's cluster-level numbers for a node track.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClusterPoint {
     pub year: u32,
     pub kind: NodeKind,
@@ -332,10 +331,8 @@ mod tests {
     }
 
     #[test]
-    fn curves_are_deterministic_and_serializable() {
-        let pts = curve(&proj(), NodeKind::Blade, Constraint::Budget(1e6), 2002..=2004);
-        let json = serde_json::to_string(&pts).unwrap();
-        let back: Vec<ClusterPoint> = serde_json::from_str(&json).unwrap();
-        assert_eq!(pts, back);
+    fn curves_are_deterministic() {
+        let run = || curve(&proj(), NodeKind::Blade, Constraint::Budget(1e6), 2002..=2004);
+        assert_eq!(run(), run());
     }
 }

@@ -5,40 +5,19 @@
 //! compute limited by the node roofline *and* communication limited by
 //! the messaging stack. This figure runs a weak-scaled 3-D stencil model
 //! (per-iteration: roofline compute + six halo exchanges) on a
-//! 1024-node cluster built from each year's era fabric and node track,
-//! and reports sustained/peak — the gap the keynote says node and
-//! software innovation must close.
+//! 1024-node cluster built from each year's era fabric (F8's era table)
+//! and node track, and reports sustained/peak — the gap the keynote says
+//! node and software innovation must close.
 
+use super::f8_decade::era;
 use crate::table::Table;
 use polaris_arch::prelude::*;
 use polaris_msg::config::Protocol;
 use polaris_msg::model::{p2p_time, HostParams};
-use polaris_obs::Obs;
-use polaris_simnet::link::{Generation, LinkModel};
-
-/// Registry series backing the figure.
-pub const PEAK_TF: &str = "f10_peak_tf";
-pub const SUSTAINED_FRAC: &str = "f10_sustained_frac";
 
 const NODES: f64 = 1024.0;
 /// Local subdomain: 128³ double-precision cells.
 const LOCAL_N: f64 = 128.0;
-
-/// Era fabric by year (as in F8).
-fn fabric(year: u32) -> LinkModel {
-    match year {
-        2002 => Generation::GigabitEthernet.link_model(),
-        2004 => Generation::Myrinet2000.link_model(),
-        2006 => Generation::InfiniBand4x.link_model(),
-        2008 => {
-            let mut l = Generation::InfiniBand4x.link_model();
-            l.bandwidth_bps *= 2;
-            l.hop_latency /= 2;
-            l
-        }
-        _ => Generation::Optical.link_model(),
-    }
-}
 
 /// Sustained fraction of peak for the stencil app on one (year, track,
 /// protocol) point.
@@ -51,7 +30,7 @@ fn sustained_fraction(year: u32, kind: NodeKind, protocol: Protocol) -> f64 {
     let t_compute = cells * flops_per_cell / compute_rate;
     // Communication: six face exchanges of LOCAL_N² cells × 8 bytes.
     let face_bytes = (LOCAL_N * LOCAL_N * 8.0) as u64;
-    let link = fabric(year);
+    let (_, link, _) = era(year);
     let host = HostParams::default();
     let t_face = p2p_time(&link, 3, face_bytes, protocol, &host);
     // Three of the six exchanges overlap pairwise (one per dimension in
@@ -63,10 +42,6 @@ fn sustained_fraction(year: u32, kind: NodeKind, protocol: Protocol) -> f64 {
 }
 
 pub fn generate() -> Vec<Table> {
-    generate_with(&Obs::new())
-}
-
-pub fn generate_with(obs: &Obs) -> Vec<Table> {
     let mut t = Table::new(
         "F10",
         "sustained/peak for a 128^3-per-node stencil on 1024 nodes",
@@ -83,28 +58,14 @@ pub fn generate_with(obs: &Obs) -> Vec<Table> {
         let ys = year.to_string();
         for kind in [NodeKind::Pc, NodeKind::SmpOnChip, NodeKind::Pim] {
             let node = NodeModel::build(kind, &Projection::default().at(year));
-            // Publish into the registry, then render the row from
-            // registry reads only — exports and figure cannot diverge.
-            let base = [("track", kind.name()), ("year", ys.as_str())];
-            obs.gauge(PEAK_TF, &base).set(node.flops * NODES / 1e12);
-            for (proto, p) in [("sockets", Protocol::Sockets), ("zerocopy", Protocol::Auto)] {
-                let labels = [("proto", proto), ("track", kind.name()), ("year", ys.as_str())];
-                obs.gauge(SUSTAINED_FRAC, &labels)
-                    .set(sustained_fraction(year, kind, p));
-            }
-            let peak_tf = obs.registry.gauge_value(PEAK_TF, &base);
-            let frac = |proto: &str| {
-                obs.registry.gauge_value(
-                    SUSTAINED_FRAC,
-                    &[("proto", proto), ("track", kind.name()), ("year", ys.as_str())],
-                )
-            };
-            let f_zc = frac("zerocopy");
+            let peak_tf = node.flops * NODES / 1e12;
+            let f_sock = sustained_fraction(year, kind, Protocol::Sockets);
+            let f_zc = sustained_fraction(year, kind, Protocol::Auto);
             t.row(vec![
                 ys.clone(),
                 kind.name().to_string(),
                 format!("{peak_tf:.1}"),
-                format!("{:.3}", frac("sockets")),
+                format!("{f_sock:.3}"),
                 format!("{f_zc:.3}"),
                 format!("{:.2}", peak_tf * f_zc),
             ]);

@@ -12,34 +12,17 @@
 //! `Reclaim`) inside the horizon.
 //!
 //! Every run is a pure function of `(config, plan)`; cells fan out
-//! across the sweep threads with per-cell observability planes merged in
-//! grid order, so the table is bit-identical at any `--jobs` count.
+//! across the sweep threads and come back in grid order, and each row is
+//! formatted from its cell's [`FleetReport`](polaris_rms::lifecycle::FleetReport),
+//! so the table is bit-identical at any `--jobs` count.
 
 use crate::table::Table;
-use polaris_obs::Obs;
 use polaris_rms::lifecycle::fleet::CHURN_WINDOW;
 use polaris_rms::lifecycle::{churn_plan, run_fleet, ChurnSpec, FleetConfig};
 use polaris_rms::sched::Policy;
 use polaris_simnet::time::SimDuration;
 
 pub const SEED: u64 = 0xF12_F1EE7;
-
-/// Per-cell results live in the registry under these gauges, labelled
-/// `{nodes, churn}` — the table is rendered purely from registry reads,
-/// so everything the figure shows is also on the wire for exporters.
-pub const CONV_MEAN_S: &str = "f12_convergence_mean_s";
-pub const CONV_MAX_S: &str = "f12_convergence_max_s";
-pub const GOODPUT_PCT: &str = "f12_goodput_pct";
-pub const FALSE_EVICT_PCT: &str = "f12_false_evict_pct";
-pub const CONVERGED: &str = "f12_converged";
-pub const REQUEUES: &str = "f12_requeues";
-pub const JOBS_DONE_PCT: &str = "f12_jobs_done_pct";
-
-/// F12b gauges, labelled `{policy}`.
-pub const POLICY_WAIT_S: &str = "f12b_mean_wait_s";
-pub const POLICY_GOODPUT_PCT: &str = "f12b_goodput_pct";
-pub const POLICY_JOBS_DONE_PCT: &str = "f12b_jobs_done_pct";
-pub const POLICY_REQUEUES: &str = "f12b_requeues";
 
 /// The admission policies the fleet now routes through the real
 /// scheduler planner (it used to hard-code strict FCFS).
@@ -93,12 +76,6 @@ fn cell_config(nodes: u32) -> FleetConfig {
 }
 
 pub fn generate() -> Vec<Table> {
-    generate_with(&Obs::new())
-}
-
-/// Run the full F12 grid against a caller-supplied observability plane
-/// and render the table from registry reads only.
-pub fn generate_with(obs: &Obs) -> Vec<Table> {
     let mut t = Table::new(
         "F12",
         "lifecycle control plane: convergence, goodput, false evictions vs churn",
@@ -115,16 +92,13 @@ pub fn generate_with(obs: &Obs) -> Vec<Table> {
             "jobs-done-%",
         ],
     );
-    let rows = crate::sweep::sweep_obs(grid(), obs, |cell_obs, (nodes, churn)| {
+    let rows = crate::sweep::sweep(grid(), |(nodes, churn)| {
         let spec = ChurnSpec { events: churn };
         let plan = churn_plan(SEED ^ ((nodes as u64) << 32) ^ churn as u64, nodes, &spec);
         let cfg = cell_config(nodes);
-        let report = run_fleet(cfg, &plan, Some(cell_obs));
+        let report = run_fleet(cfg, &plan, None);
         // Churn normalized to events per 1000 nodes per hour.
         let rate = churn as f64 / (nodes as f64 / 1000.0) / (CHURN_WINDOW.as_secs() / 3600.0);
-        let nodes_s = format!("{nodes}");
-        let churn_s = format!("{rate:.1}");
-        let labels = [("nodes", nodes_s.as_str()), ("churn", churn_s.as_str())];
         let false_pct = if report.evictions == 0 {
             0.0
         } else {
@@ -135,28 +109,17 @@ pub fn generate_with(obs: &Obs) -> Vec<Table> {
         } else {
             100.0 * report.jobs_completed as f64 / report.jobs_total as f64
         };
-        cell_obs.gauge(CONV_MEAN_S, &labels).set(report.conv_mean_s);
-        cell_obs.gauge(CONV_MAX_S, &labels).set(report.conv_max_s);
-        cell_obs.gauge(GOODPUT_PCT, &labels).set(report.goodput_pct);
-        cell_obs.gauge(FALSE_EVICT_PCT, &labels).set(false_pct);
-        cell_obs
-            .gauge(CONVERGED, &labels)
-            .set(if report.converged { 1.0 } else { 0.0 });
-        cell_obs.gauge(REQUEUES, &labels).set(report.requeues as f64);
-        cell_obs.gauge(JOBS_DONE_PCT, &labels).set(jobs_pct);
-        // Render the row purely from what the registry holds.
-        let reg = &cell_obs.registry;
         vec![
-            nodes_s.clone(),
-            churn_s.clone(),
+            format!("{nodes}"),
+            format!("{rate:.1}"),
             format!("{}", report.disturbed),
-            if reg.gauge_value(CONVERGED, &labels) == 1.0 { "yes" } else { "no" }.to_string(),
-            format!("{:.1}", reg.gauge_value(CONV_MEAN_S, &labels)),
-            format!("{:.1}", reg.gauge_value(CONV_MAX_S, &labels)),
-            format!("{:.2}", reg.gauge_value(GOODPUT_PCT, &labels)),
-            format!("{:.1}", reg.gauge_value(FALSE_EVICT_PCT, &labels)),
-            format!("{}", reg.gauge_value(REQUEUES, &labels) as u64),
-            format!("{:.1}", reg.gauge_value(JOBS_DONE_PCT, &labels)),
+            if report.converged { "yes" } else { "no" }.to_string(),
+            format!("{:.1}", report.conv_mean_s),
+            format!("{:.1}", report.conv_max_s),
+            format!("{:.2}", report.goodput_pct),
+            format!("{false_pct:.1}"),
+            format!("{}", report.requeues),
+            format!("{jobs_pct:.1}"),
         ]
     });
     for row in rows {
@@ -169,25 +132,19 @@ pub fn generate_with(obs: &Obs) -> Vec<Table> {
         "scheduler policy knob under churn: queue wait and goodput, 512 nodes",
         &["policy", "mean-wait-s", "goodput-%", "requeues", "jobs-done-%", "converged"],
     );
-    let rows = crate::sweep::sweep_obs(policies(), obs, |cell_obs, (name, policy)| {
+    let rows = crate::sweep::sweep(policies(), |(name, policy)| {
         let cfg = policy_config(policy);
         let spec = ChurnSpec { events: 20 };
         // Same plan for every policy: only the admission order differs.
         let plan = churn_plan(SEED ^ 0xF12B, cfg.nodes, &spec);
-        let report = run_fleet(cfg, &plan, Some(cell_obs));
-        let labels = [("policy", name)];
+        let report = run_fleet(cfg, &plan, None);
         let jobs_pct = 100.0 * report.jobs_completed as f64 / report.jobs_total as f64;
-        cell_obs.gauge(POLICY_WAIT_S, &labels).set(report.mean_wait_s);
-        cell_obs.gauge(POLICY_GOODPUT_PCT, &labels).set(report.goodput_pct);
-        cell_obs.gauge(POLICY_REQUEUES, &labels).set(report.requeues as f64);
-        cell_obs.gauge(POLICY_JOBS_DONE_PCT, &labels).set(jobs_pct);
-        let reg = &cell_obs.registry;
         vec![
             name.to_string(),
-            format!("{:.1}", reg.gauge_value(POLICY_WAIT_S, &labels)),
-            format!("{:.2}", reg.gauge_value(POLICY_GOODPUT_PCT, &labels)),
-            format!("{}", reg.gauge_value(POLICY_REQUEUES, &labels) as u64),
-            format!("{:.1}", reg.gauge_value(POLICY_JOBS_DONE_PCT, &labels)),
+            format!("{:.1}", report.mean_wait_s),
+            format!("{:.2}", report.goodput_pct),
+            format!("{}", report.requeues),
+            format!("{jobs_pct:.1}"),
             if report.converged { "yes" } else { "no" }.to_string(),
         ]
     });

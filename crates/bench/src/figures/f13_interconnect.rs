@@ -15,16 +15,14 @@
 //! [`CircuitScheduler`](polaris_simnet::circuit::CircuitScheduler)
 //! (paying reconfiguration per wave).
 //!
-//! Cells fan out across the sweep threads with per-cell observability
-//! planes merged in grid order; the local-stage simulations inside a
-//! cell run at `jobs = 1`, so the tables are bit-identical at any
-//! `--jobs` count (held by `tests/parallel_determinism.rs` and the CI
+//! Cells fan out across the sweep threads and come back in grid order;
+//! the local-stage simulations inside a cell run at `jobs = 1`, so the
+//! tables are bit-identical at any `--jobs` count (held by `tests/parallel_determinism.rs` and the CI
 //! byte-diff).
 
 use crate::table::Table;
 use polaris_collectives::hier::{flat_allreduce_model, simulate_hier_allreduce, InterGroup};
 use polaris_collectives::simx::ExecParams;
-use polaris_obs::Obs;
 use polaris_simnet::circuit::CircuitSchedulerConfig;
 use polaris_simnet::link::Generation;
 use polaris_simnet::rng::SplitMix64;
@@ -37,20 +35,6 @@ pub const BYTES: u64 = 4 << 20;
 
 /// Routed pairs sampled per F13a cell for the mean-hops column.
 pub const PAIR_SAMPLE: u64 = 2_000;
-
-/// Registry gauges, labelled `{topo, hosts}` — the tables are rendered
-/// purely from registry reads, so everything shown is on the wire for
-/// exporters.
-pub const LINKS: &str = "f13_links";
-pub const DIAMETER: &str = "f13_diameter_hops";
-pub const BISECTION: &str = "f13_bisection_links";
-pub const BISECTION_PER_KHOST: &str = "f13_bisection_links_per_khost";
-pub const MEAN_HOPS: &str = "f13_mean_hops";
-pub const FLAT_MS: &str = "f13_flat_allreduce_ms";
-pub const HIER_PACKET_MS: &str = "f13_hier_packet_ms";
-pub const HIER_CIRCUIT_MS: &str = "f13_hier_circuit_ms";
-pub const CIRCUIT_SPEEDUP: &str = "f13_circuit_speedup_vs_flat";
-pub const GLOBAL_MSGS: &str = "f13_global_messages";
 
 /// The five scale points, 1 k → 1 M hosts, with pinned dimensions per
 /// topology family so every row lands exactly on the power-of-two host
@@ -113,12 +97,6 @@ fn family(kind: &TopologyKind) -> (&'static str, String) {
 }
 
 pub fn generate() -> Vec<Table> {
-    generate_with(&Obs::new())
-}
-
-/// Run the full F13 grid against a caller-supplied observability plane
-/// and render both tables from registry reads only.
-pub fn generate_with(obs: &Obs) -> Vec<Table> {
     let mut ta = Table::new(
         "F13a",
         "interconnect scale sweep: links, diameter, bisection, mean hops (1k - 1M hosts)",
@@ -133,12 +111,10 @@ pub fn generate_with(obs: &Obs) -> Vec<Table> {
             "mean-hops",
         ],
     );
-    let rows = crate::sweep::sweep_obs(grid(), obs, |cell_obs, (hosts, kind)| {
+    let rows = crate::sweep::sweep(grid(), |(hosts, kind)| {
         let topo = Topology::new(kind);
         assert_eq!(topo.hosts(), hosts, "{kind:?} dims must hit the scale point");
         let (name, dims) = family(&kind);
-        let hosts_s = format!("{hosts}");
-        let labels = [("topo", name), ("hosts", hosts_s.as_str())];
         // Mean hops over a seeded pair sample, routed arithmetically.
         let mut rng = SplitMix64::new(SEED ^ ((hosts as u64) << 8) ^ name.len() as u64);
         let mut total_hops = 0u64;
@@ -148,25 +124,15 @@ pub fn generate_with(obs: &Obs) -> Vec<Table> {
             total_hops += topo.hops(s, d) as u64;
         }
         let bisect = topo.bisection_links();
-        cell_obs.gauge(LINKS, &labels).set(topo.link_count() as f64);
-        cell_obs.gauge(DIAMETER, &labels).set(topo.diameter() as f64);
-        cell_obs.gauge(BISECTION, &labels).set(bisect as f64);
-        cell_obs
-            .gauge(BISECTION_PER_KHOST, &labels)
-            .set(bisect as f64 * 1000.0 / hosts as f64);
-        cell_obs
-            .gauge(MEAN_HOPS, &labels)
-            .set(total_hops as f64 / PAIR_SAMPLE as f64);
-        let reg = &cell_obs.registry;
         vec![
-            hosts_s.clone(),
+            format!("{hosts}"),
             name.to_string(),
             dims,
-            format!("{}", reg.gauge_value(LINKS, &labels) as u64),
-            format!("{}", reg.gauge_value(DIAMETER, &labels) as u64),
-            format!("{}", reg.gauge_value(BISECTION, &labels) as u64),
-            format!("{:.1}", reg.gauge_value(BISECTION_PER_KHOST, &labels)),
-            format!("{:.2}", reg.gauge_value(MEAN_HOPS, &labels)),
+            format!("{}", topo.link_count()),
+            format!("{}", topo.diameter()),
+            format!("{bisect}"),
+            format!("{:.1}", bisect as f64 * 1000.0 / hosts as f64),
+            format!("{:.2}", total_hops as f64 / PAIR_SAMPLE as f64),
         ]
     });
     for row in rows {
@@ -202,7 +168,7 @@ pub fn generate_with(obs: &Obs) -> Vec<Table> {
             _ => None,
         })
         .collect();
-    let rows = crate::sweep::sweep_obs(fly, obs, |cell_obs, (g, a, h)| {
+    let rows = crate::sweep::sweep(fly, |(g, a, h)| {
         let group_size = a * h;
         let hosts = g * group_size;
         let link = Generation::Optical.link_model();
@@ -219,27 +185,15 @@ pub fn generate_with(obs: &Obs) -> Vec<Table> {
             1,
         );
         let ms = |ps: u64| ps as f64 / 1e9;
-        let hosts_s = format!("{hosts}");
-        let labels = [("topo", "dragonfly"), ("hosts", hosts_s.as_str())];
-        cell_obs.gauge(FLAT_MS, &labels).set(ms(flat.0));
-        cell_obs.gauge(HIER_PACKET_MS, &labels).set(ms(pkt.completion.0));
-        cell_obs.gauge(HIER_CIRCUIT_MS, &labels).set(ms(circ.completion.0));
-        cell_obs
-            .gauge(CIRCUIT_SPEEDUP, &labels)
-            .set(flat.0 as f64 / circ.completion.0.max(1) as f64);
-        cell_obs
-            .gauge(GLOBAL_MSGS, &labels)
-            .set(circ.global_messages as f64);
-        let reg = &cell_obs.registry;
         vec![
-            hosts_s.clone(),
+            format!("{hosts}"),
             format!("{g}"),
             format!("{group_size}"),
-            format!("{:.3}", reg.gauge_value(FLAT_MS, &labels)),
-            format!("{:.3}", reg.gauge_value(HIER_PACKET_MS, &labels)),
-            format!("{:.3}", reg.gauge_value(HIER_CIRCUIT_MS, &labels)),
-            format!("{}", reg.gauge_value(GLOBAL_MSGS, &labels) as u64),
-            format!("{:.2}", reg.gauge_value(CIRCUIT_SPEEDUP, &labels)),
+            format!("{:.3}", ms(flat.0)),
+            format!("{:.3}", ms(pkt.completion.0)),
+            format!("{:.3}", ms(circ.completion.0)),
+            format!("{}", circ.global_messages),
+            format!("{:.2}", flat.0 as f64 / circ.completion.0.max(1) as f64),
         ]
     });
     for row in rows {

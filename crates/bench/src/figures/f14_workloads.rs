@@ -17,15 +17,13 @@
 //! open-loop serving tier's completion is pinned by its arrival stream,
 //! so faster nodes stop helping).
 //!
-//! Cells fan out across the sweep threads with per-cell observability
-//! planes merged in grid order, and every inner simulation runs at
-//! `jobs = 1`, so the tables are bit-identical at any `--jobs` count
-//! (the workload generators themselves are shard-invariant; held by
-//! `tests/workloads.rs`).
+//! Cells fan out across the sweep threads and come back in grid order,
+//! and every inner simulation runs at `jobs = 1`, so the tables are
+//! bit-identical at any `--jobs` count (the workload generators
+//! themselves are shard-invariant; held by `tests/workloads.rs`).
 
 use crate::table::Table;
 use polaris_arch::prelude::*;
-use polaris_obs::Obs;
 use polaris_workloads::{run_workload, Fabric, WorkloadKind};
 
 pub const SEED: u64 = 0xF14_AB5;
@@ -39,15 +37,6 @@ pub const RANKS: u32 = 64;
 /// measures, delivered petaflops sits beyond every fabric — 50 TF is
 /// where the fabrics actually separate.
 pub const EFFECTIVE_TARGET: f64 = 5e13;
-
-/// Registry gauges, labelled `{workload, fabric}` (F14a) or
-/// `{workload, track}` (F14b).
-pub const EFF_GFLOPS: &str = "f14_effective_gflops";
-pub const EFF_PCT: &str = "f14_efficiency_pct";
-pub const COMM_PCT: &str = "f14_comm_pct";
-pub const P99_US: &str = "f14_p99_us";
-pub const TRACK_EFF_GFLOPS: &str = "f14_track_effective_gflops";
-pub const TRACK_COMM_PCT: &str = "f14_track_comm_pct";
 
 fn node_at(kind: NodeKind, year: u32) -> NodeModel {
     NodeModel::build(kind, &Projection::default().at(year))
@@ -69,11 +58,6 @@ fn cluster_effective(
 }
 
 pub fn generate() -> Vec<Table> {
-    generate_with(&Obs::new())
-}
-
-/// Run the full F14 grid against a caller-supplied observability plane.
-pub fn generate_with(obs: &Obs) -> Vec<Table> {
     let mut ta = Table::new(
         "F14a",
         "application workloads x interconnect generations (smp-on-chip 2008, 64 ranks)",
@@ -85,29 +69,20 @@ pub fn generate_with(obs: &Obs) -> Vec<Table> {
             cells_a.push((kind, fi));
         }
     }
-    let rows = crate::sweep::sweep_obs(cells_a, obs, |cell_obs, (kind, fi)| {
+    let rows = crate::sweep::sweep(cells_a, |(kind, fi)| {
         let node = node_at(NodeKind::SmpOnChip, 2008);
         let fabric = Fabric::standard(RANKS).swap_remove(fi);
         let r = run_workload(kind, &node, &fabric, RANKS, 1);
         let peak = RANKS as f64 * node.flops;
-        let fabric_name = fabric.name().to_string();
-        let labels = [("workload", kind.name()), ("fabric", fabric_name.as_str())];
-        cell_obs.gauge(EFF_GFLOPS, &labels).set(r.effective_flops() / 1e9);
-        cell_obs.gauge(EFF_PCT, &labels).set(100.0 * r.effective_flops() / peak);
-        cell_obs.gauge(COMM_PCT, &labels).set(100.0 * r.comm_fraction());
-        if let Some(p99) = r.p99 {
-            cell_obs.gauge(P99_US, &labels).set(p99.as_ps() as f64 / 1e6);
-        }
-        let reg = &cell_obs.registry;
         vec![
             kind.name().to_string(),
-            fabric_name.clone(),
+            fabric.name().to_string(),
             format!("{:.3}", r.completion.as_secs() * 1e3),
-            format!("{:.1}", reg.gauge_value(COMM_PCT, &labels)),
-            format!("{:.2}", reg.gauge_value(EFF_GFLOPS, &labels)),
-            format!("{:.1}", reg.gauge_value(EFF_PCT, &labels)),
+            format!("{:.1}", 100.0 * r.comm_fraction()),
+            format!("{:.2}", r.effective_flops() / 1e9),
+            format!("{:.1}", 100.0 * r.effective_flops() / peak),
             match r.p99 {
-                Some(_) => format!("{:.1}", reg.gauge_value(P99_US, &labels)),
+                Some(p99) => format!("{:.1}", p99.as_ps() as f64 / 1e6),
                 None => "-".to_string(),
             },
         ]
@@ -132,21 +107,17 @@ pub fn generate_with(obs: &Obs) -> Vec<Table> {
             cells_b.push((kind, track));
         }
     }
-    let rows = crate::sweep::sweep_obs(cells_b, obs, |cell_obs, (kind, track)| {
+    let rows = crate::sweep::sweep(cells_b, |(kind, track)| {
         let node = node_at(track, 2008);
         let fabric = Fabric::dragonfly(polaris_simnet::link::Generation::Optical, RANKS);
         let r = run_workload(kind, &node, &fabric, RANKS, 1);
         let peak = RANKS as f64 * node.flops;
-        let labels = [("workload", kind.name()), ("track", track.name())];
-        cell_obs.gauge(TRACK_EFF_GFLOPS, &labels).set(r.effective_flops() / 1e9);
-        cell_obs.gauge(TRACK_COMM_PCT, &labels).set(100.0 * r.comm_fraction());
-        let reg = &cell_obs.registry;
         vec![
             kind.name().to_string(),
             track.name().to_string(),
             format!("{:.3}", r.completion.as_secs() * 1e3),
-            format!("{:.1}", reg.gauge_value(TRACK_COMM_PCT, &labels)),
-            format!("{:.2}", reg.gauge_value(TRACK_EFF_GFLOPS, &labels)),
+            format!("{:.1}", 100.0 * r.comm_fraction()),
+            format!("{:.2}", r.effective_flops() / 1e9),
             format!("{:.1}", 100.0 * r.effective_flops() / peak),
         ]
     });
@@ -173,7 +144,7 @@ pub fn generate_with(obs: &Obs) -> Vec<Table> {
             Fabric::dragonfly_circuits(polaris_simnet::link::Generation::Optical, p)
         }),
     ];
-    let rows = crate::sweep::sweep_obs(WorkloadKind::ALL.to_vec(), obs, |_cell_obs, kind| {
+    let rows = crate::sweep::sweep(WorkloadKind::ALL.to_vec(), |kind| {
         let mut row = vec![kind.name().to_string()];
         for (_, fab) in &fabrics {
             let f: &dyn Fn(u32) -> Fabric = fab;

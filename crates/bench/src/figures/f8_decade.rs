@@ -15,7 +15,7 @@ use polaris_simnet::time::SimDuration;
 /// The commodity interconnect of each year and the host of that year
 /// (memory copy bandwidth doubles every ~3 years; the kernel path's
 /// per-message costs barely move — that is the point).
-fn era(year: u32) -> (&'static str, LinkModel, HostParams) {
+pub(crate) fn era(year: u32) -> (&'static str, LinkModel, HostParams) {
     let host = |copy_gbps: f64| HostParams {
         copy_bps: (copy_gbps * 1e9) as u64,
         ..HostParams::default()

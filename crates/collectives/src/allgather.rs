@@ -16,7 +16,6 @@ pub fn allgather_ring<C: Comm>(comm: &mut C, mine: &[u8], out: &mut [u8]) {
     if p <= 1 {
         return;
     }
-    comm.obs_enter("allgather_ring", &[("bytes", n as u64), ("ranks", p as u64)]);
     let next = (rank + 1) % p;
     let prev = (rank + p - 1) % p;
     let mut have = rank;
@@ -27,7 +26,6 @@ pub fn allgather_ring<C: Comm>(comm: &mut C, mine: &[u8], out: &mut [u8]) {
         out[incoming as usize * n..incoming as usize * n + n].copy_from_slice(&got);
         have = incoming;
     }
-    comm.obs_exit("allgather_ring", &[]);
 }
 
 /// Bruck allgather: ⌈log₂ p⌉ steps for any p; step k exchanges a block
@@ -42,7 +40,6 @@ pub fn allgather_bruck<C: Comm>(comm: &mut C, mine: &[u8], out: &mut [u8]) {
         out[..n].copy_from_slice(mine);
         return;
     }
-    comm.obs_enter("allgather_bruck", &[("bytes", n as u64), ("ranks", p as u64)]);
     // Work in "rotated" order: position j holds rank (rank + j) % p.
     let mut acc: Vec<u8> = Vec::with_capacity(n * p as usize);
     acc.extend_from_slice(mine);
@@ -69,7 +66,6 @@ pub fn allgather_bruck<C: Comm>(comm: &mut C, mine: &[u8], out: &mut [u8]) {
         out[abs as usize * n..abs as usize * n + n]
             .copy_from_slice(&acc[j as usize * n..j as usize * n + n]);
     }
-    comm.obs_exit("allgather_bruck", &[("steps", k)]);
 }
 
 /// Allgather algorithm selector.

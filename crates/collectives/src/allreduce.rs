@@ -33,7 +33,6 @@ pub fn allreduce_recursive_doubling<C: Comm, T: Reducible>(
         return;
     }
     let bytes = data.len() * T::SIZE;
-    comm.obs_enter("allreduce_rd", &[("bytes", bytes as u64), ("ranks", p as u64)]);
     let p2 = if p.is_power_of_two() {
         p
     } else {
@@ -75,7 +74,6 @@ pub fn allreduce_recursive_doubling<C: Comm, T: Reducible>(
             comm.send_bytes(rank - 1, TAG_FOLD, &to_bytes(data));
         }
     }
-    comm.obs_exit("allreduce_rd", &[]);
 }
 
 /// Ring allreduce: reduce-scatter then allgather, each p-1 steps of
@@ -87,10 +85,6 @@ pub fn allreduce_ring<C: Comm, T: Reducible>(comm: &mut C, op: ReduceOp, data: &
         return;
     }
     let n = data.len();
-    comm.obs_enter(
-        "allreduce_ring",
-        &[("bytes", (n * T::SIZE) as u64), ("ranks", p as u64)],
-    );
     let next = (rank + 1) % p;
     let prev = (rank + p - 1) % p;
     let elem_chunk = |i: u32| {
@@ -117,23 +111,17 @@ pub fn allreduce_ring<C: Comm, T: Reducible>(comm: &mut C, op: ReduceOp, data: &
         let range = elem_chunk(recv_idx);
         data[range].copy_from_slice(&got);
     }
-    comm.obs_exit("allreduce_ring", &[]);
 }
 
 /// The naive composite: binomial reduce to rank 0, binomial broadcast
 /// back out. 2·log p latency and n·log p bandwidth at the root — the
 /// baseline the dedicated algorithms beat.
 pub fn allreduce_reduce_bcast<C: Comm, T: Reducible>(comm: &mut C, op: ReduceOp, data: &mut [T]) {
-    comm.obs_enter(
-        "allreduce_reduce_bcast",
-        &[("bytes", (data.len() * T::SIZE) as u64)],
-    );
     reduce_binomial(comm, 0, op, data);
     let mut bytes = to_bytes(data);
     bcast_binomial(comm, 0, &mut bytes);
     let back: Vec<T> = from_bytes(&bytes);
     data.copy_from_slice(&back);
-    comm.obs_exit("allreduce_reduce_bcast", &[]);
 }
 
 /// Allreduce algorithm selector.
@@ -200,6 +188,23 @@ mod tests {
     fn ring_various_sizes() {
         for p in [1, 2, 3, 4, 5, 8] {
             check_allreduce(AllreduceAlgo::Ring, p, 100);
+        }
+    }
+
+    #[test]
+    fn collective_host_copies_are_counted() {
+        // 8 192 u64 over 2 ranks: two 32 KiB ring steps, each a sendrecv
+        // that copies its chunk in and the peer's chunk out. At 32 KiB
+        // the wire protocol is rendezvous and copies nothing itself, so
+        // these are the communicator's own copies.
+        let out = run_world(2, MsgConfig::default(), |mut ep| {
+            let mut data = vec![1u64; 8192];
+            allreduce_ring(&mut ep, ReduceOp::Sum, &mut data);
+            assert!(data.iter().all(|&v| v == 2));
+            ep.stats().host_copy_bytes
+        });
+        for (rank, bytes) in out.into_iter().enumerate() {
+            assert!(bytes >= 2 * 2 * 32 * 1024, "rank {rank} counted {bytes} host-copy bytes");
         }
     }
 

@@ -20,10 +20,6 @@ pub fn alltoall_pairwise<C: Comm>(comm: &mut C, send: &[u8], recv: &mut [u8], n:
     if p <= 1 {
         return;
     }
-    comm.obs_enter(
-        "alltoall_pairwise",
-        &[("bytes", n as u64), ("ranks", p as u64)],
-    );
     for r in 1..p {
         let dst = (rank + r) % p;
         let src = (rank + p - r) % p;
@@ -31,7 +27,6 @@ pub fn alltoall_pairwise<C: Comm>(comm: &mut C, send: &[u8], recv: &mut [u8], n:
         let got = comm.sendrecv_bytes(dst, block, src, TAG + r as u64, n);
         recv[src as usize * n..src as usize * n + n].copy_from_slice(&got);
     }
-    comm.obs_exit("alltoall_pairwise", &[]);
 }
 
 #[cfg(test)]

@@ -13,7 +13,6 @@ pub fn barrier_dissemination<C: Comm>(comm: &mut C) {
     if p <= 1 {
         return;
     }
-    comm.obs_enter("barrier_dissemination", &[("ranks", p as u64)]);
     let mut dist = 1u32;
     let mut round = 0u64;
     while dist < p {
@@ -23,7 +22,6 @@ pub fn barrier_dissemination<C: Comm>(comm: &mut C) {
         dist <<= 1;
         round += 1;
     }
-    comm.obs_exit("barrier_dissemination", &[("rounds", round)]);
 }
 
 /// Tree barrier: gather tokens up a binomial tree rooted at 0, then
@@ -35,7 +33,6 @@ pub fn barrier_tree<C: Comm>(comm: &mut C) {
     if p <= 1 {
         return;
     }
-    comm.obs_enter("barrier_tree", &[("ranks", p as u64)]);
     // Gather phase (like a binomial reduce of nothing).
     let mut mask = 1u32;
     while mask < p {
@@ -70,7 +67,6 @@ pub fn barrier_tree<C: Comm>(comm: &mut C) {
         }
         mask >>= 1;
     }
-    comm.obs_exit("barrier_tree", &[]);
 }
 
 /// The barrier algorithms available to the tuner and benches.

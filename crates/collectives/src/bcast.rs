@@ -29,10 +29,6 @@ pub fn bcast_binomial<C: Comm>(comm: &mut C, root: u32, data: &mut [u8]) {
     if p <= 1 {
         return;
     }
-    comm.obs_enter(
-        "bcast_binomial",
-        &[("bytes", data.len() as u64), ("root", root as u64)],
-    );
     let rel = (rank + p - root) % p;
     // Receive phase: the lowest set bit of `rel` names the parent.
     let mut mask = 1u32;
@@ -54,7 +50,6 @@ pub fn bcast_binomial<C: Comm>(comm: &mut C, root: u32, data: &mut [u8]) {
         }
         mask >>= 1;
     }
-    comm.obs_exit("bcast_binomial", &[]);
 }
 
 /// Van de Geijn broadcast for large payloads: the root scatters p chunks
@@ -68,10 +63,6 @@ pub fn bcast_scatter_allgather<C: Comm>(comm: &mut C, root: u32, data: &mut [u8]
     if p <= 1 {
         return;
     }
-    comm.obs_enter(
-        "bcast_scatter_allgather",
-        &[("bytes", data.len() as u64), ("root", root as u64)],
-    );
     let rel = (rank + p - root) % p;
     let n = data.len();
     // Scatter: relative rank i receives chunk i.
@@ -100,7 +91,6 @@ pub fn bcast_scatter_allgather<C: Comm>(comm: &mut C, root: u32, data: &mut [u8]
         data[r_start..r_start + r_len].copy_from_slice(&got);
         have = incoming;
     }
-    comm.obs_exit("bcast_scatter_allgather", &[]);
 }
 
 /// Broadcast algorithm selector.

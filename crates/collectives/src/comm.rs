@@ -48,15 +48,6 @@ pub trait Comm {
     ) -> Vec<T> {
         from_bytes(&self.sendrecv_bytes(dst, &to_bytes(xs), src, tag, count * T::SIZE))
     }
-
-    /// Flight-recorder hook: a collective algorithm phase begins. The
-    /// default is a no-op so plain transports and tests need no wiring;
-    /// `Endpoint` forwards to its observability plane.
-    fn obs_enter(&mut self, _algo: &'static str, _fields: &[(&'static str, u64)]) {}
-
-    /// Flight-recorder hook: the phase opened by the matching
-    /// [`Comm::obs_enter`] ends.
-    fn obs_exit(&mut self, _algo: &'static str, _fields: &[(&'static str, u64)]) {}
 }
 
 impl Comm for Endpoint {
@@ -69,21 +60,13 @@ impl Comm for Endpoint {
     }
 
     fn send_bytes(&mut self, dst: u32, tag: u64, data: &[u8]) {
-        let mut buf = self.alloc(data.len()).expect("alloc send buffer");
-        buf.fill_from(data);
-        let buf = self.send(dst, tag, buf).expect("collective send");
-        self.release(buf);
+        self.send_slice(dst, tag, data).expect("collective send");
     }
 
     fn recv_bytes(&mut self, src: u32, tag: u64, max_len: usize) -> Vec<u8> {
-        let buf = self.alloc(max_len).expect("alloc recv buffer");
-        let (buf, info) = self
-            .recv(MatchSpec::exact(src, tag), buf)
-            .expect("collective recv");
-        let mut v = buf.to_vec();
-        v.truncate(info.len);
-        self.release(buf);
-        v
+        self.recv_vec(MatchSpec::exact(src, tag), max_len)
+            .expect("collective recv")
+            .0
     }
 
     fn sendrecv_bytes(
@@ -94,21 +77,12 @@ impl Comm for Endpoint {
         tag: u64,
         max_len: usize,
     ) -> Vec<u8> {
-        let mut sbuf = self.alloc(data.len()).expect("alloc sendrecv buffer");
-        sbuf.fill_from(data);
+        let sbuf = self.copy_in(data).expect("alloc sendrecv buffer");
         let sreq = self.isend(dst, tag, sbuf).expect("collective isend");
         let out = self.recv_bytes(src, tag, max_len);
         let sbuf = self.wait_send(sreq).expect("collective send completion");
         self.release(sbuf);
         out
-    }
-
-    fn obs_enter(&mut self, algo: &'static str, fields: &[(&'static str, u64)]) {
-        self.obs_coll_enter(algo, fields);
-    }
-
-    fn obs_exit(&mut self, algo: &'static str, fields: &[(&'static str, u64)]) {
-        self.obs_coll_exit(algo, fields);
     }
 }
 
@@ -179,13 +153,5 @@ impl<C: Comm> Comm for TracingComm<'_, C> {
             bytes: v.len() as u64,
         });
         v
-    }
-
-    fn obs_enter(&mut self, algo: &'static str, fields: &[(&'static str, u64)]) {
-        self.inner.obs_enter(algo, fields);
-    }
-
-    fn obs_exit(&mut self, algo: &'static str, fields: &[(&'static str, u64)]) {
-        self.inner.obs_exit(algo, fields);
     }
 }

@@ -276,12 +276,10 @@ impl Comm for FtComm<'_> {
         if self.down || self.observed.contains(&dst) {
             return;
         }
-        let buf = match self.ep.alloc(data.len()) {
+        let buf = match self.ep.copy_in(data) {
             Ok(b) => b,
             Err(e) => return self.absorb(e),
         };
-        let mut buf = buf;
-        buf.fill_from(data);
         let req = match self.ep.isend(dst, self.salt(tag), buf) {
             Ok(r) => r,
             Err(e) => return self.absorb(e),
@@ -326,12 +324,7 @@ impl Comm for FtComm<'_> {
         let deadline = Instant::now() + self.stall_timeout;
         loop {
             match self.ep.test_recv(req) {
-                Ok(Some((b, info))) => {
-                    let mut v = b.to_vec();
-                    v.truncate(info.len);
-                    self.ep.release(b);
-                    return v;
-                }
+                Ok(Some((b, info))) => return self.ep.copy_out(b, info.len),
                 Ok(None) => {}
                 Err(e) => {
                     self.absorb(e);
@@ -363,17 +356,12 @@ impl Comm for FtComm<'_> {
         let sreq = if self.observed.contains(&dst_w) {
             None
         } else {
-            match self.ep.alloc(data.len()) {
-                Ok(mut b) => {
-                    b.fill_from(data);
-                    match self.ep.isend(dst_w, self.salt(tag), b) {
-                        Ok(r) => Some(r),
-                        Err(e) => {
-                            self.absorb(e);
-                            None
-                        }
-                    }
-                }
+            match self
+                .ep
+                .copy_in(data)
+                .and_then(|b| self.ep.isend(dst_w, self.salt(tag), b))
+            {
+                Ok(r) => Some(r),
                 Err(e) => {
                     self.absorb(e);
                     None

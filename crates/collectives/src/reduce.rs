@@ -22,10 +22,6 @@ pub fn reduce_binomial<C: Comm, T: Reducible>(
     }
     let rel = (rank + p - root) % p;
     let bytes = data.len() * T::SIZE;
-    comm.obs_enter(
-        "reduce_binomial",
-        &[("bytes", bytes as u64), ("root", root as u64)],
-    );
     let mut mask = 1u32;
     while mask < p {
         if rel & mask == 0 {
@@ -38,12 +34,10 @@ pub fn reduce_binomial<C: Comm, T: Reducible>(
         } else {
             let parent = ((rel - mask) + root) % p;
             comm.send_bytes(parent, TAG, &to_bytes(data));
-            comm.obs_exit("reduce_binomial", &[]);
             return; // contribution forwarded; this rank is done
         }
         mask <<= 1;
     }
-    comm.obs_exit("reduce_binomial", &[]);
 }
 
 #[cfg(test)]

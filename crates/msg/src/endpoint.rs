@@ -300,9 +300,6 @@ struct SockAssembly {
 struct EpObs {
     obs: Obs,
     clock: u64,
-    /// Collective-operation epoch: incremented per span opened via
-    /// [`Endpoint::obs_coll_enter`], keying `Subject::Collective`.
-    coll_epoch: u64,
     retransmits: Counter,
     acks: Counter,
     dups: Counter,
@@ -501,7 +498,6 @@ impl Endpoint {
         );
         self.obs = Some(EpObs {
             clock: 0,
-            coll_epoch: 0,
             retransmits: obs.counter("msg_retransmits_total", &labels),
             acks: obs.counter("msg_acks_total", &labels),
             dups: obs.counter("msg_dups_total", &labels),
@@ -509,35 +505,6 @@ impl Endpoint {
             rendezvous: obs.counter("msg_rendezvous_total", &labels),
             obs,
         });
-    }
-
-    /// Open a collective-algorithm phase span. Each call starts a new
-    /// collective epoch on this rank; pair with
-    /// [`Endpoint::obs_coll_exit`]. Also bumps
-    /// `coll_ops_total{rank,algo}`. No-op when unobserved.
-    pub fn obs_coll_enter(&mut self, algo: &'static str, fields: &[(&'static str, u64)]) {
-        let rank = self.rank;
-        if let Some(o) = &mut self.obs {
-            o.coll_epoch += 1;
-            let epoch = o.coll_epoch;
-            o.obs
-                .counter(
-                    "coll_ops_total",
-                    &[("algo", algo), ("rank", &rank.to_string())],
-                )
-                .inc();
-            o.enter(Subject::Collective { rank, epoch }, algo, fields);
-        }
-    }
-
-    /// Close the span opened by the most recent
-    /// [`Endpoint::obs_coll_enter`] on this rank.
-    pub fn obs_coll_exit(&mut self, algo: &'static str, fields: &[(&'static str, u64)]) {
-        let rank = self.rank;
-        if let Some(o) = &mut self.obs {
-            let epoch = o.coll_epoch;
-            o.exit(Subject::Collective { rank, epoch }, algo, fields);
-        }
     }
 
     pub fn size(&self) -> u32 {
@@ -904,12 +871,30 @@ impl Endpoint {
         self.wait_recv(req)
     }
 
-    /// Copy-in convenience: sends an unregistered slice (one extra copy,
-    /// by definition — use `alloc` + `send` for zero-copy).
-    pub fn send_slice(&mut self, dst: u32, tag: u64, data: &[u8]) -> MsgResult<()> {
+    /// Copy an unregistered slice into a freshly allocated registered
+    /// buffer: one host copy, counted in [`EndpointStats::host_copies`].
+    pub fn copy_in(&mut self, data: &[u8]) -> MsgResult<MsgBuf> {
         let mut buf = self.alloc(data.len())?;
         buf.fill_from(data);
         self.count_copy(data.len());
+        Ok(buf)
+    }
+
+    /// Copy the first `len` bytes of a received buffer out into a fresh
+    /// vector and release the buffer: one host copy, counted in
+    /// [`EndpointStats::host_copies`].
+    pub fn copy_out(&mut self, buf: MsgBuf, len: usize) -> Vec<u8> {
+        let mut v = buf.to_vec();
+        v.truncate(len);
+        self.count_copy(len);
+        self.release(buf);
+        v
+    }
+
+    /// Copy-in convenience: sends an unregistered slice (one extra copy,
+    /// by definition — use `alloc` + `send` for zero-copy).
+    pub fn send_slice(&mut self, dst: u32, tag: u64, data: &[u8]) -> MsgResult<()> {
+        let buf = self.copy_in(data)?;
         let buf = self.send(dst, tag, buf)?;
         self.release(buf);
         Ok(())
@@ -919,11 +904,7 @@ impl Endpoint {
     pub fn recv_vec(&mut self, spec: MatchSpec, max_len: usize) -> MsgResult<(Vec<u8>, RecvInfo)> {
         let buf = self.alloc(max_len)?;
         let (buf, info) = self.recv(spec, buf)?;
-        let mut v = buf.to_vec();
-        v.truncate(info.len);
-        self.count_copy(info.len);
-        self.release(buf);
-        Ok((v, info))
+        Ok((self.copy_out(buf, info.len), info))
     }
 
     // ------------------------------------------------------------------

@@ -16,7 +16,7 @@
 //!   name + sorted labels.
 //! * [`trace`] — the [`FlightRecorder`]: a bounded ring of structured
 //!   [`TraceEvent`]s (span enter/exit and instants) keyed by
-//!   node/link/QP/endpoint/collective-epoch [`Subject`]s.
+//!   node/link/QP/endpoint/peer [`Subject`]s.
 //! * [`export`] — Prometheus-style text and JSON snapshot exporters
 //!   with fully deterministic formatting (sorted keys, no wall-clock).
 //!

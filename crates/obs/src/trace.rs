@@ -30,8 +30,6 @@ pub enum Subject {
     Endpoint { rank: u32 },
     /// A rank's view of one peer (reliability state machine).
     Peer { rank: u32, peer: u32 },
-    /// One collective operation instance on a rank.
-    Collective { rank: u32, epoch: u64 },
 }
 
 impl fmt::Display for Subject {
@@ -43,7 +41,6 @@ impl fmt::Display for Subject {
             Subject::Qp { node, qp } => write!(f, "qp:{node}/{qp}"),
             Subject::Endpoint { rank } => write!(f, "ep:{rank}"),
             Subject::Peer { rank, peer } => write!(f, "peer:{rank}->{peer}"),
-            Subject::Collective { rank, epoch } => write!(f, "coll:{rank}@{epoch}"),
         }
     }
 }
