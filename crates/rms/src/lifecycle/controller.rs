@@ -23,7 +23,10 @@
 //! * **Timeout escalation**: node-side operations (`Provision`,
 //!   `Reboot`) carry a deadline; if the completion never arrives (the
 //!   node is dead), the timeout fires and the node escalates to
-//!   `Breakfix`.
+//!   `Breakfix`. The caller arms the deadline only for an operation
+//!   whose completion cannot arrive: the fleet simulation knows from its
+//!   fault plan when a node dies, and schedules either the completion or
+//!   the timeout, never both.
 //! * **Repair budget**: every `Breakfix` entry consumes one repair; an
 //!   exhausted budget transitions straight to `Reclaim`, which bounds
 //!   the life of even a permanently flapping node and guarantees the
@@ -34,7 +37,7 @@
 //! epoch are ignored. This is what makes the controller safe against
 //! the crossed-in-flight races a discrete-event (or real) cluster
 //! produces — e.g. an operation completion arriving after the timeout
-//! path already escalated.
+//! path already escalated, or a caller that arms both.
 
 use super::state::NodeState;
 use super::HealthVerdict;
@@ -65,10 +68,10 @@ impl OpKind {
 }
 
 /// An operation the caller must schedule: complete it after `delay`
-/// (calling [`Controller::op_done`]), and — when `timeout` is set —
-/// fire [`Controller::op_timeout`] after `timeout` unless the
-/// completion arrived first (the epoch fence makes the stale one a
-/// no-op).
+/// (calling [`Controller::op_done`]) or, when `timeout` is set and the
+/// completion cannot arrive (the node is dead by then), fire
+/// [`Controller::op_timeout`] after `timeout` instead. A caller that
+/// cannot tell arms both; the epoch fence makes the later one a no-op.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StartedOp {
     pub node: u32,

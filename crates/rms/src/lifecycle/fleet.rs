@@ -401,6 +401,11 @@ impl FleetSim {
 
     /// Schedule the controller's new operations and absorb its freshly
     /// logged transitions into occupancy, audit, and metrics.
+    ///
+    /// Each operation gets one event. The plan fixes when a node dies, so
+    /// whether a node-side operation can complete is known at its start:
+    /// its deadline is armed only when the node is dead by the time the
+    /// completion would arrive, and then no completion is pushed.
     fn after_controller(
         &mut self,
         sched: &mut Scheduler<FleetEvent>,
@@ -408,9 +413,12 @@ impl FleetSim {
     ) {
         self.process_transitions(sched);
         for op in ops {
-            sched.after(op.delay, FleetEvent::OpDone { node: op.node, epoch: op.epoch });
-            if let Some(t) = op.timeout {
-                sched.after(t, FleetEvent::OpTimeout { node: op.node, epoch: op.epoch });
+            let (node, epoch) = (op.node, op.epoch);
+            match op.timeout {
+                Some(t) if self.crashed(node, sched.now() + op.delay) => {
+                    sched.after(t, FleetEvent::OpTimeout { node, epoch })
+                }
+                _ => sched.after(op.delay, FleetEvent::OpDone { node, epoch }),
             }
         }
         self.dispatch(sched);
@@ -729,11 +737,9 @@ impl World for FleetSim {
                 let Some(kind) = self.controller.pending_op(node, epoch) else {
                     return;
                 };
-                // A node-side operation never completes on a dead node;
-                // its timeout will escalate instead.
-                if kind.node_side() && self.crashed(node, sched.now()) {
-                    return;
-                }
+                // A node-side operation on a node dead by now was given
+                // its deadline instead of a completion.
+                debug_assert!(!(kind.node_side() && self.crashed(node, sched.now())));
                 let verdict = self.verdict(node, sched.now());
                 let ops = self.controller.op_done(sched.now(), node, epoch, verdict);
                 self.after_controller(sched, ops);
@@ -876,7 +882,10 @@ fn run(
 ) -> (FleetReport, Vec<JobRec>) {
     let n = cfg.nodes as usize;
     let jobs_total = jobs.len() as u32;
-    let mut sched: Scheduler<FleetEvent> = Scheduler::with_capacity(n + jobs.len());
+    // The events pushed before the run, each job's arrival, each node's
+    // provision and the first reconcile: one more here grows the arena.
+    let preload = jobs.len() + n + 1;
+    let mut sched: Scheduler<FleetEvent> = Scheduler::with_capacity(preload);
     for (job, rec) in jobs.iter().enumerate() {
         sched.at(rec.arrival, FleetEvent::Arrival { job: job as u32 });
     }
@@ -917,6 +926,7 @@ fn run(
         let op = sim.controller.provision(node);
         sim.after_controller(&mut sched, Some(op));
     }
+    debug_assert_eq!(sched.pending(), preload, "the preload outgrew its count");
     let stats = engine::run(&mut sim, &mut sched, Some(SimTime::ZERO + cfg.horizon));
 
     // Convergence: onset → last transition, per settled victim.
@@ -1192,9 +1202,9 @@ mod tests {
     }
 
     /// F12's shape at 2 000 nodes: the job arrivals over 1200 s are
-    /// pushed first, in job order, then the bootstrap's completions and
-    /// timeouts 48 to 216 s out. With the queue's cursor rebased onto
-    /// the first arrival, 6 935 of 7 796 pushes went to `behind`.
+    /// pushed first, in job order, then the bootstrap's provision
+    /// completions 48 to 72 s out. With the queue's cursor rebased onto
+    /// the first arrival, 4 932 of 5 776 pushes went to `behind`.
     #[test]
     fn the_fleet_preload_stays_out_of_behind() {
         let cfg = FleetConfig { nodes: 2_000, jobs: 125, ..FleetConfig::default() };
@@ -1257,5 +1267,68 @@ mod tests {
         // With 120s checkpoints, ≤ 120s of progress plus the detection
         // gap and 30s restart can be lost — bound it loosely.
         assert!(r.lost_node_s < 300.0, "lost {}s", r.lost_node_s);
+    }
+
+    /// The crash-free run's clock at its last event.
+    const QUIET_END_PS: u64 = 1_459_193_355_161_712;
+    /// The crashing run's clock at its last event.
+    const CRASH_END_PS: u64 = 1_680_000_000_000_000;
+
+    /// The first `(from → to)` transition of `node` in the audit log.
+    fn first_transition(r: &FleetReport, node: u32, edge: (NodeState, NodeState)) -> u64 {
+        r.audit
+            .iter()
+            .find_map(|e| match *e {
+                AuditEvent::Transition { at_ps, node: n, from, to }
+                    if n == node && (from, to) == edge =>
+                {
+                    Some(at_ps)
+                }
+                _ => None,
+            })
+            .unwrap_or_else(|| panic!("node {node} never took {edge:?}: {r:?}"))
+    }
+
+    /// A node-side op on a dead node never completes: its deadline
+    /// fires at the op's start plus three times its jittered delay and
+    /// escalates the node to `Breakfix`. Node 3 dies during its
+    /// provision; node 6 flaps into a repair and dies during the
+    /// reboot. Each delay is read from a run in which the op completes:
+    /// every provision draws its jitter at t = 0, and the flapping run
+    /// is the same run as the crashing one up to the crash.
+    #[test]
+    fn a_dead_node_escalates_at_three_times_its_op_delay() {
+        let cfg = FleetConfig { nodes: 8, jobs: 6, max_job_width: 2, ..small_cfg() };
+        let quiet = run_fleet(cfg, &FaultPlan::new(0), None);
+        // Crash-free: the run is the same whatever the queue holds.
+        assert!(quiet.converged && quiet.evictions == 0, "{quiet:?}");
+        assert_eq!((quiet.transitions, quiet.jobs_completed), (16, 6));
+        assert_eq!(quiet.end_ps, QUIET_END_PS, "{quiet:?}");
+        assert_eq!(quiet.audit.len(), 28, "{quiet:?}");
+
+        let provision = first_transition(&quiet, 3, (NodeState::Provision, NodeState::Validate));
+        let plan = FaultPlan::new(0).crash_node(3, SimTime(PS_PER_SEC)).flap_node(
+            6,
+            SimTime(400 * PS_PER_SEC),
+            45 * PS_PER_SEC,
+            600 * PS_PER_SEC,
+        );
+        let flapping = run_fleet(cfg, &plan, None);
+        let reboot = first_transition(&flapping, 6, (NodeState::Breakfix, NodeState::Reboot));
+        let booted = first_transition(&flapping, 6, (NodeState::Reboot, NodeState::Validate));
+
+        let plan = plan.crash_node(6, SimTime((reboot + booted) / 2));
+        let r = run_fleet(cfg, &plan, None);
+        assert_eq!(
+            first_transition(&r, 3, (NodeState::Provision, NodeState::Breakfix)),
+            3 * provision,
+        );
+        assert_eq!(
+            first_transition(&r, 6, (NodeState::Reboot, NodeState::Breakfix)),
+            reboot + 3 * (booted - reboot),
+        );
+        assert!(r.converged, "{r:?}");
+        assert_eq!(r.census[NodeState::Reclaim.index()], 2, "{r:?}");
+        assert_eq!(r.end_ps, CRASH_END_PS, "{r:?}");
     }
 }

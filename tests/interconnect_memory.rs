@@ -18,11 +18,12 @@
 //! executors are held the same way: O(1) schedule state and one inbox
 //! per rank, never one per rank pair. So is the event queue's re-fit: it
 //! holds a far-future preload once, not twice, at no more than 44 bytes
-//! an event.
+//! an event, and a whole fleet run at no more than 100 bytes a node.
 
 use polaris_arch::prelude::*;
 use polaris_collectives::prelude::*;
 use polaris_obs::alloc::{self, peak_live_bytes, Counting};
+use polaris_rms::lifecycle::{churn_plan, run_fleet, ChurnSpec, FleetConfig};
 use polaris_simnet::event::EventQueue;
 use polaris_simnet::link::Generation;
 use polaris_simnet::network::Network;
@@ -199,10 +200,11 @@ fn pairwise_alltoall_keeps_no_queue_per_pair() {
 }
 
 /// A re-fit moves the population out of `far`'s buffer into the wheel
-/// without holding it twice. F12's 100 k-node bootstrap pushes, before
-/// the first pop, each node's provision completion 48 to 72 s out and
-/// its timeout at three times that: 200 000 timers past the horizon of
-/// a wheel sized for link events. The first pop re-fits the wheel to
+/// without holding it twice. The preload is F12's 100 k-node bootstrap
+/// as it was while every provision armed its deadline: each node's
+/// provision completion 48 to 72 s out and its timeout at three times
+/// that, 200 000 timers past the horizon of a wheel sized for link
+/// events. The first pop re-fits the wheel to
 /// them. The bytes it holds above the preload are capped at half the
 /// preload's 24-byte handles: a re-fit that filled the buckets beside
 /// the whole buffer would hold more than all of them again.
@@ -228,8 +230,8 @@ fn a_refit_holds_a_far_future_preload_once() {
 }
 
 /// The bytes a pending event costs the queue: its arena slot (key, link
-/// and payload, stored once) plus its share of the containers. F12's
-/// preload shape, 200 000 timers 48 to 216 s out with 12-byte payloads
+/// and payload, stored once) plus its share of the containers. The
+/// preload shape above, 200 000 timers 48 to 216 s out with 12-byte payloads
 /// like `FleetEvent`, pushed into a queue sized for half of them, then
 /// the first pop and its re-fit. With each key kept in a 24-byte handle
 /// apart from its payload and `Vec` buckets, this read 53.6 bytes an
@@ -256,4 +258,22 @@ fn a_far_future_preload_costs_at_most_44_bytes_an_event() {
         per_event <= 44.0,
         "the queue held {held} bytes at once for {EVENTS} events: {per_event:.1} an event"
     );
+}
+
+/// A fleet run holds each node's bootstrap once. A 20 000-node fleet
+/// with 1 250 jobs under an 80-event churn plan, F12's shape at a fifth
+/// of its scale, run whole: while every provision pushed both its
+/// completion and a timeout that fired as a no-op after it, the run
+/// held 2 621 168 B at once in a debug build (131.1 B a node); with one
+/// event per started operation, a timeout only where the node is dead
+/// before the completion, 1 819 392 B (91.0 B a node).
+#[test]
+fn a_fleet_run_holds_at_most_100_bytes_a_node() {
+    const NODES: u32 = 20_000;
+    let cfg = FleetConfig { nodes: NODES, jobs: 1_250, ..FleetConfig::default() };
+    let plan = churn_plan(12, NODES, &ChurnSpec { events: 80 });
+    let (r, held) = peak_live_bytes(|| run_fleet(cfg, &plan, None));
+    assert!(r.converged, "{:?}", r.census);
+    let per_node = held as f64 / NODES as f64;
+    assert!(per_node <= 100.0, "the fleet held {held} bytes at once: {per_node:.1} a node");
 }
