@@ -7,7 +7,7 @@ const TAG_BRUCK: u64 = COLL_TAG_BASE + 13;
 
 /// Ring allgather: p-1 steps, each forwarding the block received last
 /// step. Bandwidth-optimal, latency O(p).
-pub fn allgather_ring<C: Comm>(comm: &mut C, mine: &[u8], out: &mut [u8]) {
+fn allgather_ring<C: Comm>(comm: &mut C, mine: &[u8], out: &mut [u8]) {
     let p = comm.size();
     let rank = comm.rank();
     let n = mine.len();
@@ -31,7 +31,7 @@ pub fn allgather_ring<C: Comm>(comm: &mut C, mine: &[u8], out: &mut [u8]) {
 /// Bruck allgather: ⌈log₂ p⌉ steps for any p; step k exchanges a block
 /// of min(2^k, p − 2^k) contributions with ranks ±2^k, then a final local
 /// rotation restores absolute order. Latency-optimal for small blocks.
-pub fn allgather_bruck<C: Comm>(comm: &mut C, mine: &[u8], out: &mut [u8]) {
+fn allgather_bruck<C: Comm>(comm: &mut C, mine: &[u8], out: &mut [u8]) {
     let p = comm.size();
     let rank = comm.rank();
     let n = mine.len();

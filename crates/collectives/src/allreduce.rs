@@ -22,11 +22,7 @@ const TAG_AG: u64 = COLL_TAG_BASE + 9;
 /// Recursive doubling with the standard non-power-of-two fold: the first
 /// `2·rem` ranks pre-combine pairwise so a power-of-two subset runs the
 /// doubling, then results fan back out.
-pub fn allreduce_recursive_doubling<C: Comm, T: Reducible>(
-    comm: &mut C,
-    op: ReduceOp,
-    data: &mut [T],
-) {
+fn allreduce_recursive_doubling<C: Comm, T: Reducible>(comm: &mut C, op: ReduceOp, data: &mut [T]) {
     let p = comm.size();
     let rank = comm.rank();
     if p <= 1 {
@@ -116,7 +112,7 @@ pub fn allreduce_ring<C: Comm, T: Reducible>(comm: &mut C, op: ReduceOp, data: &
 /// The naive composite: binomial reduce to rank 0, binomial broadcast
 /// back out. 2·log p latency and n·log p bandwidth at the root — the
 /// baseline the dedicated algorithms beat.
-pub fn allreduce_reduce_bcast<C: Comm, T: Reducible>(comm: &mut C, op: ReduceOp, data: &mut [T]) {
+fn allreduce_reduce_bcast<C: Comm, T: Reducible>(comm: &mut C, op: ReduceOp, data: &mut [T]) {
     reduce_binomial(comm, 0, op, data);
     let mut bytes = to_bytes(data);
     bcast_binomial(comm, 0, &mut bytes);

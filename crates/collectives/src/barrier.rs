@@ -7,7 +7,7 @@ const TAG: u64 = COLL_TAG_BASE + 1;
 /// Dissemination barrier: ⌈log₂ p⌉ rounds; in round k every rank sends a
 /// token to `(rank + 2^k) mod p` and waits for one from
 /// `(rank - 2^k) mod p`. Works for any p, O(log p) critical path.
-pub fn barrier_dissemination<C: Comm>(comm: &mut C) {
+fn barrier_dissemination<C: Comm>(comm: &mut C) {
     let p = comm.size();
     let rank = comm.rank();
     if p <= 1 {
@@ -27,7 +27,7 @@ pub fn barrier_dissemination<C: Comm>(comm: &mut C) {
 /// Tree barrier: gather tokens up a binomial tree rooted at 0, then
 /// broadcast release down it. 2·log₂ p critical path, half the messages
 /// of dissemination — the classic trade-off the F3 bench shows.
-pub fn barrier_tree<C: Comm>(comm: &mut C) {
+fn barrier_tree<C: Comm>(comm: &mut C) {
     let p = comm.size();
     let rank = comm.rank();
     if p <= 1 {

@@ -57,7 +57,7 @@ pub fn bcast_binomial<C: Comm>(comm: &mut C, root: u32, data: &mut [u8]) {
 /// bottleneck), then a ring allgather reassembles them everywhere.
 /// Bandwidth-optimal: each rank moves ~2·n·(p-1)/p bytes instead of the
 /// tree's n·log p at the root.
-pub fn bcast_scatter_allgather<C: Comm>(comm: &mut C, root: u32, data: &mut [u8]) {
+fn bcast_scatter_allgather<C: Comm>(comm: &mut C, root: u32, data: &mut [u8]) {
     let p = comm.size();
     let rank = comm.rank();
     if p <= 1 {

@@ -14,7 +14,6 @@
 //! (`figures -- ablations`) measures the difference.
 
 use polaris_nic::prelude::{MemoryRegion, Nic, NicResult, ProtectionDomain, Rkey};
-use polaris_obs::Counter;
 use std::collections::BTreeMap;
 
 /// A registered message buffer with a logical length within a (possibly
@@ -118,9 +117,6 @@ pub struct BufferPool {
     capacity: usize,
     cached: usize,
     stats: PoolStats,
-    hits_ctr: Option<Counter>,
-    misses_ctr: Option<Counter>,
-    evictions_ctr: Option<Counter>,
 }
 
 fn size_class(len: usize) -> u32 {
@@ -140,20 +136,7 @@ impl BufferPool {
             capacity,
             cached: 0,
             stats: PoolStats::default(),
-            hits_ctr: None,
-            misses_ctr: None,
-            evictions_ctr: None,
         }
-    }
-
-    /// Publish registration-cache activity through the observability
-    /// registry (`reg_cache_hits_total` / `reg_cache_misses_total` /
-    /// `reg_cache_evictions_total`). The counters track [`PoolStats`]
-    /// exactly — the ledger-reconciliation test holds them equal.
-    pub fn set_obs(&mut self, hits: Counter, misses: Counter, evictions: Counter) {
-        self.hits_ctr = Some(hits);
-        self.misses_ctr = Some(misses);
-        self.evictions_ctr = Some(evictions);
     }
 
     /// Get a registered buffer of at least `len` bytes with logical
@@ -164,16 +147,10 @@ impl BufferPool {
             if let Some(mr) = list.pop() {
                 self.cached -= 1;
                 self.stats.hits += 1;
-                if let Some(c) = &self.hits_ctr {
-                    c.inc();
-                }
                 return Ok(MsgBuf::from_region(mr, len));
             }
         }
         self.stats.misses += 1;
-        if let Some(c) = &self.misses_ctr {
-            c.inc();
-        }
         let mr = self.nic.register(self.pd, 1usize << class)?;
         Ok(MsgBuf::from_region(mr, len))
     }
@@ -185,9 +162,6 @@ impl BufferPool {
             self.nic.deregister(&buf.mr);
             if self.capacity != 0 {
                 self.stats.evictions += 1;
-                if let Some(c) = &self.evictions_ctr {
-                    c.inc();
-                }
             }
             return;
         }
@@ -237,8 +211,6 @@ pub struct FramePool {
     /// Maximum number of retained vectors; excess releases just drop.
     capacity: usize,
     stats: FramePoolStats,
-    hits_ctr: Option<Counter>,
-    misses_ctr: Option<Counter>,
 }
 
 impl FramePool {
@@ -247,33 +219,18 @@ impl FramePool {
             free: Vec::with_capacity(capacity.min(1024)),
             capacity,
             stats: FramePoolStats::default(),
-            hits_ctr: None,
-            misses_ctr: None,
         }
-    }
-
-    /// Publish hit/miss counts through the observability registry
-    /// (`frame_pool_hits_total` / `frame_pool_misses_total`).
-    pub fn set_obs(&mut self, hits: Counter, misses: Counter) {
-        self.hits_ctr = Some(hits);
-        self.misses_ctr = Some(misses);
     }
 
     /// Get an empty vector with at least `capacity` bytes of room.
     pub fn acquire(&mut self, capacity: usize) -> Vec<u8> {
         if let Some(mut v) = self.free.pop() {
             self.stats.hits += 1;
-            if let Some(c) = &self.hits_ctr {
-                c.inc();
-            }
             v.clear();
             v.reserve(capacity);
             return v;
         }
         self.stats.misses += 1;
-        if let Some(c) = &self.misses_ctr {
-            c.inc();
-        }
         Vec::with_capacity(capacity)
     }
 

@@ -27,7 +27,7 @@ use crate::config::{MsgConfig, Protocol, JITTER_SEED, MAX_RETRIES, SOCKETS_MTU};
 use crate::envelope::{rel_sequenced, rel_src, rel_wire_seq, stamp_rel, Envelope, HEADER_LEN};
 use crate::match_engine::{MatchEngine, MatchSpec};
 use polaris_nic::prelude::*;
-use polaris_obs::{Counter, Obs, Subject};
+use polaris_obs::{Obs, Subject};
 use polaris_simnet::fasthash::FastHashMap;
 use polaris_simnet::rng::SplitMix64;
 use std::collections::hash_map::Entry;
@@ -292,19 +292,13 @@ struct SockAssembly {
     data: Vec<u8>,
 }
 
-/// Per-endpoint observability: cached rank-labelled counters plus a
-/// logical event clock for the flight recorder. The executable stack
-/// runs on wall-clock RTO timers, so trace timestamps here are a
-/// deterministic per-endpoint operation count, not wall time (see
-/// docs/TRACE_SCHEMA.md).
+/// Per-endpoint trace plane: the flight recorder plus a logical event
+/// clock. The executable stack runs on wall-clock RTO timers, so trace
+/// timestamps here are a deterministic per-endpoint operation count,
+/// not wall time (see docs/TRACE_SCHEMA.md).
 struct EpObs {
     obs: Obs,
     clock: u64,
-    retransmits: Counter,
-    acks: Counter,
-    dups: Counter,
-    eager: Counter,
-    rendezvous: Counter,
 }
 
 impl EpObs {
@@ -378,7 +372,7 @@ pub struct Endpoint {
     stats: EndpointStats,
     /// Scratch "kernel buffer" for the sockets model's extra copies.
     kstage: Vec<u8>,
-    /// Observability plane; `None` = unobserved.
+    /// Trace plane; `None` = untraced.
     obs: Option<EpObs>,
 }
 
@@ -475,36 +469,11 @@ impl Endpoint {
         self.rank
     }
 
-    /// Attach an observability plane: match-engine hits/parks, eager vs
-    /// rendezvous protocol choices, and the reliability layer's
-    /// retransmit/ACK/dedup activity all land in the registry under
-    /// `msg_*{rank}`, with retransmits and rendezvous phases also traced
-    /// in the flight recorder.
+    /// Attach a flight recorder: each rendezvous is traced as a span
+    /// (RTS opens it, FIN closes it) and each retransmission as an
+    /// instant, under `peer:R->P`. Counts stay in [`Endpoint::stats`].
     pub fn set_obs(&mut self, obs: Obs) {
-        let r = self.rank.to_string();
-        let labels: [(&str, &str); 1] = [("rank", &r)];
-        self.matcher.set_obs(
-            obs.counter("msg_match_hits_total", &labels),
-            obs.counter("msg_match_parked_total", &labels),
-        );
-        self.frames.set_obs(
-            obs.counter("frame_pool_hits_total", &labels),
-            obs.counter("frame_pool_misses_total", &labels),
-        );
-        self.pool.set_obs(
-            obs.counter("reg_cache_hits_total", &labels),
-            obs.counter("reg_cache_misses_total", &labels),
-            obs.counter("reg_cache_evictions_total", &labels),
-        );
-        self.obs = Some(EpObs {
-            clock: 0,
-            retransmits: obs.counter("msg_retransmits_total", &labels),
-            acks: obs.counter("msg_acks_total", &labels),
-            dups: obs.counter("msg_dups_total", &labels),
-            eager: obs.counter("msg_eager_total", &labels),
-            rendezvous: obs.counter("msg_rendezvous_total", &labels),
-            obs,
-        });
+        self.obs = Some(EpObs { obs, clock: 0 });
     }
 
     pub fn size(&self) -> u32 {
@@ -919,9 +888,6 @@ impl Endpoint {
             });
         }
         self.stats.eager_sends += 1;
-        if let Some(o) = &mut self.obs {
-            o.eager.inc();
-        }
         let env = Envelope::Eager {
             src: self.rank,
             tag,
@@ -973,9 +939,6 @@ impl Endpoint {
             return Ok(req);
         }
         self.stats.eager_sends += 1;
-        if let Some(o) = &mut self.obs {
-            o.eager.inc();
-        }
         let env = Envelope::Eager {
             src: self.rank,
             tag,
@@ -1025,7 +988,6 @@ impl Endpoint {
         self.stats.rendezvous_sends += 1;
         let rank = self.rank;
         if let Some(o) = &mut self.obs {
-            o.rendezvous.inc();
             // Span: RTS opens, FIN closes.
             o.enter(
                 Subject::Peer { rank, peer: dst },
@@ -1387,9 +1349,6 @@ impl Endpoint {
         if seq <= rel.rx_cum || rel.rx_ooo.contains_key(&seq) {
             // Duplicate: its ACK was lost, so re-ACK and drop.
             self.stats.rel_dups += 1;
-            if let Some(o) = &mut self.obs {
-                o.dups.inc();
-            }
             self.send_ack(src, seq);
             self.frames.release(frame);
             return;
@@ -1577,7 +1536,6 @@ impl Endpoint {
         self.stats.rel_retransmits += 1;
         let rank = self.rank;
         if let Some(o) = &mut self.obs {
-            o.retransmits.inc();
             // The RTO timeline: each point carries the backed-off RTO
             // so a trace shows the exponential escalation per frame.
             o.instant(
@@ -1672,9 +1630,6 @@ impl Endpoint {
             cum: self.rel[src as usize].rx_cum as u32,
         };
         self.stats.rel_acks += 1;
-        if let Some(o) = &mut self.obs {
-            o.acks.inc();
-        }
         // ACKs are unsequenced and never retransmitted; a lost ACK is
         // repaired by the sender's timer and our dedup.
         let _ = self.post_frame(src, &env.encode(), None);

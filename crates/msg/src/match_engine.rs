@@ -6,7 +6,6 @@
 //! both FIFO, which yields the non-overtaking guarantee: two messages
 //! from the same sender with the same tag are received in send order.
 
-use polaris_obs::Counter;
 use std::collections::VecDeque;
 
 /// A receive's matching criteria. `None` is the wildcard.
@@ -58,10 +57,6 @@ struct Posted<R> {
 pub struct MatchEngine<R, P> {
     posted: VecDeque<Posted<R>>,
     unexpected: VecDeque<Unexpected<P>>,
-    /// Matches made (either direction); `None` when unobserved.
-    hits: Option<Counter>,
-    /// Arrivals parked as unexpected.
-    parked: Option<Counter>,
 }
 
 impl<R, P> Default for MatchEngine<R, P> {
@@ -75,17 +70,7 @@ impl<R, P> MatchEngine<R, P> {
         MatchEngine {
             posted: VecDeque::new(),
             unexpected: VecDeque::new(),
-            hits: None,
-            parked: None,
         }
-    }
-
-    /// Attach match-engine counters: `hits` counts every successful
-    /// pairing (posted receive meets arrival, whichever came second),
-    /// `parked` counts arrivals that had to wait as unexpected.
-    pub fn set_obs(&mut self, hits: Counter, parked: Counter) {
-        self.hits = Some(hits);
-        self.parked = Some(parked);
     }
 
     /// A receive is being posted: if an unexpected arrival satisfies it,
@@ -96,9 +81,6 @@ impl<R, P> MatchEngine<R, P> {
             .iter()
             .position(|u| spec.matches(u.src, u.tag))
         {
-            if let Some(c) = &self.hits {
-                c.inc();
-            }
             return self.unexpected.remove(pos);
         }
         self.posted.push_back(Posted { spec, req });
@@ -110,9 +92,6 @@ impl<R, P> MatchEngine<R, P> {
     /// via [`MatchEngine::park`].
     pub fn arrive(&mut self, src: u32, tag: u64) -> Option<R> {
         if let Some(pos) = self.posted.iter().position(|p| p.spec.matches(src, tag)) {
-            if let Some(c) = &self.hits {
-                c.inc();
-            }
             return self.posted.remove(pos).map(|p| p.req);
         }
         None
@@ -120,9 +99,6 @@ impl<R, P> MatchEngine<R, P> {
 
     /// Park an arrival that found no posted receive.
     pub fn park(&mut self, src: u32, tag: u64, payload: P) {
-        if let Some(c) = &self.parked {
-            c.inc();
-        }
         self.unexpected.push_back(Unexpected { src, tag, payload });
     }
 

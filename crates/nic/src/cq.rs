@@ -66,6 +66,10 @@ struct CqState {
     sleepers: usize,
     /// Pushes that found a sleeper and signalled the condvar.
     wakeups: u64,
+    /// Completions pushed, `[Success, any error]`, overflowed ones
+    /// included: the fabric's CQE books, kept under the lock every push
+    /// takes anyway.
+    pushed: [u64; 2],
 }
 
 struct CqInner {
@@ -92,6 +96,7 @@ impl CompletionQueue {
                     delivered: 0,
                     sleepers: 0,
                     wakeups: 0,
+                    pushed: [0; 2],
                 }),
                 cond: Condvar::new(),
                 capacity,
@@ -99,8 +104,12 @@ impl CompletionQueue {
         }
     }
 
-    /// Push a completion (NIC side). Overflow latches an error that
-    /// surfaces on the next poll, as real hardware raises a fatal event.
+    /// Push a completion (NIC side) and count it. Every CQE the crate
+    /// generates passes through here exactly once, which is what lets
+    /// the fabric's books read `wqes == cqes + armed receives` and error
+    /// CQEs reconcile against the chaos layer's injection counts.
+    /// Overflow latches an error that surfaces on the next poll, as real
+    /// hardware raises a fatal event.
     ///
     /// The condvar is signalled only when a thread is parked in
     /// `wait_one`: a sleeper registers under the same lock the push
@@ -110,6 +119,7 @@ impl CompletionQueue {
     /// completion.
     pub(crate) fn push(&self, cqe: Cqe) {
         let mut st = self.inner.state.lock().unwrap();
+        st.pushed[usize::from(cqe.status != CqeStatus::Success)] += 1;
         if st.queue.len() >= self.inner.capacity {
             st.overflowed = true;
             return;
@@ -122,6 +132,16 @@ impl CompletionQueue {
         if wake {
             self.inner.cond.notify_all();
         }
+    }
+
+    /// Completions ever pushed, `[Success, any error]`.
+    pub(crate) fn pushed(&self) -> [u64; 2] {
+        self.inner.state.lock().unwrap().pushed
+    }
+
+    /// Whether two handles share one queue.
+    pub(crate) fn same(&self, other: &CompletionQueue) -> bool {
+        Arc::ptr_eq(&self.inner, &other.inner)
     }
 
     /// Lock the queue, surfacing a latched overflow.

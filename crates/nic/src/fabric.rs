@@ -1,5 +1,5 @@
 //! The shared-memory fabric: NIC creation, out-of-band connection setup,
-//! rkey resolution, and fabric-wide DMA accounting.
+//! rkey resolution, and the fabric-wide books ([`FabricStats`]).
 //!
 //! One [`Fabric`] represents a cluster's interconnect. Each node owns a
 //! [`Nic`], through which it allocates protection domains, registers
@@ -9,21 +9,23 @@
 //! The DMA counters are how the zero-copy experiments are *verified*
 //! rather than merely asserted: tests check that the rendezvous path
 //! moves each payload byte exactly once while the eager and sockets
-//! paths move it two and four times respectively.
+//! paths move it two and four times respectively. The work-request
+//! and completion counters are the NIC's conservation ledger: every
+//! posted WQE completes exactly once, except receives still armed.
 
 use crate::chaos::{ChaosParams, ChaosState, ChaosStats, ChaosVerdict};
 use crate::cq::CompletionQueue;
 use crate::error::{NicError, Result};
 use crate::mr::{MemoryRegion, MrInner, ProtectionDomain};
-use crate::qp::{PeerLink, QpInner, QpObs, QpState, QueuePair};
+use crate::qp::{PeerLink, QpInner, QpState, QueuePair};
 use crate::srq::SharedReceiveQueue;
 use crate::types::{NodeId, PdId, QpNum, Rkey};
-use polaris_obs::{Counter, Obs};
 use polaris_simnet::fasthash::FastHashMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock, Weak};
 
-/// Fabric-wide data-movement statistics.
+/// Fabric-wide statistics: data movement, registrations, and the
+/// work-request and completion books.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FabricStats {
     /// Individual DMA operations executed.
@@ -34,6 +36,13 @@ pub struct FabricStats {
     pub registrations: u64,
     /// Bytes pinned by those registrations.
     pub registered_bytes: u64,
+    /// Work requests posted: sends on any QP, receives on a QP or a
+    /// shared receive queue.
+    pub wqes: u64,
+    /// Completions pushed with `Success`.
+    pub cqes_ok: u64,
+    /// Completions pushed with any error status, `Flushed` included.
+    pub cqes_err: u64,
 }
 
 pub(crate) struct NicInner {
@@ -47,33 +56,8 @@ pub(crate) struct NicInner {
     /// (there is no destroy verb); peers reach each other through the
     /// link `Fabric::connect` caches, never through this list.
     qps: Mutex<Vec<Arc<QpInner>>>,
-}
-
-/// Fabric-wide observability hooks: the shared plane plus counter
-/// handles cached once at attach time so hot paths pay one atomic add,
-/// not a registry lookup.
-pub(crate) struct FabObs {
-    pub(crate) obs: Obs,
-    dma_ops: Counter,
-    dma_bytes: Counter,
-    cqe_ok: Counter,
-    cqe_err: Counter,
-    chaos_drops: Counter,
-    chaos_corruptions: Counter,
-}
-
-impl FabObs {
-    fn new(obs: Obs) -> Self {
-        FabObs {
-            dma_ops: obs.counter("nic_dma_ops_total", &[]),
-            dma_bytes: obs.counter("nic_dma_bytes_total", &[]),
-            cqe_ok: obs.counter("nic_cqe_total", &[("status", "ok")]),
-            cqe_err: obs.counter("nic_cqe_total", &[("status", "err")]),
-            chaos_drops: obs.counter("nic_chaos_drops_total", &[]),
-            chaos_corruptions: obs.counter("nic_chaos_corruptions_total", &[]),
-            obs,
-        }
-    }
+    /// Its shared receive queues, kept for the books like `qps`.
+    srqs: Mutex<Vec<SharedReceiveQueue>>,
 }
 
 pub(crate) struct FabricInner {
@@ -83,16 +67,15 @@ pub(crate) struct FabricInner {
     dma_bytes: AtomicU64,
     registrations: AtomicU64,
     registered_bytes: AtomicU64,
+    /// Send WQEs. Receive WQEs are counted under the lock of the queue
+    /// they are posted to and CQEs under their CQ's, so a message pays
+    /// one atomic add here, not four.
+    sends: AtomicU64,
     /// Fault injection for two-sided sends; `None` = healthy fabric.
     chaos: Mutex<Option<ChaosState>>,
     /// Whether `chaos` is `Some`, written under its lock: a healthy
     /// fabric pays one load per send, not a lock.
     chaos_armed: AtomicBool,
-    /// Observability plane; `None` = unobserved.
-    obs: RwLock<Option<Arc<FabObs>>>,
-    /// Whether `obs` is `Some`, written under its lock: an unobserved
-    /// fabric pays one load per counted event, not a lock.
-    observed: AtomicBool,
 }
 
 impl FabricInner {
@@ -107,40 +90,13 @@ impl FabricInner {
             .ok_or(NicError::BadRkey(rkey))
     }
 
-    /// Run `f` on the attached observability plane, if there is one.
-    fn if_observed(&self, f: impl FnOnce(&FabObs)) {
-        if self.observed.load(Ordering::Acquire) {
-            if let Some(fo) = &*self.obs.read().unwrap() {
-                f(fo);
-            }
-        }
-    }
-
     pub(crate) fn count_dma(&self, bytes: u64) {
         self.dma_ops.fetch_add(1, Ordering::Relaxed);
         self.dma_bytes.fetch_add(bytes, Ordering::Relaxed);
-        self.if_observed(|fo| {
-            fo.dma_ops.inc();
-            fo.dma_bytes.add(bytes);
-        });
     }
 
-    pub(crate) fn obs(&self) -> Option<Arc<FabObs>> {
-        self.obs.read().unwrap().clone()
-    }
-
-    /// Bump the fabric-wide completion counters (`nic_cqe_total`).
-    /// Every CQE push in the crate funnels through here exactly once,
-    /// which is what lets tests reconcile error CQEs against the chaos
-    /// layer's injection counts.
-    pub(crate) fn count_cqe(&self, ok: bool) {
-        self.if_observed(|fo| {
-            if ok {
-                fo.cqe_ok.inc()
-            } else {
-                fo.cqe_err.inc()
-            }
-        });
+    pub(crate) fn count_send(&self) {
+        self.sends.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Chaos verdict for one two-sided send, or `None` when chaos is
@@ -149,13 +105,7 @@ impl FabricInner {
         if !self.chaos_armed.load(Ordering::Acquire) {
             return None;
         }
-        let verdict = self.chaos.lock().unwrap().as_mut().map(ChaosState::judge);
-        match verdict {
-            Some(ChaosVerdict::Drop) => self.if_observed(|fo| fo.chaos_drops.inc()),
-            Some(ChaosVerdict::Corrupt) => self.if_observed(|fo| fo.chaos_corruptions.inc()),
-            _ => {}
-        }
-        verdict
+        self.chaos.lock().unwrap().as_mut().map(ChaosState::judge)
     }
 }
 
@@ -180,21 +130,11 @@ impl Fabric {
                 dma_bytes: AtomicU64::new(0),
                 registrations: AtomicU64::new(0),
                 registered_bytes: AtomicU64::new(0),
+                sends: AtomicU64::new(0),
                 chaos: Mutex::new(None),
                 chaos_armed: AtomicBool::new(false),
-                obs: RwLock::new(None),
-                observed: AtomicBool::new(false),
             }),
         }
-    }
-
-    /// Attach an observability plane. DMA, completion, and chaos
-    /// counters land in the registry under `nic_*`; QPs created after
-    /// this call additionally get per-QP `nic_qp_*{node,qp}` series.
-    pub fn set_obs(&self, obs: Obs) {
-        let mut slot = self.inner.obs.write().unwrap();
-        *slot = Some(Arc::new(FabObs::new(obs)));
-        self.inner.observed.store(true, Ordering::Release);
     }
 
     /// Arm deterministic fault injection on every two-sided send
@@ -225,6 +165,7 @@ impl Fabric {
             next_qp: AtomicU32::new(0),
             mrs: RwLock::new(FastHashMap::default()),
             qps: Mutex::new(Vec::new()),
+            srqs: Mutex::new(Vec::new()),
         });
         nodes.push(nic.clone());
         Nic {
@@ -258,13 +199,38 @@ impl Fabric {
         Ok(())
     }
 
+    /// The fabric's books. WQE and CQE counts are summed over the
+    /// queues of every NIC, each completion queue once however many QPs
+    /// share it.
     pub fn stats(&self) -> FabricStats {
-        FabricStats {
+        let mut s = FabricStats {
             dma_ops: self.inner.dma_ops.load(Ordering::Relaxed),
             dma_bytes: self.inner.dma_bytes.load(Ordering::Relaxed),
             registrations: self.inner.registrations.load(Ordering::Relaxed),
             registered_bytes: self.inner.registered_bytes.load(Ordering::Relaxed),
+            wqes: self.inner.sends.load(Ordering::Relaxed),
+            cqes_ok: 0,
+            cqes_err: 0,
+        };
+        let mut cqs: Vec<CompletionQueue> = Vec::new();
+        for nic in self.inner.nodes.read().unwrap().iter() {
+            for qp in nic.qps.lock().unwrap().iter() {
+                s.wqes += qp.recv.lock().unwrap().wqes;
+                for cq in [&qp.sq_cq, &qp.rq_cq] {
+                    if !cqs.iter().any(|seen| seen.same(cq)) {
+                        cqs.push(cq.clone());
+                    }
+                }
+            }
+            for srq in nic.srqs.lock().unwrap().iter() {
+                s.wqes += srq.inner.state.lock().unwrap().wqes;
+            }
         }
+        for [ok, err] in cqs.iter().map(CompletionQueue::pushed) {
+            s.cqes_ok += ok;
+            s.cqes_err += err;
+        }
+        s
     }
 }
 
@@ -334,11 +300,9 @@ impl Nic {
 
     /// Create a shared receive queue on this NIC.
     pub fn create_srq(&self) -> SharedReceiveQueue {
-        let wqe_posted = self.fabric.upgrade().and_then(|f| f.obs()).map(|fo| {
-            let node = self.inner.node.0.to_string();
-            fo.obs.counter("nic_srq_wqe_total", &[("node", &node)])
-        });
-        SharedReceiveQueue::new(self.fabric.clone(), wqe_posted)
+        let srq = SharedReceiveQueue::new(self.fabric.clone());
+        self.inner.srqs.lock().unwrap().push(srq.clone());
+        srq
     }
 
     fn create_qp_inner(
@@ -352,11 +316,6 @@ impl Nic {
             return Err(NicError::PdMismatch);
         }
         let num = QpNum(self.inner.next_qp.fetch_add(1, Ordering::Relaxed));
-        let qp_obs = self
-            .fabric
-            .upgrade()
-            .and_then(|f| f.obs())
-            .map(|fo| QpObs::new(&fo.obs, self.inner.node, num));
         let qp = Arc::new(QpInner::new(
             num,
             self.inner.node,
@@ -365,7 +324,6 @@ impl Nic {
             recv_cq.clone(),
             srq,
             self.fabric.clone(),
-            qp_obs,
         ));
         self.inner.qps.lock().unwrap().push(qp.clone());
         Ok(QueuePair { inner: qp })
@@ -790,10 +748,10 @@ mod tests {
         assert_eq!(b.inner.peer.get().map(|link| link.num), Some(a.num()));
     }
 
-    /// `set_chaos` and `set_obs` publish through one flag each; a change
-    /// must be seen by the very next post.
+    /// `set_chaos` publishes through one flag; arming it must be seen
+    /// by the very next post.
     #[test]
-    fn chaos_and_obs_toggles_take_effect_on_the_next_post() {
+    fn chaos_toggle_takes_effect_on_the_next_post() {
         let p = pair();
         let src = p.nic_a.register_from(p.pd_a, b"toggle").unwrap();
         let dst = p.nic_b.register(p.pd_b, 8).unwrap();
@@ -809,19 +767,8 @@ mod tests {
             p.cq_a.poll_one().unwrap().unwrap().status
         };
         assert_eq!(post(0), CqeStatus::Success);
-        let obs = Obs::new();
-        let (ok, dma) = (
-            obs.counter("nic_cqe_total", &[("status", "ok")]),
-            obs.counter("nic_dma_ops_total", &[]),
-        );
-        p.fabric.set_obs(obs);
-        assert_eq!((ok.get(), dma.get()), (0, 0));
-        assert_eq!(post(1), CqeStatus::Success);
-        // One DMA; a receive and a send completion.
-        assert_eq!((ok.get(), dma.get()), (2, 1));
-
         p.fabric.set_chaos(ChaosParams::drop_only(1, 1.0));
-        assert_eq!(post(2), CqeStatus::RetryExceeded);
+        assert_eq!(post(1), CqeStatus::RetryExceeded);
         // The receive armed for the dropped send is still posted.
         assert_eq!(recv_depths(&p.b), (1, 0));
     }

@@ -17,7 +17,6 @@ use crate::mr::ProtectionDomain;
 use crate::srq::SharedReceiveQueue;
 use crate::types::{NodeId, QpNum, RemoteAddr};
 use crate::wr::{sge_len, RecvWr, SendWr, Sge, SgeList};
-use polaris_obs::{Counter, Obs};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, Weak};
@@ -70,57 +69,51 @@ pub(crate) struct Inbound {
     body: Body,
     sender_cq: CompletionQueue,
     sender_qp: QpNum,
-    /// The sender QP itself, for per-QP completion accounting when the
-    /// CQE is finally generated at delivery time (the parked message may
-    /// outlive the handle, hence weak).
-    sender: Weak<QpInner>,
     sender_wr_id: u64,
 }
 
 impl Inbound {
-    pub(crate) fn park(body: Body, sender: &Arc<QpInner>, wr_id: u64) -> Self {
+    pub(crate) fn park(body: Body, sender: &QpInner, wr_id: u64) -> Self {
         Inbound {
             body,
             sender_cq: sender.sq_cq.clone(),
             sender_qp: sender.num,
-            sender: Arc::downgrade(sender),
             sender_wr_id: wr_id,
         }
     }
 
     /// Deliver into `recv` at the receiver `rx`, now that one is posted.
     pub(crate) fn deliver(self, rx: &QpInner, recv: RecvWr, fabric: &FabricInner) {
-        let sender = self.sender.upgrade();
+        let Inbound {
+            body,
+            sender_cq,
+            sender_qp,
+            sender_wr_id,
+        } = self;
         let from = Origin {
-            qp: sender.as_deref(),
-            cq: &self.sender_cq,
-            num: self.sender_qp,
-            wr_id: self.sender_wr_id,
+            cq: &sender_cq,
+            num: sender_qp,
+            wr_id: sender_wr_id,
         };
-        deliver(rx, recv, self.body, &from, fabric);
+        deliver(rx, recv, body, &from, fabric);
     }
 
     /// The receiving QP entered `Error` before a receive was posted:
     /// the message is never delivered, and its sender completes with
     /// `Flushed`, as a send posted to a dead peer does.
-    pub(crate) fn flush(self, fabric: &FabricInner) {
-        let sender = self.sender.upgrade();
+    pub(crate) fn flush(self) {
         let from = Origin {
-            qp: sender.as_deref(),
             cq: &self.sender_cq,
             num: self.sender_qp,
             wr_id: self.sender_wr_id,
         };
-        from.complete(fabric, CqeStatus::Flushed, CqeOpcode::Send, 0);
+        from.complete(CqeStatus::Flushed, CqeOpcode::Send, 0);
     }
 }
 
 /// The sender's half of a delivery: which work request completes, and
 /// where its completion goes.
 pub(crate) struct Origin<'a> {
-    /// `None` if the sender QP was dropped while the message was parked;
-    /// only the fabric-wide CQE counter can be credited then.
-    qp: Option<&'a QpInner>,
     cq: &'a CompletionQueue,
     num: QpNum,
     wr_id: u64,
@@ -129,7 +122,6 @@ pub(crate) struct Origin<'a> {
 impl<'a> Origin<'a> {
     pub(crate) fn live(qp: &'a QpInner, wr_id: u64) -> Self {
         Origin {
-            qp: Some(qp),
             cq: &qp.sq_cq,
             num: qp.num,
             wr_id,
@@ -137,23 +129,8 @@ impl<'a> Origin<'a> {
     }
 
     /// Generate the sender-side completion of a remotely-delivered
-    /// operation. Attribution goes through the sender QP's [`note_cqe`]
-    /// (which also bumps the fabric-wide `nic_cqe_total`) so the per-QP
-    /// WQE/CQE books balance — the conservation audit asserts
-    /// `wqe == cqe + armed receives` per fabric.
-    ///
-    /// [`note_cqe`]: QpInner::note_cqe
-    fn complete(
-        &self,
-        fabric: &FabricInner,
-        status: CqeStatus,
-        opcode: CqeOpcode,
-        byte_len: usize,
-    ) {
-        match self.qp {
-            Some(qp) => qp.note_cqe(Some(fabric), status, byte_len),
-            None => fabric.count_cqe(status == CqeStatus::Success),
-        }
+    /// operation.
+    fn complete(&self, status: CqeStatus, opcode: CqeOpcode, byte_len: usize) {
         self.cq.push(Cqe {
             wr_id: self.wr_id,
             status,
@@ -170,38 +147,8 @@ impl<'a> Origin<'a> {
 pub(crate) struct RecvState {
     pub(crate) posted: VecDeque<RecvWr>,
     pub(crate) inbound: VecDeque<Inbound>,
-}
-
-/// Per-QP observability counters, labelled `{node,qp}`. Created at QP
-/// creation time when the fabric has an attached plane; handles are
-/// cached so the data path pays one atomic add per event.
-pub(crate) struct QpObs {
-    wqe_posted: Counter,
-    cqe_ok: Counter,
-    cqe_err: Counter,
-    rdma_ops: Counter,
-    bytes: Counter,
-}
-
-impl QpObs {
-    pub(crate) fn new(obs: &Obs, node: NodeId, qp: QpNum) -> Self {
-        let n = node.0.to_string();
-        let q = qp.0.to_string();
-        let labels: [(&str, &str); 2] = [("node", &n), ("qp", &q)];
-        QpObs {
-            wqe_posted: obs.counter("nic_qp_wqe_total", &labels),
-            cqe_ok: obs.counter(
-                "nic_qp_cqe_total",
-                &[("node", &n), ("qp", &q), ("status", "ok")],
-            ),
-            cqe_err: obs.counter(
-                "nic_qp_cqe_total",
-                &[("node", &n), ("qp", &q), ("status", "err")],
-            ),
-            rdma_ops: obs.counter("nic_qp_rdma_total", &labels),
-            bytes: obs.counter("nic_qp_bytes_total", &labels),
-        }
-    }
+    /// Receive WQEs ever posted here.
+    pub(crate) wqes: u64,
 }
 
 /// The connected peer, resolved once by `Fabric::connect`.
@@ -230,11 +177,9 @@ pub(crate) struct QpInner {
     /// per-QP queue.
     pub(crate) srq: Option<SharedReceiveQueue>,
     pub(crate) fabric: Weak<FabricInner>,
-    pub(crate) obs: Option<QpObs>,
 }
 
 impl QpInner {
-    #[allow(clippy::too_many_arguments)] // one field each; built in one place
     pub(crate) fn new(
         num: QpNum,
         node: NodeId,
@@ -243,7 +188,6 @@ impl QpInner {
         rq_cq: CompletionQueue,
         srq: Option<SharedReceiveQueue>,
         fabric: Weak<FabricInner>,
-        obs: Option<QpObs>,
     ) -> Self {
         QpInner {
             num,
@@ -256,10 +200,10 @@ impl QpInner {
             recv: Mutex::new(RecvState {
                 posted: VecDeque::new(),
                 inbound: VecDeque::new(),
+                wqes: 0,
             }),
             srq,
             fabric,
-            obs,
         }
     }
 
@@ -274,34 +218,6 @@ impl QpInner {
 
     pub(crate) fn set_state(&self, state: QpState) {
         self.state.store(state as u8, Ordering::Release);
-    }
-
-    /// Account one completion against this QP's counters and the
-    /// fabric-wide `nic_cqe_total`; call exactly once per CQE pushed.
-    /// `fabric` is `None` only once the fabric itself is gone.
-    pub(crate) fn note_cqe(
-        &self,
-        fabric: Option<&FabricInner>,
-        status: CqeStatus,
-        byte_len: usize,
-    ) {
-        if let Some(o) = &self.obs {
-            if status == CqeStatus::Success {
-                o.cqe_ok.inc();
-                o.bytes.add(byte_len as u64);
-            } else {
-                o.cqe_err.inc();
-            }
-        }
-        if let Some(f) = fabric {
-            f.count_cqe(status == CqeStatus::Success);
-        }
-    }
-
-    pub(crate) fn note_wqe(&self) {
-        if let Some(o) = &self.obs {
-            o.wqe_posted.inc();
-        }
     }
 }
 
@@ -355,8 +271,8 @@ impl QueuePair {
         self.require_state(|s| matches!(s, QpState::Init | QpState::Rts))?;
         check_sges(self.inner.pd, &wr.sges)?;
         let fabric = self.fabric()?;
-        self.inner.note_wqe();
         let mut rs = self.inner.recv.lock().unwrap();
+        rs.wqes += 1;
         match rs.inbound.pop_front() {
             // A sender is already parked: match immediately.
             Some(inbound) => inbound.deliver(&self.inner, wr, &fabric),
@@ -371,21 +287,16 @@ impl QueuePair {
         check_sges(self.inner.pd, wr.sges())?;
         let fabric = self.fabric()?;
         let fabric = &*fabric;
-        self.inner.note_wqe();
-        if let Some(o) = &self.inner.obs {
-            if !matches!(wr, SendWr::Send { .. }) {
-                o.rdma_ops.inc();
-            }
-        }
         let link = self
             .inner
             .peer
             .get()
             .ok_or(NicError::NotConnected(self.num()))?;
         let peer = link.qp.upgrade().ok_or(NicError::NotConnected(link.num))?;
+        fabric.count_send();
         if peer.state() == QpState::Error {
             // Retry exhaustion on real hardware: flush locally.
-            self.push_sq(fabric, wr.wr_id(), CqeStatus::Flushed, send_opcode(&wr), 0);
+            self.push_sq(wr.wr_id(), CqeStatus::Flushed, send_opcode(&wr), 0);
             return Ok(());
         }
         match wr {
@@ -396,7 +307,7 @@ impl QueuePair {
                     Some(ChaosVerdict::Drop) => {
                         // Lost on the wire; transport retries exhaust
                         // and the sender learns via an error CQE.
-                        self.push_sq(fabric, wr_id, CqeStatus::RetryExceeded, CqeOpcode::Send, 0);
+                        self.push_sq(wr_id, CqeStatus::RetryExceeded, CqeOpcode::Send, 0);
                         return Ok(());
                     }
                     Some(verdict) => (
@@ -440,7 +351,7 @@ impl QueuePair {
             // `peer` failed after the sender checked it; `set_error`
             // has flushed (or is about to flush) what was parked there.
             drop(rs);
-            return Inbound::park(body, &self.inner, wr_id).flush(fabric);
+            return Inbound::park(body, &self.inner, wr_id).flush();
         }
         match rs.posted.pop_front() {
             Some(recv) => deliver(peer, recv, body, &Origin::live(&self.inner, wr_id), fabric),
@@ -455,14 +366,11 @@ impl QueuePair {
     /// receive queue): their senders complete with `Flushed`.
     pub fn set_error(&self) {
         self.inner.set_state(QpState::Error);
-        let fabric = self.inner.fabric.upgrade();
-        if let (Some(srq), Some(fabric)) = (&self.inner.srq, fabric.as_deref()) {
-            srq.flush_parked(&self.inner, fabric);
+        if let Some(srq) = &self.inner.srq {
+            srq.flush_parked(&self.inner);
         }
         let mut rs = self.inner.recv.lock().unwrap();
         for wr in rs.posted.drain(..) {
-            self.inner
-                .note_cqe(fabric.as_deref(), CqeStatus::Flushed, 0);
             self.inner.rq_cq.push(Cqe {
                 wr_id: wr.wr_id,
                 status: CqeStatus::Flushed,
@@ -474,10 +382,8 @@ impl QueuePair {
         }
         let parked = std::mem::take(&mut rs.inbound);
         drop(rs);
-        if let Some(fabric) = fabric.as_deref() {
-            for inbound in parked {
-                inbound.flush(fabric);
-            }
+        for inbound in parked {
+            inbound.flush();
         }
     }
 
@@ -486,15 +392,8 @@ impl QueuePair {
     }
 
     /// Complete a send-queue work request on this QP's send CQ.
-    fn push_sq(
-        &self,
-        fabric: &FabricInner,
-        wr_id: u64,
-        status: CqeStatus,
-        opcode: CqeOpcode,
-        byte_len: usize,
-    ) {
-        Origin::live(&self.inner, wr_id).complete(fabric, status, opcode, byte_len);
+    fn push_sq(&self, wr_id: u64, status: CqeStatus, opcode: CqeOpcode, byte_len: usize) {
+        Origin::live(&self.inner, wr_id).complete(status, opcode, byte_len);
     }
 
     /// Execute a one-sided RDMA write or read (`opcode`) between the
@@ -513,7 +412,7 @@ impl QueuePair {
             .ok()
             .filter(|mr| mr.check_bounds(remote.offset, total).is_ok());
         let Some(mr) = mr else {
-            return self.push_sq(fabric, wr_id, CqeStatus::RemoteAccessError, opcode, 0);
+            return self.push_sq(wr_id, CqeStatus::RemoteAccessError, opcode, 0);
         };
         let mut off = remote.offset;
         for sge in sges {
@@ -530,7 +429,7 @@ impl QueuePair {
             off += sge.len;
         }
         fabric.count_dma(total as u64);
-        self.push_sq(fabric, wr_id, CqeStatus::Success, opcode, total);
+        self.push_sq(wr_id, CqeStatus::Success, opcode, total);
     }
 }
 
@@ -567,7 +466,6 @@ pub(crate) fn deliver(
     fabric: &FabricInner,
 ) {
     let rx_done = |status, byte_len, imm| {
-        rx.note_cqe(Some(fabric), status, byte_len);
         rx.rq_cq.push(Cqe {
             wr_id: recv.wr_id,
             status,
@@ -586,7 +484,7 @@ pub(crate) fn deliver(
     let total = sge_len(&sges);
     if total > recv.capacity() {
         rx_done(CqeStatus::LocalProtectionError, 0, None);
-        from.complete(fabric, CqeStatus::RemoteAccessError, CqeOpcode::Send, 0);
+        from.complete(CqeStatus::RemoteAccessError, CqeOpcode::Send, 0);
         return;
     }
     // Gather from the sender's regions, scatter into the receiver's:
@@ -602,11 +500,11 @@ pub(crate) fn deliver(
         rx_done(CqeStatus::ChecksumError, 0, None);
         // The receiver NACKs the bad packet; the sender's retries
         // exhaust.
-        from.complete(fabric, CqeStatus::RetryExceeded, CqeOpcode::Send, 0);
+        from.complete(CqeStatus::RetryExceeded, CqeOpcode::Send, 0);
         return;
     }
     rx_done(CqeStatus::Success, total, imm);
-    from.complete(fabric, CqeStatus::Success, CqeOpcode::Send, total);
+    from.complete(CqeStatus::Success, CqeOpcode::Send, total);
 }
 
 /// Gather a scatter list's bytes into one contiguous buffer (ICRC input).

@@ -9,16 +9,15 @@
 //! (in arrival order, preserving per-sender FIFO) until a buffer is
 //! posted — the virtual equivalent of RNR retry.
 //!
-//! Each post is a receive WQE like a per-QP one: it is counted in
-//! `nic_srq_wqe_total{node}`, and the completion it feeds is counted
-//! against the QP the message arrived on, so the fabric-wide books read
-//! `qp WQEs + SRQ WQEs == CQEs + armed receives`.
+//! Each post is a receive WQE like a per-QP one, counted in
+//! [`FabricStats::wqes`](crate::fabric::FabricStats::wqes), so the
+//! fabric's books read `wqes == CQEs + armed receives` whichever queue
+//! a receive was posted to.
 
 use crate::error::{NicError, Result};
 use crate::fabric::FabricInner;
 use crate::qp::{deliver, Body, Inbound, Origin, QpInner, QpState};
 use crate::wr::RecvWr;
-use polaris_obs::Counter;
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, Weak};
 
@@ -27,14 +26,13 @@ pub(crate) struct SrqState {
     /// Inbound work parked for want of a buffer, with the receiving QP
     /// it belongs to (completion routing).
     pub(crate) parked: VecDeque<(Weak<QpInner>, Inbound)>,
+    /// Receive WQEs ever posted here.
+    pub(crate) wqes: u64,
 }
 
 pub(crate) struct SrqInner {
     pub(crate) state: Mutex<SrqState>,
     fabric: Weak<FabricInner>,
-    /// `nic_srq_wqe_total{node}`, when the fabric had an attached plane
-    /// at creation.
-    wqe_posted: Option<Counter>,
 }
 
 /// A shared receive queue handle. Attach to QPs at creation via
@@ -45,15 +43,15 @@ pub struct SharedReceiveQueue {
 }
 
 impl SharedReceiveQueue {
-    pub(crate) fn new(fabric: Weak<FabricInner>, wqe_posted: Option<Counter>) -> Self {
+    pub(crate) fn new(fabric: Weak<FabricInner>) -> Self {
         SharedReceiveQueue {
             inner: Arc::new(SrqInner {
                 state: Mutex::new(SrqState {
                     posted: VecDeque::new(),
                     parked: VecDeque::new(),
+                    wqes: 0,
                 }),
                 fabric,
-                wqe_posted,
             }),
         }
     }
@@ -63,10 +61,8 @@ impl SharedReceiveQueue {
     /// thread, like every transfer in the virtual NIC).
     pub fn post_recv(&self, wr: RecvWr) -> Result<()> {
         let fabric = self.inner.fabric.upgrade().ok_or(NicError::FabricDown)?;
-        if let Some(c) = &self.inner.wqe_posted {
-            c.inc();
-        }
         let mut st = self.inner.state.lock().unwrap();
+        st.wqes += 1;
         // Drain the oldest parked inbound whose QP is still alive.
         while let Some((qp_weak, _)) = st.parked.front() {
             match qp_weak.upgrade() {
@@ -96,7 +92,7 @@ impl SharedReceiveQueue {
         &self,
         rx: &Arc<QpInner>,
         body: Body,
-        sender: &Arc<QpInner>,
+        sender: &QpInner,
         wr_id: u64,
         fabric: &FabricInner,
     ) {
@@ -105,7 +101,7 @@ impl SharedReceiveQueue {
             // `rx` failed after the sender checked it; `set_error` has
             // flushed (or is about to flush) what was parked for it.
             drop(st);
-            return Inbound::park(body, sender, wr_id).flush(fabric);
+            return Inbound::park(body, sender, wr_id).flush();
         }
         match st.posted.pop_front() {
             Some(recv) => deliver(rx, recv, body, &Origin::live(sender, wr_id), fabric),
@@ -116,7 +112,7 @@ impl SharedReceiveQueue {
     }
 
     /// `rx` entered `Error`: flush every message parked for it.
-    pub(crate) fn flush_parked(&self, rx: &QpInner, fabric: &FabricInner) {
+    pub(crate) fn flush_parked(&self, rx: &QpInner) {
         let mut st = self.inner.state.lock().unwrap();
         let (dead, live): (VecDeque<_>, VecDeque<_>) = std::mem::take(&mut st.parked)
             .into_iter()
@@ -124,7 +120,7 @@ impl SharedReceiveQueue {
         st.parked = live;
         drop(st);
         for (_, inbound) in dead {
-            inbound.flush(fabric);
+            inbound.flush();
         }
     }
 }
@@ -225,23 +221,19 @@ mod tests {
         assert!(matches!(err, NicError::UsesSrq(_)));
     }
 
+    /// Receive posts to a shared pool are work requests like any
+    /// other: with nothing but the fabric keeping books, every WQE has
+    /// completed except the receives still armed.
     #[test]
     fn srq_posts_are_counted_as_wqes() {
-        let fabric = Fabric::new();
-        let obs = polaris_obs::Obs::new();
-        fabric.set_obs(obs.clone());
-        let (rx_nic, tx_nic) = (fabric.create_nic(), fabric.create_nic());
-        let (rx_pd, tx_pd) = (rx_nic.alloc_pd(), tx_nic.alloc_pd());
-        let (rx_cq, tx_cq) = (CompletionQueue::new(16), CompletionQueue::new(16));
-        let srq = rx_nic.create_srq();
-        let rx_qp = rx_nic.create_qp_with_srq(rx_pd, &rx_cq, &rx_cq, &srq).unwrap();
-        let tx_qp = tx_nic.create_qp(tx_pd, &tx_cq, &tx_cq).unwrap();
-        fabric.connect(&rx_qp, &tx_qp).unwrap();
+        let (fabric, rx_nic, rx_qps, senders, srq, _rx_cq) = world();
+        let rx_pd = rx_qps[0].inner.pd;
         let bufs: Vec<MemoryRegion> = (0..3).map(|_| rx_nic.register(rx_pd, 8).unwrap()).collect();
         for (i, mr) in bufs.iter().enumerate() {
             srq.post_recv(RecvWr::new(i as u64, vec![Sge::whole(mr)])).unwrap();
         }
-        let src = tx_nic.register_from(tx_pd, b"x").unwrap();
+        let (tx_nic, tx_qp) = &senders[0];
+        let src = tx_nic.register_from(tx_qp.inner.pd, b"x").unwrap();
         tx_qp
             .post_send(SendWr::Send {
                 wr_id: 7,
@@ -249,19 +241,12 @@ mod tests {
                 imm: None,
             })
             .unwrap();
-        let count = |name: &str| -> u64 {
-            obs.registry
-                .counters_snapshot()
-                .into_iter()
-                .filter(|(k, _)| k.starts_with(name))
-                .map(|(_, v)| v)
-                .sum()
-        };
-        let wqe = count("nic_qp_wqe_total") + count("nic_srq_wqe_total");
+        let s = fabric.stats();
         // 3 receive posts and 1 send; a receive and a send completed;
         // two receives stay armed.
-        assert_eq!(count("nic_srq_wqe_total"), 3);
-        assert_eq!(wqe, count("nic_qp_cqe_total") + 2);
+        assert_eq!(s.wqes, 4);
+        assert_eq!((s.cqes_ok, s.cqes_err), (2, 0));
+        assert_eq!(s.wqes, s.cqes_ok + s.cqes_err + 2);
     }
 
     #[test]

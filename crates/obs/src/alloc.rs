@@ -88,7 +88,7 @@ pub fn bytes() -> u64 {
 /// Bytes the calling thread holds now: allocated minus freed. A block
 /// freed by another thread than the one that allocated it moves both
 /// threads' numbers.
-pub fn live_bytes() -> i64 {
+fn live_bytes() -> i64 {
     LIVE.with(Cell::get)
 }
 

@@ -6,7 +6,13 @@
 //! taken from the simnet virtual clock, so two runs with the same seeds
 //! produce byte-identical exports — the trace-replay CI job diffs them.
 //! The crate is deliberately a leaf (no dependency on simnet) so every
-//! layer of the stack, simnet included, can depend on it.
+//! layer of the stack, simnet included, can depend on it. A count is
+//! kept once: a layer with stats of its own (the network's getters,
+//! the NIC's `FabricStats`, the endpoint's `EndpointStats`) publishes
+//! no copy here. The registry holds what the fault injector, the fleet
+//! run, the serving plane and the figure harness publish; the recorder
+//! holds fault events and the endpoints' rendezvous and retransmit
+//! traces.
 //!
 //! Three pieces:
 //!
@@ -16,7 +22,7 @@
 //!   name + sorted labels.
 //! * [`trace`] — the [`FlightRecorder`]: a bounded ring of structured
 //!   [`TraceEvent`]s (span enter/exit and instants) keyed by
-//!   node/link/QP/endpoint/peer [`Subject`]s.
+//!   node/link/peer [`Subject`]s.
 //! * [`export`] — Prometheus-style text and JSON snapshot exporters
 //!   with fully deterministic formatting (sorted keys, no wall-clock).
 //!

@@ -18,16 +18,10 @@ pub const DEFAULT_CAPACITY: usize = 65_536;
 /// The entity a trace event is about.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Subject {
-    /// Whole-simulation events (epoch rollovers, run boundaries).
-    Global,
     /// A simulated host.
     Node(u32),
     /// A fabric link.
     Link(u32),
-    /// A queue pair on a node.
-    Qp { node: u32, qp: u32 },
-    /// A messaging endpoint (library rank).
-    Endpoint { rank: u32 },
     /// A rank's view of one peer (reliability state machine).
     Peer { rank: u32, peer: u32 },
 }
@@ -35,11 +29,8 @@ pub enum Subject {
 impl fmt::Display for Subject {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Subject::Global => write!(f, "global"),
             Subject::Node(n) => write!(f, "node:{n}"),
             Subject::Link(l) => write!(f, "link:{l}"),
-            Subject::Qp { node, qp } => write!(f, "qp:{node}/{qp}"),
-            Subject::Endpoint { rank } => write!(f, "ep:{rank}"),
             Subject::Peer { rank, peer } => write!(f, "peer:{rank}->{peer}"),
         }
     }
@@ -287,15 +278,15 @@ mod tests {
     #[test]
     fn sequences_are_total_and_json_is_stable() {
         let r = FlightRecorder::with_capacity(8);
-        r.enter(10, Subject::Qp { node: 0, qp: 1 }, "send", &[("bytes", 4096)]);
-        r.exit(20, Subject::Qp { node: 0, qp: 1 }, "send", &[]);
+        r.enter(10, Subject::Peer { rank: 0, peer: 1 }, "send", &[("bytes", 4096)]);
+        r.exit(20, Subject::Peer { rank: 0, peer: 1 }, "send", &[]);
         let evs = r.events();
         assert_eq!(evs.len(), 2);
         assert_eq!(evs[0].seq, 0);
         assert_eq!(evs[1].seq, 1);
         assert_eq!(
             evs[0].to_json(),
-            "{\"seq\":0,\"at_ps\":10,\"subject\":\"qp:0/1\",\"name\":\"send\",\"phase\":\"enter\",\"fields\":{\"bytes\":4096}}"
+            "{\"seq\":0,\"at_ps\":10,\"subject\":\"peer:0->1\",\"name\":\"send\",\"phase\":\"enter\",\"fields\":{\"bytes\":4096}}"
         );
         assert!(r.to_jsonl().ends_with("\"phase\":\"exit\"}\n"));
     }
@@ -325,7 +316,7 @@ mod tests {
     fn ring_evicts_oldest() {
         let r = FlightRecorder::with_capacity(2);
         for i in 0..5u64 {
-            r.instant(i, Subject::Global, "tick", &[]);
+            r.instant(i, Subject::Node(0), "tick", &[]);
         }
         let evs = r.events();
         assert_eq!(evs.len(), 2);

@@ -14,7 +14,6 @@ use crate::fault::{FaultEvent, FaultInjector, FaultPlan, FaultVerdict};
 use crate::link::{LinkId, LinkModel, LinkState};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::Topology;
-use polaris_obs::{Counter, Obs, Subject};
 
 /// Result of presenting one transfer to the network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,17 +33,6 @@ pub struct Delivery {
 /// copy, 2 GB/s.
 const LOCAL_COPY_BPS: u64 = 2_000_000_000;
 
-/// Cached counter handles for the transfer hot path (one registry
-/// lookup at attach time, atomic bumps afterwards).
-struct NetObs {
-    obs: Obs,
-    transfers: Counter,
-    payload_bytes: Counter,
-    delivered: Counter,
-    dropped: Counter,
-    corrupted: Counter,
-}
-
 pub struct Network {
     topo: Topology,
     model: LinkModel,
@@ -54,7 +42,6 @@ pub struct Network {
     payload_bytes: u64,
     dropped: u64,
     corrupted: u64,
-    obs: Option<NetObs>,
     /// Time a cut-through switch holds a message's head: one header's
     /// serialization, the same for every message of this model.
     header_fwd: SimDuration,
@@ -77,43 +64,8 @@ impl Network {
             payload_bytes: 0,
             dropped: 0,
             corrupted: 0,
-            obs: None,
             header_fwd: model.serialize(model.header_bytes as u64),
             route_scratch: Vec::new(),
-        }
-    }
-
-    /// Attach an observability plane. Transfer/drop/corruption counters
-    /// land in the registry under `net_*`, the attached fault injector
-    /// (if any) starts mirroring its replay log into the same plane,
-    /// and [`Network::publish_obs`] exports per-link occupancy.
-    pub fn set_obs(&mut self, obs: Obs) {
-        if let Some(inj) = &mut self.faults {
-            inj.set_obs(obs.clone());
-        }
-        self.obs = Some(NetObs {
-            transfers: obs.counter("net_transfers_total", &[]),
-            payload_bytes: obs.counter("net_payload_bytes_total", &[]),
-            delivered: obs.counter("net_delivered_total", &[]),
-            dropped: obs.counter("net_dropped_total", &[]),
-            corrupted: obs.counter("net_corrupted_total", &[]),
-            obs,
-        });
-    }
-
-    /// Publish per-link state (bytes carried, busy picoseconds) into
-    /// the registry as gauges. Call at scrape/export points; link
-    /// counts can reach thousands, so this is not done per transfer.
-    pub fn publish_obs(&self) {
-        let Some(no) = &self.obs else { return };
-        for (i, l) in self.links.iter().enumerate() {
-            let idx = i.to_string();
-            no.obs
-                .gauge("net_link_bytes", &[("link", &idx)])
-                .set(l.bytes_carried as f64);
-            no.obs
-                .gauge("net_link_busy_ps", &[("link", &idx)])
-                .set(l.busy_time.as_ps() as f64);
         }
     }
 
@@ -121,11 +73,7 @@ impl Network {
     /// its deterministic injector, and injected events accumulate in
     /// [`Network::fault_log`].
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
-        let mut inj = FaultInjector::new(plan);
-        if let Some(no) = &self.obs {
-            inj.set_obs(no.obs.clone());
-        }
-        self.faults = Some(inj);
+        self.faults = Some(FaultInjector::new(plan));
         self
     }
 
@@ -152,17 +100,10 @@ impl Network {
     pub fn transfer(&mut self, now: SimTime, src: u32, dst: u32, bytes: u64) -> Delivery {
         self.transfers += 1;
         self.payload_bytes += bytes;
-        if let Some(no) = &self.obs {
-            no.transfers.inc();
-            no.payload_bytes.add(bytes);
-        }
         if src == dst {
             // Loopback: a local memory copy, never on the wire and
             // exempt from fault injection.
             let t = SimDuration::from_secs_f64(bytes as f64 / LOCAL_COPY_BPS as f64);
-            if let Some(no) = &self.obs {
-                no.delivered.inc();
-            }
             return Delivery {
                 arrival: now + t,
                 dropped: false,
@@ -178,7 +119,6 @@ impl Network {
             faults,
             dropped: dropped_total,
             corrupted: corrupted_total,
-            obs,
             header_fwd,
             route_scratch,
             ..
@@ -192,16 +132,10 @@ impl Network {
                 FaultVerdict::Deliver => {}
                 FaultVerdict::DeliverCorrupted => {
                     *corrupted_total += 1;
-                    if let Some(no) = &obs {
-                        no.corrupted.inc();
-                    }
                     corrupted = true;
                 }
                 FaultVerdict::Drop(_) => {
                     *dropped_total += 1;
-                    if let Some(no) = &obs {
-                        no.dropped.inc();
-                    }
                     // The sender learns of the loss only after a timeout;
                     // model that as the nominal delivery time
                     // (retransmission policy layers on top).
@@ -241,19 +175,6 @@ impl Network {
             hops += 1;
         }
         let arrival = now + extra + model.message_time_from(ser, bytes, hops);
-        if let Some(no) = &self.obs {
-            no.delivered.inc();
-            no.obs.instant(
-                arrival.as_ps(),
-                Subject::Node(dst),
-                "net_deliver",
-                &[
-                    ("src", src as u64),
-                    ("bytes", bytes),
-                    ("corrupted", corrupted as u64),
-                ],
-            );
-        }
         Delivery {
             arrival,
             dropped: false,

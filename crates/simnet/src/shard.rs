@@ -39,7 +39,6 @@
 use crate::channel::ShardChannel;
 use crate::event::{EventQueue, QueueSnapshot};
 use crate::time::{SimDuration, SimTime};
-use polaris_obs::Obs;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
@@ -217,8 +216,6 @@ impl<E> ShardCtx<'_, E> {
 pub struct ShardRunStats {
     /// Events dispatched, summed over shards.
     pub events_dispatched: u64,
-    /// Events dispatched per shard, indexed by shard id.
-    pub per_shard_events: Vec<u64>,
     /// Windows executed.
     pub windows: u64,
     /// Events that crossed a shard boundary.
@@ -233,22 +230,6 @@ pub struct ShardRunStats {
     pub end_time: SimTime,
     /// True if the run stopped at the horizon with events pending.
     pub horizon_reached: bool,
-}
-
-impl ShardRunStats {
-    /// Export the run's counters through an observability registry:
-    /// `shard_events_dispatched_total{shard=..}`, `shard_windows_total`
-    /// and `shard_remote_events_total`. Counters accumulate across runs
-    /// sharing one registry, matching every other ledger in the stack.
-    pub fn publish(&self, obs: &Obs) {
-        for (s, &n) in self.per_shard_events.iter().enumerate() {
-            let label = s.to_string();
-            obs.counter("shard_events_dispatched_total", &[("shard", &label)])
-                .add(n);
-        }
-        obs.counter("shard_windows_total", &[]).add(self.windows);
-        obs.counter("shard_remote_events_total", &[]).add(self.remote_events);
-    }
 }
 
 // Slots sit side by side in one `Vec` and each worker writes its own on
@@ -382,7 +363,6 @@ impl<W: ShardWorld> ShardSim<W> {
             });
         }
 
-        let per_shard_events: Vec<u64> = self.shards.iter().map(|s| s.dispatched).collect();
         let horizon_reached = horizon_hit.load(Ordering::Relaxed);
         let end_time = if horizon_reached {
             horizon.expect("horizon_reached implies a horizon")
@@ -390,8 +370,7 @@ impl<W: ShardWorld> ShardSim<W> {
             self.shards.iter().map(|s| s.now).max().unwrap_or(SimTime::ZERO)
         };
         let stats = ShardRunStats {
-            events_dispatched: per_shard_events.iter().sum(),
-            per_shard_events,
+            events_dispatched: self.shards.iter().map(|s| s.dispatched).sum(),
             windows: windows.load(Ordering::Relaxed),
             remote_events: self.shards.iter().map(|s| s.remote_sent).sum(),
             spec_events_committed: 0,
@@ -986,29 +965,12 @@ mod tests {
     }
 
     #[test]
-    fn remote_events_counted_and_published() {
+    fn remote_events_are_counted() {
         let (stats, _) = run_ping(8, 4, true);
         // Hops from the last rank of one shard to the first of the next
         // cross a boundary; with 8 ranks on 4 shards half of all hops do.
         assert!(stats.remote_events > 0);
         assert!(stats.windows > 0);
-        let obs = Obs::new();
-        stats.publish(&obs);
-        let total: u64 = (0..4)
-            .map(|s| {
-                obs.registry
-                    .counter_value("shard_events_dispatched_total", &[("shard", &s.to_string())])
-            })
-            .sum();
-        assert_eq!(total, stats.events_dispatched);
-        assert_eq!(
-            obs.registry.counter_value("shard_remote_events_total", &[]),
-            stats.remote_events
-        );
-        assert_eq!(
-            obs.registry.counter_value("shard_windows_total", &[]),
-            stats.windows
-        );
     }
 
     /// Targeted race test for the cross-shard min-time handoff (runs

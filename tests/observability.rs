@@ -1,24 +1,21 @@
-//! Reliability observability: the fault-injection ledger and the
-//! metrics the observability plane publishes must reconcile exactly.
+//! Reliability observability: the fault-injection ledgers must
+//! reconcile exactly with what the layers above them count.
 //!
-//! Three cross-checks, each pinning one seam between layers:
+//! Four checks, each pinning one seam between layers:
 //!
 //! 1. the simnet `FaultInjector`'s drop ledger vs the F11 figure's
 //!    registry counters, across the whole grid;
-//! 2. NIC error completions vs injected chaos drops under the real
-//!    messaging stack (reliable delivery healing 10% uniform loss);
+//! 2. NIC error completions (`FabricStats`) vs injected chaos drops
+//!    (`ChaosStats`) under the real messaging stack (reliable delivery
+//!    healing 10% uniform loss);
 //! 3. NIC error completions vs injected corruptions on raw queue pairs
 //!    (each corruption costs exactly two error CQEs: the receiver's
 //!    checksum failure and the sender's retry exhaustion);
-//! 4. the endpoint's buffer-pool ledgers (registration cache and wire
-//!    frame pool) vs the `reg_cache_*` / `frame_pool_*` registry series;
-//! 5. the sharded engine's per-shard event ledger ([`ShardRunStats`])
-//!    vs the `shard_*_total` registry series it publishes.
+//! 4. the endpoint's buffer pools: a capacity-1 registration cache
+//!    evicts and hits under churn, and reliable eager traffic recycles
+//!    wire frames.
 
 use polaris_bench::figures::f11_chaos;
-use polaris_collectives::prelude::{
-    simulate_collective_sharded_stats, AllreduceAlgo, Collective, ExecParams,
-};
 use polaris_msg::prelude::{Endpoint, MatchSpec, MsgConfig, Protocol, Reliability};
 use polaris_nic::prelude::*;
 use polaris_obs::Obs;
@@ -71,17 +68,12 @@ fn injected_losses_reconcile_with_f11_counters() {
 fn error_cqes_match_chaos_drop_ledger_under_reliable_delivery() {
     const N: usize = 150;
     const LEN: usize = 96;
-    let obs = Obs::new();
     let cfg = MsgConfig {
         reliability: Reliability::on(),
         ..MsgConfig::with_protocol(Protocol::Eager)
     };
     let fabric = Fabric::new();
-    fabric.set_obs(obs.clone());
     let mut eps = Endpoint::create_world(&fabric, 2, cfg).unwrap();
-    for ep in eps.iter_mut() {
-        ep.set_obs(obs.clone());
-    }
     fabric.set_chaos(ChaosParams::drop_only(0xB5_0BD5, 0.10));
     let (e0, e1) = eps.split_at_mut(1);
     let (ep0, ep1) = (&mut e0[0], &mut e1[0]);
@@ -115,28 +107,15 @@ fn error_cqes_match_chaos_drop_ledger_under_reliable_delivery() {
 
     // Read the ledgers while the endpoints are still alive (teardown
     // flushes queues with error CQEs of its own).
-    let drops = obs.registry.counter_value("nic_chaos_drops_total", &[]);
-    let err_cqes = obs
-        .registry
-        .counter_value("nic_cqe_total", &[("status", "err")]);
+    let drops = fabric.chaos_stats().unwrap().drops;
+    let err_cqes = fabric.stats().cqes_err;
     assert!(drops > 0, "10% loss over {N} messages must drop something");
     assert_eq!(
         err_cqes, drops,
         "each injected drop surfaces exactly one RetryExceeded CQE"
     );
-    assert_eq!(
-        drops,
-        fabric.chaos_stats().unwrap().drops,
-        "registry and ChaosStats ledgers must agree"
-    );
-    // The messaging layer had to retransmit to heal the losses, and the
-    // retransmit counter rides the same registry.
-    let retrans: u64 = (0..2)
-        .map(|r| {
-            obs.registry
-                .counter_value("msg_retransmits_total", &[("rank", &r.to_string())])
-        })
-        .sum();
+    // The messaging layer had to retransmit to heal the losses.
+    let retrans: u64 = eps.iter().map(|ep| ep.stats().rel_retransmits).sum();
     assert!(retrans > 0, "healing {drops} drops requires retransmissions");
 }
 
@@ -146,9 +125,7 @@ fn error_cqes_match_chaos_drop_ledger_under_reliable_delivery() {
 #[test]
 fn error_cqes_match_chaos_corruption_ledger_on_raw_qps() {
     const N: usize = 400;
-    let obs = Obs::new();
     let fabric = Fabric::new();
-    fabric.set_obs(obs.clone());
     let (na, nb) = (fabric.create_nic(), fabric.create_nic());
     let (pa, pb) = (na.alloc_pd(), nb.alloc_pd());
     let (ca, cb) = (CompletionQueue::new(N * 2), CompletionQueue::new(N * 2));
@@ -196,15 +173,10 @@ fn error_cqes_match_chaos_corruption_ledger_on_raw_qps() {
         }
     }
 
-    let corruptions = obs.registry.counter_value("nic_chaos_corruptions_total", &[]);
-    let err_cqes = obs
-        .registry
-        .counter_value("nic_cqe_total", &[("status", "err")]);
-    let ok_cqes = obs
-        .registry
-        .counter_value("nic_cqe_total", &[("status", "ok")]);
+    let corruptions = fabric.chaos_stats().unwrap().corruptions;
+    let stats = fabric.stats();
+    let (err_cqes, ok_cqes) = (stats.cqes_err, stats.cqes_ok);
     assert!(corruptions > 0, "15% corruption over {N} sends must fire");
-    assert_eq!(corruptions, fabric.chaos_stats().unwrap().corruptions);
     assert_eq!(send_err, corruptions, "one RetryExceeded per corruption");
     assert_eq!(recv_err, corruptions, "one ChecksumError per corruption");
     assert_eq!(
@@ -214,16 +186,14 @@ fn error_cqes_match_chaos_corruption_ledger_on_raw_qps() {
     );
     assert_eq!(ok, ok_cqes, "polled and counted ok CQEs must agree");
     assert_eq!(ok_cqes, 2 * (N as u64 - corruptions));
+    assert_eq!(stats.wqes, ok_cqes + err_cqes, "every posted WQE completed once");
 }
 
-/// The endpoint's two buffer-pool ledgers and the registry series they
-/// publish must agree exactly: `reg_cache_{hits,misses,evictions}_total`
-/// tracks `PoolStats` and `frame_pool_{hits,misses}_total` tracks
-/// `FramePoolStats`, per rank, over a workload that exercises every
-/// counter (cache hits, misses, evictions, frame reuse).
+/// The endpoint's two buffer pools do their jobs: a capacity-1
+/// registration cache under churn both evicts and hits, and reliable
+/// eager traffic recycles wire frames.
 #[test]
-fn pool_ledgers_reconcile_with_registry() {
-    let obs = Obs::new();
+fn pool_caches_evict_hit_and_recycle_frames() {
     let cfg = MsgConfig {
         reliability: Reliability::on(), // reliable eager drives the frame pool
         reg_cache_capacity: 1,          // force evictions under churn
@@ -231,15 +201,7 @@ fn pool_ledgers_reconcile_with_registry() {
     };
     let fabric = Fabric::new();
     let mut eps = Endpoint::create_world(&fabric, 2, cfg).unwrap();
-    // Counters attach here; stats may already count setup activity, so
-    // the reconciliation below is over deltas from this baseline.
-    let mut base_pool = Vec::new();
-    let mut base_frames = Vec::new();
-    for ep in eps.iter_mut() {
-        ep.set_obs(obs.clone());
-        base_pool.push(ep.pool_stats());
-        base_frames.push(ep.frame_pool_stats());
-    }
+    let base_pool = eps[0].pool_stats();
     let (e0, e1) = eps.split_at_mut(1);
     let (ep0, ep1) = (&mut e0[0], &mut e1[0]);
 
@@ -273,78 +235,9 @@ fn pool_ledgers_reconcile_with_registry() {
         }
     }
 
-    let evictions0 = ep0.pool_stats().evictions - base_pool[0].evictions;
-    assert!(evictions0 > 0, "capacity-1 cache under churn must evict");
-    assert!(ep0.pool_stats().hits > base_pool[0].hits, "churn must hit the cache");
+    let pool = ep0.pool_stats();
+    assert!(pool.evictions > base_pool.evictions, "capacity-1 cache under churn must evict");
+    assert!(pool.hits > base_pool.hits, "churn must hit the cache");
     let frame_hits: u64 = eps.iter().map(|ep| ep.frame_pool_stats().hits).sum();
     assert!(frame_hits > 0, "steady-state eager traffic must recycle frames");
-    for (i, ep) in eps.iter().enumerate() {
-        let r = i.to_string();
-        let labels: [(&str, &str); 1] = [("rank", &r)];
-        let reg = &obs.registry;
-        let pool = ep.pool_stats();
-        assert_eq!(
-            reg.counter_value("reg_cache_hits_total", &labels),
-            pool.hits - base_pool[i].hits,
-            "rank {i} cache hits"
-        );
-        assert_eq!(
-            reg.counter_value("reg_cache_misses_total", &labels),
-            pool.misses - base_pool[i].misses,
-            "rank {i} cache misses"
-        );
-        assert_eq!(
-            reg.counter_value("reg_cache_evictions_total", &labels),
-            pool.evictions - base_pool[i].evictions,
-            "rank {i} cache evictions"
-        );
-        let frames = ep.frame_pool_stats();
-        assert_eq!(
-            reg.counter_value("frame_pool_hits_total", &labels),
-            frames.hits - base_frames[i].hits,
-            "rank {i} frame hits"
-        );
-        assert_eq!(
-            reg.counter_value("frame_pool_misses_total", &labels),
-            frames.misses - base_frames[i].misses,
-            "rank {i} frame misses"
-        );
-    }
-}
-
-/// The sharded engine's event ledger and the registry series
-/// [`ShardRunStats::publish`] emits must reconcile: per-shard dispatch
-/// counters sum to the total, and windows/remote-event counters match
-/// the stats the run returned.
-#[test]
-fn shard_event_ledger_reconciles_with_registry() {
-    let jobs = 4u32;
-    let (result, stats) = simulate_collective_sharded_stats(
-        32,
-        Collective::Allreduce(AllreduceAlgo::Ring),
-        1 << 16,
-        ExecParams::default(),
-        Generation::GigabitEthernet.link_model(),
-        jobs,
-    );
-    assert!(result.messages > 0);
-    assert_eq!(stats.per_shard_events.len(), jobs as usize);
-    assert!(stats.remote_events > 0, "a ring crosses shard boundaries");
-
-    let obs = Obs::new();
-    stats.publish(&obs);
-    let reg = &obs.registry;
-    let mut per_shard_sum = 0u64;
-    for (s, &n) in stats.per_shard_events.iter().enumerate() {
-        let published =
-            reg.counter_value("shard_events_dispatched_total", &[("shard", &s.to_string())]);
-        assert_eq!(published, n, "shard {s} dispatch ledger");
-        per_shard_sum += published;
-    }
-    assert_eq!(per_shard_sum, stats.events_dispatched);
-    assert_eq!(reg.counter_value("shard_windows_total", &[]), stats.windows);
-    assert_eq!(
-        reg.counter_value("shard_remote_events_total", &[]),
-        stats.remote_events
-    );
 }

@@ -13,11 +13,11 @@
 use polaris_sentinel::gen::WorkloadSpec;
 use polaris_sentinel::{ledger, oracle, run_case};
 
-/// A small, chaos-free messaging world. Before the per-QP completion
-/// attribution fix in `polaris-nic` (remote send/write-imm completions
-/// were counted only in the fabric-wide ledger, never against the
-/// sending QP), this spec failed `wqe-cqe-conservation` with the
-/// per-QP CQE sum at roughly half the fabric-wide count.
+/// A small, chaos-free 2-rank messaging world, pinned since it caught
+/// the NIC crediting remote send completions to no QP's books. The NIC
+/// now keeps one fabric-wide ledger (`FabricStats`), and this spec
+/// guards that ledger's `wqe-cqe-conservation` balance: every WQE
+/// completes once, bar the armed receive pools.
 fn nic_attribution_regression_spec() -> WorkloadSpec {
     WorkloadSpec {
         seed: 3,
