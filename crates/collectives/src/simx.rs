@@ -111,10 +111,10 @@ pub fn ops(coll: Collective, rank: u32, p: u32, bytes: u64) -> OpStream {
         Collective::Allgather(AllgatherAlgo::Ring) => (Kind::RingAllgather { bytes }, 2 * rounds),
         Collective::Bcast(BcastAlgo::ScatterAllgather) => {
             // Root 0 scatters p - 1 chunks, everyone else receives one.
-            let scatter = if rank == 0 { rounds } else { 1 };
+            let scatter = if rank == 0 { p - 1 } else { 1 };
             (
                 Kind::ScatterAllgather { chunks: Chunks::new(bytes, p, 1), scatter },
-                scatter + 2 * rounds,
+                scatter as usize + 2 * rounds,
             )
         }
         Collective::AlltoallPairwise => (Kind::Pairwise { bytes }, 2 * rounds),
@@ -124,6 +124,7 @@ pub fn ops(coll: Collective, rank: u32, p: u32, bytes: u64) -> OpStream {
             (Kind::Listed(ops), len)
         }
     };
+    let len = u32::try_from(len).expect("a schedule of more than u32::MAX ops");
     OpStream { kind, rank, p, pos: 0, len }
 }
 
@@ -134,8 +135,8 @@ pub struct OpStream {
     rank: u32,
     p: u32,
     /// Index of the op [`Iterator::next`] yields.
-    pos: usize,
-    len: usize,
+    pos: u32,
+    len: u32,
 }
 
 #[derive(Debug)]
@@ -145,7 +146,7 @@ enum Kind {
     RingAllreduce(Chunks),
     RingAllgather { bytes: u64 },
     /// `scatter` ops of the root's scatter precede the ring allgather.
-    ScatterAllgather { chunks: Chunks, scatter: usize },
+    ScatterAllgather { chunks: Chunks, scatter: u32 },
     Pairwise { bytes: u64 },
 }
 
@@ -188,10 +189,10 @@ impl Iterator for OpStream {
     // per op instead of 3.5.
     #[inline(always)]
     fn next(&mut self) -> Option<SchedOp> {
-        let i = self.pos;
-        if i == self.len {
+        if self.pos == self.len {
             return None;
         }
+        let i = self.pos as usize;
         self.pos += 1;
         let (rank, p) = (self.rank, self.p);
         let next = wrap(rank + 1, p);
@@ -229,7 +230,7 @@ impl Iterator for OpStream {
             }
             Kind::RingAllgather { bytes } => ring(i, *bytes),
             Kind::ScatterAllgather { chunks, scatter } => {
-                if i < *scatter {
+                if i < *scatter as usize {
                     if rank == 0 {
                         let to = i as u32 + 1;
                         SchedOp::Send { to, bytes: chunks.bytes(to) }
@@ -237,7 +238,7 @@ impl Iterator for OpStream {
                         SchedOp::Recv { from: 0 }
                     }
                 } else {
-                    let j = i - scatter;
+                    let j = i - *scatter as usize;
                     ring(j, chunks.bytes(sent(j / 2)))
                 }
             }
@@ -253,14 +254,14 @@ impl Iterator for OpStream {
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let left = self.len - self.pos;
+        let left = (self.len - self.pos) as usize;
         (left, Some(left))
     }
 }
 
 impl OpSource for OpStream {
     fn yielded(&self) -> usize {
-        self.pos
+        self.pos as usize
     }
 }
 
@@ -445,6 +446,13 @@ pub struct ExecParams {
     pub compute_bps: u64,
 }
 
+impl ExecParams {
+    /// Duration of the reduction arithmetic over `bytes`.
+    fn compute_time(&self, bytes: u64) -> SimDuration {
+        SimDuration::from_secs_f64(bytes as f64 / self.compute_bps as f64)
+    }
+}
+
 impl Default for ExecParams {
     fn default() -> Self {
         ExecParams {
@@ -457,18 +465,28 @@ impl Default for ExecParams {
 struct RankState {
     /// The rank's schedule and the op it stands on.
     at: Cursor<OpStream>,
+    /// The rank's clock: its finish once it stands on no op.
     time: SimTime,
-    finished: Option<SimTime>,
     /// Messages sent to this rank and not yet received.
     inbox: Inbox,
     /// The sender this rank is blocked receiving from since its `time`.
     waiting_on: Option<u32>,
 }
 
+impl RankState {
+    /// When the rank did its last op, or `None` while it has ops left.
+    fn finish(&self) -> Option<SimTime> {
+        self.at.op().is_none().then_some(self.time)
+    }
+}
+
 struct SimExec<'a> {
     net: &'a mut Network,
     params: ExecParams,
     ranks: Vec<RankState>,
+    /// The last `Compute` byte count and its duration: a float divide
+    /// and round that reduction streams repeat with one or two sizes.
+    compute: (u64, SimDuration),
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -486,7 +504,6 @@ impl SimExec<'_> {
             let st = &mut self.ranks[rank];
             st.time = t;
             let Some(op) = st.at.op() else {
-                st.finished = Some(t);
                 return;
             };
             match op {
@@ -519,7 +536,10 @@ impl SimExec<'_> {
                     }
                 },
                 SchedOp::Compute { bytes } => {
-                    t += SimDuration::from_secs_f64(bytes as f64 / self.params.compute_bps as f64);
+                    if self.compute.0 != bytes {
+                        self.compute = (bytes, self.params.compute_time(bytes));
+                    }
+                    t += self.compute.1;
                 }
                 SchedOp::Work { ps } => t += SimDuration::from_ps(ps),
             }
@@ -566,7 +586,7 @@ pub fn simulate_collective(
     let (ranks, events) = execute(net, (0..p).map(|r| ops(coll, r, p, bytes)), params);
     let mut completion = SimTime::ZERO;
     for (r, st) in ranks.iter().enumerate() {
-        let done = st.finished.unwrap_or_else(|| {
+        let done = st.finish().unwrap_or_else(|| {
             panic!("rank {r} deadlocked at op {} of {coll:?}", st.at.index())
         });
         completion = completion.max(done);
@@ -590,13 +610,12 @@ fn execute(
         .map(|stream| RankState {
             at: Cursor::new(stream),
             time: SimTime::ZERO,
-            finished: None,
             inbox: Inbox::default(),
             waiting_on: None,
         })
         .collect();
     let p = ranks.len();
-    let mut world = SimExec { net, params, ranks };
+    let mut world = SimExec { net, params, ranks, compute: (0, params.compute_time(0)) };
     // Live population peaks around one in-flight event per rank.
     let mut sched = Scheduler::with_capacity(p);
     for r in 0..p as u32 {
@@ -874,10 +893,10 @@ pub(crate) mod tests {
             rank: r as u32,
             p,
             pos: 0,
-            len: ops.len(),
+            len: ops.len() as u32,
         });
         let (ranks, _) = execute(&mut net(p), streams, ExecParams::default());
-        ranks.iter().map(|st| st.finished.expect("rank finished").0).collect()
+        ranks.iter().map(|st| st.finish().expect("rank finished").0).collect()
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! circuit switch. Figures are published-era ballpark values; the
 //! experiments depend on their relative shape, not their third digit.
 
-use crate::time::{SimDuration, SimTime, PS_PER_SEC};
+use crate::time::{SimDuration, PS_PER_SEC};
 
 /// Physical/link-layer model of one interconnect technology.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -188,17 +188,6 @@ impl LinkModel {
 /// Identifier for a directed link inside a topology.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct LinkId(pub u32);
-
-/// Per-link occupancy state used by the flow-level contention model.
-#[derive(Debug, Clone, Default)]
-pub struct LinkState {
-    /// Time at which the link next becomes free.
-    pub busy_until: SimTime,
-    /// Total bytes carried (payload + headers).
-    pub bytes_carried: u64,
-    /// Total time the link has spent busy.
-    pub busy_time: SimDuration,
-}
 
 #[cfg(test)]
 mod tests {

@@ -11,7 +11,7 @@
 //! yields deterministic, contention-aware delivery times.
 
 use crate::fault::{FaultEvent, FaultInjector, FaultPlan, FaultVerdict};
-use crate::link::{LinkId, LinkModel, LinkState};
+use crate::link::{LinkId, LinkModel};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::Topology;
 
@@ -36,20 +36,53 @@ const LOCAL_COPY_BPS: u64 = 2_000_000_000;
 pub struct Network {
     topo: Topology,
     model: LinkModel,
-    links: Vec<LinkState>,
+    /// Per link, the time it next becomes free: the whole of the
+    /// contention model's state.
+    busy_until: Vec<SimTime>,
     faults: Option<FaultInjector>,
     transfers: u64,
     payload_bytes: u64,
     dropped: u64,
     corrupted: u64,
-    /// Time a cut-through switch holds a message's head: one header's
-    /// serialization, the same for every message of this model.
-    header_fwd: SimDuration,
+    /// The per-size terms of the last size presented to the wire.
+    size: SizeTerms,
     /// Route buffer for the fault-injection path only: link-scoped fault
     /// rules judge the whole route as a slice. The fault-free hot path
     /// streams hops straight off [`Topology::route_plan`] and never
     /// materializes a route.
     route_scratch: Vec<LinkId>,
+}
+
+/// What a message of `bytes` costs on each link, whatever its route.
+///
+/// Both terms round a float product, a library call on the x86-64
+/// baseline, and collective streams repeat one or two sizes (a ring's
+/// chunk, a tree's vector), so [`Network`] keeps the last size's terms
+/// and recomputes them only when the size changes.
+#[derive(Debug, Clone, Copy)]
+struct SizeTerms {
+    bytes: u64,
+    /// Serialization of the wire bytes: each link's occupancy.
+    ser: SimDuration,
+    /// Per-hop delay of the message head: the hop latency plus, for
+    /// cut-through, one header's serialization, and for
+    /// store-and-forward, the first packet's.
+    per_hop: SimDuration,
+}
+
+impl SizeTerms {
+    fn new(model: &LinkModel, bytes: u64) -> Self {
+        let fwd = if model.cut_through {
+            model.serialize(model.header_bytes as u64)
+        } else {
+            model.serialize(bytes.min(model.mtu as u64) + model.header_bytes as u64)
+        };
+        SizeTerms {
+            bytes,
+            ser: model.serialize_payload(bytes),
+            per_hop: SimDuration::from_ps(model.hop_latency) + fwd,
+        }
+    }
 }
 
 impl Network {
@@ -58,13 +91,13 @@ impl Network {
         Network {
             topo,
             model,
-            links: vec![LinkState::default(); n],
+            busy_until: vec![SimTime::ZERO; n],
             faults: None,
             transfers: 0,
             payload_bytes: 0,
             dropped: 0,
             corrupted: 0,
-            header_fwd: model.serialize(model.header_bytes as u64),
+            size: SizeTerms::new(&model, 0),
             route_scratch: Vec::new(),
         }
     }
@@ -80,11 +113,6 @@ impl Network {
     /// Replay log of every fault injected so far (empty without a plan).
     pub fn fault_log(&self) -> &[FaultEvent] {
         self.faults.as_ref().map_or(&[], |f| f.log())
-    }
-
-    /// Whether `node` is crashed under the attached plan at `now`.
-    pub fn node_crashed(&self, node: u32, now: SimTime) -> bool {
-        self.faults.as_ref().is_some_and(|f| f.node_crashed(node, now))
     }
 
     pub fn topology(&self) -> &Topology {
@@ -111,15 +139,15 @@ impl Network {
             };
         }
         // Split the borrow: the topology stays immutably borrowed for the
-        // route plan while link occupancy is charged against `links`.
+        // route plan while link occupancy is charged against `busy_until`.
         let Network {
             topo,
             model,
-            links,
+            busy_until,
             faults,
             dropped: dropped_total,
             corrupted: corrupted_total,
-            header_fwd,
+            size,
             route_scratch,
             ..
         } = self;
@@ -148,17 +176,10 @@ impl Network {
                 }
             }
         }
-        let wire_bytes = model.wire_bytes(bytes);
-        let ser = model.serialize(wire_bytes);
-        // Per-hop forwarding cost of the message head: for cut-through the
-        // head moves on after the header is through; store-and-forward
-        // re-serializes the first packet.
-        let fwd = if model.cut_through {
-            *header_fwd
-        } else {
-            model.serialize(bytes.min(model.mtu as u64) + model.header_bytes as u64)
-        };
-        let per_hop = SimDuration::from_ps(model.hop_latency) + fwd;
+        if size.bytes != bytes {
+            *size = SizeTerms::new(model, bytes);
+        }
+        let SizeTerms { ser, per_hop, .. } = *size;
         // Stream the route plan charging occupancy; `extra` accumulates
         // queueing delay beyond the uncontended schedule. No route vector
         // exists on this path.
@@ -166,12 +187,10 @@ impl Network {
         let mut hops = 0u32;
         for link in topo.route_plan(src, dst) {
             let nominal_head = now + extra + per_hop.saturating_mul(hops as u64);
-            let st = &mut links[link.0 as usize];
-            let start = nominal_head.max(st.busy_until);
+            let busy = &mut busy_until[link.0 as usize];
+            let start = nominal_head.max(*busy);
             extra += start.since(nominal_head);
-            st.busy_until = start + ser;
-            st.bytes_carried += wire_bytes;
-            st.busy_time += ser;
+            *busy = start + ser;
             hops += 1;
         }
         let arrival = now + extra + model.message_time_from(ser, bytes, hops);
@@ -206,21 +225,6 @@ impl Network {
     pub fn corrupted(&self) -> u64 {
         self.corrupted
     }
-
-    /// Reset link occupancy and rewind the fault injector, but keep
-    /// topology/model/plan (new experiment run; replays are identical).
-    pub fn reset(&mut self) {
-        for l in &mut self.links {
-            *l = LinkState::default();
-        }
-        if let Some(inj) = &mut self.faults {
-            inj.reset();
-        }
-        self.transfers = 0;
-        self.payload_bytes = 0;
-        self.dropped = 0;
-        self.corrupted = 0;
-    }
 }
 
 #[cfg(test)]
@@ -233,10 +237,9 @@ mod tests {
         Network::new(Topology::new(kind), g.link_model())
     }
 
-    /// Total bytes carried across all links (payload + headers, counted
-    /// once per traversed link).
-    fn total_link_bytes(n: &Network) -> u64 {
-        n.links.iter().map(|l| l.bytes_carried).sum()
+    /// Links whose occupancy a transfer has moved off zero.
+    fn busy_links(n: &Network) -> usize {
+        n.busy_until.iter().filter(|&&t| t != SimTime::ZERO).count()
     }
 
     #[test]
@@ -254,8 +257,10 @@ mod tests {
     /// An uncontended transfer takes exactly the analytic
     /// [`LinkModel::message_time`] on every route length a fat tree has
     /// (same edge, same pod, cross pod), for cut-through and
-    /// store-and-forward generations alike, and charges each of its
-    /// links one serialization of the wire bytes.
+    /// store-and-forward generations alike. Link `j` of its route is
+    /// busy until the head reaches it, `j` per-hop delays after `now`,
+    /// plus one serialization of the wire bytes, and no other link is
+    /// charged.
     #[test]
     fn uncontended_fat_tree_matches_message_time() {
         let now = SimTime(7_000_000);
@@ -271,7 +276,22 @@ mod tests {
                         "{g:?} {hops} hops {bytes} B"
                     );
                     assert_eq!(n.nominal_time(0, dst, bytes), m.message_time(bytes, hops));
-                    assert_eq!(total_link_bytes(&n), hops as u64 * m.wire_bytes(bytes));
+                    let head = if m.cut_through {
+                        m.serialize(m.header_bytes as u64)
+                    } else {
+                        m.serialize(bytes.min(m.mtu as u64) + m.header_bytes as u64)
+                    };
+                    let per_hop = SimDuration::from_ps(m.hop_latency) + head;
+                    let route = n.topology().route(0, dst);
+                    assert_eq!(route.len() as u32, hops);
+                    for (j, link) in route.iter().enumerate() {
+                        assert_eq!(
+                            n.busy_until[link.0 as usize],
+                            now + per_hop.saturating_mul(j as u64) + m.serialize_payload(bytes),
+                            "{g:?} {bytes} B, link {j} of {hops}"
+                        );
+                    }
+                    assert_eq!(busy_links(&n), hops as usize);
                 }
             }
         }
@@ -312,7 +332,7 @@ mod tests {
         let mut n = net(TopologyKind::Crossbar { hosts: 4 }, Generation::FastEthernet);
         let d = n.transfer(SimTime::ZERO, 2, 2, 1 << 20);
         assert!(d.arrival < SimTime::ZERO + n.model().message_time(1 << 20, 2));
-        assert_eq!(total_link_bytes(&n), 0);
+        assert_eq!(busy_links(&n), 0);
     }
 
     #[test]
@@ -399,10 +419,6 @@ mod tests {
             .with_faults(plan);
         assert_eq!(run(&mut b), first);
         assert_eq!(b.fault_log(), &log1[..]);
-        // reset() rewinds the injector too.
-        a.reset();
-        assert_eq!(run(&mut a), first);
-        assert_eq!(a.fault_log(), &log1[..]);
     }
 
     #[test]
@@ -415,19 +431,19 @@ mod tests {
         assert!(n.transfer(crash_at, 0, 2, 64).dropped);
         assert!(n.transfer(crash_at, 2, 3, 64).dropped);
         assert!(!n.transfer(crash_at, 0, 1, 64).dropped);
-        assert!(n.node_crashed(2, crash_at));
     }
 
     #[test]
-    fn stats_accumulate_and_reset() {
+    fn stats_accumulate_and_each_hop_is_charged() {
         let mut n = net(TopologyKind::Ring { hosts: 4 }, Generation::Myrinet2000);
+        assert_eq!(busy_links(&n), 0);
         n.transfer(SimTime::ZERO, 0, 2, 1000);
         assert_eq!(n.transfers(), 1);
         assert_eq!(n.payload_bytes(), 1000);
-        assert!(total_link_bytes(&n) >= 2 * 1000); // two hops
-        n.reset();
-        assert_eq!(n.transfers(), 0);
-        assert_eq!(total_link_bytes(&n), 0);
+        assert_eq!(busy_links(&n), 2); // two hops
+        n.transfer(SimTime::ZERO, 3, 3, 1000);
+        assert_eq!((n.transfers(), n.payload_bytes()), (2, 2000));
+        assert_eq!(busy_links(&n), 2); // loopback stays off the wire
     }
 
     #[test]

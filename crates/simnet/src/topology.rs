@@ -133,6 +133,8 @@ pub struct Topology {
     kind: TopologyKind,
     hosts: u32,
     routing: Routing,
+    /// The fat-tree family's index, built once; `None` on other kinds.
+    ft: Option<FtIndex>,
     reference: Option<Box<RefGraph>>,
 }
 
@@ -191,10 +193,16 @@ impl Topology {
         if link_total(kind, hosts).is_none_or(|n| n > u32::MAX as u64) {
             return Err(TopologyError::TooManyLinks(kind));
         }
+        let ft = match kind {
+            TopologyKind::FatTree { k } => Some(FtIndex::new(k, k)),
+            TopologyKind::FatTreePods { k, pods } => Some(FtIndex::new(k, pods)),
+            _ => None,
+        };
         Ok(Topology {
             kind,
             hosts,
             routing: Routing::Minimal,
+            ft,
             reference: None,
         })
     }
@@ -338,13 +346,12 @@ impl Topology {
                 }
             }
             TopologyKind::FatTree { .. } | TopologyKind::FatTreePods { .. } => {
-                let (k, pods) = self.ft_dims();
-                let half = k / 2;
+                let ft = self.ft();
+                let half = ft.half;
                 let pod_block = 6 * half * half;
                 let pod = i / pod_block;
-                assert!(pod < pods, "link id out of range");
+                assert!(pod < ft.pods, "link id out of range");
                 let r = i % pod_block;
-                let ft = FtIndex { k, pods };
                 let (from, to) = if r < 4 * half * half {
                     let e = r / (4 * half);
                     let r2 = r % (4 * half);
@@ -419,6 +426,7 @@ impl Topology {
     /// Crossbar and fat-tree routes have a fixed shape (at most six
     /// links), so their link ids are written out here in closed form;
     /// the other kinds step vertex by vertex.
+    #[inline]
     pub fn route_plan(&self, src: u32, dst: u32) -> RoutePlan<'_> {
         assert!(src < self.hosts && dst < self.hosts, "rank out of range");
         let closed = |links: [u32; 6], len: u8| RoutePlan(Plan::Closed { links, len, pos: 0 });
@@ -428,8 +436,7 @@ impl Topology {
         match self.kind {
             TopologyKind::Crossbar { .. } => closed([2 * src, 2 * dst + 1, 0, 0, 0, 0], 2),
             TopologyKind::FatTree { .. } | TopologyKind::FatTreePods { .. } => {
-                let (k, pods) = self.ft_dims();
-                let ft = FtIndex { k, pods };
+                let ft = self.ft();
                 let (sp, se, sport) = ft.locate(src);
                 // Upstream spreading is by destination (D-mod-k): the
                 // aggregation switch is the destination's port number,
@@ -534,11 +541,12 @@ impl Topology {
             }
             TopologyKind::FatTree { .. } | TopologyKind::FatTreePods { .. } => {
                 // Up to the lowest tier the endpoints share, and back.
-                let half = self.ft_dims().0 / 2;
-                let (s_edge, d_edge) = (src / half, dst / half);
-                if s_edge == d_edge {
+                let ft = self.ft();
+                let (sp, se, _) = ft.locate(src);
+                let (dp, de, _) = ft.locate(dst);
+                if (sp, se) == (dp, de) {
                     2
-                } else if s_edge / half == d_edge / half {
+                } else if sp == dp {
                     4
                 } else {
                     6
@@ -605,9 +613,8 @@ impl Topology {
                 }
             }
             TopologyKind::FatTree { .. } | TopologyKind::FatTreePods { .. } => {
-                let (k, pods) = self.ft_dims();
-                let half = k / 2;
-                let ft = FtIndex { k, pods };
+                let ft = self.ft();
+                let (half, pods) = (ft.half, ft.pods);
                 let dp = dst / (half * half);
                 let de = (dst / half) % half;
                 let a_sel = dst % half;
@@ -720,8 +727,7 @@ impl Topology {
                 t3_link(wx, wy, wz, (ui, uj, uk), (vi, vj, vk))
             }
             TopologyKind::FatTree { .. } | TopologyKind::FatTreePods { .. } => {
-                let (k, pods) = self.ft_dims();
-                self.ft_link_id(k, pods, from, to)
+                self.ft_link_id(from, to)
             }
             TopologyKind::Dragonfly {
                 groups: g,
@@ -754,18 +760,15 @@ impl Topology {
         LinkId(id)
     }
 
-    /// (k, pods) for the fat-tree family.
-    fn ft_dims(&self) -> (u32, u32) {
-        match self.kind {
-            TopologyKind::FatTree { k } => (k, k),
-            TopologyKind::FatTreePods { k, pods } => (k, pods),
-            _ => unreachable!(),
-        }
+    /// The fat-tree family's index.
+    #[inline]
+    fn ft(&self) -> &FtIndex {
+        self.ft.as_ref().expect("not a fat tree")
     }
 
-    fn ft_link_id(&self, k: u32, pods: u32, from: Vertex, to: Vertex) -> u32 {
-        let half = k / 2;
-        let ft = FtIndex { k, pods };
+    fn ft_link_id(&self, from: Vertex, to: Vertex) -> u32 {
+        let ft = self.ft();
+        let (half, pods) = (ft.half, ft.pods);
         let host_link = |hst: u32, up: bool| {
             let (pod, e, port) = ft.locate(hst);
             ft.host_link(pod, e, port, up)
@@ -977,9 +980,8 @@ impl Topology {
                 }
             }
             TopologyKind::FatTree { .. } | TopologyKind::FatTreePods { .. } => {
-                let (k, pods) = self.ft_dims();
-                let half = k / 2;
-                let ft = FtIndex { k, pods };
+                let ft = self.ft();
+                let (half, pods) = (ft.half, ft.pods);
                 for pod in 0..pods {
                     for e in 0..half {
                         for p in 0..half {
@@ -1147,50 +1149,86 @@ impl Topology {
 
 /// Fat-tree switch numbering: edge switches `[0, pods*half)`, aggregation
 /// switches `[pods*half, 2*pods*half)`, core `[2*pods*half, +half^2)`.
+///
+/// Built once, by [`Topology::try_new`]. Every fat-tree route and distance
+/// decodes both endpoints with [`FtIndex::locate`], two divisions by
+/// `half`, so the index holds `half`'s reciprocal and divides with a
+/// multiply.
+#[derive(Debug, Clone)]
 struct FtIndex {
-    k: u32,
     pods: u32,
+    /// `k / 2`: ports per edge switch, edge switches per pod.
+    half: u32,
+    /// `u64::MAX / half`, the round-down reciprocal [`FtIndex::divmod`]
+    /// multiplies by.
+    recip: u64,
 }
 
 impl FtIndex {
+    fn new(k: u32, pods: u32) -> Self {
+        let half = k / 2;
+        FtIndex { pods, half, recip: u64::MAX / u64::from(half) }
+    }
+
+    /// `(n / half, n % half)`, exact for every `u32` `n` and every
+    /// `half >= 1`, with one multiply-high and one multiply.
+    ///
+    /// The round-up reciprocal `u64::MAX / half + 1` would serve as well,
+    /// but at `half = 1` (`k = 2`) it is 2^64 and overflows. So this takes
+    /// the round-down one, `m = (2^64 - 1) / half`, and multiplies it by
+    /// `n + 1`. Write `half * m = 2^64 - r` with `1 <= r <= half`; then
+    /// `(n + 1) * m / 2^64 = (n + 1) / half - e`, where
+    /// `e = (n + 1) * r / (half * 2^64)` lies strictly between 0 and
+    /// `1 / half`, because `n + 1 <= 2^32` and `r <= half < 2^32`. If
+    /// `half` divides `n + 1`, the floor is `(n + 1) / half - 1`;
+    /// otherwise `(n + 1) / half` has a fractional part of at least
+    /// `1 / half`, and `e` cannot carry it below its floor. Either way the
+    /// floor is `n / half`.
+    #[inline]
+    fn divmod(&self, n: u32) -> (u32, u32) {
+        let q = (((u128::from(n) + 1) * u128::from(self.recip)) >> 64) as u32;
+        (q, n - q * self.half)
+    }
+
     fn edge(&self, pod: u32, e: u32) -> Vertex {
-        Vertex::Switch(pod * (self.k / 2) + e)
+        Vertex::Switch(pod * self.half + e)
     }
     fn agg(&self, pod: u32, a: u32) -> Vertex {
-        Vertex::Switch(self.pods * (self.k / 2) + pod * (self.k / 2) + a)
+        Vertex::Switch(self.pods * self.half + pod * self.half + a)
     }
     fn core(&self, c: u32) -> Vertex {
-        Vertex::Switch(2 * self.pods * (self.k / 2) + c)
+        Vertex::Switch(2 * self.pods * self.half + c)
     }
     fn agg_pod(&self, s: u32) -> u32 {
-        (s - self.pods * (self.k / 2)) / (self.k / 2)
+        (s - self.pods * self.half) / self.half
     }
     fn agg_index(&self, s: u32) -> u32 {
-        (s - self.pods * (self.k / 2)) % (self.k / 2)
+        (s - self.pods * self.half) % self.half
     }
     /// `(pod, edge switch in pod, port on edge switch)` of a host.
+    #[inline]
     fn locate(&self, host: u32) -> (u32, u32, u32) {
-        let half = self.k / 2;
-        let edge = host / half;
-        (edge / half, edge % half, host % half)
+        let (edge, port) = self.divmod(host);
+        let (pod, e) = self.divmod(edge);
+        (pod, e, port)
     }
     // Link numbering: each pod owns a block of 6 * half^2 ids — per edge
     // switch its `half` host cable pairs then its `half` uplink pairs,
     // then per aggregation switch its `half` core pairs. Within a pair
     // the upward direction is the even id.
     fn edge_base(&self, pod: u32, e: u32) -> u32 {
-        let half = self.k / 2;
+        let half = self.half;
         pod * 6 * half * half + e * 4 * half
     }
     fn host_link(&self, pod: u32, e: u32, port: u32, up: bool) -> u32 {
         self.edge_base(pod, e) + 2 * port + u32::from(!up)
     }
     fn edge_agg_link(&self, pod: u32, e: u32, a: u32, up: bool) -> u32 {
-        self.edge_base(pod, e) + self.k + 2 * a + u32::from(!up)
+        self.edge_base(pod, e) + 2 * self.half + 2 * a + u32::from(!up)
     }
     fn agg_core_link(&self, pod: u32, a: u32, up_idx: u32, up: bool) -> u32 {
-        let half = self.k / 2;
-        pod * 6 * half * half + 4 * half * half + a * self.k + 2 * up_idx + u32::from(!up)
+        let half = self.half;
+        pod * 6 * half * half + 4 * half * half + 2 * a * half + 2 * up_idx + u32::from(!up)
     }
 }
 
@@ -1911,5 +1949,41 @@ mod tests {
         let last = LinkId(t.link_count() as u32 - 1);
         let (from, to) = t.link_endpoints(last);
         assert_eq!(t.link_id(from, to), last);
+    }
+
+    /// `FtIndex`'s reciprocal division equals `/` and `%` for every even
+    /// arity `try_new` accepts: one pod is the smallest machine of each
+    /// `k`, and every pod count of a `k` shares its `half`. That includes
+    /// `k = 2`, where `half = 1` and the round-up reciprocal would
+    /// overflow. Each arity checks the edges of the quotient, the last
+    /// host of the one-pod and the full machine, `u32::MAX` and a seeded
+    /// sweep.
+    #[test]
+    fn fat_tree_reciprocal_divides_exactly_at_every_accepted_arity() {
+        let mut rng = crate::rng::SplitMix64::new(0x00D1_71DE);
+        let mut k = 2;
+        while let Ok(topo) = Topology::try_new(TopologyKind::FatTreePods { k, pods: 1 }) {
+            let ft = topo.ft();
+            let half = ft.half;
+            assert_eq!(half, k / 2);
+            let mut ns = vec![0, 1, half - 1, half, half + 1, topo.hosts() - 1, u32::MAX];
+            if let Ok(full) = Topology::try_new(TopologyKind::FatTree { k }) {
+                ns.push(full.hosts() - 1);
+            }
+            ns.extend((0..32).map(|_| rng.next_u64() as u32));
+            for n in ns {
+                assert_eq!(ft.divmod(n), (n / half, n % half), "k = {k}, n = {n}");
+                let edge = n / half;
+                assert_eq!(ft.locate(n), (edge / half, edge % half, n % half), "k = {k}, n = {n}");
+            }
+            k += 2;
+        }
+        // The sweep ended where the one-pod machine's links pass the
+        // `u32` id space, not at some earlier refusal.
+        assert!(matches!(
+            Topology::try_new(TopologyKind::FatTreePods { k, pods: 1 }),
+            Err(TopologyError::TooManyLinks(_))
+        ));
+        assert!(k > 50_000, "the sweep stopped at k = {k}");
     }
 }

@@ -122,10 +122,14 @@ proptest! {
 /// Fat-tree routes are closed-form (one `(pod, edge, port)` decode per
 /// endpoint, link ids written out directly). Every pair of every small
 /// tree — each pod count included — must match the reference walk link
-/// for link, and `hops` must equal the route's length.
+/// for link, and `hops` must equal the route's length. The decode divides
+/// by `k / 2` through a reciprocal multiply, and the reference walk with
+/// `/` and `%`; `k = 6` and `k = 10` (`FatTree { k: 10 }`,
+/// `FatTreePods { k: 6, pods: 2 }` among them) are the arities here whose
+/// `k / 2` is not a power of two.
 #[test]
 fn fat_tree_all_pairs_match_reference() {
-    for k in [2, 4, 6, 8] {
+    for k in [2, 4, 6, 8, 10] {
         check_all_pairs(TopologyKind::FatTree { k }, Routing::Minimal);
     }
     for k in [2, 4, 6] {

@@ -16,7 +16,9 @@
 //! O(hosts^2) table is astronomically over the cap — while the intended
 //! O(1)/O(routers) representation stays in single digits. The schedule
 //! executors are held the same way: O(1) schedule state and one inbox
-//! per rank, never one per rank pair. So is the event queue's re-fit: it
+//! per rank, never one per rank pair, and a rank record of at most 240
+//! bytes with its share of the queue; the flow network keeps 8 bytes a
+//! link. So is the event queue's re-fit: it
 //! holds a far-future preload once, not twice, at no more than 44 bytes
 //! an event, and a whole fleet run at no more than 100 bytes a node.
 
@@ -123,6 +125,52 @@ fn ring_allreduce_schedules_are_never_materialized() {
     assert!(
         held < 4 << 20,
         "simulate_collective held {held} bytes at once for a 1024-rank ring allreduce"
+    );
+}
+
+/// The flow network's state is one `busy_until` a link: the contention
+/// model reads nothing else. `FatTree { k: 16 }` has 6 144 directed
+/// links. While each link also counted the bytes and busy time it had
+/// carried, `Network::new` held 147 456 B there (24 B a link).
+#[test]
+fn a_flow_network_holds_8_bytes_a_link() {
+    let topo = Topology::new(TopologyKind::FatTree { k: 16 });
+    let links = topo.link_count();
+    assert_eq!(links, 6_144);
+    let (net, held) =
+        peak_live_bytes(|| Network::new(topo, Generation::InfiniBand4x.link_model()));
+    assert_eq!(net.transfers(), 0);
+    assert!(
+        held <= 8 * links as i64,
+        "Network::new held {held} bytes for {links} links"
+    );
+}
+
+/// The 1024-rank ring allreduce above, held to the bytes a rank costs:
+/// its record (schedule cursor, clock, inbox, the sender it waits on)
+/// and its share of the queue and the inboxes' messages. With a
+/// separate finish time and `usize` stream positions, the record was
+/// 144 B and the run held 266 368 B at once in a debug build (260 B a
+/// rank); at 112 B, 233 600 B (228 B a rank).
+#[test]
+fn a_1024_rank_ring_holds_at_most_240_bytes_a_rank() {
+    let mut net = Network::new(
+        Topology::new(TopologyKind::FatTree { k: 16 }),
+        Generation::InfiniBand4x.link_model(),
+    );
+    let (r, held) = peak_live_bytes(|| {
+        simulate_collective(
+            &mut net,
+            Collective::Allreduce(AllreduceAlgo::Ring),
+            4 << 20,
+            ExecParams::default(),
+        )
+    });
+    assert_eq!(r.messages, 1024 * 2 * 1023);
+    let per_rank = held as f64 / 1024.0;
+    assert!(
+        per_rank <= 240.0,
+        "the ring held {held} bytes at once: {per_rank:.1} a rank"
     );
 }
 
