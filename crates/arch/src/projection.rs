@@ -124,9 +124,10 @@ impl Crossing {
 /// last two years decide between [`Crossing::BeyondHorizon`] (still
 /// growing) and [`Crossing::Never`] (flat, shrinking, or zero); a
 /// single-year range grows if it produced anything, an empty one never
-/// does. `value_at` runs at most once per year — F14's *effective*-FLOP/s
-/// curves pay a simulation for each call — and only on years in the
-/// range. Used by the peak-FLOP/s search below as well.
+/// does. `value_at` runs at most once per year, and only on years in the
+/// range; F14's *effective*-FLOP/s curves pay a simulation for a call
+/// only where their engine-free bound cannot decide it. Used by the
+/// peak-FLOP/s search below as well.
 pub fn crossing_in(
     years: std::ops::RangeInclusive<u32>,
     target: f64,

@@ -13,9 +13,15 @@
 //! question against *application-effective* FLOP/s: for each workload ×
 //! fabric, the first year a $10M CMP cluster delivers 50 TF through
 //! that application's communication pattern, distinguishing "beyond the
-//! horizon" (`>2020`) from "never" (the curve has stopped growing — the
-//! open-loop serving tier's completion is pinned by its arrival stream,
-//! so faster nodes stop helping).
+//! horizon" (`>2020`) from "never" (the curve has stopped growing).
+//!
+//! F14c asks the engine only what a roofline bound cannot answer. A
+//! year whose engine-free upper bound
+//! ([`polaris_workloads::effective_bound`]) is below the target cannot
+//! cross, so the bound stands in for that year's value; the engine runs
+//! for the years the bound reaches the target and for the horizon's last
+//! two. That is 81 of the 357 runs a search year by year would make,
+//! with every answer the same.
 //!
 //! Cells fan out across the sweep threads and come back in grid order,
 //! and every inner simulation runs at `jobs = 1`, so the tables are
@@ -24,7 +30,7 @@
 
 use crate::table::Table;
 use polaris_arch::prelude::*;
-use polaris_workloads::{run_workload, Fabric, WorkloadKind};
+use polaris_workloads::{effective_bound, run_workload, Fabric, WorkloadKind};
 
 pub const SEED: u64 = 0xF14_AB5;
 
@@ -42,19 +48,34 @@ fn node_at(kind: NodeKind, year: u32) -> NodeModel {
     NodeModel::build(kind, &Projection::default().at(year))
 }
 
-/// Aggregate effective FLOP/s a `$10M` CMP cluster delivers in `year`
-/// through `kind`'s communication pattern on `fabric_of(p)`.
-fn cluster_effective(
-    kind: WorkloadKind,
-    fabric_of: &dyn Fn(u32) -> Fabric,
-    year: u32,
-) -> f64 {
-    let node = node_at(NodeKind::SmpOnChip, year);
-    let r = run_workload(kind, &node, &fabric_of(RANKS), RANKS, 1);
-    let per_rank = r.effective_flops() / RANKS as f64;
+/// What a `$10M` CMP cluster delivers in `year` when each of its nodes
+/// delivers one rank's share of `rate`, a 64-rank FLOP/s. A positive
+/// divisor and factor keep the order of any two rates.
+fn cluster_scale(rate: f64, year: u32) -> f64 {
     let nodes = cluster_at(&Projection::default(), NodeKind::SmpOnChip, Constraint::Budget(10e6), year)
         .nodes;
-    nodes as f64 * per_rank
+    nodes as f64 * (rate / RANKS as f64)
+}
+
+/// F14c's cell: the first year a `$10M` CMP cluster delivers
+/// [`EFFECTIVE_TARGET`] through `kind`'s communication pattern on
+/// `fabric`. It is [`crossing_in`] over the simulated cluster rate, but
+/// the engine runs only where the workload's engine-free upper bound
+/// ([`polaris_workloads::effective_bound`]) cannot answer. A year whose
+/// scaled bound is below the target cannot cross, so the bound stands
+/// in for its value there. The horizon's last two years always run,
+/// because `crossing_in` compares their values to tell `>2020` from
+/// `never`.
+fn first_crossing(kind: WorkloadKind, fabric: &Fabric) -> Crossing {
+    let last_two = DEFAULT_HORIZON.end() - 1;
+    crossing_in(DEFAULT_HORIZON, EFFECTIVE_TARGET, |year| {
+        let node = node_at(NodeKind::SmpOnChip, year);
+        let bound = cluster_scale(effective_bound(kind, &node, fabric, RANKS), year);
+        if bound < EFFECTIVE_TARGET && year < last_two {
+            return bound;
+        }
+        cluster_scale(run_workload(kind, &node, fabric, RANKS, 1).effective_flops(), year)
+    })
 }
 
 pub fn generate() -> Vec<Table> {
@@ -135,23 +156,10 @@ pub fn generate() -> Vec<Table> {
         "first year a $10M CMP cluster delivers 50 TFLOP/s *through the application*, per fabric",
         &["workload", "crossbar/gige", "fat-tree/ib", "dragonfly/opt", "dragonfly-circ/opt"],
     );
-    type FabricCtor = fn(u32) -> Fabric;
-    let fabrics: Vec<(&'static str, FabricCtor)> = vec![
-        ("crossbar", |p| Fabric::crossbar(polaris_simnet::link::Generation::GigabitEthernet, p)),
-        ("fat-tree", |p| Fabric::fat_tree(polaris_simnet::link::Generation::InfiniBand4x, p)),
-        ("dragonfly", |p| Fabric::dragonfly(polaris_simnet::link::Generation::Optical, p)),
-        ("dragonfly-circuit", |p| {
-            Fabric::dragonfly_circuits(polaris_simnet::link::Generation::Optical, p)
-        }),
-    ];
     let rows = crate::sweep::sweep(WorkloadKind::ALL.to_vec(), |kind| {
         let mut row = vec![kind.name().to_string()];
-        for (_, fab) in &fabrics {
-            let f: &dyn Fn(u32) -> Fabric = fab;
-            row.push(
-                crossing_in(DEFAULT_HORIZON, EFFECTIVE_TARGET, |y| cluster_effective(kind, f, y))
-                    .label(2020),
-            );
+        for fabric in Fabric::standard(RANKS) {
+            row.push(first_crossing(kind, &fabric).label(2020));
         }
         row
     });
@@ -199,6 +207,33 @@ mod tests {
                 .unwrap()
         };
         assert!(shuffle("fat-tree") > shuffle("crossbar"));
+    }
+
+    /// F14c's cell with the engine run for every year the search asks.
+    fn simulated_crossing(kind: WorkloadKind, fabric: &Fabric) -> Crossing {
+        crossing_in(DEFAULT_HORIZON, EFFECTIVE_TARGET, |year| {
+            let node = node_at(NodeKind::SmpOnChip, year);
+            cluster_scale(run_workload(kind, &node, fabric, RANKS, 1).effective_flops(), year)
+        })
+    }
+
+    #[test]
+    fn pruning_by_the_bound_changes_no_crossing() {
+        use polaris_simnet::link::Generation;
+        let rows = [
+            // Crosses inside the horizon.
+            (WorkloadKind::Stencil, Fabric::fat_tree(Generation::InfiniBand4x, RANKS), "2014"),
+            // The bound reaches the target from 2010 on; the engine decides.
+            (WorkloadKind::ParamServer, Fabric::dragonfly(Generation::Optical, RANKS), ">2020"),
+            // Pruned down to the horizon's last two years.
+            (WorkloadKind::Serving, Fabric::crossbar(Generation::GigabitEthernet, RANKS), ">2020"),
+        ];
+        for (kind, fabric, label) in rows {
+            let cell = format!("{} on {}", kind.name(), fabric.name());
+            let pruned = first_crossing(kind, &fabric);
+            assert_eq!(pruned, simulated_crossing(kind, &fabric), "{cell}");
+            assert_eq!(pruned.label(2020), label, "{cell}");
+        }
     }
 
     #[test]

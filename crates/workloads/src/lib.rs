@@ -178,6 +178,23 @@ pub fn run_compiled(compiled: Compiled, fabric: &Fabric, jobs: u32) -> WorkloadR
     }
 }
 
+/// Compile one of the four program-driven workloads at its
+/// figure-scale default config for `p` ranks of `node` on `fabric`;
+/// `None` for the serving tier, which has no programs.
+fn compile(kind: WorkloadKind, node: &NodeModel, fabric: &Fabric, p: u32) -> Option<Compiled> {
+    Some(match kind {
+        WorkloadKind::Stencil => stencil::compile(&stencil::StencilConfig::default(), node, p),
+        WorkloadKind::Training => {
+            training::compile(&training::TrainingConfig::for_fabric(fabric), node, p)
+        }
+        WorkloadKind::ParamServer => {
+            paramserver::compile(&paramserver::ParamServerConfig::default(), node, p)
+        }
+        WorkloadKind::Shuffle => shuffle::compile(&shuffle::ShuffleConfig::default(), node, p),
+        WorkloadKind::Serving => return None,
+    })
+}
+
 /// Run one suite workload at its figure-scale default config: `p` ranks
 /// of `node` over `fabric`, sharded across `jobs` engine shards (the
 /// serving tier has no engine and ignores `jobs`).
@@ -188,27 +205,42 @@ pub fn run_workload(
     p: u32,
     jobs: u32,
 ) -> WorkloadResult {
-    match kind {
-        WorkloadKind::Stencil => {
-            run_compiled(stencil::compile(&stencil::StencilConfig::default(), node, p), fabric, jobs)
-        }
-        WorkloadKind::Training => run_compiled(
-            training::compile(&training::TrainingConfig::for_fabric(fabric), node, p),
-            fabric,
-            jobs,
-        ),
-        WorkloadKind::ParamServer => run_compiled(
-            paramserver::compile(&paramserver::ParamServerConfig::default(), node, p),
-            fabric,
-            jobs,
-        ),
-        WorkloadKind::Shuffle => {
-            run_compiled(shuffle::compile(&shuffle::ShuffleConfig::default(), node, p), fabric, jobs)
-        }
-        WorkloadKind::Serving => {
-            serving::run(&serving::ServingConfig::default(), node, fabric, p, jobs)
-        }
+    match compile(kind, node, fabric, p) {
+        Some(compiled) => run_compiled(compiled, fabric, jobs),
+        None => serving::run(&serving::ServingConfig::default(), node, fabric, p, jobs),
     }
+}
+
+/// An upper bound on `run_workload(kind, node, fabric, p, _)
+/// .effective_flops()`, found without running the engine: the useful
+/// flops divided by the busiest rank's own local work.
+///
+/// The bound holds because a run's completion is never shorter than
+/// that work:
+/// - A compiled workload's rank runs its ops in order, and `parsim`
+///   charges each [`SchedOp::Work`] and [`SchedOp::Compute`] with the
+///   expression `max_compute_ps` sums. So the slowest rank finishes no
+///   earlier than the busiest rank's compute.
+/// - A serving replica starts each request no earlier than the last
+///   one ended, so at best it serves its requests back to back
+///   (`serving::busy_ps`), and its last response still crosses the
+///   wire.
+///
+/// [`WorkloadResult::effective_flops`] is the same float expression,
+/// `useful_flops / secs`, over the completion, and integer-to-float
+/// conversion and division are monotone. So the bound is at least the
+/// simulated rate to the last bit.
+pub fn effective_bound(kind: WorkloadKind, node: &NodeModel, fabric: &Fabric, p: u32) -> f64 {
+    let (useful_flops, busiest) = match compile(kind, node, fabric, p) {
+        Some(compiled) => {
+            (compiled.useful_flops, max_compute_ps(&compiled.programs, &ExecParams::default()))
+        }
+        None => {
+            let cfg = serving::ServingConfig::default();
+            (serving::useful_flops(&cfg, p), serving::busy_ps(&cfg, node))
+        }
+    };
+    useful_flops / SimDuration(busiest).as_secs()
 }
 
 #[cfg(test)]
@@ -299,15 +331,7 @@ mod tests {
         let n = node(NodeKind::Pc, 2002);
         for p in [16u32, 64] {
             for fabric in Fabric::standard(p) {
-                let compiled = match kind {
-                    WorkloadKind::Stencil => stencil::compile(&Default::default(), &n, p),
-                    WorkloadKind::Training => {
-                        training::compile(&training::TrainingConfig::for_fabric(&fabric), &n, p)
-                    }
-                    WorkloadKind::ParamServer => paramserver::compile(&Default::default(), &n, p),
-                    WorkloadKind::Shuffle => shuffle::compile(&Default::default(), &n, p),
-                    WorkloadKind::Serving => unreachable!("serving has no program"),
-                };
+                let compiled = compile(kind, &n, &fabric, p).expect("serving has no program");
                 for program in &compiled.programs {
                     for op in program.ops() {
                         match op {

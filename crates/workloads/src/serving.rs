@@ -46,6 +46,18 @@ const FLOPS_PER_REQ: f64 = 2e3;
 const REQ_BYTES: u64 = 512;
 const RESP_BYTES: u64 = 2048;
 
+/// Virtual time one replica spends serving its whole stream back to
+/// back: a lower bound on its completion, which adds any wait for
+/// arrivals and the wire ([`crate::effective_bound`]).
+pub(crate) fn busy_ps(cfg: &ServingConfig, node: &NodeModel) -> u64 {
+    cfg.requests_per_server as u64 * phase_ps(node, &GUPS, FLOPS_PER_REQ)
+}
+
+/// Application-useful flops of `p` replicas serving their streams.
+pub(crate) fn useful_flops(cfg: &ServingConfig, p: u32) -> f64 {
+    FLOPS_PER_REQ * (p as u64 * cfg.requests_per_server as u64) as f64
+}
+
 /// Run the serving tier: `p` replicas of `node` over `fabric`. The tier
 /// has no engine to shard, so `jobs` (taken for the same call shape as
 /// [`crate::run_compiled`]) cannot change the result.
@@ -83,8 +95,8 @@ pub fn run(cfg: &ServingConfig, node: &NodeModel, fabric: &Fabric, p: u32, _jobs
         messages: 2 * requests,
         payload_bytes: requests * (REQ_BYTES + RESP_BYTES),
         // Every replica serves the same count at the same service time.
-        compute: SimDuration(cfg.requests_per_server as u64 * service),
-        useful_flops: FLOPS_PER_REQ * requests as f64,
+        compute: SimDuration(busy_ps(cfg, node)),
+        useful_flops: useful_flops(cfg, p),
         p99: Some(SimDuration(hist.quantile(0.99))),
     }
 }

@@ -1,15 +1,17 @@
 //! Workload-generator determinism and calibration oracles.
 //!
-//! Two contracts: (1) every workload is bit-identical at any shard/job
+//! Three contracts: (1) every workload is bit-identical at any shard/job
 //! count (the serving tier has no engine, so trivially) — the same invariance
 //! `tests/parallel_determinism.rs` holds for the collectives; (2) the
 //! stencil's comm-to-compute ratio on 2002 commodity hardware lands in
-//! the 5–30% band the 512-CPU astrophysics Beowulf runs reported.
+//! the 5–30% band the 512-CPU astrophysics Beowulf runs reported; (3) the
+//! engine-free `effective_bound` F14c prunes with is never below the
+//! simulated rate.
 
 use polaris_arch::device::Projection;
 use polaris_arch::node::{NodeKind, NodeModel};
 use polaris_simnet::link::Generation;
-use polaris_workloads::{run_workload, Fabric, WorkloadKind};
+use polaris_workloads::{effective_bound, run_workload, Fabric, WorkloadKind};
 
 fn node(kind: NodeKind, year: u32) -> NodeModel {
     NodeModel::build(kind, &Projection::default().at(year))
@@ -25,6 +27,28 @@ fn every_workload_is_bit_identical_across_job_counts() {
             for jobs in [2u32, 4] {
                 let r = run_workload(kind, &n, &fabric, p, jobs);
                 assert_eq!(r, base, "{} on {} jobs={jobs}", kind.name(), fabric.name());
+            }
+        }
+    }
+}
+
+#[test]
+fn effective_bound_is_never_below_the_simulated_rate() {
+    // F14c's node track and world size, at the horizon's first year,
+    // F14a's year and its last year.
+    let p = 64u32;
+    for year in [2002u32, 2008, 2020] {
+        let n = node(NodeKind::SmpOnChip, year);
+        for fabric in Fabric::standard(p) {
+            for kind in WorkloadKind::ALL {
+                let bound = effective_bound(kind, &n, &fabric, p);
+                let simulated = run_workload(kind, &n, &fabric, p, 1).effective_flops();
+                assert!(
+                    bound >= simulated,
+                    "{} on {} in {year}: bound {bound:e} < simulated {simulated:e}",
+                    kind.name(),
+                    fabric.name()
+                );
             }
         }
     }
