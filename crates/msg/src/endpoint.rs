@@ -112,7 +112,9 @@ pub struct EndpointStats {
     pub sockets_segments: u64,
     pub unexpected_arrivals: u64,
     /// Send-bounce slots registered: about the most eager and control
-    /// sends in flight at once. Slots recycle and are never given back.
+    /// sends in flight at once. A slot is sized to the frames it
+    /// carries, an MTU segment or a full eager frame; slots recycle
+    /// within their size and are never given back.
     pub tx_slots_registered: u64,
     /// Frames retransmitted by the reliability layer (timer or fast).
     pub rel_retransmits: u64,
@@ -341,10 +343,11 @@ pub struct Endpoint {
     /// Scratch buffer for batched CQ polling; reused across progress
     /// calls so steady-state polling is allocation-free.
     cq_scratch: Vec<Cqe>,
-    /// Send bounce slots, registered on first need; `None` while in
-    /// flight.
+    /// Send bounce slots, registered on first need; `None` while being
+    /// filled. A slot is registered at one of two sizes, and each size
+    /// keeps its own free list (see `tx_slot_size`).
     tx_slots: Vec<Option<MemoryRegion>>,
-    tx_free: Vec<usize>,
+    tx_free: [Vec<usize>; 2],
     matcher: MatchEngine<ReqId, Parked>,
     /// Requests by id. Ids and assembly keys all come from this
     /// process's own counters, so the maps use the fast integer hasher;
@@ -419,7 +422,7 @@ impl Endpoint {
                 frames: FramePool::new(64),
                 cq_scratch: Vec::with_capacity(64),
                 tx_slots: Vec::new(),
-                tx_free: Vec::new(),
+                tx_free: [Vec::new(), Vec::new()],
                 matcher: MatchEngine::new(),
                 sends: FastHashMap::with_capacity_and_hasher(64, Default::default()),
                 recvs: FastHashMap::with_capacity_and_hasher(64, Default::default()),
@@ -953,7 +956,7 @@ impl Endpoint {
             self.insert_send(req, buf, SendPhase::Done);
             return Ok(req);
         }
-        let slot = self.acquire_tx_slot()?;
+        let slot = self.acquire_tx_slot(HEADER_LEN)?;
         let mr = self.tx_slots[slot].take().expect("slot acquired");
         mr.write_at(0, &env.encode())?;
         let mut sges = SgeList::single(Sge {
@@ -1112,7 +1115,7 @@ impl Endpoint {
             let (seq, frame) = self.rel_frame(dst, env, payload);
             return self.post_rel_frame(dst, seq, frame);
         }
-        let slot = self.acquire_tx_slot()?;
+        let slot = self.acquire_tx_slot(HEADER_LEN + payload.len())?;
         self.post_bounce(dst, slot, &env.encode(), payload, None)
     }
 
@@ -1125,7 +1128,7 @@ impl Endpoint {
             K_RX if cqe.opcode == CqeOpcode::Recv => self.handle_rx(cqe),
             K_TX_BOUNCE => {
                 let slot = (cqe.wr_id & PAYLOAD_MASK) as usize;
-                self.tx_free.push(slot);
+                self.free_tx_slot(slot);
                 if let Some((peer, seq)) = self.tx_slot_rel[slot].take() {
                     if let Some(p) = self.rel[peer as usize].pending.get_mut(&seq) {
                         p.in_flight -= 1;
@@ -1179,8 +1182,8 @@ impl Endpoint {
                 // stays as it is, reapable.
                 if let Some(sr) = self.sends.get_mut(&req) {
                     if let SendPhase::GatherInflight { slot, .. } = sr.phase {
-                        self.tx_free.push(slot);
                         sr.phase = SendPhase::Done;
+                        self.free_tx_slot(slot);
                     }
                 }
             }
@@ -1466,7 +1469,7 @@ impl Endpoint {
     /// slot taken without recursing into `progress`, so completion
     /// handling and the retransmission path may call it.
     fn post_frame(&mut self, dst: u32, frame: &[u8], rel: Option<u64>) -> MsgResult<()> {
-        let slot = self.acquire_tx_slot_quiet()?;
+        let slot = self.acquire_tx_slot_quiet(frame.len())?;
         let (header, payload) = frame.split_at(HEADER_LEN);
         self.post_bounce(dst, slot, header, payload, rel)
     }
@@ -1502,7 +1505,7 @@ impl Endpoint {
         self.tx_slots[slot] = Some(mr);
         if r.is_err() {
             self.tx_slot_rel[slot] = None;
-            self.tx_free.push(slot);
+            self.free_tx_slot(slot);
         }
         Ok(r?)
     }
@@ -1635,31 +1638,58 @@ impl Endpoint {
         let _ = self.post_frame(src, &env.encode(), None);
     }
 
-    fn acquire_tx_slot(&mut self) -> MsgResult<usize> {
-        if let Some(s) = self.tx_free.pop() {
+    /// The free list and the slot size for a `len`-byte frame. A wire
+    /// segment or control frame (a sockets segment, RTS, FIN, ACK, a
+    /// gather header, a small eager payload) fits `HEADER_LEN +
+    /// SOCKETS_MTU` and takes a slot of that size from list 0; a
+    /// larger eager frame takes a `HEADER_LEN + eager_buf_size` slot
+    /// from list 1. Under an eager limit of at most the MTU every frame
+    /// fits list 0, and list 1 stays empty. A sockets message posted
+    /// ahead of its receiver holds a slot a segment, so a segment must
+    /// not pin a full eager slot.
+    fn tx_slot_size(&self, len: usize) -> (usize, usize) {
+        let wire = HEADER_LEN + SOCKETS_MTU.min(self.cfg.eager_buf_size);
+        if len <= wire {
+            (0, wire)
+        } else {
+            (1, HEADER_LEN + self.cfg.eager_buf_size)
+        }
+    }
+
+    /// Return a slot to the free list of its own size.
+    fn free_tx_slot(&mut self, slot: usize) {
+        let len = self.tx_slots[slot].as_ref().expect("a freed slot is not being filled").len();
+        let (list, _) = self.tx_slot_size(len);
+        self.tx_free[list].push(slot);
+    }
+
+    /// A bounce slot for a `len`-byte frame.
+    fn acquire_tx_slot(&mut self, len: usize) -> MsgResult<usize> {
+        let (list, _) = self.tx_slot_size(len);
+        if let Some(s) = self.tx_free[list].pop() {
             return Ok(s);
         }
         // Try to recycle completed slots first.
         self.progress();
-        if let Some(s) = self.tx_free.pop() {
+        if let Some(s) = self.tx_free[list].pop() {
             return Ok(s);
         }
-        self.acquire_tx_slot_quiet()
+        self.acquire_tx_slot_quiet(len)
     }
 
     /// Slot acquisition that never recurses into `progress` (used from
     /// completion handling and the retransmission path).
-    fn acquire_tx_slot_quiet(&mut self) -> MsgResult<usize> {
-        if let Some(s) = self.tx_free.pop() {
+    fn acquire_tx_slot_quiet(&mut self, len: usize) -> MsgResult<usize> {
+        let (list, size) = self.tx_slot_size(len);
+        if let Some(s) = self.tx_free[list].pop() {
             return Ok(s);
         }
-        // Every slot is in flight: register one more instead of
-        // blocking (a blocked sender cannot progress a single-threaded
-        // peer, and the virtual NIC's send queue is unbounded anyway).
-        // Slots recycle through the free list once their sends complete.
-        let mr = self
-            .nic
-            .register(self.pd, self.cfg.eager_buf_size + HEADER_LEN)?;
+        // Every slot of this size is in flight: register one more
+        // instead of blocking (a blocked sender cannot progress a
+        // single-threaded peer, and the virtual NIC's send queue is
+        // unbounded anyway). Slots recycle through their free list once
+        // their sends complete.
+        let mr = self.nic.register(self.pd, size)?;
         self.tx_slots.push(Some(mr));
         self.tx_slot_rel.push(None);
         self.stats.tx_slots_registered += 1;

@@ -1176,4 +1176,85 @@ mod tests {
             MsgError::PeerFailed(1)
         );
     }
+
+    /// A send bounce slot is registered at one of two sizes, an MTU
+    /// segment's or a full eager frame's, and each size recycles
+    /// through its own free list. Every kind of frame, mixed in one
+    /// world, must land in a slot it fits: 64 B and just-under-16 KiB
+    /// eager sends interleaved under `Auto`, a 1 MiB rendezvous (RTS and
+    /// FIN), a gather header, and the same traffic as sequenced frames
+    /// and ACKs with reliability on. A large eager send after a burst of
+    /// small frames finds only small slots free and must register a
+    /// large one, not write past a small one.
+    #[test]
+    fn frames_never_outgrow_their_send_slot() {
+        use crate::datatype::Layout;
+        use crate::envelope::HEADER_LEN;
+        use std::time::Duration;
+        // The largest payload `Auto` still sends eager.
+        let big = MsgConfig::default().eager_threshold - 1;
+        // No retransmission timer fires while the receiver lags, so the
+        // slots registered are the traffic's alone.
+        let patient = Reliability {
+            rto_initial: Duration::from_secs(60),
+            rto_max: Duration::from_secs(60),
+            ..Reliability::on()
+        };
+        let reliable = MsgConfig { reliability: patient, ..MsgConfig::default() };
+        for cfg in [MsgConfig::default(), reliable] {
+            let (fabric, mut eps) = world(2, cfg);
+            let (e1, rest) = eps.split_at_mut(1);
+            let (ep0, ep1) = (&mut e1[0], &mut rest[0]);
+            // Each message's payload differs from every other's.
+            let filled = |ep0: &mut Endpoint, len: usize, tag: usize| {
+                let data: Vec<u8> = payload(len).iter().map(|b| b ^ tag as u8).collect();
+                let mut buf = ep0.alloc(len).unwrap();
+                buf.fill_from(&data);
+                (buf, data)
+            };
+            let mut sent = Vec::new();
+            let send = |ep0: &mut Endpoint, sent: &mut Vec<(ReqId, Vec<u8>)>, len| {
+                let (buf, data) = filled(ep0, len, sent.len());
+                sent.push((ep0.isend(1, sent.len() as u64, buf).unwrap(), data));
+            };
+            // Forty small frames before the receiver progresses: eight
+            // park at the NIC behind its 32-buffer pool, each holding a
+            // small slot.
+            for _ in 0..40 {
+                send(ep0, &mut sent, 64);
+            }
+            let (buf, data) = filled(ep0, big, sent.len());
+            let before = (fabric.stats().registered_bytes, ep0.stats().tx_slots_registered);
+            sent.push((ep0.isend(1, sent.len() as u64, buf).unwrap(), data));
+            assert_eq!(ep0.stats().tx_slots_registered, before.1 + 1, "{cfg:?}");
+            assert_eq!(
+                fabric.stats().registered_bytes - before.0,
+                (HEADER_LEN + cfg.eager_buf_size) as u64,
+                "a large eager frame registers one full eager slot"
+            );
+            for _ in 0..8 {
+                send(ep0, &mut sent, 64);
+                send(ep0, &mut sent, big);
+            }
+            send(ep0, &mut sent, 1 << 20);
+            // A 12 KiB strided gather: its header alone in a small slot,
+            // or, packed for reliability, a large eager frame.
+            let layout = Layout::Strided { offset: 0, count: 1536, block_len: 8, stride: 16 };
+            let (buf, _) = filled(ep0, 24 << 10, sent.len());
+            let packed = layout.pack(buf.as_slice());
+            sent.push((ep0.isend_layout(1, sent.len() as u64, buf, &layout).unwrap(), packed));
+
+            for (tag, (_, data)) in sent.iter().enumerate() {
+                let rb = ep1.alloc(data.len()).unwrap();
+                let (rb, info) = ep1.recv(MatchSpec::exact(0, tag as u64), rb).unwrap();
+                assert_eq!(info.len, data.len(), "{cfg:?} tag {tag}");
+                assert!(rb.as_slice() == data.as_slice(), "{cfg:?} tag {tag}: payload differs");
+                ep1.release(rb);
+            }
+            for (req, _) in sent {
+                let sb = ep0.wait_send(req).unwrap();
+                ep0.release(sb);
+            }
+        }
+    }
 }

@@ -10,14 +10,18 @@
 //! is the server's saturation throughput at that client count, and a
 //! slower server is offered less load.
 //!
-//! Every request's latency is kept, for an *exact* p99 (no histogram
-//! interpolation error in the gated number); hit counts
-//! come from the cache's own obs counters, so the report can't drift
-//! from what Prometheus would scrape.
+//! The p99 is *exact* (no histogram interpolation error in the gated
+//! number), yet a client keeps only the latencies that can be it: its
+//! largest `n − floor(0.99 n)` of the drive's `n`, so a million-request
+//! drive holds 10 000 per client, not a million. Hit counts come from
+//! the cache's own obs counters, so the report can't drift from what
+//! Prometheus would scrape.
 
 use crate::server::SweepServer;
 use crate::spec::PointSpec;
 use polaris_simnet::rng::SplitMix64;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::time::Instant;
 
 /// Load-drive parameters.
@@ -92,34 +96,30 @@ pub fn drive(server: &SweepServer, specs: &[PointSpec], cfg: LoadConfig) -> Load
     let before = server.cache_stats();
 
     let start = Instant::now();
-    // One vector, each client filling its own stretch of it.
-    let mut latencies = vec![0u64; cfg.requests as usize];
-    std::thread::scope(|scope| {
-        let mut rest = latencies.as_mut_slice();
-        for c in 0..clients {
-            let share = cfg.requests / clients + u64::from(c < cfg.requests % clients);
-            let (mine, tail) = rest.split_at_mut(share as usize);
-            rest = tail;
-            let zipf = &zipf;
-            scope.spawn(move || {
-                let mut rng = SplitMix64::new(cfg.seed ^ (0x9e37_79b9_7f4a_7c15u64.wrapping_mul(c + 1)));
-                for slot in mine {
-                    let spec = specs[zipf.sample(&mut rng)];
-                    let t = Instant::now();
-                    server.request(spec);
-                    *slot = t.elapsed().as_nanos() as u64;
-                }
-            });
-        }
+    let keep = p99_tail_len(cfg.requests);
+    let tails: Vec<Tail> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..clients)
+            .map(|c| {
+                let share = cfg.requests / clients + u64::from(c < cfg.requests % clients);
+                let zipf = &zipf;
+                scope.spawn(move || {
+                    let mut rng =
+                        SplitMix64::new(cfg.seed ^ (0x9e37_79b9_7f4a_7c15u64.wrapping_mul(c + 1)));
+                    let mut tail = Tail::new(keep);
+                    for _ in 0..share {
+                        let spec = specs[zipf.sample(&mut rng)];
+                        let t = Instant::now();
+                        server.request(spec);
+                        tail.push(t.elapsed().as_nanos() as u64);
+                    }
+                    tail
+                })
+            })
+            .collect();
+        workers.into_iter().map(|w| w.join().expect("client thread")).collect()
     });
     let wall_seconds = start.elapsed().as_secs_f64();
-
-    let p99_latency_ns = if latencies.is_empty() {
-        0
-    } else {
-        let rank = ((latencies.len() as f64 * 0.99) as usize).min(latencies.len() - 1);
-        *latencies.select_nth_unstable(rank).1
-    };
+    let p99_latency_ns = p99_of_tails(cfg.requests, tails);
 
     let after = server.cache_stats();
     let hits = after.hits - before.hits;
@@ -133,6 +133,54 @@ pub fn drive(server: &SweepServer, specs: &[PointSpec], cfg: LoadConfig) -> Load
         requests_per_sec: cfg.requests as f64 / wall_seconds.max(1e-9),
         p99_latency_ns,
     }
+}
+
+/// How many of `n` latencies the exact p99 needs. The p99 is the one
+/// at ascending rank `floor(0.99 n)` (the last, for a tiny `n`), that is
+/// the `n − floor(0.99 n)`-th largest: it is among the largest that many
+/// of all `n`, and so among each client's largest that many.
+fn p99_tail_len(n: u64) -> usize {
+    match n as usize {
+        0 => 0,
+        n => n - ((n as f64 * 0.99) as usize).min(n - 1),
+    }
+}
+
+/// The `k` largest values pushed so far, in a bounded min-heap whose
+/// top is the least of them.
+struct Tail {
+    k: usize,
+    heap: BinaryHeap<Reverse<u64>>,
+}
+
+impl Tail {
+    fn new(k: usize) -> Tail {
+        Tail { k, heap: BinaryHeap::with_capacity(k) }
+    }
+
+    fn push(&mut self, v: u64) {
+        if self.heap.len() < self.k {
+            self.heap.push(Reverse(v));
+        } else if let Some(mut least) = self.heap.peek_mut() {
+            if v > least.0 {
+                *least = Reverse(v);
+            }
+        }
+    }
+}
+
+/// The exact p99 of `n` latencies, from each client's
+/// `p99_tail_len(n)` largest: the union holds the largest that many of
+/// all `n`, so its `p99_tail_len(n)`-th largest is the p99. 0 when `n`
+/// is.
+fn p99_of_tails(n: u64, tails: Vec<Tail>) -> u64 {
+    let k = p99_tail_len(n);
+    if k == 0 {
+        return 0;
+    }
+    let mut union: Vec<u64> = tails.into_iter().flat_map(|t| t.heap).map(|Reverse(v)| v).collect();
+    let rank = union.len() - k;
+    *union.select_nth_unstable(rank).1
 }
 
 #[cfg(test)]
@@ -154,6 +202,33 @@ mod tests {
         let tail = sample.iter().filter(|&&r| r == 99).count();
         assert!(head > 10 * tail.max(1), "rank 0 must dominate rank 99: {head} vs {tail}");
         assert!(sample.iter().all(|&r| r < 100));
+    }
+
+    /// The p99 from the clients' bounded tails equals the full sort's
+    /// value at ascending rank `floor(0.99 n)`, however the `n`
+    /// latencies split across clients. Ties are frequent here (values
+    /// below 200), so a tail that dropped a duplicate would show.
+    #[test]
+    fn the_p99_of_the_tails_is_the_p99_of_a_full_sort() {
+        let mut rng = SplitMix64::new(0x99);
+        for n in [0u64, 1, 99, 100, 101, 12_000] {
+            let all: Vec<u64> = (0..n).map(|_| rng.next_below(200)).collect();
+            let mut sorted = all.clone();
+            sorted.sort_unstable();
+            let expect = match n as usize {
+                0 => 0,
+                len => sorted[((len as f64 * 0.99) as usize).min(len - 1)],
+            };
+            for clients in 1..=4u64 {
+                let mut tails: Vec<Tail> =
+                    (0..clients).map(|_| Tail::new(p99_tail_len(n))).collect();
+                for (i, &v) in all.iter().enumerate() {
+                    tails[i % clients as usize].push(v);
+                }
+                assert!(tails.iter().all(|t| t.heap.len() <= p99_tail_len(n)));
+                assert_eq!(p99_of_tails(n, tails), expect, "n {n}, {clients} clients");
+            }
+        }
     }
 
     #[test]

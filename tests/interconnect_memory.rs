@@ -24,6 +24,9 @@
 
 use polaris_arch::prelude::*;
 use polaris_collectives::prelude::*;
+use polaris_msg::envelope::HEADER_LEN;
+use polaris_msg::prelude::{Endpoint, MatchSpec, MsgConfig, Protocol};
+use polaris_nic::prelude::Fabric as NicFabric;
 use polaris_obs::alloc::{self, peak_live_bytes, Counting};
 use polaris_rms::lifecycle::{churn_plan, run_fleet, ChurnSpec, FleetConfig};
 use polaris_simnet::event::EventQueue;
@@ -324,4 +327,53 @@ fn a_fleet_run_holds_at_most_100_bytes_a_node() {
     assert!(r.converged, "{:?}", r.census);
     let per_node = held as f64 / NODES as f64;
     assert!(per_node <= 100.0, "the fleet held {held} bytes at once: {per_node:.1} a node");
+}
+
+/// A send bounce slot is sized to the frames it carries. A 1 MiB
+/// sockets message, sent from one thread before the receiver
+/// progresses (as the frozen benchmark's `msg_pingpong` drives it), is
+/// 700 MTU segments: 32 land in the receiver's pool and the other 668
+/// each hold a slot until it drains. While every slot was registered
+/// at the full eager size, 16 448 B for a 1 564-byte frame, the slots
+/// pinned 10.48 MiB and the message held 14.82 MiB at once; at the
+/// segment's size they pin 1.00 MiB, and the message holds 5.34 MiB:
+/// the two receive pools, the two 1 MiB user buffers, the receiver's
+/// 1 MiB reassembly buffer and the slots.
+#[test]
+fn a_sockets_megabyte_pins_its_segments_not_eager_slots() {
+    const LEN: usize = 1 << 20;
+    let cfg = MsgConfig::with_protocol(Protocol::Sockets);
+    let payload: Vec<u8> = (0..LEN).map(|i| (i * 31 + 7) as u8).collect();
+    let ((registered, slots), held) = peak_live_bytes(|| {
+        let fabric = NicFabric::new();
+        let mut eps = Endpoint::create_world(&fabric, 2, cfg).unwrap();
+        let (head, tail) = eps.split_at_mut(1);
+        let (ep0, ep1) = (&mut head[0], &mut tail[0]);
+        let rbuf = ep1.alloc(LEN).unwrap();
+        let rreq = ep1.irecv(MatchSpec::exact(0, 7), rbuf).unwrap();
+        let mut sbuf = ep0.alloc(LEN).unwrap();
+        sbuf.fill_from(&payload);
+        let sreq = ep0.isend(1, 7, sbuf).unwrap();
+        let (rbuf, info) = loop {
+            ep0.progress();
+            if let Some(done) = ep1.test_recv(rreq).unwrap() {
+                break done;
+            }
+        };
+        assert_eq!(info.len, LEN);
+        assert!(rbuf.as_slice() == payload.as_slice(), "the payload differs on arrival");
+        let sbuf = ep0.wait_send(sreq).unwrap();
+        ep0.release(sbuf);
+        ep1.release(rbuf);
+        let slots = ep0.stats().tx_slots_registered + ep1.stats().tx_slots_registered;
+        (fabric.stats().registered_bytes, slots)
+    });
+    let pools = 2 * cfg.srq_bufs * (cfg.eager_buf_size + HEADER_LEN);
+    let slot_bytes = registered - (pools + 2 * LEN) as u64;
+    assert!(slots > 600, "{slots} send slots: the segments no longer wait on the receiver");
+    assert!(
+        slot_bytes <= slots * (64 + 1500),
+        "{slots} send slots pinned {slot_bytes} bytes"
+    );
+    assert!(held <= 6 << 20, "a 1 MiB sockets message held {held} bytes at once");
 }
