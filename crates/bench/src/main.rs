@@ -16,8 +16,8 @@ use polaris_bench::{all_experiments, named_experiments, sweep};
 use std::path::PathBuf;
 
 /// Compare the regenerated output with the committed snapshot; report
-/// the first divergent table on mismatch. Wall-clock tables (see
-/// [`polaris_bench::WALL_CLOCK_TABLES`]) are shape-checked only.
+/// the first divergent table on mismatch. The tables in
+/// [`polaris_bench::WALL_CLOCK_TABLES`] are shape-checked only.
 fn check_output(path: &str) -> i32 {
     let expected = match std::fs::read_to_string(path) {
         Ok(s) => s,

@@ -14,8 +14,9 @@ pub enum Protocol {
     /// Pick eager below `eager_threshold`, rendezvous at or above it.
     Auto,
     /// The 2002 kernel-sockets model: MTU segmentation, two extra copies
-    /// per side, and per-segment syscall/interrupt overheads. The
-    /// baseline the user-level protocols are compared against.
+    /// per side, and per-segment syscall/interrupt overheads, charged to
+    /// the endpoint's virtual clock. The baseline the user-level
+    /// protocols are compared against.
     Sockets,
 }
 
@@ -71,12 +72,6 @@ pub struct MsgConfig {
     pub eager_threshold: usize,
     /// Payload capacity of one eager bounce buffer.
     pub eager_buf_size: usize,
-    /// Modeled cost of one syscall (sockets baseline); implemented as a
-    /// calibrated busy-wait so wall-clock measurements reflect it. Zero
-    /// disables the model (the default, so tests run fast).
-    pub syscall_overhead: Duration,
-    /// Modeled cost of taking one receive interrupt (sockets baseline).
-    pub interrupt_overhead: Duration,
     /// Buffer-pool (registration cache) capacity in buffers; 0 disables
     /// reuse so every `alloc` registers fresh memory (ablation A1,
     /// `figures -- ablations`).
@@ -96,8 +91,6 @@ impl Default for MsgConfig {
             protocol: Protocol::Auto,
             eager_threshold: 16 * 1024,
             eager_buf_size: 16 * 1024,
-            syscall_overhead: Duration::ZERO,
-            interrupt_overhead: Duration::ZERO,
             reg_cache_capacity: 64,
             srq_bufs: 32,
             reliability: Reliability::default(),

@@ -11,8 +11,23 @@
 //!   Zero host copies: the only data movement is the fabric DMA,
 //!   straight between user buffers.
 //! * **Sockets** — the 2002 kernel-path model: MTU segmentation, two
-//!   extra copies per side (user ↔ socket buffer ↔ driver), and optional
-//!   calibrated busy-waits standing in for syscall and interrupt costs.
+//!   extra copies per side (user ↔ socket buffer ↔ driver), and a
+//!   syscall per segment sent and an interrupt per segment received,
+//!   charged to the clock.
+//!
+//! # Virtual clock
+//!
+//! Each endpoint keeps a clock in picoseconds ([`Endpoint::clock`]),
+//! priced by [`crate::model`] on one hop of its 2002 era link. A send
+//! adds the protocol's send half when the program calls it and stamps
+//! the envelope with the result. A receive that the program observes
+//! complete (`recv` returns, or `wait_recv` / `test_recv` yields it)
+//! sets `clock = max(clock, stamp + wire) + receive half`; a rendezvous
+//! sender does the same with the FIN when it observes its send done.
+//! Completions are *dispatched* in CQE arrival order, which depends on
+//! thread timing, and `max` and `+` do not commute; so the clock moves
+//! only in the program's own order. With every receive naming its
+//! source, each clock is then a function of the program alone.
 //!
 //! # Progress
 //!
@@ -26,10 +41,12 @@ use crate::buffer::{BufferPool, FramePool, FramePoolStats, MsgBuf, PoolStats};
 use crate::config::{MsgConfig, Protocol, JITTER_SEED, MAX_RETRIES, SOCKETS_MTU};
 use crate::envelope::{rel_sequenced, rel_src, rel_wire_seq, stamp_rel, Envelope, HEADER_LEN};
 use crate::match_engine::{MatchEngine, MatchSpec};
+use crate::model::{self, Halves};
 use polaris_nic::prelude::*;
 use polaris_obs::{Obs, Subject};
 use polaris_simnet::fasthash::FastHashMap;
 use polaris_simnet::rng::SplitMix64;
+use polaris_simnet::time::SimDuration;
 use std::collections::hash_map::Entry;
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
@@ -132,15 +149,73 @@ const K_GATHER: u64 = 4 << 56;
 const KIND_MASK: u64 = 0xff << 56;
 const PAYLOAD_MASK: u64 = !KIND_MASK;
 
-/// What an unmatched arrival parks in the match engine.
+/// What observing a completion does to the clock: `clock = max(clock,
+/// due) + cost`. A posted receive starts at its posting instant with no
+/// cost; the message that meets it raises `due` to the instant it
+/// landed and sets `cost` to the receive half.
+#[derive(Clone, Copy, Default)]
+struct Charge {
+    due: SimDuration,
+    cost: SimDuration,
+}
+
+impl Charge {
+    /// A message stamped `stamp` and priced `h`: it has landed once it
+    /// crossed the wire, and taking it costs the receive half.
+    fn landed(stamp: u64, h: Halves) -> Charge {
+        Charge {
+            due: SimDuration::from_ps(stamp) + h.wire,
+            cost: h.recv,
+        }
+    }
+
+    /// The receive this charge was posted for meets `msg`.
+    fn meet(self, msg: Charge) -> Charge {
+        Charge {
+            due: self.due.max(msg.due),
+            cost: msg.cost,
+        }
+    }
+
+    /// When the operation completes, clock aside.
+    fn done(self) -> SimDuration {
+        self.due + self.cost
+    }
+
+    fn apply(self, clock: &mut SimDuration) {
+        *clock = (*clock).max(self.due) + self.cost;
+    }
+}
+
+/// The FIN answering rendezvous `msg_id`, stamped with the instant its
+/// receive completes plus the FIN's own send half.
+fn fin_for(msg_id: u64, done: SimDuration) -> Envelope {
+    Envelope::Fin {
+        msg_id,
+        stamp: (done + model::era_fin().send).as_ps(),
+    }
+}
+
+/// A rendezvous RTS as its receiver holds it, with the charge its stamp
+/// brings.
+#[derive(Clone, Copy)]
+struct Rts {
+    len: u64,
+    msg_id: u64,
+    rkey: u64,
+    charge: Charge,
+}
+
+/// What an unmatched arrival parks in the match engine, with the charge
+/// its stamp brings.
 enum Parked {
     /// Eager (or reassembled sockets) data copied off the bounce buffer.
     /// Its copies are counted as they happen, so delivery adds only the
     /// final one.
-    Data(Vec<u8>),
+    Data(Vec<u8>, Charge),
     /// A rendezvous RTS: no data moved yet — the zero-copy property
     /// holds even for unexpected messages.
-    Rts { len: u64, msg_id: u64, rkey: u64 },
+    Rts(Rts),
 }
 
 /// Where a received envelope's payload is: still in the receive bounce
@@ -186,6 +261,8 @@ enum SendPhase {
 struct SendReq {
     buf: MsgBuf,
     phase: SendPhase,
+    /// Applied when the send is reaped: the FIN's, for a rendezvous.
+    charge: Charge,
 }
 
 /// Where a receive request stands; its buffer rides alongside in
@@ -207,6 +284,8 @@ enum RecvPhase {
 struct RecvReq {
     buf: MsgBuf,
     phase: RecvPhase,
+    /// Applied when the receive is reaped.
+    charge: Charge,
 }
 
 /// A reliable frame awaiting acknowledgement.
@@ -290,6 +369,8 @@ struct SockAssembly {
     tag: u64,
     total: usize,
     got: usize,
+    /// Every segment of a message carries the same stamp.
+    stamp: u64,
     /// Reassembly buffer, drawn from (and returned to) the frame pool.
     data: Vec<u8>,
 }
@@ -377,6 +458,11 @@ pub struct Endpoint {
     kstage: Vec<u8>,
     /// Trace plane; `None` = untraced.
     obs: Option<EpObs>,
+    /// Virtual time, in picoseconds (see the module docs).
+    clock: SimDuration,
+    /// Whether a receive without a source was ever posted: which message
+    /// it matches depends on arrival order, and so does the clock.
+    wildcard_posted: bool,
 }
 
 impl Endpoint {
@@ -441,6 +527,8 @@ impl Endpoint {
                 stats: EndpointStats::default(),
                 kstage: Vec::new(),
                 obs: None,
+                clock: SimDuration::ZERO,
+                wildcard_posted: false,
             });
         }
         // Connect every ordered pair once: ep[i].qp[j] <-> ep[j].qp[i].
@@ -489,6 +577,18 @@ impl Endpoint {
 
     pub fn stats(&self) -> EndpointStats {
         self.stats
+    }
+
+    /// This rank's virtual time: the 2002 cost of every send it made and
+    /// every completion it observed, in program order.
+    pub fn clock(&self) -> SimDuration {
+        debug_assert!(
+            !self.wildcard_posted,
+            "rank {}: a receive without a source matches whatever arrives first, \
+             so its clock depends on thread timing",
+            self.rank
+        );
+        self.clock
     }
 
     pub fn pool_stats(&self) -> PoolStats {
@@ -577,22 +677,27 @@ impl Endpoint {
         }
         let req = self.next_req;
         self.next_req += 1;
+        self.wildcard_posted |= spec.src.is_none();
         self.recvs.insert(
             req,
             RecvReq {
                 buf,
                 phase: RecvPhase::Posted,
+                charge: Charge {
+                    due: self.clock,
+                    cost: SimDuration::ZERO,
+                },
             },
         );
         if let Some(un) = self.matcher.post_recv(spec, req) {
             let (src, tag) = (un.src, un.tag);
             match un.payload {
-                Parked::Data(data) => {
-                    self.deliver_data(req, src, tag, &data);
+                Parked::Data(data, charge) => {
+                    self.deliver_data(req, src, tag, &data, charge);
                     self.frames.release(data);
                 }
-                Parked::Rts { len, msg_id, rkey } => {
-                    if let Err(e) = self.start_rendezvous_recv(req, src, tag, len, msg_id, rkey) {
+                Parked::Rts(rts) => {
+                    if let Err(e) = self.start_rendezvous_recv(req, src, tag, rts) {
                         self.recvs.remove(&req);
                         return Err(e);
                     }
@@ -739,7 +844,8 @@ impl Endpoint {
         };
         match e.get().phase {
             SendPhase::Done => {
-                let buf = e.remove().buf;
+                let SendReq { buf, charge, .. } = e.remove();
+                charge.apply(&mut self.clock);
                 Ok(Some(self.finish_send_buf(req, buf)))
             }
             SendPhase::Failed { peer } => {
@@ -762,12 +868,16 @@ impl Endpoint {
         let RecvReq {
             buf,
             phase: RecvPhase::Done(result),
+            charge,
         } = e.remove()
         else {
             unreachable!("phase checked above")
         };
         match result {
-            Ok(info) => Ok(Some((buf, info))),
+            Ok(info) => {
+                charge.apply(&mut self.clock);
+                Ok(Some((buf, info)))
+            }
             Err(e) => {
                 self.pool.free(buf);
                 Err(e)
@@ -895,6 +1005,7 @@ impl Endpoint {
             src: self.rank,
             tag,
             len: buf.len() as u64,
+            stamp: self.charge_send(buf.len(), Protocol::Eager),
         };
         // Host copy #1: user buffer -> bounce buffer (or retransmittable
         // frame).
@@ -946,6 +1057,7 @@ impl Endpoint {
             src: self.rank,
             tag,
             len: total as u64,
+            stamp: self.charge_send(total, Protocol::Eager),
         };
         if self.cfg.reliability.enabled {
             // Reliability needs a retransmittable frame copy, so the
@@ -1004,6 +1116,7 @@ impl Endpoint {
             len: buf.len() as u64,
             msg_id: req,
             rkey: buf.rkey().0,
+            stamp: self.charge_send(buf.len(), Protocol::Rendezvous),
         };
         self.send_ctrl(dst, env)?;
         self.insert_send(req, buf, SendPhase::AwaitFin { dst });
@@ -1017,28 +1130,33 @@ impl Endpoint {
         req: ReqId,
         src: u32,
         tag: u64,
-        len: u64,
-        msg_id: u64,
-        rkey: u64,
+        Rts {
+            len,
+            msg_id,
+            rkey,
+            charge,
+        }: Rts,
     ) -> MsgResult<()> {
         let len = len as usize;
         let Some(rr) = self.recvs.get_mut(&req) else {
             return Ok(());
         };
+        rr.charge = rr.charge.meet(charge);
+        let done = rr.charge.done();
         if len > rr.buf.capacity() {
             // Refuse the transfer; still FIN so the sender unblocks.
             rr.phase = RecvPhase::Done(Err(MsgError::Truncated {
                 incoming: len,
                 capacity: rr.buf.capacity(),
             }));
-            return self.send_ctrl(src, Envelope::Fin { msg_id });
+            return self.send_ctrl(src, fin_for(msg_id, done));
         }
         if len == 0 {
             // Nothing to read: the receive completes here.
             rr.buf.set_len(0);
             rr.phase = RecvPhase::Done(Ok(RecvInfo { src, tag, len: 0 }));
             self.stats.msgs_received += 1;
-            return self.send_ctrl(src, Envelope::Fin { msg_id });
+            return self.send_ctrl(src, fin_for(msg_id, done));
         }
         self.qps[src as usize].post_send(SendWr::RdmaRead {
             wr_id: K_RDMA_READ | req,
@@ -1069,10 +1187,12 @@ impl Endpoint {
     fn send_sockets(&mut self, dst: u32, tag: u64, buf: MsgBuf, req: ReqId) -> MsgResult<()> {
         let total = buf.len();
         let mtu = SOCKETS_MTU.min(self.cfg.eager_buf_size);
+        // The whole message's syscalls and copies, charged up front:
+        // every segment leaves stamped after the last.
+        let stamp = self.charge_send(total, Protocol::Sockets);
         let mut offset = 0usize;
         loop {
             let len = (total - offset).min(mtu);
-            spin_for(self.cfg.syscall_overhead);
             // Kernel copy #1: user -> socket buffer.
             self.kstage.clear();
             self.kstage
@@ -1084,7 +1204,8 @@ impl Endpoint {
                 msg_id: req,
                 total: total as u64,
                 offset: offset as u64,
-                len: len as u64,
+                len: u32::try_from(len).expect("a segment is at most one MTU"),
+                stamp,
             };
             // Kernel copy #2: socket buffer -> driver ring.
             self.count_copy(len);
@@ -1103,7 +1224,15 @@ impl Endpoint {
     }
 
     fn insert_send(&mut self, req: ReqId, buf: MsgBuf, phase: SendPhase) {
-        self.sends.insert(req, SendReq { buf, phase });
+        let charge = Charge::default();
+        self.sends.insert(req, SendReq { buf, phase, charge });
+    }
+
+    /// Charge the send half of a `bytes`-byte message to the clock, and
+    /// return the stamp it leaves with.
+    fn charge_send(&mut self, bytes: usize, protocol: Protocol) -> u64 {
+        self.clock += model::era(bytes, protocol).send;
+        self.clock.as_ps()
     }
 
     /// Send a user frame, `env` then `payload`: sequenced and
@@ -1173,7 +1302,8 @@ impl Endpoint {
                     } else {
                         Err(MsgError::Nic(NicError::Timeout))
                     });
-                    let _ = self.send_ctrl(src, Envelope::Fin { msg_id });
+                    let fin = fin_for(msg_id, rr.charge.done());
+                    let _ = self.send_ctrl(src, fin);
                 }
             }
             K_GATHER => {
@@ -1228,13 +1358,19 @@ impl Endpoint {
     /// it when the reliability layer is off.
     fn dispatch(&mut self, env: Envelope, payload: Payload<'_>) {
         match env {
-            Envelope::Eager { src, tag, len } => {
+            Envelope::Eager {
+                src,
+                tag,
+                len,
+                stamp,
+            } => {
                 let len = len as usize;
+                let charge = Charge::landed(stamp, model::era(len, Protocol::Eager));
                 let rx_bufs = &self.rx_bufs;
                 if let Some(req) = self.matcher.arrive(src, tag) {
                     let info = RecvInfo { src, tag, len };
                     // Host copy #2: bounce buffer (or frame) -> user buffer.
-                    complete_recv(&mut self.recvs, &mut self.stats, req, info, |buf| {
+                    complete_recv(&mut self.recvs, &mut self.stats, req, info, charge, |buf| {
                         buf.set_len(len);
                         payload.copy_to(rx_bufs, buf.as_mut_slice());
                     });
@@ -1244,7 +1380,7 @@ impl Endpoint {
                     data.resize(len, 0);
                     payload.copy_to(rx_bufs, &mut data);
                     self.count_copy(len);
-                    self.matcher.park(src, tag, Parked::Data(data));
+                    self.matcher.park(src, tag, Parked::Data(data, charge));
                 }
             }
             Envelope::Rts {
@@ -1253,8 +1389,18 @@ impl Endpoint {
                 len,
                 msg_id,
                 rkey,
-            } => self.on_rts(src, tag, len, msg_id, rkey),
-            Envelope::Fin { msg_id } => self.on_fin(msg_id),
+                stamp,
+            } => {
+                let charge = Charge::landed(stamp, model::era(len as usize, Protocol::Rendezvous));
+                let rts = Rts {
+                    len,
+                    msg_id,
+                    rkey,
+                    charge,
+                };
+                self.on_rts(src, tag, rts)
+            }
+            Envelope::Fin { msg_id, stamp } => self.on_fin(msg_id, stamp),
             Envelope::Ack { src, acked, cum } => self.handle_ack(src, acked, cum),
             Envelope::SockSeg {
                 src,
@@ -1263,13 +1409,13 @@ impl Endpoint {
                 total,
                 offset,
                 len,
+                stamp,
             } => {
-                spin_for(self.cfg.interrupt_overhead);
                 let rx_bufs = &self.rx_bufs;
                 let done = sock_segment(
                     &mut self.sock_assembly,
                     &mut self.frames,
-                    (src, tag, msg_id),
+                    (src, tag, msg_id, stamp),
                     total as usize,
                     offset as usize,
                     len as usize,
@@ -1288,28 +1434,30 @@ impl Endpoint {
         let Some(asm) = done else {
             return;
         };
+        let charge = Charge::landed(asm.stamp, model::era(asm.total, Protocol::Sockets));
         if let Some(req) = self.matcher.arrive(asm.src, asm.tag) {
             // Final copy: socket buffer -> user.
-            self.deliver_data(req, asm.src, asm.tag, &asm.data);
+            self.deliver_data(req, asm.src, asm.tag, &asm.data, charge);
             self.frames.release(asm.data);
         } else {
             self.stats.unexpected_arrivals += 1;
-            self.matcher.park(asm.src, asm.tag, Parked::Data(asm.data));
+            self.matcher
+                .park(asm.src, asm.tag, Parked::Data(asm.data, charge));
         }
     }
 
     /// A rendezvous RTS arrived.
-    fn on_rts(&mut self, src: u32, tag: u64, len: u64, msg_id: u64, rkey: u64) {
+    fn on_rts(&mut self, src: u32, tag: u64, rts: Rts) {
         if let Some(req) = self.matcher.arrive(src, tag) {
-            let _ = self.start_rendezvous_recv(req, src, tag, len, msg_id, rkey);
+            let _ = self.start_rendezvous_recv(req, src, tag, rts);
         } else {
             self.stats.unexpected_arrivals += 1;
-            self.matcher.park(src, tag, Parked::Rts { len, msg_id, rkey });
+            self.matcher.park(src, tag, Parked::Rts(rts));
         }
     }
 
     /// A rendezvous FIN arrived: the receiver pulled the data.
-    fn on_fin(&mut self, msg_id: u64) {
+    fn on_fin(&mut self, msg_id: u64, stamp: u64) {
         let Some(sr) = self.sends.get_mut(&msg_id) else {
             return;
         };
@@ -1317,6 +1465,7 @@ impl Endpoint {
             return;
         };
         sr.phase = SendPhase::Done;
+        sr.charge = Charge::landed(stamp, model::era_fin());
         let rank = self.rank;
         if let Some(o) = &mut self.obs {
             o.exit(
@@ -1384,18 +1533,15 @@ impl Endpoint {
 
     /// Complete the posted receive `req` by copying from a byte slice
     /// (a parked payload or a reassembled sockets message).
-    fn deliver_data(&mut self, req: ReqId, src: u32, tag: u64, data: &[u8]) {
-        complete_recv(
-            &mut self.recvs,
-            &mut self.stats,
-            req,
-            RecvInfo {
-                src,
-                tag,
-                len: data.len(),
-            },
-            |buf| buf.fill_from(data),
-        );
+    fn deliver_data(&mut self, req: ReqId, src: u32, tag: u64, data: &[u8], charge: Charge) {
+        let info = RecvInfo {
+            src,
+            tag,
+            len: data.len(),
+        };
+        complete_recv(&mut self.recvs, &mut self.stats, req, info, charge, |buf| {
+            buf.fill_from(data)
+        });
     }
 
     /// Return the bounce buffer a receive completion consumed to the
@@ -1714,20 +1860,22 @@ impl Endpoint {
     }
 }
 
-/// Complete the posted receive `req` with the payload `info` describes:
-/// `copy_in` writes it into the request's buffer (one host copy), unless
-/// the buffer is too small, which completes the request with
-/// [`MsgError::Truncated`] instead.
+/// Complete the posted receive `req` with the payload `info` describes
+/// and the message's `charge`: `copy_in` writes it into the request's
+/// buffer (one host copy), unless the buffer is too small, which
+/// completes the request with [`MsgError::Truncated`] instead.
 fn complete_recv(
     recvs: &mut FastHashMap<ReqId, RecvReq>,
     stats: &mut EndpointStats,
     req: ReqId,
     info: RecvInfo,
+    charge: Charge,
     copy_in: impl FnOnce(&mut MsgBuf),
 ) {
     let Some(rr) = recvs.get_mut(&req) else {
         return;
     };
+    rr.charge = rr.charge.meet(charge);
     if info.len > rr.buf.capacity() {
         rr.phase = RecvPhase::Done(Err(MsgError::Truncated {
             incoming: info.len,
@@ -1750,7 +1898,7 @@ fn complete_recv(
 fn sock_segment(
     table: &mut FastHashMap<u64, SockAssembly>,
     frames: &mut FramePool,
-    (src, tag, msg_id): (u32, u64, u64),
+    (src, tag, msg_id, stamp): (u32, u64, u64, u64),
     total: usize,
     offset: usize,
     len: usize,
@@ -1771,6 +1919,7 @@ fn sock_segment(
                 tag,
                 total,
                 got: 0,
+                stamp,
                 data,
             };
             if add(&mut asm) {
@@ -1780,17 +1929,6 @@ fn sock_segment(
                 None
             }
         }
-    }
-}
-
-/// Calibrated busy-wait used by the sockets overhead model.
-fn spin_for(d: Duration) {
-    if d.is_zero() {
-        return;
-    }
-    let end = Instant::now() + d;
-    while Instant::now() < end {
-        std::hint::spin_loop();
     }
 }
 

@@ -144,6 +144,49 @@ mod tests {
         }
     }
 
+    /// The clock is the model: one message over a 2-rank world with
+    /// reliability off, driven from one thread, leaves the receiver's
+    /// clock at `p2p_time` on the era link to the picosecond. Rendezvous
+    /// is the one disagreement, pinned here: its receiver is done when
+    /// the read is, one `ctrl(1)` before the model, whose FIN "overlaps
+    /// nothing"; the sender, released by that FIN, lands on `p2p_time`.
+    #[test]
+    fn virtual_clock_matches_p2p_time() {
+        use crate::model::{era_fin, p2p_time, HostParams, ERA_LINK};
+        let fin = era_fin();
+        let ctrl = fin.send + fin.wire + fin.recv;
+        let cells = [
+            (Protocol::Eager, 64),
+            (Protocol::Eager, 4 << 10),
+            (Protocol::Eager, 16 << 10),
+            (Protocol::Sockets, 64),
+            (Protocol::Sockets, 1500),
+            (Protocol::Sockets, 64 << 10),
+            (Protocol::Sockets, 1 << 20),
+            (Protocol::Rendezvous, 64 << 10),
+            (Protocol::Rendezvous, 1 << 20),
+        ];
+        for (proto, len) in cells {
+            let (_f, mut eps) = world(2, MsgConfig::with_protocol(proto));
+            let (e1, rest) = eps.split_at_mut(1);
+            let (ep0, ep1) = (&mut e1[0], &mut rest[0]);
+            let mut buf = ep0.alloc(len).unwrap();
+            buf.fill_from(&payload(len));
+            let sreq = ep0.isend(1, 9, buf).unwrap();
+            let rbuf = ep1.alloc(len).unwrap();
+            let rreq = ep1.irecv(MatchSpec::exact(0, 9), rbuf).unwrap();
+            drive(ep0, ep1, sreq, rreq);
+            let model = p2p_time(&ERA_LINK, 1, len as u64, proto, &HostParams::default());
+            let (sent, got) = (ep0.clock(), ep1.clock());
+            if proto == Protocol::Rendezvous {
+                assert_eq!(got + ctrl, model, "{proto:?}, {len} bytes: receiver");
+                assert_eq!(sent, model, "{proto:?}, {len} bytes: sender");
+            } else {
+                assert_eq!(got, model, "{proto:?}, {len} bytes");
+            }
+        }
+    }
+
     #[test]
     fn auto_switches_protocol_at_threshold() {
         let (_f, mut eps) = world(2, MsgConfig::default());

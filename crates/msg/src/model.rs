@@ -1,26 +1,36 @@
 //! Analytic protocol cost models (LogGP-style) for simulated time.
 //!
-//! The shared-memory backend gives *executable* protocols whose relative
-//! wall-clock behaviour is real, but it cannot reproduce 2002-era
-//! absolute latencies or scale to thousands of nodes. For the figures,
-//! the protocols are therefore also expressed as cost models over a
-//! [`LinkModel`]: each protocol's time is the sum of its CPU overheads,
-//! its host copies at a modeled memory-copy bandwidth, and its wire
-//! crossings. The models use the same structural constants the
-//! executable protocols exhibit (copy counts, handshake message counts),
-//! which the unit tests cross-check against `EndpointStats`.
+//! Each protocol's time is the sum of its CPU overheads, its host copies
+//! at a modeled memory-copy bandwidth, and its wire crossings over a
+//! [`LinkModel`]. The cost is split at the wire: what the sender's host
+//! pays before the message leaves, the wire crossing, and what the
+//! receiver's host pays after it lands. [`p2p_time`] is the sum of the
+//! three (plus the FIN for rendezvous), and the figures plot it at any
+//! scale and generation.
+//!
+//! The executable protocols in [`crate::endpoint`] keep time with the
+//! same halves: every endpoint has a virtual clock that a send advances
+//! by the send half and a completed receive by the receive half, over
+//! one hop of the era link below. So the 2002 cost structure is written
+//! down once, here, and the executable stack's times are a function of
+//! the program, not of the host that runs it. The models use the same
+//! structural constants the executable protocols exhibit (copy counts,
+//! handshake message counts), which the unit tests cross-check against
+//! `EndpointStats`.
 //!
 //! Era parameters default to published 2002 ballpark values.
 
 use crate::config::{MsgConfig, Protocol, SOCKETS_MTU};
 use crate::envelope::HEADER_LEN;
-use polaris_simnet::link::LinkModel;
+use polaris_simnet::link::{Generation, LinkModel};
 use polaris_simnet::time::SimDuration;
 
 /// Host-side cost parameters (the "o" and copy terms of LogGP).
 #[derive(Debug, Clone, Copy)]
 pub struct HostParams {
-    /// Host memory copy bandwidth, bytes/sec (2002 commodity: ~1 GB/s).
+    /// Host memory copy bandwidth, bytes/sec. The default, 1 GB/s, is
+    /// the order of the STREAM copy rate of a single-CPU 2002 commodity
+    /// node (a Pentium 4 or Athlon MP on PC2100 DDR or RDRAM).
     pub copy_bps: u64,
     /// Whether the registration cache is warm (ablation A1).
     pub reg_cache: bool,
@@ -35,7 +45,15 @@ impl Default for HostParams {
     }
 }
 
-/// Per-message CPU overhead of the user-level send/recv paths.
+/// The link the executable stack's clock prices its wire crossings on:
+/// [`Generation::GigabitEthernet`], the 2002 commodity cluster fabric.
+/// The clock charges one hop of it, because the executable fabric
+/// connects every pair of NICs directly.
+pub(crate) const ERA_LINK: LinkModel = Generation::GigabitEthernet.link_model();
+
+/// Per-message CPU overhead of the user-level send/recv paths: about a
+/// thousand cycles of descriptor building and completion polling at a
+/// 2002 CPU's 2 GHz.
 const USERLEVEL_OVERHEAD: SimDuration = SimDuration::from_ns(500);
 /// Cost of one syscall (sockets path). The 2002 kernel TCP path pays a
 /// syscall and protocol processing per segment on the send side, an
@@ -64,8 +82,86 @@ impl HostParams {
     }
 }
 
+/// One message's cost split at the wire.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Halves {
+    /// What the sender's host pays before the message leaves.
+    pub send: SimDuration,
+    /// The wire crossing.
+    pub wire: SimDuration,
+    /// What the receiver's host pays once it has landed.
+    pub recv: SimDuration,
+}
+
+impl Halves {
+    fn total(self) -> SimDuration {
+        self.send + self.wire + self.recv
+    }
+}
+
+/// `bytes` of payload under `protocol` (never `Auto`) over `hops` links
+/// of `link`, split at the wire. For rendezvous this is the RTS and the
+/// read; the FIN that releases the sender is [`fin`].
+pub(crate) fn halves(
+    link: &LinkModel,
+    hops: u32,
+    bytes: u64,
+    protocol: Protocol,
+    host: &HostParams,
+) -> Halves {
+    let hdr = HEADER_LEN as u64;
+    match protocol {
+        // Copy in, wire (payload + envelope), copy out.
+        Protocol::Eager => Halves {
+            send: USERLEVEL_OVERHEAD + host.copy_time(bytes),
+            wire: link.message_time(bytes + hdr, hops),
+            recv: host.copy_time(bytes) + USERLEVEL_OVERHEAD,
+        },
+        // The sender registers its buffer and posts the RTS; the
+        // receiver takes it and reads the payload.
+        Protocol::Rendezvous => Halves {
+            send: USERLEVEL_OVERHEAD + host.reg_time(bytes),
+            wire: link.message_time(hdr, hops),
+            recv: USERLEVEL_OVERHEAD + link.message_time(bytes.max(1), hops),
+        },
+        // Two copies per side, one syscall per segment at the sender,
+        // one interrupt per segment at the receiver, then the wire.
+        Protocol::Sockets => {
+            let segs = bytes.div_ceil(SOCKETS_MTU as u64).max(1);
+            Halves {
+                send: host.copy_time(2 * bytes) + SYSCALL.saturating_mul(segs),
+                wire: link.message_time(bytes + segs * hdr, hops),
+                recv: host.copy_time(2 * bytes) + INTERRUPT.saturating_mul(segs),
+            }
+        }
+        Protocol::Auto => unreachable!("the caller resolves Auto"),
+    }
+}
+
+/// The rendezvous FIN, a header-only control message, split at the wire.
+pub(crate) fn fin(link: &LinkModel, hops: u32) -> Halves {
+    Halves {
+        send: USERLEVEL_OVERHEAD,
+        wire: link.message_time(HEADER_LEN as u64, hops),
+        recv: USERLEVEL_OVERHEAD,
+    }
+}
+
+/// [`halves`] on one hop of [`ERA_LINK`] at the default host costs:
+/// what an endpoint's clock charges a `bytes`-byte message.
+pub(crate) fn era(bytes: usize, protocol: Protocol) -> Halves {
+    halves(&ERA_LINK, 1, bytes as u64, protocol, &HostParams::default())
+}
+
+/// [`fin`] on one hop of [`ERA_LINK`].
+pub(crate) fn era_fin() -> Halves {
+    fin(&ERA_LINK, 1)
+}
+
 /// End-to-end one-way time for `bytes` of payload under `protocol` over
-/// `hops` links of `link`.
+/// `hops` links of `link`. `Auto` picks the protocol by the endpoint's
+/// default threshold. A rendezvous pays its FIN too: the FIN overlaps
+/// nothing here.
 pub fn p2p_time(
     link: &LinkModel,
     hops: u32,
@@ -73,46 +169,12 @@ pub fn p2p_time(
     protocol: Protocol,
     host: &HostParams,
 ) -> SimDuration {
-    let hdr = HEADER_LEN as u64;
-    let ctrl = |n: u64| {
-        // n header-only control messages, each paying wire time plus
-        // user-level overhead at both ends.
-        let mut t = SimDuration::ZERO;
-        for _ in 0..n {
-            t += link.message_time(hdr, hops) + USERLEVEL_OVERHEAD + USERLEVEL_OVERHEAD;
-        }
+    let protocol = MsgConfig::with_protocol(protocol).protocol_for(bytes as usize);
+    let t = halves(link, hops, bytes, protocol, host).total();
+    if protocol == Protocol::Rendezvous {
+        t + fin(link, hops).total()
+    } else {
         t
-    };
-    match protocol {
-        Protocol::Eager => {
-            // copy in, wire (payload + envelope), copy out.
-            USERLEVEL_OVERHEAD
-                + host.copy_time(bytes)
-                + link.message_time(bytes + hdr, hops)
-                + host.copy_time(bytes)
-                + USERLEVEL_OVERHEAD
-        }
-        Protocol::Rendezvous => {
-            // RTS -> (read) -> FIN; the FIN overlaps nothing here.
-            let data = link.message_time(bytes.max(1), hops);
-            ctrl(2) + host.reg_time(bytes) + data
-        }
-        Protocol::Sockets => {
-            let mtu = SOCKETS_MTU as u64;
-            let segs = bytes.div_ceil(mtu).max(1);
-            // Two copies per side, one syscall per segment at the sender,
-            // one interrupt per segment at the receiver, then the wire.
-            host.copy_time(2 * bytes)
-                + host.copy_time(2 * bytes)
-                + SYSCALL.saturating_mul(segs)
-                + INTERRUPT.saturating_mul(segs)
-                + link.message_time(bytes + segs * hdr, hops)
-        }
-        Protocol::Auto => {
-            // The endpoint's default threshold picks the protocol.
-            let p = MsgConfig::default().protocol_for(bytes as usize);
-            p2p_time(link, hops, bytes, p, host)
-        }
     }
 }
 
@@ -155,7 +217,6 @@ pub fn eager_rendezvous_crossover(link: &LinkModel, hops: u32, host: &HostParams
 #[cfg(test)]
 mod tests {
     use super::*;
-    use polaris_simnet::link::Generation;
 
     fn host() -> HostParams {
         HostParams::default()

@@ -68,7 +68,7 @@ impl Generation {
         }
     }
 
-    pub fn link_model(self) -> LinkModel {
+    pub const fn link_model(self) -> LinkModel {
         match self {
             Generation::FastEthernet => LinkModel {
                 bandwidth_bps: 12_500_000, // 100 Mb/s

@@ -15,18 +15,14 @@ use proptest::prelude::*;
 
 fn arb_envelope() -> impl Strategy<Value = Envelope> {
     prop_oneof![
-        (any::<u32>(), any::<u64>(), any::<u64>())
-            .prop_map(|(src, tag, len)| Envelope::Eager { src, tag, len }),
-        (any::<u32>(), any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()).prop_map(
-            |(src, tag, len, msg_id, rkey)| Envelope::Rts {
+        (any::<u32>(), any::<u64>(), any::<u64>(), any::<u64>()).prop_map(
+            |(src, tag, len, stamp)| Envelope::Eager {
                 src,
                 tag,
                 len,
-                msg_id,
-                rkey
+                stamp
             }
         ),
-        any::<u64>().prop_map(|msg_id| Envelope::Fin { msg_id }),
         (
             any::<u32>(),
             any::<u64>(),
@@ -35,14 +31,35 @@ fn arb_envelope() -> impl Strategy<Value = Envelope> {
             any::<u64>(),
             any::<u64>()
         )
-            .prop_map(|(src, tag, msg_id, total, offset, len)| Envelope::SockSeg {
+            .prop_map(|(src, tag, len, msg_id, rkey, stamp)| Envelope::Rts {
                 src,
                 tag,
+                len,
                 msg_id,
-                total,
-                offset,
-                len
+                rkey,
+                stamp
             }),
+        (any::<u64>(), any::<u64>()).prop_map(|(msg_id, stamp)| Envelope::Fin { msg_id, stamp }),
+        (
+            any::<u32>(),
+            any::<u64>(),
+            any::<u64>(),
+            any::<u64>(),
+            any::<u64>(),
+            any::<u32>(),
+            any::<u64>()
+        )
+            .prop_map(
+                |(src, tag, msg_id, total, offset, len, stamp)| Envelope::SockSeg {
+                    src,
+                    tag,
+                    msg_id,
+                    total,
+                    offset,
+                    len,
+                    stamp
+                }
+            ),
     ]
 }
 
